@@ -13,19 +13,16 @@ from .signal_model import (
     save_record,
     truncate_to,
 )
-from .transforms import TeoOutput, smooth2, smooth2_fixed, teo, teo_fixed
+from .transforms import smooth2, smooth2_fixed, teo, teo_fixed
 from .threshold import (
     Dyadic,
     EstimatorConfig,
-    SigmaEstimatorState,
     ThresholdCoefficients,
-    ThresholdPair,
     calibrate_coefficients,
     compute_thresholds,
     compute_thresholds_q10,
     default_float_coefficients,
     default_hw_coefficients,
-    estimator_step,
     load_coefficients,
     save_coefficients,
 )
@@ -44,7 +41,6 @@ from .detector import (
     form_events,
 )
 from .hw_model import (
-    ChannelState,
     HwConfig,
     HwTrace,
     assert_closure,

@@ -34,6 +34,7 @@ from .threshold import (
     EstimatorConfig,
     SIGMA_FRACTION_BITS,
     ThresholdCoefficients,
+    compute_thresholds,
     compute_thresholds_q10,
     default_float_coefficients,
     sigma_frames,
@@ -181,8 +182,8 @@ def prepare_dual(
         raise ValueError(f"unknown pipeline {pipeline!r}")
     x = record.samples
     s = smooth2(x)
-    x_energy = teo(x).values
-    s_energy = teo(s).values
+    x_energy = teo(x)
+    s_energy = teo(s)
     sig = sigma_frames(s, estimator)
     cfg = event_cfg if event_cfg is not None else EventFormationConfig.for_rate(record.rate_hz)
     return PreparedDual(
@@ -199,36 +200,42 @@ def prepare_dual(
     )
 
 
-def dual_crossing_streams(prep: PreparedDual, coeffs: ThresholdCoefficients):
-    """Boolean crossing streams (raw path, smoothed path) before warm-up gating."""
-    n = prep.n
-    L = prep.frame_len
-    if n == 0:
-        empty = np.zeros(0, dtype=bool)
-        return empty, empty
+def _comparator(prep: PreparedDual, coeffs: ThresholdCoefficients):
+    """Per-sample thresholds and the two comparator outputs, before warm-up gating.
+
+    Returns ``(thr_x, thr_s, cross_x, cross_s)``; each frame's thresholds hold
+    over its samples.  Integer thresholds are Q.10, so the energies are
+    shifted up to meet them.
+    """
     if prep.integer_domain:
         thr_x_f, thr_s_f = compute_thresholds_q10(prep.sigma_per_frame, coeffs)
-        thr_x = np.repeat(thr_x_f, L)[:n]
-        thr_s = np.repeat(thr_s_f, L)[:n]
-        cross_x = (prep.x_energy << SIGMA_FRACTION_BITS) > thr_x
-        cross_s = (prep.s_energy << SIGMA_FRACTION_BITS) > thr_s
+        x_energy = prep.x_energy << SIGMA_FRACTION_BITS
+        s_energy = prep.s_energy << SIGMA_FRACTION_BITS
     else:
-        sig = prep.sigma_per_frame
-        thr_x_f = coeffs.c1.value * sig
-        thr_s_f = coeffs.c2.value * sig + coeffs.c3.value * sig * sig
-        thr_x = np.repeat(thr_x_f, L)[:n]
-        thr_s = np.repeat(thr_s_f, L)[:n]
-        cross_x = prep.x_energy > thr_x
-        cross_s = prep.s_energy > thr_s
+        thr_x_f, thr_s_f = compute_thresholds(prep.sigma_per_frame, coeffs)
+        x_energy, s_energy = prep.x_energy, prep.s_energy
+    n, L = prep.n, prep.frame_len
+    thr_x = np.repeat(thr_x_f, L)[:n]
+    thr_s = np.repeat(thr_s_f, L)[:n]
+    return thr_x, thr_s, x_energy > thr_x, s_energy > thr_s
+
+
+def dual_crossing_streams(prep: PreparedDual, coeffs: ThresholdCoefficients):
+    """Boolean crossing streams (raw path, smoothed path) before warm-up gating."""
+    _, _, cross_x, cross_s = _comparator(prep, coeffs)
     return cross_x, cross_s
+
+
+def _gate_and_form(prep: PreparedDual, crossings: np.ndarray, align: np.ndarray) -> list[SpikeEvent]:
+    """Clear crossings inside the warm-up region (in place) and form events."""
+    crossings[: prep.warmup_samples] = False
+    return form_events(crossings, align, prep.event_cfg, prep.channel_id)
 
 
 def finish_dual(prep: PreparedDual, coeffs: ThresholdCoefficients) -> list[SpikeEvent]:
     """Threshold, OR, gate the warm-up region, and form events."""
     cross_x, cross_s = dual_crossing_streams(prep, coeffs)
-    crossings = cross_x | cross_s
-    crossings[: prep.warmup_samples] = False
-    return form_events(crossings, prep.align, prep.event_cfg, prep.channel_id)
+    return _gate_and_form(prep, cross_x | cross_s, prep.align)
 
 
 def _check_warmup(record: SignalRecord, estimator: EstimatorConfig) -> bool:
@@ -272,9 +279,7 @@ def detect_teo_single(
         return []
     prep = prepare_dual(record, estimator=estimator, event_cfg=cfg)
     cross_x, _ = dual_crossing_streams(prep, coeffs)
-    cross_x = cross_x.copy()
-    cross_x[: prep.warmup_samples] = False
-    return form_events(cross_x, prep.x_energy, prep.event_cfg, prep.channel_id)
+    return _gate_and_form(prep, cross_x, prep.x_energy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Bit-exact integer realization of the dual detector, plus the 256-channel
-time-multiplexed scheduler.
+"""Bit-exact integer realization of the dual detector and its 256-channel
+stream interface.
 
 Datapath per channel, all in two's-complement integers: 7-bit input codes,
 exact half-sum smoother (codes stay in the 7-bit range, carried at half-LSB
@@ -8,25 +8,18 @@ weight), exact Teager energies truncated by arithmetic right shift into 8-bit
 registers so the 2**-10 per-frame correction accumulates below one code LSB.
 Nothing on the data path is ever a float.
 
-Two equivalent execution models are provided and cross-checked:
-
-* a vectorized per-channel model (:func:`hw_detect_channel`,
-  :func:`trace_internal`) used for benchmarks, and
-* a sample-serial engine (:func:`hw_detect_multichannel`) that services the
-  interleaved channel stream one code at a time, round-robin across eight
-  32-channel blocks, holding every register in a per-channel state object.
-
-Scheduler transparency, multichannel output bit-identical to independent
-per-channel runs, is the central property of the model and is enforced by
-the test suite.  The energy at index k needs the k+1 input, so the serial
-engine evaluates each comparator one service cycle after the sample arrives;
-frame-boundary sigma updates fire after that comparator, which reproduces the
-vectorized frame timing exactly.
+There is one execution model: the vectorized per-channel pipeline
+(:func:`prepare_hw_dual` then :func:`~dualteo.detector.finish_dual`).
+:func:`hw_detect_channel` runs it on one record, :func:`trace_internal`
+exposes its every intermediate value, and :func:`hw_detect_multichannel`
+runs it on each channel of an interleaved multichannel stream.  Channels
+share no state, so the chip's time-multiplexed schedule cannot change any
+output; the test suite holds a sample-serial, block-scheduled engine as a
+bit-exact oracle and checks the multichannel output against it.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,14 +30,21 @@ from .detector import (
     EventFormationConfig,
     PreparedDual,
     SpikeEvent,
+    _comparator,
+    dual_crossing_streams,
     finish_dual,
 )
-from .signal_model import FixedPointFormat, QuantizedRecord, SignalRecord, quantize_mid_tread
+from .signal_model import (
+    FixedPointFormat,
+    QuantizedRecord,
+    SignalRecord,
+    quantize_mid_tread,
+    read_header,
+)
 from .threshold import (
     EstimatorConfig,
     SIGMA_FRACTION_BITS,
     ThresholdCoefficients,
-    compute_thresholds_q10,
     default_hw_coefficients,
     sigma_frames_q10,
 )
@@ -52,7 +52,6 @@ from .transforms import smooth2_fixed, teo_fixed
 
 __all__ = [
     "HwConfig",
-    "ChannelState",
     "HwTrace",
     "quantize_for_hw",
     "prepare_hw_dual",
@@ -69,26 +68,23 @@ THRESHOLD_REGISTER_BITS = 32  # signed Q.10; ample for the coefficient grid
 
 @dataclass(frozen=True)
 class HwConfig:
-    """Datapath parameters: bit widths, drops, rate, and channel topology.
+    """Datapath parameters: bit widths, drops, rate, and channel count.
 
-    ``smoothed_bits`` is the nominal width of the smoothed stream; its codes
-    span the full input range because the half-sum is carried at half-LSB
-    weight, so closure checks validate it against ``input_bits``.
+    The smoothed stream needs no width of its own: its half-sum codes span
+    the input range at half-LSB weight.
     """
 
     input_bits: int = 7
-    smoothed_bits: int = 6
     xteo_bits: int = 8
     steo_bits: int = 9
     rate_hz: float = 16000.0
     channels: int = 256
-    channels_per_block: int = 32
     xteo_drop_lsbs: int = 7
     steo_drop_lsbs: int = 6
 
     def __post_init__(self):
-        if self.channels % self.channels_per_block != 0:
-            raise ValueError("channels must divide evenly into blocks")
+        if self.channels < 1:
+            raise ValueError("channels must be >= 1")
         if min(self.xteo_drop_lsbs, self.steo_drop_lsbs) < 0:
             raise ValueError("drop counts must be >= 0")
 
@@ -108,10 +104,6 @@ class HwConfig:
     def sigma_register_max(self) -> int:
         # sigma never exceeds the top input code plus one correction step
         return 1 << (self.input_bits - 1 + SIGMA_FRACTION_BITS + 1)
-
-    @property
-    def n_blocks(self) -> int:
-        return self.channels // self.channels_per_block
 
 
 def quantize_for_hw(record: SignalRecord, cfg: HwConfig) -> QuantizedRecord:
@@ -149,8 +141,8 @@ def prepare_hw_dual(
         raise ValueError(f"expected rate {cfg.rate_hz} Hz, got {q.rate_hz} Hz")
     x = q.codes
     s = smooth2_fixed(x)
-    x_teo = teo_fixed(x, cfg.input_format, cfg.xteo_format, cfg.xteo_drop_lsbs).values
-    s_teo = teo_fixed(s, cfg.input_format, cfg.steo_format, cfg.steo_drop_lsbs).values
+    x_teo = teo_fixed(x, cfg.input_format, cfg.xteo_format, cfg.xteo_drop_lsbs)
+    s_teo = teo_fixed(s, cfg.input_format, cfg.steo_format, cfg.steo_drop_lsbs)
     sig_q = sigma_frames_q10(s, estimator)
     evt = event_cfg if event_cfg is not None else EventFormationConfig.for_rate(cfg.rate_hz)
     return PreparedDual(
@@ -244,15 +236,7 @@ def trace_internal(
     if coeffs is None:
         coeffs = default_hw_coefficients()
     prep = prepare_hw_dual(q, cfg, estimator=estimator)
-    n = prep.n
-    L = prep.frame_len
-    thr_x_f, thr_s_f = compute_thresholds_q10(prep.sigma_per_frame, coeffs)
-    thr_x = np.repeat(thr_x_f, L)[:n]
-    thr_s = np.repeat(thr_s_f, L)[:n]
-    crossing = (
-        ((prep.x_energy << SIGMA_FRACTION_BITS) > thr_x)
-        | ((prep.s_energy << SIGMA_FRACTION_BITS) > thr_s)
-    ).astype(np.int64)
+    thr_x, thr_s, cross_x, cross_s = _comparator(prep, coeffs)
     return HwTrace(
         x=q.codes.copy(),
         s=smooth2_fixed(q.codes),
@@ -260,7 +244,7 @@ def trace_internal(
         s_teo=prep.s_energy,
         thr_x=thr_x,
         thr_s=thr_s,
-        crossing=crossing,
+        crossing=(cross_x | cross_s).astype(np.int64),
     )
 
 
@@ -290,165 +274,8 @@ def assert_closure(trace: HwTrace, cfg: HwConfig | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sample-serial engine and the multichannel scheduler
+# Multichannel stream interface
 # ---------------------------------------------------------------------------
-
-
-class ChannelState:
-    """All per-channel registers of the serial engine.
-
-    Mirrors the hardware register banks: the two input delay codes (the newer
-    one doubles as the smoother input), two smoothed delay codes, the sigma
-    estimator accumulators, the current Q.10 threshold pair, and the running
-    event-formation registers (peak, gap, pending flag).
-    """
-
-    __slots__ = (
-        "channel_id", "t", "x1", "x2", "s1", "s2",
-        "sigma_q", "exceed", "sum_s", "sumsq_s",
-        "thr_x_q", "thr_s_q",
-        "pending", "peak_val", "peak_idx", "first_idx", "last_true",
-        "events", "crossings",
-    )
-
-    def __init__(self, channel_id: int, n_samples: int, record_crossings: bool):
-        self.channel_id = channel_id
-        self.t = 0
-        self.x1 = 0
-        self.x2 = 0
-        self.s1 = 0
-        self.s2 = 0
-        self.sigma_q = 0
-        self.exceed = 0
-        self.sum_s = 0
-        self.sumsq_s = 0
-        self.thr_x_q = 0
-        self.thr_s_q = 0
-        self.pending = False
-        self.peak_val = 0
-        self.peak_idx = -1
-        self.first_idx = -1
-        self.last_true = -(1 << 40)
-        self.events: list[SpikeEvent] = []
-        self.crossings = np.zeros(n_samples, dtype=bool) if record_crossings else None
-
-
-class _SerialChannel:
-    """One channel of the serial engine; one ``push`` per arriving code."""
-
-    def __init__(self, cfg: HwConfig, coeffs: ThresholdCoefficients,
-                 evt_cfg: EventFormationConfig, estimator: EstimatorConfig,
-                 channel_id: int, n_samples: int, record_crossings: bool):
-        self.cfg = cfg
-        self.coeffs = coeffs
-        self.evt = evt_cfg
-        self.est = estimator
-        self.state = ChannelState(channel_id, n_samples, record_crossings)
-        self.n_samples = n_samples
-        # precompute comparator constants
-        self.xteo_min = cfg.xteo_format.min_code
-        self.xteo_max = cfg.xteo_format.max_code
-        self.steo_min = cfg.steo_format.min_code
-        self.steo_max = cfg.steo_format.max_code
-        self.xdrop = cfg.xteo_drop_lsbs
-        self.sdrop = cfg.steo_drop_lsbs
-        base = min(self.xdrop, self.sdrop)
-        self.xshift = self.xdrop - base
-        self.sshift = self.sdrop - base
-
-    def _emit(self, k: int, x_teo: int, s_teo: int) -> None:
-        """Comparator plus streaming event formation for energy index k."""
-        st = self.state
-        crossed = (
-            (x_teo << SIGMA_FRACTION_BITS) > st.thr_x_q
-            or (s_teo << SIGMA_FRACTION_BITS) > st.thr_s_q
-        )
-        if st.crossings is not None:
-            st.crossings[k] = crossed
-        if not crossed or k < self.est.warmup_samples:
-            return
-        align = max(x_teo << self.xshift, s_teo << self.sshift)
-        if st.pending and k - st.last_true < self.evt.refractory_samples:
-            if align > st.peak_val:
-                st.peak_val = align
-                st.peak_idx = k
-            st.last_true = k
-            return
-        if st.pending:
-            self._finalize_event()
-        st.pending = True
-        st.peak_val = align
-        st.peak_idx = k
-        st.first_idx = k
-        st.last_true = k
-
-    def _finalize_event(self) -> None:
-        st = self.state
-        idx = st.peak_idx if self.evt.alignment == "teo_peak" else st.first_idx
-        st.events.append(SpikeEvent(channel_id=st.channel_id, sample_index=idx))
-        st.pending = False
-
-    def push(self, code: int) -> None:
-        st = self.state
-        t = st.t
-        L = self.est.frame_len
-        s_t = code if t == 0 else (code + st.x1) >> 1
-
-        # 1) comparator for energy index t-1, before any frame update
-        if t >= 1:
-            if t == 1:
-                self._emit(0, 0, 0)  # boundary convention
-            else:
-                xe = st.x1 * st.x1 - code * st.x2
-                xe >>= self.xdrop
-                if xe < self.xteo_min:
-                    xe = self.xteo_min
-                elif xe > self.xteo_max:
-                    xe = self.xteo_max
-                se = st.s1 * st.s1 - s_t * st.s2
-                se >>= self.sdrop
-                if se < self.steo_min:
-                    se = self.steo_min
-                elif se > self.steo_max:
-                    se = self.steo_max
-                self._emit(t - 1, xe, se)
-
-        # 2) frame boundary: measurement frame assigns sigma, later frames
-        #    apply the counting correction; thresholds recompute right after
-        if t > 0 and t % L == 0:
-            if t == L:
-                v = L * st.sumsq_s - st.sum_s * st.sum_s
-                st.sigma_q = (
-                    math.isqrt((1 << (2 * SIGMA_FRACTION_BITS)) * v) // L if v > 0 else 0
-                )
-            else:
-                st.sigma_q = max(
-                    0, st.sigma_q + (st.exceed - self.est.convergence_factor)
-                )
-            st.exceed = 0
-            st.thr_x_q, st.thr_s_q = compute_thresholds_q10(st.sigma_q, self.coeffs)
-
-        # 3) estimator observes the smoothed sample
-        if t < L:
-            st.sum_s += s_t
-            st.sumsq_s += s_t * s_t
-        elif (s_t << SIGMA_FRACTION_BITS) > st.sigma_q:
-            st.exceed += 1
-
-        # 4) shift the delay registers
-        st.x2 = st.x1
-        st.x1 = code
-        st.s2 = st.s1
-        st.s1 = s_t
-        st.t = t + 1
-
-    def finish(self) -> list[SpikeEvent]:
-        st = self.state
-        if st.t >= 1:
-            self._emit(st.t - 1, 0, 0)  # final boundary index, energy is 0
-        if st.pending:
-            self._finalize_event()
-        return st.events
 
 
 def hw_detect_multichannel(
@@ -459,13 +286,17 @@ def hw_detect_multichannel(
     estimator: EstimatorConfig = EstimatorConfig(),
     return_crossings: bool = False,
 ):
-    """Serve an interleaved multichannel code stream through the serial engine.
+    """Run the per-channel integer pipeline on an interleaved code stream.
 
     ``frames`` is either a flat stream (scan-major: sample t of channels
     0..C-1, then sample t+1) whose length must divide by the channel count, or
-    a 2D array of shape (n_scans, channels).  Channels are serviced round-robin
-    within each 32-channel block, blocks in order; states never cross blocks,
-    so the output equals independent per-channel runs bit-exactly.
+    a 2D array of shape (n_scans, channels).  Codes must have an integer
+    dtype.  Each channel goes through :func:`prepare_hw_dual` and
+    :func:`~dualteo.detector.finish_dual` on its own.  Channels share no
+    state, so this equals the chip's round-robin service of the interleaved
+    stream bit for bit; ``tests/serial_oracle.py`` holds that sample-serial,
+    block-scheduled engine, and the test suite checks the two against each
+    other.
 
     Returns a list of per-channel event lists; with ``return_crossings`` also
     a (channels, n_scans) boolean array of raw comparator outputs.
@@ -473,7 +304,9 @@ def hw_detect_multichannel(
     cfg = cfg if cfg is not None else HwConfig()
     if coeffs is None:
         coeffs = default_hw_coefficients()
-    stream = np.asarray(frames, dtype=np.int64)
+    stream = np.asarray(frames)
+    if not np.issubdtype(stream.dtype, np.integer):
+        raise ValueError(f"expected integer codes, got dtype {stream.dtype}")
     if stream.ndim == 1:
         if stream.size % cfg.channels != 0:
             raise ValueError(
@@ -485,25 +318,20 @@ def hw_detect_multichannel(
         raise ValueError(f"expected (n_scans, {cfg.channels}) stream")
     if not cfg.input_format.contains(stream):
         raise ValueError(f"codes outside {cfg.input_bits}-bit range")
-    n_scans = stream.shape[0]
-    evt = evt_cfg if evt_cfg is not None else EventFormationConfig.for_rate(cfg.rate_hz)
 
-    engines = [
-        _SerialChannel(cfg, coeffs, evt, estimator, ch, n_scans, return_crossings)
-        for ch in range(cfg.channels)
-    ]
-    per_block = cfg.channels_per_block
-    rows = stream.tolist()  # plain ints keep the inner loop cheap
-    for row in rows:
-        for block in range(cfg.n_blocks):
-            base = block * per_block
-            for slot in range(per_block):
-                ch = base + slot
-                engines[ch].push(row[ch])
-    events = [eng.finish() for eng in engines]
+    events, crossings = [], []
+    # one contiguous row per channel; the stream's columns are strided views
+    for ch, codes in enumerate(np.ascontiguousarray(stream.T)):
+        q = QuantizedRecord(
+            codes=codes, format=cfg.input_format, rate_hz=cfg.rate_hz, channel_id=ch
+        )
+        prep = prepare_hw_dual(q, cfg, estimator=estimator, event_cfg=evt_cfg)
+        events.append(finish_dual(prep, coeffs))
+        if return_crossings:
+            cross_x, cross_s = dual_crossing_streams(prep, coeffs)
+            crossings.append(cross_x | cross_s)
     if return_crossings:
-        crossings = np.stack([eng.state.crossings for eng in engines])
-        return events, crossings
+        return events, np.stack(crossings)
     return events
 
 
@@ -530,15 +358,9 @@ def save_multichannel(stream: np.ndarray, rate_hz: float, path) -> None:
 
 
 def load_multichannel(path) -> tuple[np.ndarray, float]:
+    """Read a stream written by :func:`save_multichannel` as (n_scans, channels) codes."""
     path = Path(path)
-    hdr_path = path.with_name(path.name + ".hdr")
-    if not hdr_path.exists():
-        raise FileNotFoundError(f"missing header file {hdr_path}")
-    header = {}
-    for line in hdr_path.read_text().splitlines():
-        if line.strip():
-            key, _, val = line.partition("=")
-            header[key.strip()] = val.strip()
+    header = read_header(path, required=("rate_hz", "channels", "n_scans"))
     channels = int(header["channels"])
     n_scans = int(header["n_scans"])
     codes = np.fromfile(path, dtype=np.int8).astype(np.int64)

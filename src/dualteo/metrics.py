@@ -206,7 +206,6 @@ def sweep(spec: SweepSpec, estimator: EstimatorConfig = EstimatorConfig()) -> li
     # cell accuracies keyed by (point, detector)
     acc: dict = {(p, d): [] for p in spec.points for d in spec.detectors}
     for r in range(spec.replicates):
-        noise = fixed_noise if fixed_noise is not None else None
         if spec.axis == "noise_level":
             bases = {
                 p: _replicate_dataset(spec, r, noise_level=float(p)) for p in spec.points

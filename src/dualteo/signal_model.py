@@ -204,8 +204,15 @@ def _header_path(path: Path) -> Path:
     return path.with_name(path.name + _HEADER_SUFFIX)
 
 
-def read_header(path) -> dict:
-    """Parse the sidecar ``key=value`` header for a record data file."""
+_RECORD_HEADER_KEYS = ("rate_hz", "channel_id", "n_samples")
+
+
+def read_header(path, required: tuple[str, ...] = _RECORD_HEADER_KEYS) -> dict:
+    """Parse the sidecar ``key=value`` header of a data file.
+
+    Every key in ``required`` must be present; the default is the set a
+    record file needs.
+    """
     hdr_path = _header_path(Path(path))
     if not hdr_path.exists():
         raise FileNotFoundError(f"missing header file {hdr_path}")
@@ -218,7 +225,7 @@ def read_header(path) -> dict:
             raise ValueError(f"{hdr_path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         header[key.strip()] = val.strip()
-    for key in ("rate_hz", "channel_id", "n_samples"):
+    for key in required:
         if key not in header:
             raise ValueError(f"{hdr_path}: missing required header key {key!r}")
     return header

@@ -26,19 +26,16 @@ on the bundled synthetic corpus; see ``data/`` and ``scripts/calibrate_defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "SigmaEstimatorState",
     "EstimatorConfig",
     "ThresholdCoefficients",
-    "ThresholdPair",
     "Dyadic",
-    "estimator_step",
     "sigma_frames",
     "sigma_frames_q10",
     "initial_sigma_q10",
@@ -82,39 +79,6 @@ class EstimatorConfig:
     @property
     def warmup_samples(self) -> int:
         return self.warmup_frames * self.frame_len
-
-
-@dataclass(frozen=True)
-class SigmaEstimatorState:
-    """Feedback-loop state: current sigma plus the in-progress frame counters."""
-
-    sigma: float
-    frame_len: int = FRAME_LEN
-    exceed_count: int = 0
-    samples_in_frame: int = 0
-    convergence_factor: int = CONVERGENCE_FACTOR
-    scaling_factor: float = SCALING_FACTOR
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if not 0 <= self.exceed_count <= self.samples_in_frame <= self.frame_len:
-            raise ValueError("frame counters out of order")
-
-
-def estimator_step(state: SigmaEstimatorState, s_sample: float) -> SigmaEstimatorState:
-    """Advance the estimator by one smoothed sample; update sigma at frame end.
-
-    The comparison is strict: a sample equal to sigma does not count.  When the
-    frame fills, sigma moves by ``scaling_factor * (count - convergence_factor)``,
-    is clamped at zero, and the counters reset.
-    """
-    exceed = state.exceed_count + (1 if s_sample > state.sigma else 0)
-    filled = state.samples_in_frame + 1
-    if filled < state.frame_len:
-        return replace(state, exceed_count=exceed, samples_in_frame=filled)
-    sigma = state.sigma + state.scaling_factor * (exceed - state.convergence_factor)
-    return replace(state, sigma=max(0.0, sigma), exceed_count=0, samples_in_frame=0)
 
 
 def sigma_frames(s, cfg: EstimatorConfig = EstimatorConfig(), sigma0: float | None = None) -> np.ndarray:
@@ -254,25 +218,18 @@ class ThresholdCoefficients:
         return (terms, shifts)
 
 
-@dataclass(frozen=True)
-class ThresholdPair:
-    """Comparator levels for the raw-path and smoothed-path energy streams."""
-
-    thr_x: float
-    thr_s: float
-
-
-def compute_thresholds(sigma: float, coeffs: ThresholdCoefficients) -> ThresholdPair:
+def compute_thresholds(sigma, coeffs: ThresholdCoefficients):
     """Evaluate ``thr_x = c1*sigma`` and ``thr_s = c2*sigma + c3*sigma**2``.
 
-    Stateless; the pipelines call it once per frame, right after the sigma
-    update.
+    Float twin of :func:`compute_thresholds_q10`: takes an array of per-frame
+    sigma values (or a scalar) and returns the ``(thr_x, thr_s)`` arrays.
     """
-    if sigma < 0:
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if sigma.size and sigma.min() < 0:
         raise ValueError("sigma must be non-negative")
     thr_x = coeffs.c1.value * sigma
     thr_s = coeffs.c2.value * sigma + coeffs.c3.value * sigma * sigma
-    return ThresholdPair(thr_x=thr_x, thr_s=thr_s)
+    return thr_x, thr_s
 
 
 def compute_thresholds_q10(sigma_q, coeffs: ThresholdCoefficients):
@@ -285,20 +242,13 @@ def compute_thresholds_q10(sigma_q, coeffs: ThresholdCoefficients):
         thr_s_q = (c2n*sigma_q << (d - s2)) + (c3n*sigma_q**2 << (d - s3 - 10)) >> d,
         d = max(s2, s3 + 10)
 
-    Accepts a scalar or an int64 array of sigma values.  With 18-bit sigma
-    registers and the default grid's numerators and shifts everything fits
-    int64 with wide margin.
+    Accepts a scalar or an array of sigma values.  Sigma registers hold at most
+    2**17 (``HwConfig.sigma_register_max``); with numerators up to 12 and
+    shifts up to 12 every term stays below 2**43, so int64 arithmetic is exact.
     """
     c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
     d = max(c2.shift, c3.shift + SIGMA_FRACTION_BITS)
-    if isinstance(sigma_q, np.ndarray):
-        sq = sigma_q.astype(np.int64)
-        thr_x = (c1.numerator * sq) >> c1.shift
-        lin = (c2.numerator * sq) << (d - c2.shift)
-        quad = (c3.numerator * sq * sq) << (d - c3.shift - SIGMA_FRACTION_BITS)
-        thr_s = (lin + quad) >> d
-        return thr_x, thr_s
-    sq = int(sigma_q)
+    sq = np.asarray(sigma_q, dtype=np.int64)
     thr_x = (c1.numerator * sq) >> c1.shift
     lin = (c2.numerator * sq) << (d - c2.shift)
     quad = (c3.numerator * sq * sq) << (d - c3.shift - SIGMA_FRACTION_BITS)

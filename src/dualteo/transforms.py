@@ -15,40 +15,23 @@ nominal width of the smoothed stream comes from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .signal_model import FixedPointFormat, truncate_to
 
-__all__ = ["TeoOutput", "teo", "smooth2", "teo_fixed", "smooth2_fixed"]
+__all__ = ["teo", "smooth2", "teo_fixed", "smooth2_fixed"]
 
 
-@dataclass(frozen=True)
-class TeoOutput:
-    """Energy-transform output, same length as its input, zero at both ends."""
+def teo(x) -> np.ndarray:
+    """Teager energy of a real sequence, same length, zero at both ends.
 
-    values: np.ndarray
-    domain: str = "real"  # "real" or "integer"
-
-    def __post_init__(self):
-        if self.domain not in ("real", "integer"):
-            raise ValueError(f"domain must be 'real' or 'integer', got {self.domain!r}")
-        n = len(self.values)
-        if n and (self.values[0] != 0 or self.values[n - 1] != 0):
-            raise ValueError("boundary values must be zero")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def teo(x) -> TeoOutput:
-    """Teager energy of a real sequence; inputs shorter than 3 come back all zero."""
+    Inputs shorter than 3 come back all zero.
+    """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
     if len(x) >= 3:
         out[1:-1] = x[1:-1] ** 2 - x[2:] * x[:-2]
-    return TeoOutput(values=out, domain="real")
+    return out
 
 
 def smooth2(x) -> np.ndarray:
@@ -65,7 +48,7 @@ def teo_fixed(
     input_format: FixedPointFormat,
     out_format: FixedPointFormat,
     drop_lsbs: int = 0,
-) -> TeoOutput:
+) -> np.ndarray:
     """Integer Teager energy: exact interior arithmetic, then shift-and-saturate.
 
     Interior values are computed exactly in integers, arithmetic-right-shifted
@@ -80,7 +63,7 @@ def teo_fixed(
     if len(x) >= 3:
         exact = x[1:-1] * x[1:-1] - x[2:] * x[:-2]
         out[1:-1] = truncate_to(exact, out_format, drop_lsbs)
-    return TeoOutput(values=out, domain="integer")
+    return out
 
 
 def smooth2_fixed(x) -> np.ndarray:

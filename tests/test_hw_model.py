@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clean_spike_record
+from serial_oracle import serial_detect_multichannel
 from dualteo.detector import EventFormationConfig, detect_dual, dual_crossing_streams, finish_dual
 from dualteo.hw_model import (
     HwConfig,
@@ -18,7 +19,7 @@ from dualteo.hw_model import (
     trace_internal,
 )
 from dualteo.signal_model import FixedPointFormat, QuantizedRecord
-from dualteo.threshold import ThresholdCoefficients
+from dualteo.threshold import EstimatorConfig, ThresholdCoefficients
 
 HW_COEFFS = ThresholdCoefficients.make((3, 3), (0, 0), (1, 2))
 
@@ -37,14 +38,34 @@ def random_codes(rng, n):
     return rng.integers(-64, 64, size=n)
 
 
+def detect_multichannel_checked(stream, cfg, coeffs, estimator, return_crossings=False):
+    """``hw_detect_multichannel``, asserted bit-identical to the serial oracle.
+
+    Events and the comparator streams must both match; inputs the library
+    rejects raise before the oracle runs.
+    """
+    events, crossings = hw_detect_multichannel(
+        stream, cfg, coeffs, estimator=estimator, return_crossings=True
+    )
+    scans = np.asarray(stream).reshape(-1, cfg.channels)
+    oracle_events, oracle_crossings = serial_detect_multichannel(
+        scans, cfg, coeffs, estimator=estimator
+    )
+    assert events == oracle_events, "events differ from the serial oracle"
+    assert np.array_equal(crossings, oracle_crossings), "crossings differ from the serial oracle"
+    assert hw_detect_multichannel(stream, cfg, coeffs, estimator=estimator) == events
+    return (events, crossings) if return_crossings else events
+
+
 class TestHwConfig:
-    def test_channels_must_divide_into_blocks(self):
-        with pytest.raises(ValueError, match="blocks"):
-            HwConfig(channels=100, channels_per_block=32)
+    def test_channels_must_be_positive(self):
+        for channels in (0, -1):
+            with pytest.raises(ValueError, match="channels"):
+                HwConfig(channels=channels)
 
     def test_default_topology(self):
         cfg = HwConfig()
-        assert cfg.n_blocks == 8
+        assert cfg.channels == 256
         assert cfg.input_format.min_code == -64
         assert cfg.xteo_format.max_code == 127
         assert cfg.steo_format.max_code == 255
@@ -154,12 +175,12 @@ class TestTrace:
 
 class TestScheduler:
     def test_multichannel_equals_per_channel(self, estimator):
-        cfg = HwConfig(channels=64, channels_per_block=32)
+        cfg = HwConfig(channels=64)
         rng = np.random.default_rng(10)
         n_scans = 6000
         stream = rng.integers(-64, 64, size=(n_scans, 64))
-        events, crossings = hw_detect_multichannel(
-            stream, cfg, HW_COEFFS, estimator=estimator, return_crossings=True
+        events, crossings = detect_multichannel_checked(
+            stream, cfg, HW_COEFFS, estimator, return_crossings=True
         )
         for ch in range(cfg.channels):
             q = quantized(stream[:, ch], channel=ch)
@@ -170,56 +191,94 @@ class TestScheduler:
             assert np.array_equal(crossings[ch], cx | cs), f"channel {ch} crossings differ"
 
     def test_identical_channels_give_identical_outputs(self, estimator):
-        cfg = HwConfig(channels=32, channels_per_block=32)
+        cfg = HwConfig(channels=32)
         rng = np.random.default_rng(11)
         one = rng.integers(-64, 64, size=5000)
         stream = np.tile(one[:, None], (1, 32))
-        events = hw_detect_multichannel(stream, cfg, HW_COEFFS, estimator=estimator)
+        events = detect_multichannel_checked(stream, cfg, HW_COEFFS, estimator)
         first = [(e.sample_index) for e in events[0]]
         assert len(first) > 0
         for ch in range(1, 32):
             assert [(e.sample_index) for e in events[ch]] == first
 
     def test_channel_permutation_equivariance(self, estimator):
-        cfg = HwConfig(channels=32, channels_per_block=32)
+        cfg = HwConfig(channels=32)
         rng = np.random.default_rng(12)
         stream = rng.integers(-64, 64, size=(4500, 32))
         perm = rng.permutation(32)
-        base = hw_detect_multichannel(stream, cfg, HW_COEFFS, estimator=estimator)
-        permuted = hw_detect_multichannel(stream[:, perm], cfg, HW_COEFFS, estimator=estimator)
+        base = detect_multichannel_checked(stream, cfg, HW_COEFFS, estimator)
+        permuted = detect_multichannel_checked(stream[:, perm], cfg, HW_COEFFS, estimator)
         for new_ch, old_ch in enumerate(perm):
             assert [e.sample_index for e in permuted[new_ch]] == [
                 e.sample_index for e in base[old_ch]
             ]
 
     def test_flat_stream_reshaped_scan_major(self, estimator):
-        cfg = HwConfig(channels=32, channels_per_block=32)
+        cfg = HwConfig(channels=32)
         rng = np.random.default_rng(13)
         stream = rng.integers(-64, 64, size=(700, 32))
-        a = hw_detect_multichannel(stream, cfg, HW_COEFFS, estimator=estimator)
-        b = hw_detect_multichannel(stream.ravel(), cfg, HW_COEFFS, estimator=estimator)
+        a = detect_multichannel_checked(stream, cfg, HW_COEFFS, estimator)
+        b = detect_multichannel_checked(stream.ravel(), cfg, HW_COEFFS, estimator)
         assert a == b
 
     def test_ragged_stream_rejected(self, estimator):
-        cfg = HwConfig(channels=32, channels_per_block=32)
+        cfg = HwConfig(channels=32)
         with pytest.raises(ValueError, match="ragged"):
-            hw_detect_multichannel(np.zeros(33, dtype=int), cfg, HW_COEFFS, estimator=estimator)
+            detect_multichannel_checked(np.zeros(33, dtype=int), cfg, HW_COEFFS, estimator)
 
     def test_out_of_range_codes_rejected(self, estimator):
-        cfg = HwConfig(channels=32, channels_per_block=32)
+        cfg = HwConfig(channels=32)
         stream = np.zeros((10, 32), dtype=int)
         stream[3, 7] = 99
         with pytest.raises(ValueError, match="range"):
-            hw_detect_multichannel(stream, cfg, HW_COEFFS, estimator=estimator)
+            detect_multichannel_checked(stream, cfg, HW_COEFFS, estimator)
+
+    def test_non_integer_codes_rejected(self, estimator):
+        # a float stream must not be truncated toward zero into valid codes
+        cfg = HwConfig(channels=32)
+        stream = np.full((10, 32), 1.7)
+        with pytest.raises(ValueError, match="integer"):
+            detect_multichannel_checked(stream, cfg, HW_COEFFS, estimator)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        channels=st.integers(min_value=1, max_value=40),
+        n_scans=st.integers(min_value=0, max_value=1500),
+        frame_len=st.integers(min_value=1, max_value=299),
+        warmup_frames=st.integers(min_value=0, max_value=4),
+        refractory=st.integers(min_value=1, max_value=39),
+        alignment=st.sampled_from(["teo_peak", "crossing_start"]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_oracle_agreement_over_configs(
+        self, seed, channels, n_scans, frame_len, warmup_frames, refractory, alignment
+    ):
+        rng = np.random.default_rng(seed)
+        cfg = HwConfig(channels=channels)
+        est = EstimatorConfig(
+            frame_len=frame_len,
+            convergence_factor=int(rng.integers(0, frame_len + 1)),
+            warmup_frames=warmup_frames,
+        )
+        evt = EventFormationConfig(refractory_samples=refractory, alignment=alignment)
+        stream = rng.integers(-64, 64, size=(n_scans, channels))
+        events, crossings = hw_detect_multichannel(
+            stream, cfg, HW_COEFFS, evt, est, return_crossings=True
+        )
+        oracle_events, oracle_crossings = serial_detect_multichannel(
+            stream, cfg, HW_COEFFS, evt, est
+        )
+        assert events == oracle_events
+        assert np.array_equal(crossings, oracle_crossings)
 
     @given(seed=st.integers(min_value=0, max_value=2**31), n_scans=st.integers(min_value=300, max_value=900))
     @settings(max_examples=10, deadline=None)
     def test_transparency_property(self, estimator, seed, n_scans):
-        cfg = HwConfig(channels=32, channels_per_block=32)
+        cfg = HwConfig(channels=32)
         rng = np.random.default_rng(seed)
         stream = rng.integers(-64, 64, size=(n_scans, 32))
-        _, crossings = hw_detect_multichannel(
-            stream, cfg, HW_COEFFS, estimator=estimator, return_crossings=True
+        _, crossings = detect_multichannel_checked(
+            stream, cfg, HW_COEFFS, estimator, return_crossings=True
         )
         for ch in (0, 13, 31):
             prep = prepare_hw_dual(quantized(stream[:, ch], channel=ch), cfg, estimator=estimator)
@@ -228,11 +287,11 @@ class TestScheduler:
 
     @pytest.mark.parametrize("n_scans", [1, 100, 255, 256, 257, 512, 768])
     def test_transparency_at_frame_boundary_lengths(self, estimator, n_scans):
-        cfg = HwConfig(channels=32, channels_per_block=32)
+        cfg = HwConfig(channels=32)
         rng = np.random.default_rng(n_scans)
         stream = rng.integers(-64, 64, size=(n_scans, 32))
-        events, crossings = hw_detect_multichannel(
-            stream, cfg, HW_COEFFS, estimator=estimator, return_crossings=True
+        events, crossings = detect_multichannel_checked(
+            stream, cfg, HW_COEFFS, estimator, return_crossings=True
         )
         for ch in range(32):
             prep = prepare_hw_dual(quantized(stream[:, ch], channel=ch), cfg, estimator=estimator)
@@ -245,11 +304,11 @@ class TestScheduler:
         # settles; both engines must agree on the everything-crosses regime,
         # including the zero-energy boundary samples
         coeffs = ThresholdCoefficients.make((3, 3), (-3, 0), (0, 0))
-        cfg = HwConfig(channels=32, channels_per_block=32)
+        cfg = HwConfig(channels=32)
         rng = np.random.default_rng(77)
         stream = rng.integers(-64, 64, size=(600, 32))
-        events, crossings = hw_detect_multichannel(
-            stream, cfg, coeffs, estimator=estimator, return_crossings=True
+        events, crossings = detect_multichannel_checked(
+            stream, cfg, coeffs, estimator, return_crossings=True
         )
         assert crossings[:, 300:].any()
         for ch in range(0, 32, 7):
@@ -277,4 +336,20 @@ class TestMultichannelFiles:
         hdr = path.with_name(path.name + ".hdr")
         hdr.write_text(hdr.read_text().replace("n_scans=50", "n_scans=51"))
         with pytest.raises(ValueError, match="codes"):
+            load_multichannel(path)
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        path = tmp_path / "mc.i8"
+        save_multichannel(np.zeros((5, 32), dtype=int), 16000.0, path)
+        hdr = path.with_name(path.name + ".hdr")
+        hdr.write_text("rate_hz=16000.0\nchannels=32\n")
+        with pytest.raises(ValueError, match="n_scans"):
+            load_multichannel(path)
+
+    def test_malformed_header_line_rejected(self, tmp_path):
+        path = tmp_path / "mc.i8"
+        save_multichannel(np.zeros((5, 32), dtype=int), 16000.0, path)
+        hdr = path.with_name(path.name + ".hdr")
+        hdr.write_text(hdr.read_text() + "channels 32\n")
+        with pytest.raises(ValueError, match="key=value"):
             load_multichannel(path)

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualteo.dataio import SyntheticConfig, generate
+from serial_oracle import SigmaEstimatorState, estimator_step
 from dualteo.threshold import (
     Dyadic,
     EstimatorConfig,
     SIGMA_FRACTION_BITS,
-    SigmaEstimatorState,
     ThresholdCoefficients,
     calibrate_coefficients,
     compute_thresholds,
@@ -19,7 +19,6 @@ from dualteo.threshold import (
     default_float_coefficients,
     default_hw_coefficients,
     dyadic_ladder,
-    estimator_step,
     initial_sigma_q10,
     load_coefficients,
     save_coefficients,
@@ -182,25 +181,37 @@ class TestDyadic:
 class TestComputeThresholds:
     def test_zero_sigma_gives_zero_pair(self):
         coeffs = ThresholdCoefficients.make((1, 2), (1, 3), (3, 1))
-        pair = compute_thresholds(0.0, coeffs)
-        assert pair.thr_x == 0.0 and pair.thr_s == 0.0
+        thr_x, thr_s = compute_thresholds(0.0, coeffs)
+        assert thr_x == 0.0 and thr_s == 0.0
 
     def test_hand_example(self):
         coeffs = ThresholdCoefficients.make((1, 5), (1, 5), (0, 0))
-        pair = compute_thresholds(32.0, coeffs)
-        assert pair.thr_x == 1.0 and pair.thr_s == 1.0
+        thr_x, thr_s = compute_thresholds(32.0, coeffs)
+        assert thr_x == 1.0 and thr_s == 1.0
 
     def test_polynomial_scaling_structure(self):
         coeffs = ThresholdCoefficients.make((1, 1), (1, 2), (1, 3))
-        one = compute_thresholds(3.0, coeffs)
-        two = compute_thresholds(6.0, coeffs)
-        assert two.thr_x == pytest.approx(2 * one.thr_x)
+        (one_x, one_s), (two_x, two_s) = (
+            compute_thresholds(sigma, coeffs) for sigma in (3.0, 6.0)
+        )
+        assert two_x == pytest.approx(2 * one_x)
         c2, c3 = coeffs.c2.value, coeffs.c3.value
-        assert two.thr_s == pytest.approx(2 * c2 * 3.0 + 4 * c3 * 9.0)
+        assert two_s == pytest.approx(2 * c2 * 3.0 + 4 * c3 * 9.0)
+
+    def test_array_matches_scalar(self):
+        coeffs = ThresholdCoefficients.make((3, 2), (1, 2), (2, 0))
+        sigmas = np.array([0.0, 0.25, 1.0, 3.5, 70.0])
+        vx, vs = compute_thresholds(sigmas, coeffs)
+        for i, sigma in enumerate(sigmas):
+            sx, ss = compute_thresholds(float(sigma), coeffs)
+            assert vx[i] == sx and vs[i] == ss
 
     def test_negative_sigma_rejected(self):
+        coeffs = ThresholdCoefficients.make((1, 0), (0, 0), (0, 0))
         with pytest.raises(ValueError):
-            compute_thresholds(-1.0, ThresholdCoefficients.make((1, 0), (0, 0), (0, 0)))
+            compute_thresholds(-1.0, coeffs)
+        with pytest.raises(ValueError):
+            compute_thresholds(np.array([0.5, -1.0, 2.0]), coeffs)
 
     @given(dyadics, dyadics, dyadics, st.integers(min_value=0, max_value=1 << 17))
     @settings(max_examples=300)

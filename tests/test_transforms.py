@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dualteo.signal_model import FixedPointFormat
-from dualteo.transforms import TeoOutput, smooth2, smooth2_fixed, teo, teo_fixed
+from dualteo.transforms import smooth2, smooth2_fixed, teo, teo_fixed
 
 FMT7 = FixedPointFormat(total_bits=7)
 WIDE = FixedPointFormat(total_bits=32)
@@ -15,11 +15,11 @@ codes7 = st.lists(st.integers(min_value=-64, max_value=63), min_size=3, max_size
 class TestTeo:
     @pytest.mark.parametrize("c", [0.0, 1.0, -2.5])
     def test_annihilates_constants(self, c):
-        out = teo(np.full(50, c)).values
+        out = teo(np.full(50, c))
         assert np.all(out == 0.0)
 
     def test_ramp_maps_to_one(self):
-        out = teo(np.arange(64, dtype=float)).values
+        out = teo(np.arange(64, dtype=float))
         assert np.all(out[1:-1] == 1.0)
         assert out[0] == 0.0 and out[-1] == 0.0
 
@@ -28,7 +28,7 @@ class TestTeo:
         amp, omega = 0.5, 0.3
         x = amp * np.sin(omega * np.arange(500))
         expected = amp * amp * np.sin(omega) ** 2
-        out = teo(x).values
+        out = teo(x)
         assert np.max(np.abs(out[1:-1] - expected)) < 1e-9
 
     @given(
@@ -37,19 +37,15 @@ class TestTeo:
     )
     def test_scale_covariance(self, x, a):
         x = np.asarray(x)
-        scaled = teo(a * x).values[1:-1]
-        ref = a * a * teo(x).values[1:-1]
+        scaled = teo(a * x)[1:-1]
+        ref = a * a * teo(x)[1:-1]
         assert np.allclose(scaled, ref, rtol=1e-9, atol=1e-9 * max(1.0, a * a))
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_short_inputs_are_all_zero(self, n):
         out = teo(np.ones(n))
-        assert np.all(out.values == 0.0)
+        assert np.all(out == 0.0)
         assert len(out) == n
-
-    def test_boundary_convention_enforced_by_type(self):
-        with pytest.raises(ValueError, match="boundary"):
-            TeoOutput(values=np.array([1.0, 0.0]))
 
 
 class TestSmooth2:
@@ -69,15 +65,15 @@ class TestSmooth2:
 class TestTeoFixed:
     def test_all_zero(self):
         out = teo_fixed(np.zeros(10, dtype=int), FMT7, WIDE, 0)
-        assert np.all(out.values == 0)
+        assert np.all(out == 0)
 
     def test_constant_annihilation_in_integers(self):
         out = teo_fixed([3, 3, 3], FMT7, WIDE, 0)
-        assert out.values.tolist() == [0, 0, 0]
+        assert out.tolist() == [0, 0, 0]
 
     def test_impulse(self):
         out = teo_fixed([0, 10, 0], FMT7, WIDE, 0)
-        assert out.values.tolist() == [0, 100, 0]
+        assert out.tolist() == [0, 100, 0]
 
     def test_rejects_out_of_format_codes(self):
         with pytest.raises(ValueError):
@@ -85,7 +81,7 @@ class TestTeoFixed:
 
     @given(codes7)
     def test_matches_pure_python_oracle(self, codes):
-        got = teo_fixed(codes, FMT7, WIDE, 0).values.tolist()
+        got = teo_fixed(codes, FMT7, WIDE, 0).tolist()
         oracle = [0] * len(codes)
         for k in range(1, len(codes) - 1):
             oracle[k] = codes[k] * codes[k] - codes[k + 1] * codes[k - 1]
@@ -94,7 +90,7 @@ class TestTeoFixed:
     @given(codes7, st.integers(min_value=0, max_value=8))
     def test_truncation_matches_shift_then_clamp_oracle(self, codes, drop):
         out8 = FixedPointFormat(total_bits=8)
-        got = teo_fixed(codes, FMT7, out8, drop).values.tolist()
+        got = teo_fixed(codes, FMT7, out8, drop).tolist()
         for k in range(1, len(codes) - 1):
             exact = codes[k] * codes[k] - codes[k + 1] * codes[k - 1]
             expect = min(max(exact >> drop, out8.min_code), out8.max_code)
