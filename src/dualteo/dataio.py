@@ -17,6 +17,7 @@ list of spike-peak sample indices with optional per-spike template ids.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -255,7 +256,10 @@ def resample(record: SignalRecord, new_rate_hz: float) -> SignalRecord:
     if new_rate_hz == record.rate_hz:
         return record
     n_old = len(record)
-    n_new = round(n_old * new_rate_hz / record.rate_hz)
+    n_new = n_old * new_rate_hz / record.rate_hz
+    if not math.isfinite(n_new):
+        raise ValueError(f"resampling {record.rate_hz} Hz to {new_rate_hz} Hz gives a non-finite length")
+    n_new = round(n_new)
     positions = np.arange(n_new) * (record.rate_hz / new_rate_hz)
     samples = np.interp(positions, np.arange(n_old), record.samples)
     return SignalRecord(samples=samples, rate_hz=new_rate_hz, channel_id=record.channel_id)

@@ -78,21 +78,18 @@ class SpikeEvent:
 
 @dataclass(frozen=True)
 class EventFormationConfig:
-    """Run merging and alignment policy for turning crossings into events."""
+    """Merging policy for crossing runs; every event aligns on its energy peak."""
 
     refractory_samples: int
-    alignment: str = "teo_peak"  # or "crossing_start"
 
     def __post_init__(self):
         if self.refractory_samples < 1:
             raise ValueError("refractory_samples must be >= 1")
-        if self.alignment not in ("teo_peak", "crossing_start"):
-            raise ValueError(f"unknown alignment {self.alignment!r}")
 
     @classmethod
-    def for_rate(cls, rate_hz: float, alignment: str = "teo_peak") -> "EventFormationConfig":
+    def for_rate(cls, rate_hz: float) -> "EventFormationConfig":
         """Default refractory of 1 ms at the given sampling rate."""
-        return cls(refractory_samples=max(1, round(rate_hz / 1000.0)), alignment=alignment)
+        return cls(refractory_samples=max(1, round(rate_hz / 1000.0)))
 
 
 class DetectorKind(Enum):
@@ -107,10 +104,9 @@ def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: in
     """Merge crossing runs separated by less than the refractory gap into events.
 
     The gap between two crossing samples is their index difference; runs whose
-    gap is below ``refractory_samples`` belong to one event.  Alignment picks
-    the maximum of ``teo_values`` over the event's crossing samples (earliest
-    on ties), or the first crossing sample with ``crossing_start``.  Any two
-    returned events are at least ``refractory_samples`` apart.
+    gap is below ``refractory_samples`` belong to one event.  The event sits
+    on the maximum of ``teo_values`` over its crossing samples (earliest on
+    ties).  Any two returned events are at least ``refractory_samples`` apart.
     """
     crossings = np.asarray(crossings, dtype=bool)
     teo_values = np.asarray(teo_values)
@@ -120,14 +116,10 @@ def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: in
     if idx.size == 0:
         return []
     splits = np.flatnonzero(np.diff(idx) >= cfg.refractory_samples) + 1
-    events = []
-    for group in np.split(idx, splits):
-        if cfg.alignment == "teo_peak":
-            pos = int(group[int(np.argmax(teo_values[group]))])
-        else:
-            pos = int(group[0])
-        events.append(SpikeEvent(channel_id=channel_id, sample_index=pos))
-    return events
+    return [
+        SpikeEvent(channel_id=channel_id, sample_index=int(group[np.argmax(teo_values[group])]))
+        for group in np.split(idx, splits)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +230,7 @@ def finish_dual(prep: PreparedDual, coeffs: ThresholdCoefficients) -> list[Spike
     return _gate_and_form(prep, cross_x | cross_s, prep.align)
 
 
-def _check_warmup(record: SignalRecord, estimator: EstimatorConfig) -> bool:
+def _check_warmup(record, estimator: EstimatorConfig) -> bool:
     if len(record) <= estimator.warmup_samples:
         warnings.warn(
             f"record of {len(record)} samples does not outlast the "

@@ -20,9 +20,9 @@ bit-exact oracle and checks the multichannel output against it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .detector import (
     EventFormationConfig,
     PreparedDual,
     SpikeEvent,
+    _check_warmup,
     _comparator,
     dual_crossing_streams,
     finish_dual,
@@ -68,16 +69,20 @@ THRESHOLD_REGISTER_BITS = 32  # signed Q.10; ample for the coefficient grid
 
 @dataclass(frozen=True)
 class HwConfig:
-    """Datapath parameters: bit widths, drops, rate, and channel count.
+    """Datapath parameters: channel count and the two energy truncation shifts.
 
-    The smoothed stream needs no width of its own: its half-sum codes span
-    the input range at half-LSB weight.
+    The chip's register widths and rate are class constants.  The smoothed
+    stream needs no width of its own: its half-sum codes span the input range
+    at half-LSB weight.
     """
 
-    input_bits: int = 7
-    xteo_bits: int = 8
-    steo_bits: int = 9
-    rate_hz: float = 16000.0
+    input_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=7)
+    xteo_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=8)
+    steo_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=9)
+    rate_hz: ClassVar[float] = 16000.0
+    # sigma never exceeds the top input code plus one correction step
+    sigma_register_max: ClassVar[int] = 1 << (input_format.total_bits + SIGMA_FRACTION_BITS)
+
     channels: int = 256
     xteo_drop_lsbs: int = 7
     steo_drop_lsbs: int = 6
@@ -87,23 +92,6 @@ class HwConfig:
             raise ValueError("channels must be >= 1")
         if min(self.xteo_drop_lsbs, self.steo_drop_lsbs) < 0:
             raise ValueError("drop counts must be >= 0")
-
-    @property
-    def input_format(self) -> FixedPointFormat:
-        return FixedPointFormat(total_bits=self.input_bits)
-
-    @property
-    def xteo_format(self) -> FixedPointFormat:
-        return FixedPointFormat(total_bits=self.xteo_bits)
-
-    @property
-    def steo_format(self) -> FixedPointFormat:
-        return FixedPointFormat(total_bits=self.steo_bits)
-
-    @property
-    def sigma_register_max(self) -> int:
-        # sigma never exceeds the top input code plus one correction step
-        return 1 << (self.input_bits - 1 + SIGMA_FRACTION_BITS + 1)
 
 
 def quantize_for_hw(record: SignalRecord, cfg: HwConfig) -> QuantizedRecord:
@@ -133,9 +121,9 @@ def prepare_hw_dual(
         q = quantize_for_hw(source, cfg)
     else:
         q = source
-    if q.format.total_bits != cfg.input_bits:
+    if q.format != cfg.input_format:
         raise ValueError(
-            f"expected {cfg.input_bits}-bit codes, got {q.format.total_bits}-bit"
+            f"expected {cfg.input_format.total_bits}-bit codes, got {q.format.total_bits}-bit"
         )
     if q.rate_hz != cfg.rate_hz:
         raise ValueError(f"expected rate {cfg.rate_hz} Hz, got {q.rate_hz} Hz")
@@ -170,12 +158,7 @@ def hw_detect_channel(
     cfg = cfg if cfg is not None else HwConfig()
     if coeffs is None:
         coeffs = default_hw_coefficients()
-    if len(q) <= estimator.warmup_samples:
-        warnings.warn(
-            f"record of {len(q)} codes does not outlast the "
-            f"{estimator.warmup_samples}-sample warm-up; no detections possible",
-            stacklevel=2,
-        )
+    if not _check_warmup(q, estimator):
         return []
     prep = prepare_hw_dual(q, cfg, estimator=estimator, event_cfg=evt_cfg)
     return finish_dual(prep, coeffs)
@@ -317,7 +300,7 @@ def hw_detect_multichannel(
     elif stream.ndim != 2 or stream.shape[1] != cfg.channels:
         raise ValueError(f"expected (n_scans, {cfg.channels}) stream")
     if not cfg.input_format.contains(stream):
-        raise ValueError(f"codes outside {cfg.input_bits}-bit range")
+        raise ValueError(f"codes outside {cfg.input_format.total_bits}-bit range")
 
     events, crossings = [], []
     # one contiguous row per channel; the stream's columns are strided views

@@ -17,6 +17,7 @@ replicate's base record is transformed per axis point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,6 +153,10 @@ class SweepSpec:
             raise ValueError("a sweep needs at least one point")
         if list(points) != sorted(points):
             raise ValueError("sweep points must be sorted")
+        if self.axis == "resolution_bits" and not all(float(p).is_integer() and 2 <= p <= 32 for p in points):
+            raise ValueError(f"resolution_bits points must be integers in 2..32, got {points}")
+        if self.axis == "rate_hz" and not all(0 < float(p) < math.inf for p in points):
+            raise ValueError(f"rate_hz points must be positive and finite, got {points}")
         object.__setattr__(self, "points", points)
         detectors = tuple(
             d if isinstance(d, DetectorKind) else DetectorKind(d) for d in self.detectors

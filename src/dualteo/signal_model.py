@@ -14,6 +14,7 @@ per line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,8 +49,8 @@ class SignalRecord:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
+        if not 0 < self.rate_hz < math.inf:
+            raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         if self.channel_id < 0:
             raise ValueError(f"channel_id must be non-negative, got {self.channel_id}")
         if samples.size and not np.all(np.isfinite(samples)):
@@ -65,24 +66,17 @@ class SignalRecord:
 
 @dataclass(frozen=True)
 class FixedPointFormat:
-    """Signed two's-complement integer format, ``total_bits`` wide.
+    """Signed two's-complement integer format; ``total_bits`` is its only parameter.
 
     Rounding is floor everywhere (arithmetic right shift semantics) and range
     overflow saturates rather than wraps.
     """
 
     total_bits: int
-    signed: bool = True
-    saturating: bool = True
-    rounding: str = "floor"
 
     def __post_init__(self):
         if not 2 <= self.total_bits <= 32:
             raise ValueError(f"total_bits must be in 2..32, got {self.total_bits}")
-        if not self.signed:
-            raise ValueError("only signed formats are supported")
-        if self.rounding != "floor":
-            raise ValueError(f"unsupported rounding mode {self.rounding!r}")
 
     @property
     def min_code(self) -> int:
@@ -131,7 +125,7 @@ class QuantizedRecord:
 
 
 def quantize(record: SignalRecord, format: FixedPointFormat, full_scale: float) -> QuantizedRecord:
-    """Map real amplitudes to saturating two's-complement codes.
+    """Map real amplitudes to two's-complement codes, clamped into range.
 
     ``code[k] = clamp(floor(samples[k] / full_scale * 2**(total_bits-1)))``.
     """

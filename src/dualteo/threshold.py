@@ -1,12 +1,13 @@
 """Online noise-scale estimation and adaptive threshold computation.
 
-The estimator never computes a statistical standard deviation.  It keeps a
-scalar ``sigma`` and, over 256-sample frames, counts how many smoothed samples
-strictly exceed it.  At each frame boundary sigma moves by
-``scaling_factor * (count - convergence_factor)``, so the loop converges to
-the level exceeded by ``convergence_factor`` samples per frame, i.e. the
-(1 - 20/256) quantile of the observed distribution with the defaults.  Small
-factors make the estimate stable at the cost of convergence latency, which is
+After its first frame the estimator computes no standard deviation.  It
+keeps a scalar ``sigma`` and, over 256-sample frames, counts how many smoothed
+samples strictly exceed it.  At each frame boundary sigma moves by
+``gamma * (count - convergence_factor)``, so the loop converges to the level
+exceeded by ``convergence_factor`` samples per frame, i.e. the (1 - 20/256)
+quantile of the observed distribution with the defaults.  ``gamma`` is
+``SCALING_FACTOR`` in the float pipeline and 2**-10 in the integer one.  Small
+steps make the estimate stable at the cost of convergence latency, which is
 why detection is suppressed for the first ``warmup_frames`` frames.
 
 Thresholds for the two energy streams are low-order polynomials in sigma,
@@ -63,7 +64,6 @@ class EstimatorConfig:
 
     frame_len: int = FRAME_LEN
     convergence_factor: int = CONVERGENCE_FACTOR
-    scaling_factor: float = SCALING_FACTOR
     warmup_frames: int = WARMUP_FRAMES
 
     def __post_init__(self):
@@ -71,8 +71,6 @@ class EstimatorConfig:
             raise ValueError("frame_len must be >= 1")
         if not 0 <= self.convergence_factor <= self.frame_len:
             raise ValueError("convergence_factor must lie in 0..frame_len")
-        if self.scaling_factor <= 0:
-            raise ValueError("scaling_factor must be positive")
         if self.warmup_frames < 0:
             raise ValueError("warmup_frames must be >= 0")
 
@@ -81,36 +79,40 @@ class EstimatorConfig:
         return self.warmup_frames * self.frame_len
 
 
-def sigma_frames(s, cfg: EstimatorConfig = EstimatorConfig(), sigma0: float | None = None) -> np.ndarray:
+def _sigma_track(values: np.ndarray, cfg: EstimatorConfig, measure, step) -> np.ndarray:
+    """The one frame loop of both pipelines, in the domain and dtype of ``values``.
+
+    Sigma reads 0 over frame 0 and ``measure(frame 0)`` from frame 1 on; each
+    later full frame moves it by ``step * (count - convergence_factor)``,
+    clamped at zero.  A partial tail frame never triggers an update.
+    """
+    L = cfg.frame_len
+    n_frames = -(-len(values) // L)
+    out = np.empty(n_frames, dtype=values.dtype)
+    sigma = 0
+    for f in range(n_frames):
+        out[f] = sigma
+        frame = values[f * L:(f + 1) * L]
+        if len(frame) < L:
+            break
+        if f == 0:
+            sigma = measure(frame)
+        else:
+            count = int(np.count_nonzero(frame > sigma))
+            sigma = max(0, sigma + step * (count - cfg.convergence_factor))
+    return out
+
+
+def sigma_frames(s, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     """Per-frame sigma trajectory: entry ``f`` is the sigma in effect over frame ``f``.
 
-    Frame ``f`` covers samples ``[f*L, (f+1)*L)``.  A partial tail frame never
-    triggers an update.  Without an explicit ``sigma0`` the first frame is a
+    Frame ``f`` covers samples ``[f*L, (f+1)*L)``.  The first frame is a
     measurement frame: sigma reads 0 while the frame's empirical (population)
     standard deviation is accumulated, and that value takes effect from frame
     1.  This keeps the loop causal and self-scaling; the measurement frame
-    falls inside the warm-up anyway.
+    falls inside the warm-up anyway.  Later frames step by ``SCALING_FACTOR``.
     """
-    s = np.asarray(s, dtype=np.float64)
-    L = cfg.frame_len
-    n = len(s)
-    if n == 0:
-        return np.zeros(0)
-    n_frames = -(-n // L)
-    out = np.empty(n_frames)
-    measuring = sigma0 is None
-    sigma = 0.0 if measuring else float(sigma0)
-    for f in range(n_frames):
-        out[f] = sigma
-        frame = s[f * L:(f + 1) * L]
-        if len(frame) < L:
-            break
-        if measuring and f == 0:
-            sigma = float(np.std(frame))
-        else:
-            count = int(np.count_nonzero(frame > sigma))
-            sigma = max(0.0, sigma + cfg.scaling_factor * (count - cfg.convergence_factor))
-    return out
+    return _sigma_track(np.asarray(s, dtype=np.float64), cfg, np.std, SCALING_FACTOR)
 
 
 def initial_sigma_q10(s_codes, frame_len: int = FRAME_LEN) -> int:
@@ -131,38 +133,18 @@ def initial_sigma_q10(s_codes, frame_len: int = FRAME_LEN) -> int:
     return math.isqrt((1 << (2 * SIGMA_FRACTION_BITS)) * v) // n
 
 
-def sigma_frames_q10(
-    s_codes,
-    cfg: EstimatorConfig = EstimatorConfig(),
-    sigma0_q10: int | None = None,
-) -> np.ndarray:
+def sigma_frames_q10(s_codes, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     """Integer twin of :func:`sigma_frames`: sigma held in a Q.10 register.
 
-    The per-frame correction is exactly ``count - convergence_factor`` register
-    LSBs (gamma = 2**-10), and the exceedance comparison is the exact integer
+    The measurement frame yields :func:`initial_sigma_q10` of the codes; each later
+    correction is exactly ``count - convergence_factor`` register LSBs
+    (gamma = 2**-10), and the exceedance comparison is the exact integer
     compare ``s << 10 > sigma_q``.
     """
     s = np.asarray(s_codes, dtype=np.int64)
-    L = cfg.frame_len
-    n = len(s)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    n_frames = -(-n // L)
-    measuring = sigma0_q10 is None
-    sigma_q = 0 if measuring else int(sigma0_q10)
-    s_scaled = s << SIGMA_FRACTION_BITS
-    out = np.empty(n_frames, dtype=np.int64)
-    for f in range(n_frames):
-        out[f] = sigma_q
-        frame = s_scaled[f * L:(f + 1) * L]
-        if len(frame) < L:
-            break
-        if measuring and f == 0:
-            sigma_q = initial_sigma_q10(s[:L], L)
-        else:
-            count = int(np.count_nonzero(frame > sigma_q))
-            sigma_q = max(0, sigma_q + (count - cfg.convergence_factor))
-    return out
+    return _sigma_track(
+        s << SIGMA_FRACTION_BITS, cfg, lambda _frame: initial_sigma_q10(s, cfg.frame_len), 1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ class ChannelState:
         "channel_id", "t", "x1", "x2", "s1", "s2",
         "sigma_q", "exceed", "sum_s", "sumsq_s",
         "thr_x_q", "thr_s_q",
-        "pending", "peak_val", "peak_idx", "first_idx", "last_true",
+        "pending", "peak_val", "peak_idx", "last_true",
         "events", "crossings",
     )
 
@@ -75,7 +75,6 @@ class ChannelState:
         self.pending = False
         self.peak_val = 0
         self.peak_idx = -1
-        self.first_idx = -1
         self.last_true = -(1 << 40)
         self.events: list[SpikeEvent] = []
         self.crossings = np.zeros(n_samples, dtype=bool) if record_crossings else None
@@ -125,13 +124,11 @@ class SerialChannel:
         st.pending = True
         st.peak_val = align
         st.peak_idx = k
-        st.first_idx = k
         st.last_true = k
 
     def _finalize_event(self) -> None:
         st = self.state
-        idx = st.peak_idx if self.evt.alignment == "teo_peak" else st.first_idx
-        st.events.append(SpikeEvent(channel_id=st.channel_id, sample_index=idx))
+        st.events.append(SpikeEvent(channel_id=st.channel_id, sample_index=st.peak_idx))
         st.pending = False
 
     def push(self, code: int) -> None:

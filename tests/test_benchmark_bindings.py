@@ -1,24 +1,44 @@
-"""The benchmark's tracer must find every name it wraps.
+"""The benchmark must keep running against the package.
 
 ``perfbench/tracing.py`` replaces package functions by name in specific
 module namespaces, and its ``Tracer`` constructor looks every one of them up.
-A refactor that drops or moves such a binding fails here, in the test suite,
-rather than only when the benchmark runs.
+``perfbench/workloads.py`` calls the public API and checks every output.  A
+refactor that drops or moves a traced binding, or breaks a workload, fails
+here, in the test suite, rather than only when the benchmark runs.
 """
 
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_binds_every_traced_name():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     tracing.Tracer()  # looks up every traced name; AttributeError if one is gone
+
+
+def test_every_workload_runs_clean_at_tiny_size():
+    workloads = load_perfbench("workloads")
+    tiny = [
+        workloads.Detect(7, records_per_noise=1, duration_s=1.0),
+        workloads.Stream256(7, channels=8, scans=4608),
+        workloads.Calibrate(7, records=1),
+        workloads.Sweep(7, points=(0.1,), replicates=1, duration_s=1.0),
+    ]
+    assert {w.name for w in tiny} == set(workloads.WORKLOADS)
+    for workload in tiny:
+        tally, samples = workloads.Tally(), {}
+        workload.setup()
+        workload.run_pass(samples, tally)
+        workload.final_check(tally)
+        metrics = workload.metrics(samples)
+        assert tally.attempted > 0 and tally.failed == 0, workload.name
+        assert metrics and all(v is not None for v in metrics.values()), workload.name

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dualteo.cli import main
 from dualteo.dataio import SyntheticConfig, generate, save_dataset
 
@@ -11,6 +13,14 @@ def write_tiny_dataset(tmp_path, name="demo", **overrides):
     record, truth = generate(cfg)
     save_dataset(record, truth, cfg, tmp_path, name)
     return tmp_path / f"{name}.f32", tmp_path / f"{name}_truth.csv"
+
+
+def set_header_rate(record_path, rate: str) -> None:
+    hdr = record_path.with_name(record_path.name + ".hdr")
+    lines = hdr.read_text().splitlines()
+    hdr.write_text("".join(
+        (f"rate_hz={rate}" if ln.startswith("rate_hz=") else ln) + "\n" for ln in lines
+    ))
 
 
 def read_tree(root):
@@ -111,6 +121,24 @@ class TestDetectCommand:
         assert code == 0
         assert "accuracy=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_header_rate_is_validation_error(self, tmp_path, capsys, rate):
+        record_path, _ = write_tiny_dataset(tmp_path)
+        set_header_rate(record_path, rate)
+        for hw in ([], ["--hw"]):
+            assert main(["detect", "--detector", "dual", "--record", str(record_path), *hw]) == 2
+            assert "rate_hz" in capsys.readouterr().err
+
+    def test_tiny_header_rate(self, tmp_path, capsys):
+        # a positive, finite rate is valid, but resampling it to 16 kHz
+        # would need an infinite number of samples
+        record_path, _ = write_tiny_dataset(tmp_path)
+        set_header_rate(record_path, "1e-300")
+        assert main(["detect", "--detector", "dual", "--record", str(record_path)]) == 0
+        capsys.readouterr()
+        assert main(["detect", "--detector", "dual", "--hw", "--record", str(record_path)]) == 2
+        assert "non-finite length" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_writes_csv_and_plot_script(self, tmp_path):
@@ -134,6 +162,22 @@ class TestSweepCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"axis": "voltage", "points": [1], "detectors": ["at"]}))
         assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("axis, point", [
+        ("resolution_bits", 1),
+        ("resolution_bits", 40),
+        ("resolution_bits", 6.5),
+        ("rate_hz", 0),
+        ("rate_hz", -1.0),
+    ])
+    def test_bad_point_is_validation_error(self, tmp_path, capsys, axis, point):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "axis": axis, "points": [point], "detectors": ["at"], "replicates": 1,
+            "base_cfg": TINY_CFG,
+        }))
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{axis} points" in capsys.readouterr().err
 
 
 class TestCalibrateCommand:

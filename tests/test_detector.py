@@ -67,15 +67,6 @@ class TestFormEvents:
         events = form_events(crossings, energy, cfg16())
         assert events[0].sample_index == 5
 
-    def test_crossing_start_alignment(self):
-        crossings = np.zeros(30, bool)
-        crossings[[5, 6, 7]] = True
-        energy = np.zeros(30)
-        energy[7] = 9.0
-        cfg = EventFormationConfig(refractory_samples=16, alignment="crossing_start")
-        events = form_events(crossings, energy, cfg)
-        assert events[0].sample_index == 5
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             form_events(np.zeros(5, bool), np.zeros(4), cfg16())

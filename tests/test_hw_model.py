@@ -247,11 +247,10 @@ class TestScheduler:
         frame_len=st.integers(min_value=1, max_value=299),
         warmup_frames=st.integers(min_value=0, max_value=4),
         refractory=st.integers(min_value=1, max_value=39),
-        alignment=st.sampled_from(["teo_peak", "crossing_start"]),
     )
     @settings(max_examples=15, deadline=None)
     def test_oracle_agreement_over_configs(
-        self, seed, channels, n_scans, frame_len, warmup_frames, refractory, alignment
+        self, seed, channels, n_scans, frame_len, warmup_frames, refractory
     ):
         rng = np.random.default_rng(seed)
         cfg = HwConfig(channels=channels)
@@ -260,7 +259,7 @@ class TestScheduler:
             convergence_factor=int(rng.integers(0, frame_len + 1)),
             warmup_frames=warmup_frames,
         )
-        evt = EventFormationConfig(refractory_samples=refractory, alignment=alignment)
+        evt = EventFormationConfig(refractory_samples=refractory)
         stream = rng.integers(-64, 64, size=(n_scans, channels))
         events, crossings = hw_detect_multichannel(
             stream, cfg, HW_COEFFS, evt, est, return_crossings=True

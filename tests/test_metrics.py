@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualteo.detector
 from dualteo.dataio import GroundTruth, SyntheticConfig
 from dualteo.detector import DetectorKind, SpikeEvent
 from dualteo.metrics import (
@@ -183,13 +184,19 @@ class TestSweep:
         results = sweep(spec)
         assert all(r.mean_accuracy > 0.9 for r in results)
 
-    def test_cell_errors_carry_context(self):
+    def test_cell_errors_carry_context(self, monkeypatch):
+        # the spec rejects every point known to break a cell, so make the detector fail
+        def failing_detect(record, kind, **kwargs):
+            raise ValueError("detector failed")
+
+        monkeypatch.setattr(dualteo.detector, "detect", failing_detect)
         spec = SweepSpec(
-            axis="resolution_bits", points=(1, 8), detectors=(DetectorKind.AT,),
+            axis="resolution_bits", points=(2, 8), detectors=(DetectorKind.AT,),
             replicates=1, base_cfg=TINY,
         )
-        with pytest.raises(RuntimeError, match="point=1"):
+        with pytest.raises(RuntimeError, match="axis=resolution_bits point=2 replicate=0") as info:
             sweep(spec)
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_unsorted_points_rejected(self):
         with pytest.raises(ValueError, match="sorted"):

@@ -92,11 +92,13 @@ class TestSigmaTrajectories:
         rng = np.random.default_rng(3)
         s = rng.normal(size=2000)
         cfg = EstimatorConfig()
-        traj = sigma_frames(s, cfg, sigma0=0.9)
-        state = SigmaEstimatorState(sigma=0.9, frame_len=cfg.frame_len)
-        expected = []
-        for i, v in enumerate(s):
-            if i % cfg.frame_len == 0:
+        L = cfg.frame_len
+        traj = sigma_frames(s, cfg)
+        # frame 0 measures; the step model starts from that measurement at frame 1
+        state = SigmaEstimatorState(sigma=float(np.std(s[:L])), frame_len=L)
+        expected = [0.0]
+        for i, v in enumerate(s[L:]):
+            if i % L == 0:
                 expected.append(state.sigma)
             state = estimator_step(state, v)
         np.testing.assert_array_equal(traj, expected)
