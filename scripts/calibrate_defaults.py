@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from dualteo import (
-    EstimatorConfig,
     FixedPointFormat,
     SyntheticConfig,
     calibrate_coefficients,
@@ -26,6 +25,7 @@ from dualteo import (
     save_coefficients,
 )
 from dualteo import detector, metrics
+from dualteo.threshold import WARMUP_SAMPLES
 
 NOISE_LEVELS = (0.05, 0.1, 0.15, 0.2)
 CALIBRATION_SEEDS = (142, 143, 144, 145)
@@ -56,13 +56,13 @@ def build_corpus(include_low_resolution: bool):
     return corpus
 
 
-def calibrate_baselines(corpus, est):
+def calibrate_baselines(corpus):
     """Per-baseline grid search over threshold multiples."""
     def mean_acc(detect_fn, **kw):
         accs = []
         for record, truth in corpus:
             events = detect_fn(record, **kw)
-            rep = metrics.score_events(events, truth, 24, skip_before=est.warmup_samples)
+            rep = metrics.score_events(events, truth, 24, skip_before=WARMUP_SAMPLES)
             accs.append(metrics.accuracy(rep))
         return float(np.mean(accs))
 
@@ -85,7 +85,6 @@ def main():
     parser.add_argument("--out-dir", default=DATA_DIR, type=Path)
     args = parser.parse_args()
 
-    est = EstimatorConfig()
     print("building calibration corpus ...")
     corpus = build_corpus(include_low_resolution=True)
     hw_corpus = build_corpus(include_low_resolution=False)
@@ -95,7 +94,7 @@ def main():
         ("hw", "threshold_coeffs_hw.txt", hw_corpus),
     ):
         t0 = time.time()
-        coeffs = calibrate_coefficients(training, pipeline=pipeline, estimator=est)
+        coeffs = calibrate_coefficients(training, pipeline=pipeline)
         out = args.out_dir / name
         save_coefficients(coeffs, out)
         print(
@@ -106,7 +105,7 @@ def main():
         )
 
     if not args.skip_baselines:
-        calibrate_baselines(corpus, est)
+        calibrate_baselines(corpus)
 
 
 if __name__ == "__main__":

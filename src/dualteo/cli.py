@@ -17,7 +17,7 @@ from . import dataio, detector, hw_model, metrics
 from .detector import DetectorKind
 from .signal_model import load_record
 from .threshold import (
-    EstimatorConfig,
+    WARMUP_SAMPLES,
     calibrate_coefficients,
     load_coefficients,
     save_coefficients,
@@ -86,7 +86,6 @@ def cmd_detect(args) -> int:
             f"unknown detector {args.detector!r}; choose from "
             f"{[k.value for k in DetectorKind]}"
         ) from None
-    estimator = EstimatorConfig()
     coeffs = None
     if args.coeffs:
         coeffs_path = Path(args.coeffs)
@@ -104,13 +103,13 @@ def cmd_detect(args) -> int:
         if record.rate_hz != cfg.rate_hz:
             record = dataio.resample(record, cfg.rate_hz)
         q = hw_model.quantize_for_hw(record, cfg)
-        events = hw_model.hw_detect_channel(q, cfg, coeffs, estimator=estimator)
+        events = hw_model.hw_detect_channel(q, cfg, coeffs)
         if truth is not None:
             truth = dataio.rescale_ground_truth(truth, orig_rate, cfg.rate_hz, len(record))
         rate_hz = cfg.rate_hz
     else:
         kwargs = {"coeffs": coeffs} if coeffs is not None else {}
-        events = detector.detect(record, kind, estimator=estimator, **kwargs)
+        events = detector.detect(record, kind, **kwargs)
         rate_hz = record.rate_hz
 
     if args.out:
@@ -122,7 +121,7 @@ def cmd_detect(args) -> int:
             print(f"{ev.channel_id},{ev.sample_index}")
     if truth is not None:
         tol = max(0, round(rate_hz / 1000.0))
-        rep = metrics.score_events(events, truth, tol, skip_before=estimator.warmup_samples)
+        rep = metrics.score_events(events, truth, tol, skip_before=WARMUP_SAMPLES)
         denom = rep.tp + rep.fp + rep.fn
         acc = metrics.accuracy(rep) if denom else 1.0
         print(f"tp={rep.tp} fp={rep.fp} fn={rep.fn} accuracy={acc:.4f}")

@@ -80,6 +80,10 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_templates", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.rate_hz <= 0:

@@ -8,10 +8,11 @@ sharpness.  A sample crosses when either stream exceeds its adaptive
 threshold, and the OR of the two boolean streams feeds event formation.
 
 A single sigma estimator observes the smoothed signal and feeds both
-thresholds; detections are suppressed for the first warm-up frames while it
-converges.  Event formation merges crossing runs closer than a refractory gap
-(1 ms by default) and aligns each event on the energy peak among its crossing
-samples, ties to the earliest.
+thresholds; detections are suppressed for the first 16 frames
+(``threshold.WARMUP_SAMPLES``) while it converges.  Every detector forms
+events the same way: crossing runs closer than a 1 ms refractory gap at the
+record's rate (:meth:`EventFormationConfig.for_rate`) merge into one event,
+aligned on the peak of its alignment signal, ties to the earliest.
 
 Amplitude-domain baselines (absolute threshold, dual-vertex threshold, moving
 average energy) use the record's global standard deviation as their noise
@@ -26,13 +27,16 @@ import csv
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .signal_model import SignalRecord
 from .threshold import (
-    EstimatorConfig,
+    FRAME_LEN,
     SIGMA_FRACTION_BITS,
+    WARMUP_SAMPLES,
     ThresholdCoefficients,
     compute_thresholds,
     compute_thresholds_q10,
@@ -78,7 +82,10 @@ class SpikeEvent:
 
 @dataclass(frozen=True)
 class EventFormationConfig:
-    """Merging policy for crossing runs; every event aligns on its energy peak."""
+    """Merging policy for crossing runs; every event aligns on its energy peak.
+
+    The detectors always use :meth:`for_rate`; :func:`form_events` takes any gap.
+    """
 
     refractory_samples: int
 
@@ -88,7 +95,7 @@ class EventFormationConfig:
 
     @classmethod
     def for_rate(cls, rate_hz: float) -> "EventFormationConfig":
-        """Default refractory of 1 ms at the given sampling rate."""
+        """The refractory gap of 1 ms at the given sampling rate."""
         return cls(refractory_samples=max(1, round(rate_hz / 1000.0)))
 
 
@@ -131,22 +138,29 @@ def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: in
 
 @dataclass(frozen=True)
 class PreparedDual:
-    """Per-record transform and sigma work, ready for thresholding."""
+    """Per-record transform and sigma work, ready for thresholding.
+
+    The warm-up and the refractory gap are not settable: both pipelines gate
+    ``WARMUP_SAMPLES`` and merge within 1 ms at ``rate_hz``.
+    """
+
+    warmup_samples: ClassVar[int] = WARMUP_SAMPLES
 
     x_energy: np.ndarray        # raw-path energy stream
     s_energy: np.ndarray        # smoothed-path energy stream
     sigma_per_frame: np.ndarray  # sigma in effect during each frame
     align: np.ndarray           # alignment signal for event formation
-    frame_len: int
-    warmup_samples: int
     rate_hz: float
     channel_id: int
     integer_domain: bool
-    event_cfg: EventFormationConfig
 
     @property
     def n(self) -> int:
         return len(self.x_energy)
+
+    @cached_property  # calibration reads it once per candidate
+    def event_cfg(self) -> EventFormationConfig:
+        return EventFormationConfig.for_rate(self.rate_hz)
 
     def tolerance_samples(self, tolerance_ms: float = 1.0) -> int:
         return max(0, round(self.rate_hz * tolerance_ms / 1000.0))
@@ -155,8 +169,6 @@ class PreparedDual:
 def prepare_dual(
     record: SignalRecord,
     *,
-    estimator: EstimatorConfig = EstimatorConfig(),
-    event_cfg: EventFormationConfig | None = None,
     pipeline: str = "float",
     hw_cfg=None,
 ) -> PreparedDual:
@@ -167,28 +179,21 @@ def prepare_dual(
     """
     if pipeline == "hw":
         from . import hw_model
-        return hw_model.prepare_hw_dual(
-            record, cfg=hw_cfg, estimator=estimator, event_cfg=event_cfg
-        )
+        return hw_model.prepare_hw_dual(record, cfg=hw_cfg)
     if pipeline != "float":
         raise ValueError(f"unknown pipeline {pipeline!r}")
     x = record.samples
     s = smooth2(x)
     x_energy = teo(x)
     s_energy = teo(s)
-    sig = sigma_frames(s, estimator)
-    cfg = event_cfg if event_cfg is not None else EventFormationConfig.for_rate(record.rate_hz)
     return PreparedDual(
         x_energy=x_energy,
         s_energy=s_energy,
-        sigma_per_frame=sig,
+        sigma_per_frame=sigma_frames(s),
         align=np.maximum(x_energy, s_energy),
-        frame_len=estimator.frame_len,
-        warmup_samples=estimator.warmup_samples,
         rate_hz=record.rate_hz,
         channel_id=record.channel_id,
         integer_domain=False,
-        event_cfg=cfg,
     )
 
 
@@ -206,9 +211,8 @@ def _comparator(prep: PreparedDual, coeffs: ThresholdCoefficients):
     else:
         thr_x_f, thr_s_f = compute_thresholds(prep.sigma_per_frame, coeffs)
         x_energy, s_energy = prep.x_energy, prep.s_energy
-    n, L = prep.n, prep.frame_len
-    thr_x = np.repeat(thr_x_f, L)[:n]
-    thr_s = np.repeat(thr_s_f, L)[:n]
+    thr_x = np.repeat(thr_x_f, FRAME_LEN)[:prep.n]
+    thr_s = np.repeat(thr_s_f, FRAME_LEN)[:prep.n]
     return thr_x, thr_s, x_energy > thr_x, s_energy > thr_s
 
 
@@ -230,11 +234,11 @@ def finish_dual(prep: PreparedDual, coeffs: ThresholdCoefficients) -> list[Spike
     return _gate_and_form(prep, cross_x | cross_s, prep.align)
 
 
-def _check_warmup(record, estimator: EstimatorConfig) -> bool:
-    if len(record) <= estimator.warmup_samples:
+def _check_warmup(record) -> bool:
+    if len(record) <= WARMUP_SAMPLES:
         warnings.warn(
             f"record of {len(record)} samples does not outlast the "
-            f"{estimator.warmup_samples}-sample warm-up; no detections possible",
+            f"{WARMUP_SAMPLES}-sample warm-up; no detections possible",
             stacklevel=3,
         )
         return False
@@ -244,32 +248,26 @@ def _check_warmup(record, estimator: EstimatorConfig) -> bool:
 def detect_dual(
     record: SignalRecord,
     coeffs: ThresholdCoefficients | None = None,
-    cfg: EventFormationConfig | None = None,
-    *,
-    estimator: EstimatorConfig = EstimatorConfig(),
 ) -> list[SpikeEvent]:
     """Dual-path detection on a floating-point record."""
     if coeffs is None:
         coeffs = default_float_coefficients()
-    if not _check_warmup(record, estimator):
+    if not _check_warmup(record):
         return []
-    prep = prepare_dual(record, estimator=estimator, event_cfg=cfg)
+    prep = prepare_dual(record)
     return finish_dual(prep, coeffs)
 
 
 def detect_teo_single(
     record: SignalRecord,
     coeffs: ThresholdCoefficients | None = None,
-    cfg: EventFormationConfig | None = None,
-    *,
-    estimator: EstimatorConfig = EstimatorConfig(),
 ) -> list[SpikeEvent]:
     """Raw-path-only detection; its crossing set is a subset of the dual's."""
     if coeffs is None:
         coeffs = default_float_coefficients()
-    if not _check_warmup(record, estimator):
+    if not _check_warmup(record):
         return []
-    prep = prepare_dual(record, estimator=estimator, event_cfg=cfg)
+    prep = prepare_dual(record)
     cross_x, _ = dual_crossing_streams(prep, coeffs)
     return _gate_and_form(prep, cross_x, prep.x_energy)
 
@@ -279,32 +277,31 @@ def detect_teo_single(
 # ---------------------------------------------------------------------------
 
 
+def _form_baseline(record: SignalRecord, crossings, align) -> list[SpikeEvent]:
+    return form_events(crossings, align, EventFormationConfig.for_rate(record.rate_hz), record.channel_id)
+
+
 def detect_at(
     record: SignalRecord,
     threshold_multiple: float = DEFAULT_AT_MULTIPLE,
-    cfg: EventFormationConfig | None = None,
 ) -> list[SpikeEvent]:
     """Absolute thresholding: ``|x| > multiple * std(x)``, aligned on the |x| peak."""
     x = record.samples
     thr = threshold_multiple * float(np.std(x)) if len(x) else 0.0
     mag = np.abs(x)
-    crossings = mag > thr
-    cfg = cfg if cfg is not None else EventFormationConfig.for_rate(record.rate_hz)
-    return form_events(crossings, mag, cfg, record.channel_id)
+    return _form_baseline(record, mag > thr, mag)
 
 
 def detect_dvt(
     record: SignalRecord,
     pos_multiple: float = DEFAULT_DVT_POS_MULTIPLE,
     neg_multiple: float = DEFAULT_DVT_NEG_MULTIPLE,
-    cfg: EventFormationConfig | None = None,
 ) -> list[SpikeEvent]:
     """Dual-vertex thresholding with independent positive and negative levels."""
     x = record.samples
     sd = float(np.std(x)) if len(x) else 0.0
     crossings = (x > pos_multiple * sd) | (x < -neg_multiple * sd)
-    cfg = cfg if cfg is not None else EventFormationConfig.for_rate(record.rate_hz)
-    return form_events(crossings, np.abs(x), cfg, record.channel_id)
+    return _form_baseline(record, crossings, np.abs(x))
 
 
 def moving_average_energy(x, window: int = DEFAULT_MAE_WINDOW) -> np.ndarray:
@@ -332,38 +329,26 @@ def detect_mae(
     record: SignalRecord,
     window: int = DEFAULT_MAE_WINDOW,
     threshold_multiple: float = DEFAULT_MAE_MULTIPLE,
-    cfg: EventFormationConfig | None = None,
 ) -> list[SpikeEvent]:
     """Moving-average-energy detection: ``e > multiple * var(x)``."""
     x = record.samples
     e = moving_average_energy(x, window)
     thr = threshold_multiple * float(np.var(x)) if len(x) else 0.0
-    crossings = e > thr
-    cfg = cfg if cfg is not None else EventFormationConfig.for_rate(record.rate_hz)
-    return form_events(crossings, e, cfg, record.channel_id)
+    return _form_baseline(record, e > thr, e)
 
 
-def detect(
-    record: SignalRecord,
-    kind: DetectorKind,
-    cfg: EventFormationConfig | None = None,
-    estimator: EstimatorConfig = EstimatorConfig(),
-    **kwargs,
-) -> list[SpikeEvent]:
-    """Dispatch to one detector by kind, with each detector's default tuning.
-
-    ``estimator`` applies to the adaptive-threshold detectors only.
-    """
+def detect(record: SignalRecord, kind: DetectorKind, **kwargs) -> list[SpikeEvent]:
+    """Dispatch to one detector by kind; ``kwargs`` override its default tuning."""
     if kind == DetectorKind.DUAL:
-        return detect_dual(record, cfg=cfg, estimator=estimator, **kwargs)
+        return detect_dual(record, **kwargs)
     if kind == DetectorKind.TEO_SINGLE:
-        return detect_teo_single(record, cfg=cfg, estimator=estimator, **kwargs)
+        return detect_teo_single(record, **kwargs)
     if kind == DetectorKind.AT:
-        return detect_at(record, cfg=cfg, **kwargs)
+        return detect_at(record, **kwargs)
     if kind == DetectorKind.DVT:
-        return detect_dvt(record, cfg=cfg, **kwargs)
+        return detect_dvt(record, **kwargs)
     if kind == DetectorKind.MAE:
-        return detect_mae(record, cfg=cfg, **kwargs)
+        return detect_mae(record, **kwargs)
     raise ValueError(f"unknown detector kind {kind!r}")
 
 

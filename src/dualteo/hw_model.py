@@ -6,7 +6,9 @@ exact half-sum smoother (codes stay in the 7-bit range, carried at half-LSB
 weight), exact Teager energies truncated by arithmetic right shift into 8-bit
 (raw path) and 9-bit (smoothed path) streams, and Q.10 sigma/threshold
 registers so the 2**-10 per-frame correction accumulates below one code LSB.
-Nothing on the data path is ever a float.
+Nothing on the data path is ever a float.  The sigma loop, the warm-up and
+the 1 ms refractory gap (16 samples at 16 kHz) are the float pipeline's own
+constants, read from the same place.
 
 There is one execution model: the vectorized per-channel pipeline
 (:func:`prepare_hw_dual` then :func:`~dualteo.detector.finish_dual`).
@@ -27,7 +29,6 @@ from typing import ClassVar
 import numpy as np
 
 from .detector import (
-    EventFormationConfig,
     PreparedDual,
     SpikeEvent,
     _check_warmup,
@@ -43,7 +44,6 @@ from .signal_model import (
     read_header,
 )
 from .threshold import (
-    EstimatorConfig,
     SIGMA_FRACTION_BITS,
     ThresholdCoefficients,
     default_hw_coefficients,
@@ -112,8 +112,6 @@ def _align_stream(x_teo: np.ndarray, s_teo: np.ndarray, cfg: HwConfig) -> np.nda
 def prepare_hw_dual(
     source: SignalRecord | QuantizedRecord,
     cfg: HwConfig | None = None,
-    estimator: EstimatorConfig = EstimatorConfig(),
-    event_cfg: EventFormationConfig | None = None,
 ) -> PreparedDual:
     """Coefficient-independent integer pipeline work for one channel."""
     cfg = cfg if cfg is not None else HwConfig()
@@ -129,21 +127,16 @@ def prepare_hw_dual(
         raise ValueError(f"expected rate {cfg.rate_hz} Hz, got {q.rate_hz} Hz")
     x = q.codes
     s = smooth2_fixed(x)
-    x_teo = teo_fixed(x, cfg.input_format, cfg.xteo_format, cfg.xteo_drop_lsbs)
-    s_teo = teo_fixed(s, cfg.input_format, cfg.steo_format, cfg.steo_drop_lsbs)
-    sig_q = sigma_frames_q10(s, estimator)
-    evt = event_cfg if event_cfg is not None else EventFormationConfig.for_rate(cfg.rate_hz)
+    x_teo = teo_fixed(x, cfg.xteo_format, cfg.xteo_drop_lsbs)
+    s_teo = teo_fixed(s, cfg.steo_format, cfg.steo_drop_lsbs)
     return PreparedDual(
         x_energy=x_teo,
         s_energy=s_teo,
-        sigma_per_frame=sig_q,
+        sigma_per_frame=sigma_frames_q10(s),
         align=_align_stream(x_teo, s_teo, cfg),
-        frame_len=estimator.frame_len,
-        warmup_samples=estimator.warmup_samples,
         rate_hz=cfg.rate_hz,
         channel_id=q.channel_id,
         integer_domain=True,
-        event_cfg=evt,
     )
 
 
@@ -151,16 +144,13 @@ def hw_detect_channel(
     q: QuantizedRecord,
     cfg: HwConfig | None = None,
     coeffs: ThresholdCoefficients | None = None,
-    evt_cfg: EventFormationConfig | None = None,
-    estimator: EstimatorConfig = EstimatorConfig(),
 ) -> list[SpikeEvent]:
     """Integer-only dual detection of one quantized channel."""
-    cfg = cfg if cfg is not None else HwConfig()
     if coeffs is None:
         coeffs = default_hw_coefficients()
-    if not _check_warmup(q, estimator):
+    if not _check_warmup(q):
         return []
-    prep = prepare_hw_dual(q, cfg, estimator=estimator, event_cfg=evt_cfg)
+    prep = prepare_hw_dual(q, cfg)
     return finish_dual(prep, coeffs)
 
 
@@ -209,16 +199,14 @@ def trace_internal(
     q: QuantizedRecord,
     cfg: HwConfig | None = None,
     coeffs: ThresholdCoefficients | None = None,
-    estimator: EstimatorConfig = EstimatorConfig(),
 ) -> HwTrace:
     """Emit every intermediate integer per sample for golden-trace regression.
 
     The crossing column is the raw comparator OR, before warm-up gating.
     """
-    cfg = cfg if cfg is not None else HwConfig()
     if coeffs is None:
         coeffs = default_hw_coefficients()
-    prep = prepare_hw_dual(q, cfg, estimator=estimator)
+    prep = prepare_hw_dual(q, cfg)
     thr_x, thr_s, cross_x, cross_s = _comparator(prep, coeffs)
     return HwTrace(
         x=q.codes.copy(),
@@ -231,9 +219,8 @@ def trace_internal(
     )
 
 
-def assert_closure(trace: HwTrace, cfg: HwConfig | None = None) -> None:
+def assert_closure(trace: HwTrace) -> None:
     """Verify every traced value stays inside its declared register format."""
-    cfg = cfg if cfg is not None else HwConfig()
 
     def check(name, values, lo, hi):
         if len(values) and (values.min() < lo or values.max() > hi):
@@ -242,12 +229,12 @@ def assert_closure(trace: HwTrace, cfg: HwConfig | None = None) -> None:
                 f"[{values.min()}, {values.max()}]"
             )
 
-    in_fmt = cfg.input_format
+    in_fmt, x_fmt, s_fmt = HwConfig.input_format, HwConfig.xteo_format, HwConfig.steo_format
     check("x", trace.x, in_fmt.min_code, in_fmt.max_code)
     # half-sum smoother: full input range at half-LSB weight
     check("s", trace.s, in_fmt.min_code, in_fmt.max_code)
-    check("x_teo", trace.x_teo, cfg.xteo_format.min_code, cfg.xteo_format.max_code)
-    check("s_teo", trace.s_teo, cfg.steo_format.min_code, cfg.steo_format.max_code)
+    check("x_teo", trace.x_teo, x_fmt.min_code, x_fmt.max_code)
+    check("s_teo", trace.s_teo, s_fmt.min_code, s_fmt.max_code)
     thr_bound = 1 << (THRESHOLD_REGISTER_BITS - 1)
     check("thr_x", trace.thr_x, -thr_bound, thr_bound - 1)
     check("thr_s", trace.thr_s, -thr_bound, thr_bound - 1)
@@ -265,8 +252,6 @@ def hw_detect_multichannel(
     frames,
     cfg: HwConfig | None = None,
     coeffs: ThresholdCoefficients | None = None,
-    evt_cfg: EventFormationConfig | None = None,
-    estimator: EstimatorConfig = EstimatorConfig(),
     return_crossings: bool = False,
 ):
     """Run the per-channel integer pipeline on an interleaved code stream.
@@ -308,7 +293,7 @@ def hw_detect_multichannel(
         q = QuantizedRecord(
             codes=codes, format=cfg.input_format, rate_hz=cfg.rate_hz, channel_id=ch
         )
-        prep = prepare_hw_dual(q, cfg, estimator=estimator, event_cfg=evt_cfg)
+        prep = prepare_hw_dual(q, cfg)
         events.append(finish_dual(prep, coeffs))
         if return_crossings:
             cross_x, cross_s = dual_crossing_streams(prep, coeffs)

@@ -17,7 +17,6 @@ replicate's base record is transformed per axis point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import detector as _detector
 from .dataio import GroundTruth, SyntheticConfig, generate, rescale_ground_truth, resample
 from .detector import DetectorKind, SpikeEvent, event_indices
 from .signal_model import FixedPointFormat, dequantize, quantize_mid_tread
-from .threshold import EstimatorConfig
+from .threshold import WARMUP_SAMPLES
 
 __all__ = [
     "MatchReport",
@@ -151,21 +150,24 @@ class SweepSpec:
         points = tuple(self.points)
         if not points:
             raise ValueError("a sweep needs at least one point")
-        if list(points) != sorted(points):
-            raise ValueError("sweep points must be sorted")
+        if any(b <= a for a, b in zip(points, points[1:])):
+            raise ValueError(f"sweep points must be sorted and distinct, got {points}")
         if self.axis == "resolution_bits" and not all(float(p).is_integer() and 2 <= p <= 32 for p in points):
             raise ValueError(f"resolution_bits points must be integers in 2..32, got {points}")
-        if self.axis == "rate_hz" and not all(0 < float(p) < math.inf for p in points):
-            raise ValueError(f"rate_hz points must be positive and finite, got {points}")
+        # resampling interpolates, so a point above the base rate invents samples
+        if self.axis == "rate_hz" and not all(0 < float(p) <= self.base_cfg.rate_hz for p in points):
+            raise ValueError(f"rate_hz points must lie in (0, {self.base_cfg.rate_hz:g}], got {points}")
         object.__setattr__(self, "points", points)
         detectors = tuple(
             d if isinstance(d, DetectorKind) else DetectorKind(d) for d in self.detectors
         )
         if not detectors:
             raise ValueError("at least one detector required")
+        if len(set(detectors)) != len(detectors):
+            raise ValueError(f"detectors must be distinct, got {[d.value for d in detectors]}")
         object.__setattr__(self, "detectors", detectors)
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
+            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ def _transform_for_point(spec, record, truth, point):
     raise ValueError(spec.axis)
 
 
-def sweep(spec: SweepSpec, estimator: EstimatorConfig = EstimatorConfig()) -> list[SweepResult]:
+def sweep(spec: SweepSpec) -> list[SweepResult]:
     """Run the full (point x detector x replicate) grid and aggregate accuracy.
 
     For the resolution and rate axes the noise level is fixed at 0.1.  Results
@@ -224,8 +226,8 @@ def sweep(spec: SweepSpec, estimator: EstimatorConfig = EstimatorConfig()) -> li
                 record_p, truth_p = _transform_for_point(spec, record, truth, p)
                 tol = max(0, round(record_p.rate_hz * spec.tolerance_ms / 1000.0))
                 for d in spec.detectors:
-                    events = _detector.detect(record_p, d, estimator=estimator)
-                    rep = score_events(events, truth_p, tol, skip_before=estimator.warmup_samples)
+                    events = _detector.detect(record_p, d)
+                    rep = score_events(events, truth_p, tol, skip_before=WARMUP_SAMPLES)
                     denom = rep.tp + rep.fp + rep.fn
                     acc[(p, d)].append(accuracy(rep) if denom else 1.0)
             except Exception as exc:

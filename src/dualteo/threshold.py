@@ -3,12 +3,13 @@
 After its first frame the estimator computes no standard deviation.  It
 keeps a scalar ``sigma`` and, over 256-sample frames, counts how many smoothed
 samples strictly exceed it.  At each frame boundary sigma moves by
-``gamma * (count - convergence_factor)``, so the loop converges to the level
-exceeded by ``convergence_factor`` samples per frame, i.e. the (1 - 20/256)
-quantile of the observed distribution with the defaults.  ``gamma`` is
-``SCALING_FACTOR`` in the float pipeline and 2**-10 in the integer one.  Small
-steps make the estimate stable at the cost of convergence latency, which is
-why detection is suppressed for the first ``warmup_frames`` frames.
+``gamma * (count - 20)``, so the loop converges to the level exceeded by 20
+samples per frame, i.e. the (1 - 20/256) quantile of the observed
+distribution.  ``gamma`` is ``SCALING_FACTOR`` in the float pipeline and
+2**-10 in the integer one.  Small steps make the estimate stable at the cost
+of convergence latency, which is why detection is suppressed for the first
+16 frames (``WARMUP_SAMPLES``).  These are the chip's design point, fixed
+here as module constants that both pipelines read.
 
 Thresholds for the two energy streams are low-order polynomials in sigma,
 
@@ -30,6 +31,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,37 +58,27 @@ CONVERGENCE_FACTOR = 20
 SCALING_FACTOR = 0.001
 SIGMA_FRACTION_BITS = 10  # integer pipelines keep sigma in Q.10, gamma = 2**-10
 WARMUP_FRAMES = 16
+WARMUP_SAMPLES = WARMUP_FRAMES * FRAME_LEN
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Feedback-loop parameters shared by the float and integer pipelines."""
+    """The sigma loop's design point, read-only: it has no settable fields."""
 
-    frame_len: int = FRAME_LEN
-    convergence_factor: int = CONVERGENCE_FACTOR
-    warmup_frames: int = WARMUP_FRAMES
-
-    def __post_init__(self):
-        if self.frame_len < 1:
-            raise ValueError("frame_len must be >= 1")
-        if not 0 <= self.convergence_factor <= self.frame_len:
-            raise ValueError("convergence_factor must lie in 0..frame_len")
-        if self.warmup_frames < 0:
-            raise ValueError("warmup_frames must be >= 0")
-
-    @property
-    def warmup_samples(self) -> int:
-        return self.warmup_frames * self.frame_len
+    frame_len: ClassVar[int] = FRAME_LEN
+    convergence_factor: ClassVar[int] = CONVERGENCE_FACTOR
+    warmup_frames: ClassVar[int] = WARMUP_FRAMES
+    warmup_samples: ClassVar[int] = WARMUP_SAMPLES
 
 
-def _sigma_track(values: np.ndarray, cfg: EstimatorConfig, measure, step) -> np.ndarray:
+def _sigma_track(values: np.ndarray, measure, step) -> np.ndarray:
     """The one frame loop of both pipelines, in the domain and dtype of ``values``.
 
     Sigma reads 0 over frame 0 and ``measure(frame 0)`` from frame 1 on; each
-    later full frame moves it by ``step * (count - convergence_factor)``,
+    later full frame moves it by ``step * (count - CONVERGENCE_FACTOR)``,
     clamped at zero.  A partial tail frame never triggers an update.
     """
-    L = cfg.frame_len
+    L = FRAME_LEN
     n_frames = -(-len(values) // L)
     out = np.empty(n_frames, dtype=values.dtype)
     sigma = 0
@@ -99,29 +91,30 @@ def _sigma_track(values: np.ndarray, cfg: EstimatorConfig, measure, step) -> np.
             sigma = measure(frame)
         else:
             count = int(np.count_nonzero(frame > sigma))
-            sigma = max(0, sigma + step * (count - cfg.convergence_factor))
+            sigma = max(0, sigma + step * (count - CONVERGENCE_FACTOR))
     return out
 
 
-def sigma_frames(s, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
+def sigma_frames(s) -> np.ndarray:
     """Per-frame sigma trajectory: entry ``f`` is the sigma in effect over frame ``f``.
 
-    Frame ``f`` covers samples ``[f*L, (f+1)*L)``.  The first frame is a
-    measurement frame: sigma reads 0 while the frame's empirical (population)
-    standard deviation is accumulated, and that value takes effect from frame
-    1.  This keeps the loop causal and self-scaling; the measurement frame
-    falls inside the warm-up anyway.  Later frames step by ``SCALING_FACTOR``.
+    Frame ``f`` covers samples ``[f*FRAME_LEN, (f+1)*FRAME_LEN)``.  The first
+    frame is a measurement frame: sigma reads 0 while the frame's empirical
+    (population) standard deviation is accumulated, and that value takes
+    effect from frame 1.  This keeps the loop causal and self-scaling; the
+    measurement frame falls inside the warm-up anyway.  Later frames step by
+    ``SCALING_FACTOR``.
     """
-    return _sigma_track(np.asarray(s, dtype=np.float64), cfg, np.std, SCALING_FACTOR)
+    return _sigma_track(np.asarray(s, dtype=np.float64), np.std, SCALING_FACTOR)
 
 
-def initial_sigma_q10(s_codes, frame_len: int = FRAME_LEN) -> int:
+def initial_sigma_q10(s_codes) -> int:
     """Q.10 empirical standard deviation of the first frame, in exact integers.
 
     With ``v = n*sum(s**2) - sum(s)**2`` (so the variance is ``v / n**2``),
     ``floor(1024 * sqrt(v) / n) == isqrt(1024**2 * v) // n`` exactly.
     """
-    s = np.asarray(s_codes, dtype=np.int64)[:frame_len]
+    s = np.asarray(s_codes, dtype=np.int64)[:FRAME_LEN]
     n = len(s)
     if n == 0:
         return 0
@@ -133,18 +126,16 @@ def initial_sigma_q10(s_codes, frame_len: int = FRAME_LEN) -> int:
     return math.isqrt((1 << (2 * SIGMA_FRACTION_BITS)) * v) // n
 
 
-def sigma_frames_q10(s_codes, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
+def sigma_frames_q10(s_codes) -> np.ndarray:
     """Integer twin of :func:`sigma_frames`: sigma held in a Q.10 register.
 
     The measurement frame yields :func:`initial_sigma_q10` of the codes; each later
-    correction is exactly ``count - convergence_factor`` register LSBs
+    correction is exactly ``count - CONVERGENCE_FACTOR`` register LSBs
     (gamma = 2**-10), and the exceedance comparison is the exact integer
     compare ``s << 10 > sigma_q``.
     """
     s = np.asarray(s_codes, dtype=np.int64)
-    return _sigma_track(
-        s << SIGMA_FRACTION_BITS, cfg, lambda _frame: initial_sigma_q10(s, cfg.frame_len), 1
-    )
+    return _sigma_track(s << SIGMA_FRACTION_BITS, lambda _frame: initial_sigma_q10(s), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +332,16 @@ def calibrate_coefficients(
     search_grid=None,
     *,
     pipeline: str = "float",
-    estimator: EstimatorConfig = EstimatorConfig(),
-    event_cfg=None,
     hw_cfg=None,
-    tolerance_ms: float = 1.0,
     return_score: bool = False,
 ):
     """Pick the grid point maximizing mean detection accuracy on the training set.
 
     ``training_set`` is a sequence of ``(SignalRecord, GroundTruth)`` pairs.
-    Ties break toward fewer power-of-two terms, then smaller shifts.  The
-    sigma trajectory is coefficient-independent, so each record's transform
-    and sigma work is done once and every candidate only re-runs the
-    threshold/compare/score tail.
+    Detections match truth within 1 ms.  Ties break toward fewer power-of-two
+    terms, then smaller shifts.  The sigma trajectory is coefficient-independent,
+    so each record's transform and sigma work is done once and every candidate
+    only re-runs the threshold/compare/score tail.
     """
     from . import detector as _detector
     from . import metrics as _metrics
@@ -366,25 +354,21 @@ def calibrate_coefficients(
         raise ValueError("search grid must not be empty")
 
     if pipeline == "hw":
-        # the integer pipeline runs at its own rate; convert records and truth
+        # the integer pipeline runs at the chip's rate; convert records and truth
         from . import dataio as _dataio
-        from . import hw_model as _hw_model
-        cfg = hw_cfg if hw_cfg is not None else _hw_model.HwConfig()
+        from .hw_model import HwConfig
+        rate = HwConfig.rate_hz
         converted = []
         for record, truth in training_set:
-            resampled = _dataio.resample(record, cfg.rate_hz)
+            resampled = _dataio.resample(record, rate)
             converted.append((
                 resampled,
-                _dataio.rescale_ground_truth(truth, record.rate_hz, cfg.rate_hz, len(resampled)),
+                _dataio.rescale_ground_truth(truth, record.rate_hz, rate, len(resampled)),
             ))
         training_set = converted
-        hw_cfg = cfg
 
     prepared = [
-        _detector.prepare_dual(
-            record, estimator=estimator, event_cfg=event_cfg,
-            pipeline=pipeline, hw_cfg=hw_cfg,
-        )
+        _detector.prepare_dual(record, pipeline=pipeline, hw_cfg=hw_cfg)
         for record, _ in training_set
     ]
     truths = [truth for _, truth in training_set]
@@ -395,7 +379,7 @@ def calibrate_coefficients(
         for prep, truth in zip(prepared, truths):
             events = _detector.finish_dual(prep, cand)
             report = _metrics.score_events(
-                events, truth, prep.tolerance_samples(tolerance_ms),
+                events, truth, prep.tolerance_samples(),
                 skip_before=prep.warmup_samples,
             )
             total += _metrics.accuracy(report) if (report.tp + report.fp + report.fn) else 1.0

@@ -43,22 +43,16 @@ def smooth2(x) -> np.ndarray:
     return s
 
 
-def teo_fixed(
-    x,
-    input_format: FixedPointFormat,
-    out_format: FixedPointFormat,
-    drop_lsbs: int = 0,
-) -> np.ndarray:
+def teo_fixed(x, out_format: FixedPointFormat, drop_lsbs: int = 0) -> np.ndarray:
     """Integer Teager energy: exact interior arithmetic, then shift-and-saturate.
 
     Interior values are computed exactly in integers, arithmetic-right-shifted
     by ``drop_lsbs``, and saturated into ``out_format``.  Boundaries stay 0.
+    The input range is not checked here: in the package the codes come from a
+    :class:`~dualteo.signal_model.QuantizedRecord`, whose type enforces it, or
+    are their half-sums.
     """
     x = np.asarray(x, dtype=np.int64)
-    if not input_format.contains(x):
-        raise ValueError(
-            f"input codes outside {input_format.total_bits}-bit range"
-        )
     out = np.zeros_like(x)
     if len(x) >= 3:
         exact = x[1:-1] * x[1:-1] - x[2:] * x[:-2]

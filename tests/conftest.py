@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from dualteo import EstimatorConfig, SignalRecord, SyntheticConfig, generate
-
-
-@pytest.fixture(scope="session")
-def estimator():
-    return EstimatorConfig()
+from dualteo import SignalRecord, SyntheticConfig, generate
 
 
 @pytest.fixture(scope="session")

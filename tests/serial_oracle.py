@@ -12,7 +12,9 @@
 
 Neither shares control flow with the vectorized pipelines in ``dualteo``;
 the serial engine reuses only :func:`compute_thresholds_q10`, which
-``test_threshold.py`` checks against an exact rational oracle.
+``test_threshold.py`` checks against an exact rational oracle, and reads the
+design-point constants (frame length, convergence target, warm-up and the
+1 ms refractory gap) from the library.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dualteo.threshold import (
     FRAME_LEN,
     SCALING_FACTOR,
     SIGMA_FRACTION_BITS,
-    EstimatorConfig,
+    WARMUP_SAMPLES,
     ThresholdCoefficients,
     compute_thresholds_q10,
 )
@@ -84,11 +86,9 @@ class SerialChannel:
     """One channel of the serial engine; one ``push`` per arriving code."""
 
     def __init__(self, cfg: HwConfig, coeffs: ThresholdCoefficients,
-                 evt_cfg: EventFormationConfig, estimator: EstimatorConfig,
                  channel_id: int, n_samples: int, record_crossings: bool):
         self.coeffs = coeffs
-        self.evt = evt_cfg
-        self.est = estimator
+        self.refractory = EventFormationConfig.for_rate(cfg.rate_hz).refractory_samples
         self.state = ChannelState(channel_id, n_samples, record_crossings)
         # precompute comparator constants
         self.xteo_min = cfg.xteo_format.min_code
@@ -110,10 +110,10 @@ class SerialChannel:
         )
         if st.crossings is not None:
             st.crossings[k] = crossed
-        if not crossed or k < self.est.warmup_samples:
+        if not crossed or k < WARMUP_SAMPLES:
             return
         align = max(x_teo << self.xshift, s_teo << self.sshift)
-        if st.pending and k - st.last_true < self.evt.refractory_samples:
+        if st.pending and k - st.last_true < self.refractory:
             if align > st.peak_val:
                 st.peak_val = align
                 st.peak_idx = k
@@ -134,7 +134,7 @@ class SerialChannel:
     def push(self, code: int) -> None:
         st = self.state
         t = st.t
-        L = self.est.frame_len
+        L = FRAME_LEN
         s_t = code if t == 0 else (code + st.x1) >> 1
 
         # 1) comparator for energy index t-1, before any frame update
@@ -166,7 +166,7 @@ class SerialChannel:
                 )
             else:
                 st.sigma_q = max(
-                    0, st.sigma_q + (st.exceed - self.est.convergence_factor)
+                    0, st.sigma_q + (st.exceed - CONVERGENCE_FACTOR)
                 )
             st.exceed = 0
             thr_x, thr_s = compute_thresholds_q10(st.sigma_q, self.coeffs)
@@ -195,13 +195,7 @@ class SerialChannel:
         return st.events
 
 
-def serial_detect_multichannel(
-    stream,
-    cfg: HwConfig,
-    coeffs: ThresholdCoefficients,
-    evt_cfg: EventFormationConfig | None = None,
-    estimator: EstimatorConfig = EstimatorConfig(),
-):
+def serial_detect_multichannel(stream, cfg: HwConfig, coeffs: ThresholdCoefficients):
     """Serve a (n_scans, channels) code stream through the serial engine.
 
     Channels are serviced round-robin within each block of
@@ -210,9 +204,8 @@ def serial_detect_multichannel(
     """
     stream = np.asarray(stream, dtype=np.int64)
     n_scans, channels = stream.shape
-    evt = evt_cfg if evt_cfg is not None else EventFormationConfig.for_rate(cfg.rate_hz)
     engines = [
-        SerialChannel(cfg, coeffs, evt, estimator, ch, n_scans, record_crossings=True)
+        SerialChannel(cfg, coeffs, ch, n_scans, record_crossings=True)
         for ch in range(channels)
     ]
     blocks = [

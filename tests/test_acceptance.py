@@ -65,7 +65,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def float_preps(corpus):
     return {
-        nv: [(detector.prepare_dual(record, estimator=EST), truth) for record, truth in corpus[nv]]
+        nv: [(detector.prepare_dual(record), truth) for record, truth in corpus[nv]]
         for nv in NOISES
     }
 
@@ -102,7 +102,7 @@ def hw_accuracy(corpus):
             rec16 = dataio.resample(record, cfg.rate_hz)
             t16 = dataio.rescale_ground_truth(truth, record.rate_hz, cfg.rate_hz, len(rec16))
             q = hw_model.quantize_for_hw(rec16, cfg)
-            events = hw_model.hw_detect_channel(q, cfg, hc, estimator=EST)
+            events = hw_model.hw_detect_channel(q, cfg, hc)
             rep = metrics.score_events(events, t16, TOL_16K, skip_before=EST.warmup_samples)
             accs.append(metrics.accuracy(rep))
         per_noise[nv] = float(np.mean(accs))
@@ -134,7 +134,7 @@ def test_criterion_2_estimator_convergence():
     t0 = time.time()
     rng = np.random.default_rng(775)
     s = smooth2(rng.standard_normal(1_000_000))
-    traj = sigma_frames(s, EST)
+    traj = sigma_frames(s)
     n_frames = len(s) // EST.frame_len
     skip = 256  # generous estimator settling window
     counts = [
@@ -164,10 +164,10 @@ def test_criterion_3_scheduler_transparency():
     n_scans = 6000
     stream = rng.integers(-64, 64, size=(n_scans, cfg.channels))
     events, crossings = hw_model.hw_detect_multichannel(
-        stream, cfg, hc, estimator=EST, return_crossings=True
+        stream, cfg, hc, return_crossings=True
     )
     # the sample-serial, block-scheduled engine is the bit-exact reference
-    serial_events, serial_crossings = serial_detect_multichannel(stream, cfg, hc, estimator=EST)
+    serial_events, serial_crossings = serial_detect_multichannel(stream, cfg, hc)
     mismatches = 0
     for ch in range(cfg.channels):
         if events[ch] != serial_events[ch] or not np.array_equal(crossings[ch], serial_crossings[ch]):
@@ -175,7 +175,7 @@ def test_criterion_3_scheduler_transparency():
         q = hw_model.QuantizedRecord(
             codes=stream[:, ch], format=cfg.input_format, rate_hz=cfg.rate_hz, channel_id=ch
         )
-        prep = hw_model.prepare_hw_dual(q, cfg, estimator=EST)
+        prep = hw_model.prepare_hw_dual(q, cfg)
         expect = detector.finish_dual(prep, hc)
         cx, cs = detector.dual_crossing_streams(prep, hc)
         if events[ch] != expect or not np.array_equal(crossings[ch], cx | cs):
@@ -197,9 +197,9 @@ def test_criterion_4_fixed_point_closure(corpus):
         for record, _ in corpus[nv]:
             rec16 = dataio.resample(record, cfg.rate_hz)
             q = hw_model.quantize_for_hw(rec16, cfg)
-            trace = hw_model.trace_internal(q, cfg, hc, estimator=EST)
-            hw_model.assert_closure(trace, cfg)
-            sig_q = sigma_frames_q10(hw_model.smooth2_fixed(q.codes), EST)
+            trace = hw_model.trace_internal(q, cfg, hc)
+            hw_model.assert_closure(trace)
+            sig_q = sigma_frames_q10(hw_model.smooth2_fixed(q.codes))
             assert sig_q.min() >= 0 and sig_q.max() < cfg.sigma_register_max
             checked += 1
     check(4, "fixed-point closure", True, f"all intermediate values in format over {checked} records")
@@ -258,7 +258,7 @@ def test_criterion_8_resolution_robustness(corpus):
     for record, truth in corpus[0.1]:
         peak = float(np.max(np.abs(record.samples)))
         coarse = dequantize(quantize_mid_tread(record, fmt, peak))
-        events = detector.detect_dual(coarse, fc, estimator=EST)
+        events = detector.detect_dual(coarse, fc)
         rep = metrics.score_events(events, truth, TOL_24K, skip_before=EST.warmup_samples)
         accs.append(metrics.accuracy(rep))
     mean_acc = float(np.mean(accs))

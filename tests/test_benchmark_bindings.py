@@ -25,8 +25,7 @@ def test_tracer_binds_every_traced_name():
     tracing.Tracer()  # looks up every traced name; AttributeError if one is gone
 
 
-def test_every_workload_runs_clean_at_tiny_size():
-    workloads = load_perfbench("workloads")
+def tiny_workloads(workloads):
     tiny = [
         workloads.Detect(7, records_per_noise=1, duration_s=1.0),
         workloads.Stream256(7, channels=8, scans=4608),
@@ -34,7 +33,12 @@ def test_every_workload_runs_clean_at_tiny_size():
         workloads.Sweep(7, points=(0.1,), replicates=1, duration_s=1.0),
     ]
     assert {w.name for w in tiny} == set(workloads.WORKLOADS)
-    for workload in tiny:
+    return tiny
+
+
+def test_every_workload_runs_clean_at_tiny_size():
+    workloads = load_perfbench("workloads")
+    for workload in tiny_workloads(workloads):
         tally, samples = workloads.Tally(), {}
         workload.setup()
         workload.run_pass(samples, tally)
@@ -42,3 +46,24 @@ def test_every_workload_runs_clean_at_tiny_size():
         metrics = workload.metrics(samples)
         assert tally.attempted > 0 and tally.failed == 0, workload.name
         assert metrics and all(v is not None for v in metrics.values()), workload.name
+
+
+# counters each workload must drive; they read traced call arguments by position
+OWNED_COUNTERS = {
+    "detect": ("threshold.frames", "detector.events", "metrics.truth_spikes"),
+    "stream256": ("threshold.frames", "hw_model.codes"),
+    "calibrate": ("threshold.frames", "threshold.candidate_evals", "metrics.truth_spikes"),
+    "sweep": ("threshold.frames", "detector.events", "metrics.truth_spikes"),
+}
+
+
+def test_traced_pass_counts_every_workload():
+    workloads, tracing = load_perfbench("workloads"), load_perfbench("tracing")
+    for workload in tiny_workloads(workloads):
+        tally, samples, tracer = workloads.Tally(), {}, tracing.Tracer()
+        workload.setup()
+        workload.run_pass(samples, tally, tracer.op)
+        layers = tracing.layer_metrics(tracer)
+        assert tally.attempted > 0 and tally.failed == 0, workload.name
+        for counter in OWNED_COUNTERS[workload.name]:
+            assert layers[counter] > 0, (workload.name, counter)

@@ -57,6 +57,13 @@ class TestGenerateCommand:
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("seed", 1.5), ("n_templates", 2.5)])
+    def test_non_integral_config_is_validation_error(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**TINY_CFG, key: value}))
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "x.json"), "--out", str(tmp_path)]) == 2
 
@@ -178,6 +185,35 @@ class TestSweepCommand:
         }))
         assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert f"{axis} points" in capsys.readouterr().err
+
+    # none of these points reaches resample: the spec rejects them first
+    @pytest.mark.parametrize("overrides, message", [
+        ({"points": [0.1, 0.1]}, "sorted and distinct"),
+        ({"detectors": ["at", "at"]}, "detectors must be distinct"),
+        ({"replicates": 1.5}, "replicates must be an integer"),
+        ({"axis": "rate_hz", "points": [48000.0]}, "rate_hz points must lie in (0, 24000]"),
+        ({"axis": "rate_hz", "points": [1e300]}, "rate_hz points must lie in (0, 24000]"),
+    ], ids=["duplicate-points", "duplicate-detectors", "fractional-replicates",
+            "rate-above-base", "rate-1e300"])
+    def test_bad_spec_is_validation_error(self, tmp_path, capsys, overrides, message):
+        spec = {
+            "axis": "noise_level", "points": [0.1], "detectors": ["at"], "replicates": 1,
+            "base_cfg": TINY_CFG, **overrides,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("seed", 1.5), ("n_templates", 2.5)])
+    def test_non_integral_base_config_is_validation_error(self, tmp_path, capsys, key, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "axis": "noise_level", "points": [0.1], "detectors": ["at"], "replicates": 1,
+            "base_cfg": {**TINY_CFG, key: value},
+        }))
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 class TestCalibrateCommand:

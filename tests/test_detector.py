@@ -97,25 +97,25 @@ class TestFormEvents:
 
 
 class TestDetectDual:
-    def test_all_zero_record_yields_no_events(self, estimator):
+    def test_all_zero_record_yields_no_events(self):
         record = SignalRecord(np.zeros(10000), rate_hz=24000.0)
-        assert detect_dual(record, COEFFS, estimator=estimator) == []
+        assert detect_dual(record, COEFFS) == []
 
-    def test_short_record_warns_and_returns_empty(self, estimator):
+    def test_short_record_warns_and_returns_empty(self):
         record = SignalRecord(np.zeros(100), rate_hz=24000.0)
         with pytest.warns(UserWarning, match="warm-up"):
-            events = detect_dual(record, COEFFS, estimator=estimator)
+            events = detect_dual(record, COEFFS)
         assert events == []
 
-    def test_clean_single_spike_detected_once(self, estimator):
+    def test_clean_single_spike_detected_once(self):
         record = make_clean_spike_record(spike_index=5000, n=10000)
-        events = detect_dual(record, COEFFS, estimator=estimator)
+        events = detect_dual(record, COEFFS)
         assert len(events) == 1
         assert abs(events[0].sample_index - 5000) <= 24
 
-    def test_crossing_union_property(self, noisy_record, estimator):
+    def test_crossing_union_property(self, noisy_record):
         record, _ = noisy_record
-        prep = prepare_dual(record, estimator=estimator)
+        prep = prepare_dual(record)
         cross_x, cross_s = dual_crossing_streams(prep, COEFFS)
         events = finish_dual(prep, COEFFS)
         union = cross_x | cross_s
@@ -123,33 +123,33 @@ class TestDetectDual:
         expected = form_events(union, prep.align, prep.event_cfg, prep.channel_id)
         assert events == expected
 
-    def test_single_path_crossings_are_subset(self, noisy_record, estimator):
+    def test_single_path_crossings_are_subset(self, noisy_record):
         record, _ = noisy_record
-        prep = prepare_dual(record, estimator=estimator)
+        prep = prepare_dual(record)
         cross_x, cross_s = dual_crossing_streams(prep, COEFFS)
         union = cross_x | cross_s
         assert np.all(union[cross_x])
         assert np.all(union[cross_s])
 
-    def test_recall_dominance_over_either_path(self, noisy_record, estimator):
+    def test_recall_dominance_over_either_path(self, noisy_record):
         from dualteo.metrics import score_events
         record, truth = noisy_record
         tol = round(record.rate_hz / 1000)
-        prep = prepare_dual(record, estimator=estimator)
+        prep = prepare_dual(record)
         dual = finish_dual(prep, COEFFS)
-        rep_dual = score_events(dual, truth, tol, skip_before=estimator.warmup_samples)
+        rep_dual = score_events(dual, truth, tol, skip_before=prep.warmup_samples)
         cross_x, cross_s = dual_crossing_streams(prep, COEFFS)
         for crossings in (cross_x, cross_s):
             gated = crossings.copy()
             gated[: prep.warmup_samples] = False
             single = form_events(gated, prep.align, prep.event_cfg, prep.channel_id)
-            rep_single = score_events(single, truth, tol, skip_before=estimator.warmup_samples)
+            rep_single = score_events(single, truth, tol, skip_before=prep.warmup_samples)
             assert rep_dual.tp >= rep_single.tp
 
-    def test_deterministic(self, noisy_record, estimator):
+    def test_deterministic(self, noisy_record):
         record, _ = noisy_record
-        a = detect_dual(record, COEFFS, estimator=estimator)
-        b = detect_dual(record, COEFFS, estimator=estimator)
+        a = detect_dual(record, COEFFS)
+        b = detect_dual(record, COEFFS)
         assert a == b
 
 
@@ -200,11 +200,10 @@ class TestBaselines:
         assert len(events) == 1
         assert abs(events[0].sample_index - 2000) <= 24
 
-    def test_dispatch_covers_every_kind(self, noisy_record, estimator):
+    def test_dispatch_covers_every_kind(self, noisy_record):
         record, _ = noisy_record
         for kind in DetectorKind:
-            kwargs = {"estimator": estimator} if kind in (DetectorKind.DUAL, DetectorKind.TEO_SINGLE) else {}
-            events = detect(record, kind, **kwargs)
+            events = detect(record, kind)
             assert isinstance(events, list)
 
 

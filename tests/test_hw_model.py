@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clean_spike_record
@@ -19,7 +19,7 @@ from dualteo.hw_model import (
     trace_internal,
 )
 from dualteo.signal_model import FixedPointFormat, QuantizedRecord
-from dualteo.threshold import EstimatorConfig, ThresholdCoefficients
+from dualteo.threshold import WARMUP_SAMPLES, ThresholdCoefficients
 
 HW_COEFFS = ThresholdCoefficients.make((3, 3), (0, 0), (1, 2))
 
@@ -38,22 +38,35 @@ def random_codes(rng, n):
     return rng.integers(-64, 64, size=n)
 
 
-def detect_multichannel_checked(stream, cfg, coeffs, estimator, return_crossings=False):
+def spiky_stream(rng, n_scans, channels):
+    """Low-amplitude noise plus sparse one-sample spikes, one of them on the
+    first sample past the warm-up.
+
+    Random full-range codes cross on about half of all samples and merge into
+    one long event, so neither the warm-up edge nor the refractory gap would
+    change the output.  Here spike spacings fall on both sides of the 16-sample
+    gap, so both decide which events form.
+    """
+    stream = rng.integers(-4, 5, size=(n_scans, channels))
+    for ch in range(channels):
+        spikes = np.cumsum(rng.integers(4, 60, size=n_scans // 4 + 1))
+        spikes = np.append(spikes, WARMUP_SAMPLES)
+        stream[spikes[spikes < n_scans], ch] = 50
+    return stream
+
+
+def detect_multichannel_checked(stream, cfg, coeffs, return_crossings=False):
     """``hw_detect_multichannel``, asserted bit-identical to the serial oracle.
 
     Events and the comparator streams must both match; inputs the library
     rejects raise before the oracle runs.
     """
-    events, crossings = hw_detect_multichannel(
-        stream, cfg, coeffs, estimator=estimator, return_crossings=True
-    )
+    events, crossings = hw_detect_multichannel(stream, cfg, coeffs, return_crossings=True)
     scans = np.asarray(stream).reshape(-1, cfg.channels)
-    oracle_events, oracle_crossings = serial_detect_multichannel(
-        scans, cfg, coeffs, estimator=estimator
-    )
+    oracle_events, oracle_crossings = serial_detect_multichannel(scans, cfg, coeffs)
     assert events == oracle_events, "events differ from the serial oracle"
     assert np.array_equal(crossings, oracle_crossings), "crossings differ from the serial oracle"
-    assert hw_detect_multichannel(stream, cfg, coeffs, estimator=estimator) == events
+    assert hw_detect_multichannel(stream, cfg, coeffs) == events
     return (events, crossings) if return_crossings else events
 
 
@@ -72,9 +85,9 @@ class TestHwConfig:
 
 
 class TestHwDetectChannel:
-    def test_all_zero_codes_give_no_events(self, estimator):
+    def test_all_zero_codes_give_no_events(self):
         q = quantized(np.zeros(8192, dtype=int))
-        assert hw_detect_channel(q, coeffs=HW_COEFFS, estimator=estimator) == []
+        assert hw_detect_channel(q, coeffs=HW_COEFFS) == []
 
     def test_rate_mismatch_rejected(self):
         q = quantized(np.zeros(100, dtype=int), rate=24000.0)
@@ -90,57 +103,55 @@ class TestHwDetectChannel:
         with pytest.raises(ValueError, match="7-bit"):
             prepare_hw_dual(q, HwConfig())
 
-    def test_short_record_warns(self, estimator):
+    def test_short_record_warns(self):
         q = quantized(np.zeros(100, dtype=int))
         with pytest.warns(UserWarning, match="warm-up"):
-            assert hw_detect_channel(q, coeffs=HW_COEFFS, estimator=estimator) == []
+            assert hw_detect_channel(q, coeffs=HW_COEFFS) == []
 
-    def test_no_floats_on_data_path(self, estimator):
+    def test_no_floats_on_data_path(self):
         rng = np.random.default_rng(0)
         q = quantized(random_codes(rng, 2000))
-        prep = prepare_hw_dual(q, HwConfig(), estimator=estimator)
+        prep = prepare_hw_dual(q, HwConfig())
         assert prep.x_energy.dtype == np.int64
         assert prep.s_energy.dtype == np.int64
         assert prep.sigma_per_frame.dtype == np.int64
         assert prep.align.dtype == np.int64
 
-    def test_clean_spike_matches_float_pipeline_location(self, estimator):
+    def test_clean_spike_matches_float_pipeline_location(self):
         record = make_clean_spike_record(spike_index=5000, n=10000, rate_hz=16000.0)
-        float_events = detect_dual(
-            record, ThresholdCoefficients.make((3, 2), (1, 1), (2, 0)), estimator=estimator
-        )
+        float_events = detect_dual(record, ThresholdCoefficients.make((3, 2), (1, 1), (2, 0)))
         q = quantize_for_hw(record, HwConfig())
-        hw_events = hw_detect_channel(q, coeffs=HW_COEFFS, estimator=estimator)
+        hw_events = hw_detect_channel(q, coeffs=HW_COEFFS)
         assert len(float_events) == 1 and len(hw_events) == 1
         refractory = EventFormationConfig.for_rate(16000.0).refractory_samples
         assert abs(hw_events[0].sample_index - float_events[0].sample_index) <= refractory
 
-    def test_deterministic(self, estimator):
+    def test_deterministic(self):
         rng = np.random.default_rng(5)
         q = quantized(random_codes(rng, 6000))
-        a = hw_detect_channel(q, coeffs=HW_COEFFS, estimator=estimator)
-        b = hw_detect_channel(q, coeffs=HW_COEFFS, estimator=estimator)
+        a = hw_detect_channel(q, coeffs=HW_COEFFS)
+        b = hw_detect_channel(q, coeffs=HW_COEFFS)
         assert a == b
 
 
 class TestTrace:
-    def test_zero_input_gives_zero_trace(self, estimator):
+    def test_zero_input_gives_zero_trace(self):
         q = quantized(np.zeros(600, dtype=int))
-        trace = trace_internal(q, coeffs=HW_COEFFS, estimator=estimator)
+        trace = trace_internal(q, coeffs=HW_COEFFS)
         for col in HwTrace.COLUMNS:
             assert np.all(getattr(trace, col) == 0), col
 
-    def test_x_column_is_input_verbatim(self, estimator):
+    def test_x_column_is_input_verbatim(self):
         rng = np.random.default_rng(1)
         codes = random_codes(rng, 1500)
-        trace = trace_internal(quantized(codes), coeffs=HW_COEFFS, estimator=estimator)
+        trace = trace_internal(quantized(codes), coeffs=HW_COEFFS)
         assert np.array_equal(trace.x, codes)
 
-    def test_xteo_column_matches_independent_replay(self, estimator):
+    def test_xteo_column_matches_independent_replay(self):
         rng = np.random.default_rng(2)
         codes = random_codes(rng, 1200).tolist()
         cfg = HwConfig()
-        trace = trace_internal(quantized(codes), cfg, HW_COEFFS, estimator=estimator)
+        trace = trace_internal(quantized(codes), cfg, HW_COEFFS)
         # replay the energy column from the x column with plain integer ops
         for k in range(len(codes)):
             if k == 0 or k == len(codes) - 1:
@@ -151,18 +162,18 @@ class TestTrace:
                 expect = min(max(expect, -128), 127)
             assert trace.x_teo[k] == expect
 
-    def test_trace_csv_roundtrip(self, tmp_path, estimator):
+    def test_trace_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
-        trace = trace_internal(quantized(random_codes(rng, 700)), coeffs=HW_COEFFS, estimator=estimator)
+        trace = trace_internal(quantized(random_codes(rng, 700)), coeffs=HW_COEFFS)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         back = HwTrace.from_csv(path)
         for col in HwTrace.COLUMNS:
             assert np.array_equal(getattr(trace, col), getattr(back, col)), col
 
-    def test_closure_on_random_codes(self, estimator):
+    def test_closure_on_random_codes(self):
         rng = np.random.default_rng(4)
-        trace = trace_internal(quantized(random_codes(rng, 5000)), coeffs=HW_COEFFS, estimator=estimator)
+        trace = trace_internal(quantized(random_codes(rng, 5000)), coeffs=HW_COEFFS)
         assert_closure(trace)
 
     def test_closure_catches_escaped_value(self):
@@ -174,131 +185,121 @@ class TestTrace:
 
 
 class TestScheduler:
-    def test_multichannel_equals_per_channel(self, estimator):
+    def test_multichannel_equals_per_channel(self):
         cfg = HwConfig(channels=64)
         rng = np.random.default_rng(10)
         n_scans = 6000
         stream = rng.integers(-64, 64, size=(n_scans, 64))
         events, crossings = detect_multichannel_checked(
-            stream, cfg, HW_COEFFS, estimator, return_crossings=True
+            stream, cfg, HW_COEFFS, return_crossings=True
         )
         for ch in range(cfg.channels):
             q = quantized(stream[:, ch], channel=ch)
-            expect_events = hw_detect_channel(q, cfg, HW_COEFFS, estimator=estimator)
+            expect_events = hw_detect_channel(q, cfg, HW_COEFFS)
             assert events[ch] == expect_events, f"channel {ch} events differ"
-            prep = prepare_hw_dual(q, cfg, estimator=estimator)
+            prep = prepare_hw_dual(q, cfg)
             cx, cs = dual_crossing_streams(prep, HW_COEFFS)
             assert np.array_equal(crossings[ch], cx | cs), f"channel {ch} crossings differ"
 
-    def test_identical_channels_give_identical_outputs(self, estimator):
+    def test_identical_channels_give_identical_outputs(self):
         cfg = HwConfig(channels=32)
         rng = np.random.default_rng(11)
         one = rng.integers(-64, 64, size=5000)
         stream = np.tile(one[:, None], (1, 32))
-        events = detect_multichannel_checked(stream, cfg, HW_COEFFS, estimator)
+        events = detect_multichannel_checked(stream, cfg, HW_COEFFS)
         first = [(e.sample_index) for e in events[0]]
         assert len(first) > 0
         for ch in range(1, 32):
             assert [(e.sample_index) for e in events[ch]] == first
 
-    def test_channel_permutation_equivariance(self, estimator):
+    def test_channel_permutation_equivariance(self):
         cfg = HwConfig(channels=32)
         rng = np.random.default_rng(12)
         stream = rng.integers(-64, 64, size=(4500, 32))
         perm = rng.permutation(32)
-        base = detect_multichannel_checked(stream, cfg, HW_COEFFS, estimator)
-        permuted = detect_multichannel_checked(stream[:, perm], cfg, HW_COEFFS, estimator)
+        base = detect_multichannel_checked(stream, cfg, HW_COEFFS)
+        permuted = detect_multichannel_checked(stream[:, perm], cfg, HW_COEFFS)
         for new_ch, old_ch in enumerate(perm):
             assert [e.sample_index for e in permuted[new_ch]] == [
                 e.sample_index for e in base[old_ch]
             ]
 
-    def test_flat_stream_reshaped_scan_major(self, estimator):
+    def test_flat_stream_reshaped_scan_major(self):
         cfg = HwConfig(channels=32)
         rng = np.random.default_rng(13)
         stream = rng.integers(-64, 64, size=(700, 32))
-        a = detect_multichannel_checked(stream, cfg, HW_COEFFS, estimator)
-        b = detect_multichannel_checked(stream.ravel(), cfg, HW_COEFFS, estimator)
+        a = detect_multichannel_checked(stream, cfg, HW_COEFFS)
+        b = detect_multichannel_checked(stream.ravel(), cfg, HW_COEFFS)
         assert a == b
 
-    def test_ragged_stream_rejected(self, estimator):
+    def test_ragged_stream_rejected(self):
         cfg = HwConfig(channels=32)
         with pytest.raises(ValueError, match="ragged"):
-            detect_multichannel_checked(np.zeros(33, dtype=int), cfg, HW_COEFFS, estimator)
+            detect_multichannel_checked(np.zeros(33, dtype=int), cfg, HW_COEFFS)
 
-    def test_out_of_range_codes_rejected(self, estimator):
+    def test_out_of_range_codes_rejected(self):
         cfg = HwConfig(channels=32)
         stream = np.zeros((10, 32), dtype=int)
         stream[3, 7] = 99
         with pytest.raises(ValueError, match="range"):
-            detect_multichannel_checked(stream, cfg, HW_COEFFS, estimator)
+            detect_multichannel_checked(stream, cfg, HW_COEFFS)
 
-    def test_non_integer_codes_rejected(self, estimator):
+    def test_non_integer_codes_rejected(self):
         # a float stream must not be truncated toward zero into valid codes
         cfg = HwConfig(channels=32)
         stream = np.full((10, 32), 1.7)
         with pytest.raises(ValueError, match="integer"):
-            detect_multichannel_checked(stream, cfg, HW_COEFFS, estimator)
+            detect_multichannel_checked(stream, cfg, HW_COEFFS)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
-        channels=st.integers(min_value=1, max_value=40),
-        n_scans=st.integers(min_value=0, max_value=1500),
-        frame_len=st.integers(min_value=1, max_value=299),
-        warmup_frames=st.integers(min_value=0, max_value=4),
-        refractory=st.integers(min_value=1, max_value=39),
+        channels=st.integers(min_value=1, max_value=12),
+        n_scans=st.integers(min_value=0, max_value=6000),
     )
+    # below, at and just past the warm-up, and ending inside a frame
+    @example(seed=1, channels=3, n_scans=WARMUP_SAMPLES - 1)
+    @example(seed=2, channels=3, n_scans=WARMUP_SAMPLES)
+    @example(seed=3, channels=3, n_scans=WARMUP_SAMPLES + 1)
+    @example(seed=4, channels=5, n_scans=WARMUP_SAMPLES + 1000)
     @settings(max_examples=15, deadline=None)
-    def test_oracle_agreement_over_configs(
-        self, seed, channels, n_scans, frame_len, warmup_frames, refractory
-    ):
+    def test_oracle_agreement_over_configs(self, seed, channels, n_scans):
         rng = np.random.default_rng(seed)
         cfg = HwConfig(channels=channels)
-        est = EstimatorConfig(
-            frame_len=frame_len,
-            convergence_factor=int(rng.integers(0, frame_len + 1)),
-            warmup_frames=warmup_frames,
-        )
-        evt = EventFormationConfig(refractory_samples=refractory)
-        stream = rng.integers(-64, 64, size=(n_scans, channels))
-        events, crossings = hw_detect_multichannel(
-            stream, cfg, HW_COEFFS, evt, est, return_crossings=True
-        )
-        oracle_events, oracle_crossings = serial_detect_multichannel(
-            stream, cfg, HW_COEFFS, evt, est
-        )
+        stream = spiky_stream(rng, n_scans, channels)
+        events, crossings = hw_detect_multichannel(stream, cfg, HW_COEFFS, return_crossings=True)
+        oracle_events, oracle_crossings = serial_detect_multichannel(stream, cfg, HW_COEFFS)
         assert events == oracle_events
         assert np.array_equal(crossings, oracle_crossings)
 
     @given(seed=st.integers(min_value=0, max_value=2**31), n_scans=st.integers(min_value=300, max_value=900))
     @settings(max_examples=10, deadline=None)
-    def test_transparency_property(self, estimator, seed, n_scans):
+    def test_transparency_property(self, seed, n_scans):
         cfg = HwConfig(channels=32)
         rng = np.random.default_rng(seed)
         stream = rng.integers(-64, 64, size=(n_scans, 32))
         _, crossings = detect_multichannel_checked(
-            stream, cfg, HW_COEFFS, estimator, return_crossings=True
+            stream, cfg, HW_COEFFS, return_crossings=True
         )
         for ch in (0, 13, 31):
-            prep = prepare_hw_dual(quantized(stream[:, ch], channel=ch), cfg, estimator=estimator)
+            prep = prepare_hw_dual(quantized(stream[:, ch], channel=ch), cfg)
             cx, cs = dual_crossing_streams(prep, HW_COEFFS)
             assert np.array_equal(crossings[ch], cx | cs)
 
     @pytest.mark.parametrize("n_scans", [1, 100, 255, 256, 257, 512, 768])
-    def test_transparency_at_frame_boundary_lengths(self, estimator, n_scans):
+    def test_transparency_at_frame_boundary_lengths(self, n_scans):
         cfg = HwConfig(channels=32)
         rng = np.random.default_rng(n_scans)
         stream = rng.integers(-64, 64, size=(n_scans, 32))
         events, crossings = detect_multichannel_checked(
-            stream, cfg, HW_COEFFS, estimator, return_crossings=True
+            stream, cfg, HW_COEFFS, return_crossings=True
         )
         for ch in range(32):
-            prep = prepare_hw_dual(quantized(stream[:, ch], channel=ch), cfg, estimator=estimator)
+            prep = prepare_hw_dual(quantized(stream[:, ch], channel=ch), cfg)
             cx, cs = dual_crossing_streams(prep, HW_COEFFS)
             assert np.array_equal(crossings[ch], cx | cs), f"n={n_scans} ch={ch}"
             assert events[ch] == finish_dual(prep, HW_COEFFS)
 
-    def test_transparency_under_negative_thresholds(self, estimator):
+    def test_transparency_under_negative_thresholds(self):
         # a strongly negative linear term drives thr_s below zero once sigma
         # settles; both engines must agree on the everything-crosses regime,
         # including the zero-energy boundary samples
@@ -307,11 +308,11 @@ class TestScheduler:
         rng = np.random.default_rng(77)
         stream = rng.integers(-64, 64, size=(600, 32))
         events, crossings = detect_multichannel_checked(
-            stream, cfg, coeffs, estimator, return_crossings=True
+            stream, cfg, coeffs, return_crossings=True
         )
         assert crossings[:, 300:].any()
         for ch in range(0, 32, 7):
-            prep = prepare_hw_dual(quantized(stream[:, ch], channel=ch), cfg, estimator=estimator)
+            prep = prepare_hw_dual(quantized(stream[:, ch], channel=ch), cfg)
             cx, cs = dual_crossing_streams(prep, coeffs)
             assert np.array_equal(crossings[ch], cx | cs)
             assert events[ch] == finish_dual(prep, coeffs)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from dualteo.dataio import SyntheticConfig, generate
 from serial_oracle import SigmaEstimatorState, estimator_step
 from dualteo.threshold import (
+    CONVERGENCE_FACTOR,
+    FRAME_LEN,
     Dyadic,
-    EstimatorConfig,
     SIGMA_FRACTION_BITS,
     ThresholdCoefficients,
     calibrate_coefficients,
@@ -91,9 +92,8 @@ class TestSigmaTrajectories:
     def test_matches_stepwise_fold_with_explicit_start(self):
         rng = np.random.default_rng(3)
         s = rng.normal(size=2000)
-        cfg = EstimatorConfig()
-        L = cfg.frame_len
-        traj = sigma_frames(s, cfg)
+        L = FRAME_LEN
+        traj = sigma_frames(s)
         # frame 0 measures; the step model starts from that measurement at frame 1
         state = SigmaEstimatorState(sigma=float(np.std(s[:L])), frame_len=L)
         expected = [0.0]
@@ -106,22 +106,21 @@ class TestSigmaTrajectories:
     def test_measurement_frame_semantics(self):
         rng = np.random.default_rng(4)
         s = rng.normal(size=700)
-        traj = sigma_frames(s, EstimatorConfig())
+        traj = sigma_frames(s)
         assert traj[0] == 0.0
         assert traj[1] == pytest.approx(np.std(s[:256]))
 
     def test_integer_twin_measurement_frame(self):
         rng = np.random.default_rng(5)
         s = rng.integers(-64, 64, size=1000)
-        traj = sigma_frames_q10(s, EstimatorConfig())
+        traj = sigma_frames_q10(s)
         assert traj[0] == 0
         assert traj[1] == initial_sigma_q10(s[:256])
 
     def test_integer_twin_matches_python_reference(self):
         rng = np.random.default_rng(6)
         s = rng.integers(-64, 64, size=2048).tolist()
-        cfg = EstimatorConfig()
-        got = sigma_frames_q10(s, cfg).tolist()
+        got = sigma_frames_q10(s).tolist()
         sigma_q = 0
         expected = []
         for f in range(len(s) // 256):
@@ -131,7 +130,7 @@ class TestSigmaTrajectories:
                 sigma_q = initial_sigma_q10(frame)
             else:
                 count = sum(1 for v in frame if (v << 10) > sigma_q)
-                sigma_q = max(0, sigma_q + count - cfg.convergence_factor)
+                sigma_q = max(0, sigma_q + count - CONVERGENCE_FACTOR)
         assert got == expected
 
     @given(st.lists(st.integers(min_value=-64, max_value=63), min_size=1, max_size=400))
@@ -150,8 +149,7 @@ class TestSigmaTrajectories:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(300_000)
         s = (x + np.concatenate(([x[0]], x[:-1]))) / 2.0
-        cfg = EstimatorConfig()
-        traj = sigma_frames(s, cfg)
+        traj = sigma_frames(s)
         counts = []
         for f in range(400, len(s) // 256):
             frame = s[f * 256:(f + 1) * 256]
