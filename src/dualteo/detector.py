@@ -107,6 +107,32 @@ class DetectorKind(Enum):
     TEO_SINGLE = "teo_single"
 
 
+def _event_peaks(positions, values, gap: int) -> np.ndarray:
+    """The one event former: index of each event's peak among the crossings.
+
+    ``positions`` are ascending crossing sample indices.  An event starts at
+    the first crossing and wherever the position jumps by at least ``gap``;
+    it sits on the earliest maximum of ``values`` over its crossings, as
+    ``np.argmax`` would pick it (a NaN counts as the maximum).
+    """
+    if len(positions) == 0:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.empty(len(positions), dtype=bool)
+    starts[0] = True
+    np.greater_equal(positions[1:] - positions[:-1], gap, out=starts[1:])
+    event = np.cumsum(starts) - 1
+    peak = np.maximum.reduceat(values, np.flatnonzero(starts))
+    at_peak = values == peak[event]
+    if values.dtype.kind == "f":
+        at_peak |= np.isnan(values)
+    at_peak = np.flatnonzero(at_peak)
+    # every event holds a peak; keep the first of each event's
+    first = np.empty(len(at_peak), dtype=bool)
+    first[0] = True
+    np.not_equal(event[at_peak[1:]], event[at_peak[:-1]], out=first[1:])
+    return at_peak[first]
+
+
 def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: int = 0) -> list[SpikeEvent]:
     """Merge crossing runs separated by less than the refractory gap into events.
 
@@ -122,11 +148,8 @@ def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: in
     idx = np.flatnonzero(crossings)
     if idx.size == 0:
         return []
-    splits = np.flatnonzero(np.diff(idx) >= cfg.refractory_samples) + 1
-    return [
-        SpikeEvent(channel_id=channel_id, sample_index=int(group[np.argmax(teo_values[group])]))
-        for group in np.split(idx, splits)
-    ]
+    peaks = idx[_event_peaks(idx, teo_values[idx], cfg.refractory_samples)]
+    return [SpikeEvent(channel_id=channel_id, sample_index=i) for i in peaks.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +181,7 @@ class PreparedDual:
     def n(self) -> int:
         return len(self.x_energy)
 
-    @cached_property  # calibration reads it once per candidate
+    @cached_property
     def event_cfg(self) -> EventFormationConfig:
         return EventFormationConfig.for_rate(self.rate_hz)
 
@@ -197,20 +220,28 @@ def prepare_dual(
     )
 
 
+def _frame_thresholds(prep: PreparedDual, coeffs: ThresholdCoefficients):
+    """Per-frame ``(thr_x, thr_s)``; integer thresholds are Q.10 registers."""
+    if prep.integer_domain:
+        return compute_thresholds_q10(prep.sigma_per_frame, coeffs)
+    return compute_thresholds(prep.sigma_per_frame, coeffs)
+
+
+def _scaled_energies(prep: PreparedDual):
+    """Both energy streams on their thresholds' scale: integer energies shift up to Q.10."""
+    if prep.integer_domain:
+        return prep.x_energy << SIGMA_FRACTION_BITS, prep.s_energy << SIGMA_FRACTION_BITS
+    return prep.x_energy, prep.s_energy
+
+
 def _comparator(prep: PreparedDual, coeffs: ThresholdCoefficients):
     """Per-sample thresholds and the two comparator outputs, before warm-up gating.
 
     Returns ``(thr_x, thr_s, cross_x, cross_s)``; each frame's thresholds hold
-    over its samples.  Integer thresholds are Q.10, so the energies are
-    shifted up to meet them.
+    over its samples.
     """
-    if prep.integer_domain:
-        thr_x_f, thr_s_f = compute_thresholds_q10(prep.sigma_per_frame, coeffs)
-        x_energy = prep.x_energy << SIGMA_FRACTION_BITS
-        s_energy = prep.s_energy << SIGMA_FRACTION_BITS
-    else:
-        thr_x_f, thr_s_f = compute_thresholds(prep.sigma_per_frame, coeffs)
-        x_energy, s_energy = prep.x_energy, prep.s_energy
+    thr_x_f, thr_s_f = _frame_thresholds(prep, coeffs)
+    x_energy, s_energy = _scaled_energies(prep)
     thr_x = np.repeat(thr_x_f, FRAME_LEN)[:prep.n]
     thr_s = np.repeat(thr_s_f, FRAME_LEN)[:prep.n]
     return thr_x, thr_s, x_energy > thr_x, s_energy > thr_s

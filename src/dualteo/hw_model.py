@@ -177,11 +177,12 @@ class HwTrace:
         return len(self.x)
 
     def to_csv(self, path) -> None:
-        cols = [getattr(self, c) for c in self.COLUMNS]
+        # one %-format over the whole table; "%d" prints each value as str(int(v))
+        table = np.column_stack([getattr(self, c) for c in self.COLUMNS])
+        row = ",".join(["%d"] * len(self.COLUMNS)) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(self.COLUMNS) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
+            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "HwTrace":

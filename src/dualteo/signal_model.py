@@ -108,17 +108,18 @@ class QuantizedRecord:
     full_scale: float = 1.0
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        object.__setattr__(self, "codes", codes)
+        codes = np.asarray(self.codes)
         if self.rate_hz <= 0:
             raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
         if self.full_scale <= 0:
             raise ValueError(f"full_scale must be positive, got {self.full_scale}")
+        # check before the cast: int64 would wrap unsigned codes above 2**63 into range
         if not self.format.contains(codes):
             raise ValueError(
                 f"codes outside {self.format.total_bits}-bit range "
                 f"[{self.format.min_code}, {self.format.max_code}]"
             )
+        object.__setattr__(self, "codes", codes.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -1,0 +1,67 @@
+"""Per-element loops that the package's whole-array kernels replaced.
+
+Each function here is the earlier implementation, kept as an oracle that
+the vectorized code must equal exactly: the per-candidate calibration loop,
+the ``np.split``/argmax event former, the greedy matcher and the row-wise
+trace writer.
+"""
+
+import numpy as np
+
+from dualteo import detector, metrics
+
+
+def calibration_means(prepared, truths, grid) -> np.ndarray:
+    """Mean accuracy of each candidate, one candidate and one record at a time."""
+    means = []
+    for cand in grid:
+        total = 0.0
+        for prep, truth in zip(prepared, truths):
+            events = detector.finish_dual(prep, cand)
+            report = metrics.score_events(
+                events, truth, prep.tolerance_samples(),
+                skip_before=prep.warmup_samples,
+            )
+            total += metrics.accuracy(report) if (report.tp + report.fp + report.fn) else 1.0
+        means.append(total / len(prepared))
+    return np.asarray(means)
+
+
+def split_events(crossings, values, refractory_samples: int) -> list[int]:
+    """Event sample indices: split crossing runs at gaps, argmax within each run."""
+    idx = np.flatnonzero(crossings)
+    if idx.size == 0:
+        return []
+    splits = np.flatnonzero(np.diff(idx) >= refractory_samples) + 1
+    return [int(group[np.argmax(values[group])]) for group in np.split(idx, splits)]
+
+
+def greedy_tp(detected, truth_indices, tolerance_samples: int) -> int:
+    """Greedy one-to-one matching: each truth in turn takes its nearest free detection."""
+    det = np.sort(np.asarray(detected, dtype=np.int64))
+    taken = np.zeros(len(det), dtype=bool)
+    tp = 0
+    for t in truth_indices:
+        lo = np.searchsorted(det, t - tolerance_samples, side="left")
+        hi = np.searchsorted(det, t + tolerance_samples, side="right")
+        best = -1
+        best_dist = None
+        for j in range(lo, hi):
+            if taken[j]:
+                continue
+            dist = abs(int(det[j]) - int(t))
+            if best_dist is None or dist < best_dist:
+                best, best_dist = j, dist
+        if best >= 0:
+            taken[best] = True
+            tp += 1
+    return tp
+
+
+def write_trace_rows(trace, path) -> None:
+    """Trace CSV written one row at a time."""
+    cols = [getattr(trace, c) for c in trace.COLUMNS]
+    with open(path, "w") as fh:
+        fh.write(",".join(trace.COLUMNS) + "\n")
+        for row in zip(*cols):
+            fh.write(",".join(str(int(v)) for v in row) + "\n")

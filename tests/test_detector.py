@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clean_spike_record
+from loop_oracles import split_events
 from dualteo.detector import (
     DetectorKind,
     EventFormationConfig,
@@ -85,6 +86,29 @@ class TestFormEvents:
         idx = event_indices(events)
         if len(idx) > 1:
             assert np.diff(idx).min() >= refractory
+
+    @given(
+        st.lists(st.booleans(), min_size=1, max_size=300),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from([np.int64, np.float64]),
+    )
+    @settings(max_examples=300)
+    def test_equals_split_argmax_oracle(self, crossings, refractory, seed, dtype):
+        # few distinct integer values, so peaks tie within a run
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-2, 3, size=len(crossings)).astype(dtype)
+        crossings = np.asarray(crossings)
+        events = form_events(crossings, values, EventFormationConfig(refractory_samples=refractory), channel_id=2)
+        assert [e.sample_index for e in events] == split_events(crossings, values, refractory)
+        assert all(e.channel_id == 2 and type(e.sample_index) is int for e in events)
+
+    def test_nan_peak_taken_as_argmax_does(self):
+        crossings = np.zeros(20, bool)
+        crossings[[3, 4, 5, 6]] = True
+        values = np.array([0.0] * 3 + [1.0, np.nan, 5.0, np.nan] + [0.0] * 13)
+        events = form_events(crossings, values, cfg16())
+        assert [e.sample_index for e in events] == split_events(crossings, values, 16) == [4]
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clean_spike_record
+from loop_oracles import write_trace_rows
 from serial_oracle import serial_detect_multichannel
 from dualteo.detector import EventFormationConfig, detect_dual, dual_crossing_streams, finish_dual
 from dualteo.hw_model import (
@@ -170,6 +171,18 @@ class TestTrace:
         back = HwTrace.from_csv(path)
         for col in HwTrace.COLUMNS:
             assert np.array_equal(getattr(trace, col), getattr(back, col)), col
+
+    def test_trace_csv_bytes_equal_row_wise_writer(self, tmp_path):
+        rng = np.random.default_rng(8)
+        trace = trace_internal(quantized(random_codes(rng, 900)), coeffs=HW_COEFFS)
+        assert trace.x.min() < 0 and trace.x_teo.min() < 0
+        trace.to_csv(tmp_path / "fast.csv")
+        write_trace_rows(trace, tmp_path / "rows.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        empty = HwTrace(*[np.zeros(0, dtype=np.int64) for _ in HwTrace.COLUMNS])
+        empty.to_csv(tmp_path / "empty.csv")
+        write_trace_rows(empty, tmp_path / "empty_rows.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "empty_rows.csv").read_bytes()
 
     def test_closure_on_random_codes(self):
         rng = np.random.default_rng(4)

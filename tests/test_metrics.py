@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import dualteo.detector
 from dualteo.dataio import GroundTruth, SyntheticConfig
 from dualteo.detector import DetectorKind, SpikeEvent
+from loop_oracles import greedy_tp
 from dualteo.metrics import (
     MatchReport,
     SweepSpec,
@@ -104,6 +105,30 @@ class TestMatchEvents:
         det = sorted(det + extras)
         rep = match_events(np.asarray(det, dtype=np.int64), truth_of(truths), tol)
         assert rep.tp == optimal_tp(det, truths, tol)
+
+    @given(
+        data=st.data(),
+        tol=st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=400)
+    def test_equals_greedy_loop_oracle(self, data, tol):
+        # truths in clusters closer than twice the tolerance, detections with repeats
+        centers = data.draw(st.lists(st.integers(min_value=0, max_value=300), max_size=6))
+        tru = sorted({
+            c + d for c in centers
+            for d in data.draw(st.lists(st.integers(min_value=0, max_value=2 * tol + 2), min_size=1, max_size=3))
+        })
+        det = data.draw(st.lists(st.integers(min_value=0, max_value=330), max_size=12))
+        det = det + data.draw(st.lists(st.sampled_from(det), max_size=4)) if det else det
+        rep = match_events(np.asarray(det, dtype=np.int64), truth_of(tru), tol)
+        assert rep.tp == greedy_tp(det, tru, tol)
+
+    def test_event_list_and_array_inputs_agree(self):
+        det = [SpikeEvent(0, i) for i in (130, 96, 101, 101)]
+        tru = truth_of([100, 104, 130])
+        rep = match_events(det, tru, 3)
+        assert rep == match_events(np.asarray([96, 101, 101, 130]), tru, 3)
+        assert rep.tp == greedy_tp([96, 101, 101, 130], [100, 104, 130], 3) == 3
 
 
 class TestAccuracy:

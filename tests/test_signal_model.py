@@ -90,6 +90,16 @@ class TestDequantize:
         with pytest.raises(ValueError, match="range"):
             QuantizedRecord(codes=[64], format=FMT7, rate_hz=1.0, full_scale=1.0)
 
+    def test_unsigned_codes_beyond_int64_rejected_not_wrapped(self):
+        codes = np.array([2**64 - 1, 5], dtype=np.uint64)
+        with pytest.raises(ValueError, match="range"):
+            QuantizedRecord(codes=codes, format=FMT7, rate_hz=16000.0)
+
+    @pytest.mark.parametrize("codes", [np.array([0, 5, 63], np.uint8), np.array([-64, 0, 63], np.int16)])
+    def test_narrow_integer_codes_accepted(self, codes):
+        q = QuantizedRecord(codes=codes, format=FMT7, rate_hz=16000.0)
+        assert q.codes.dtype == np.int64 and q.codes.tolist() == codes.tolist()
+
 
 class TestTruncateTo:
     WIDE = FixedPointFormat(total_bits=24)

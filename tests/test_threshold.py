@@ -6,17 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualteo.dataio import SyntheticConfig, generate
+from dualteo.dataio import GroundTruth, SyntheticConfig, generate
+from dualteo.detector import event_indices, finish_dual, prepare_dual
+from dualteo.signal_model import SignalRecord
+from loop_oracles import calibration_means
 from serial_oracle import SigmaEstimatorState, estimator_step
 from dualteo.threshold import (
     CONVERGENCE_FACTOR,
     FRAME_LEN,
+    WARMUP_SAMPLES,
     Dyadic,
     SIGMA_FRACTION_BITS,
     ThresholdCoefficients,
+    _mean_accuracies,
     calibrate_coefficients,
     compute_thresholds,
     compute_thresholds_q10,
+    default_coefficient_grid,
     default_float_coefficients,
     default_hw_coefficients,
     dyadic_ladder,
@@ -305,3 +311,90 @@ class TestCalibration:
         float_coeffs = default_float_coefficients()
         hw_coeffs = default_hw_coefficients()
         assert float_coeffs.c1.value > 0 and hw_coeffs.c1.value > 0
+
+
+# Batched calibration against the per-candidate loop it replaced
+
+RATES = {"float": 24000.0, "hw": 16000.0}
+
+
+@pytest.fixture(scope="module")
+def oracle_training():
+    """Per pipeline: training pairs at its own rate (so calibration converts
+    none of them), their prepared records and their truths.
+
+    Besides a plain record: one exactly as long as the warm-up, a silent one
+    whose truth is all missed (no crossings for any candidate), and the
+    plain record against truth spikes 2 samples apart, so detections reach
+    two truths and the greedy matcher runs.
+    """
+    out = {}
+    for pipeline, rate in RATES.items():
+        cfg = SyntheticConfig(duration_s=0.4, rate_hz=rate, noise_level=0.1, seed=5)
+        record, truth = generate(cfg)
+        idx = truth.spike_indices
+        short = SignalRecord(samples=record.samples[:WARMUP_SAMPLES], rate_hz=rate)
+        silent = SignalRecord(samples=np.zeros(len(record)), rate_hz=rate)
+        crowded = GroundTruth(spike_indices=np.unique(np.concatenate([idx, idx + 2])))
+        pairs = [
+            (record, truth),
+            (short, GroundTruth(spike_indices=idx[idx < WARMUP_SAMPLES])),
+            (silent, truth),
+            (record, crowded),
+        ]
+        prepared = [prepare_dual(r, pipeline=pipeline) for r, _ in pairs]
+        out[pipeline] = pairs, prepared, [t for _, t in pairs]
+    return out
+
+
+@st.composite
+def shared_value_grids(draw, pipeline):
+    """Small grids whose candidates share c1 and (c2, c3) values, zeros and a negative value included."""
+    full = default_coefficient_grid(pipeline)
+    extra = {Dyadic(0, 0), Dyadic(-1, 3)}
+
+    def pool(values):
+        ordered = sorted(set(values) | extra, key=lambda d: (d.value, d.numerator, d.shift))
+        return draw(st.lists(st.sampled_from(ordered), min_size=1, max_size=3, unique=True))
+
+    c1s = pool(c.c1 for c in full)
+    c2s = pool(c.c2 for c in full)
+    c3s = pool(c.c3 for c in full)
+    picks = draw(st.lists(
+        st.tuples(st.sampled_from(c1s), st.sampled_from(c2s), st.sampled_from(c3s)),
+        min_size=1, max_size=10,
+    ))
+    return [ThresholdCoefficients(*p) for p in picks]
+
+
+class TestBatchedCalibration:
+    def test_crowded_truth_runs_the_greedy_fallback(self, oracle_training):
+        for pipeline in RATES:
+            _, prepared, truths = oracle_training[pipeline]
+            prep, crowded = prepared[3], truths[3].spike_indices
+            coeffs = default_float_coefficients() if pipeline == "float" else default_hw_coefficients()
+            det = event_indices(finish_dual(prep, coeffs))
+            tol = prep.tolerance_samples()
+            reach = (np.searchsorted(crowded, det + tol, side="right")
+                     - np.searchsorted(crowded, det - tol, side="left"))
+            assert (reach > 1).any(), pipeline
+
+    @pytest.mark.parametrize("pipeline", sorted(RATES))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_every_candidate_mean_equals_per_candidate_loop(self, oracle_training, pipeline, data):
+        _, prepared, truths = oracle_training[pipeline]
+        grid = data.draw(shared_value_grids(pipeline))
+        got = _mean_accuracies(prepared, truths, grid)
+        assert np.array_equal(got, calibration_means(prepared, truths, grid))
+
+    @pytest.mark.parametrize("pipeline", sorted(RATES))
+    def test_winner_is_first_best_of_per_candidate_loop(self, oracle_training, pipeline):
+        pairs, prepared, truths = oracle_training[pipeline]
+        full = default_coefficient_grid(pipeline)
+        grid = full[::97] + full[::97]  # every candidate twice, sharing its crossing maps
+        means = calibration_means(prepared, truths, grid)
+        keys = [(-m,) + c.tiebreak_key for m, c in zip(means, grid)]
+        best = keys.index(min(keys))
+        winner, score = calibrate_coefficients(pairs, grid, pipeline=pipeline, return_score=True)
+        assert (winner, score) == (grid[best], means[best])
