@@ -23,11 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_model import SignalRecord, save_record, load_record
+from .signal_model import SignalRecord, is_finite_real, load_record, save_record
 
 __all__ = [
     "GroundTruth",
     "SyntheticConfig",
+    "MAX_SAMPLES",
     "generate",
     "resample",
     "rescale_ground_truth",
@@ -69,8 +70,18 @@ class GroundTruth:
         return len(self.spike_indices)
 
 
+MAX_SAMPLES = 1 << 25  # about 23 min at 24 kHz; generate() holds several float64 arrays this long
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
+    """Parameters of one synthetic record.
+
+    Every float field must be a finite real number, and the record must hold
+    between 1 and ``MAX_SAMPLES`` samples (``n_samples``); both are checked
+    here, before :func:`generate` allocates anything.
+    """
+
     duration_s: float = 10.0
     rate_hz: float = 24000.0
     noise_level: float = 0.1
@@ -82,8 +93,12 @@ class SyntheticConfig:
     def __post_init__(self):
         for name in ("n_templates", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("duration_s", "rate_hz", "noise_level", "firing_rate_hz", "min_isi_s"):
+            value = getattr(self, name)
+            if not is_finite_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.rate_hz <= 0:
@@ -98,6 +113,15 @@ class SyntheticConfig:
             raise ValueError(
                 "infeasible ISI constraint: min_isi_s * firing_rate_hz must be < 1"
             )
+        n = self.duration_s * self.rate_hz  # finite factors can still overflow
+        if not math.isfinite(n) or not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ValueError(
+                f"duration_s * rate_hz must round to 1..{MAX_SAMPLES} samples, got {n:g}"
+            )
+
+    @property
+    def n_samples(self) -> int:
+        return round(self.duration_s * self.rate_hz)
 
 
 MAIN_LOBE_TAU_S = (0.045e-3, 0.065e-3)
@@ -183,7 +207,7 @@ def _bandlimit(x: np.ndarray, rate_hz: float, lo_hz: float, hi_hz: float) -> np.
 def generate(cfg: SyntheticConfig) -> tuple[SignalRecord, GroundTruth]:
     """Build one labeled synthetic record; deterministic given ``cfg.seed``."""
     rng = np.random.default_rng(cfg.seed)
-    n = round(cfg.duration_s * cfg.rate_hz)
+    n = cfg.n_samples
     templates, peak_offsets, n_t = _make_templates(rng, cfg.n_templates, cfg.rate_hz)
 
     # Target spikes: Poisson arrivals, template fully inside the record, then

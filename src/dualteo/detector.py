@@ -164,7 +164,9 @@ class PreparedDual:
     """Per-record transform and sigma work, ready for thresholding.
 
     The warm-up and the refractory gap are not settable: both pipelines gate
-    ``WARMUP_SAMPLES`` and merge within 1 ms at ``rate_hz``.
+    ``WARMUP_SAMPLES`` and merge within 1 ms at ``rate_hz``.  The arrays hold
+    one channel, or, inside :func:`~dualteo.hw_model.hw_detect_multichannel`,
+    a time-major block of channels ``channel_id`` onwards along axis 1.
     """
 
     warmup_samples: ClassVar[int] = WARMUP_SAMPLES
@@ -238,12 +240,18 @@ def _comparator(prep: PreparedDual, coeffs: ThresholdCoefficients):
     """Per-sample thresholds and the two comparator outputs, before warm-up gating.
 
     Returns ``(thr_x, thr_s, cross_x, cross_s)``; each frame's thresholds hold
-    over its samples.
+    over its samples, along axis 0 for a block.  Integer thresholds are
+    clipped into the energies' dtype first: the energies, shifted into Q.10,
+    stay within +-2**19, so an int32 block compares exactly as int64 would.
     """
     thr_x_f, thr_s_f = _frame_thresholds(prep, coeffs)
     x_energy, s_energy = _scaled_energies(prep)
-    thr_x = np.repeat(thr_x_f, FRAME_LEN)[:prep.n]
-    thr_s = np.repeat(thr_s_f, FRAME_LEN)[:prep.n]
+    if prep.integer_domain:
+        lim = np.iinfo(x_energy.dtype)
+        thr_x_f = thr_x_f.clip(lim.min, lim.max).astype(x_energy.dtype, copy=False)
+        thr_s_f = thr_s_f.clip(lim.min, lim.max).astype(x_energy.dtype, copy=False)
+    thr_x = np.repeat(thr_x_f, FRAME_LEN, axis=0)[:prep.n]
+    thr_s = np.repeat(thr_s_f, FRAME_LEN, axis=0)[:prep.n]
     return thr_x, thr_s, x_energy > thr_x, s_energy > thr_s
 
 

@@ -10,18 +10,23 @@ Nothing on the data path is ever a float.  The sigma loop, the warm-up and
 the 1 ms refractory gap (16 samples at 16 kHz) are the float pipeline's own
 constants, read from the same place.
 
-There is one execution model: the vectorized per-channel pipeline
-(:func:`prepare_hw_dual` then :func:`~dualteo.detector.finish_dual`).
-:func:`hw_detect_channel` runs it on one record, :func:`trace_internal`
-exposes its every intermediate value, and :func:`hw_detect_multichannel`
-runs it on each channel of an interleaved multichannel stream.  Channels
-share no state, so the chip's time-multiplexed schedule cannot change any
-output; the test suite holds a sample-serial, block-scheduled engine as a
-bit-exact oracle and checks the multichannel output against it.
+There is one datapath, and its kernels work along axis 0 of either one
+channel ``(n,)`` or a time-major block ``(n, channels)``.
+:func:`prepare_hw_dual` is the one-channel case, in int64:
+:func:`hw_detect_channel` finishes it with :func:`~dualteo.detector.finish_dual`
+and :func:`trace_internal` exposes its every intermediate value.
+:func:`hw_detect_multichannel` is the block case: it walks the stream in
+``(n_scans, BLOCK_CHANNELS)`` int32 blocks, the chip's 32-channel block,
+steps the sigma of every column at once, compares once per block and forms
+the events of all its channels in one pass.  Channels share no state, so the
+chip's time-multiplexed schedule cannot change any output; the test suite
+holds a sample-serial, block-scheduled engine as a bit-exact oracle and
+checks the multichannel output against it.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -33,7 +38,7 @@ from .detector import (
     SpikeEvent,
     _check_warmup,
     _comparator,
-    dual_crossing_streams,
+    _event_peaks,
     finish_dual,
 )
 from .signal_model import (
@@ -65,6 +70,7 @@ __all__ = [
 ]
 
 THRESHOLD_REGISTER_BITS = 32  # signed Q.10; ample for the coefficient grid
+BLOCK_CHANNELS = 32  # the chip services its channels in blocks of 32
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,26 @@ def _align_stream(x_teo: np.ndarray, s_teo: np.ndarray, cfg: HwConfig) -> np.nda
     )
 
 
+def _prepare_codes(codes: np.ndarray, cfg: HwConfig, channel_id: int) -> PreparedDual:
+    """The integer datapath, along axis 0 of one channel ``(n,)`` or a block ``(n, channels)``.
+
+    Everything stays in the dtype of ``codes``: int64 for a record, int32
+    for a block of the multichannel stream.
+    """
+    s = smooth2_fixed(codes)
+    x_teo = teo_fixed(codes, cfg.xteo_format, cfg.xteo_drop_lsbs)
+    s_teo = teo_fixed(s, cfg.steo_format, cfg.steo_drop_lsbs)
+    return PreparedDual(
+        x_energy=x_teo,
+        s_energy=s_teo,
+        sigma_per_frame=sigma_frames_q10(s),
+        align=_align_stream(x_teo, s_teo, cfg),
+        rate_hz=cfg.rate_hz,
+        channel_id=channel_id,
+        integer_domain=True,
+    )
+
+
 def prepare_hw_dual(
     source: SignalRecord | QuantizedRecord,
     cfg: HwConfig | None = None,
@@ -125,19 +151,7 @@ def prepare_hw_dual(
         )
     if q.rate_hz != cfg.rate_hz:
         raise ValueError(f"expected rate {cfg.rate_hz} Hz, got {q.rate_hz} Hz")
-    x = q.codes
-    s = smooth2_fixed(x)
-    x_teo = teo_fixed(x, cfg.xteo_format, cfg.xteo_drop_lsbs)
-    s_teo = teo_fixed(s, cfg.steo_format, cfg.steo_drop_lsbs)
-    return PreparedDual(
-        x_energy=x_teo,
-        s_energy=s_teo,
-        sigma_per_frame=sigma_frames_q10(s),
-        align=_align_stream(x_teo, s_teo, cfg),
-        rate_hz=cfg.rate_hz,
-        channel_id=q.channel_id,
-        integer_domain=True,
-    )
+    return _prepare_codes(q.codes, cfg, q.channel_id)
 
 
 def hw_detect_channel(
@@ -186,14 +200,17 @@ class HwTrace:
 
     @classmethod
     def from_csv(cls, path) -> "HwTrace":
-        text = Path(path).read_text().splitlines()
-        if not text or text[0] != ",".join(cls.COLUMNS):
+        header, _, body = Path(path).read_text().partition("\n")
+        if header.rstrip("\r") != ",".join(cls.COLUMNS):
             raise ValueError(f"{path}: bad trace header")
-        rows = [tuple(int(v) for v in ln.split(",")) for ln in text[1:] if ln]
-        arrays = [np.asarray(col, dtype=np.int64) for col in zip(*rows)] if rows else [
-            np.zeros(0, dtype=np.int64) for _ in cls.COLUMNS
-        ]
-        return cls(*arrays)
+        if body.strip():
+            # one parse of the whole table; a malformed row raises ValueError
+            table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
+        else:
+            table = np.zeros((0, len(cls.COLUMNS)), dtype=np.int64)
+        if table.shape[1] != len(cls.COLUMNS):
+            raise ValueError(f"{path}: expected {len(cls.COLUMNS)} columns, got {table.shape[1]}")
+        return cls(*np.ascontiguousarray(table.T))
 
 
 def trace_internal(
@@ -249,26 +266,56 @@ def assert_closure(trace: HwTrace) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _block_events(prep: PreparedDual, crossing: np.ndarray) -> list[list[SpikeEvent]]:
+    """Gate the warm-up and form the events of every channel of a block in one pass.
+
+    The block's crossings after the warm-up are laid out channel-major, each
+    channel's row padded with refractory gap - 1 clear samples, as
+    calibration pads its candidate rows: in the flattened map two channels'
+    crossings are then always a gap apart, so one ``_event_peaks`` pass
+    forms every channel's events and none merge across channels.
+    """
+    gap = prep.event_cfg.refractory_samples
+    n_ch = crossing.shape[1]
+    live = max(0, prep.n - prep.warmup_samples)
+    padded = np.zeros((n_ch, live + gap - 1), dtype=bool)
+    padded[:, :live] = crossing[prep.warmup_samples:].T
+    flat = np.flatnonzero(padded)
+    rows, cols = np.divmod(flat, padded.shape[1])
+    peaks = _event_peaks(flat, prep.align[prep.warmup_samples:][cols, rows], gap)
+    rows, times = rows[peaks], cols[peaks] + prep.warmup_samples
+    per_channel = np.split(times, np.searchsorted(rows, np.arange(1, n_ch)))
+    return [
+        [SpikeEvent(channel_id=prep.channel_id + ch, sample_index=t) for t in ts.tolist()]
+        for ch, ts in enumerate(per_channel)
+    ]
+
+
 def hw_detect_multichannel(
     frames,
     cfg: HwConfig | None = None,
     coeffs: ThresholdCoefficients | None = None,
     return_crossings: bool = False,
 ):
-    """Run the per-channel integer pipeline on an interleaved code stream.
+    """Run the integer pipeline on an interleaved code stream, 32 channels at a time.
 
     ``frames`` is either a flat stream (scan-major: sample t of channels
     0..C-1, then sample t+1) whose length must divide by the channel count, or
     a 2D array of shape (n_scans, channels).  Codes must have an integer
-    dtype.  Each channel goes through :func:`prepare_hw_dual` and
-    :func:`~dualteo.detector.finish_dual` on its own.  Channels share no
-    state, so this equals the chip's round-robin service of the interleaved
-    stream bit for bit; ``tests/serial_oracle.py`` holds that sample-serial,
-    block-scheduled engine, and the test suite checks the two against each
-    other.
+    dtype.
+
+    The stream is walked in time-major ``(n_scans, BLOCK_CHANNELS)`` int32
+    blocks, the chip's own block size, cut from the stream's native layout.
+    Each block runs the datapath of :func:`prepare_hw_dual` along axis 0, with
+    every column's sigma stepped at once, compares once, and forms the
+    events of all its channels in one pass.  Channels share no state, so this
+    equals the chip's round-robin service of the interleaved stream bit for
+    bit; ``tests/serial_oracle.py`` holds that sample-serial, block-scheduled
+    engine, and the test suite checks the two against each other.
 
     Returns a list of per-channel event lists; with ``return_crossings`` also
-    a (channels, n_scans) boolean array of raw comparator outputs.
+    a (channels, n_scans) boolean array of raw comparator outputs, taken from
+    the same compare.
     """
     cfg = cfg if cfg is not None else HwConfig()
     if coeffs is None:
@@ -288,19 +335,19 @@ def hw_detect_multichannel(
     if not cfg.input_format.contains(stream):
         raise ValueError(f"codes outside {cfg.input_format.total_bits}-bit range")
 
-    events, crossings = [], []
-    # one contiguous row per channel; the stream's columns are strided views
-    for ch, codes in enumerate(np.ascontiguousarray(stream.T)):
-        q = QuantizedRecord(
-            codes=codes, format=cfg.input_format, rate_hz=cfg.rate_hz, channel_id=ch
-        )
-        prep = prepare_hw_dual(q, cfg)
-        events.append(finish_dual(prep, coeffs))
+    n_scans = len(stream)
+    events = []
+    crossings = np.empty((cfg.channels, n_scans), dtype=bool) if return_crossings else None
+    for base in range(0, cfg.channels, BLOCK_CHANNELS):
+        block = stream[:, base:base + BLOCK_CHANNELS].astype(np.int32)
+        prep = _prepare_codes(block, cfg, base)
+        _, _, cross_x, cross_s = _comparator(prep, coeffs)
+        crossing = cross_x | cross_s
         if return_crossings:
-            cross_x, cross_s = dual_crossing_streams(prep, coeffs)
-            crossings.append(cross_x | cross_s)
+            crossings[base:base + block.shape[1]] = crossing.T
+        events.extend(_block_events(prep, crossing))
     if return_crossings:
-        return events, np.stack(crossings)
+        return events, crossings
     return events
 
 

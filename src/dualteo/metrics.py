@@ -29,7 +29,7 @@ import numpy as np
 from . import detector as _detector
 from .dataio import GroundTruth, SyntheticConfig, generate, rescale_ground_truth, resample
 from .detector import DetectorKind, SpikeEvent, event_indices
-from .signal_model import FixedPointFormat, dequantize, quantize_mid_tread
+from .signal_model import FixedPointFormat, dequantize, is_finite_real, quantize_mid_tread
 from .threshold import WARMUP_SAMPLES
 
 __all__ = [
@@ -187,6 +187,8 @@ class SweepSpec:
         points = tuple(self.points)
         if not points:
             raise ValueError("a sweep needs at least one point")
+        if not all(is_finite_real(p) for p in points):
+            raise ValueError(f"sweep points must be finite numbers, got {points}")
         if any(b <= a for a, b in zip(points, points[1:])):
             raise ValueError(f"sweep points must be sorted and distinct, got {points}")
         if self.axis == "resolution_bits" and not all(float(p).is_integer() and 2 <= p <= 32 for p in points):
@@ -203,8 +205,11 @@ class SweepSpec:
         if len(set(detectors)) != len(detectors):
             raise ValueError(f"detectors must be distinct, got {[d.value for d in detectors]}")
         object.__setattr__(self, "detectors", detectors)
-        if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
+        if (isinstance(self.replicates, bool) or not isinstance(self.replicates, (int, np.integer))
+                or self.replicates < 1):
             raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        if not is_finite_real(self.tolerance_ms) or self.tolerance_ms < 0:
+            raise ValueError(f"tolerance_ms must be a finite number >= 0, got {self.tolerance_ms!r}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ per line.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,11 @@ __all__ = [
     "load_record",
     "read_header",
 ]
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite real number; a bool, a string or None is not one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -109,10 +115,10 @@ class QuantizedRecord:
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
-        if self.full_scale <= 0:
-            raise ValueError(f"full_scale must be positive, got {self.full_scale}")
+        if not 0 < self.rate_hz < math.inf:
+            raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
+        if not 0 < self.full_scale < math.inf:
+            raise ValueError(f"full_scale must be positive and finite, got {self.full_scale}")
         # check before the cast: int64 would wrap unsigned codes above 2**63 into range
         if not self.format.contains(codes):
             raise ValueError(
@@ -173,17 +179,27 @@ def quantize_mid_tread(record: SignalRecord, format: FixedPointFormat, full_scal
     return quantize(shifted, format, full_scale)
 
 
+def datapath_ints(values) -> np.ndarray:
+    """``values`` as an int32 or int64 array: kept if it already is one, else cast to int64.
+
+    The integer kernels compute in their input's dtype, so a 32-bit channel
+    block stays 32-bit and everything else runs in int64.
+    """
+    values = np.asarray(values)
+    return values if values.dtype in (np.int32, np.int64) else values.astype(np.int64)
+
+
 def truncate_to(value, target: FixedPointFormat, drop_lsbs: int = 0):
     """Arithmetic-right-shift ``value`` by ``drop_lsbs`` and saturate into ``target``.
 
     Floor semantics for negatives: ``truncate_to(-7, fmt, 1) == -4``.  Accepts
-    scalars or integer arrays; arrays come back as int64.
+    scalars or integer arrays; int32 arrays come back as int32, others as int64.
     """
     if drop_lsbs < 0:
         raise ValueError(f"drop_lsbs must be >= 0, got {drop_lsbs}")
     if isinstance(value, np.ndarray):
-        shifted = value.astype(np.int64) >> drop_lsbs
-        return np.clip(shifted, target.min_code, target.max_code)
+        shifted = datapath_ints(value) >> drop_lsbs
+        return np.clip(shifted, target.min_code, target.max_code, out=shifted)
     shifted = int(value) >> drop_lsbs
     return min(max(shifted, target.min_code), target.max_code)
 

@@ -41,6 +41,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .signal_model import datapath_ints
+
 __all__ = [
     "EstimatorConfig",
     "ThresholdCoefficients",
@@ -83,10 +85,14 @@ def _sigma_track(values: np.ndarray, measure, step) -> np.ndarray:
     Sigma reads 0 over frame 0 and ``measure(frame 0)`` from frame 1 on; each
     later full frame moves it by ``step * (count - CONVERGENCE_FACTOR)``,
     clamped at zero.  A partial tail frame never triggers an update.
+
+    ``values`` is one channel ``(n,)`` or a time-major block ``(n, channels)``;
+    a block steps every column's sigma at once and returns ``(frames,
+    channels)``.  One channel keeps a scalar sigma, which is faster there.
     """
     L = FRAME_LEN
     n_frames = -(-len(values) // L)
-    out = np.empty(n_frames, dtype=values.dtype)
+    out = np.empty((n_frames,) + values.shape[1:], dtype=values.dtype)
     sigma = 0
     for f in range(n_frames):
         out[f] = sigma
@@ -95,9 +101,12 @@ def _sigma_track(values: np.ndarray, measure, step) -> np.ndarray:
             break
         if f == 0:
             sigma = measure(frame)
-        else:
+        elif values.ndim == 1:
             count = int(np.count_nonzero(frame > sigma))
             sigma = max(0, sigma + step * (count - CONVERGENCE_FACTOR))
+        else:
+            count = np.count_nonzero(frame > sigma, axis=0)
+            sigma = np.maximum(sigma + step * (count - CONVERGENCE_FACTOR), 0).astype(values.dtype)
     return out
 
 
@@ -114,22 +123,23 @@ def sigma_frames(s) -> np.ndarray:
     return _sigma_track(np.asarray(s, dtype=np.float64), np.std, SCALING_FACTOR)
 
 
-def initial_sigma_q10(s_codes) -> int:
+def initial_sigma_q10(s_codes):
     """Q.10 empirical standard deviation of the first frame, in exact integers.
 
     With ``v = n*sum(s**2) - sum(s)**2`` (so the variance is ``v / n**2``),
-    ``floor(1024 * sqrt(v) / n) == isqrt(1024**2 * v) // n`` exactly.
+    ``floor(1024 * sqrt(v) / n) == isqrt(1024**2 * v) // n`` exactly.  One
+    channel gives an ``int``; a time-major block ``(n, channels)`` gives an
+    int64 array with one value per column.
     """
     s = np.asarray(s_codes, dtype=np.int64)[:FRAME_LEN]
     n = len(s)
-    if n == 0:
-        return 0
-    total = int(s.sum())
-    total_sq = int((s * s).sum())
-    v = n * total_sq - total * total
-    if v <= 0:
-        return 0
-    return math.isqrt((1 << (2 * SIGMA_FRACTION_BITS)) * v) // n
+    totals = np.atleast_1d(s.sum(axis=0)).tolist()
+    squares = np.atleast_1d((s * s).sum(axis=0)).tolist()
+    sigma = []
+    for total, total_sq in zip(totals, squares):
+        v = n * total_sq - total * total
+        sigma.append(math.isqrt((1 << (2 * SIGMA_FRACTION_BITS)) * v) // n if v > 0 else 0)
+    return sigma[0] if s.ndim == 1 else np.array(sigma, dtype=np.int64)
 
 
 def sigma_frames_q10(s_codes) -> np.ndarray:
@@ -138,9 +148,11 @@ def sigma_frames_q10(s_codes) -> np.ndarray:
     The measurement frame yields :func:`initial_sigma_q10` of the codes; each later
     correction is exactly ``count - CONVERGENCE_FACTOR`` register LSBs
     (gamma = 2**-10), and the exceedance comparison is the exact integer
-    compare ``s << 10 > sigma_q``.
+    compare ``s << 10 > sigma_q``.  Takes one channel or a time-major block
+    ``(n, channels)`` and keeps an int32 input in int32: 7-bit codes shifted
+    by 10 and sigma stay below 2**18.
     """
-    s = np.asarray(s_codes, dtype=np.int64)
+    s = datapath_ints(s_codes)
     return _sigma_track(s << SIGMA_FRACTION_BITS, lambda _frame: initial_sigma_q10(s), 1)
 
 

@@ -11,13 +11,17 @@ with ``s[0] = x[0]``.  Its fixed-point form is an exact half-sum,
 ``(x[k] + x[k-1]) >> 1``: the half-sum of 7-bit codes spans the full 7-bit
 input range and is carried at half-LSB weight, which is where the narrower
 nominal width of the smoothed stream comes from.
+
+The fixed-point kernels work along axis 0: they take one channel ``(n,)`` or
+a time-major block ``(n, channels)``, and compute in the input's dtype when
+it is int32 or int64 (see :func:`~dualteo.signal_model.datapath_ints`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .signal_model import FixedPointFormat, truncate_to
+from .signal_model import FixedPointFormat, datapath_ints, truncate_to
 
 __all__ = ["teo", "smooth2", "teo_fixed", "smooth2_fixed"]
 
@@ -47,15 +51,18 @@ def teo_fixed(x, out_format: FixedPointFormat, drop_lsbs: int = 0) -> np.ndarray
     """Integer Teager energy: exact interior arithmetic, then shift-and-saturate.
 
     Interior values are computed exactly in integers, arithmetic-right-shifted
-    by ``drop_lsbs``, and saturated into ``out_format``.  Boundaries stay 0.
-    The input range is not checked here: in the package the codes come from a
-    :class:`~dualteo.signal_model.QuantizedRecord`, whose type enforces it, or
-    are their half-sums.
+    by ``drop_lsbs``, and saturated into ``out_format``.  Boundaries (the
+    first and last row) stay 0.  The input range is not checked here: in the
+    package the codes are 7-bit, checked by a
+    :class:`~dualteo.signal_model.QuantizedRecord` or by the multichannel
+    stream's own check, or are their half-sums; their exact energies need at
+    most 14 bits, so an int32 block computes them exactly.
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = datapath_ints(x)
     out = np.zeros_like(x)
     if len(x) >= 3:
-        exact = x[1:-1] * x[1:-1] - x[2:] * x[:-2]
+        exact = x[1:-1] * x[1:-1]
+        exact -= x[2:] * x[:-2]
         out[1:-1] = truncate_to(exact, out_format, drop_lsbs)
     return out
 
@@ -66,8 +73,9 @@ def smooth2_fixed(x) -> np.ndarray:
     ``s[0] = (2*x[0]) >> 1 = x[0]``.  For 7-bit inputs the output also lies in
     [-64, 63]; no saturation is ever exercised.
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = datapath_ints(x)
     s = x.copy()
     if len(x) >= 2:
-        s[1:] = (x[1:] + x[:-1]) >> 1
+        np.add(x[1:], x[:-1], out=s[1:])
+        s[1:] >>= 1
     return s

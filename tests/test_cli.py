@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -63,6 +64,23 @@ class TestGenerateCommand:
         cfg_path.write_text(json.dumps({**TINY_CFG, key: value}))
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
+
+    # json writes and reads inf and nan as Infinity and NaN; 1e12 Hz would
+    # ask for 14.9 GiB, 1e-9 s for no samples at all
+    @pytest.mark.parametrize("key, value, message", [
+        ("duration_s", math.inf, "duration_s must be a finite number"),
+        ("noise_level", math.nan, "noise_level must be a finite number"),
+        ("rate_hz", 1e12, "samples"),
+        ("duration_s", 1e-9, "samples"),
+        ("firing_rate_hz", True, "firing_rate_hz must be a finite number"),
+    ])
+    def test_hostile_config_value_is_validation_error(self, tmp_path, capsys, key, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**TINY_CFG, key: value}))
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "x.json"), "--out", str(tmp_path)]) == 2
@@ -204,6 +222,29 @@ class TestSweepCommand:
         spec_path.write_text(json.dumps(spec))
         assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"tolerance_ms": -5}, "tolerance_ms must be a finite number >= 0"),
+        ({"tolerance_ms": math.nan}, "tolerance_ms must be a finite number >= 0"),
+        ({"replicates": True}, "replicates must be an integer"),
+        ({"points": ["0.1"]}, "sweep points must be finite numbers"),
+        ({"points": [True]}, "sweep points must be finite numbers"),
+        ({"points": [0.1, math.inf]}, "sweep points must be finite numbers"),
+        ({"base_cfg": {**TINY_CFG, "duration_s": math.inf}}, "duration_s must be a finite number"),
+        ({"base_cfg": {**TINY_CFG, "rate_hz": 1e12}}, "samples"),
+    ], ids=["negative-tolerance", "nan-tolerance", "bool-replicates", "string-point",
+            "bool-point", "infinite-point", "infinite-duration", "huge-rate"])
+    def test_hostile_spec_value_is_validation_error(self, tmp_path, capsys, overrides, message):
+        spec = {
+            "axis": "noise_level", "points": [0.1], "detectors": ["at"], "replicates": 1,
+            "base_cfg": TINY_CFG, **overrides,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("seed", 1.5), ("n_templates", 2.5)])
     def test_non_integral_base_config_is_validation_error(self, tmp_path, capsys, key, value):

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dualteo.dataio import (
+    MAX_SAMPLES,
     GroundTruth,
     SyntheticConfig,
     generate,
@@ -30,6 +32,33 @@ class TestConfigValidation:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             SyntheticConfig(noise_level=-0.1)
+
+    @pytest.mark.parametrize("field", ["duration_s", "rate_hz", "noise_level", "firing_rate_hz", "min_isi_s"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "1.0", True, None])
+    def test_float_fields_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            SyntheticConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["seed", "n_templates"])
+    def test_integer_fields_reject_bools(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SyntheticConfig(**{field: True})
+
+    # rejected by arithmetic alone: nothing of this size is ever allocated
+    @pytest.mark.parametrize("duration_s, rate_hz", [
+        (10.0, 1e12),
+        (1e300, 1e300),  # the product overflows to inf
+        ((MAX_SAMPLES + 1) / 24000.0, 24000.0),
+        (1e-9, 24000.0),  # rounds to no samples at all
+        (0.4 / 24000.0, 24000.0),
+    ])
+    def test_sample_count_outside_one_to_cap_rejected(self, duration_s, rate_hz):
+        with pytest.raises(ValueError, match="samples"):
+            SyntheticConfig(duration_s=duration_s, rate_hz=rate_hz)
+
+    def test_sample_count_bounds_are_inclusive(self):
+        assert SyntheticConfig(duration_s=1 / 24000.0).n_samples == 1
+        assert SyntheticConfig(duration_s=MAX_SAMPLES / 24000.0).n_samples == MAX_SAMPLES
 
 
 class TestGroundTruthType:

@@ -20,9 +20,18 @@ from dualteo.hw_model import (
     trace_internal,
 )
 from dualteo.signal_model import FixedPointFormat, QuantizedRecord
-from dualteo.threshold import WARMUP_SAMPLES, ThresholdCoefficients
+from dualteo.threshold import WARMUP_SAMPLES, Dyadic, ThresholdCoefficients, compute_thresholds_q10
 
 HW_COEFFS = ThresholdCoefficients.make((3, 3), (0, 0), (1, 2))
+
+# signed numerators of one or two set bits up to 2**20, small shifts
+wide_dyadics = st.builds(
+    lambda sign, hi, lo, shift: Dyadic(sign * ((1 << hi) | (1 << lo)), shift),
+    st.sampled_from([-1, 1]),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=6),
+) | st.just(Dyadic(0, 0))
 
 
 def quantized(codes, rate=16000.0, channel=0):
@@ -184,6 +193,36 @@ class TestTrace:
         write_trace_rows(empty, tmp_path / "empty_rows.csv")
         assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "empty_rows.csv").read_bytes()
 
+    def test_trace_csv_roundtrip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(9)
+        full = trace_internal(quantized(random_codes(rng, 5000)), coeffs=HW_COEFFS)
+        negative = ThresholdCoefficients.make((-3, 0), (-1, 0), (0, 0))
+        low = trace_internal(quantized(random_codes(rng, 600)), coeffs=negative)
+        empty = HwTrace(*[np.zeros(0, dtype=np.int64) for _ in HwTrace.COLUMNS])
+        assert full.x.min() < 0 and low.thr_x.min() < 0
+        for name, trace in (("full", full), ("negative", low), ("empty", empty)):
+            path = tmp_path / f"{name}.csv"
+            trace.to_csv(path)
+            back = HwTrace.from_csv(path)
+            assert len(back) == len(trace)
+            for col in HwTrace.COLUMNS:
+                got = getattr(back, col)
+                assert got.dtype == np.int64 and np.array_equal(got, getattr(trace, col)), (name, col)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "header"),
+        ("x,s\n1,2\n", "header"),
+        ("x,s,x_teo,s_teo,thr_x,thr_s,crossing\n1,2,3,4,5,6\n", "columns"),
+        ("x,s,x_teo,s_teo,thr_x,thr_s,crossing\n1,2,3,4,5,6,7\n1,2,3\n", "columns"),
+        ("x,s,x_teo,s_teo,thr_x,thr_s,crossing\n1,2,3,4,5,6,z\n", "convert"),
+        ("x,s,x_teo,s_teo,thr_x,thr_s,crossing\n1,2,3,4,5,6,0.5\n", "convert"),
+    ], ids=["empty-file", "bad-header", "short-table", "ragged-row", "text-value", "fractional-value"])
+    def test_trace_csv_rejects_malformed_files(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            HwTrace.from_csv(path)
+
     def test_closure_on_random_codes(self):
         rng = np.random.default_rng(4)
         trace = trace_internal(quantized(random_codes(rng, 5000)), coeffs=HW_COEFFS)
@@ -274,6 +313,12 @@ class TestScheduler:
     @example(seed=2, channels=3, n_scans=WARMUP_SAMPLES)
     @example(seed=3, channels=3, n_scans=WARMUP_SAMPLES + 1)
     @example(seed=4, channels=5, n_scans=WARMUP_SAMPLES + 1000)
+    # partial, exact and multiple 32-channel blocks, and the chip's 256 channels
+    @example(seed=5, channels=31, n_scans=WARMUP_SAMPLES + 500)
+    @example(seed=6, channels=32, n_scans=WARMUP_SAMPLES + 500)
+    @example(seed=7, channels=33, n_scans=WARMUP_SAMPLES + 500)
+    @example(seed=8, channels=65, n_scans=WARMUP_SAMPLES + 500)
+    @example(seed=9, channels=256, n_scans=WARMUP_SAMPLES + 300)
     @settings(max_examples=15, deadline=None)
     def test_oracle_agreement_over_configs(self, seed, channels, n_scans):
         rng = np.random.default_rng(seed)
@@ -283,6 +328,46 @@ class TestScheduler:
         oracle_events, oracle_crossings = serial_detect_multichannel(stream, cfg, HW_COEFFS)
         assert events == oracle_events
         assert np.array_equal(crossings, oracle_crossings)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        channels=st.integers(min_value=1, max_value=40),
+        n_scans=st.integers(min_value=0, max_value=5000),
+        c1=wide_dyadics, c2=wide_dyadics, c3=wide_dyadics,
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_oracle_agreement_over_wide_coefficients(self, seed, channels, n_scans, c1, c2, c3):
+        # negative and large coefficients drive the Q.10 thresholds far past
+        # the int32 range that the blocks compare in
+        coeffs = ThresholdCoefficients(c1, c2, c3)
+        cfg = HwConfig(channels=channels)
+        stream = spiky_stream(np.random.default_rng(seed), n_scans, channels)
+        events, crossings = hw_detect_multichannel(stream, cfg, coeffs, return_crossings=True)
+        oracle_events, oracle_crossings = serial_detect_multichannel(stream, cfg, coeffs)
+        assert np.array_equal(crossings, oracle_crossings)
+        assert events == oracle_events
+
+    @pytest.mark.parametrize("coeffs", [
+        ThresholdCoefficients.make((-(3 << 20), 0), (0, 0), (3 << 20, 0)),
+        ThresholdCoefficients.make((3 << 20, 0), (-(3 << 20), 0), (0, 0)),
+    ])
+    def test_thresholds_beyond_int32_compare_as_the_oracle(self, coeffs):
+        cfg = HwConfig(channels=33)
+        stream = spiky_stream(np.random.default_rng(21), WARMUP_SAMPLES + 700, 33)
+        sigma = prepare_hw_dual(quantized(stream[:, 0]), cfg).sigma_per_frame
+        thr = np.concatenate(compute_thresholds_q10(sigma, coeffs))
+        int32 = np.iinfo(np.int32)
+        assert thr.min() < int32.min or thr.max() > int32.max
+        events, crossings = detect_multichannel_checked(stream, cfg, coeffs, return_crossings=True)
+        assert crossings.any() and not crossings.all()
+
+    def test_crossings_come_with_the_same_events(self):
+        cfg = HwConfig(channels=40)
+        stream = spiky_stream(np.random.default_rng(22), WARMUP_SAMPLES + 900, 40)
+        events, crossings = hw_detect_multichannel(stream, cfg, HW_COEFFS, return_crossings=True)
+        assert sum(map(len, events)) > 0
+        assert hw_detect_multichannel(stream, cfg, HW_COEFFS) == events
+        assert crossings.shape == (40, WARMUP_SAMPLES + 900) and crossings.dtype == bool
 
     @given(seed=st.integers(min_value=0, max_value=2**31), n_scans=st.integers(min_value=300, max_value=900))
     @settings(max_examples=10, deadline=None)

@@ -227,6 +227,25 @@ class TestSweep:
         with pytest.raises(ValueError, match="sorted"):
             SweepSpec(axis="noise_level", points=(0.2, 0.1), detectors=("at",))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"tolerance_ms": -5.0}, "tolerance_ms"),
+        ({"tolerance_ms": float("nan")}, "tolerance_ms"),
+        ({"tolerance_ms": float("inf")}, "tolerance_ms"),
+        ({"tolerance_ms": "1"}, "tolerance_ms"),
+        ({"replicates": True}, "replicates"),
+        ({"points": ("0.1",)}, "finite numbers"),
+        ({"points": (True,)}, "finite numbers"),
+        ({"points": (0.1, float("nan"))}, "finite numbers"),
+        ({"points": (None,)}, "finite numbers"),
+    ])
+    def test_hostile_spec_values_rejected(self, overrides, message):
+        kwargs = {"axis": "noise_level", "points": (0.1,), "detectors": ("at",), "replicates": 1, **overrides}
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(**kwargs)
+
+    def test_zero_tolerance_accepted(self):
+        assert SweepSpec(axis="noise_level", points=(0.1,), detectors=("at",), tolerance_ms=0).tolerance_ms == 0
+
     def test_detector_names_coerced(self):
         spec = SweepSpec(axis="noise_level", points=(0.1, 0.2), detectors=("at", "dual"))
         assert spec.detectors == (DetectorKind.AT, DetectorKind.DUAL)

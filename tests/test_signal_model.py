@@ -86,6 +86,15 @@ class TestDequantize:
         again = quantize(dequantize(q), FMT7, 0.5)
         assert again.codes.tolist() == codes
 
+    @pytest.mark.parametrize("field, value", [
+        ("rate_hz", float("nan")), ("rate_hz", float("inf")), ("rate_hz", 0.0),
+        ("full_scale", float("nan")), ("full_scale", float("inf")), ("full_scale", -1.0),
+    ])
+    def test_rate_and_full_scale_must_be_positive_and_finite(self, field, value):
+        kwargs = {"codes": np.zeros(4, dtype=np.int64), "format": FMT7, "rate_hz": 16000.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            QuantizedRecord(**kwargs)
+
     def test_out_of_range_codes_rejected(self):
         with pytest.raises(ValueError, match="range"):
             QuantizedRecord(codes=[64], format=FMT7, rate_hz=1.0, full_scale=1.0)

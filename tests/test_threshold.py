@@ -139,6 +139,26 @@ class TestSigmaTrajectories:
                 sigma_q = max(0, sigma_q + count - CONVERGENCE_FACTOR)
         assert got == expected
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        n=st.integers(min_value=0, max_value=2000),
+        channels=st.integers(min_value=1, max_value=40),
+    )
+    @settings(deadline=None)
+    def test_block_steps_every_column_as_its_own_channel(self, seed, n, channels):
+        rng = np.random.default_rng(seed)
+        # per-column amplitudes, so columns converge to different sigmas
+        block = (rng.integers(-64, 64, size=(n, channels)) // rng.integers(1, 64, size=channels)).astype(np.int32)
+        block[:, 0] = 0  # sigma stays 0 and every sample sits exactly on it
+        traj = sigma_frames_q10(block)
+        first = initial_sigma_q10(block)
+        assert traj.dtype == np.int32 and traj.shape == (-(-n // FRAME_LEN), channels)
+        assert first.shape == (channels,)
+        for c in range(channels):
+            column = block[:, c].astype(np.int64)
+            assert np.array_equal(traj[:, c], sigma_frames_q10(column))
+            assert first[c] == initial_sigma_q10(column)
+
     @given(st.lists(st.integers(min_value=-64, max_value=63), min_size=1, max_size=400))
     def test_initial_sigma_q10_matches_exact_floor(self, codes):
         got = initial_sigma_q10(codes)

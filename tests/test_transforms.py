@@ -122,3 +122,21 @@ class TestSmooth2Fixed:
         got = smooth2_fixed(codes).tolist()
         oracle = [codes[0]] + [(codes[k] + codes[k - 1]) // 2 for k in range(1, len(codes))]
         assert got == oracle
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=0, max_value=700),
+    channels=st.integers(min_value=1, max_value=40),
+    drop=st.integers(min_value=0, max_value=8),
+)
+def test_int32_block_equals_int64_columns(seed, n, channels, drop):
+    # a time-major int32 block runs every column as its own int64 channel would
+    block = np.random.default_rng(seed).integers(-64, 64, size=(n, channels)).astype(np.int32)
+    out8 = FixedPointFormat(total_bits=8)
+    for kernel in (smooth2_fixed, lambda x: teo_fixed(x, out8, drop), lambda x: teo_fixed(smooth2_fixed(x), out8, drop)):
+        got = kernel(block)
+        assert got.dtype == np.int32 and got.shape == block.shape
+        for c in range(channels):
+            column = kernel(block[:, c].astype(np.int64))
+            assert column.dtype == np.int64 and np.array_equal(got[:, c], column)
