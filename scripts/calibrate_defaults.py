@@ -20,7 +20,7 @@ from dualteo import (
     SyntheticConfig,
     calibrate_coefficients,
     dequantize,
-    generate,
+    generate_levels,
     quantize_mid_tread,
     save_coefficients,
 )
@@ -40,16 +40,19 @@ def build_corpus(include_low_resolution: bool):
     single shipped tuning inside the resolution-robustness target; without
     them the argmax drifts to thresholds that only work at full resolution.
     """
-    corpus = []
-    for noise in NOISE_LEVELS:
-        for seed in CALIBRATION_SEEDS:
-            cfg = SyntheticConfig(duration_s=10.0, noise_level=noise, seed=seed)
-            corpus.append(generate(cfg))
+    # one generation per seed yields its record at every noise level
+    by_seed = {
+        seed: generate_levels(
+            [SyntheticConfig(duration_s=10.0, noise_level=noise, seed=seed) for noise in NOISE_LEVELS]
+        )
+        for seed in CALIBRATION_SEEDS
+    }
+    # noise-major, then seed: calibration sums accuracies in record order
+    corpus = [by_seed[seed][i] for i in range(len(NOISE_LEVELS)) for seed in CALIBRATION_SEEDS]
     if include_low_resolution:
         fmt = FixedPointFormat(total_bits=ROBUSTNESS_BITS)
         for seed in CALIBRATION_SEEDS:
-            cfg = SyntheticConfig(duration_s=10.0, noise_level=0.1, seed=seed)
-            record, truth = generate(cfg)
+            record, truth = by_seed[seed][NOISE_LEVELS.index(0.1)]
             peak = float(np.max(np.abs(record.samples)))
             coarse = dequantize(quantize_mid_tread(record, fmt, peak))
             corpus.append((coarse, truth))

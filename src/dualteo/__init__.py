@@ -53,6 +53,7 @@ from .dataio import (
     GroundTruth,
     SyntheticConfig,
     generate,
+    generate_levels,
     load_ground_truth,
     resample,
     rescale_ground_truth,

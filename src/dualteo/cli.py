@@ -28,16 +28,25 @@ class ValidationError(Exception):
     pass
 
 
+def _require_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {json.dumps(data)}")
+    return data
+
+
 def _load_json(path: Path) -> dict:
+    """Parse a JSON file whose top level must be an object."""
     try:
-        return json.loads(path.read_text())
+        data = json.loads(path.read_text())
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    return _require_object(data, str(path))
 
 
 def _synthetic_config(data: dict, seed: int | None) -> dataio.SyntheticConfig:
+    _require_object(data, "synthetic config")
     known = {f.name for f in dataclasses.fields(dataio.SyntheticConfig)}
     unknown = set(data) - known
     if unknown:

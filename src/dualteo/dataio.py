@@ -10,15 +10,18 @@ white noise is what the energy operator amplifies.  The noise trace is
 rescaled so its measured standard deviation over the mean placed-spike peak
 equals ``noise_level`` exactly.
 
-Everything is deterministic given the config seed.  Ground truth is a sorted
-list of spike-peak sample indices with optional per-spike template ids.
+Everything is deterministic given the config seed, and ``noise_level`` enters
+only in that last rescale.  :func:`generate_levels` therefore builds the
+spike train and background of one seed once and composes a record per noise
+level from them; :func:`generate` is its one-config case.  Ground truth is a
+sorted list of spike-peak sample indices with optional per-spike template ids.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ __all__ = [
     "SyntheticConfig",
     "MAX_SAMPLES",
     "generate",
+    "generate_levels",
     "resample",
     "rescale_ground_truth",
     "save_ground_truth",
@@ -206,6 +210,25 @@ def _bandlimit(x: np.ndarray, rate_hz: float, lo_hz: float, hi_hz: float) -> np.
 
 def generate(cfg: SyntheticConfig) -> tuple[SignalRecord, GroundTruth]:
     """Build one labeled synthetic record; deterministic given ``cfg.seed``."""
+    return generate_levels([cfg])[0]
+
+
+def generate_levels(cfgs) -> list[tuple[SignalRecord, GroundTruth]]:
+    """Build one labeled record per config, for configs that differ only in ``noise_level``.
+
+    The templates, spike train and unit-variance background depend on the
+    seed alone, so they are built once; each config then rescales the shared
+    background to its own noise level.  Every ``(record, truth)`` pair equals
+    :func:`generate` of its config bit for bit and owns its arrays.  Raises
+    ``ValueError`` if two configs differ in any other field.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        return []
+    cfg = cfgs[0]
+    for other in cfgs[1:]:
+        if replace(other, noise_level=cfg.noise_level) != cfg:
+            raise ValueError(f"configs must differ only in noise_level: {cfg} and {other}")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_samples
     templates, peak_offsets, n_t = _make_templates(rng, cfg.n_templates, cfg.rate_hz)
@@ -235,8 +258,8 @@ def generate(cfg: SyntheticConfig) -> tuple[SignalRecord, GroundTruth]:
     peaks = starts + np.asarray(peak_offsets)[tids]
 
     # Background: dense superposition of distant-unit spike shapes plus
-    # band-limited Gaussian, equal variance, then one exact rescale to the
-    # requested noise level.
+    # band-limited Gaussian, equal variance, normalized to unit variance once
+    # and rescaled per config to the requested noise level.
     noise_templates, _, _ = _make_templates(
         rng, cfg.n_templates, cfg.rate_hz, tau_range=NOISE_LOBE_TAU_S
     )
@@ -259,13 +282,18 @@ def generate(cfg: SyntheticConfig) -> tuple[SignalRecord, GroundTruth]:
         gauss = gauss / gauss_std * np.sqrt(GAUSSIAN_VARIANCE_SHARE)
     raw = spiky + gauss
     raw_std = float(np.std(raw))
+    unit = raw / raw_std if raw_std > 0 else raw * 0.0
     mean_peak = 1.0  # templates are unit peak and placed at unit amplitude
-    noise = raw / raw_std * (cfg.noise_level * mean_peak) if raw_std > 0 else raw * 0.0
 
-    record = SignalRecord(samples=clean + noise, rate_hz=cfg.rate_hz, channel_id=0)
     order = np.argsort(peaks, kind="stable")
-    truth = GroundTruth(spike_indices=peaks[order], template_ids=tids[order])
-    return record, truth
+    out = []
+    for c in cfgs:
+        record = SignalRecord(
+            samples=clean + unit * (c.noise_level * mean_peak), rate_hz=c.rate_hz, channel_id=0
+        )
+        # fancy indexing copies, so no two truths share an array
+        out.append((record, GroundTruth(spike_indices=peaks[order], template_ids=tids[order])))
+    return out
 
 
 # ---------------------------------------------------------------------------

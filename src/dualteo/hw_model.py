@@ -357,8 +357,14 @@ def hw_detect_multichannel(
 
 
 def save_multichannel(stream: np.ndarray, rate_hz: float, path) -> None:
-    """Write (n_scans, channels) codes as raw little-endian int8 plus header."""
+    """Write (n_scans, channels) integer codes as raw int8 plus header.
+
+    Codes must have an integer dtype (float codes would be truncated) and
+    fit int8.
+    """
     stream = np.asarray(stream)
+    if not np.issubdtype(stream.dtype, np.integer):
+        raise ValueError(f"expected integer codes, got dtype {stream.dtype}")
     if stream.ndim != 2:
         raise ValueError("stream must be 2D (n_scans, channels)")
     if stream.min() < -128 or stream.max() > 127:
@@ -374,12 +380,17 @@ def save_multichannel(stream: np.ndarray, rate_hz: float, path) -> None:
 
 
 def load_multichannel(path) -> tuple[np.ndarray, float]:
-    """Read a stream written by :func:`save_multichannel` as (n_scans, channels) codes."""
+    """Read a stream written by :func:`save_multichannel`.
+
+    Returns the codes as an int8 ``(n_scans, channels)`` array, the file's own
+    width (:func:`hw_detect_multichannel` widens each block to int32), and the
+    sampling rate.
+    """
     path = Path(path)
     header = read_header(path, required=("rate_hz", "channels", "n_scans"))
     channels = int(header["channels"])
     n_scans = int(header["n_scans"])
-    codes = np.fromfile(path, dtype=np.int8).astype(np.int64)
+    codes = np.fromfile(path, dtype=np.int8)
     if codes.size != channels * n_scans:
         raise ValueError(f"{path}: header promises {channels * n_scans} codes, file holds {codes.size}")
     return codes.reshape(n_scans, channels), float(header["rate_hz"])

@@ -16,8 +16,10 @@ nothing there by construction, so truth spikes inside it are dropped from the
 denominator rather than booked as misses.
 
 Sweeps reproduce mean-accuracy curves against noise level, input resolution,
-or sampling rate; for the latter two the noise level is fixed at 0.1 and each
-replicate's base record is transformed per axis point.
+or sampling rate.  Every axis generates once per replicate: on the noise axis
+:func:`~dualteo.dataio.generate_levels` builds the seed's spike train and
+background once and rescales the background per point; on the other two the
+noise level is fixed at 0.1 and one base record is transformed per point.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import detector as _detector
-from .dataio import GroundTruth, SyntheticConfig, generate, rescale_ground_truth, resample
+from .dataio import (
+    GroundTruth,
+    SyntheticConfig,
+    generate,
+    generate_levels,
+    rescale_ground_truth,
+    resample,
+)
 from .detector import DetectorKind, SpikeEvent, event_indices
 from .signal_model import FixedPointFormat, dequantize, is_finite_real, quantize_mid_tread
 from .threshold import WARMUP_SAMPLES
@@ -222,11 +231,6 @@ class SweepResult:
     replicates: int
 
 
-def _replicate_dataset(spec: SweepSpec, replicate: int, noise_level: float):
-    cfg = replace(spec.base_cfg, noise_level=noise_level, seed=spec.base_cfg.seed + replicate)
-    return generate(cfg)
-
-
 def _transform_for_point(spec, record, truth, point):
     """Apply the swept-axis transformation to one base record."""
     if spec.axis == "noise_level":
@@ -248,22 +252,21 @@ def sweep(spec: SweepSpec) -> list[SweepResult]:
 
     For the resolution and rate axes the noise level is fixed at 0.1.  Results
     are bit-reproducible given the spec: replicate r uses seed
-    ``base_cfg.seed + r``, and the same base record feeds every axis point.
+    ``base_cfg.seed + r``.  A replicate is generated once: one base record
+    feeds every resolution or rate point, and on the noise axis one
+    :func:`generate_levels` call yields every point's record, bit-identical
+    to a :func:`generate` of that point's config.
     """
     results = []
-    fixed_noise = 0.1 if spec.axis != "noise_level" else None
     # cell accuracies keyed by (point, detector)
     acc: dict = {(p, d): [] for p in spec.points for d in spec.detectors}
     for r in range(spec.replicates):
+        cfg = replace(spec.base_cfg, seed=spec.base_cfg.seed + r)
         if spec.axis == "noise_level":
-            bases = {
-                p: _replicate_dataset(spec, r, noise_level=float(p)) for p in spec.points
-            }
+            bases = generate_levels([replace(cfg, noise_level=float(p)) for p in spec.points])
         else:
-            base = _replicate_dataset(spec, r, noise_level=fixed_noise)
-            bases = {p: base for p in spec.points}
-        for p in spec.points:
-            record, truth = bases[p]
+            bases = [generate(replace(cfg, noise_level=0.1))] * len(spec.points)
+        for p, (record, truth) in zip(spec.points, bases):
             try:
                 record_p, truth_p = _transform_for_point(spec, record, truth, p)
                 tol = max(0, round(record_p.rate_hz * spec.tolerance_ms / 1000.0))

@@ -85,6 +85,14 @@ class TestGenerateCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "x.json"), "--out", str(tmp_path)]) == 2
 
+    def test_non_object_config_is_validation_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("5")
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "must be a JSON object, got 5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDetectCommand:
     def test_detect_with_truth_reports_accuracy(self, tmp_path, capsys):
@@ -239,6 +247,21 @@ class TestSweepCommand:
             "axis": "noise_level", "points": [0.1], "detectors": ["at"], "replicates": 1,
             "base_cfg": TINY_CFG, **overrides,
         }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ([], "must be a JSON object, got []"),
+        ({"axis": "noise_level", "points": [0.1], "detectors": ["at"], "base_cfg": 5},
+         "synthetic config must be a JSON object, got 5"),
+        ({"axis": "noise_level", "points": [0.1], "detectors": ["at"], "base_cfg": [["x"]]},
+         'synthetic config must be a JSON object, got [["x"]]'),
+    ], ids=["list-spec", "number-base-cfg", "nested-list-base-cfg"])
+    def test_non_object_spec_is_validation_error(self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "o"

@@ -1,14 +1,19 @@
+import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualteo.dataio import (
     MAX_SAMPLES,
     GroundTruth,
     SyntheticConfig,
     generate,
+    generate_levels,
     load_dataset,
     load_ground_truth,
     min_isi_samples,
@@ -128,6 +133,72 @@ class TestGenerate:
         record, truth = generate(SyntheticConfig(duration_s=0.001, noise_level=0.1, seed=1))
         assert len(truth) == 0
         assert np.std(record.samples) == pytest.approx(0.1, rel=1e-9)
+
+
+def record_bytes(record, truth):
+    return (
+        record.samples.dtype, record.samples.tobytes(), record.rate_hz, record.channel_id,
+        truth.spike_indices.dtype, truth.spike_indices.tobytes(),
+        truth.template_ids.dtype, truth.template_ids.tobytes(),
+    )
+
+
+class TestGenerateLevels:
+    # one sample takes the zero-variance background branch; up to 60 samples
+    # at 8-24 kHz no template fits; the rest can hold a few spikes
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        rate_hz=st.sampled_from([8000.0, 16000.0, 24000.0]),
+        n_samples=st.just(1) | st.integers(min_value=2, max_value=60)
+        | st.integers(min_value=61, max_value=3000),
+        firing_rate_hz=st.floats(min_value=20.0, max_value=400.0),
+        n_templates=st.integers(min_value=2, max_value=4),
+        levels=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=4)
+        .map(lambda xs: [*xs, 0.0, xs[0]]),
+    )
+    @example(seed=3, rate_hz=24000.0, n_samples=1, firing_rate_hz=20.0, n_templates=3,
+             levels=[0.1, 0.0, 0.1])
+    def test_equals_generate_per_config(self, seed, rate_hz, n_samples, firing_rate_hz,
+                                        n_templates, levels):
+        base = SyntheticConfig(duration_s=n_samples / rate_hz, rate_hz=rate_hz,
+                               firing_rate_hz=firing_rate_hz, n_templates=n_templates, seed=seed)
+        assert base.n_samples == n_samples
+        cfgs = [dataclasses.replace(base, noise_level=level) for level in levels]
+        shared = generate_levels(cfgs)
+        assert len(shared) == len(cfgs)
+        for cfg, pair in zip(cfgs, shared):
+            assert record_bytes(*pair) == record_bytes(*generate(cfg))
+        arrays = [a for record, truth in shared
+                  for a in (record.samples, truth.spike_indices, truth.template_ids)]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_ten_second_record_at_several_levels(self):
+        cfgs = [SyntheticConfig(noise_level=level, seed=1002) for level in (0.0, 0.05, 0.2, 0.37)]
+        for cfg, pair in zip(cfgs, generate_levels(cfgs)):
+            assert record_bytes(*pair) == record_bytes(*generate(cfg))
+
+    OTHER_FIELDS = {
+        "duration_s": 2.0, "rate_hz": 16000.0, "firing_rate_hz": 30.0,
+        "n_templates": 4, "min_isi_s": 0.003, "seed": 2,
+    }
+
+    def test_every_other_field_is_covered(self):
+        names = {f.name for f in dataclasses.fields(SyntheticConfig)}
+        assert set(self.OTHER_FIELDS) == names - {"noise_level"}
+
+    @pytest.mark.parametrize("field", sorted(OTHER_FIELDS))
+    def test_configs_differing_elsewhere_rejected(self, field):
+        base = SyntheticConfig(duration_s=1.0, noise_level=0.1, seed=1)
+        other = dataclasses.replace(base, noise_level=0.2, **{field: self.OTHER_FIELDS[field]})
+        with pytest.raises(ValueError, match="differ only in noise_level"):
+            generate_levels([base, other])
+        with pytest.raises(ValueError, match="differ only in noise_level"):
+            generate_levels([base, base, other])
+
+    def test_no_configs_no_records(self):
+        assert generate_levels([]) == []
 
 
 class TestResample:

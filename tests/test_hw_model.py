@@ -424,7 +424,29 @@ class TestMultichannelFiles:
         save_multichannel(stream, 16000.0, path)
         back, rate = load_multichannel(path)
         assert rate == 16000.0
+        assert back.dtype == np.int8
         assert np.array_equal(back, stream)
+
+    def test_loaded_stream_detects_like_original(self, tmp_path):
+        stream = spiky_stream(np.random.default_rng(16), WARMUP_SAMPLES + 1000, 40)
+        stream[WARMUP_SAMPLES + 500, ::3] = -64  # the int8 extremes round-trip too
+        stream[WARMUP_SAMPLES + 700, 1::3] = 63
+        assert stream.dtype == np.int64
+        path = tmp_path / "mc.i8"
+        save_multichannel(stream, 16000.0, path)
+        back, _ = load_multichannel(path)
+        cfg = HwConfig(channels=40)
+        events, crossings = hw_detect_multichannel(back, cfg, return_crossings=True)
+        expected, expected_crossings = hw_detect_multichannel(stream, cfg, return_crossings=True)
+        assert sum(map(len, events)) > 40
+        assert events == expected
+        assert np.array_equal(crossings, expected_crossings)
+
+    def test_float_codes_rejected(self, tmp_path):
+        path = tmp_path / "mc.i8"
+        with pytest.raises(ValueError, match="integer codes"):
+            save_multichannel(np.full((4, 32), 3.7), 16000.0, path)
+        assert not path.exists()
 
     def test_size_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(15)

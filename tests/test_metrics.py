@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualteo.dataio
 import dualteo.detector
-from dualteo.dataio import GroundTruth, SyntheticConfig
+from dualteo.dataio import GroundTruth, SyntheticConfig, generate
 from dualteo.detector import DetectorKind, SpikeEvent
 from loop_oracles import greedy_tp
 from dualteo.metrics import (
     MatchReport,
+    SweepResult,
     SweepSpec,
     accuracy,
     match_events,
@@ -17,6 +21,7 @@ from dualteo.metrics import (
     score_events,
     sweep,
 )
+from dualteo.threshold import WARMUP_SAMPLES
 
 
 def truth_of(indices):
@@ -192,6 +197,48 @@ class TestSweep:
         a = report(sweep(spec), "csv")
         b = report(sweep(spec), "csv")
         assert a == b
+
+    def test_noise_axis_equals_independent_cells(self):
+        # 0.6 s at 24 kHz is 14,400 samples, well past the 4,096-sample warm-up
+        spec = SweepSpec(
+            axis="noise_level", points=(0.0, 0.05, 0.15), detectors=tuple(DetectorKind),
+            replicates=2, base_cfg=SyntheticConfig(duration_s=0.6, seed=11),
+        )
+        expected = []
+        for p in spec.points:
+            for d in spec.detectors:
+                accs = []
+                for r in range(spec.replicates):
+                    record, truth = generate(replace(spec.base_cfg, noise_level=p, seed=11 + r))
+                    rep = score_events(dualteo.detector.detect(record, d), truth,
+                                       round(record.rate_hz * spec.tolerance_ms / 1000.0),
+                                       skip_before=WARMUP_SAMPLES)
+                    accs.append(accuracy(rep) if rep.tp + rep.fp + rep.fn else 1.0)
+                expected.append(SweepResult(
+                    axis="noise_level", point=p, detector=d, mean_accuracy=float(np.mean(accs)),
+                    std_accuracy=float(np.std(accs)), replicates=2))
+        assert any(r.mean_accuracy < 1.0 for r in expected)
+        assert sweep(spec) == expected
+
+    @pytest.mark.parametrize("axis, points", [
+        ("noise_level", (0.0, 0.05, 0.1, 0.2)),
+        ("resolution_bits", (4, 8)),
+        ("rate_hz", (16000.0, 24000.0)),
+    ])
+    def test_each_replicate_generated_once(self, monkeypatch, axis, points):
+        # the band-limited background is built once per generated seed
+        calls = []
+        bandlimit = dualteo.dataio._bandlimit
+
+        def counting_bandlimit(*args):
+            calls.append(args)
+            return bandlimit(*args)
+
+        monkeypatch.setattr(dualteo.dataio, "_bandlimit", counting_bandlimit)
+        spec = SweepSpec(axis=axis, points=points, detectors=(DetectorKind.AT,),
+                         replicates=3, base_cfg=TINY)
+        sweep(spec)
+        assert len(calls) == 3
 
     def test_resolution_axis_fixes_noise_at_mid_level(self):
         spec = SweepSpec(
