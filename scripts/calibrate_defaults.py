@@ -33,12 +33,14 @@ ROBUSTNESS_BITS = 4
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "dualteo" / "data"
 
 
-def build_corpus(include_low_resolution: bool):
-    """Noise-level grid, optionally augmented with coarse-resolution variants.
+def build_corpus():
+    """Noise-level grid, then one coarse-resolution variant per seed.
 
-    The low-resolution records (mid-noise, requantized at 4 bits) keep the
-    single shipped tuning inside the resolution-robustness target; without
-    them the argmax drifts to thresholds that only work at full resolution.
+    The low-resolution records (mid-noise, requantized at 4 bits) come last,
+    one per seed.  They keep the single shipped float tuning inside the
+    resolution-robustness target; without them the argmax drifts to
+    thresholds that only work at full resolution.  The hw pipeline
+    calibrates on the grid alone.
     """
     # one generation per seed yields its record at every noise level
     by_seed = {
@@ -49,13 +51,12 @@ def build_corpus(include_low_resolution: bool):
     }
     # noise-major, then seed: calibration sums accuracies in record order
     corpus = [by_seed[seed][i] for i in range(len(NOISE_LEVELS)) for seed in CALIBRATION_SEEDS]
-    if include_low_resolution:
-        fmt = FixedPointFormat(total_bits=ROBUSTNESS_BITS)
-        for seed in CALIBRATION_SEEDS:
-            record, truth = by_seed[seed][NOISE_LEVELS.index(0.1)]
-            peak = float(np.max(np.abs(record.samples)))
-            coarse = dequantize(quantize_mid_tread(record, fmt, peak))
-            corpus.append((coarse, truth))
+    fmt = FixedPointFormat(total_bits=ROBUSTNESS_BITS)
+    for seed in CALIBRATION_SEEDS:
+        record, truth = by_seed[seed][NOISE_LEVELS.index(0.1)]
+        peak = float(np.max(np.abs(record.samples)))
+        coarse = dequantize(quantize_mid_tread(record, fmt, peak))
+        corpus.append((coarse, truth))
     return corpus
 
 
@@ -89,8 +90,8 @@ def main():
     args = parser.parse_args()
 
     print("building calibration corpus ...")
-    corpus = build_corpus(include_low_resolution=True)
-    hw_corpus = build_corpus(include_low_resolution=False)
+    corpus = build_corpus()
+    hw_corpus = corpus[:-len(CALIBRATION_SEEDS)]  # the grid without its 4-bit records
 
     for pipeline, name, training in (
         ("float", "threshold_coeffs_float.txt", corpus),

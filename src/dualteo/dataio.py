@@ -32,6 +32,7 @@ __all__ = [
     "GroundTruth",
     "SyntheticConfig",
     "MAX_SAMPLES",
+    "MAX_TEMPLATES",
     "generate",
     "generate_levels",
     "resample",
@@ -75,6 +76,7 @@ class GroundTruth:
 
 
 MAX_SAMPLES = 1 << 25  # about 23 min at 24 kHz; generate() holds several float64 arrays this long
+MAX_TEMPLATES = 1024  # generate() draws and places each template in a Python loop
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,10 @@ class SyntheticConfig:
 
     Every float field must be a finite real number, and the record must hold
     between 1 and ``MAX_SAMPLES`` samples (``n_samples``); both are checked
-    here, before :func:`generate` allocates anything.
+    here, before :func:`generate` allocates anything.  So are the bounds of
+    its Python loops: at most ``MAX_TEMPLATES`` templates, and a firing rate
+    no higher than the sampling rate, so the spike train draws no more
+    arrivals than the record has samples.
     """
 
     duration_s: float = 10.0
@@ -111,8 +116,12 @@ class SyntheticConfig:
             raise ValueError("noise_level must be >= 0")
         if self.firing_rate_hz <= 0:
             raise ValueError("firing_rate_hz must be positive")
-        if self.n_templates < 2:
-            raise ValueError("need at least two distinct templates")
+        if not 2 <= self.n_templates <= MAX_TEMPLATES:
+            raise ValueError(f"n_templates must lie in 2..{MAX_TEMPLATES}, got {self.n_templates}")
+        if self.firing_rate_hz > self.rate_hz:
+            raise ValueError("firing_rate_hz must not exceed rate_hz")
+        if self.min_isi_s < 0:
+            raise ValueError("min_isi_s must be >= 0")
         if self.min_isi_s * self.firing_rate_hz >= 1:
             raise ValueError(
                 "infeasible ISI constraint: min_isi_s * firing_rate_hz must be < 1"

@@ -229,35 +229,37 @@ def _frame_thresholds(prep: PreparedDual, coeffs: ThresholdCoefficients):
     return compute_thresholds(prep.sigma_per_frame, coeffs)
 
 
-def _scaled_energies(prep: PreparedDual):
-    """Both energy streams on their thresholds' scale: integer energies shift up to Q.10."""
-    if prep.integer_domain:
-        return prep.x_energy << SIGMA_FRACTION_BITS, prep.s_energy << SIGMA_FRACTION_BITS
-    return prep.x_energy, prep.s_energy
+def _on_energy_scale(prep: PreparedDual, thresholds: np.ndarray) -> np.ndarray:
+    """Thresholds of either path on the energies' own scale.
 
-
-def _comparator(prep: PreparedDual, coeffs: ThresholdCoefficients):
-    """Per-sample thresholds and the two comparator outputs, before warm-up gating.
-
-    Returns ``(thr_x, thr_s, cross_x, cross_s)``; each frame's thresholds hold
-    over its samples, along axis 0 for a block.  Integer thresholds are
-    clipped into the energies' dtype first: the energies, shifted into Q.10,
-    stay within +-2**19, so an int32 block compares exactly as int64 would.
+    An integer energy ``e`` crosses its Q.10 threshold ``t`` when
+    ``e << 10 > t``, which holds exactly when ``e > t >> 10``: an arithmetic
+    shift is a floor.  So the thresholds shift down instead of the energies
+    up.  For a block's narrow energies they are then clipped into the
+    energies' dtype, which changes no comparison, because the 8- and 9-bit
+    energies lie strictly inside even int16's range; a record's int64
+    energies take them as they are.  Float thresholds pass through.
     """
-    thr_x_f, thr_s_f = _frame_thresholds(prep, coeffs)
-    x_energy, s_energy = _scaled_energies(prep)
-    if prep.integer_domain:
-        lim = np.iinfo(x_energy.dtype)
-        thr_x_f = thr_x_f.clip(lim.min, lim.max).astype(x_energy.dtype, copy=False)
-        thr_s_f = thr_s_f.clip(lim.min, lim.max).astype(x_energy.dtype, copy=False)
-    thr_x = np.repeat(thr_x_f, FRAME_LEN, axis=0)[:prep.n]
-    thr_s = np.repeat(thr_s_f, FRAME_LEN, axis=0)[:prep.n]
-    return thr_x, thr_s, x_energy > thr_x, s_energy > thr_s
+    if not prep.integer_domain:
+        return thresholds
+    levels = thresholds >> SIGMA_FRACTION_BITS
+    dtype = prep.x_energy.dtype
+    if levels.dtype == dtype:
+        return levels
+    lim = np.iinfo(dtype)
+    return levels.clip(lim.min, lim.max).astype(dtype)
 
 
 def dual_crossing_streams(prep: PreparedDual, coeffs: ThresholdCoefficients):
-    """Boolean crossing streams (raw path, smoothed path) before warm-up gating."""
-    _, _, cross_x, cross_s = _comparator(prep, coeffs)
+    """Boolean crossing streams (raw path, smoothed path) before warm-up gating.
+
+    The comparator: each frame's thresholds hold over its samples, along
+    axis 0 for a block, and each energy crosses where it strictly exceeds
+    its threshold (:func:`_on_energy_scale`).
+    """
+    thr_x, thr_s = (_on_energy_scale(prep, thr) for thr in _frame_thresholds(prep, coeffs))
+    cross_x = prep.x_energy > np.repeat(thr_x, FRAME_LEN, axis=0)[:prep.n]
+    cross_s = prep.s_energy > np.repeat(thr_s, FRAME_LEN, axis=0)[:prep.n]
     return cross_x, cross_s
 
 

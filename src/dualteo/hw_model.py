@@ -16,12 +16,15 @@ channel ``(n,)`` or a time-major block ``(n, channels)``.
 :func:`hw_detect_channel` finishes it with :func:`~dualteo.detector.finish_dual`
 and :func:`trace_internal` exposes its every intermediate value.
 :func:`hw_detect_multichannel` is the block case: it walks the stream in
-``(n_scans, BLOCK_CHANNELS)`` int32 blocks, the chip's 32-channel block,
-steps the sigma of every column at once, compares once per block and forms
-the events of all its channels in one pass.  Channels share no state, so the
-chip's time-multiplexed schedule cannot change any output; the test suite
-holds a sample-serial, block-scheduled engine as a bit-exact oracle and
-checks the multichannel output against it.
+``(n_scans, BLOCK_CHANNELS)`` blocks, the chip's 32-channel block, at the
+chip's widths: int8 codes and half-sums, int16 energies and int32 sigma
+registers.  It steps the sigma of every column at once, compares once per
+block and forms the events of all its channels in one pass.  Neither case
+ever shifts data into Q.10: each compare against a Q.10 register shifts the
+register down instead, which is the same integer compare.  Channels share
+no state, so the chip's time-multiplexed schedule cannot change any output;
+the test suite holds a sample-serial, block-scheduled engine as a bit-exact
+oracle and checks the multichannel output against it.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from .detector import (
     PreparedDual,
     SpikeEvent,
     _check_warmup,
-    _comparator,
     _event_peaks,
+    _frame_thresholds,
+    dual_crossing_streams,
     finish_dual,
 )
 from .signal_model import (
@@ -49,6 +53,7 @@ from .signal_model import (
     read_header,
 )
 from .threshold import (
+    FRAME_LEN,
     SIGMA_FRACTION_BITS,
     ThresholdCoefficients,
     default_hw_coefficients,
@@ -107,19 +112,28 @@ def quantize_for_hw(record: SignalRecord, cfg: HwConfig) -> QuantizedRecord:
 
 
 def _align_stream(x_teo: np.ndarray, s_teo: np.ndarray, cfg: HwConfig) -> np.ndarray:
-    """Alignment signal on the common de-truncated scale of the two energies."""
+    """Alignment signal on the common de-truncated scale of the two energies.
+
+    It stays in the energies' dtype while both shifted energies fit it (an
+    int16 block at the shipped drops needs 9 and 10 bits) and widens to
+    int64 otherwise.
+    """
     base = min(cfg.xteo_drop_lsbs, cfg.steo_drop_lsbs)
+    x_shift, s_shift = cfg.xteo_drop_lsbs - base, cfg.steo_drop_lsbs - base
+    bits = max(cfg.xteo_format.total_bits + x_shift, cfg.steo_format.total_bits + s_shift)
+    dtype = x_teo.dtype if bits <= np.iinfo(x_teo.dtype).bits else np.int64
     return np.maximum(
-        x_teo << (cfg.xteo_drop_lsbs - base),
-        s_teo << (cfg.steo_drop_lsbs - base),
+        x_teo.astype(dtype, copy=False) << x_shift,
+        s_teo.astype(dtype, copy=False) << s_shift,
     )
 
 
 def _prepare_codes(codes: np.ndarray, cfg: HwConfig, channel_id: int) -> PreparedDual:
     """The integer datapath, along axis 0 of one channel ``(n,)`` or a block ``(n, channels)``.
 
-    Everything stays in the dtype of ``codes``: int64 for a record, int32
-    for a block of the multichannel stream.
+    The kernels compute in :func:`~dualteo.signal_model.datapath_ints` of
+    ``codes``: int64 for a record; for a block of the multichannel stream,
+    cut as int8, int8 half-sums and int16 energies.
     """
     s = smooth2_fixed(codes)
     x_teo = teo_fixed(codes, cfg.xteo_format, cfg.xteo_drop_lsbs)
@@ -225,7 +239,8 @@ def trace_internal(
     if coeffs is None:
         coeffs = default_hw_coefficients()
     prep = prepare_hw_dual(q, cfg)
-    thr_x, thr_s, cross_x, cross_s = _comparator(prep, coeffs)
+    thr_x, thr_s = (np.repeat(thr, FRAME_LEN)[:prep.n] for thr in _frame_thresholds(prep, coeffs))
+    cross_x, cross_s = dual_crossing_streams(prep, coeffs)
     return HwTrace(
         x=q.codes.copy(),
         s=smooth2_fixed(q.codes),
@@ -304,8 +319,9 @@ def hw_detect_multichannel(
     a 2D array of shape (n_scans, channels).  Codes must have an integer
     dtype.
 
-    The stream is walked in time-major ``(n_scans, BLOCK_CHANNELS)`` int32
-    blocks, the chip's own block size, cut from the stream's native layout.
+    The stream is walked in time-major ``(n_scans, BLOCK_CHANNELS)`` blocks,
+    the chip's own block size, cut as int8 from the stream's native layout
+    once the whole stream has passed the 7-bit range check.
     Each block runs the datapath of :func:`prepare_hw_dual` along axis 0, with
     every column's sigma stepped at once, compares once, and forms the
     events of all its channels in one pass.  Channels share no state, so this
@@ -339,9 +355,9 @@ def hw_detect_multichannel(
     events = []
     crossings = np.empty((cfg.channels, n_scans), dtype=bool) if return_crossings else None
     for base in range(0, cfg.channels, BLOCK_CHANNELS):
-        block = stream[:, base:base + BLOCK_CHANNELS].astype(np.int32)
+        block = stream[:, base:base + BLOCK_CHANNELS].astype(np.int8)
         prep = _prepare_codes(block, cfg, base)
-        _, _, cross_x, cross_s = _comparator(prep, coeffs)
+        cross_x, cross_s = dual_crossing_streams(prep, coeffs)
         crossing = cross_x | cross_s
         if return_crossings:
             crossings[base:base + block.shape[1]] = crossing.T
@@ -383,8 +399,8 @@ def load_multichannel(path) -> tuple[np.ndarray, float]:
     """Read a stream written by :func:`save_multichannel`.
 
     Returns the codes as an int8 ``(n_scans, channels)`` array, the file's own
-    width (:func:`hw_detect_multichannel` widens each block to int32), and the
-    sampling rate.
+    width and the one :func:`hw_detect_multichannel` cuts its blocks in, and
+    the sampling rate.
     """
     path = Path(path)
     header = read_header(path, required=("rate_hz", "channels", "n_scans"))

@@ -269,7 +269,8 @@ def sweep(spec: SweepSpec) -> list[SweepResult]:
         for p, (record, truth) in zip(spec.points, bases):
             try:
                 record_p, truth_p = _transform_for_point(spec, record, truth, p)
-                tol = max(0, round(record_p.rate_hz * spec.tolerance_ms / 1000.0))
+                # a window past the record's length matches as the length does
+                tol = round(min(record_p.rate_hz * spec.tolerance_ms / 1000.0, len(record_p)))
                 for d in spec.detectors:
                     events = _detector.detect(record_p, d)
                     rep = score_events(events, truth_p, tol, skip_before=WARMUP_SAMPLES)

@@ -180,12 +180,17 @@ def quantize_mid_tread(record: SignalRecord, format: FixedPointFormat, full_scal
 
 
 def datapath_ints(values) -> np.ndarray:
-    """``values`` as an int32 or int64 array: kept if it already is one, else cast to int64.
+    """``values`` as the integer array the kernels compute in.
 
-    The integer kernels compute in their input's dtype, so a 32-bit channel
-    block stays 32-bit and everything else runs in int64.
+    int32 and int64 arrays are kept as they are; an int8 array widens to
+    int16, which holds every sum, half-sum and Teager energy of int8 codes
+    exactly (the energies lie in [-16384, 32640]); anything else, int16
+    included, is cast to int64.  So a channel block of 7-bit codes cut as
+    int8 runs its whole datapath in 8 and 16 bits, and a record runs in int64.
     """
     values = np.asarray(values)
+    if values.dtype == np.int8:
+        return values.astype(np.int16)
     return values if values.dtype in (np.int32, np.int64) else values.astype(np.int64)
 
 
@@ -193,7 +198,8 @@ def truncate_to(value, target: FixedPointFormat, drop_lsbs: int = 0):
     """Arithmetic-right-shift ``value`` by ``drop_lsbs`` and saturate into ``target``.
 
     Floor semantics for negatives: ``truncate_to(-7, fmt, 1) == -4``.  Accepts
-    scalars or integer arrays; int32 arrays come back as int32, others as int64.
+    scalars or integer arrays; arrays compute in :func:`datapath_ints`, so
+    int8 arrays come back as int16, int32 as int32 and others as int64.
     """
     if drop_lsbs < 0:
         raise ValueError(f"drop_lsbs must be >= 0, got {drop_lsbs}")

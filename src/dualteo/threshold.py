@@ -79,20 +79,24 @@ class EstimatorConfig:
     warmup_samples: ClassVar[int] = WARMUP_SAMPLES
 
 
-def _sigma_track(values: np.ndarray, measure, step) -> np.ndarray:
-    """The one frame loop of both pipelines, in the domain and dtype of ``values``.
+def _sigma_track(values: np.ndarray, measure, step, shift=None) -> np.ndarray:
+    """The one frame loop of both pipelines, in the domain of ``values``.
 
     Sigma reads 0 over frame 0 and ``measure(frame 0)`` from frame 1 on; each
     later full frame moves it by ``step * (count - CONVERGENCE_FACTOR)``,
-    clamped at zero.  A partial tail frame never triggers an update.
+    clamped at zero, where ``count`` is the number of samples strictly above
+    sigma, or above ``sigma >> shift`` for a fixed-point sigma with ``shift``
+    fraction bits.  A partial tail frame never triggers an update.
 
     ``values`` is one channel ``(n,)`` or a time-major block ``(n, channels)``;
     a block steps every column's sigma at once and returns ``(frames,
     channels)``.  One channel keeps a scalar sigma, which is faster there.
+    The trajectory is float64 for float samples and at least int32 for
+    integer ones: an int16 block of codes keeps its sigma in int32.
     """
     L = FRAME_LEN
     n_frames = -(-len(values) // L)
-    out = np.empty((n_frames,) + values.shape[1:], dtype=values.dtype)
+    out = np.empty((n_frames,) + values.shape[1:], dtype=np.result_type(values.dtype, np.int32))
     sigma = 0
     for f in range(n_frames):
         out[f] = sigma
@@ -101,12 +105,16 @@ def _sigma_track(values: np.ndarray, measure, step) -> np.ndarray:
             break
         if f == 0:
             sigma = measure(frame)
-        elif values.ndim == 1:
-            count = int(np.count_nonzero(frame > sigma))
+            continue
+        level = sigma if shift is None else sigma >> shift
+        if values.ndim == 1:
+            count = int(np.count_nonzero(frame > level))
             sigma = max(0, sigma + step * (count - CONVERGENCE_FACTOR))
         else:
-            count = np.count_nonzero(frame > sigma, axis=0)
-            sigma = np.maximum(sigma + step * (count - CONVERGENCE_FACTOR), 0).astype(values.dtype)
+            # compare in the samples' dtype; the level fits it, because sigma
+            # climbs only while more than CONVERGENCE_FACTOR samples exceed it
+            count = (frame > level.astype(values.dtype)).sum(axis=0, dtype=out.dtype)
+            sigma = np.maximum(sigma + step * (count - CONVERGENCE_FACTOR), 0)
     return out
 
 
@@ -123,23 +131,43 @@ def sigma_frames(s) -> np.ndarray:
     return _sigma_track(np.asarray(s, dtype=np.float64), np.std, SCALING_FACTOR)
 
 
+def _isqrt(m: np.ndarray) -> np.ndarray:
+    """``math.isqrt`` of every element of a non-negative int64 array below 2**62.
+
+    The float square root lands within one of the integer root there, and
+    one exact integer step each way corrects it.  With correctly rounded
+    IEEE roots only the downward step ever fires; the upward one keeps the
+    result exact on a root that rounds low.
+    """
+    r = np.sqrt(m.astype(np.float64)).astype(np.int64)
+    r -= r * r > m
+    r += (r + 1) * (r + 1) <= m
+    return r
+
+
 def initial_sigma_q10(s_codes):
     """Q.10 empirical standard deviation of the first frame, in exact integers.
 
     With ``v = n*sum(s**2) - sum(s)**2`` (so the variance is ``v / n**2``),
     ``floor(1024 * sqrt(v) / n) == isqrt(1024**2 * v) // n`` exactly.  One
     channel gives an ``int``; a time-major block ``(n, channels)`` gives an
-    int64 array with one value per column.
+    int64 array with one value per column.  Codes of up to 12 bits (frame
+    square sums below 2**32, so ``1024**2 * v < 2**60``) take the vectorized
+    :func:`_isqrt`; wider ones fall back to Python integers.
     """
-    s = np.asarray(s_codes, dtype=np.int64)[:FRAME_LEN]
-    n = len(s)
-    totals = np.atleast_1d(s.sum(axis=0)).tolist()
-    squares = np.atleast_1d((s * s).sum(axis=0)).tolist()
-    sigma = []
-    for total, total_sq in zip(totals, squares):
-        v = n * total_sq - total * total
-        sigma.append(math.isqrt((1 << (2 * SIGMA_FRACTION_BITS)) * v) // n if v > 0 else 0)
-    return sigma[0] if s.ndim == 1 else np.array(sigma, dtype=np.int64)
+    s = np.asarray(s_codes)[:FRAME_LEN].astype(np.int64)
+    n = max(len(s), 1)
+    totals = np.atleast_1d(s.sum(axis=0))
+    squares = np.atleast_1d((s * s).sum(axis=0))
+    if squares.max(initial=0) < 1 << 32:
+        v = n * squares - totals * totals
+        sigma = _isqrt(v << (2 * SIGMA_FRACTION_BITS)) // n
+    else:
+        sigma = np.array([
+            math.isqrt((n * sq - t * t) << (2 * SIGMA_FRACTION_BITS)) // n
+            for t, sq in zip(totals.tolist(), squares.tolist())
+        ], dtype=np.int64)
+    return int(sigma[0]) if s.ndim == 1 else sigma
 
 
 def sigma_frames_q10(s_codes) -> np.ndarray:
@@ -147,13 +175,16 @@ def sigma_frames_q10(s_codes) -> np.ndarray:
 
     The measurement frame yields :func:`initial_sigma_q10` of the codes; each later
     correction is exactly ``count - CONVERGENCE_FACTOR`` register LSBs
-    (gamma = 2**-10), and the exceedance comparison is the exact integer
-    compare ``s << 10 > sigma_q``.  Takes one channel or a time-major block
-    ``(n, channels)`` and keeps an int32 input in int32: 7-bit codes shifted
-    by 10 and sigma stay below 2**18.
+    (gamma = 2**-10).  The exceedance comparison ``s << 10 > sigma_q`` is
+    made as ``s > sigma_q >> 10``, which is the same integer compare (an
+    arithmetic shift is a floor), so the codes are never shifted up.  Takes
+    one channel or a time-major block ``(n, channels)`` and computes in
+    :func:`~dualteo.signal_model.datapath_ints` of the codes; the register
+    is int32 for int8 and int32 codes (sigma stays below 2**18) and int64
+    otherwise.
     """
     s = datapath_ints(s_codes)
-    return _sigma_track(s << SIGMA_FRACTION_BITS, lambda _frame: initial_sigma_q10(s), 1)
+    return _sigma_track(s, lambda _frame: initial_sigma_q10(s), 1, SIGMA_FRACTION_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +405,17 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
     (x_reps, x_row), (s_reps, s_row) = raw, smoothed
     n = max(0, prep.n - WARMUP_SAMPLES)
     gap = prep.event_cfg.refractory_samples
-    energies = [e[WARMUP_SAMPLES:] for e in _detector._scaled_energies(prep)]
+    energies = (prep.x_energy[WARMUP_SAMPLES:], prep.s_energy[WARMUP_SAMPLES:])
     # every map row ends in at least gap - 1 clear cells, so in a flattened
     # block two candidates' crossings are always a refractory gap apart
     width = max(n + gap - 1, 1)
 
     def crossing_maps(path, reps):
+        thresholds = np.array([_detector._frame_thresholds(prep, cand)[path] for cand in reps])
+        levels = _detector._on_energy_scale(prep, thresholds)[:, WARMUP_FRAMES:]
         maps = np.zeros((len(reps), width), dtype=bool)
-        for row, cand in zip(maps, reps):
-            thr = _detector._frame_thresholds(prep, cand)[path][WARMUP_FRAMES:]
-            np.greater(energies[path], np.repeat(thr, FRAME_LEN)[:n], out=row[:n])
+        for row, level in zip(maps, levels):
+            np.greater(energies[path], np.repeat(level, FRAME_LEN)[:n], out=row[:n])
         return maps
 
     x_maps, s_maps = crossing_maps(0, x_reps), crossing_maps(1, s_reps)

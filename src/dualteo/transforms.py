@@ -13,15 +13,18 @@ input range and is carried at half-LSB weight, which is where the narrower
 nominal width of the smoothed stream comes from.
 
 The fixed-point kernels work along axis 0: they take one channel ``(n,)`` or
-a time-major block ``(n, channels)``, and compute in the input's dtype when
-it is int32 or int64 (see :func:`~dualteo.signal_model.datapath_ints`).
+a time-major block ``(n, channels)``, and compute in
+:func:`~dualteo.signal_model.datapath_ints` of the input: int32 and int64
+stay as they are, int8 codes compute in int16, and anything else in int64.
+An int8 block therefore keeps the chip's widths: its half-sums come back
+int8 and its energies int16.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .signal_model import FixedPointFormat, datapath_ints, truncate_to
+from .signal_model import FixedPointFormat, datapath_ints
 
 __all__ = ["teo", "smooth2", "teo_fixed", "smooth2_fixed"]
 
@@ -51,19 +54,25 @@ def teo_fixed(x, out_format: FixedPointFormat, drop_lsbs: int = 0) -> np.ndarray
     """Integer Teager energy: exact interior arithmetic, then shift-and-saturate.
 
     Interior values are computed exactly in integers, arithmetic-right-shifted
-    by ``drop_lsbs``, and saturated into ``out_format``.  Boundaries (the
-    first and last row) stay 0.  The input range is not checked here: in the
-    package the codes are 7-bit, checked by a
+    by ``drop_lsbs``, and saturated into ``out_format``, as
+    :func:`~dualteo.signal_model.truncate_to` does.  Boundaries (the first and
+    last row) stay 0.  The input range is not checked here: in the package
+    the codes are 7-bit, checked by a
     :class:`~dualteo.signal_model.QuantizedRecord` or by the multichannel
     stream's own check, or are their half-sums; their exact energies need at
-    most 14 bits, so an int32 block computes them exactly.
+    most 14 bits, and those of any int8 codes at most 16, so an int8 block
+    computes them exactly in int16.
     """
+    if drop_lsbs < 0:
+        raise ValueError(f"drop_lsbs must be >= 0, got {drop_lsbs}")
     x = datapath_ints(x)
     out = np.zeros_like(x)
     if len(x) >= 3:
-        exact = x[1:-1] * x[1:-1]
-        exact -= x[2:] * x[:-2]
-        out[1:-1] = truncate_to(exact, out_format, drop_lsbs)
+        inner = out[1:-1]
+        np.multiply(x[1:-1], x[1:-1], out=inner)
+        inner -= x[2:] * x[:-2]
+        inner >>= drop_lsbs
+        np.clip(inner, out_format.min_code, out_format.max_code, out=inner)
     return out
 
 
@@ -71,11 +80,13 @@ def smooth2_fixed(x) -> np.ndarray:
     """Exact integer half-sum smoother: ``s[k] = (x[k] + x[k-1]) >> 1``.
 
     ``s[0] = (2*x[0]) >> 1 = x[0]``.  For 7-bit inputs the output also lies in
-    [-64, 63]; no saturation is ever exercised.
+    [-64, 63]; no saturation is ever exercised.  A half-sum never leaves its
+    inputs' range, so int8 codes come back int8.
     """
-    x = datapath_ints(x)
-    s = x.copy()
+    x = np.asarray(x)
+    wide = datapath_ints(x)
+    s = wide.copy()
     if len(x) >= 2:
-        np.add(x[1:], x[:-1], out=s[1:])
+        np.add(wide[1:], wide[:-1], out=s[1:])
         s[1:] >>= 1
-    return s
+    return s.astype(np.int8) if x.dtype == np.int8 else s

@@ -1,7 +1,12 @@
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualteo.cli import main
 from dualteo.dataio import SyntheticConfig, generate, save_dataset
@@ -324,3 +329,113 @@ class TestDeterminism:
         main(["sweep", "--spec", str(spec_path), "--out", str(out_a), "--seed", "5"])
         main(["sweep", "--spec", str(spec_path), "--out", str(out_b), "--seed", "5"])
         assert read_tree(out_a) == read_tree(out_b)
+
+# ---------------------------------------------------------------------------
+# Fuzzing: drawn JSON configs end in exit 0 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+# wrong types, non-finite values, negatives, huge values, bools and nesting;
+# json writes inf and nan as Infinity and NaN and reads them back
+HOSTILE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([math.inf, -math.inf, math.nan, -1.0, 0.0, -1e300, 1e300, 1e-300, 2**64, -(2**63)]),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(min_value=-3, max_value=3), min_size=1, max_size=1),
+)
+
+# valid values are drawn small: a record holds at most 0.05 s * 48 kHz = 2400
+# samples, so huge sizes appear only as hostile values, which the MAX_SAMPLES
+# cap and the other bounds must reject before anything is allocated
+SMALL_CONFIG_FIELDS = {
+    "duration_s": st.floats(min_value=1e-4, max_value=0.05),
+    "rate_hz": st.floats(min_value=100.0, max_value=48000.0),
+    "noise_level": st.floats(min_value=0.0, max_value=2.0),
+    "firing_rate_hz": st.floats(min_value=1.0, max_value=200.0),
+    "n_templates": st.integers(min_value=2, max_value=5),
+    "min_isi_s": st.floats(min_value=0.0, max_value=0.004),
+    "seed": st.integers(min_value=0, max_value=2**64),
+}
+
+
+def mostly(valid, hostile=HOSTILE):
+    """A value from ``valid`` three times in four, else a hostile one."""
+    return st.integers(min_value=0, max_value=3).flatmap(lambda i: hostile if i == 3 else valid)
+
+
+def config_objects(required=()):
+    """Synthetic-config JSON objects: the ``required`` keys always, the others
+    optionally, each value valid-and-small or hostile."""
+    fields = {k: mostly(v) for k, v in SMALL_CONFIG_FIELDS.items()}
+    return st.fixed_dictionaries(
+        {k: fields[k] for k in required},
+        optional={k: v for k, v in fields.items() if k not in required},
+    )
+
+
+AXIS_POINTS = {
+    "noise_level": st.floats(min_value=0.0, max_value=1.0),
+    "resolution_bits": st.integers(min_value=2, max_value=32),
+    "rate_hz": st.floats(min_value=100.0, max_value=48000.0),
+}
+DETECTOR_NAMES = st.sampled_from(["dual", "at", "dvt", "mae", "teo_single"])
+# a huge replicate count is valid and would only run long
+HOSTILE_COUNT = HOSTILE.filter(lambda v: isinstance(v, bool) or not isinstance(v, int) or v < 3)
+
+
+def sweep_specs(axis):
+    """Sweep-spec JSON objects around one axis; the base record holds at most
+    2400 samples unless a hostile ``base_cfg`` is rejected."""
+    points = AXIS_POINTS[axis]
+    return st.fixed_dictionaries(
+        {
+            "axis": mostly(st.just(axis)),
+            "points": mostly(
+                st.lists(points, min_size=1, max_size=3, unique=True).map(sorted),
+                st.lists(points | HOSTILE, max_size=3) | HOSTILE,
+            ),
+            "detectors": mostly(
+                st.lists(DETECTOR_NAMES, min_size=1, max_size=3, unique=True),
+                st.lists(DETECTOR_NAMES | HOSTILE, max_size=3) | HOSTILE,
+            ),
+            "base_cfg": mostly(config_objects(required=("duration_s",))),
+        },
+        optional={
+            "replicates": mostly(st.integers(min_value=1, max_value=2), HOSTILE_COUNT),
+            "tolerance_ms": mostly(st.floats(min_value=0.0, max_value=5.0)),
+        },
+    )
+
+
+def run_drawn(command, flag, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return main([command, flag, str(path), "--out", str(Path(tmp) / "out")])
+
+
+TINY_FUZZ_CFG = {"duration_s": 0.01, "rate_hz": 16000.0}
+
+
+@given(config_objects())
+# each of these hung or passed unchecked before its bound existed
+@example({**TINY_FUZZ_CFG, "n_templates": 2**64})
+@example({**TINY_FUZZ_CFG, "firing_rate_hz": 1e300, "min_isi_s": 0.0})
+@example({"duration_s": 1e300, "rate_hz": 1e-300, "firing_rate_hz": 1e-300})
+@example({**TINY_FUZZ_CFG, "min_isi_s": -1e300})
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_generate_config_exits_0_or_2(data):
+    assert run_drawn("generate", "--config", data) in (0, 2)
+
+
+@given(st.sampled_from(sorted(AXIS_POINTS)).flatmap(sweep_specs))
+@example({"axis": "noise_level", "points": [0.1], "detectors": ["at"], "replicates": 1,
+          "tolerance_ms": 1e300, "base_cfg": TINY_FUZZ_CFG})
+@example({"axis": "rate_hz", "points": [1e-300], "detectors": ["dual", "mae"], "replicates": 1,
+          "base_cfg": TINY_FUZZ_CFG})
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_sweep_spec_exits_0_or_2(data):
+    assert run_drawn("sweep", "--spec", data) in (0, 2)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dualteo.dataio import (
     MAX_SAMPLES,
+    MAX_TEMPLATES,
     GroundTruth,
     SyntheticConfig,
     generate,
@@ -33,6 +35,18 @@ class TestConfigValidation:
     def test_needs_two_templates(self):
         with pytest.raises(ValueError, match="template"):
             SyntheticConfig(n_templates=1)
+
+    # each bounds a Python loop in generate(): these once hung it or passed
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_templates": MAX_TEMPLATES + 1}, "n_templates must lie in"),
+        ({"n_templates": 2**64}, "n_templates must lie in"),
+        ({"firing_rate_hz": 24001.0, "min_isi_s": 0.0}, "firing_rate_hz must not exceed rate_hz"),
+        ({"min_isi_s": -0.001}, "min_isi_s must be >= 0"),
+    ], ids=["templates-over-cap", "templates-2**64", "firing-above-rate", "negative-isi"])
+    def test_loop_bounds_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticConfig(**overrides)
+        SyntheticConfig(n_templates=MAX_TEMPLATES, firing_rate_hz=24000.0, min_isi_s=0.0)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -199,6 +213,45 @@ class TestGenerateLevels:
 
     def test_no_configs_no_records(self):
         assert generate_levels([]) == []
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (seed, rate_hz, noise_level): SHA-256 prefixes of the little-endian float64
+# samples and of the int64 truth indices followed by the template ids, for a
+# 0.3 s record.  Truth does not depend on the noise level.
+GENERATOR_DIGESTS = {
+    (3, 16000.0, 0.0): ("e013fe05e2709f02", "cdda812147cae8cc"),
+    (3, 16000.0, 0.1): ("21a240cea77d0858", "cdda812147cae8cc"),
+    (3, 16000.0, 0.37): ("99b174d07f294d3c", "cdda812147cae8cc"),
+    (3, 24000.0, 0.0): ("0c4fc76476ed3876", "03293ac1e866442b"),
+    (3, 24000.0, 0.1): ("6161a104b8d212ff", "03293ac1e866442b"),
+    (3, 24000.0, 0.37): ("6cbf96c5ca3741ac", "03293ac1e866442b"),
+    (1002, 16000.0, 0.0): ("dc3109ab37b62687", "e1e96637fa67e01c"),
+    (1002, 16000.0, 0.1): ("cda58f46107fa3e2", "e1e96637fa67e01c"),
+    (1002, 16000.0, 0.37): ("6f520d42c105b21f", "e1e96637fa67e01c"),
+    (1002, 24000.0, 0.0): ("34d0c2d81b3f91a8", "12edff6ff06f5e1a"),
+    (1002, 24000.0, 0.1): ("ed5c816ba9b65334", "12edff6ff06f5e1a"),
+    (1002, 24000.0, 0.37): ("4bc1aafa52c562e5", "12edff6ff06f5e1a"),
+}
+
+
+@pytest.mark.parametrize("seed,rate_hz,noise", sorted(GENERATOR_DIGESTS))
+def test_generator_bytes_are_pinned(seed, rate_hz, noise):
+    """Byte-level pin of ``generate``: any change to its arithmetic, even a
+    one-ulp reassociation such as ``raw * (1 / std)`` for ``raw / std``,
+    changes a digest.  The digests were taken with numpy 2.4 on x86-64; a
+    numpy release that changes its Generator streams or float kernels calls
+    for new digests from an unchanged generator, not a looser test."""
+    record, truth = generate(SyntheticConfig(duration_s=0.3, rate_hz=rate_hz, noise_level=noise, seed=seed))
+    samples, labels = GENERATOR_DIGESTS[(seed, rate_hz, noise)]
+    assert _digest(record.samples.astype("<f8")) == samples
+    assert _digest(truth.spike_indices.astype("<i8"), truth.template_ids.astype("<i8")) == labels
 
 
 class TestResample:

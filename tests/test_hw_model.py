@@ -9,6 +9,7 @@ from serial_oracle import serial_detect_multichannel
 from dualteo.detector import EventFormationConfig, detect_dual, dual_crossing_streams, finish_dual
 from dualteo.hw_model import (
     HwConfig,
+    _align_stream,
     HwTrace,
     assert_closure,
     hw_detect_channel,
@@ -20,7 +21,7 @@ from dualteo.hw_model import (
     trace_internal,
 )
 from dualteo.signal_model import FixedPointFormat, QuantizedRecord
-from dualteo.threshold import WARMUP_SAMPLES, Dyadic, ThresholdCoefficients, compute_thresholds_q10
+from dualteo.threshold import FRAME_LEN, WARMUP_SAMPLES, Dyadic, ThresholdCoefficients, compute_thresholds_q10
 
 HW_COEFFS = ThresholdCoefficients.make((3, 3), (0, 0), (1, 2))
 
@@ -416,6 +417,96 @@ class TestScheduler:
             assert events[ch] == finish_dual(prep, coeffs)
 
 
+def bursty_stream(rng, n_scans, channels, bursts_per_frame=5):
+    """Silence after a silent measurement frame, plus sparse 3-code bursts of 1..6.
+
+    About 20 smoothed codes per frame sit above zero, so every sigma
+    register stays within a few dozen Q.10 LSBs of zero and, at zero drops,
+    lands on the small energies of the bursts again and again.
+    """
+    stream = np.zeros((n_scans, channels), dtype=np.int64)
+    n_bursts = n_scans * bursts_per_frame // FRAME_LEN
+    for ch in range(channels):
+        for start in rng.integers(FRAME_LEN, max(FRAME_LEN + 1, n_scans - 3), size=n_bursts):
+            burst = stream[start:start + 3, ch]
+            burst[:] = rng.integers(1, 7, size=len(burst))
+    return stream
+
+
+class TestNarrowComparator:
+    """The blocks compare int16 energies with ``thr >> 10`` clipped into int16;
+    the oracle compares ``e << 10`` with the full Q.10 register."""
+
+    ZERO_DROPS = HwConfig(channels=40, xteo_drop_lsbs=0, steo_drop_lsbs=0)
+
+    def per_sample_q10(self, codes, cfg, coeffs):
+        """``(e << 10, thr)`` of both paths of one channel, past the warm-up."""
+        prep = prepare_hw_dual(quantized(codes), cfg)
+        thr = compute_thresholds_q10(prep.sigma_per_frame, coeffs)
+        live = slice(WARMUP_SAMPLES, None)
+        return [
+            (e[live] << 10, np.repeat(t, FRAME_LEN)[:prep.n][live])
+            for e, t in zip((prep.x_energy, prep.s_energy), thr)
+        ]
+
+    def test_thresholds_on_and_one_below_an_energy(self):
+        # thr_x = 1024*sigma lands exactly on e << 10 when e == sigma (no
+        # crossing); thr_s = 1024*sigma - 1 sits one below it (a crossing)
+        coeffs = ThresholdCoefficients.make((1 << 10, 0), (1 << 10, 0), (-1, 10))
+        cfg = self.ZERO_DROPS
+        stream = bursty_stream(np.random.default_rng(31), WARMUP_SAMPLES + 1500, cfg.channels)
+        on = below = 0
+        for ch in range(cfg.channels):
+            (ex, tx), (es, ts) = self.per_sample_q10(stream[:, ch], cfg, coeffs)
+            on += np.count_nonzero((ex == tx) & (ex > 0))
+            below += np.count_nonzero((es == ts + 1) & (es > 0))
+        assert on > 0 and below > 0
+        events, crossings = detect_multichannel_checked(stream, cfg, coeffs, return_crossings=True)
+        assert sum(map(len, events)) > 0
+
+    @pytest.mark.parametrize("coeffs", [
+        ThresholdCoefficients.make((-3, 0), (-1, 0), (0, 0)),
+        ThresholdCoefficients.make((-(1 << 10), 0), (-3, 2), (-1, 4)),
+    ], ids=["negative-linear", "negative-quadratic"])
+    def test_negative_thresholds(self, coeffs):
+        cfg = self.ZERO_DROPS
+        stream = spiky_stream(np.random.default_rng(32), WARMUP_SAMPLES + 900, cfg.channels)
+        (_, tx), (_, ts) = self.per_sample_q10(stream[:, 5], cfg, coeffs)
+        assert tx.max() < 0 and ts.max() < 0
+        _, crossings = detect_multichannel_checked(stream, cfg, coeffs, return_crossings=True)
+        assert crossings[:, WARMUP_SAMPLES:].any()
+
+    @pytest.mark.parametrize("coeffs", [
+        ThresholdCoefficients.make((3 << 12, 0), (-(3 << 12), 0), (0, 0)),
+        ThresholdCoefficients.make((-(3 << 12), 0), (3 << 12, 0), (0, 0)),
+    ], ids=["x-high-s-low", "x-low-s-high"])
+    def test_shifted_thresholds_beyond_int16(self, coeffs):
+        # thr >> 10 leaves int16 while the Q.10 registers stay inside int32
+        cfg = HwConfig(channels=40)
+        stream = spiky_stream(np.random.default_rng(33), WARMUP_SAMPLES + 900, cfg.channels)
+        int16, int32 = np.iinfo(np.int16), np.iinfo(np.int32)
+        shifted = []
+        for ch in range(cfg.channels):
+            for _, thr in self.per_sample_q10(stream[:, ch], cfg, coeffs):
+                assert int32.min <= thr.min() and thr.max() <= int32.max
+                shifted.append(thr >> 10)
+        shifted = np.concatenate(shifted)
+        assert shifted.min() < int16.min and shifted.max() > int16.max
+        detect_multichannel_checked(stream, cfg, coeffs)
+
+
+@pytest.mark.parametrize("drops", [(7, 6), (0, 0), (8, 0), (9, 0), (20, 0), (0, 25)])
+def test_align_stream_of_int16_energies_equals_int64(drops):
+    # every 8- and 9-bit register value, shifted onto the common scale
+    cfg = HwConfig(xteo_drop_lsbs=drops[0], steo_drop_lsbs=drops[1])
+    x = np.resize(np.arange(-128, 128), 512).astype(np.int16)
+    s = np.arange(-256, 256).astype(np.int16)
+    got = _align_stream(x, s, cfg)
+    assert np.array_equal(got, _align_stream(x.astype(np.int64), s.astype(np.int64), cfg))
+    if drops == (7, 6):  # the shipped drops align in the energies' own int16
+        assert got.dtype == np.int16
+
+
 class TestMultichannelFiles:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -441,6 +532,28 @@ class TestMultichannelFiles:
         assert sum(map(len, events)) > 40
         assert events == expected
         assert np.array_equal(crossings, expected_crossings)
+
+    # (20, 0): a negative raw energy truncates to -1 and aligns as -2**20
+    @pytest.mark.parametrize("drops", [(7, 6), (0, 0), (12, 1), (20, 0)])
+    @pytest.mark.parametrize("coeffs", [
+        HW_COEFFS,
+        ThresholdCoefficients.make((1 << 10, 0), (1 << 10, 0), (-1, 10)),
+        ThresholdCoefficients.make((-(3 << 12), 0), (3 << 12, 0), (-3, 0)),
+    ], ids=["shipped-like", "on-and-below", "wide"])
+    def test_loaded_int8_stream_equals_its_int64_copy(self, tmp_path, drops, coeffs):
+        rng = np.random.default_rng(17)
+        n_scans = WARMUP_SAMPLES + 700
+        stream = np.concatenate([spiky_stream(rng, n_scans, 20), bursty_stream(rng, n_scans, 13)], axis=1)
+        stream[-3:, :] = [[-64], [63], [-64]]
+        path = tmp_path / "mc.i8"
+        save_multichannel(stream, 16000.0, path)
+        loaded, _ = load_multichannel(path)
+        cfg = HwConfig(channels=33, xteo_drop_lsbs=drops[0], steo_drop_lsbs=drops[1])
+        events, crossings = hw_detect_multichannel(loaded, cfg, coeffs, return_crossings=True)
+        wide_events, wide_crossings = detect_multichannel_checked(
+            loaded.astype(np.int64), cfg, coeffs, return_crossings=True)
+        assert loaded.dtype == np.int8
+        assert events == wide_events and np.array_equal(crossings, wide_crossings)
 
     def test_float_codes_rejected(self, tmp_path):
         path = tmp_path / "mc.i8"

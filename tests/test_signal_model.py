@@ -15,6 +15,7 @@ from dualteo.signal_model import (
     save_record,
     truncate_to,
 )
+from dualteo.signal_model import datapath_ints
 
 FMT7 = FixedPointFormat(total_bits=7)
 
@@ -142,6 +143,29 @@ class TestTruncateTo:
         assert truncate_to(value, self.WIDE, drop) == min(
             max(value // (1 << drop), self.WIDE.min_code), self.WIDE.max_code
         )
+
+
+    @pytest.mark.parametrize("drop", range(9))
+    @pytest.mark.parametrize("bits", [2, 7, 8, 9, 16, 24])
+    def test_int8_arrays_compute_in_int16_exactly(self, drop, bits):
+        fmt = FixedPointFormat(total_bits=bits)
+        values = np.arange(-128, 128, dtype=np.int8)
+        got = truncate_to(values, fmt, drop)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, truncate_to(values.astype(np.int64), fmt, drop))
+        assert values.tolist() == list(range(-128, 128))  # the input is left alone
+
+
+@pytest.mark.parametrize("dtype, work", [
+    (np.int8, np.int16), (np.int16, np.int64), (np.int32, np.int32),
+    (np.int64, np.int64), (np.uint8, np.int64), (np.uint32, np.int64),
+])
+def test_datapath_ints_widths(dtype, work):
+    values = np.array([0, 1, 100], dtype=dtype)
+    got = datapath_ints(values)
+    assert got.dtype == work and got.tolist() == [0, 1, 100]
+    # kept arrays are the input itself; widened ones are copies
+    assert (got is values) == (dtype == work)
 
 
 class TestMidTread:

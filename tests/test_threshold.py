@@ -16,6 +16,7 @@ from dualteo.threshold import (
     FRAME_LEN,
     WARMUP_SAMPLES,
     Dyadic,
+    _isqrt,
     SIGMA_FRACTION_BITS,
     ThresholdCoefficients,
     _mean_accuracies,
@@ -170,6 +171,46 @@ class TestSigmaTrajectories:
         else:
             # floor(1024*sqrt(v)/n) via exact integer square root
             assert got == math.isqrt((1 << 20) * v) // n
+
+    def test_vectorized_root_at_every_perfect_square_of_7bit_variances(self):
+        # 7-bit codes give v < 2**29; the root is taken of 2**20 * v
+        k = np.arange(math.isqrt(1 << 29) + 2, dtype=np.int64)
+        v = np.unique(np.concatenate([k * k - 1, k * k, k * k + 1]).clip(0))
+        m = v << (2 * SIGMA_FRACTION_BITS)
+        assert v[0] == 0 and v[-1] > 1 << 29
+        assert _isqrt(m).tolist() == [math.isqrt(x) for x in m.tolist()]
+
+    def test_vectorized_root_next_to_squares_up_to_its_bound(self):
+        # r**2 - 1 is where a rounded float root lands one too high
+        r = np.concatenate([
+            np.arange(1, 1 << 16), np.arange((1 << 31) - (1 << 16), 1 << 31),
+            np.random.default_rng(0).integers(1, 1 << 31, size=1 << 16),
+        ]).astype(np.int64)
+        for m, root in ((r * r - 1, r - 1), (r * r, r), (r * r + 1, r)):
+            assert np.array_equal(_isqrt(m), root)
+        assert _isqrt(np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        n=st.integers(min_value=0, max_value=300),
+        channels=st.integers(min_value=1, max_value=40),
+        bits=st.sampled_from([1, 7, 8, 12, 13, 20]),
+    )
+    def test_initial_sigma_q10_of_random_blocks_matches_isqrt(self, seed, n, channels, bits):
+        # per-column amplitudes from full scale down; a full-scale column of
+        # 13- or 20-bit codes takes the Python-integer fallback
+        rng = np.random.default_rng(seed)
+        half = 1 << (bits - 1)
+        block = rng.integers(-half, half, size=(n, channels)) >> rng.integers(0, bits, size=channels)
+        block[:, 0] = rng.choice([-half, half - 1], size=n)
+        got = initial_sigma_q10(block)
+        assert got.dtype == np.int64 and got.shape == (channels,)
+        head = block[:FRAME_LEN]
+        for c in range(channels):
+            col = head[:, c].tolist()
+            v = len(col) * sum(x * x for x in col) - sum(col) ** 2
+            assert got[c] == (math.isqrt(v << 20) // len(col) if col else 0)
+            assert initial_sigma_q10(col) == got[c]
 
     def test_gaussian_convergence_small(self):
         rng = np.random.default_rng(11)

@@ -140,3 +140,68 @@ def test_int32_block_equals_int64_columns(seed, n, channels, drop):
         for c in range(channels):
             column = kernel(block[:, c].astype(np.int64))
             assert column.dtype == np.int64 and np.array_equal(got[:, c], column)
+
+
+INT8_CORNERS = np.array([-128, -127, -64, -1, 0, 1, 63, 126, 127])
+
+
+def full_range_int8_block(seed, n, channels):
+    """Random int8 codes over the whole int8 range, after every corner triple
+    in time order down each column."""
+    triples = np.stack(np.meshgrid(INT8_CORNERS, INT8_CORNERS, INT8_CORNERS, indexing="ij"), -1)
+    head = np.repeat(triples.reshape(-1, 1), channels, axis=1)
+    tail = np.random.default_rng(seed).integers(-128, 128, size=(n, channels))
+    return np.concatenate([head, tail]).astype(np.int8)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=0, max_value=400),
+    channels=st.integers(min_value=1, max_value=40),
+    drop=st.integers(min_value=0, max_value=8),
+)
+def test_int8_block_equals_int64_columns(seed, n, channels, drop):
+    # an int8 block computes in int16: half-sums come back int8, energies int16
+    block = full_range_int8_block(seed, n, channels)
+    exact = FixedPointFormat(total_bits=17)  # wider than int16: nothing saturates
+    kernels = [(smooth2_fixed, np.int8)] + [
+        (lambda x, fmt=fmt: teo_fixed(x, fmt, drop), np.int16)
+        for fmt in (FixedPointFormat(total_bits=8), FixedPointFormat(total_bits=9), exact)
+    ] + [(lambda x: teo_fixed(smooth2_fixed(x), exact, drop), np.int16)]
+    for kernel, dtype in kernels:
+        got = kernel(block)
+        assert got.dtype == dtype and got.shape == block.shape
+        for c in range(channels):
+            column = kernel(block[:, c].astype(np.int64))
+            assert column.dtype == np.int64 and np.array_equal(got[:, c], column)
+
+
+def test_int8_energies_span_the_exact_int16_range():
+    # the extreme energies of int8 codes: 0**2 - (-128)(-128) and (-128)**2 - (-128)(127)
+    block = np.array([[-128, -128], [0, -128], [-128, 127]], dtype=np.int8)
+    energies = teo_fixed(block, FixedPointFormat(total_bits=17))
+    assert energies.dtype == np.int16
+    assert energies[1].tolist() == [-16384, 32640]
+
+
+def test_smooth2_fixed_every_int8_pair_is_an_exact_floor_half_sum():
+    a, b = np.meshgrid(np.arange(-128, 128), np.arange(-128, 128), indexing="ij")
+    pairs = np.stack([a.ravel(), b.ravel()]).astype(np.int8)
+    got = smooth2_fixed(pairs)
+    assert got.dtype == np.int8
+    assert np.array_equal(got[1], (a.ravel() + b.ravel()) // 2)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8, np.uint16])
+def test_other_integer_inputs_widen_to_int64_and_stay_exact(dtype):
+    # over the dtype's whole range, whose energies overflow the input dtype
+    lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+    codes = np.random.default_rng(3).integers(lo, hi, size=(300, 5), endpoint=True).astype(dtype)
+    codes[:3, 0] = [lo, hi, lo]
+    wide = codes.astype(np.int64)
+    for kernel in (smooth2_fixed, lambda x: teo_fixed(x, WIDE, 2)):
+        got = kernel(codes)
+        assert got.dtype == np.int64 and np.array_equal(got, kernel(wide))
+    energies = teo_fixed(codes, WIDE)
+    oracle = np.clip(wide[1:-1] ** 2 - wide[2:] * wide[:-2], WIDE.min_code, WIDE.max_code)
+    assert np.array_equal(energies[1:-1], oracle)
