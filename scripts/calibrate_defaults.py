@@ -21,11 +21,11 @@ from dualteo import (
     calibrate_coefficients,
     dequantize,
     generate_levels,
+    peak_full_scale,
     quantize_mid_tread,
     save_coefficients,
 )
 from dualteo import detector, metrics
-from dualteo.threshold import WARMUP_SAMPLES
 
 NOISE_LEVELS = (0.05, 0.1, 0.15, 0.2)
 CALIBRATION_SEEDS = (142, 143, 144, 145)
@@ -54,8 +54,7 @@ def build_corpus():
     fmt = FixedPointFormat(total_bits=ROBUSTNESS_BITS)
     for seed in CALIBRATION_SEEDS:
         record, truth = by_seed[seed][NOISE_LEVELS.index(0.1)]
-        peak = float(np.max(np.abs(record.samples)))
-        coarse = dequantize(quantize_mid_tread(record, fmt, peak))
+        coarse = dequantize(quantize_mid_tread(record, fmt, peak_full_scale(record)))
         corpus.append((coarse, truth))
     return corpus
 
@@ -66,8 +65,7 @@ def calibrate_baselines(corpus):
         accs = []
         for record, truth in corpus:
             events = detect_fn(record, **kw)
-            rep = metrics.score_events(events, truth, 24, skip_before=WARMUP_SAMPLES)
-            accs.append(metrics.accuracy(rep))
+            accs.append(metrics.score_record(events, truth, record.rate_hz, len(record))[1])
         return float(np.mean(accs))
 
     at_grid = np.arange(3.0, 6.01, 0.25)

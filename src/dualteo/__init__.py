@@ -8,6 +8,7 @@ from .signal_model import (
     SignalRecord,
     dequantize,
     load_record,
+    peak_full_scale,
     quantize,
     quantize_mid_tread,
     save_record,
@@ -67,6 +68,7 @@ from .metrics import (
     match_events,
     report,
     score_events,
+    score_record,
     sweep,
 )
 

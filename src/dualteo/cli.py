@@ -16,12 +16,7 @@ from pathlib import Path
 from . import dataio, detector, hw_model, metrics
 from .detector import DetectorKind
 from .signal_model import load_record
-from .threshold import (
-    WARMUP_SAMPLES,
-    calibrate_coefficients,
-    load_coefficients,
-    save_coefficients,
-)
+from .threshold import calibrate_coefficients, load_coefficients, save_coefficients
 
 
 class ValidationError(Exception):
@@ -70,24 +65,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_truth_arg(path_str) -> dataio.GroundTruth | None:
-    if path_str is None:
-        return None
+def _existing_file(path_str) -> Path:
     path = Path(path_str)
-    if not path.exists():
+    if not path.is_file():
         raise ValidationError(f"no such file: {path}")
-    return dataio.load_ground_truth(path)
+    return path
 
 
 def cmd_detect(args) -> int:
-    record_path = Path(args.record)
-    if not record_path.exists():
-        raise ValidationError(f"no such file: {record_path}")
-    try:
-        record = load_record(record_path)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    truth = _load_truth_arg(args.truth)
+    record = load_record(_existing_file(args.record))
+    truth = None if args.truth is None else dataio.load_ground_truth(_existing_file(args.truth))
     try:
         kind = DetectorKind(args.detector)
     except ValueError:
@@ -97,9 +84,7 @@ def cmd_detect(args) -> int:
         ) from None
     coeffs = None
     if args.coeffs:
-        coeffs_path = Path(args.coeffs)
-        if not coeffs_path.exists():
-            raise ValidationError(f"no such file: {coeffs_path}")
+        coeffs_path = _existing_file(args.coeffs)
         if kind not in (DetectorKind.DUAL, DetectorKind.TEO_SINGLE):
             raise ValidationError("--coeffs applies to the dual and teo_single detectors")
         coeffs = load_coefficients(coeffs_path)
@@ -109,17 +94,14 @@ def cmd_detect(args) -> int:
             raise ValidationError("--hw supports only the dual detector")
         cfg = hw_model.HwConfig()
         orig_rate = record.rate_hz
-        if record.rate_hz != cfg.rate_hz:
-            record = dataio.resample(record, cfg.rate_hz)
+        record = dataio.resample(record, cfg.rate_hz)
         q = hw_model.quantize_for_hw(record, cfg)
         events = hw_model.hw_detect_channel(q, cfg, coeffs)
         if truth is not None:
             truth = dataio.rescale_ground_truth(truth, orig_rate, cfg.rate_hz, len(record))
-        rate_hz = cfg.rate_hz
     else:
         kwargs = {"coeffs": coeffs} if coeffs is not None else {}
         events = detector.detect(record, kind, **kwargs)
-        rate_hz = record.rate_hz
 
     if args.out:
         detector.events_to_csv(events, args.out)
@@ -129,10 +111,7 @@ def cmd_detect(args) -> int:
         for ev in events:
             print(f"{ev.channel_id},{ev.sample_index}")
     if truth is not None:
-        tol = max(0, round(rate_hz / 1000.0))
-        rep = metrics.score_events(events, truth, tol, skip_before=WARMUP_SAMPLES)
-        denom = rep.tp + rep.fp + rep.fn
-        acc = metrics.accuracy(rep) if denom else 1.0
+        rep, acc = metrics.score_record(events, truth, record.rate_hz, len(record))
         print(f"tp={rep.tp} fp={rep.fp} fn={rep.fn} accuracy={acc:.4f}")
     return 0
 

@@ -315,6 +315,8 @@ def resample(record: SignalRecord, new_rate_hz: float) -> SignalRecord:
 
     Duration is preserved to within one output sample period.  Band-limited
     resampling is deliberately not attempted; rate sweeps target trends.
+    An output longer than both the input and ``MAX_SAMPLES`` is refused
+    before anything is allocated; downsampling never is.
     """
     if new_rate_hz <= 0:
         raise ValueError("new_rate_hz must be positive")
@@ -325,6 +327,11 @@ def resample(record: SignalRecord, new_rate_hz: float) -> SignalRecord:
     if not math.isfinite(n_new):
         raise ValueError(f"resampling {record.rate_hz} Hz to {new_rate_hz} Hz gives a non-finite length")
     n_new = round(n_new)
+    if n_new > max(n_old, MAX_SAMPLES):
+        raise ValueError(
+            f"resampling {n_old} samples from {record.rate_hz} Hz to {new_rate_hz} Hz "
+            f"gives {n_new}, more than {MAX_SAMPLES}"
+        )
     positions = np.arange(n_new) * (record.rate_hz / new_rate_hz)
     samples = np.interp(positions, np.arange(n_old), record.samples)
     return SignalRecord(samples=samples, rate_hz=new_rate_hz, channel_id=record.channel_id)
@@ -340,8 +347,9 @@ def rescale_ground_truth(
     """
     if len(truth) == 0:
         return GroundTruth(spike_indices=np.zeros(0, dtype=np.int64))
-    idx = np.round(truth.spike_indices * (new_rate_hz / old_rate_hz)).astype(np.int64)
-    idx = np.clip(idx, 0, max(0, n_new - 1))
+    # clipped before the cast, so an index scaled past int64 lands on the last sample
+    idx = np.round(truth.spike_indices * (new_rate_hz / old_rate_hz))
+    idx = np.clip(idx, 0, max(0, n_new - 1)).astype(np.int64)
     idx, keep = np.unique(idx, return_index=True)
     tids = truth.template_ids[keep] if truth.template_ids is not None else None
     return GroundTruth(spike_indices=idx, template_ids=tids)
@@ -375,11 +383,13 @@ def load_ground_truth(path) -> GroundTruth:
         if len(parts) not in (1, 2):
             raise ValueError(f"{path}:{lineno}: expected 'sample_index[,template_id]'")
         try:
-            indices.append(int(parts[0]))
-            if len(parts) == 2:
-                tids.append(int(parts[1]))
+            values = [int(part) for part in parts]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not an integer: {raw!r}") from None
+        if not all(-(1 << 63) <= v < 1 << 63 for v in values):
+            raise ValueError(f"{path}:{lineno}: outside int64: {raw!r}")
+        indices.append(values[0])
+        tids.extend(values[1:])
     if tids and len(tids) != len(indices):
         raise ValueError(f"{path}: template ids present on only some lines")
     return GroundTruth(

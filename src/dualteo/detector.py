@@ -188,7 +188,9 @@ class PreparedDual:
         return EventFormationConfig.for_rate(self.rate_hz)
 
     def tolerance_samples(self, tolerance_ms: float = 1.0) -> int:
-        return max(0, round(self.rate_hz * tolerance_ms / 1000.0))
+        """The match window of this record, by :func:`~dualteo.metrics.match_window`."""
+        from .metrics import match_window
+        return match_window(self.rate_hz, self.n, tolerance_ms)
 
 
 def prepare_dual(

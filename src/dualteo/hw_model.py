@@ -49,8 +49,8 @@ from .signal_model import (
     FixedPointFormat,
     QuantizedRecord,
     SignalRecord,
+    peak_full_scale,
     quantize_mid_tread,
-    read_header,
 )
 from .threshold import (
     FRAME_LEN,
@@ -70,8 +70,6 @@ __all__ = [
     "hw_detect_multichannel",
     "trace_internal",
     "assert_closure",
-    "save_multichannel",
-    "load_multichannel",
 ]
 
 THRESHOLD_REGISTER_BITS = 32  # signed Q.10; ample for the coefficient grid
@@ -106,9 +104,8 @@ class HwConfig:
 
 
 def quantize_for_hw(record: SignalRecord, cfg: HwConfig) -> QuantizedRecord:
-    """Mid-tread quantization with per-record normalization (full scale = max |amplitude|)."""
-    peak = float(np.max(np.abs(record.samples))) if len(record) else 0.0
-    return quantize_mid_tread(record, cfg.input_format, full_scale=peak if peak > 0 else 1.0)
+    """Mid-tread quantization at the record's :func:`~dualteo.signal_model.peak_full_scale`."""
+    return quantize_mid_tread(record, cfg.input_format, full_scale=peak_full_scale(record))
 
 
 def _align_stream(x_teo: np.ndarray, s_teo: np.ndarray, cfg: HwConfig) -> np.ndarray:
@@ -365,48 +362,3 @@ def hw_detect_multichannel(
     if return_crossings:
         return events, crossings
     return events
-
-
-# ---------------------------------------------------------------------------
-# Multichannel stream files: int8 codes, scan-major, sidecar header
-# ---------------------------------------------------------------------------
-
-
-def save_multichannel(stream: np.ndarray, rate_hz: float, path) -> None:
-    """Write (n_scans, channels) integer codes as raw int8 plus header.
-
-    Codes must have an integer dtype (float codes would be truncated) and
-    fit int8.
-    """
-    stream = np.asarray(stream)
-    if not np.issubdtype(stream.dtype, np.integer):
-        raise ValueError(f"expected integer codes, got dtype {stream.dtype}")
-    if stream.ndim != 2:
-        raise ValueError("stream must be 2D (n_scans, channels)")
-    if stream.min() < -128 or stream.max() > 127:
-        raise ValueError("codes do not fit int8")
-    path = Path(path)
-    stream.astype(np.int8).tofile(path)
-    header = (
-        f"rate_hz={rate_hz!r}\n"
-        f"channels={stream.shape[1]}\n"
-        f"n_scans={stream.shape[0]}\n"
-    )
-    path.with_name(path.name + ".hdr").write_text(header)
-
-
-def load_multichannel(path) -> tuple[np.ndarray, float]:
-    """Read a stream written by :func:`save_multichannel`.
-
-    Returns the codes as an int8 ``(n_scans, channels)`` array, the file's own
-    width and the one :func:`hw_detect_multichannel` cuts its blocks in, and
-    the sampling rate.
-    """
-    path = Path(path)
-    header = read_header(path, required=("rate_hz", "channels", "n_scans"))
-    channels = int(header["channels"])
-    n_scans = int(header["n_scans"])
-    codes = np.fromfile(path, dtype=np.int8)
-    if codes.size != channels * n_scans:
-        raise ValueError(f"{path}: header promises {channels * n_scans} codes, file holds {codes.size}")
-    return codes.reshape(n_scans, channels), float(header["rate_hz"])

@@ -11,9 +11,11 @@ of it, and one ``searchsorted`` counts the matches; otherwise the greedy
 loop runs.  Calibration counts the matches of a whole block of candidate
 detection lists in the same pass.
 
-Benchmark scoring excludes the estimator warm-up region: detectors emit
-nothing there by construction, so truth spikes inside it are dropped from the
-denominator rather than booked as misses.
+Every benchmark number is scored by :func:`score_record`: a 1 ms window
+(clamped to the record length), truth spikes and detections inside the
+estimator warm-up dropped, and an all-zero report scoring 1.0.  Detectors
+emit nothing in the warm-up by construction, so truth spikes there are
+dropped from the denominator rather than booked as misses.
 
 Sweeps reproduce mean-accuracy curves against noise level, input resolution,
 or sampling rate.  Every axis generates once per replicate: on the noise axis
@@ -38,7 +40,13 @@ from .dataio import (
     resample,
 )
 from .detector import DetectorKind, SpikeEvent, event_indices
-from .signal_model import FixedPointFormat, dequantize, is_finite_real, quantize_mid_tread
+from .signal_model import (
+    FixedPointFormat,
+    dequantize,
+    is_finite_real,
+    peak_full_scale,
+    quantize_mid_tread,
+)
 from .threshold import WARMUP_SAMPLES
 
 __all__ = [
@@ -48,6 +56,8 @@ __all__ = [
     "match_events",
     "accuracy",
     "score_events",
+    "match_window",
+    "score_record",
     "sweep",
     "report",
     "parse_results_csv",
@@ -176,6 +186,34 @@ def score_events(
     return match_events(det, GroundTruth(spike_indices=tru_idx), tolerance_samples)
 
 
+def match_window(rate_hz: float, n_samples: int, tolerance_ms: float = DEFAULT_TOLERANCE_MS) -> int:
+    """The match window in samples: ``tolerance_ms`` at ``rate_hz``, rounded.
+
+    A window past the record's length matches as the length does, so it is
+    clamped there, which keeps a huge header rate inside int64.
+    """
+    return round(min(rate_hz * tolerance_ms / 1000.0, n_samples))
+
+
+def score_record(
+    detected: list[SpikeEvent],
+    truth: GroundTruth,
+    rate_hz: float,
+    n_samples: int,
+    tolerance_ms: float = DEFAULT_TOLERANCE_MS,
+) -> tuple[MatchReport, float]:
+    """Match report and accuracy of one record's detections, as every benchmark scores them.
+
+    The window is :func:`match_window`, truth spikes and detections inside
+    the warm-up (``WARMUP_SAMPLES``) are dropped, and an all-zero report
+    (nothing to find and nothing found) scores 1.0.
+    """
+    report = score_events(
+        detected, truth, match_window(rate_hz, n_samples, tolerance_ms), skip_before=WARMUP_SAMPLES
+    )
+    return report, (accuracy(report) if report.tp + report.fp + report.fn else 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Sweep harness
 # ---------------------------------------------------------------------------
@@ -237,8 +275,7 @@ def _transform_for_point(spec, record, truth, point):
         return record, truth
     if spec.axis == "resolution_bits":
         fmt = FixedPointFormat(total_bits=int(point))
-        peak = float(np.max(np.abs(record.samples)))
-        q = quantize_mid_tread(record, fmt, full_scale=peak if peak > 0 else 1.0)
+        q = quantize_mid_tread(record, fmt, full_scale=peak_full_scale(record))
         return dequantize(q), truth
     if spec.axis == "rate_hz":
         resampled = resample(record, float(point))
@@ -257,7 +294,6 @@ def sweep(spec: SweepSpec) -> list[SweepResult]:
     :func:`generate_levels` call yields every point's record, bit-identical
     to a :func:`generate` of that point's config.
     """
-    results = []
     # cell accuracies keyed by (point, detector)
     acc: dict = {(p, d): [] for p in spec.points for d in spec.detectors}
     for r in range(spec.replicates):
@@ -269,31 +305,20 @@ def sweep(spec: SweepSpec) -> list[SweepResult]:
         for p, (record, truth) in zip(spec.points, bases):
             try:
                 record_p, truth_p = _transform_for_point(spec, record, truth, p)
-                # a window past the record's length matches as the length does
-                tol = round(min(record_p.rate_hz * spec.tolerance_ms / 1000.0, len(record_p)))
                 for d in spec.detectors:
                     events = _detector.detect(record_p, d)
-                    rep = score_events(events, truth_p, tol, skip_before=WARMUP_SAMPLES)
-                    denom = rep.tp + rep.fp + rep.fn
-                    acc[(p, d)].append(accuracy(rep) if denom else 1.0)
+                    _, score = score_record(
+                        events, truth_p, record_p.rate_hz, len(record_p), spec.tolerance_ms
+                    )
+                    acc[(p, d)].append(score)
             except Exception as exc:
                 raise RuntimeError(
                     f"sweep cell failed: axis={spec.axis} point={p} replicate={r}"
                 ) from exc
-    for p in spec.points:
-        for d in spec.detectors:
-            vals = np.asarray(acc[(p, d)])
-            results.append(
-                SweepResult(
-                    axis=spec.axis,
-                    point=float(p),
-                    detector=d,
-                    mean_accuracy=float(vals.mean()),
-                    std_accuracy=float(vals.std()),
-                    replicates=len(vals),
-                )
-            )
-    return results
+    return [
+        SweepResult(spec.axis, float(p), d, float(np.mean(v)), float(np.std(v)), len(v))
+        for (p, d), v in acc.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

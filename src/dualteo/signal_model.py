@@ -27,6 +27,7 @@ __all__ = [
     "QuantizedRecord",
     "quantize",
     "quantize_mid_tread",
+    "peak_full_scale",
     "dequantize",
     "truncate_to",
     "save_record",
@@ -179,6 +180,12 @@ def quantize_mid_tread(record: SignalRecord, format: FixedPointFormat, full_scal
     return quantize(shifted, format, full_scale)
 
 
+def peak_full_scale(record: SignalRecord) -> float:
+    """The per-record normalization: peak ``max|x|``, or 1.0 for a silent or empty record."""
+    peak = float(np.max(np.abs(record.samples))) if len(record) else 0.0
+    return peak if peak > 0 else 1.0
+
+
 def datapath_ints(values) -> np.ndarray:
     """``values`` as the integer array the kernels compute in.
 
@@ -224,12 +231,8 @@ def _header_path(path: Path) -> Path:
 _RECORD_HEADER_KEYS = ("rate_hz", "channel_id", "n_samples")
 
 
-def read_header(path, required: tuple[str, ...] = _RECORD_HEADER_KEYS) -> dict:
-    """Parse the sidecar ``key=value`` header of a data file.
-
-    Every key in ``required`` must be present; the default is the set a
-    record file needs.
-    """
+def read_header(path) -> dict:
+    """Parse the sidecar ``key=value`` header of a record file; every key a record needs must be present."""
     hdr_path = _header_path(Path(path))
     if not hdr_path.exists():
         raise FileNotFoundError(f"missing header file {hdr_path}")
@@ -242,7 +245,7 @@ def read_header(path, required: tuple[str, ...] = _RECORD_HEADER_KEYS) -> dict:
             raise ValueError(f"{hdr_path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         header[key.strip()] = val.strip()
-    for key in required:
+    for key in _RECORD_HEADER_KEYS:
         if key not in header:
             raise ValueError(f"{hdr_path}: missing required header key {key!r}")
     return header
@@ -252,13 +255,12 @@ def save_record(record: SignalRecord, path, full_scale: float | None = None) -> 
     """Write a record to ``path`` (float32 raw, or CSV when path ends in .csv).
 
     The sidecar header lands at ``<path>.hdr``.  ``full_scale`` defaults to the
-    record's max absolute amplitude (1.0 for an all-zero record), which is the
-    per-record normalization the quantizing pipelines use.
+    record's :func:`peak_full_scale`, the per-record normalization the
+    quantizing pipelines use.
     """
     path = Path(path)
     if full_scale is None:
-        peak = float(np.max(np.abs(record.samples))) if len(record) else 0.0
-        full_scale = peak if peak > 0 else 1.0
+        full_scale = peak_full_scale(record)
     if path.suffix == ".csv":
         lines = "\n".join(repr(float(v)) for v in record.samples)
         path.write_text(lines + ("\n" if len(record) else ""))

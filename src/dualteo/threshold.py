@@ -28,7 +28,7 @@ each distinct raw-path map (one per ``c1``) and smoothed-path map (one per
 ``(c2, c3)``) once, then ORs, forms events and matches blocks of candidates
 with whole-array kernels.  The result equals scoring every candidate on its
 own through :func:`~dualteo.detector.finish_dual` and
-:func:`~dualteo.metrics.score_events`.
+:func:`~dualteo.metrics.score_record`.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ class Dyadic:
     shift: int
 
     def __post_init__(self):
-        if self.shift < 0:
-            raise ValueError("shift must be >= 0")
+        if not 0 <= self.shift < 64:  # a shift of 64 or more empties a 64-bit register
+            raise ValueError(f"shift must lie in 0..63, got {self.shift}")
         if bin(abs(self.numerator)).count("1") > 2:
             raise ValueError(
                 f"numerator {self.numerator} needs more than two power-of-two terms"
@@ -265,17 +265,33 @@ def compute_thresholds_q10(sigma_q, coeffs: ThresholdCoefficients):
         d = max(s2, s3 + 10)
 
     Accepts a scalar or an array of sigma values.  Sigma registers hold at most
-    2**17 (``HwConfig.sigma_register_max``); with numerators up to 12 and
-    shifts up to 12 every term stays below 2**43, so int64 arithmetic is exact.
+    2**17 (``HwConfig.sigma_register_max``), and coefficient files whose terms
+    would leave int64 there are rejected on load, so int64 arithmetic is exact.
     """
+    x, lin, quad, d = _q10_terms(np.asarray(sigma_q, dtype=np.int64), coeffs)
+    return x >> coeffs.c1.shift, (lin + quad) >> d
+
+
+def _q10_terms(sigma_q, coeffs: ThresholdCoefficients):
+    """``c1n * sigma_q``, the two ``thr_s`` terms over their common denominator, and its shift ``d``."""
     c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
     d = max(c2.shift, c3.shift + SIGMA_FRACTION_BITS)
-    sq = np.asarray(sigma_q, dtype=np.int64)
-    thr_x = (c1.numerator * sq) >> c1.shift
-    lin = (c2.numerator * sq) << (d - c2.shift)
-    quad = (c3.numerator * sq * sq) << (d - c3.shift - SIGMA_FRACTION_BITS)
-    thr_s = (lin + quad) >> d
-    return thr_x, thr_s
+    lin = (c2.numerator * sigma_q) << (d - c2.shift)
+    quad = (c3.numerator * sigma_q * sigma_q) << (d - c3.shift - SIGMA_FRACTION_BITS)
+    return c1.numerator * sigma_q, lin, quad, d
+
+
+def _check_q10_range(coeffs: ThresholdCoefficients, origin: str) -> None:
+    """Reject coefficients whose :func:`compute_thresholds_q10` is not exact in int64.
+
+    Every term grows in magnitude with sigma, so the terms at the largest
+    sigma register, in Python integers, bound them all.
+    """
+    from .hw_model import HwConfig
+
+    x, lin, quad, _ = _q10_terms(HwConfig.sigma_register_max, coeffs)
+    if max(abs(x), abs(lin) + abs(quad)) >= 1 << 63:
+        raise ValueError(f"{origin}: coefficients overflow the int64 Q.10 thresholds")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +323,9 @@ def _parse_coefficients(text: str, origin: str) -> ThresholdCoefficients:
     missing = {"c1", "c2", "c3"} - set(found)
     if missing:
         raise ValueError(f"{origin}: missing coefficients {sorted(missing)}")
-    return ThresholdCoefficients(found["c1"], found["c2"], found["c3"])
+    coeffs = ThresholdCoefficients(found["c1"], found["c2"], found["c3"])
+    _check_q10_range(coeffs, origin)
+    return coeffs
 
 
 def load_coefficients(path) -> ThresholdCoefficients:
@@ -470,7 +488,7 @@ def calibrate_coefficients(
     smoothed-path crossing map is built once, and blocks of candidates form
     events and match them in a few whole-array passes.  The result equals
     scoring each candidate through :func:`~dualteo.detector.finish_dual` and
-    :func:`~dualteo.metrics.score_events`; the winner's returned score is
+    :func:`~dualteo.metrics.score_record`; the winner's returned score is
     computed that way.
     """
     from . import detector as _detector
@@ -508,11 +526,8 @@ def calibrate_coefficients(
     winner = grid[best]
     total = 0.0
     for prep, truth in zip(prepared, truths):
-        report = _metrics.score_events(
-            _detector.finish_dual(prep, winner), truth, prep.tolerance_samples(),
-            skip_before=prep.warmup_samples,
-        )
-        total += _metrics.accuracy(report) if (report.tp + report.fp + report.fn) else 1.0
+        events = _detector.finish_dual(prep, winner)
+        total += _metrics.score_record(events, truth, prep.rate_hz, prep.n)[1]
     score = total / len(prepared)
     assert score == means[best], "batched scoring disagrees with the public path"
     if return_score:

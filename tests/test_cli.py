@@ -4,12 +4,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualteo.cli import main
 from dualteo.dataio import SyntheticConfig, generate, save_dataset
+from dualteo.signal_model import SignalRecord, save_record
 
 TINY_CFG = {"duration_s": 1.2, "noise_level": 0.05, "seed": 6}
 
@@ -176,6 +178,52 @@ class TestDetectCommand:
         capsys.readouterr()
         assert main(["detect", "--detector", "dual", "--hw", "--record", str(record_path)]) == 2
         assert "non-finite length" in capsys.readouterr().err
+
+    def test_resample_past_max_samples_is_refused_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # 24 samples at 0.01 Hz would resample to 38.4 M samples at 16 kHz
+        record_path = tmp_path / "slow.f32"
+        save_record(SignalRecord(np.linspace(-1.0, 1.0, 24), rate_hz=0.01), record_path)
+        arange = np.arange
+
+        def small_arange(*args, **kwargs):
+            assert all(abs(a) < 1e6 for a in args), f"np.arange{args} allocates too much"
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", small_arange)
+        assert main(["detect", "--detector", "dual", "--hw", "--record", str(record_path)]) == 2
+        assert "more than 33554432" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["dual", "at", "dvt", "mae", "teo_single"])
+    def test_huge_header_rate_still_scores(self, tmp_path, capsys, kind):
+        # the 1 ms window, 1e27 samples long, is clamped to the record length
+        record_path, truth_path = write_tiny_dataset(tmp_path)
+        set_header_rate(record_path, "1e30")
+        assert main([
+            "detect", "--detector", kind, "--record", str(record_path), "--truth", str(truth_path),
+        ]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("tp=")
+
+    @pytest.mark.parametrize("truth, coeffs, message", [
+        (f"{2**70}\n", None, "outside int64"),
+        (f"5,{2**70}\n", None, "outside int64"),
+        (None, f"c1 {2**100} 0\nc2 0 0\nc3 0 0\n", "overflow the int64"),
+        (None, f"c1 1 {2**70}\nc2 0 0\nc3 0 0\n", "0..63"),
+        # at sigma_q = 2**14 this wrapped to thr_s = 0 instead of about 9.2e18
+        (None, f"c1 1 0\nc2 0 0\nc3 {2**45} 0\n", "overflow the int64"),
+    ], ids=["truth-index-2**70", "template-id-2**70", "numerator-2**100", "shift-2**70",
+            "c3-2**45"])
+    def test_hostile_truth_or_coefficients_is_validation_error(self, tmp_path, capsys, truth, coeffs,
+                                                               message):
+        record_path, truth_path = write_tiny_dataset(tmp_path, duration_s=2.0)
+        argv = ["detect", "--detector", "dual", "--record", str(record_path), "--truth", str(truth_path)]
+        if truth is not None:
+            truth_path.write_text(truth)
+        if coeffs is not None:
+            (tmp_path / "coeffs.txt").write_text(coeffs)
+            argv += ["--coeffs", str(tmp_path / "coeffs.txt")]
+        for hw in ([], ["--hw"]):
+            assert main(argv + hw) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -439,3 +487,97 @@ def test_fuzzed_generate_config_exits_0_or_2(data):
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_sweep_spec_exits_0_or_2(data):
     assert run_drawn("sweep", "--spec", data) in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: drawn record headers, truth files and coefficient files through
+# detect, float and --hw, end in exit 0 or 2
+# ---------------------------------------------------------------------------
+
+# a record that outlasts the warm-up at 24 kHz and, resampled, at 16 kHz
+FUZZ_RECORD, FUZZ_TRUTH = generate(SyntheticConfig(duration_s=0.3, noise_level=0.1, seed=3))
+HOSTILE_RATES = st.sampled_from(["inf", "nan", "-1", "0", "1e-300", "0.01", "1e308", "x", ""])
+HOSTILE_INTS = st.sampled_from(["-1", "1.5", "x", "", str(2**70)])
+
+
+def header_values(hw):
+    """Header values of the fuzzed record.  A valid ``--hw`` rate is at least
+    2304 Hz, so an accepted resample holds at most 50,000 samples; the hostile
+    rates that would upsample further are refused before allocating."""
+    rate = st.floats(min_value=2304.0 if hw else 1.0, max_value=1e30)
+    return st.fixed_dictionaries({
+        "rate_hz": mostly(rate.map(repr), HOSTILE_RATES),
+        "channel_id": mostly(st.integers(min_value=0, max_value=3).map(str), HOSTILE_INTS),
+        "n_samples": mostly(st.just(str(len(FUZZ_RECORD))), HOSTILE_INTS),
+    })
+
+
+TRUTH_LINES = st.integers(min_value=0, max_value=10_000).map(str) | st.sampled_from(
+    [str(2**70), f"5,{2**70}", "-1", "x", "1,2,3", "3.5", str(2**63 - 1), str(2**63), "7,-1"])
+
+
+def truth_texts():
+    """The record's own truth, with or without template ids, plus drawn
+    lines after it, or drawn lines alone."""
+    def own(tids, extra):
+        lines = [f"{i},{t}" if tids else str(i)
+                 for i, t in zip(FUZZ_TRUTH.spike_indices.tolist(), FUZZ_TRUTH.template_ids.tolist())]
+        return "\n".join(lines + extra) + "\n"
+    drawn = st.lists(TRUTH_LINES, max_size=3).map(lambda lines: "\n".join(lines) + "\n")
+    return st.none() | mostly(st.builds(own, st.booleans(), st.lists(TRUTH_LINES, max_size=2)), drawn)
+
+
+NUMERATORS = mostly(st.sampled_from([0, 1, 3, -1, -3, 12, (1 << 20) | 1, 1 << 45]),
+                    st.sampled_from([2**100, 2**46, -(2**63), 7, "x"]))
+SHIFTS = mostly(st.integers(min_value=0, max_value=12), st.sampled_from([2**70, 64, 63, -1, "y"]))
+
+
+def coefficient_texts():
+    """Coefficient files of three drawn lines, the last one sometimes missing."""
+    line = st.tuples(NUMERATORS, SHIFTS).map(lambda ns: f"{ns[0]} {ns[1]}")
+    lines = st.tuples(line, line, line).map(lambda ls: [f"c{i} {v}\n" for i, v in enumerate(ls, start=1)])
+    return st.none() | st.builds(lambda ls, keep: "".join(ls[:keep]), lines, st.sampled_from([3, 3, 3, 2]))
+
+
+def detect_inputs():
+    return st.booleans().flatmap(lambda hw: st.fixed_dictionaries({
+        "hw": st.just(hw),
+        "header": header_values(hw),
+        "truth": truth_texts(),
+        "coeffs": coefficient_texts(),
+    }))
+
+
+def run_detect(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        record_path = Path(tmp) / "rec.f32"
+        FUZZ_RECORD.samples.astype("<f4").tofile(record_path)
+        record_path.with_name("rec.f32.hdr").write_text(
+            "".join(f"{k}={v}\n" for k, v in data["header"].items()))
+        argv = ["detect", "--detector", "dual", "--record", str(record_path)]
+        for flag, name in (("--truth", "truth"), ("--coeffs", "coeffs")):
+            if data[name] is not None:
+                (Path(tmp) / name).write_text(data[name])
+                argv += [flag, str(Path(tmp) / name)]
+        if data["hw"]:
+            argv.append("--hw")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return main(argv)
+
+
+VALID_HEADER = {"rate_hz": "24000.0", "channel_id": "0", "n_samples": str(len(FUZZ_RECORD))}
+
+
+@given(detect_inputs())
+# each of these raised OverflowError, wrapped silently or ran out of memory
+@example({"hw": False, "header": {**VALID_HEADER, "rate_hz": "1e30"}, "truth": "5000\n", "coeffs": None})
+@example({"hw": False, "header": VALID_HEADER, "truth": f"{2**70}\n", "coeffs": None})
+@example({"hw": False, "header": VALID_HEADER, "truth": f"5,{2**70}\n", "coeffs": None})
+@example({"hw": True, "header": VALID_HEADER, "truth": None, "coeffs": f"c1 {2**100} 0\nc2 0 0\nc3 0 0\n"})
+@example({"hw": True, "header": VALID_HEADER, "truth": None, "coeffs": f"c1 1 {2**70}\nc2 0 0\nc3 0 0\n"})
+@example({"hw": True, "header": VALID_HEADER, "truth": None, "coeffs": f"c1 1 0\nc2 0 0\nc3 {2**45} 0\n"})
+@example({"hw": True, "header": {**VALID_HEADER, "rate_hz": "0.01"}, "truth": None, "coeffs": None})
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_detect_inputs_exit_0_or_2(data):
+    assert run_detect(data) in (0, 2)

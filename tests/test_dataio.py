@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,13 @@ class TestResample:
         truth = GroundTruth(spike_indices=np.array([0, 100, 299]))
         out = rescale_ground_truth(truth, 24000.0, 16000.0, n_new=200)
         assert out.spike_indices.tolist() == [0, 67, 199]
+
+    def test_index_scaled_past_int64_clips_to_the_last_sample(self):
+        truth = GroundTruth(spike_indices=np.array([100, 2**63 - 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the unclipped cast warned and wrapped to sample 0
+            out = rescale_ground_truth(truth, 8000.0, 16000.0, n_new=1000)
+        assert out.spike_indices.tolist() == [200, 999]
 
     def test_empty_truth_rescales_to_empty(self):
         out = rescale_ground_truth(GroundTruth(np.zeros(0, dtype=int)), 24000.0, 16000.0, 10)

@@ -14,10 +14,8 @@ from dualteo.hw_model import (
     assert_closure,
     hw_detect_channel,
     hw_detect_multichannel,
-    load_multichannel,
     prepare_hw_dual,
     quantize_for_hw,
-    save_multichannel,
     trace_internal,
 )
 from dualteo.signal_model import FixedPointFormat, QuantizedRecord
@@ -507,27 +505,14 @@ def test_align_stream_of_int16_energies_equals_int64(drops):
         assert got.dtype == np.int16
 
 
-class TestMultichannelFiles:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        stream = rng.integers(-64, 64, size=(50, 32))
-        path = tmp_path / "mc.i8"
-        save_multichannel(stream, 16000.0, path)
-        back, rate = load_multichannel(path)
-        assert rate == 16000.0
-        assert back.dtype == np.int8
-        assert np.array_equal(back, stream)
-
-    def test_loaded_stream_detects_like_original(self, tmp_path):
+class TestInt8Streams:
+    def test_int8_stream_detects_like_original(self):
         stream = spiky_stream(np.random.default_rng(16), WARMUP_SAMPLES + 1000, 40)
-        stream[WARMUP_SAMPLES + 500, ::3] = -64  # the int8 extremes round-trip too
+        stream[WARMUP_SAMPLES + 500, ::3] = -64  # the int8 extremes pass through too
         stream[WARMUP_SAMPLES + 700, 1::3] = 63
         assert stream.dtype == np.int64
-        path = tmp_path / "mc.i8"
-        save_multichannel(stream, 16000.0, path)
-        back, _ = load_multichannel(path)
         cfg = HwConfig(channels=40)
-        events, crossings = hw_detect_multichannel(back, cfg, return_crossings=True)
+        events, crossings = hw_detect_multichannel(stream.astype(np.int8), cfg, return_crossings=True)
         expected, expected_crossings = hw_detect_multichannel(stream, cfg, return_crossings=True)
         assert sum(map(len, events)) > 40
         assert events == expected
@@ -540,49 +525,18 @@ class TestMultichannelFiles:
         ThresholdCoefficients.make((1 << 10, 0), (1 << 10, 0), (-1, 10)),
         ThresholdCoefficients.make((-(3 << 12), 0), (3 << 12, 0), (-3, 0)),
     ], ids=["shipped-like", "on-and-below", "wide"])
-    def test_loaded_int8_stream_equals_its_int64_copy(self, tmp_path, drops, coeffs):
+    def test_int8_stream_equals_its_int64_copy(self, drops, coeffs):
         rng = np.random.default_rng(17)
         n_scans = WARMUP_SAMPLES + 700
         stream = np.concatenate([spiky_stream(rng, n_scans, 20), bursty_stream(rng, n_scans, 13)], axis=1)
         stream[-3:, :] = [[-64], [63], [-64]]
-        path = tmp_path / "mc.i8"
-        save_multichannel(stream, 16000.0, path)
-        loaded, _ = load_multichannel(path)
+        narrow = stream.astype(np.int8)
         cfg = HwConfig(channels=33, xteo_drop_lsbs=drops[0], steo_drop_lsbs=drops[1])
-        events, crossings = hw_detect_multichannel(loaded, cfg, coeffs, return_crossings=True)
+        events, crossings = hw_detect_multichannel(narrow, cfg, coeffs, return_crossings=True)
         wide_events, wide_crossings = detect_multichannel_checked(
-            loaded.astype(np.int64), cfg, coeffs, return_crossings=True)
-        assert loaded.dtype == np.int8
+            narrow.astype(np.int64), cfg, coeffs, return_crossings=True)
         assert events == wide_events and np.array_equal(crossings, wide_crossings)
 
-    def test_float_codes_rejected(self, tmp_path):
-        path = tmp_path / "mc.i8"
+    def test_float_codes_rejected(self):
         with pytest.raises(ValueError, match="integer codes"):
-            save_multichannel(np.full((4, 32), 3.7), 16000.0, path)
-        assert not path.exists()
-
-    def test_size_mismatch_rejected(self, tmp_path):
-        rng = np.random.default_rng(15)
-        stream = rng.integers(-64, 64, size=(50, 32))
-        path = tmp_path / "mc.i8"
-        save_multichannel(stream, 16000.0, path)
-        hdr = path.with_name(path.name + ".hdr")
-        hdr.write_text(hdr.read_text().replace("n_scans=50", "n_scans=51"))
-        with pytest.raises(ValueError, match="codes"):
-            load_multichannel(path)
-
-    def test_missing_header_key_rejected(self, tmp_path):
-        path = tmp_path / "mc.i8"
-        save_multichannel(np.zeros((5, 32), dtype=int), 16000.0, path)
-        hdr = path.with_name(path.name + ".hdr")
-        hdr.write_text("rate_hz=16000.0\nchannels=32\n")
-        with pytest.raises(ValueError, match="n_scans"):
-            load_multichannel(path)
-
-    def test_malformed_header_line_rejected(self, tmp_path):
-        path = tmp_path / "mc.i8"
-        save_multichannel(np.zeros((5, 32), dtype=int), 16000.0, path)
-        hdr = path.with_name(path.name + ".hdr")
-        hdr.write_text(hdr.read_text() + "channels 32\n")
-        with pytest.raises(ValueError, match="key=value"):
-            load_multichannel(path)
+            hw_detect_multichannel(np.full((4, 32), 3.7), HwConfig(channels=32))

@@ -215,6 +215,16 @@ class TestRecordFiles:
         with pytest.raises(ValueError, match="samples"):
             load_record(path)
 
+    @pytest.mark.parametrize("key", ["rate_hz", "channel_id", "n_samples"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        path = tmp_path / "chan.f32"
+        save_record(rec([0.1, 0.2]), path)
+        hdr = path.with_name(path.name + ".hdr")
+        lines = hdr.read_text().splitlines()
+        hdr.write_text("".join(ln + "\n" for ln in lines if not ln.startswith(f"{key}=")))
+        with pytest.raises(ValueError, match=f"missing required header key '{key}'"):
+            load_record(path)
+
     def test_malformed_header_line_named(self, tmp_path):
         path = tmp_path / "chan.f32"
         save_record(rec([0.1]), path)

@@ -239,6 +239,11 @@ class TestDyadic:
         with pytest.raises(ValueError):
             Dyadic(1, -1)
 
+    def test_shift_past_the_register_rejected(self):
+        assert Dyadic(1, 63).value == 2.0 ** -63
+        with pytest.raises(ValueError, match="0..63"):
+            Dyadic(1, 64)
+
     def test_ladder_covers_even_values(self):
         values = [d.value for d in dyadic_ladder(-2, 3)]
         for v in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 3.0, 6.0):
