@@ -74,7 +74,7 @@ def calibrate_baselines(corpus):
 
     dvt_grid = [(p, n) for p in np.arange(3.0, 5.51, 0.5) for n in np.arange(3.0, 5.51, 0.5)]
     dvt_best = max(dvt_grid, key=lambda pn: mean_acc(detector.detect_dvt, pos_multiple=pn[0], neg_multiple=pn[1]))
-    print(f"DVT multiples: {dvt_best} (accuracy {mean_acc(detector.detect_dvt, pos_multiple=dvt_best[0], neg_multiple=dvt_best[1]):.4f})")
+    print(f"DVT multiples: ({dvt_best[0]}, {dvt_best[1]}) (accuracy {mean_acc(detector.detect_dvt, pos_multiple=dvt_best[0], neg_multiple=dvt_best[1]):.4f})")
 
     mae_grid = np.arange(4.0, 16.01, 1.0)
     mae_best = max(mae_grid, key=lambda m: mean_acc(detector.detect_mae, threshold_multiple=m))

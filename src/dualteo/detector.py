@@ -224,8 +224,12 @@ def prepare_dual(
     )
 
 
-def _frame_thresholds(prep: PreparedDual, coeffs: ThresholdCoefficients):
-    """Per-frame ``(thr_x, thr_s)``; integer thresholds are Q.10 registers."""
+def _frame_thresholds(prep: PreparedDual, coeffs):
+    """Per-frame ``(thr_x, thr_s)``; integer thresholds are Q.10 registers.
+
+    ``coeffs`` is one candidate, or a stack of them for ``(candidates,
+    frames)`` thresholds.
+    """
     if prep.integer_domain:
         return compute_thresholds_q10(prep.sigma_per_frame, coeffs)
     return compute_thresholds(prep.sigma_per_frame, coeffs)

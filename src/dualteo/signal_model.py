@@ -278,7 +278,8 @@ def save_record(record: SignalRecord, path, full_scale: float | None = None) -> 
 def load_record(path) -> SignalRecord:
     """Load a record written by :func:`save_record`, validating the header.
 
-    A sample count that contradicts ``n_samples`` in the header is rejected.
+    A sample count that contradicts ``n_samples`` in the header is rejected,
+    and so is a ``.f32`` payload that does not end on a sample boundary.
     """
     path = Path(path)
     header = read_header(path)
@@ -294,6 +295,9 @@ def load_record(path) -> SignalRecord:
                 raise ValueError(f"{path}:{lineno}: not a number: {raw!r}") from None
         samples = np.asarray(samples, dtype=np.float64)
     else:
+        size = path.stat().st_size
+        if size % 4:
+            raise ValueError(f"{path}: {size} bytes is not a whole number of float32 samples")
         samples = np.fromfile(path, dtype="<f4").astype(np.float64)
     n_expected = int(header["n_samples"])
     if len(samples) != n_expected:

@@ -23,11 +23,15 @@ floor of the energy domain, which grows with sigma squared.
 
 Shipped default coefficients are the output of :func:`calibrate_coefficients`
 on the bundled synthetic corpus; see ``data/`` and ``scripts/calibrate_defaults.py``.
-Calibration scores the whole grid in one batched pass per record: it builds
-each distinct raw-path map (one per ``c1``) and smoothed-path map (one per
-``(c2, c3)``) once, then ORs, forms events and matches blocks of candidates
-with whole-array kernels.  The result equals scoring every candidate on its
-own through :func:`~dualteo.detector.finish_dual` and
+Both threshold evaluators take one candidate or a stack of them; a stack
+gives one row per candidate, bit-identical to the one-candidate call.
+Calibration scores the whole grid in one batched pass per record: each
+path's distinct crossing maps (one per ``c1`` on the raw path, one per
+``(c2, c3)`` on the smoothed path) come from one stacked threshold
+evaluation and one broadcast compare of the record's frames.  Blocks of
+candidates then OR their two maps, form events and match them with
+whole-array kernels.  The result equals scoring every candidate on its own
+through :func:`~dualteo.detector.finish_dual` and
 :func:`~dualteo.metrics.score_record`.
 """
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import ClassVar
@@ -233,28 +238,51 @@ class ThresholdCoefficients:
     def make(c1: tuple, c2: tuple, c3: tuple) -> "ThresholdCoefficients":
         return ThresholdCoefficients(Dyadic(*c1), Dyadic(*c2), Dyadic(*c3))
 
-    @property
+    @cached_property
     def tiebreak_key(self) -> tuple:
         terms = self.c1.terms + self.c2.terms + self.c3.terms
         shifts = self.c1.shift + self.c2.shift + self.c3.shift
         return (terms, shifts)
 
 
-def compute_thresholds(sigma, coeffs: ThresholdCoefficients):
+def _candidate_columns(coeffs, fields, sigma, dtype):
+    """``fields(coeffs)`` of one candidate, or one column per field for a stack.
+
+    ``coeffs`` is a :class:`ThresholdCoefficients` or a non-empty sequence of
+    them.  One candidate gives the fields' plain Python numbers.  A stack of
+    ``k`` gives a ``dtype`` array of shape ``(k, 1, ...)`` per field, with a
+    unit axis per sigma axis, so a threshold broadcasts into
+    ``(k,) + sigma.shape``.
+    """
+    if isinstance(coeffs, ThresholdCoefficients):
+        return fields(coeffs)
+    table = np.array([fields(c) for c in coeffs], dtype=dtype)
+    return table.T.reshape((table.shape[1], len(table)) + (1,) * np.ndim(sigma))
+
+
+def _float_fields(c: ThresholdCoefficients) -> tuple:
+    return c.c1.value, c.c2.value, c.c3.value
+
+
+def compute_thresholds(sigma, coeffs):
     """Evaluate ``thr_x = c1*sigma`` and ``thr_s = c2*sigma + c3*sigma**2``.
 
     Float twin of :func:`compute_thresholds_q10`: takes an array of per-frame
     sigma values (or a scalar) and returns the ``(thr_x, thr_s)`` arrays.
+    ``coeffs`` is one candidate, or a stack of them, which gives
+    ``(candidates,) + sigma.shape`` arrays whose rows equal the one-candidate
+    results bit for bit.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.size and sigma.min() < 0:
         raise ValueError("sigma must be non-negative")
-    thr_x = coeffs.c1.value * sigma
-    thr_s = coeffs.c2.value * sigma + coeffs.c3.value * sigma * sigma
+    c1, c2, c3 = _candidate_columns(coeffs, _float_fields, sigma, np.float64)
+    thr_x = c1 * sigma
+    thr_s = c2 * sigma + c3 * sigma * sigma
     return thr_x, thr_s
 
 
-def compute_thresholds_q10(sigma_q, coeffs: ThresholdCoefficients):
+def compute_thresholds_q10(sigma_q, coeffs):
     """Integer thresholds from a Q.10 sigma, exact up to one final floor per value.
 
     Both results are Q.10.  ``thr_x = (c1n * sigma_q) >> s1``; for ``thr_s`` the
@@ -264,21 +292,29 @@ def compute_thresholds_q10(sigma_q, coeffs: ThresholdCoefficients):
         thr_s_q = (c2n*sigma_q << (d - s2)) + (c3n*sigma_q**2 << (d - s3 - 10)) >> d,
         d = max(s2, s3 + 10)
 
-    Accepts a scalar or an array of sigma values.  Sigma registers hold at most
-    2**17 (``HwConfig.sigma_register_max``), and coefficient files whose terms
-    would leave int64 there are rejected on load, so int64 arithmetic is exact.
+    Accepts a scalar or an array of sigma values, and one candidate or a
+    stack of them, as :func:`compute_thresholds` does.  Sigma registers hold
+    at most 2**17 (``HwConfig.sigma_register_max``), and coefficient files
+    whose terms would leave int64 there are rejected on load, so int64
+    arithmetic is exact.
     """
-    x, lin, quad, d = _q10_terms(np.asarray(sigma_q, dtype=np.int64), coeffs)
-    return x >> coeffs.c1.shift, (lin + quad) >> d
+    x, s1, lin, quad, d = _q10_terms(np.asarray(sigma_q, dtype=np.int64), coeffs)
+    return x >> s1, (lin + quad) >> d
 
 
-def _q10_terms(sigma_q, coeffs: ThresholdCoefficients):
-    """``c1n * sigma_q``, the two ``thr_s`` terms over their common denominator, and its shift ``d``."""
-    c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
+def _q10_fields(c: ThresholdCoefficients) -> tuple:
+    """Numerators and shifts, and the common shift ``d`` of ``thr_s``."""
+    c1, c2, c3 = c.c1, c.c2, c.c3
     d = max(c2.shift, c3.shift + SIGMA_FRACTION_BITS)
-    lin = (c2.numerator * sigma_q) << (d - c2.shift)
-    quad = (c3.numerator * sigma_q * sigma_q) << (d - c3.shift - SIGMA_FRACTION_BITS)
-    return c1.numerator * sigma_q, lin, quad, d
+    return c1.numerator, c1.shift, c2.numerator, c2.shift, c3.numerator, c3.shift, d
+
+
+def _q10_terms(sigma_q, coeffs):
+    """``c1n * sigma_q`` and its shift, the two ``thr_s`` terms over their common denominator, and its shift ``d``."""
+    n1, s1, n2, s2, n3, s3, d = _candidate_columns(coeffs, _q10_fields, sigma_q, np.int64)
+    lin = (n2 * sigma_q) << (d - s2)
+    quad = (n3 * sigma_q * sigma_q) << (d - s3 - SIGMA_FRACTION_BITS)
+    return n1 * sigma_q, s1, lin, quad, d
 
 
 def _check_q10_range(coeffs: ThresholdCoefficients, origin: str) -> None:
@@ -289,7 +325,7 @@ def _check_q10_range(coeffs: ThresholdCoefficients, origin: str) -> None:
     """
     from .hw_model import HwConfig
 
-    x, lin, quad, _ = _q10_terms(HwConfig.sigma_register_max, coeffs)
+    x, _, lin, quad, _ = _q10_terms(HwConfig.sigma_register_max, coeffs)
     if max(abs(x), abs(lin) + abs(quad)) >= 1 << 63:
         raise ValueError(f"{origin}: coefficients overflow the int64 Q.10 thresholds")
 
@@ -376,6 +412,12 @@ def default_coefficient_grid(pipeline: str = "float") -> list[ThresholdCoefficie
     sits lower because its sigma lives in input-code units while the energies
     carry their truncation shifts.
     """
+    return list(_coefficient_grid(pipeline))
+
+
+@cache
+def _coefficient_grid(pipeline: str) -> tuple[ThresholdCoefficients, ...]:
+    """The grid of :func:`default_coefficient_grid`, built once per pipeline."""
     if pipeline == "float":
         c1s = dyadic_ladder(-3, 2)                      # 1/8 .. 12
         c2s = dyadic_ladder(-5, 1, include_zero=True)   # 0, 1/32 .. 6
@@ -386,12 +428,12 @@ def default_coefficient_grid(pipeline: str = "float") -> list[ThresholdCoefficie
         c3s = dyadic_ladder(-6, 0, include_zero=True)   # 0, 1/64 .. 3
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    return [
+    return tuple(
         ThresholdCoefficients(a, b, c)
         for a in c1s
         for b in c2s
         for c in c3s
-    ]
+    )
 
 
 CANDIDATE_BLOCK_CELLS = 1 << 18  # crossing-map cells scored at once; bounds the working set
@@ -399,11 +441,11 @@ CANDIDATE_BLOCK_CELLS = 1 << 18  # crossing-map cells scored at once; bounds the
 
 def _distinct(grid, key) -> tuple[list, np.ndarray]:
     """One representative candidate per distinct ``key``, and each candidate's row among them."""
-    reps: dict = {}
-    for cand in grid:
-        reps.setdefault(key(cand), cand)
-    rows = {k: i for i, k in enumerate(reps)}
-    return list(reps.values()), np.array([rows[key(c)] for c in grid], dtype=np.intp)
+    rows: dict = {}
+    row = np.array([rows.setdefault(key(cand), len(rows)) for cand in grid], dtype=np.intp)
+    # rows are numbered in order of first appearance
+    first = np.unique(row, return_index=True)[1]
+    return [grid[i] for i in first], row
 
 
 def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
@@ -413,27 +455,37 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
     frames: crossings there are cleared and truth spikes there dropped.  The
     raw-path crossing map depends on ``c1`` alone and the smoothed-path map
     on ``(c2, c3)`` alone, so each distinct map is built once: ``raw`` and
-    ``smoothed`` are :func:`_distinct` of the grid under those keys.  Blocks
-    of candidates then OR their two maps, form events in one pass over the
-    flattened block and count true positives in another.
+    ``smoothed`` are :func:`_distinct` of the grid under those keys.  All of
+    a path's maps come from one stacked threshold evaluation and one compare
+    of the live energies, cut into frames, against every map's per-frame
+    levels.  Blocks of candidates then OR their two maps, form events in one
+    pass over the flattened block and count true positives in another.
     """
     from . import detector as _detector
     from . import metrics as _metrics
 
     (x_reps, x_row), (s_reps, s_row) = raw, smoothed
     n = max(0, prep.n - WARMUP_SAMPLES)
-    gap = prep.event_cfg.refractory_samples
-    energies = (prep.x_energy[WARMUP_SAMPLES:], prep.s_energy[WARMUP_SAMPLES:])
+    frames = -(-n // FRAME_LEN)
+    # any gap above n merges all of a row's crossings into one event, as
+    # n + 1 does; the bound keeps the row padding within the record's
+    # length whatever the header rate
+    gap = min(prep.event_cfg.refractory_samples, n + 1)
     # every map row ends in at least gap - 1 clear cells, so in a flattened
     # block two candidates' crossings are always a refractory gap apart
-    width = max(n + gap - 1, 1)
+    width = max(n + gap - 1, frames * FRAME_LEN, 1)
 
     def crossing_maps(path, reps):
-        thresholds = np.array([_detector._frame_thresholds(prep, cand)[path] for cand in reps])
+        thresholds = _detector._frame_thresholds(prep, reps)[path]
         levels = _detector._on_energy_scale(prep, thresholds)[:, WARMUP_FRAMES:]
+        energy = (prep.x_energy, prep.s_energy)[path]
+        # pad a partial last frame with a value that crosses no level
+        never = -np.inf if energy.dtype.kind == "f" else np.iinfo(energy.dtype).min
+        live = np.full(frames * FRAME_LEN, never, dtype=energy.dtype)
+        live[:n] = energy[WARMUP_SAMPLES:]
         maps = np.zeros((len(reps), width), dtype=bool)
-        for row, level in zip(maps, levels):
-            np.greater(energies[path], np.repeat(level, FRAME_LEN)[:n], out=row[:n])
+        cells = maps[:, :frames * FRAME_LEN].reshape(len(reps), frames, FRAME_LEN)
+        np.greater(live.reshape(frames, FRAME_LEN), levels[:, :, None], out=cells)
         return maps
 
     x_maps, s_maps = crossing_maps(0, x_reps), crossing_maps(1, s_reps)

@@ -345,6 +345,14 @@ class TestCalibrateCommand:
         (tmp_path / "corpus").mkdir()
         assert main(["calibrate", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "c.txt")]) == 2
 
+    def test_huge_header_rate_calibrates(self, tmp_path, capsys):
+        # a 1 ms gap of 1e297 samples must not size the crossing maps
+        record_path, _ = write_tiny_dataset(tmp_path / "corpus", "a")
+        set_header_rate(record_path, "1e300")
+        out = tmp_path / "coeffs.txt"
+        assert main(["calibrate", "--corpus", str(tmp_path / "corpus"), "--out", str(out)]) == 0
+        assert out.read_text().startswith("c1 ")
+
     def test_search_drops_requires_hw_pipeline(self, tmp_path):
         write_tiny_dataset(tmp_path / "corpus", "a")
         code = main([

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from dualteo import SyntheticConfig, generate
 from dualteo.detector import DetectorKind
 from dualteo.metrics import parse_results_csv
@@ -50,7 +52,15 @@ def test_calibrate_baselines_prints_three_multiples(capsys):
     corpus = [generate(SyntheticConfig(duration_s=1.0, noise_level=0.1, seed=seed)) for seed in (1, 2)]
     script.calibrate_baselines(corpus)
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["AT multiple", "DVT multiples", "MAE multiple"]
-    for line in lines:
-        score = re.fullmatch(r".*\(accuracy (\d\.\d{4})\)", line)
-        assert score and 0.0 < float(score.group(1)) <= 1.0, line
+    assert len(lines) == 3, lines
+    # plain numbers, each a point of its script grid, then the accuracy
+    number, score = r"(\d+\.\d+)", r" \(accuracy (\d\.\d{4})\)"
+    at = re.fullmatch(f"AT multiple: {number}{score}", lines[0])
+    dvt = re.fullmatch(f"DVT multiples: \\({number}, {number}\\){score}", lines[1])
+    mae = re.fullmatch(f"MAE multiple: {number}{score}", lines[2])
+    assert at and dvt and mae, lines
+    assert float(at[1]) in np.arange(3.0, 6.01, 0.25)
+    assert {float(dvt[1]), float(dvt[2])} <= set(np.arange(3.0, 5.51, 0.5))
+    assert float(mae[1]) in np.arange(4.0, 16.01, 1.0)
+    for match in (at, dvt, mae):
+        assert 0.0 < float(match[match.lastindex]) <= 1.0, match[0]

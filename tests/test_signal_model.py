@@ -215,6 +215,15 @@ class TestRecordFiles:
         with pytest.raises(ValueError, match="samples"):
             load_record(path)
 
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_trailing_partial_sample_rejected(self, tmp_path, extra):
+        path = tmp_path / "chan.f32"
+        save_record(rec([0.1, 0.2, 0.3]), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * extra)
+        with pytest.raises(ValueError, match=f"{12 + extra} bytes"):
+            load_record(path)
+
     @pytest.mark.parametrize("key", ["rate_hz", "channel_id", "n_samples"])
     def test_missing_header_key_rejected(self, tmp_path, key):
         path = tmp_path / "chan.f32"

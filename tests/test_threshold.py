@@ -16,6 +16,7 @@ from dualteo.threshold import (
     FRAME_LEN,
     WARMUP_SAMPLES,
     Dyadic,
+    _check_q10_range,
     _isqrt,
     SIGMA_FRACTION_BITS,
     ThresholdCoefficients,
@@ -312,6 +313,47 @@ class TestComputeThresholds:
             assert vx[i] == sx and vs[i] == ss
 
 
+def _exact_in_q10(triple) -> bool:
+    try:
+        _check_q10_range(ThresholdCoefficients(*triple), "drawn")
+    except ValueError:
+        return False
+    return True
+
+
+# zero, negative, one- and two-term numerators, and every shift a Dyadic takes
+two_term_numerators = st.builds(
+    lambda low, high, sign: sign * ((1 << low) | (1 << high)),
+    st.integers(0, 24), st.integers(0, 24), st.sampled_from([-1, 1]),
+)
+wide_dyadics = st.builds(
+    Dyadic, numerator=st.one_of(st.just(0), two_term_numerators), shift=st.integers(0, 63),
+)
+exact_triples = st.tuples(wide_dyadics, wide_dyadics, wide_dyadics).filter(_exact_in_q10)
+
+
+class TestStackedThresholds:
+    @given(
+        stack=st.lists(exact_triples, min_size=1, max_size=8),
+        sigma_q=st.one_of(
+            st.integers(0, 1 << 17),
+            st.lists(st.integers(0, 1 << 17), max_size=40),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_row_equals_the_one_candidate_call(self, stack, sigma_q):
+        stack = [ThresholdCoefficients(*t) for t in stack]
+        sigma = np.asarray(sigma_q, dtype=np.float64) / (1 << SIGMA_FRACTION_BITS)
+        for evaluate, arg in ((compute_thresholds_q10, sigma_q), (compute_thresholds, sigma)):
+            stacked = evaluate(arg, stack)
+            for got in stacked:
+                assert got.shape == (len(stack),) + np.shape(arg)
+            for i, coeffs in enumerate(stack):
+                for got, want in zip(stacked, evaluate(arg, coeffs)):
+                    want = np.asarray(want)
+                    assert got[i].dtype == want.dtype and got[i].tobytes() == want.tobytes()
+
+
 class TestCoefficientFiles:
     def test_roundtrip(self, tmp_path):
         coeffs = ThresholdCoefficients.make((3, 4), (-1, 2), (2, 0))
@@ -390,9 +432,13 @@ def oracle_training():
     none of them), their prepared records and their truths.
 
     Besides a plain record: one exactly as long as the warm-up, a silent one
-    whose truth is all missed (no crossings for any candidate), and the
-    plain record against truth spikes 2 samples apart, so detections reach
-    two truths and the greedy matcher runs.
+    whose truth is all missed (no crossings for any candidate), the plain
+    record against truth spikes 2 samples apart, so detections reach two
+    truths and the greedy matcher runs, and the plain record cut 16 samples
+    past its last live spike that lies at least 16 samples before its
+    frame's end, so the live part ends mid-frame with that spike in the
+    partial last frame.  (The plain hw record's live part is exactly 9
+    frames long.)
     """
     out = {}
     for pipeline, rate in RATES.items():
@@ -402,11 +448,14 @@ def oracle_training():
         short = SignalRecord(samples=record.samples[:WARMUP_SAMPLES], rate_hz=rate)
         silent = SignalRecord(samples=np.zeros(len(record)), rate_hz=rate)
         crowded = GroundTruth(spike_indices=np.unique(np.concatenate([idx, idx + 2])))
+        live = idx[(idx >= WARMUP_SAMPLES) & ((idx - WARMUP_SAMPLES) % FRAME_LEN < FRAME_LEN - 16)]
+        cut = int(live[-1]) + 16
         pairs = [
             (record, truth),
             (short, GroundTruth(spike_indices=idx[idx < WARMUP_SAMPLES])),
             (silent, truth),
             (record, crowded),
+            (SignalRecord(samples=record.samples[:cut], rate_hz=rate), GroundTruth(spike_indices=idx[idx < cut])),
         ]
         prepared = [prepare_dual(r, pipeline=pipeline) for r, _ in pairs]
         out[pipeline] = pairs, prepared, [t for _, t in pairs]
@@ -444,6 +493,26 @@ class TestBatchedCalibration:
             reach = (np.searchsorted(crowded, det + tol, side="right")
                      - np.searchsorted(crowded, det - tol, side="left"))
             assert (reach > 1).any(), pipeline
+
+    def test_cut_record_crosses_in_its_partial_last_frame(self, oracle_training):
+        for pipeline in RATES:
+            _, prepared, _ = oracle_training[pipeline]
+            prep = prepared[4]
+            live = prep.n - WARMUP_SAMPLES
+            assert live % FRAME_LEN, pipeline
+            coeffs = default_float_coefficients() if pipeline == "float" else default_hw_coefficients()
+            last = event_indices(finish_dual(prep, coeffs)) >= prep.n - live % FRAME_LEN
+            assert last.any(), pipeline
+
+    @pytest.mark.parametrize("rate", [1e9, 1e300])
+    def test_header_rate_past_the_record_keeps_rows_record_sized(self, oracle_training, rate):
+        # the 1 ms gap (1e6 or 1e297 samples) exceeds the record, so every
+        # row's crossings merge into one event; the row padding stays below n
+        (record, truth), *_ = oracle_training["float"][0]
+        prep = prepare_dual(SignalRecord(samples=record.samples, rate_hz=rate))
+        grid = default_coefficient_grid("float")[::97]
+        got = _mean_accuracies([prep], [truth], grid)
+        assert np.array_equal(got, calibration_means([prep], [truth], grid))
 
     @pytest.mark.parametrize("pipeline", sorted(RATES))
     @given(data=st.data())
