@@ -323,6 +323,8 @@ def resample(record: SignalRecord, new_rate_hz: float) -> SignalRecord:
     if new_rate_hz == record.rate_hz:
         return record
     n_old = len(record)
+    if n_old == 0:
+        return SignalRecord(samples=np.zeros(0), rate_hz=new_rate_hz, channel_id=record.channel_id)
     n_new = n_old * new_rate_hz / record.rate_hz
     if not math.isfinite(n_new):
         raise ValueError(f"resampling {record.rate_hz} Hz to {new_rate_hz} Hz gives a non-finite length")

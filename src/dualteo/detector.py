@@ -107,29 +107,48 @@ class DetectorKind(Enum):
     TEO_SINGLE = "teo_single"
 
 
-def _event_peaks(positions, values, gap: int) -> np.ndarray:
-    """The one event former: index of each event's peak among the crossings.
+def _event_starts(positions, gap: int) -> np.ndarray:
+    """Where an event starts among ascending crossing positions.
 
-    ``positions`` are ascending crossing sample indices.  An event starts at
-    the first crossing and wherever the position jumps by at least ``gap``;
-    it sits on the earliest maximum of ``values`` over its crossings, as
-    ``np.argmax`` would pick it (a NaN counts as the maximum).
+    An event starts at the first crossing and wherever the position jumps by
+    at least ``gap``.
     """
-    if len(positions) == 0:
-        return np.zeros(0, dtype=np.intp)
     starts = np.empty(len(positions), dtype=bool)
-    starts[0] = True
+    starts[:1] = True
     np.greater_equal(positions[1:] - positions[:-1], gap, out=starts[1:])
+    return starts
+
+
+def _peak_members(values, starts) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the values at their event's peak, and which of them come first in their event.
+
+    Events begin where ``starts`` is set.  A value is at the peak when it
+    equals its event's maximum; a NaN counts as the maximum, as ``np.argmax``
+    treats it.  Every event has at least one value at its peak.
+    """
     event = np.cumsum(starts) - 1
     peak = np.maximum.reduceat(values, np.flatnonzero(starts))
     at_peak = values == peak[event]
     if values.dtype.kind == "f":
         at_peak |= np.isnan(values)
     at_peak = np.flatnonzero(at_peak)
-    # every event holds a peak; keep the first of each event's
     first = np.empty(len(at_peak), dtype=bool)
-    first[0] = True
+    first[:1] = True
     np.not_equal(event[at_peak[1:]], event[at_peak[:-1]], out=first[1:])
+    return at_peak, first
+
+
+def _event_peaks(positions, values, gap: int) -> np.ndarray:
+    """The one event former: index of each event's peak among the crossings.
+
+    ``positions`` are ascending crossing sample indices, split into events
+    by :func:`_event_starts`; each event sits on the earliest maximum of
+    ``values`` over its crossings, as ``np.argmax`` would pick it (a NaN
+    counts as the maximum).
+    """
+    if len(positions) == 0:  # a block still inside the warm-up: skip a dozen array calls
+        return np.zeros(0, dtype=np.intp)
+    at_peak, first = _peak_members(values, _event_starts(positions, gap))
     return at_peak[first]
 
 

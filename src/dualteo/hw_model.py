@@ -283,9 +283,10 @@ def _block_events(prep: PreparedDual, crossing: np.ndarray) -> list[list[SpikeEv
 
     The block's crossings after the warm-up are laid out channel-major, each
     channel's row padded with refractory gap - 1 clear samples, as
-    calibration pads its candidate rows: in the flattened map two channels'
-    crossings are then always a gap apart, so one ``_event_peaks`` pass
-    forms every channel's events and none merge across channels.
+    calibration spaces its crossing-map rows: in the flattened map two
+    channels' crossings are then always a gap apart, so one
+    ``_event_peaks`` pass forms every channel's events and none merge across
+    channels.
     """
     gap = prep.event_cfg.refractory_samples
     n_ch = crossing.shape[1]

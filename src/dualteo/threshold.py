@@ -28,10 +28,11 @@ gives one row per candidate, bit-identical to the one-candidate call.
 Calibration scores the whole grid in one batched pass per record: each
 path's distinct crossing maps (one per ``c1`` on the raw path, one per
 ``(c2, c3)`` on the smoothed path) come from one stacked threshold
-evaluation and one broadcast compare of the record's frames.  Blocks of
-candidates then OR their two maps, form events and match them with
-whole-array kernels.  The result equals scoring every candidate on its own
-through :func:`~dualteo.detector.finish_dual` and
+evaluation and one broadcast compare of the record's frames, and each map
+is reduced to its crossing runs.  A candidate's events are then merged from
+its two maps' runs, and blocks of candidates match them with whole-array
+kernels.  The result equals scoring every candidate on its own through
+:func:`~dualteo.detector.finish_dual` and
 :func:`~dualteo.metrics.score_record`.
 """
 
@@ -245,6 +246,36 @@ class ThresholdCoefficients:
         return (terms, shifts)
 
 
+class _CandidateStack(tuple):
+    """A stack of candidates that keeps what is derived from it.
+
+    Calibration evaluates the same candidates on every record, so a stack
+    builds each field table (:func:`_candidate_columns`) and its distinct
+    crossing maps (:func:`_distinct`) once.  Each default grid is one cached
+    stack; a caller's grid becomes one per calibration.
+    """
+
+    def table(self, fields, dtype) -> np.ndarray:
+        """``fields`` of every candidate, one row each; read-only, as every evaluation shares it."""
+        tables = self.__dict__.setdefault("tables", {})
+        if fields not in tables:
+            tables[fields] = np.array([fields(c) for c in self], dtype=dtype)
+            tables[fields].flags.writeable = False
+        return tables[fields]
+
+    @cached_property
+    def crossing_maps(self) -> tuple:
+        """The distinct raw-path maps (one per ``c1``) and smoothed-path maps (one per ``(c2, c3)``)."""
+        return (
+            _distinct(self, lambda c: (c.c1.numerator, c.c1.shift)),
+            _distinct(self, lambda c: (c.c2.numerator, c.c2.shift, c.c3.numerator, c.c3.shift)),
+        )
+
+
+def _stack(coeffs) -> _CandidateStack:
+    return coeffs if isinstance(coeffs, _CandidateStack) else _CandidateStack(coeffs)
+
+
 def _candidate_columns(coeffs, fields, sigma, dtype):
     """``fields(coeffs)`` of one candidate, or one column per field for a stack.
 
@@ -256,7 +287,7 @@ def _candidate_columns(coeffs, fields, sigma, dtype):
     """
     if isinstance(coeffs, ThresholdCoefficients):
         return fields(coeffs)
-    table = np.array([fields(c) for c in coeffs], dtype=dtype)
+    table = _stack(coeffs).table(fields, dtype)
     return table.T.reshape((table.shape[1], len(table)) + (1,) * np.ndim(sigma))
 
 
@@ -416,7 +447,7 @@ def default_coefficient_grid(pipeline: str = "float") -> list[ThresholdCoefficie
 
 
 @cache
-def _coefficient_grid(pipeline: str) -> tuple[ThresholdCoefficients, ...]:
+def _coefficient_grid(pipeline: str) -> _CandidateStack:
     """The grid of :func:`default_coefficient_grid`, built once per pipeline."""
     if pipeline == "float":
         c1s = dyadic_ladder(-3, 2)                      # 1/8 .. 12
@@ -428,7 +459,7 @@ def _coefficient_grid(pipeline: str) -> tuple[ThresholdCoefficients, ...]:
         c3s = dyadic_ladder(-6, 0, include_zero=True)   # 0, 1/64 .. 3
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    return tuple(
+    return _CandidateStack(
         ThresholdCoefficients(a, b, c)
         for a in c1s
         for b in c2s
@@ -436,16 +467,40 @@ def _coefficient_grid(pipeline: str) -> tuple[ThresholdCoefficients, ...]:
     )
 
 
-CANDIDATE_BLOCK_CELLS = 1 << 18  # crossing-map cells scored at once; bounds the working set
+RUN_BLOCK = 1 << 19  # crossing runs merged at once; bounds the working set
 
 
-def _distinct(grid, key) -> tuple[list, np.ndarray]:
+def _distinct(grid, key) -> tuple[_CandidateStack, np.ndarray]:
     """One representative candidate per distinct ``key``, and each candidate's row among them."""
     rows: dict = {}
     row = np.array([rows.setdefault(key(cand), len(rows)) for cand in grid], dtype=np.intp)
+    row.flags.writeable = False  # a stack keeps it for every calibration
     # rows are numbered in order of first appearance
     first = np.unique(row, return_index=True)[1]
-    return [grid[i] for i in first], row
+    return _CandidateStack(grid[i] for i in first), row
+
+
+def _map_runs(cells, align, gap: int, width: int) -> tuple:
+    """The crossing runs of every row of the boolean map ``cells``, row after row.
+
+    A run is a maximal cluster of a row's crossings whose neighbour gaps are
+    below ``gap``.  Returns each row's run count, and each run's first and
+    last crossing and its peak: the earliest maximum of ``align`` over its
+    crossings (a NaN counts as the maximum), as column and value.  Rows are
+    laid ``width`` apart, at least a gap past any row's last crossing, so one
+    event pass splits them all.
+    """
+    from . import detector as _detector
+
+    rows, cols = np.divmod(np.flatnonzero(cells), cells.shape[1])
+    starts = _detector._event_starts(rows * width + cols, gap)
+    values = align[cols]
+    at_peak, lead = _detector._peak_members(values, starts)
+    peak = at_peak[lead]
+    first = np.flatnonzero(starts)
+    last = np.append(first, len(cols))[1:] - 1
+    counts = np.bincount(rows[first], minlength=len(cells))
+    return counts, cols[first], cols[last], cols[peak], values[peak]
 
 
 def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
@@ -458,8 +513,16 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
     ``smoothed`` are :func:`_distinct` of the grid under those keys.  All of
     a path's maps come from one stacked threshold evaluation and one compare
     of the live energies, cut into frames, against every map's per-frame
-    levels.  Blocks of candidates then OR their two maps, form events in one
-    pass over the flattened block and count true positives in another.
+    levels, and each map is reduced to its crossing runs (:func:`_map_runs`).
+
+    A candidate's crossings are the union of its two maps', so its events
+    are unions of their runs: a run's crossings are already closer than the
+    refractory gap, so it never splits.  Sorted by first crossing, a run
+    starts a new event where it begins at least a gap past the last crossing
+    of every run before it; the event's peak is the largest run peak,
+    earliest on ties.  Candidates are merged in blocks of about
+    ``RUN_BLOCK`` runs, each candidate's runs ``width`` apart from the next
+    one's, and the events' true positives are counted in one pass per block.
     """
     from . import detector as _detector
     from . import metrics as _metrics
@@ -468,14 +531,15 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
     n = max(0, prep.n - WARMUP_SAMPLES)
     frames = -(-n // FRAME_LEN)
     # any gap above n merges all of a row's crossings into one event, as
-    # n + 1 does; the bound keeps the row padding within the record's
+    # n + 1 does; the bound keeps the row spacing within the record's
     # length whatever the header rate
     gap = min(prep.event_cfg.refractory_samples, n + 1)
-    # every map row ends in at least gap - 1 clear cells, so in a flattened
-    # block two candidates' crossings are always a refractory gap apart
-    width = max(n + gap - 1, frames * FRAME_LEN, 1)
+    # map rows and candidates lie this far apart, so a gap always separates
+    # one's last crossing from the next one's first
+    width = n + gap - 1
 
-    def crossing_maps(path, reps):
+    cells = np.empty((len(x_reps) + len(s_reps), frames, FRAME_LEN), dtype=bool)
+    for path, reps, out in ((0, x_reps, cells[:len(x_reps)]), (1, s_reps, cells[len(x_reps):])):
         thresholds = _detector._frame_thresholds(prep, reps)[path]
         levels = _detector._on_energy_scale(prep, thresholds)[:, WARMUP_FRAMES:]
         energy = (prep.x_energy, prep.s_energy)[path]
@@ -483,37 +547,49 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
         never = -np.inf if energy.dtype.kind == "f" else np.iinfo(energy.dtype).min
         live = np.full(frames * FRAME_LEN, never, dtype=energy.dtype)
         live[:n] = energy[WARMUP_SAMPLES:]
-        maps = np.zeros((len(reps), width), dtype=bool)
-        cells = maps[:, :frames * FRAME_LEN].reshape(len(reps), frames, FRAME_LEN)
-        np.greater(live.reshape(frames, FRAME_LEN), levels[:, :, None], out=cells)
-        return maps
+        np.greater(live.reshape(frames, FRAME_LEN), levels[:, :, None], out=out)
+    counts, run_first, run_last, run_peak, run_value = _map_runs(
+        cells.reshape(len(cells), frames * FRAME_LEN), prep.align[WARMUP_SAMPLES:], gap, width)
 
-    x_maps, s_maps = crossing_maps(0, x_reps), crossing_maps(1, s_reps)
-    align = prep.align[WARMUP_SAMPLES:]
+    maps = np.stack([x_row, len(x_reps) + s_row], axis=1)  # each candidate's two map rows
+    runs = counts[maps].sum(axis=1)
+    offset = np.cumsum(counts) - counts  # each map's first run
+    ends = np.cumsum(runs)
     tol = prep.tolerance_samples()
     tru = truth.spike_indices[truth.spike_indices >= WARMUP_SAMPLES] - WARMUP_SAMPLES
-    acc = np.empty(len(x_row))
-    block = max(1, CANDIDATE_BLOCK_CELLS // width)
-    for lo in range(0, len(acc), block):
-        hi = min(lo + block, len(acc))
-        crossing = x_maps[x_row[lo:hi]]
-        crossing |= s_maps[s_row[lo:hi]]
-        flat = np.flatnonzero(crossing)
-        rows, cols = np.divmod(flat, width)
-        peaks = _detector._event_peaks(flat, align[cols], gap)
-        rows, cols = rows[peaks], cols[peaks]
+    acc = np.empty(len(maps))
+    lo = 0
+    while lo < len(acc):
+        # at least one candidate, however many runs it has
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - runs[lo] + RUN_BLOCK, side="right")))
+        block = maps[lo:hi].ravel()
+        c = counts[block]
+        idx = np.repeat(offset[block] - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
+        base = np.repeat(np.arange(hi - lo) * width, runs[lo:hi])
+        first = base + run_first[idx]
+        # each candidate's runs are two ascending lists; sorting keeps the
+        # candidates in order, so ``base`` needs no reordering
+        order = np.argsort(first, kind="stable")
+        first, idx = first[order], idx[order]
+        starts = np.empty(len(first), dtype=bool)
+        starts[:1] = True
+        reach = np.maximum.accumulate(base + run_last[idx])
+        np.greater_equal(first[1:] - reach[:-1], gap, out=starts[1:])
+        at_peak, lead = _detector._peak_members(run_value[idx], starts)
+        peaks = np.minimum.reduceat(base[at_peak] + run_peak[idx[at_peak]], np.flatnonzero(lead))
+        rows, cols = np.divmod(peaks, width)
         tp = _metrics._true_positives(cols, rows, hi - lo, tru, tol)
         # tp + fp + fn = detections + truths - tp
         denom = np.bincount(rows, minlength=hi - lo) + len(tru) - tp
         np.divide(tp, denom, out=acc[lo:hi], where=denom > 0)
         acc[lo:hi][denom == 0] = 1.0
+        lo = hi
     return acc
 
 
 def _mean_accuracies(prepared, truths, grid) -> np.ndarray:
     """Mean accuracy of every grid candidate over the prepared training set."""
-    raw = _distinct(grid, lambda c: (c.c1.numerator, c.c1.shift))
-    smoothed = _distinct(grid, lambda c: (c.c2.numerator, c.c2.shift, c.c3.numerator, c.c3.shift))
+    raw, smoothed = _stack(grid).crossing_maps
     total = np.zeros(len(grid))
     for prep, truth in zip(prepared, truths):
         total += _record_accuracies(prep, truth, raw, smoothed)
@@ -537,9 +613,13 @@ def calibrate_coefficients(
     The transforms and the sigma trajectory do not depend on the
     coefficients, so each record is prepared once.  All candidates are then
     scored together, record by record: each distinct raw-path and
-    smoothed-path crossing map is built once, and blocks of candidates form
-    events and match them in a few whole-array passes.  The result equals
-    scoring each candidate through :func:`~dualteo.detector.finish_dual` and
+    smoothed-path crossing map is built once and reduced to its crossing
+    runs, and blocks of candidates merge their two maps' runs into events
+    and match them in a few whole-array passes (see
+    :func:`_record_accuracies`).  The grid's distinct maps and coefficient
+    tables are derived once per grid: once per process for a default grid,
+    once per call for ``search_grid``.  The result equals scoring each
+    candidate through :func:`~dualteo.detector.finish_dual` and
     :func:`~dualteo.metrics.score_record`; the winner's returned score is
     computed that way.
     """
@@ -549,7 +629,7 @@ def calibrate_coefficients(
     training_set = list(training_set)
     if not training_set:
         raise ValueError("training set must not be empty")
-    grid = list(default_coefficient_grid(pipeline) if search_grid is None else search_grid)
+    grid = _coefficient_grid(pipeline) if search_grid is None else _CandidateStack(search_grid)
     if not grid:
         raise ValueError("search grid must not be empty")
 

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualteo.cli import main
-from dualteo.dataio import SyntheticConfig, generate, save_dataset
+from dualteo.dataio import GroundTruth, SyntheticConfig, generate, save_dataset
 from dualteo.signal_model import SignalRecord, save_record
+from dualteo.threshold import WARMUP_SAMPLES
 
 TINY_CFG = {"duration_s": 1.2, "noise_level": 0.05, "seed": 6}
 
@@ -21,6 +22,15 @@ def write_tiny_dataset(tmp_path, name="demo", **overrides):
     record, truth = generate(cfg)
     save_dataset(record, truth, cfg, tmp_path, name)
     return tmp_path / f"{name}.f32", tmp_path / f"{name}_truth.csv"
+
+
+def write_empty_dataset(out_dir, name="empty"):
+    """A 0-sample record with an empty truth file, as ``generate`` lays a dataset out."""
+    cfg = SyntheticConfig(**TINY_CFG)
+    record = SignalRecord(samples=np.zeros(0), rate_hz=cfg.rate_hz)
+    truth = GroundTruth(spike_indices=np.zeros(0, dtype=np.int64))
+    save_dataset(record, truth, cfg, out_dir, name)
+    return out_dir / f"{name}.f32", out_dir / f"{name}_truth.csv"
 
 
 def set_header_rate(record_path, rate: str) -> None:
@@ -150,6 +160,16 @@ class TestDetectCommand:
             "detect", "--detector", "at", "--record", str(record_path),
             "--coeffs", str(coeffs),
         ]) == 2
+
+    def test_empty_record_detects_nothing_on_both_pipelines(self, tmp_path, capsys):
+        record, truth = write_empty_dataset(tmp_path)
+        outputs = []
+        for hw in ([], ["--hw"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the record does not outlast the warm-up
+                code = main(["detect", "--detector", "dual", "--record", str(record), "--truth", str(truth), *hw])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1] == (0, "channel,sample_index\ntp=0 fp=0 fn=0 accuracy=1.0000\n")
 
     def test_hw_dual_runs(self, tmp_path, capsys):
         # long enough to clear the warm-up at 16 kHz
@@ -353,6 +373,18 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--corpus", str(tmp_path / "corpus"), "--out", str(out)]) == 0
         assert out.read_text().startswith("c1 ")
 
+    def test_empty_record_calibrates_on_both_pipelines(self, tmp_path, capsys):
+        # every candidate scores the empty record 1.0, so the tie-break picks
+        # the same one-term candidate from either grid
+        write_empty_dataset(tmp_path / "corpus")
+        written = []
+        for pipeline in ("float", "hw"):
+            out = tmp_path / f"{pipeline}.txt"
+            assert main(["calibrate", "--corpus", str(tmp_path / "corpus"), "--out", str(out),
+                         "--pipeline", pipeline]) == 0
+            written.append(out.read_text())
+        assert written[0] == written[1] == "c1 1 0\nc2 0 0\nc3 0 0\n"
+
     def test_search_drops_requires_hw_pipeline(self, tmp_path):
         write_tiny_dataset(tmp_path / "corpus", "a")
         code = main([
@@ -508,15 +540,16 @@ HOSTILE_RATES = st.sampled_from(["inf", "nan", "-1", "0", "1e-300", "0.01", "1e3
 HOSTILE_INTS = st.sampled_from(["-1", "1.5", "x", "", str(2**70)])
 
 
-def header_values(hw):
-    """Header values of the fuzzed record.  A valid ``--hw`` rate is at least
-    2304 Hz, so an accepted resample holds at most 50,000 samples; the hostile
-    rates that would upsample further are refused before allocating."""
+def header_values(hw, n_samples=len(FUZZ_RECORD)):
+    """Header values of the fuzzed record, or of its first ``n_samples``.  A
+    valid ``--hw`` rate is at least 2304 Hz, so an accepted resample holds at
+    most 50,000 samples; the hostile rates that would upsample further are
+    refused before allocating."""
     rate = st.floats(min_value=2304.0 if hw else 1.0, max_value=1e30)
     return st.fixed_dictionaries({
         "rate_hz": mostly(rate.map(repr), HOSTILE_RATES),
         "channel_id": mostly(st.integers(min_value=0, max_value=3).map(str), HOSTILE_INTS),
-        "n_samples": mostly(st.just(str(len(FUZZ_RECORD))), HOSTILE_INTS),
+        "n_samples": mostly(st.just(str(n_samples)), HOSTILE_INTS),
     })
 
 
@@ -524,15 +557,21 @@ TRUTH_LINES = st.integers(min_value=0, max_value=10_000).map(str) | st.sampled_f
     [str(2**70), f"5,{2**70}", "-1", "x", "1,2,3", "3.5", str(2**63 - 1), str(2**63), "7,-1"])
 
 
-def truth_texts():
-    """The record's own truth, with or without template ids, plus drawn
-    lines after it, or drawn lines alone."""
-    def own(tids, extra):
-        lines = [f"{i},{t}" if tids else str(i)
-                 for i, t in zip(FUZZ_TRUTH.spike_indices.tolist(), FUZZ_TRUTH.template_ids.tolist())]
-        return "\n".join(lines + extra) + "\n"
+def own_truth(n_samples, extra=st.just([])):
+    """The truth of the record's first ``n_samples``, with or without
+    template ids, and ``extra`` lines after it."""
+    def text(tids, lines):
+        own = [f"{i},{t}" if tids else str(i)
+               for i, t in zip(FUZZ_TRUTH.spike_indices.tolist(), FUZZ_TRUTH.template_ids.tolist())
+               if i < n_samples]
+        return "\n".join(own + lines) + "\n"
+    return st.builds(text, st.booleans(), extra)
+
+
+def truth_texts(n_samples=len(FUZZ_RECORD)):
+    """The record's own truth plus drawn lines after it, drawn lines alone, or no file."""
     drawn = st.lists(TRUTH_LINES, max_size=3).map(lambda lines: "\n".join(lines) + "\n")
-    return st.none() | mostly(st.builds(own, st.booleans(), st.lists(TRUTH_LINES, max_size=2)), drawn)
+    return st.none() | mostly(own_truth(n_samples, st.lists(TRUTH_LINES, max_size=2)), drawn)
 
 
 NUMERATORS = mostly(st.sampled_from([0, 1, 3, -1, -3, 12, (1 << 20) | 1, 1 << 45]),
@@ -589,3 +628,81 @@ VALID_HEADER = {"rate_hz": "24000.0", "channel_id": "0", "n_samples": str(len(FU
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_detect_inputs_exit_0_or_2(data):
     assert run_detect(data) in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: drawn corpora through calibrate, float and hw, end in exit 0 or 2
+# ---------------------------------------------------------------------------
+
+# sample counts: empty, shorter than one frame, exactly the warm-up, the whole record
+CORPUS_LENGTHS = st.sampled_from([0, 1, WARMUP_SAMPLES, len(FUZZ_RECORD)]) | st.integers(0, len(FUZZ_RECORD))
+
+
+def corpus_datasets(hw):
+    """One dataset of a calibrate corpus: the first samples of the fuzz
+    record with a valid header and its own truth three times in four, else
+    with every file drawn: trailing bytes or no record file, and drawn
+    header values, truth and manifest text."""
+    def dataset(n):
+        valid = st.fixed_dictionaries({
+            "samples": st.just(n),
+            "trailing": st.just(0),
+            "record": st.just(True),
+            "header": st.fixed_dictionaries({
+                "rate_hz": st.floats(min_value=2304.0 if hw else 1.0, max_value=1e30).map(repr),
+                "channel_id": st.integers(min_value=0, max_value=3).map(str),
+                "n_samples": st.just(str(n)),
+            }),
+            "truth": own_truth(n),
+            "manifest": st.just("{}"),
+        })
+        drawn = st.fixed_dictionaries({
+            "samples": st.just(n),
+            "trailing": mostly(st.just(0), st.integers(min_value=1, max_value=3)),
+            "record": mostly(st.just(True), st.just(False)),
+            "header": header_values(hw, n),
+            "truth": truth_texts(n),
+            "manifest": mostly(st.just("{}"), st.text(max_size=4)),
+        })
+        return mostly(valid, drawn)
+    return CORPUS_LENGTHS.flatmap(dataset)
+
+
+def calibrate_inputs():
+    return st.booleans().flatmap(lambda hw: st.fixed_dictionaries({
+        "pipeline": st.just("hw" if hw else "float"),
+        "datasets": st.lists(corpus_datasets(hw), min_size=1, max_size=2),
+    }))
+
+
+def run_calibrate(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        corpus.mkdir()
+        for name, ds in zip("ab", data["datasets"]):
+            (corpus / f"{name}.manifest.json").write_text(ds["manifest"])
+            if ds["record"]:
+                payload = FUZZ_RECORD.samples[:ds["samples"]].astype("<f4").tobytes() + b"\0" * ds["trailing"]
+                (corpus / f"{name}.f32").write_bytes(payload)
+                (corpus / f"{name}.f32.hdr").write_text("".join(f"{k}={v}\n" for k, v in ds["header"].items()))
+            if ds["truth"] is not None:
+                (corpus / f"{name}_truth.csv").write_text(ds["truth"])
+        argv = ["calibrate", "--corpus", str(corpus), "--out", str(Path(tmp) / "c.txt"),
+                "--pipeline", data["pipeline"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return main(argv)
+
+
+EMPTY_DATASET = {"samples": 0, "trailing": 0, "record": True, "truth": "", "manifest": "{}",
+                 "header": {**VALID_HEADER, "n_samples": "0"}}
+
+
+@given(calibrate_inputs())
+# an empty record: the hw pipeline refused it, the float one calibrated it
+# (both now calibrate it, see TestCalibrateCommand)
+@example({"pipeline": "hw", "datasets": [EMPTY_DATASET]})
+@example({"pipeline": "float", "datasets": [{**EMPTY_DATASET, "trailing": 3}]})
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_calibrate_corpus_exits_0_or_2(data):
+    assert run_calibrate(data) in (0, 2)

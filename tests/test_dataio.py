@@ -266,6 +266,11 @@ class TestResample:
         np.testing.assert_allclose(out.samples, 2.5)
         assert out.rate_hz == 16000.0
 
+    @pytest.mark.parametrize("new_rate", [16000.0, 48000.0, 1e-300])
+    def test_empty_record_stays_empty_at_the_new_rate(self, new_rate):
+        out = resample(SignalRecord(np.zeros(0), rate_hz=24000.0, channel_id=3), new_rate)
+        assert (len(out), out.rate_hz, out.channel_id) == (0, new_rate, 3)
+
     def test_ramp_slope_scales_by_rate_ratio(self):
         record = SignalRecord(np.arange(300, dtype=float), rate_hz=24000.0)
         out = resample(record, 16000.0)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualteo import metrics, threshold
 from dualteo.dataio import GroundTruth, SyntheticConfig, generate
-from dualteo.detector import event_indices, finish_dual, prepare_dual
+from dualteo.detector import PreparedDual, event_indices, finish_dual, prepare_dual
 from dualteo.signal_model import SignalRecord
 from loop_oracles import calibration_means
 from serial_oracle import SigmaEstimatorState, estimator_step
@@ -426,42 +427,6 @@ class TestCalibration:
 RATES = {"float": 24000.0, "hw": 16000.0}
 
 
-@pytest.fixture(scope="module")
-def oracle_training():
-    """Per pipeline: training pairs at its own rate (so calibration converts
-    none of them), their prepared records and their truths.
-
-    Besides a plain record: one exactly as long as the warm-up, a silent one
-    whose truth is all missed (no crossings for any candidate), the plain
-    record against truth spikes 2 samples apart, so detections reach two
-    truths and the greedy matcher runs, and the plain record cut 16 samples
-    past its last live spike that lies at least 16 samples before its
-    frame's end, so the live part ends mid-frame with that spike in the
-    partial last frame.  (The plain hw record's live part is exactly 9
-    frames long.)
-    """
-    out = {}
-    for pipeline, rate in RATES.items():
-        cfg = SyntheticConfig(duration_s=0.4, rate_hz=rate, noise_level=0.1, seed=5)
-        record, truth = generate(cfg)
-        idx = truth.spike_indices
-        short = SignalRecord(samples=record.samples[:WARMUP_SAMPLES], rate_hz=rate)
-        silent = SignalRecord(samples=np.zeros(len(record)), rate_hz=rate)
-        crowded = GroundTruth(spike_indices=np.unique(np.concatenate([idx, idx + 2])))
-        live = idx[(idx >= WARMUP_SAMPLES) & ((idx - WARMUP_SAMPLES) % FRAME_LEN < FRAME_LEN - 16)]
-        cut = int(live[-1]) + 16
-        pairs = [
-            (record, truth),
-            (short, GroundTruth(spike_indices=idx[idx < WARMUP_SAMPLES])),
-            (silent, truth),
-            (record, crowded),
-            (SignalRecord(samples=record.samples[:cut], rate_hz=rate), GroundTruth(spike_indices=idx[idx < cut])),
-        ]
-        prepared = [prepare_dual(r, pipeline=pipeline) for r, _ in pairs]
-        out[pipeline] = pairs, prepared, [t for _, t in pairs]
-    return out
-
-
 @st.composite
 def shared_value_grids(draw, pipeline):
     """Small grids whose candidates share c1 and (c2, c3) values, zeros and a negative value included."""
@@ -533,3 +498,80 @@ class TestBatchedCalibration:
         best = keys.index(min(keys))
         winner, score = calibrate_coefficients(pairs, grid, pipeline=pipeline, return_score=True)
         assert (winner, score) == (grid[best], means[best])
+
+    def test_nan_alignment_matches_per_candidate_loop(self):
+        # three samples around every other live spike scaled by 1e155..1e160:
+        # x**2 overflows, the energies hold inf - inf, and events peak on the
+        # NaN alignment values, which count as the maximum
+        grid = default_coefficient_grid("float")[::13]
+        prepared, truths = [], []
+        for i, scale in enumerate([1e155, 1e157, 1e160]):
+            record, truth = generate(SyntheticConfig(duration_s=0.6, noise_level=0.2, seed=30 + i))
+            x = record.samples.copy()
+            for j in truth.spike_indices[truth.spike_indices > WARMUP_SAMPLES + 100][::2]:
+                x[j - 1:j + 2] *= scale
+            with np.errstate(over="ignore", invalid="ignore"):
+                prep = prepare_dual(SignalRecord(samples=x, rate_hz=record.rate_hz))
+                assert any(np.isnan(prep.align[event_indices(finish_dual(prep, c))]).any() for c in grid)
+            prepared.append(prep)
+            truths.append(truth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _mean_accuracies(prepared, truths, grid)
+            assert np.array_equal(got, calibration_means(prepared, truths, grid))
+        assert len(np.unique(got)) > 1
+
+    @pytest.mark.parametrize("pipeline", sorted(RATES))
+    @pytest.mark.parametrize("runs", [1, 4, 16])
+    def test_run_blocks_split_inside_the_grid(self, oracle_training, pipeline, runs, monkeypatch):
+        _, prepared, truths = oracle_training[pipeline]
+        grid = default_coefficient_grid(pipeline)[::97]
+        blocks = []
+        true_positives = metrics._true_positives
+        monkeypatch.setattr(threshold, "RUN_BLOCK", runs)
+        monkeypatch.setattr(metrics, "_true_positives",
+                            lambda *args: blocks.append(args[2]) or true_positives(*args))
+        got = _mean_accuracies(prepared, truths, grid)
+        # some candidate fills a block by itself, some block holds several
+        assert sum(blocks) == len(grid) * len(prepared)
+        assert 1 in blocks and max(blocks) > 1
+        assert np.array_equal(got, calibration_means(prepared, truths, grid))
+
+    def test_long_record_matches_per_candidate_loop(self, noisy_record):
+        # 6 s at 24 kHz: every map row holds more than 2**17 live samples, as
+        # the 10 s records of the shipped calibration do
+        record, truth = noisy_record
+        prep = prepare_dual(record)
+        assert prep.n - WARMUP_SAMPLES > 1 << 17
+        grid = default_coefficient_grid("float")[::97]
+        assert np.array_equal(_mean_accuracies([prep], [truth], grid), calibration_means([prep], [truth], grid))
+
+    def test_grid_maps_are_derived_once_per_grid(self, oracle_training, monkeypatch):
+        pairs, _, _ = oracle_training["hw"]
+        calibrate_coefficients(pairs[:1], pipeline="hw")  # the default grid derives its maps once
+        calls = []
+        distinct = threshold._distinct
+        monkeypatch.setattr(threshold, "_distinct", lambda *args: calls.append(args) or distinct(*args))
+        calibrate_coefficients(pairs, pipeline="hw")
+        assert calls == []
+        calibrate_coefficients(pairs, default_coefficient_grid("hw")[::97], pipeline="hw")
+        assert len(calls) == 2  # one per path, not one per record
+
+    def test_tied_peaks_of_overlapping_runs_take_the_earliest(self):
+        # the raw path's run spans the smoothed path's one-crossing run, and
+        # both peak at the same value: the event sits on the earlier peak,
+        # which lies in the run that starts later
+        n = WARMUP_SAMPLES + 2 * FRAME_LEN
+        x_energy, s_energy, align = np.zeros(n), np.zeros(n), np.zeros(n)
+        raw = WARMUP_SAMPLES + np.array([10, 25, 45, 65, 85, 100])
+        x_energy[raw] = 2.0
+        s_energy[WARMUP_SAMPLES + 30] = 2.0
+        align[raw] = 1.0
+        align[WARMUP_SAMPLES + np.array([30, 100])] = 5.0
+        prep = PreparedDual(x_energy=x_energy, s_energy=s_energy, sigma_per_frame=np.ones(n // FRAME_LEN),
+                            align=align, rate_hz=24000.0, channel_id=0, integer_domain=False)
+        truth = GroundTruth(spike_indices=np.array([WARMUP_SAMPLES + 30]))
+        grid = [ThresholdCoefficients.make((1, 0), (1, 0), (0, 0))]  # thr_x = thr_s = 1
+        assert event_indices(finish_dual(prep, grid[0])).tolist() == [WARMUP_SAMPLES + 30]
+        got = _mean_accuracies([prep], [truth], grid)
+        assert got.tolist() == [1.0]
+        assert np.array_equal(got, calibration_means([prep], [truth], grid))
