@@ -60,6 +60,7 @@ __all__ = [
     "detect_dvt",
     "detect_mae",
     "detect",
+    "detect_each",
     "moving_average_energy",
     "events_to_csv",
     "events_from_csv",
@@ -184,8 +185,8 @@ class PreparedDual:
 
     The warm-up and the refractory gap are not settable: both pipelines gate
     ``WARMUP_SAMPLES`` and merge within 1 ms at ``rate_hz``.  The arrays hold
-    one channel, or, inside :func:`~dualteo.hw_model.hw_detect_multichannel`,
-    a time-major block of channels ``channel_id`` onwards along axis 1.
+    one channel, or, inside :class:`~dualteo.hw_model.MultichannelStream`,
+    a time chunk of every channel of the stream along axis 1.
     """
 
     warmup_samples: ClassVar[int] = WARMUP_SAMPLES
@@ -338,6 +339,19 @@ def detect_teo_single(
     return _gate_and_form(prep, cross_x, prep.x_energy)
 
 
+def _detect_dual_and_single(record: SignalRecord) -> tuple[list[SpikeEvent], list[SpikeEvent]]:
+    """:func:`detect_dual` and :func:`detect_teo_single` at their defaults.
+
+    Both come from one prepare and one compare.
+    """
+    if not _check_warmup(record):
+        return [], []
+    prep = prepare_dual(record)
+    cross_x, cross_s = dual_crossing_streams(prep, default_float_coefficients())
+    dual = cross_x | cross_s  # before the raw path's warm-up is gated in place
+    return _gate_and_form(prep, dual, prep.align), _gate_and_form(prep, cross_x, prep.x_energy)
+
+
 # ---------------------------------------------------------------------------
 # Amplitude-domain baselines
 # ---------------------------------------------------------------------------
@@ -416,6 +430,19 @@ def detect(record: SignalRecord, kind: DetectorKind, **kwargs) -> list[SpikeEven
     if kind == DetectorKind.MAE:
         return detect_mae(record, **kwargs)
     raise ValueError(f"unknown detector kind {kind!r}")
+
+
+def detect_each(record: SignalRecord, kinds) -> list[list[SpikeEvent]]:
+    """The events of each detector in ``kinds`` at its default tuning, as :func:`detect` gives them.
+
+    The dual and raw-path detectors share one prepare and one compare when
+    both are asked for.
+    """
+    kinds = list(kinds)
+    shared = {}
+    if DetectorKind.DUAL in kinds and DetectorKind.TEO_SINGLE in kinds:
+        shared[DetectorKind.DUAL], shared[DetectorKind.TEO_SINGLE] = _detect_dual_and_single(record)
+    return [shared[kind] if kind in shared else detect(record, kind) for kind in kinds]
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,19 @@ channel ``(n,)`` or a time-major block ``(n, channels)``.
 :func:`prepare_hw_dual` is the one-channel case, in int64:
 :func:`hw_detect_channel` finishes it with :func:`~dualteo.detector.finish_dual`
 and :func:`trace_internal` exposes its every intermediate value.
-:func:`hw_detect_multichannel` is the block case: it walks the stream in
-``(n_scans, BLOCK_CHANNELS)`` blocks, the chip's 32-channel block, at the
+:class:`MultichannelStream` is the block case: it walks the interleaved
+stream in time chunks of ``CHUNK_SCANS`` scans across all channels, at the
 chip's widths: int8 codes and half-sums, int16 energies and int32 sigma
-registers.  It steps the sigma of every column at once, compares once per
-block and forms the events of all its channels in one pass.  Neither case
-ever shifts data into Q.10: each compare against a Q.10 register shifts the
-register down instead, which is the same integer compare.  Channels share
-no state, so the chip's time-multiplexed schedule cannot change any output;
-the test suite holds a sample-serial, block-scheduled engine as a bit-exact
-oracle and checks the multichannel output against it.
+registers.  Each chunk steps the sigma of every channel at once, compares
+once and forms the events of all its channels in one pass, and each
+channel's codes, sigma and open event carry over to the next chunk, so the
+memory held stays flat in the stream length.  :func:`hw_detect_multichannel`
+is one push of a whole stream and its close.  Neither case ever shifts data
+into Q.10: each compare against a Q.10 register shifts the register down
+instead, which is the same integer compare.  Channels share no state, so the
+chip's time-multiplexed schedule cannot change any output; the test suite
+holds a sample-serial, block-scheduled engine as a bit-exact oracle and
+checks the multichannel output against it.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .signal_model import (
 from .threshold import (
     FRAME_LEN,
     SIGMA_FRACTION_BITS,
+    UNMEASURED,
     ThresholdCoefficients,
     default_hw_coefficients,
     sigma_frames_q10,
@@ -68,12 +72,13 @@ __all__ = [
     "prepare_hw_dual",
     "hw_detect_channel",
     "hw_detect_multichannel",
+    "MultichannelStream",
     "trace_internal",
     "assert_closure",
 ]
 
 THRESHOLD_REGISTER_BITS = 32  # signed Q.10; ample for the coefficient grid
-BLOCK_CHANNELS = 32  # the chip services its channels in blocks of 32
+CHUNK_SCANS = 2 * FRAME_LEN  # longest time chunk of the multichannel stream walk; whole frames
 
 
 @dataclass(frozen=True)
@@ -125,20 +130,24 @@ def _align_stream(x_teo: np.ndarray, s_teo: np.ndarray, cfg: HwConfig) -> np.nda
     )
 
 
-def _prepare_codes(codes: np.ndarray, cfg: HwConfig, channel_id: int) -> PreparedDual:
+def _prepare_codes(
+    codes: np.ndarray, cfg: HwConfig, channel_id: int, rows=slice(None), register=None
+) -> PreparedDual:
     """The integer datapath, along axis 0 of one channel ``(n,)`` or a block ``(n, channels)``.
 
     The kernels compute in :func:`~dualteo.signal_model.datapath_ints` of
-    ``codes``: int64 for a record; for a block of the multichannel stream,
-    cut as int8, int8 half-sums and int16 energies.
+    ``codes``: int64 for a record; for a chunk of the multichannel stream,
+    cut as int8, int8 half-sums and int16 energies.  A chunk keeps only its
+    own ``rows`` of ``codes``, which start on a frame boundary, and carries
+    its sigma loop in ``register`` (see :func:`~dualteo.threshold.sigma_frames_q10`).
     """
     s = smooth2_fixed(codes)
-    x_teo = teo_fixed(codes, cfg.xteo_format, cfg.xteo_drop_lsbs)
-    s_teo = teo_fixed(s, cfg.steo_format, cfg.steo_drop_lsbs)
+    x_teo = teo_fixed(codes, cfg.xteo_format, cfg.xteo_drop_lsbs)[rows]
+    s_teo = teo_fixed(s, cfg.steo_format, cfg.steo_drop_lsbs)[rows]
     return PreparedDual(
         x_energy=x_teo,
         s_energy=s_teo,
-        sigma_per_frame=sigma_frames_q10(s),
+        sigma_per_frame=sigma_frames_q10(s[rows], register),
         align=_align_stream(x_teo, s_teo, cfg),
         rate_hz=cfg.rate_hz,
         channel_id=channel_id,
@@ -277,31 +286,160 @@ def assert_closure(trace: HwTrace) -> None:
 # Multichannel stream interface
 # ---------------------------------------------------------------------------
 
+# no open events: channels, last crossings, peak scans and peak alignment values
+_NO_OPEN_EVENTS = (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0, dtype=np.int16),)
 
-def _block_events(prep: PreparedDual, crossing: np.ndarray) -> list[list[SpikeEvent]]:
-    """Gate the warm-up and form the events of every channel of a block in one pass.
 
-    The block's crossings after the warm-up are laid out channel-major, each
-    channel's row padded with refractory gap - 1 clear samples, as
-    calibration spaces its crossing-map rows: in the flattened map two
-    channels' crossings are then always a gap apart, so one
-    ``_event_peaks`` pass forms every channel's events and none merge across
-    channels.
+class MultichannelStream:
+    """The multichannel engine as a stream: code scans in, finished events out.
+
+    :meth:`push` takes the next scans, flat (scan-major) or ``(n_scans,
+    channels)``, under the input checks of :func:`hw_detect_multichannel`,
+    and returns the events they finished, one list per channel;
+    :meth:`close` ends the stream and returns the rest.  With
+    ``return_crossings`` each call also returns the raw comparator outputs
+    of the scans it decided, a ``(channels, scans)`` boolean array; joined
+    along axis 1, the calls' arrays cover the whole stream.
+
+    The stream is walked in time chunks across all channels, each a whole
+    number of frames and at most ``CHUNK_SCANS`` long, at the chip's widths:
+    int8 codes and half-sums, int16 energies and int32 sigma registers.  A
+    chunk runs the datapath of :func:`prepare_hw_dual` along axis 0, steps
+    every channel's sigma at once and compares once.  The energy of scan
+    ``k`` reads scan ``k + 1``, so a chunk waits for the scan after it, and
+    codes are buffered until a whole frame has arrived.  From one chunk to
+    the next each channel carries its last two codes (the smoother and the
+    energy operator look back that far), its sigma register and its one
+    event that may still grow, the one whose last crossing lies within the
+    refractory gap of the chunk's end, as its peak and last crossing.  So
+    neither the chunk length nor how the stream is split into pushes can
+    change an output, and the memory held does not grow with the stream.
     """
-    gap = prep.event_cfg.refractory_samples
-    n_ch = crossing.shape[1]
-    live = max(0, prep.n - prep.warmup_samples)
-    padded = np.zeros((n_ch, live + gap - 1), dtype=bool)
-    padded[:, :live] = crossing[prep.warmup_samples:].T
-    flat = np.flatnonzero(padded)
-    rows, cols = np.divmod(flat, padded.shape[1])
-    peaks = _event_peaks(flat, prep.align[prep.warmup_samples:][cols, rows], gap)
-    rows, times = rows[peaks], cols[peaks] + prep.warmup_samples
-    per_channel = np.split(times, np.searchsorted(rows, np.arange(1, n_ch)))
-    return [
-        [SpikeEvent(channel_id=prep.channel_id + ch, sample_index=t) for t in ts.tolist()]
-        for ch, ts in enumerate(per_channel)
-    ]
+
+    def __init__(
+        self,
+        cfg: HwConfig | None = None,
+        coeffs: ThresholdCoefficients | None = None,
+        return_crossings: bool = False,
+    ):
+        self.cfg = cfg if cfg is not None else HwConfig()
+        self.coeffs = coeffs if coeffs is not None else default_hw_coefficients()
+        self.return_crossings = return_crossings
+        self._start = 0  # scan index of the next chunk
+        # the two carried codes before the next chunk (none before the first
+        # chunk), then the codes of it received so far
+        self._held = np.zeros((0, self.cfg.channels), dtype=np.int8)
+        self._sigma = np.full(self.cfg.channels, UNMEASURED, dtype=np.int32)
+        self._open = _NO_OPEN_EVENTS
+        self._closed = False
+
+    def _scans(self, frames) -> np.ndarray:
+        """``frames`` as checked ``(n_scans, channels)`` codes, in their own dtype."""
+        channels = self.cfg.channels
+        stream = np.asarray(frames)
+        if not np.issubdtype(stream.dtype, np.integer):
+            raise ValueError(f"expected integer codes, got dtype {stream.dtype}")
+        if stream.ndim == 1:
+            if stream.size % channels != 0:
+                raise ValueError(
+                    f"ragged stream: {stream.size} codes do not divide into {channels} channels"
+                )
+            stream = stream.reshape(-1, channels)
+        elif stream.ndim != 2 or stream.shape[1] != channels:
+            raise ValueError(f"expected (n_scans, {channels}) stream")
+        if not self.cfg.input_format.contains(stream):
+            raise ValueError(f"codes outside {self.cfg.input_format.total_bits}-bit range")
+        return stream
+
+    def push(self, frames):
+        """Take the next scans; return the events they finished."""
+        if self._closed:
+            raise ValueError("stream is closed")
+        scans = self._scans(frames)
+        carried = 2 if self._start else 0
+        # the whole frames whose following scan has arrived
+        ready = max(0, len(self._held) + len(scans) - carried - 1) // FRAME_LEN * FRAME_LEN
+        events, crossings = self._outputs(ready)
+        done = taken = 0
+        while done < ready:
+            chunk = min(ready - done, CHUNK_SCANS)
+            need = carried + chunk + 1 - len(self._held)
+            window = np.concatenate([self._held, scans[taken:taken + need]], dtype=np.int8)
+            self._walk(window, carried, chunk, events, crossings[:, done:done + chunk])
+            self._held, carried = window[-3:].copy(), 2
+            done, taken = done + chunk, taken + need
+        self._held = np.concatenate([self._held, scans[taken:]], dtype=np.int8)
+        return (events, crossings) if self.return_crossings else events
+
+    def close(self):
+        """End the stream: decide its last scans and return the events still open."""
+        if self._closed:
+            raise ValueError("stream is closed")
+        self._closed = True
+        carried = 2 if self._start else 0
+        chunk = len(self._held) - carried
+        events, crossings = self._outputs(chunk)
+        if chunk:
+            self._walk(self._held, carried, chunk, events, crossings, final=True)
+        return (events, crossings) if self.return_crossings else events
+
+    def _outputs(self, scans: int):
+        """Empty event lists, and the crossings of ``scans`` scans to fill.
+
+        Without ``return_crossings`` the crossings array is empty.
+        """
+        shape = (self.cfg.channels, scans) if self.return_crossings else (0, 0)
+        return [[] for _ in range(self.cfg.channels)], np.empty(shape, dtype=bool)
+
+    def _walk(self, window, carried: int, chunk: int, events, crossings, final=False) -> None:
+        """Decide the ``chunk`` scans of ``window`` that follow its ``carried`` codes.
+
+        Unless the chunk is ``final``, the window ends with the scan after
+        it; a final chunk ends the stream, so the energy of its last scan is
+        the boundary 0.  The chunk's crossings after the warm-up join the
+        open events, keyed channel-major with a gap between channels as
+        calibration spaces its crossing-map rows, so one ``_event_peaks``
+        pass forms every channel's events and none merge across channels.
+        An event stays open while a crossing at the next chunk's first scan
+        would still join it.
+        """
+        prep = _prepare_codes(window, self.cfg, 0, slice(carried, carried + chunk), self._sigma)
+        cross_x, cross_s = dual_crossing_streams(prep, self.coeffs)
+        crossing = cross_x | cross_s
+        if self.return_crossings:
+            crossings[:] = crossing.T
+        start, end = self._start, self._start + chunk
+        self._start = end
+        skip = max(0, prep.warmup_samples - start)
+        times, channels = np.divmod(np.flatnonzero(crossing[skip:]), crossing.shape[1])
+        align = prep.align[skip:][times, channels]
+        open_channels, open_last, open_peaks, open_align = self._open
+        if len(times) + len(open_channels) == 0:
+            return
+        gap = prep.event_cfg.refractory_samples
+        times += start + skip
+        channel = np.concatenate([open_channels, channels])
+        last = np.concatenate([open_last, times])  # open events sit on their last crossing
+        # open events' last crossings lie after start - gap
+        key = channel * (chunk + 2 * gap) + (last - (start - gap))
+        order = np.argsort(key, kind="stable")
+        channel, last = channel[order], last[order]
+        scan = np.concatenate([open_peaks, times])[order]
+        align = np.concatenate([open_align, align])[order]
+        peaks = _event_peaks(key[order], align, gap)
+        finished = np.ones(len(peaks), dtype=bool)
+        if final:
+            self._open = _NO_OPEN_EVENTS
+        else:
+            # each channel's last crossing, and its last event
+            last_crossing = np.flatnonzero(np.append(channel[1:] != channel[:-1], True))
+            last_event = np.flatnonzero(np.append(channel[peaks[1:]] != channel[peaks[:-1]], True))
+            still = last[last_crossing] > end - gap
+            stay = peaks[last_event[still]]
+            self._open = (channel[stay], last[last_crossing[still]], scan[stay], align[stay])
+            finished[last_event[still]] = False
+        for ch, t in zip(channel[peaks[finished]].tolist(), scan[peaks[finished]].tolist()):
+            events[ch].append(SpikeEvent(channel_id=ch, sample_index=t))
 
 
 def hw_detect_multichannel(
@@ -310,19 +448,18 @@ def hw_detect_multichannel(
     coeffs: ThresholdCoefficients | None = None,
     return_crossings: bool = False,
 ):
-    """Run the integer pipeline on an interleaved code stream, 32 channels at a time.
+    """Run the integer pipeline on an interleaved code stream, all channels at once.
 
     ``frames`` is either a flat stream (scan-major: sample t of channels
     0..C-1, then sample t+1) whose length must divide by the channel count, or
     a 2D array of shape (n_scans, channels).  Codes must have an integer
     dtype.
 
-    The stream is walked in time-major ``(n_scans, BLOCK_CHANNELS)`` blocks,
-    the chip's own block size, cut as int8 from the stream's native layout
-    once the whole stream has passed the 7-bit range check.
-    Each block runs the datapath of :func:`prepare_hw_dual` along axis 0, with
-    every column's sigma stepped at once, compares once, and forms the
-    events of all its channels in one pass.  Channels share no state, so this
+    The stream goes through one :class:`MultichannelStream`, one ``push``
+    and its ``close``: in time chunks of ``CHUNK_SCANS`` scans across all
+    channels, each cut as int8 from the stream's native layout once the
+    whole stream has passed the 7-bit range check, with each channel's
+    state carried from chunk to chunk.  Channels share no state, so this
     equals the chip's round-robin service of the interleaved stream bit for
     bit; ``tests/serial_oracle.py`` holds that sample-serial, block-scheduled
     engine, and the test suite checks the two against each other.
@@ -331,35 +468,9 @@ def hw_detect_multichannel(
     a (channels, n_scans) boolean array of raw comparator outputs, taken from
     the same compare.
     """
-    cfg = cfg if cfg is not None else HwConfig()
-    if coeffs is None:
-        coeffs = default_hw_coefficients()
-    stream = np.asarray(frames)
-    if not np.issubdtype(stream.dtype, np.integer):
-        raise ValueError(f"expected integer codes, got dtype {stream.dtype}")
-    if stream.ndim == 1:
-        if stream.size % cfg.channels != 0:
-            raise ValueError(
-                f"ragged stream: {stream.size} codes do not divide into "
-                f"{cfg.channels} channels"
-            )
-        stream = stream.reshape(-1, cfg.channels)
-    elif stream.ndim != 2 or stream.shape[1] != cfg.channels:
-        raise ValueError(f"expected (n_scans, {cfg.channels}) stream")
-    if not cfg.input_format.contains(stream):
-        raise ValueError(f"codes outside {cfg.input_format.total_bits}-bit range")
-
-    n_scans = len(stream)
-    events = []
-    crossings = np.empty((cfg.channels, n_scans), dtype=bool) if return_crossings else None
-    for base in range(0, cfg.channels, BLOCK_CHANNELS):
-        block = stream[:, base:base + BLOCK_CHANNELS].astype(np.int8)
-        prep = _prepare_codes(block, cfg, base)
-        cross_x, cross_s = dual_crossing_streams(prep, coeffs)
-        crossing = cross_x | cross_s
-        if return_crossings:
-            crossings[base:base + block.shape[1]] = crossing.T
-        events.extend(_block_events(prep, crossing))
-    if return_crossings:
-        return events, crossings
-    return events
+    stream = MultichannelStream(cfg, coeffs, return_crossings)
+    pushed, closed = stream.push(frames), stream.close()
+    if not return_crossings:
+        return [a + b for a, b in zip(pushed, closed)]
+    events = [a + b for a, b in zip(pushed[0], closed[0])]
+    return events, np.concatenate([pushed[1], closed[1]], axis=1)

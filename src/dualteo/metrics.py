@@ -305,8 +305,7 @@ def sweep(spec: SweepSpec) -> list[SweepResult]:
         for p, (record, truth) in zip(spec.points, bases):
             try:
                 record_p, truth_p = _transform_for_point(spec, record, truth, p)
-                for d in spec.detectors:
-                    events = _detector.detect(record_p, d)
+                for d, events in zip(spec.detectors, _detector.detect_each(record_p, spec.detectors)):
                     _, score = score_record(
                         events, truth_p, record_p.rate_hz, len(record_p), spec.tolerance_ms
                     )

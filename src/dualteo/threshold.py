@@ -73,6 +73,7 @@ SCALING_FACTOR = 0.001
 SIGMA_FRACTION_BITS = 10  # integer pipelines keep sigma in Q.10, gamma = 2**-10
 WARMUP_FRAMES = 16
 WARMUP_SAMPLES = WARMUP_FRAMES * FRAME_LEN
+UNMEASURED = -1  # a sigma register before its measurement frame; sigma never falls below 0
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class EstimatorConfig:
     warmup_samples: ClassVar[int] = WARMUP_SAMPLES
 
 
-def _sigma_track(values: np.ndarray, measure, step, shift=None) -> np.ndarray:
+def _sigma_track(values: np.ndarray, measure, step, shift=None, register=None) -> np.ndarray:
     """The one frame loop of both pipelines, in the domain of ``values``.
 
     Sigma reads 0 over frame 0 and ``measure(frame 0)`` from frame 1 on; each
@@ -99,18 +100,26 @@ def _sigma_track(values: np.ndarray, measure, step, shift=None) -> np.ndarray:
     channels)``.  One channel keeps a scalar sigma, which is faster there.
     The trajectory is float64 for float samples and at least int32 for
     integer ones: an int16 block of codes keeps its sigma in int32.
+
+    ``register`` carries the loop across consecutive pieces of one block
+    stream, each starting on a frame boundary: one sigma per column, or
+    ``UNMEASURED`` while the stream's measurement frame is still to come.
+    The piece's frames start from it, and it is left holding the sigma that
+    takes effect after the piece's last full frame.
     """
     L = FRAME_LEN
     n_frames = -(-len(values) // L)
     out = np.empty((n_frames,) + values.shape[1:], dtype=np.result_type(values.dtype, np.int32))
-    sigma = 0
+    fresh = register is None or bool((register == UNMEASURED).any())
+    sigma = 0 if fresh else register.copy()
     for f in range(n_frames):
         out[f] = sigma
         frame = values[f * L:(f + 1) * L]
         if len(frame) < L:
             break
-        if f == 0:
+        if fresh:
             sigma = measure(frame)
+            fresh = False
             continue
         level = sigma if shift is None else sigma >> shift
         if values.ndim == 1:
@@ -121,6 +130,8 @@ def _sigma_track(values: np.ndarray, measure, step, shift=None) -> np.ndarray:
             # climbs only while more than CONVERGENCE_FACTOR samples exceed it
             count = (frame > level.astype(values.dtype)).sum(axis=0, dtype=out.dtype)
             sigma = np.maximum(sigma + step * (count - CONVERGENCE_FACTOR), 0)
+    if register is not None and not fresh:
+        register[...] = sigma
     return out
 
 
@@ -176,7 +187,7 @@ def initial_sigma_q10(s_codes):
     return int(sigma[0]) if s.ndim == 1 else sigma
 
 
-def sigma_frames_q10(s_codes) -> np.ndarray:
+def sigma_frames_q10(s_codes, register=None) -> np.ndarray:
     """Integer twin of :func:`sigma_frames`: sigma held in a Q.10 register.
 
     The measurement frame yields :func:`initial_sigma_q10` of the codes; each later
@@ -187,10 +198,11 @@ def sigma_frames_q10(s_codes) -> np.ndarray:
     one channel or a time-major block ``(n, channels)`` and computes in
     :func:`~dualteo.signal_model.datapath_ints` of the codes; the register
     is int32 for int8 and int32 codes (sigma stays below 2**18) and int64
-    otherwise.
+    otherwise.  A block may carry its loop across pieces of one stream in a
+    ``register`` (see :func:`_sigma_track`).
     """
     s = datapath_ints(s_codes)
-    return _sigma_track(s, lambda _frame: initial_sigma_q10(s), 1, SIGMA_FRACTION_BITS)
+    return _sigma_track(s, lambda _frame: initial_sigma_q10(s), 1, SIGMA_FRACTION_BITS, register)
 
 
 # ---------------------------------------------------------------------------

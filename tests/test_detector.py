@@ -12,6 +12,7 @@ from dualteo.detector import (
     detect_at,
     detect_dual,
     detect_dvt,
+    detect_each,
     detect_mae,
     detect_teo_single,
     dual_crossing_streams,
@@ -229,6 +230,26 @@ class TestBaselines:
         for kind in DetectorKind:
             events = detect(record, kind)
             assert isinstance(events, list)
+
+    @pytest.mark.parametrize("kinds", [
+        list(DetectorKind),
+        [DetectorKind.TEO_SINGLE, DetectorKind.AT, DetectorKind.DUAL],
+        [DetectorKind.TEO_SINGLE],
+        [DetectorKind.MAE, DetectorKind.DUAL],
+    ])
+    def test_detect_each_equals_detect_per_kind(self, noisy_record, kinds):
+        record, _ = noisy_record
+        # the shared prepare must not let the raw path's warm-up gate reach the dual's OR
+        negative = SignalRecord(samples=-record.samples[:9000], rate_hz=record.rate_hz)
+        for rec in (record, negative):
+            got = detect_each(rec, kinds)
+            assert got == [detect(rec, kind) for kind in kinds]
+            assert all(got)
+
+    def test_detect_each_on_a_short_record_warns_and_finds_nothing(self):
+        record = SignalRecord(samples=np.ones(100), rate_hz=24000.0)
+        with pytest.warns(UserWarning, match="warm-up"):
+            assert detect_each(record, [DetectorKind.DUAL, DetectorKind.TEO_SINGLE]) == [[], []]
 
 
 class TestEventCsv:

@@ -1,11 +1,13 @@
-"""Golden calibration outputs: digests of every candidate's mean accuracy.
+"""Golden outputs: calibration's mean accuracies and the integer engine's detections.
 
 Calibration must pick the same coefficients with the same score however its
 scoring is computed.  These digests pin the full mean-accuracy vector over
 each default grid, byte for byte, together with the winner and its score, on
 two corpora: a small fixed corpus at 24 kHz, which the hw pipeline resamples
 to 16 kHz as ``calibrate_coefficients`` does, and the ``oracle_training``
-records, which sit at each pipeline's own rate.
+records, which sit at each pipeline's own rate.  The integer engine's events
+and comparator outputs are pinned the same way, however the engine walks
+its stream.
 
 The digests were taken with numpy 2.4 on x86-64.  A change that moves one on
 purpose updates it in the same change and says which one moved and why; a
@@ -20,8 +22,16 @@ import pytest
 
 from dualteo import dataio
 from dualteo.detector import prepare_dual
-from dualteo.hw_model import HwConfig
-from dualteo.threshold import _mean_accuracies, calibrate_coefficients, default_coefficient_grid
+from dualteo.hw_model import HwConfig, hw_detect_channel, hw_detect_multichannel, quantize_for_hw
+from dualteo.signal_model import QuantizedRecord
+from dualteo.threshold import (
+    WARMUP_SAMPLES,
+    ThresholdCoefficients,
+    _mean_accuracies,
+    calibrate_coefficients,
+    default_coefficient_grid,
+    default_hw_coefficients,
+)
 
 # three 0.5 s records at 24 kHz, one per noise level, noisy enough that no
 # candidate scores 1.0
@@ -79,3 +89,95 @@ def test_calibration_outputs_are_pinned(corpus, pipeline, fixed_corpus, oracle_t
     winner, score = calibrate_coefficients(pairs, pipeline=pipeline, return_score=True)
     digest, want_winner, want_score = GOLDEN[corpus][pipeline]
     assert (_digest(means), _winner_key(winner), score) == (digest, want_winner, want_score)
+
+
+# ---------------------------------------------------------------------------
+# Integer engine outputs
+# ---------------------------------------------------------------------------
+
+# A changed walk over the 256-channel stream must not move these.  Each digest
+# is the SHA-256 prefix of the events as little-endian int64 (channel,
+# sample_index) pairs, and of the packed comparator outputs with their shape.
+#
+# "extreme" drives the raw path's Q.10 threshold far below zero (every
+# sample crosses, so each channel's event spans its whole live part) and
+# the smoothed path's far beyond int16 once shifted.
+EXTREME_HW_COEFFS = ThresholdCoefficients.make((-(3 << 12), 0), (3 << 12, 0), (-3, 0))
+
+# (channels, n_scans, seed); neither length is a multiple of the frame
+STREAMS = {"33": (33, WARMUP_SAMPLES + 1337, 41), "256": (256, WARMUP_SAMPLES + 2101, 42)}
+
+# stream -> coefficient set -> (events digest, crossings digest)
+GOLDEN_MULTICHANNEL = {
+    "33": {
+        "shipped": ("51dc9f4a61e27e66", "c49d0c2efc3e9bbf"),
+        "extreme": ("4be447f0d80fd2f7", "acfa69f4d9ed3772"),
+    },
+    "256": {
+        "shipped": ("2392763c244f2fad", "f13dce2b4561be98"),
+        "extreme": ("1f243749099dc7ac", "9d7c7e64b25ce651"),
+    },
+}
+
+# coefficient set -> events digest of hw_detect_channel over channels 0..7 of
+# the 33-channel stream and one generated 16 kHz record
+GOLDEN_CHANNEL = {"shipped": "736602a44427601e", "extreme": "b13e7659ba14b052"}
+
+
+def golden_stream(channels: int, n_scans: int, seed: int) -> np.ndarray:
+    """Low-amplitude noise, with sparse spikes of random height and spacing,
+    some of them closer than the refractory gap."""
+    rng = np.random.default_rng(seed)
+    stream = rng.integers(-6, 7, size=(n_scans, channels))
+    for ch in range(channels):
+        spikes = np.cumsum(rng.integers(5, 400, size=n_scans // 5))
+        spikes = spikes[spikes < n_scans]
+        stream[spikes, ch] = rng.integers(-64, 64, size=len(spikes))
+    return stream
+
+
+def golden_coeffs(name: str) -> ThresholdCoefficients:
+    return default_hw_coefficients() if name == "shipped" else EXTREME_HW_COEFFS
+
+
+def events_digest(events) -> str:
+    pairs = [(e.channel_id, e.sample_index) for channel in events for e in channel]
+    return hashlib.sha256(np.array(pairs, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+def crossings_digest(crossings: np.ndarray) -> str:
+    assert crossings.dtype == bool
+    body = repr(crossings.shape).encode() + np.packbits(crossings).tobytes()
+    return hashlib.sha256(body).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("layout", ["2d", "flat"])
+@pytest.mark.parametrize("coeffs", ["shipped", "extreme"])
+@pytest.mark.parametrize("stream", sorted(GOLDEN_MULTICHANNEL))
+def test_multichannel_outputs_are_pinned(stream, coeffs, layout):
+    channels, n_scans, seed = STREAMS[stream]
+    codes = golden_stream(channels, n_scans, seed)
+    if layout == "flat":
+        codes = codes.ravel()
+    cfg = HwConfig(channels=channels)
+    events, crossings = hw_detect_multichannel(codes, cfg, golden_coeffs(coeffs), return_crossings=True)
+    assert hw_detect_multichannel(codes, cfg, golden_coeffs(coeffs)) == events
+    assert sum(map(len, events)) >= channels and crossings.any() and not crossings.all()
+    assert (events_digest(events), crossings_digest(crossings)) == GOLDEN_MULTICHANNEL[stream][coeffs]
+
+
+@pytest.mark.parametrize("coeffs", ["shipped", "extreme"])
+def test_channel_events_are_pinned(coeffs):
+    cfg = HwConfig()
+    channels, n_scans, seed = STREAMS["33"]
+    codes = golden_stream(channels, n_scans, seed)
+    records = [
+        QuantizedRecord(codes=codes[:, ch], format=cfg.input_format, rate_hz=cfg.rate_hz, channel_id=ch)
+        for ch in range(8)
+    ]
+    synthetic = dataio.SyntheticConfig(duration_s=1.0, rate_hz=cfg.rate_hz, noise_level=0.15, seed=43)
+    record, _ = dataio.generate(synthetic)
+    records.append(quantize_for_hw(record, cfg))
+    events = [hw_detect_channel(q, cfg, golden_coeffs(coeffs)) for q in records]
+    assert all(events)
+    assert events_digest(events) == GOLDEN_CHANNEL[coeffs]

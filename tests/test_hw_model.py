@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +10,10 @@ from conftest import make_clean_spike_record
 from loop_oracles import write_trace_rows
 from serial_oracle import serial_detect_multichannel
 from dualteo.detector import EventFormationConfig, detect_dual, dual_crossing_streams, finish_dual
+from dualteo import hw_model
 from dualteo.hw_model import (
     HwConfig,
+    MultichannelStream,
     _align_stream,
     HwTrace,
     assert_closure,
@@ -19,7 +24,14 @@ from dualteo.hw_model import (
     trace_internal,
 )
 from dualteo.signal_model import FixedPointFormat, QuantizedRecord
-from dualteo.threshold import FRAME_LEN, WARMUP_SAMPLES, Dyadic, ThresholdCoefficients, compute_thresholds_q10
+from dualteo.threshold import (
+    FRAME_LEN,
+    WARMUP_SAMPLES,
+    Dyadic,
+    ThresholdCoefficients,
+    compute_thresholds_q10,
+    default_hw_coefficients,
+)
 
 HW_COEFFS = ThresholdCoefficients.make((3, 3), (0, 0), (1, 2))
 
@@ -540,3 +552,150 @@ class TestInt8Streams:
     def test_float_codes_rejected(self):
         with pytest.raises(ValueError, match="integer codes"):
             hw_detect_multichannel(np.full((4, 32), 3.7), HwConfig(channels=32))
+
+
+# drives the raw path's threshold far below zero, so every live sample
+# crosses and each channel's one event stays open until the stream ends
+EXTREME_COEFFS = ThresholdCoefficients.make((-(3 << 12), 0), (3 << 12, 0), (-3, 0))
+
+
+def push_in_pieces(stream, cuts, cfg, coeffs):
+    """Push ``stream`` cut at the sorted scan indices ``cuts`` and close it.
+
+    A repeated cut gives an empty push.  Returns the events of all calls,
+    joined per channel, and their crossings, joined along the scans.
+    """
+    engine = MultichannelStream(cfg, coeffs, return_crossings=True)
+    events = [[] for _ in range(cfg.channels)]
+    crossings = []
+    bounds = [0, *cuts, len(stream)]
+    results = [engine.push(stream[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    for piece_events, piece_crossings in results + [engine.close()]:
+        for channel, found in zip(events, piece_events):
+            channel.extend(found)
+        crossings.append(piece_crossings)
+    return events, np.concatenate(crossings, axis=1)
+
+
+@st.composite
+def stream_cuts(draw, n_scans, events, gap):
+    """Cut points: frame boundaries, points inside an event's refractory
+    window, scan 4096, runs of 1-scan pushes and repeated (empty) pushes."""
+    frames = st.integers(0, n_scans // FRAME_LEN).map(lambda f: [f * FRAME_LEN])
+    anywhere = st.integers(0, n_scans).map(lambda k: [k])
+    ones = st.integers(0, n_scans).map(lambda k: list(range(k, k + 5)))
+    empties = st.integers(0, n_scans).map(lambda k: [k, k, k])
+    kinds = [frames, anywhere, ones, empties, st.just([4096])]
+    peaks = [e.sample_index for channel in events for e in channel]
+    if peaks:
+        kinds.append(st.tuples(st.sampled_from(peaks), st.integers(1, gap - 1)).map(lambda p: [sum(p)]))
+    groups = draw(st.lists(st.one_of(kinds), max_size=6))
+    return sorted(min(k, n_scans) for group in groups for k in group)
+
+
+class TestStream:
+    @given(
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**31),
+        channels=st.sampled_from([1, 33, 256]),
+        n_scans=st.one_of(
+            st.just(0),
+            st.integers(min_value=1, max_value=WARMUP_SAMPLES),
+            st.integers(min_value=WARMUP_SAMPLES + 1, max_value=WARMUP_SAMPLES + 2500),
+        ),
+        coeffs=st.sampled_from([HW_COEFFS, default_hw_coefficients(), EXTREME_COEFFS]),
+        chunk=st.sampled_from([FRAME_LEN, 2 * FRAME_LEN, 1 << 16]),
+    )
+    @example(data=None, seed=1, channels=33, n_scans=WARMUP_SAMPLES + 1001, coeffs=HW_COEFFS, chunk=FRAME_LEN)
+    @example(data=None, seed=2, channels=256, n_scans=WARMUP_SAMPLES + 700, coeffs=EXTREME_COEFFS, chunk=1 << 16)
+    @settings(max_examples=25, deadline=None)
+    def test_any_split_gives_the_same_outputs(self, data, seed, channels, n_scans, coeffs, chunk):
+        cfg = HwConfig(channels=channels)
+        stream = spiky_stream(np.random.default_rng(seed), n_scans, channels)
+        events, crossings = hw_detect_multichannel(stream, cfg, coeffs, return_crossings=True)
+        gap = EventFormationConfig.for_rate(cfg.rate_hz).refractory_samples
+        if data is None:  # every frame boundary, and a refractory window cut scan by scan
+            cuts = list(range(0, n_scans, FRAME_LEN))
+            peak = next(e.sample_index for channel in events for e in channel)
+            cuts = sorted(cuts + list(range(peak, peak + gap)) + [4096, 4096])
+        else:
+            cuts = data.draw(stream_cuts(n_scans, events, gap))
+        with mock.patch.object(hw_model, "CHUNK_SCANS", chunk):
+            split_events, split_crossings = push_in_pieces(stream, cuts, cfg, coeffs)
+            assert hw_detect_multichannel(stream, cfg, coeffs) == events
+        assert split_events == events
+        assert np.array_equal(split_crossings, crossings)
+
+    def test_pushes_return_events_once_finished(self):
+        cfg = HwConfig(channels=40)
+        n_scans = WARMUP_SAMPLES + 3000
+        stream = spiky_stream(np.random.default_rng(23), n_scans, cfg.channels)
+        engine = MultichannelStream(cfg, HW_COEFFS)
+        pushed = [engine.push(stream[lo:lo + 700]) for lo in range(0, n_scans, 700)]
+        closed = engine.close()
+        # a push hands back every event that no later crossing could join
+        decided = (n_scans - 1) // FRAME_LEN * FRAME_LEN
+        gap = EventFormationConfig.for_rate(cfg.rate_hz).refractory_samples
+        assert sum(len(ch) for piece in pushed for ch in piece) > 10 * sum(map(len, closed))
+        assert all(e.sample_index > decided - 2 * gap for ch in closed for e in ch)
+        joined = [sum((piece[ch] for piece in pushed), []) + closed[ch] for ch in range(cfg.channels)]
+        assert joined == detect_multichannel_checked(stream, cfg, HW_COEFFS)
+
+    @pytest.mark.parametrize("chunk", [FRAME_LEN, 2 * FRAME_LEN])
+    def test_events_straddling_chunk_ends_form_as_the_oracle(self, chunk):
+        # spike pairs around every chunk end, at every spacing up to past the
+        # refractory gap: the open events of one chunk meet the next chunk's
+        # first crossings at, just below and just past the gap
+        cfg = HwConfig(channels=48)
+        n_scans = WARMUP_SAMPLES + 2000
+        stream = np.random.default_rng(26).integers(-3, 4, size=(n_scans, cfg.channels))
+        for end in range(WARMUP_SAMPLES, n_scans - 8, chunk):
+            for ch in range(cfg.channels):
+                stream[end - 1 - ch % 24, ch] = 50
+                stream[end + ch // 24, ch] = -50
+        with mock.patch.object(hw_model, "CHUNK_SCANS", chunk):
+            events = detect_multichannel_checked(stream, cfg, HW_COEFFS)
+        assert sum(map(len, events)) > cfg.channels
+
+    def test_rejected_push_leaves_the_stream_as_it_was(self):
+        cfg = HwConfig(channels=8)
+        stream = spiky_stream(np.random.default_rng(24), WARMUP_SAMPLES + 600, cfg.channels)
+        engine = MultichannelStream(cfg, HW_COEFFS, return_crossings=True)
+        first = engine.push(stream[:3000])
+        bad = stream[3000:3100].copy()
+        bad[50, 3] = 64
+        with pytest.raises(ValueError, match="range"):
+            engine.push(bad)
+        with pytest.raises(ValueError, match="ragged"):
+            engine.push(stream[3000:3100].ravel()[:-1])
+        second, last = engine.push(stream[3000:]), engine.close()
+        events, crossings = hw_detect_multichannel(stream, cfg, HW_COEFFS, return_crossings=True)
+        assert [a + b + c for a, b, c in zip(first[0], second[0], last[0])] == events
+        assert np.array_equal(np.concatenate([first[1], second[1], last[1]], axis=1), crossings)
+
+    def test_closed_stream_takes_nothing(self):
+        engine = MultichannelStream(HwConfig(channels=4))
+        assert engine.close() == [[]] * 4
+        with pytest.raises(ValueError, match="closed"):
+            engine.push(np.zeros((3, 4), dtype=np.int8))
+        with pytest.raises(ValueError, match="closed"):
+            engine.close()
+
+    def test_peak_memory_does_not_grow_with_the_stream(self):
+        # int8 scans, silent after the first N - 512, so that N and 4N scans
+        # give the same events; neither the input nor the events are counted
+        cfg = HwConfig()
+        n_scans = WARMUP_SAMPLES + 3000
+        live = spiky_stream(np.random.default_rng(25), n_scans - 512, cfg.channels).astype(np.int8)
+        peaks, found = [], []
+        for length in (n_scans, 4 * n_scans):
+            stream = np.zeros((length, cfg.channels), dtype=np.int8)
+            stream[:len(live)] = live
+            tracemalloc.start()
+            try:
+                found.append(hw_detect_multichannel(stream, cfg))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert found[0] == found[1] and sum(map(len, found[0])) > cfg.channels
+        assert peaks[1] < 1.1 * peaks[0], peaks

@@ -20,6 +20,7 @@ from dualteo.threshold import (
     _check_q10_range,
     _isqrt,
     SIGMA_FRACTION_BITS,
+    UNMEASURED,
     ThresholdCoefficients,
     _mean_accuracies,
     calibrate_coefficients,
@@ -161,6 +162,28 @@ class TestSigmaTrajectories:
             column = block[:, c].astype(np.int64)
             assert np.array_equal(traj[:, c], sigma_frames_q10(column))
             assert first[c] == initial_sigma_q10(column)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        frames=st.lists(st.integers(min_value=0, max_value=4), max_size=6),
+        tail=st.integers(min_value=0, max_value=FRAME_LEN - 1),
+    )
+    @settings(deadline=None)
+    def test_register_carries_the_loop_across_pieces(self, seed, frames, tail):
+        # pieces of whole frames, then a partial one, stepped through one register
+        rng = np.random.default_rng(seed)
+        n = (sum(frames) * FRAME_LEN) + tail
+        block = (rng.integers(-64, 64, size=(n, 5)) // rng.integers(1, 64, size=5)).astype(np.int8)
+        register = np.full(5, UNMEASURED, dtype=np.int32)
+        cuts = np.cumsum([0] + [f * FRAME_LEN for f in frames] + [tail])
+        pieces = [sigma_frames_q10(block[lo:hi], register) for lo, hi in zip(cuts, cuts[1:])]
+        whole = sigma_frames_q10(block)
+        assert np.array_equal(np.concatenate(pieces), whole)
+        if n < FRAME_LEN:  # no measurement frame yet
+            assert (register == UNMEASURED).all()
+        elif n % FRAME_LEN == 0:  # the register holds the sigma of the next frame
+            longer = sigma_frames_q10(np.concatenate([block, np.zeros((1, 5), np.int8)]))
+            assert np.array_equal(register, longer[-1])
 
     @given(st.lists(st.integers(min_value=-64, max_value=63), min_size=1, max_size=400))
     def test_initial_sigma_q10_matches_exact_floor(self, codes):
