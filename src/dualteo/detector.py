@@ -12,7 +12,11 @@ thresholds; detections are suppressed for the first 16 frames
 (``threshold.WARMUP_SAMPLES``) while it converges.  Every detector forms
 events the same way: crossing runs closer than a 1 ms refractory gap at the
 record's rate (:meth:`EventFormationConfig.for_rate`) merge into one event,
-aligned on the peak of its alignment signal, ties to the earliest.
+aligned on the peak of its alignment signal, ties to the earliest.  The one
+event former, ``_merge_runs``, has four callers: :func:`form_events`, the
+256-channel stream's chunk walk (``hw_model.MultichannelStream._walk``),
+and calibration's two merges, crossings into runs (``threshold._map_runs``)
+and a candidate's runs into events (``threshold._record_accuracies``).
 
 Amplitude-domain baselines (absolute threshold, dual-vertex threshold, moving
 average energy) use the record's global standard deviation as their noise
@@ -24,6 +28,8 @@ multiples were tuned on the bundled synthetic corpus by
 from __future__ import annotations
 
 import csv
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -108,49 +114,36 @@ class DetectorKind(Enum):
     TEO_SINGLE = "teo_single"
 
 
-def _event_starts(positions, gap: int) -> np.ndarray:
-    """Where an event starts among ascending crossing positions.
+def _merge_runs(first, last, peak, values, gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one event former: merge crossing runs closer than ``gap`` into events.
 
-    An event starts at the first crossing and wherever the position jumps by
-    at least ``gap``.
+    The runs come sorted by ``first``, their first crossing; ``last`` is
+    their last crossing, and a single crossing is a run whose ``first``,
+    ``last`` and ``peak`` are equal.  A run starts a new event where its
+    first crossing lies at least ``gap`` past the last crossing of every run
+    before it.  Each event sits on the smallest ``peak`` among its runs at
+    the event's maximum of ``values``; a NaN counts as the maximum, as
+    ``np.argmax`` treats it.  A caller whose runs do not overlap and that
+    needs the peak run's index passes ``np.arange(len(first))`` as ``peak``.
+
+    Returns the index of each event's first run, and each event's peak.
     """
-    starts = np.empty(len(positions), dtype=bool)
-    starts[:1] = True
-    np.greater_equal(positions[1:] - positions[:-1], gap, out=starts[1:])
-    return starts
-
-
-def _peak_members(values, starts) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the values at their event's peak, and which of them come first in their event.
-
-    Events begin where ``starts`` is set.  A value is at the peak when it
-    equals its event's maximum; a NaN counts as the maximum, as ``np.argmax``
-    treats it.  Every event has at least one value at its peak.
-    """
+    if len(first) == 0:  # nothing crossed: skip a dozen array calls
+        return np.zeros(0, dtype=np.intp), peak[:0]
+    starts = np.empty(len(first), dtype=bool)
+    starts[0] = True
+    np.greater_equal(first[1:] - np.maximum.accumulate(last)[:-1], gap, out=starts[1:])
+    heads = np.flatnonzero(starts)
     event = np.cumsum(starts) - 1
-    peak = np.maximum.reduceat(values, np.flatnonzero(starts))
-    at_peak = values == peak[event]
+    at_peak = values == np.maximum.reduceat(values, heads)[event]
     if values.dtype.kind == "f":
         at_peak |= np.isnan(values)
     at_peak = np.flatnonzero(at_peak)
-    first = np.empty(len(at_peak), dtype=bool)
-    first[:1] = True
-    np.not_equal(event[at_peak[1:]], event[at_peak[:-1]], out=first[1:])
-    return at_peak, first
-
-
-def _event_peaks(positions, values, gap: int) -> np.ndarray:
-    """The one event former: index of each event's peak among the crossings.
-
-    ``positions`` are ascending crossing sample indices, split into events
-    by :func:`_event_starts`; each event sits on the earliest maximum of
-    ``values`` over its crossings, as ``np.argmax`` would pick it (a NaN
-    counts as the maximum).
-    """
-    if len(positions) == 0:  # a block still inside the warm-up: skip a dozen array calls
-        return np.zeros(0, dtype=np.intp)
-    at_peak, first = _peak_members(values, _event_starts(positions, gap))
-    return at_peak[first]
+    # every event has a run at its peak; mark each event's first one
+    lead = np.empty(len(at_peak), dtype=bool)
+    lead[0] = True
+    np.not_equal(event[at_peak[1:]], event[at_peak[:-1]], out=lead[1:])
+    return heads, np.minimum.reduceat(peak[at_peak], np.flatnonzero(lead))
 
 
 def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: int = 0) -> list[SpikeEvent]:
@@ -166,9 +159,7 @@ def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: in
     if len(crossings) != len(teo_values):
         raise ValueError("crossings and teo_values must have the same length")
     idx = np.flatnonzero(crossings)
-    if idx.size == 0:
-        return []
-    peaks = idx[_event_peaks(idx, teo_values[idx], cfg.refractory_samples)]
+    _, peaks = _merge_runs(idx, idx, idx, teo_values[idx], cfg.refractory_samples)
     return [SpikeEvent(channel_id=channel_id, sample_index=i) for i in peaks.tolist()]
 
 
@@ -301,15 +292,38 @@ def finish_dual(prep: PreparedDual, coeffs: ThresholdCoefficients) -> list[Spike
     return _gate_and_form(prep, cross_x | cross_s, prep.align)
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
 def _check_warmup(record) -> bool:
+    """Whether ``record`` outlasts the warm-up; if not, warn at the caller outside the package."""
     if len(record) <= WARMUP_SAMPLES:
+        # stacklevel 1 is this function; count up to the first frame outside
+        # the package, however many package frames the call went through
+        frame, level = sys._getframe(1), 2
+        while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"record of {len(record)} samples does not outlast the "
             f"{WARMUP_SAMPLES}-sample warm-up; no detections possible",
-            stacklevel=3,
+            stacklevel=level,
         )
         return False
     return True
+
+
+def _detect_paths(record: SignalRecord, coeffs: ThresholdCoefficients, kinds) -> dict:
+    """The events of each of ``DUAL`` and ``TEO_SINGLE`` in ``kinds``, from one prepare and one compare."""
+    if not _check_warmup(record):
+        return {kind: [] for kind in kinds}
+    prep = prepare_dual(record)
+    cross_x, cross_s = dual_crossing_streams(prep, coeffs)
+    events = {}
+    if DetectorKind.DUAL in kinds:  # the OR comes before the raw path's warm-up is gated in place
+        events[DetectorKind.DUAL] = _gate_and_form(prep, cross_x | cross_s, prep.align)
+    if DetectorKind.TEO_SINGLE in kinds:
+        events[DetectorKind.TEO_SINGLE] = _gate_and_form(prep, cross_x, prep.x_energy)
+    return events
 
 
 def detect_dual(
@@ -319,10 +333,7 @@ def detect_dual(
     """Dual-path detection on a floating-point record."""
     if coeffs is None:
         coeffs = default_float_coefficients()
-    if not _check_warmup(record):
-        return []
-    prep = prepare_dual(record)
-    return finish_dual(prep, coeffs)
+    return _detect_paths(record, coeffs, [DetectorKind.DUAL])[DetectorKind.DUAL]
 
 
 def detect_teo_single(
@@ -332,24 +343,7 @@ def detect_teo_single(
     """Raw-path-only detection; its crossing set is a subset of the dual's."""
     if coeffs is None:
         coeffs = default_float_coefficients()
-    if not _check_warmup(record):
-        return []
-    prep = prepare_dual(record)
-    cross_x, _ = dual_crossing_streams(prep, coeffs)
-    return _gate_and_form(prep, cross_x, prep.x_energy)
-
-
-def _detect_dual_and_single(record: SignalRecord) -> tuple[list[SpikeEvent], list[SpikeEvent]]:
-    """:func:`detect_dual` and :func:`detect_teo_single` at their defaults.
-
-    Both come from one prepare and one compare.
-    """
-    if not _check_warmup(record):
-        return [], []
-    prep = prepare_dual(record)
-    cross_x, cross_s = dual_crossing_streams(prep, default_float_coefficients())
-    dual = cross_x | cross_s  # before the raw path's warm-up is gated in place
-    return _gate_and_form(prep, dual, prep.align), _gate_and_form(prep, cross_x, prep.x_energy)
+    return _detect_paths(record, coeffs, [DetectorKind.TEO_SINGLE])[DetectorKind.TEO_SINGLE]
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +433,8 @@ def detect_each(record: SignalRecord, kinds) -> list[list[SpikeEvent]]:
     both are asked for.
     """
     kinds = list(kinds)
-    shared = {}
-    if DetectorKind.DUAL in kinds and DetectorKind.TEO_SINGLE in kinds:
-        shared[DetectorKind.DUAL], shared[DetectorKind.TEO_SINGLE] = _detect_dual_and_single(record)
+    paths = [kind for kind in kinds if kind in (DetectorKind.DUAL, DetectorKind.TEO_SINGLE)]
+    shared = _detect_paths(record, default_float_coefficients(), paths) if paths else {}
     return [shared[kind] if kind in shared else detect(record, kind) for kind in kinds]
 
 

@@ -43,8 +43,8 @@ from .detector import (
     PreparedDual,
     SpikeEvent,
     _check_warmup,
-    _event_peaks,
     _frame_thresholds,
+    _merge_runs,
     dual_crossing_streams,
     finish_dual,
 )
@@ -398,7 +398,7 @@ class MultichannelStream:
         it; a final chunk ends the stream, so the energy of its last scan is
         the boundary 0.  The chunk's crossings after the warm-up join the
         open events, keyed channel-major with a gap between channels as
-        calibration spaces its crossing-map rows, so one ``_event_peaks``
+        calibration spaces its crossing-map rows, so one ``_merge_runs``
         pass forms every channel's events and none merge across channels.
         An event stays open while a crossing at the next chunk's first scan
         would still join it.
@@ -424,9 +424,10 @@ class MultichannelStream:
         key = channel * (chunk + 2 * gap) + (last - (start - gap))
         order = np.argsort(key, kind="stable")
         channel, last = channel[order], last[order]
+        key = key[order]
         scan = np.concatenate([open_peaks, times])[order]
         align = np.concatenate([open_align, align])[order]
-        peaks = _event_peaks(key[order], align, gap)
+        _, peaks = _merge_runs(key, key, np.arange(len(key)), align, gap)
         finished = np.ones(len(peaks), dtype=bool)
         if final:
             self._open = _NO_OPEN_EVENTS

@@ -31,7 +31,9 @@ path's distinct crossing maps (one per ``c1`` on the raw path, one per
 evaluation and one broadcast compare of the record's frames, and each map
 is reduced to its crossing runs.  A candidate's events are then merged from
 its two maps' runs, and blocks of candidates match them with whole-array
-kernels.  The result equals scoring every candidate on its own through
+kernels.  Both merges, crossings into runs and runs into events, go through
+the detectors' one event former, ``detector._merge_runs``.  The result
+equals scoring every candidate on its own through
 :func:`~dualteo.detector.finish_dual` and
 :func:`~dualteo.metrics.score_record`.
 """
@@ -500,16 +502,14 @@ def _map_runs(cells, align, gap: int, width: int) -> tuple:
     last crossing and its peak: the earliest maximum of ``align`` over its
     crossings (a NaN counts as the maximum), as column and value.  Rows are
     laid ``width`` apart, at least a gap past any row's last crossing, so one
-    event pass splits them all.
+    ``_merge_runs`` pass over the single crossings splits them all.
     """
     from . import detector as _detector
 
     rows, cols = np.divmod(np.flatnonzero(cells), cells.shape[1])
-    starts = _detector._event_starts(rows * width + cols, gap)
+    pos = rows * width + cols
     values = align[cols]
-    at_peak, lead = _detector._peak_members(values, starts)
-    peak = at_peak[lead]
-    first = np.flatnonzero(starts)
+    first, peak = _detector._merge_runs(pos, pos, np.arange(len(pos)), values, gap)
     last = np.append(first, len(cols))[1:] - 1
     counts = np.bincount(rows[first], minlength=len(cells))
     return counts, cols[first], cols[last], cols[peak], values[peak]
@@ -529,12 +529,13 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
 
     A candidate's crossings are the union of its two maps', so its events
     are unions of their runs: a run's crossings are already closer than the
-    refractory gap, so it never splits.  Sorted by first crossing, a run
-    starts a new event where it begins at least a gap past the last crossing
-    of every run before it; the event's peak is the largest run peak,
-    earliest on ties.  Candidates are merged in blocks of about
-    ``RUN_BLOCK`` runs, each candidate's runs ``width`` apart from the next
-    one's, and the events' true positives are counted in one pass per block.
+    refractory gap, so it never splits.  Sorted by first crossing, the runs
+    merge through ``detector._merge_runs``: a run starts a new event where
+    it begins at least a gap past the last crossing of every run before it,
+    and the event's peak is the largest run peak, earliest on ties.
+    Candidates are merged in blocks of about ``RUN_BLOCK`` runs, each
+    candidate's runs ``width`` apart from the next one's, and the events'
+    true positives are counted in one pass per block.
     """
     from . import detector as _detector
     from . import metrics as _metrics
@@ -583,12 +584,7 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
         # candidates in order, so ``base`` needs no reordering
         order = np.argsort(first, kind="stable")
         first, idx = first[order], idx[order]
-        starts = np.empty(len(first), dtype=bool)
-        starts[:1] = True
-        reach = np.maximum.accumulate(base + run_last[idx])
-        np.greater_equal(first[1:] - reach[:-1], gap, out=starts[1:])
-        at_peak, lead = _detector._peak_members(run_value[idx], starts)
-        peaks = np.minimum.reduceat(base[at_peak] + run_peak[idx[at_peak]], np.flatnonzero(lead))
+        _, peaks = _detector._merge_runs(first, base + run_last[idx], base + run_peak[idx], run_value[idx], gap)
         rows, cols = np.divmod(peaks, width)
         tp = _metrics._true_positives(cols, rows, hi - lo, tru, tol)
         # tp + fp + fn = detections + truths - tp

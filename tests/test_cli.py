@@ -631,6 +631,73 @@ def test_fuzzed_detect_inputs_exit_0_or_2(data):
 
 
 # ---------------------------------------------------------------------------
+# Fuzzing: drawn sample lines of a CSV record through detect, float and
+# --hw, end in exit 0 or 2
+# ---------------------------------------------------------------------------
+
+FUZZ_LINES = [repr(v) for v in FUZZ_RECORD.samples.tolist()]
+SAMPLE_LINES = st.floats().map(repr) | st.text(max_size=4) | st.sampled_from(
+    ["1_000", "\u0661\u0662\u0663", "nan", "-inf", "0x1p3", "1e308", "-1e308", "1e-320", "1,2", " 7 ", ""])
+
+
+def csv_record_lines():
+    """The fuzz record's sample lines with a few replaced by drawn ones, or drawn lines alone."""
+    def replaced(edits):
+        lines = list(FUZZ_LINES)
+        for i, line in edits:
+            lines[i] = line
+        return lines
+    edits = st.lists(st.tuples(st.integers(0, len(FUZZ_LINES) - 1), SAMPLE_LINES), max_size=4)
+    return mostly(edits.map(replaced), st.lists(SAMPLE_LINES, max_size=5))
+
+
+def csv_detect_inputs():
+    """A CSV record's lines, with a header whose ``n_samples`` counts them as the loader does."""
+    def inputs(hw, lines):
+        n_samples = sum(1 for line in "\n".join(lines).splitlines() if line.strip())
+        return st.fixed_dictionaries({
+            "hw": st.just(hw),
+            "detector": st.just("dual") if hw else DETECTOR_NAMES,
+            "header": header_values(hw, n_samples),
+            "lines": st.just(lines),
+        })
+    return st.tuples(st.booleans(), csv_record_lines()).flatmap(lambda drawn: inputs(*drawn))
+
+
+def run_detect_csv(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        record_path = Path(tmp) / "rec.csv"
+        record_path.write_text("\n".join(data["lines"]) + "\n", encoding="utf-8")
+        record_path.with_name("rec.csv.hdr").write_text(
+            "".join(f"{k}={v}\n" for k, v in data["header"].items()))
+        argv = ["detect", "--detector", data["detector"], "--record", str(record_path)]
+        if data["hw"]:
+            argv.append("--hw")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return main(argv)
+
+
+def counted_header(lines):
+    return {**VALID_HEADER, "n_samples": str(len(lines))}
+
+
+@given(csv_detect_inputs())
+# ``float`` parses underscores and other scripts' digits (exit 0); a NaN
+# sample is refused, and so is hex, which ``float`` does not parse (exit 2)
+@example({"hw": False, "detector": "dual", "header": VALID_HEADER, "lines": ["1_000"] + FUZZ_LINES[1:]})
+@example({"hw": True, "detector": "dual", "header": VALID_HEADER, "lines": ["\u0661\u0662\u0663"] + FUZZ_LINES[1:]})
+@example({"hw": False, "detector": "dual", "header": VALID_HEADER, "lines": ["nan"] + FUZZ_LINES[1:]})
+@example({"hw": False, "detector": "dual", "header": VALID_HEADER, "lines": ["0x1p3"] + FUZZ_LINES[1:]})
+# finite samples whose resample overflows to inf (exit 2)
+@example({"hw": True, "detector": "dual", "header": counted_header(["1e308", "-1e308", "1e308"]),
+          "lines": ["1e308", "-1e308", "1e308"]})
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_csv_record_exits_0_or_2(data):
+    assert run_detect_csv(data) in (0, 2)
+
+
+# ---------------------------------------------------------------------------
 # Fuzzing: drawn corpora through calibrate, float and hw, end in exit 0 or 2
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clean_spike_record
@@ -8,6 +8,7 @@ from loop_oracles import split_events
 from dualteo.detector import (
     DetectorKind,
     EventFormationConfig,
+    _merge_runs,
     detect,
     detect_at,
     detect_dual,
@@ -24,7 +25,8 @@ from dualteo.detector import (
     moving_average_energy,
     prepare_dual,
 )
-from dualteo.signal_model import SignalRecord
+from dualteo.hw_model import HwConfig, hw_detect_channel
+from dualteo.signal_model import QuantizedRecord, SignalRecord
 from dualteo.threshold import ThresholdCoefficients
 
 COEFFS = ThresholdCoefficients.make((3, 2), (1, 2), (2, 0))
@@ -119,6 +121,71 @@ class TestFormEvents:
         a = form_events(crossings, energy, cfg)
         b = form_events(crossings, energy, cfg)
         assert a == b
+
+
+@st.composite
+def run_sets(draw):
+    """1-3 rows of crossings over one record, as calibration's two crossing
+    maps are, with the values they peak on (few distinct ones, so peaks tie,
+    NaN among them), where to cut runs short, and a gap."""
+    n = draw(st.integers(min_value=0, max_value=100))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=3))
+    values = draw(st.lists(st.sampled_from([-2.0, 0.0, 1.0, 2.0, np.nan]), min_size=n, max_size=n))
+    cuts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # mostly gaps that split a row of random crossings more than once
+    gap = draw(st.integers(min_value=1, max_value=8) | st.integers(min_value=1, max_value=120))
+    return rows, values, cuts, gap
+
+
+def crossing_runs(rows, values, cuts, gap):
+    """Each row's crossings cut into runs, sorted by first crossing: first,
+    last and earliest peak of each run.  A run ends where the next crossing
+    lies a gap away, and also after any crossing where ``cuts`` is set."""
+    first, last, peak = [], [], []
+    for row in rows:
+        idx = np.flatnonzero(row)
+        ends = (np.diff(idx) >= gap) | cuts[idx[:-1]]
+        for run in np.split(idx, np.flatnonzero(ends) + 1):
+            if len(run):
+                first.append(run[0])
+                last.append(run[-1])
+                peak.append(run[np.argmax(values[run])])
+    order = np.argsort(np.asarray(first, dtype=np.intp), kind="stable")
+    return tuple(np.asarray(x, dtype=np.intp)[order] for x in (first, last, peak))
+
+
+class TestMergeRuns:
+    @given(run_sets(), st.sampled_from([np.float64, np.int16]))
+    # the empty input; gap 1, where every crossing is its own event; a gap
+    # longer than the record; a tie between two runs, where the run that
+    # comes first holds the later peak; NaN peaks in two runs of one event;
+    # a long run that reaches past a shorter run after it
+    @example(([[]], [], [], 1), np.float64)
+    @example(([[1, 1, 0, 1], [0, 1, 1, 0]], [1.0, 1.0, 1.0, 0.0], [0] * 4, 1), np.int16)
+    @example(([[1, 0, 0, 1, 0, 1]], [0.0, 2.0, 0.0, 2.0, 0.0, 1.0], [1] * 6, 50), np.float64)
+    @example(([[1, 1, 0, 0, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0, 0, 0]], [0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 5.0, 0.0],
+              [0] * 8, 8), np.int16)
+    @example(([[1, 1, 0, 1]], [1.0, np.nan, 0.0, np.nan], [1, 0, 0, 0], 4), np.float64)
+    @example(([[1, 0, 0, 1, 0, 0, 1, 0, 0, 1], [0, 0, 1, 0, 0, 0, 0, 1, 0, 0]], [0.0] * 10, [0] * 10, 4),
+             np.float64)
+    @settings(max_examples=200)
+    def test_equals_split_argmax_oracle_on_the_union(self, drawn, dtype):
+        rows, values, cuts, gap = drawn
+        rows = np.asarray(rows, dtype=bool).reshape(len(rows), len(values))
+        values = np.asarray(values)
+        if dtype is np.int16:  # NaN is the maximum, as 3 is here
+            values = np.nan_to_num(values, nan=3.0)
+        values = values.astype(dtype)
+        first, last, peak = crossing_runs(rows, values, np.asarray(cuts, dtype=bool), gap)
+        heads, peaks = _merge_runs(first, last, peak, values[peak], gap)
+        union = rows.any(axis=0)
+        assert peaks.tolist() == split_events(union, values, gap)
+        idx = np.flatnonzero(union)
+        assert first[heads].tolist() == idx[np.flatnonzero(np.diff(idx, prepend=-gap) >= gap)].tolist()
+        # single crossings in the index form, as calibration's crossing maps
+        # and the stream's chunks pass them: each peak's index among them
+        idx_heads, at = _merge_runs(idx, idx, np.arange(len(idx)), values[idx], gap)
+        assert idx[idx_heads].tolist() == first[heads].tolist() and idx[at].tolist() == peaks.tolist()
 
 
 class TestDetectDual:
@@ -250,6 +317,26 @@ class TestBaselines:
         record = SignalRecord(samples=np.ones(100), rate_hz=24000.0)
         with pytest.warns(UserWarning, match="warm-up"):
             assert detect_each(record, [DetectorKind.DUAL, DetectorKind.TEO_SINGLE]) == [[], []]
+
+
+SHORT_RECORD = SignalRecord(samples=np.ones(100), rate_hz=24000.0)
+SHORT_CODES = QuantizedRecord(codes=np.ones(100, dtype=np.int64), format=HwConfig.input_format,
+                              rate_hz=HwConfig.rate_hz)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: detect_dual(SHORT_RECORD),
+    lambda: detect_teo_single(SHORT_RECORD),
+    lambda: detect(SHORT_RECORD, DetectorKind.DUAL),
+    lambda: detect_each(SHORT_RECORD, list(DetectorKind)),
+    lambda: hw_detect_channel(SHORT_CODES),
+], ids=["detect_dual", "detect_teo_single", "detect", "detect_each", "hw_detect_channel"])
+def test_warmup_warning_names_the_caller(call):
+    # the default filter shows a warning once per line it names, so it must
+    # name the line that called into the package
+    with pytest.warns(UserWarning, match="warm-up") as caught:
+        call()
+    assert [w.filename for w in caught] == [__file__]
 
 
 class TestEventCsv:

@@ -1,4 +1,5 @@
-"""Golden outputs: calibration's mean accuracies and the integer engine's detections.
+"""Golden outputs: calibration's mean accuracies, every detector's events, the
+sweep CSVs and the ``detect`` command's report.
 
 Calibration must pick the same coefficients with the same score however its
 scoring is computed.  These digests pin the full mean-accuracy vector over
@@ -7,7 +8,9 @@ two corpora: a small fixed corpus at 24 kHz, which the hw pipeline resamples
 to 16 kHz as ``calibrate_coefficients`` does, and the ``oracle_training``
 records, which sit at each pipeline's own rate.  The integer engine's events
 and comparator outputs are pinned the same way, however the engine walks
-its stream.
+its stream.  So are the events of all five detectors and of the ``--hw``
+path on short records across the noise grid, the sweep CSV of each axis,
+and the stdout of ``dualteo detect --truth``, however events are formed.
 
 The digests were taken with numpy 2.4 on x86-64.  A change that moves one on
 purpose updates it in the same change and says which one moved and why; a
@@ -20,10 +23,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from dualteo import dataio
-from dualteo.detector import prepare_dual
+from dualteo import dataio, metrics
+from dualteo.cli import main
+from dualteo.detector import DetectorKind, detect, detect_each, prepare_dual
 from dualteo.hw_model import HwConfig, hw_detect_channel, hw_detect_multichannel, quantize_for_hw
-from dualteo.signal_model import QuantizedRecord
+from dualteo.signal_model import QuantizedRecord, save_record
 from dualteo.threshold import (
     WARMUP_SAMPLES,
     ThresholdCoefficients,
@@ -181,3 +185,101 @@ def test_channel_events_are_pinned(coeffs):
     events = [hw_detect_channel(q, cfg, golden_coeffs(coeffs)) for q in records]
     assert all(events)
     assert events_digest(events) == GOLDEN_CHANNEL[coeffs]
+
+
+# ---------------------------------------------------------------------------
+# Detector, sweep and command outputs
+# ---------------------------------------------------------------------------
+
+# name -> (duration_s, rate_hz, noise_level, seed): the sweep's noise grid at
+# 24 kHz, and one record at the chip's 16 kHz
+RECORDS = {
+    "noise0.05": (2.0, 24000.0, 0.05, 51),
+    "noise0.1": (2.0, 24000.0, 0.1, 52),
+    "noise0.15": (2.0, 24000.0, 0.15, 53),
+    "noise0.2": (2.0, 24000.0, 0.2, 54),
+    "16k": (3.0, 16000.0, 0.1, 55),
+}
+
+# record -> detector kind, or "hw" for resample -> quantize_for_hw ->
+# hw_detect_channel of a 24 kHz record -> events digest
+GOLDEN_EVENTS = {
+    "noise0.05": {"dual": "a2e0e2865c4b3fb7", "at": "92d549da40eb7a1b", "dvt": "92d549da40eb7a1b",
+                  "mae": "453b3ccd525447b1", "teo_single": "a2e0e2865c4b3fb7", "hw": "5a25263d0b1cb265"},
+    "noise0.1": {"dual": "e75f198664753427", "at": "3e680b8d40dc8068", "dvt": "3e680b8d40dc8068",
+                 "mae": "41623a476732eecb", "teo_single": "e75f198664753427", "hw": "64ddcaa959a106e9"},
+    "noise0.15": {"dual": "96ac6c5d750e66ac", "at": "07504319a8a6d358", "dvt": "07504319a8a6d358",
+                  "mae": "af48d150632176f7", "teo_single": "96ac6c5d750e66ac", "hw": "f865b55d3c38108b"},
+    "noise0.2": {"dual": "c7084c78b8c18e83", "at": "3e62a465b48c8e62", "dvt": "3e62a465b48c8e62",
+                 "mae": "923005997b8694a2", "teo_single": "b7f1fd99c1eaae87", "hw": "85f18faed5552103"},
+    "16k": {"dual": "e7062b95b9c6e047", "at": "623385c20ac98e33", "dvt": "623385c20ac98e33",
+            "mae": "769574336a39a15b", "teo_single": "e7062b95b9c6e047"},
+}
+
+# axis -> (points, SHA-256 prefix of the CSV text); 1 replicate of 2 s
+# records, at points where the detectors' accuracies differ
+GOLDEN_SWEEPS = {
+    "noise_level": ((0.1, 0.3, 0.5), "7f5460f0ec850b6b"),
+    "resolution_bits": ((2, 3, 5), "0d20663390efbba5"),
+    "rate_hz": ((3000.0, 6000.0, 24000.0), "7467328d8beb5371"),
+}
+
+# detector, or "hw" for ``--hw``, -> SHA-256 prefix of the stdout of
+# ``dualteo detect --truth`` on the noise0.2 record
+GOLDEN_DETECT_STDOUT = {
+    "dual": "dca9c0196f06bffb",
+    "at": "78e600b0319a95ce",
+    "dvt": "78e600b0319a95ce",
+    "mae": "8374e28efd6018f1",
+    "teo_single": "945ceeea4260b8f4",
+    "hw": "aa670f1335c3457c",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_records():
+    return {
+        name: dataio.generate(dataio.SyntheticConfig(duration_s=d, rate_hz=rate, noise_level=noise, seed=seed))
+        for name, (d, rate, noise, seed) in RECORDS.items()
+    }
+
+
+def hw_path_events(record):
+    cfg = HwConfig()
+    return hw_detect_channel(quantize_for_hw(dataio.resample(record, cfg.rate_hz), cfg), cfg)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_detector_events_are_pinned(name, golden_records):
+    record, _ = golden_records[name]
+    kinds = list(DetectorKind)
+    events = {kind.value: detect(record, kind) for kind in kinds}
+    if RECORDS[name][1] == 24000.0:
+        events["hw"] = hw_path_events(record)
+    assert all(events.values())
+    assert {k: events_digest([ev]) for k, ev in events.items()} == GOLDEN_EVENTS[name]
+    assert detect_each(record, kinds) == [events[kind.value] for kind in kinds]
+
+
+@pytest.mark.parametrize("axis", sorted(GOLDEN_SWEEPS))
+def test_sweep_csv_is_pinned(axis):
+    points, digest = GOLDEN_SWEEPS[axis]
+    spec = metrics.SweepSpec(
+        axis=axis, points=points, detectors=tuple(DetectorKind), replicates=1,
+        base_cfg=dataio.SyntheticConfig(duration_s=2.0, seed=61),
+    )
+    text = metrics.report(metrics.sweep(spec), "csv")
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("detector", sorted(GOLDEN_DETECT_STDOUT))
+def test_detect_stdout_is_pinned(detector, golden_records, tmp_path, capsys):
+    record, truth = golden_records["noise0.2"]
+    save_record(record, tmp_path / "rec.f32")
+    dataio.save_ground_truth(truth, tmp_path / "truth.csv")
+    argv = ["detect", "--detector", "dual" if detector == "hw" else detector,
+            "--record", str(tmp_path / "rec.f32"), "--truth", str(tmp_path / "truth.csv")]
+    assert main(argv + (["--hw"] if detector == "hw" else [])) == 0
+    out = capsys.readouterr().out
+    assert "tp=" in out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_DETECT_STDOUT[detector]
