@@ -20,9 +20,10 @@ and a candidate's runs into events (``threshold._record_accuracies``).
 
 Amplitude-domain baselines (absolute threshold, dual-vertex threshold, moving
 average energy) use the record's global standard deviation as their noise
-scale, so their thresholds are exactly scale-equivariant.  Their default
-multiples were tuned on the bundled synthetic corpus by
-``scripts/calibrate_defaults.py``.
+scale, so their thresholds are exactly scale-equivariant.  A constant
+record has no noise scale, and they report nothing on it, as the energy
+detectors do.  Their default multiples were tuned on the bundled synthetic
+corpus by ``scripts/calibrate_defaults.py``.
 """
 
 from __future__ import annotations
@@ -177,7 +178,8 @@ class PreparedDual:
     The warm-up and the refractory gap are not settable: both pipelines gate
     ``WARMUP_SAMPLES`` and merge within 1 ms at ``rate_hz``.  The arrays hold
     one channel, or, inside :class:`~dualteo.hw_model.MultichannelStream`,
-    a time chunk of every channel of the stream along axis 1.
+    a time chunk of every channel of the stream along axis 1; a chunk has
+    no ``align``, because the stream aligns only its crossings.
     """
 
     warmup_samples: ClassVar[int] = WARMUP_SAMPLES
@@ -185,7 +187,7 @@ class PreparedDual:
     x_energy: np.ndarray        # raw-path energy stream
     s_energy: np.ndarray        # smoothed-path energy stream
     sigma_per_frame: np.ndarray  # sigma in effect during each frame
-    align: np.ndarray           # alignment signal for event formation
+    align: np.ndarray | None    # alignment signal for event formation
     rate_hz: float
     channel_id: int
     integer_domain: bool
@@ -361,9 +363,11 @@ def detect_at(
 ) -> list[SpikeEvent]:
     """Absolute thresholding: ``|x| > multiple * std(x)``, aligned on the |x| peak."""
     x = record.samples
-    thr = threshold_multiple * float(np.std(x)) if len(x) else 0.0
+    sd = float(np.std(x)) if len(x) else 0.0
+    if sd == 0:  # a constant record has no noise to scale a threshold by
+        return []
     mag = np.abs(x)
-    return _form_baseline(record, mag > thr, mag)
+    return _form_baseline(record, mag > threshold_multiple * sd, mag)
 
 
 def detect_dvt(
@@ -374,6 +378,8 @@ def detect_dvt(
     """Dual-vertex thresholding with independent positive and negative levels."""
     x = record.samples
     sd = float(np.std(x)) if len(x) else 0.0
+    if sd == 0:  # a constant record has no noise to scale a threshold by
+        return []
     crossings = (x > pos_multiple * sd) | (x < -neg_multiple * sd)
     return _form_baseline(record, crossings, np.abs(x))
 
@@ -407,8 +413,10 @@ def detect_mae(
     """Moving-average-energy detection: ``e > multiple * var(x)``."""
     x = record.samples
     e = moving_average_energy(x, window)
-    thr = threshold_multiple * float(np.var(x)) if len(x) else 0.0
-    return _form_baseline(record, e > thr, e)
+    var = float(np.var(x)) if len(x) else 0.0
+    if var == 0:  # a constant record has no noise to scale a threshold by
+        return []
+    return _form_baseline(record, e > threshold_multiple * var, e)
 
 
 def detect(record: SignalRecord, kind: DetectorKind, **kwargs) -> list[SpikeEvent]:

@@ -140,6 +140,8 @@ def _prepare_codes(
     cut as int8, int8 half-sums and int16 energies.  A chunk keeps only its
     own ``rows`` of ``codes``, which start on a frame boundary, and carries
     its sigma loop in ``register`` (see :func:`~dualteo.threshold.sigma_frames_q10`).
+    A chunk also leaves ``align`` unset: the stream reads the alignment only
+    at its crossings and takes :func:`_align_stream` of those alone.
     """
     s = smooth2_fixed(codes)
     x_teo = teo_fixed(codes, cfg.xteo_format, cfg.xteo_drop_lsbs)[rows]
@@ -148,7 +150,7 @@ def _prepare_codes(
         x_energy=x_teo,
         s_energy=s_teo,
         sigma_per_frame=sigma_frames_q10(s[rows], register),
-        align=_align_stream(x_teo, s_teo, cfg),
+        align=_align_stream(x_teo, s_teo, cfg) if register is None else None,
         rate_hz=cfg.rate_hz,
         channel_id=channel_id,
         integer_domain=True,
@@ -224,8 +226,9 @@ class HwTrace:
         if header.rstrip("\r") != ",".join(cls.COLUMNS):
             raise ValueError(f"{path}: bad trace header")
         if body.strip():
-            # one parse of the whole table; a malformed row raises ValueError
-            table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
+            # one parse of the whole table; a malformed row raises ValueError,
+            # and so does a "#", since the format has no comments
+            table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
         else:
             table = np.zeros((0, len(cls.COLUMNS)), dtype=np.int64)
         if table.shape[1] != len(cls.COLUMNS):
@@ -295,7 +298,9 @@ class MultichannelStream:
 
     :meth:`push` takes the next scans, flat (scan-major) or ``(n_scans,
     channels)``, under the input checks of :func:`hw_detect_multichannel`,
-    and returns the events they finished, one list per channel;
+    and returns the events they finished, one list per channel; a push
+    that fails a check leaves the stream as it was, so the next push
+    continues from the last accepted one;
     :meth:`close` ends the stream and returns the rest.  With
     ``return_crossings`` each call also returns the raw comparator outputs
     of the scans it decided, a ``(channels, scans)`` boolean array; joined
@@ -303,9 +308,12 @@ class MultichannelStream:
 
     The stream is walked in time chunks across all channels, each a whole
     number of frames and at most ``CHUNK_SCANS`` long, at the chip's widths:
-    int8 codes and half-sums, int16 energies and int32 sigma registers.  A
-    chunk runs the datapath of :func:`prepare_hw_dual` along axis 0, steps
-    every channel's sigma at once and compares once.  The energy of scan
+    int8 codes and half-sums, int16 energies and int32 sigma registers.
+    Each chunk's scans are range-checked in their own dtype just before
+    they are cast to int8, so the push is read once and never copied
+    whole.  A chunk runs the datapath of :func:`prepare_hw_dual` along axis
+    0, steps every channel's sigma at once and compares once, and takes
+    the alignment signal only at its crossings.  The energy of scan
     ``k`` reads scan ``k + 1``, so a chunk waits for the scan after it, and
     codes are buffered until a whole frame has arrived.  From one chunk to
     the next each channel carries its last two codes (the smoother and the
@@ -334,7 +342,10 @@ class MultichannelStream:
         self._closed = False
 
     def _scans(self, frames) -> np.ndarray:
-        """``frames`` as checked ``(n_scans, channels)`` codes, in their own dtype."""
+        """``frames`` as ``(n_scans, channels)`` integer codes in their own dtype.
+
+        :meth:`push` checks their range, a slice at a time.
+        """
         channels = self.cfg.channels
         stream = np.asarray(frames)
         if not np.issubdtype(stream.dtype, np.integer):
@@ -347,12 +358,24 @@ class MultichannelStream:
             stream = stream.reshape(-1, channels)
         elif stream.ndim != 2 or stream.shape[1] != channels:
             raise ValueError(f"expected (n_scans, {channels}) stream")
-        if not self.cfg.input_format.contains(stream):
-            raise ValueError(f"codes outside {self.cfg.input_format.total_bits}-bit range")
         return stream
 
+    def _in_range(self, codes: np.ndarray) -> np.ndarray:
+        """``codes``, checked against the input format in their own dtype.
+
+        The check comes before the int8 cast, which would wrap a code such
+        as 256 into range.
+        """
+        if not self.cfg.input_format.contains(codes):
+            raise ValueError(f"codes outside {self.cfg.input_format.total_bits}-bit range")
+        return codes
+
     def push(self, frames):
-        """Take the next scans; return the events they finished."""
+        """Take the next scans; return the events they finished.
+
+        A slice out of range can fail the push after chunks have been
+        walked, so the carried state is taken before the walk and put back.
+        """
         if self._closed:
             raise ValueError("stream is closed")
         scans = self._scans(frames)
@@ -360,15 +383,22 @@ class MultichannelStream:
         # the whole frames whose following scan has arrived
         ready = max(0, len(self._held) + len(scans) - carried - 1) // FRAME_LEN * FRAME_LEN
         events, crossings = self._outputs(ready)
-        done = taken = 0
-        while done < ready:
-            chunk = min(ready - done, CHUNK_SCANS)
-            need = carried + chunk + 1 - len(self._held)
-            window = np.concatenate([self._held, scans[taken:taken + need]], dtype=np.int8)
-            self._walk(window, carried, chunk, events, crossings[:, done:done + chunk])
-            self._held, carried = window[-3:].copy(), 2
-            done, taken = done + chunk, taken + need
-        self._held = np.concatenate([self._held, scans[taken:]], dtype=np.int8)
+        # the sigma register is stepped in place, so it is saved as a copy
+        state = self._start, self._held, self._sigma.copy(), self._open
+        try:
+            done = taken = 0
+            while done < ready:
+                chunk = min(ready - done, CHUNK_SCANS)
+                need = carried + chunk + 1 - len(self._held)
+                fresh = self._in_range(scans[taken:taken + need])
+                window = np.concatenate([self._held, fresh], dtype=np.int8)
+                self._walk(window, carried, chunk, events, crossings[:, done:done + chunk])
+                self._held, carried = window[-3:].copy(), 2
+                done, taken = done + chunk, taken + need
+            self._held = np.concatenate([self._held, self._in_range(scans[taken:])], dtype=np.int8)
+        except BaseException:
+            self._start, self._held, self._sigma, self._open = state
+            raise
         return (events, crossings) if self.return_crossings else events
 
     def close(self):
@@ -412,7 +442,10 @@ class MultichannelStream:
         self._start = end
         skip = max(0, prep.warmup_samples - start)
         times, channels = np.divmod(np.flatnonzero(crossing[skip:]), crossing.shape[1])
-        align = prep.align[skip:][times, channels]
+        # the alignment is elementwise: take it of the live crossings' energies alone
+        align = _align_stream(
+            prep.x_energy[skip:][times, channels], prep.s_energy[skip:][times, channels], self.cfg
+        )
         open_channels, open_last, open_peaks, open_align = self._open
         if len(times) + len(open_channels) == 0:
             return
@@ -458,12 +491,14 @@ def hw_detect_multichannel(
 
     The stream goes through one :class:`MultichannelStream`, one ``push``
     and its ``close``: in time chunks of ``CHUNK_SCANS`` scans across all
-    channels, each cut as int8 from the stream's native layout once the
-    whole stream has passed the 7-bit range check, with each channel's
-    state carried from chunk to chunk.  Channels share no state, so this
-    equals the chip's round-robin service of the interleaved stream bit for
-    bit; ``tests/serial_oracle.py`` holds that sample-serial, block-scheduled
-    engine, and the test suite checks the two against each other.
+    channels, each range-checked against the 7-bit format in the stream's
+    own dtype and then cut as int8 from its native layout, with each
+    channel's state carried from chunk to chunk.  A code out of range
+    anywhere in the stream raises before any event is returned.  Channels
+    share no state, so this equals the chip's round-robin service of the
+    interleaved stream bit for bit; ``tests/serial_oracle.py`` holds that
+    sample-serial, block-scheduled engine, and the test suite checks the
+    two against each other.
 
     Returns a list of per-channel event lists; with ``return_crossings`` also
     a (channels, n_scans) boolean array of raw comparator outputs, taken from

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,7 @@ from dualteo.detector import (
 )
 from dualteo.hw_model import HwConfig, hw_detect_channel
 from dualteo.signal_model import QuantizedRecord, SignalRecord
-from dualteo.threshold import ThresholdCoefficients
+from dualteo.threshold import WARMUP_SAMPLES, ThresholdCoefficients
 
 COEFFS = ThresholdCoefficients.make((3, 2), (1, 2), (2, 0))
 
@@ -317,6 +319,20 @@ class TestBaselines:
         record = SignalRecord(samples=np.ones(100), rate_hz=24000.0)
         with pytest.warns(UserWarning, match="warm-up"):
             assert detect_each(record, [DetectorKind.DUAL, DetectorKind.TEO_SINGLE]) == [[], []]
+
+    @pytest.mark.parametrize("n", [100, 10_000], ids=["inside-warmup", "past-warmup"])
+    @pytest.mark.parametrize("value", [0.5, 0.0], ids=["half", "zero"])
+    def test_constant_record_gives_no_events(self, value, n):
+        # std 0 leaves the amplitude baselines no noise scale: no threshold, no events
+        record = SignalRecord(samples=np.full(n, value), rate_hz=24000.0)
+        kinds = list(DetectorKind)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert [detect(record, kind) for kind in kinds] == [[]] * len(kinds)
+            assert detect_each(record, kinds) == [[]] * len(kinds)
+        # the only warnings are the energy detectors' on a record inside the warm-up
+        assert all("warm-up" in str(w.message) for w in caught)
+        assert bool(caught) == (n <= WARMUP_SAMPLES)
 
 
 SHORT_RECORD = SignalRecord(samples=np.ones(100), rate_hz=24000.0)

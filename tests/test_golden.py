@@ -8,9 +8,10 @@ two corpora: a small fixed corpus at 24 kHz, which the hw pipeline resamples
 to 16 kHz as ``calibrate_coefficients`` does, and the ``oracle_training``
 records, which sit at each pipeline's own rate.  The integer engine's events
 and comparator outputs are pinned the same way, however the engine walks
-its stream.  So are the events of all five detectors and of the ``--hw``
-path on short records across the noise grid, the sweep CSV of each axis,
-and the stdout of ``dualteo detect --truth``, however events are formed.
+its stream, and so is every column of its per-sample trace.  So are the
+events of all five detectors and of the ``--hw`` path on short records
+across the noise grid, the sweep CSV of each axis, and the stdout of
+``dualteo detect --truth``, however events are formed.
 
 The digests were taken with numpy 2.4 on x86-64.  A change that moves one on
 purpose updates it in the same change and says which one moved and why; a
@@ -26,7 +27,14 @@ import pytest
 from dualteo import dataio, metrics
 from dualteo.cli import main
 from dualteo.detector import DetectorKind, detect, detect_each, prepare_dual
-from dualteo.hw_model import HwConfig, hw_detect_channel, hw_detect_multichannel, quantize_for_hw
+from dualteo.hw_model import (
+    HwConfig,
+    HwTrace,
+    hw_detect_channel,
+    hw_detect_multichannel,
+    quantize_for_hw,
+    trace_internal,
+)
 from dualteo.signal_model import QuantizedRecord, save_record
 from dualteo.threshold import (
     WARMUP_SAMPLES,
@@ -127,6 +135,23 @@ GOLDEN_MULTICHANNEL = {
 # the 33-channel stream and one generated 16 kHz record
 GOLDEN_CHANNEL = {"shipped": "736602a44427601e", "extreme": "b13e7659ba14b052"}
 
+# coefficient set -> trace column -> (dtype, SHA-256 prefix of its
+# little-endian bytes) of trace_internal on channel 0 of the 33-channel stream
+GOLDEN_TRACE = {
+    "shipped": {
+        "x": ("int64", "74275a1d08545ee0"), "s": ("int64", "5c611e6124ab9900"),
+        "x_teo": ("int64", "9b6c4c10835bc585"), "s_teo": ("int64", "fb2539f222df3c6c"),
+        "thr_x": ("int64", "ffbd4e5c019c9dfa"), "thr_s": ("int64", "b55519a7592f01cd"),
+        "crossing": ("int64", "72fb51b44771753c"),
+    },
+    "extreme": {
+        "x": ("int64", "74275a1d08545ee0"), "s": ("int64", "5c611e6124ab9900"),
+        "x_teo": ("int64", "9b6c4c10835bc585"), "s_teo": ("int64", "fb2539f222df3c6c"),
+        "thr_x": ("int64", "1c21c065f0a7c8a3"), "thr_s": ("int64", "c79bbf7fea533e0a"),
+        "crossing": ("int64", "10036aa678f12744"),
+    },
+}
+
 
 def golden_stream(channels: int, n_scans: int, seed: int) -> np.ndarray:
     """Low-amplitude noise, with sparse spikes of random height and spacing,
@@ -185,6 +210,21 @@ def test_channel_events_are_pinned(coeffs):
     events = [hw_detect_channel(q, cfg, golden_coeffs(coeffs)) for q in records]
     assert all(events)
     assert events_digest(events) == GOLDEN_CHANNEL[coeffs]
+
+
+@pytest.mark.parametrize("coeffs", ["shipped", "extreme"])
+def test_trace_columns_are_pinned(coeffs):
+    channels, n_scans, seed = STREAMS["33"]
+    codes = golden_stream(channels, n_scans, seed)[:, 0]
+    q = QuantizedRecord(codes=codes, format=HwConfig.input_format, rate_hz=HwConfig.rate_hz)
+    trace = trace_internal(q, coeffs=golden_coeffs(coeffs))
+    assert trace.crossing.any() and not trace.crossing.all()
+    columns = {}
+    for name in HwTrace.COLUMNS:
+        column = getattr(trace, name)
+        little = column.astype(column.dtype.newbyteorder("<")).tobytes()
+        columns[name] = (column.dtype.name, hashlib.sha256(little).hexdigest()[:16])
+    assert columns == GOLDEN_TRACE[coeffs]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -43,6 +46,22 @@ wide_dyadics = st.builds(
     st.integers(min_value=0, max_value=20),
     st.integers(min_value=0, max_value=6),
 ) | st.just(Dyadic(0, 0))
+
+
+TRACE_HEADER = ",".join(HwTrace.COLUMNS)
+# cells of a trace file: integers within and far beyond int64, near-integers
+# and stray text; lines of seven cells, of any count, blank or arbitrary
+TRACE_CELLS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70).map(str),
+    st.sampled_from(["", " 1 ", "+1", "1.5", "1e3", "0x1f", "1_0", "#", "\x00", "\u0661"]),
+    st.text(max_size=3),
+)
+TRACE_LINES = st.one_of(
+    st.lists(TRACE_CELLS, min_size=7, max_size=7).map(",".join),
+    st.lists(TRACE_CELLS, max_size=9).map(",".join),
+    st.just(""),
+    st.text(max_size=12),
+)
 
 
 def quantized(codes, rate=16000.0, channel=0):
@@ -233,6 +252,31 @@ class TestTrace:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             HwTrace.from_csv(path)
+
+    @given(
+        header=st.sampled_from([TRACE_HEADER] * 3 + ["x,s", ""]) | st.text(max_size=12),
+        lines=st.lists(TRACE_LINES, max_size=6),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    @example(header=TRACE_HEADER, lines=["1,2,3,4,5,6," + str(2**70)], newline="\n")
+    @example(header=TRACE_HEADER, lines=["", "1,2,3,4,5,6,-7", "", ""], newline="\r\n")
+    @example(header=TRACE_HEADER, lines=["# note"], newline="\n")
+    @example(header=TRACE_HEADER, lines=["1,2,3,4,5,6,7 # note"], newline="\n")
+    @settings(max_examples=200, deadline=None)
+    def test_trace_csv_loader_takes_any_text(self, header, lines, newline):
+        # a file either loads as a trace or is refused with ValueError;
+        # nothing else escapes, not even a warning
+        text = newline.join([header, *lines]) + newline
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = Path(tmp) / "trace.csv"
+            path.write_bytes(text.encode())
+            try:
+                trace = HwTrace.from_csv(path)
+            except ValueError:
+                return
+        for col in HwTrace.COLUMNS:
+            assert getattr(trace, col).dtype == np.int64 and len(getattr(trace, col)) == len(trace)
 
     def test_closure_on_random_codes(self):
         rng = np.random.default_rng(4)
@@ -668,6 +712,32 @@ class TestStream:
             engine.push(bad)
         with pytest.raises(ValueError, match="ragged"):
             engine.push(stream[3000:3100].ravel()[:-1])
+        second, last = engine.push(stream[3000:]), engine.close()
+        events, crossings = hw_detect_multichannel(stream, cfg, HW_COEFFS, return_crossings=True)
+        assert [a + b + c for a, b, c in zip(first[0], second[0], last[0])] == events
+        assert np.array_equal(np.concatenate([first[1], second[1], last[1]], axis=1), crossings)
+
+    @pytest.mark.parametrize("dtype, offset, code", [
+        (np.int64, 1200, 99),
+        (np.int64, -3, -65),
+        (np.int64, 40, 256),
+        (np.int64, 40, -192),
+        (np.int16, 40, 320),
+        (np.int8, 40, 64),
+    ], ids=["past-first-chunk", "held-tail", "int64-256", "int64-minus-192", "int16-320", "int8-64"])
+    def test_a_bad_slice_rejects_the_whole_push(self, dtype, offset, code):
+        # after a 3000-scan push the stream holds 186 scans, so the second
+        # push casts its scans 0..328 for its first chunk, scan 1200 in its
+        # third, and holds its last 7 scans; as int8, 256 would read as the
+        # valid code 0, and -192 and 320 as 64
+        cfg = HwConfig(channels=8)
+        stream = spiky_stream(np.random.default_rng(27), WARMUP_SAMPLES + 1800, cfg.channels).astype(dtype)
+        engine = MultichannelStream(cfg, HW_COEFFS, return_crossings=True)
+        first = engine.push(stream[:3000])
+        bad = stream[3000:].copy()
+        bad[offset, 5] = code
+        with pytest.raises(ValueError, match="range"):
+            engine.push(bad)
         second, last = engine.push(stream[3000:]), engine.close()
         events, crossings = hw_detect_multichannel(stream, cfg, HW_COEFFS, return_crossings=True)
         assert [a + b + c for a, b, c in zip(first[0], second[0], last[0])] == events
