@@ -86,6 +86,7 @@ def main():
     parser.add_argument("--skip-baselines", action="store_true")
     parser.add_argument("--out-dir", default=DATA_DIR, type=Path)
     args = parser.parse_args()
+    args.out_dir.mkdir(parents=True, exist_ok=True)
 
     print("building calibration corpus ...")
     corpus = build_corpus()

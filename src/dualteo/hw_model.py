@@ -21,13 +21,14 @@ chip's widths: int8 codes and half-sums, int16 energies and int32 sigma
 registers.  Each chunk steps the sigma of every channel at once, compares
 once and forms the events of all its channels in one pass, and each
 channel's codes, sigma and open event carry over to the next chunk, so the
-memory held stays flat in the stream length.  :func:`hw_detect_multichannel`
-is one push of a whole stream and its close.  Neither case ever shifts data
-into Q.10: each compare against a Q.10 register shifts the register down
-instead, which is the same integer compare.  Channels share no state, so the
-chip's time-multiplexed schedule cannot change any output; the test suite
-holds a sample-serial, block-scheduled engine as a bit-exact oracle and
-checks the multichannel output against it.
+memory held stays flat in the stream length.  Its ``push`` and ``close`` run
+one chunk loop, and :func:`hw_detect_multichannel` is one final run of that
+loop over a whole stream.  Neither case ever shifts data into Q.10: each
+compare against a Q.10 register shifts the register down instead, which is
+the same integer compare.  Channels share no state, so the chip's
+time-multiplexed schedule cannot change any output; the test suite holds a
+sample-serial, block-scheduled engine as a bit-exact oracle and checks the
+multichannel output against it.
 """
 
 from __future__ import annotations
@@ -114,19 +115,15 @@ def quantize_for_hw(record: SignalRecord, cfg: HwConfig) -> QuantizedRecord:
 
 
 def _align_stream(x_teo: np.ndarray, s_teo: np.ndarray, cfg: HwConfig) -> np.ndarray:
-    """Alignment signal on the common de-truncated scale of the two energies.
+    """Alignment signal on the common de-truncated scale of the two energies, in int64.
 
-    It stays in the energies' dtype while both shifted energies fit it (an
-    int16 block at the shipped drops needs 9 and 10 bits) and widens to
-    int64 otherwise.
+    A record's energies are int64 already and are shifted as they are; the
+    stream takes it only of its kept crossings' energies, a few per chunk.
     """
     base = min(cfg.xteo_drop_lsbs, cfg.steo_drop_lsbs)
-    x_shift, s_shift = cfg.xteo_drop_lsbs - base, cfg.steo_drop_lsbs - base
-    bits = max(cfg.xteo_format.total_bits + x_shift, cfg.steo_format.total_bits + s_shift)
-    dtype = x_teo.dtype if bits <= np.iinfo(x_teo.dtype).bits else np.int64
     return np.maximum(
-        x_teo.astype(dtype, copy=False) << x_shift,
-        s_teo.astype(dtype, copy=False) << s_shift,
+        x_teo.astype(np.int64, copy=False) << (cfg.xteo_drop_lsbs - base),
+        s_teo.astype(np.int64, copy=False) << (cfg.steo_drop_lsbs - base),
     )
 
 
@@ -225,6 +222,8 @@ class HwTrace:
         header, _, body = Path(path).read_text().partition("\n")
         if header.rstrip("\r") != ",".join(cls.COLUMNS):
             raise ValueError(f"{path}: bad trace header")
+        if not body.isascii():  # numpy's integer parser can crash on some non-BMP characters
+            raise ValueError(f"{path}: non-ASCII text in a trace")
         if body.strip():
             # one parse of the whole table; a malformed row raises ValueError,
             # and so does a "#", since the format has no comments
@@ -290,7 +289,7 @@ def assert_closure(trace: HwTrace) -> None:
 # ---------------------------------------------------------------------------
 
 # no open events: channels, last crossings, peak scans and peak alignment values
-_NO_OPEN_EVENTS = (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0, dtype=np.int16),)
+_NO_OPEN_EVENTS = (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0, dtype=np.int64),)
 
 
 class MultichannelStream:
@@ -303,22 +302,25 @@ class MultichannelStream:
     continues from the last accepted one;
     :meth:`close` ends the stream and returns the rest.  With
     ``return_crossings`` each call also returns the raw comparator outputs
-    of the scans it decided, a ``(channels, scans)`` boolean array; joined
-    along axis 1, the calls' arrays cover the whole stream.
+    of the scans it decided, a ``(channels, scans)`` boolean view of the
+    time-major array its chunks wrote; joined along axis 1, the calls'
+    arrays cover the whole stream.
 
-    The stream is walked in time chunks across all channels, each a whole
-    number of frames and at most ``CHUNK_SCANS`` long, at the chip's widths:
-    int8 codes and half-sums, int16 energies and int32 sigma registers.
-    Each chunk's scans are range-checked in their own dtype just before
-    they are cast to int8, so the push is read once and never copied
-    whole.  A chunk runs the datapath of :func:`prepare_hw_dual` along axis
-    0, steps every channel's sigma at once and compares once, and takes
-    the alignment signal only at its crossings.  The energy of scan
-    ``k`` reads scan ``k + 1``, so a chunk waits for the scan after it, and
-    codes are buffered until a whole frame has arrived.  From one chunk to
-    the next each channel carries its last two codes (the smoother and the
-    energy operator look back that far), its sigma register and its one
-    event that may still grow, the one whose last crossing lies within the
+    Both calls run one chunk loop, :meth:`_feed`, which walks the stream in
+    time chunks across all channels, each a whole number of frames and at
+    most ``CHUNK_SCANS`` long, at the chip's widths: int8 codes and
+    half-sums, int16 energies and int32 sigma registers.  Each chunk's
+    scans are range-checked in their own dtype just before they are cast
+    to int8, so the input is read once and never copied whole.  A chunk
+    runs the datapath of :func:`prepare_hw_dual` along axis 0, steps every
+    channel's sigma at once and compares once, and takes the alignment
+    signal only at its crossings.  The energy of scan ``k`` reads scan
+    ``k + 1``, so a chunk waits for the scan after it, and codes are
+    buffered until a whole frame has arrived; only the last chunk, walked
+    by :meth:`close`, has no scan after it.  From one chunk to the next
+    each channel carries its last two codes (the smoother and the energy
+    operator look back that far), its sigma register and its one event
+    that may still grow, the one whose last crossing lies within the
     refractory gap of the chunk's end, as its peak and last crossing.  So
     neither the chunk length nor how the stream is split into pushes can
     change an output, and the memory held does not grow with the stream.
@@ -344,7 +346,7 @@ class MultichannelStream:
     def _scans(self, frames) -> np.ndarray:
         """``frames`` as ``(n_scans, channels)`` integer codes in their own dtype.
 
-        :meth:`push` checks their range, a slice at a time.
+        :meth:`_feed` checks their range, a slice at a time.
         """
         channels = self.cfg.channels
         stream = np.asarray(frames)
@@ -371,73 +373,67 @@ class MultichannelStream:
         return codes
 
     def push(self, frames):
-        """Take the next scans; return the events they finished.
+        """Take the next scans; return the events they finished."""
+        return self._feed(frames, final=False)
 
-        A slice out of range can fail the push after chunks have been
-        walked, so the carried state is taken before the walk and put back.
+    def close(self):
+        """End the stream: decide its last scans and return the events still open."""
+        return self._feed(np.zeros((0, self.cfg.channels), dtype=np.int8), final=True)
+
+    def _feed(self, frames, final: bool):
+        """Walk what ``frames`` makes ready, chunk by chunk; return what it decided.
+
+        Ready are the whole frames whose following scan has arrived, or with
+        ``final`` every scan left, after which the stream is closed.  A
+        slice out of range can fail the feed after chunks have been walked,
+        so the carried state is taken before the walk and put back.
         """
         if self._closed:
             raise ValueError("stream is closed")
         scans = self._scans(frames)
         carried = 2 if self._start else 0
-        # the whole frames whose following scan has arrived
-        ready = max(0, len(self._held) + len(scans) - carried - 1) // FRAME_LEN * FRAME_LEN
-        events, crossings = self._outputs(ready)
+        left = len(self._held) - carried + len(scans)  # scans still to decide
+        ready = left if final else max(0, left - 1) // FRAME_LEN * FRAME_LEN
+        events = [[] for _ in range(self.cfg.channels)]
+        # written time-major as the chunks compute it, returned transposed
+        crossings = np.empty((ready, self.cfg.channels) if self.return_crossings else (0, 0), dtype=bool)
         # the sigma register is stepped in place, so it is saved as a copy
         state = self._start, self._held, self._sigma.copy(), self._open
         try:
             done = taken = 0
             while done < ready:
                 chunk = min(ready - done, CHUNK_SCANS)
-                need = carried + chunk + 1 - len(self._held)
+                last = final and done + chunk == ready
+                # the window ends with the scan after the chunk, unless the stream ends there
+                need = carried + chunk + (not last) - len(self._held)
                 fresh = self._in_range(scans[taken:taken + need])
                 window = np.concatenate([self._held, fresh], dtype=np.int8)
-                self._walk(window, carried, chunk, events, crossings[:, done:done + chunk])
+                out = crossings[done:done + chunk] if self.return_crossings else None
+                self._walk(window, carried, chunk, events, out, last)
                 self._held, carried = window[-3:].copy(), 2
                 done, taken = done + chunk, taken + need
             self._held = np.concatenate([self._held, self._in_range(scans[taken:])], dtype=np.int8)
         except BaseException:
             self._start, self._held, self._sigma, self._open = state
             raise
-        return (events, crossings) if self.return_crossings else events
+        self._closed = final
+        return (events, crossings.T) if self.return_crossings else events
 
-    def close(self):
-        """End the stream: decide its last scans and return the events still open."""
-        if self._closed:
-            raise ValueError("stream is closed")
-        self._closed = True
-        carried = 2 if self._start else 0
-        chunk = len(self._held) - carried
-        events, crossings = self._outputs(chunk)
-        if chunk:
-            self._walk(self._held, carried, chunk, events, crossings, final=True)
-        return (events, crossings) if self.return_crossings else events
-
-    def _outputs(self, scans: int):
-        """Empty event lists, and the crossings of ``scans`` scans to fill.
-
-        Without ``return_crossings`` the crossings array is empty.
-        """
-        shape = (self.cfg.channels, scans) if self.return_crossings else (0, 0)
-        return [[] for _ in range(self.cfg.channels)], np.empty(shape, dtype=bool)
-
-    def _walk(self, window, carried: int, chunk: int, events, crossings, final=False) -> None:
+    def _walk(self, window, carried: int, chunk: int, events, out, final: bool) -> None:
         """Decide the ``chunk`` scans of ``window`` that follow its ``carried`` codes.
 
         Unless the chunk is ``final``, the window ends with the scan after
         it; a final chunk ends the stream, so the energy of its last scan is
-        the boundary 0.  The chunk's crossings after the warm-up join the
-        open events, keyed channel-major with a gap between channels as
+        the boundary 0.  The comparator output goes into ``out`` when it is
+        given.  The chunk's crossings after the warm-up join the open
+        events, keyed channel-major with a gap between channels as
         calibration spaces its crossing-map rows, so one ``_merge_runs``
         pass forms every channel's events and none merge across channels.
         An event stays open while a crossing at the next chunk's first scan
         would still join it.
         """
         prep = _prepare_codes(window, self.cfg, 0, slice(carried, carried + chunk), self._sigma)
-        cross_x, cross_s = dual_crossing_streams(prep, self.coeffs)
-        crossing = cross_x | cross_s
-        if self.return_crossings:
-            crossings[:] = crossing.T
+        crossing = np.bitwise_or(*dual_crossing_streams(prep, self.coeffs), out=out)
         start, end = self._start, self._start + chunk
         self._start = end
         skip = max(0, prep.warmup_samples - start)
@@ -461,17 +457,15 @@ class MultichannelStream:
         scan = np.concatenate([open_peaks, times])[order]
         align = np.concatenate([open_align, align])[order]
         _, peaks = _merge_runs(key, key, np.arange(len(key)), align, gap)
+        # each channel's last crossing, and its last event; none stays open
+        # once the stream has ended
+        last_crossing = np.flatnonzero(np.append(channel[1:] != channel[:-1], True))
+        last_event = np.flatnonzero(np.append(channel[peaks[1:]] != channel[peaks[:-1]], True))
+        still = (last[last_crossing] > end - gap) & (not final)
+        stay = peaks[last_event[still]]
+        self._open = (channel[stay], last[last_crossing[still]], scan[stay], align[stay])
         finished = np.ones(len(peaks), dtype=bool)
-        if final:
-            self._open = _NO_OPEN_EVENTS
-        else:
-            # each channel's last crossing, and its last event
-            last_crossing = np.flatnonzero(np.append(channel[1:] != channel[:-1], True))
-            last_event = np.flatnonzero(np.append(channel[peaks[1:]] != channel[peaks[:-1]], True))
-            still = last[last_crossing] > end - gap
-            stay = peaks[last_event[still]]
-            self._open = (channel[stay], last[last_crossing[still]], scan[stay], align[stay])
-            finished[last_event[still]] = False
+        finished[last_event[still]] = False
         for ch, t in zip(channel[peaks[finished]].tolist(), scan[peaks[finished]].tolist()):
             events[ch].append(SpikeEvent(channel_id=ch, sample_index=t))
 
@@ -489,24 +483,19 @@ def hw_detect_multichannel(
     a 2D array of shape (n_scans, channels).  Codes must have an integer
     dtype.
 
-    The stream goes through one :class:`MultichannelStream`, one ``push``
-    and its ``close``: in time chunks of ``CHUNK_SCANS`` scans across all
-    channels, each range-checked against the 7-bit format in the stream's
-    own dtype and then cut as int8 from its native layout, with each
-    channel's state carried from chunk to chunk.  A code out of range
-    anywhere in the stream raises before any event is returned.  Channels
-    share no state, so this equals the chip's round-robin service of the
-    interleaved stream bit for bit; ``tests/serial_oracle.py`` holds that
-    sample-serial, block-scheduled engine, and the test suite checks the
-    two against each other.
+    The whole stream is one final feed of a :class:`MultichannelStream`,
+    the chunk loop of its ``push`` and ``close``: time chunks of
+    ``CHUNK_SCANS`` scans across all channels, each range-checked against
+    the 7-bit format in the stream's own dtype and then cut as int8 from
+    its native layout, with each channel's state carried from chunk to
+    chunk.  A code out of range anywhere in the stream raises before any
+    event is returned.  Channels share no state, so this equals the chip's
+    round-robin service of the interleaved stream bit for bit;
+    ``tests/serial_oracle.py`` holds that sample-serial, block-scheduled
+    engine, and the test suite checks the two against each other.
 
     Returns a list of per-channel event lists; with ``return_crossings`` also
-    a (channels, n_scans) boolean array of raw comparator outputs, taken from
-    the same compare.
+    a (channels, n_scans) boolean view of the raw comparator outputs, taken
+    from the same compare and stored time-major.
     """
-    stream = MultichannelStream(cfg, coeffs, return_crossings)
-    pushed, closed = stream.push(frames), stream.close()
-    if not return_crossings:
-        return [a + b for a, b in zip(pushed, closed)]
-    events = [a + b for a, b in zip(pushed[0], closed[0])]
-    return events, np.concatenate([pushed[1], closed[1]], axis=1)
+    return MultichannelStream(cfg, coeffs, return_crossings)._feed(frames, final=True)

@@ -150,49 +150,34 @@ def sigma_frames(s) -> np.ndarray:
     return _sigma_track(np.asarray(s, dtype=np.float64), np.std, SCALING_FACTOR)
 
 
-def _isqrt(m: np.ndarray) -> np.ndarray:
-    """``math.isqrt`` of every element of a non-negative int64 array below 2**62.
-
-    The float square root lands within one of the integer root there, and
-    one exact integer step each way corrects it.  With correctly rounded
-    IEEE roots only the downward step ever fires; the upward one keeps the
-    result exact on a root that rounds low.
-    """
-    r = np.sqrt(m.astype(np.float64)).astype(np.int64)
-    r -= r * r > m
-    r += (r + 1) * (r + 1) <= m
-    return r
-
-
 def initial_sigma_q10(s_codes):
     """Q.10 empirical standard deviation of the first frame, in exact integers.
 
     With ``v = n*sum(s**2) - sum(s)**2`` (so the variance is ``v / n**2``),
-    ``floor(1024 * sqrt(v) / n) == isqrt(1024**2 * v) // n`` exactly.  One
-    channel gives an ``int``; a time-major block ``(n, channels)`` gives an
-    int64 array with one value per column.  Codes of up to 12 bits (frame
-    square sums below 2**32, so ``1024**2 * v < 2**60``) take the vectorized
-    :func:`_isqrt`; wider ones fall back to Python integers.
+    ``floor(1024 * sqrt(v) / n) == isqrt(1024**2 * v) // n`` exactly.  The
+    frame's sums are taken in int64 and the root with ``math.isqrt`` of
+    each column, once per channel or stream.  One channel gives an
+    ``int``; a time-major block ``(n, channels)`` gives an int64 array with
+    one value per column.  Codes must lie within ``±2**27``, so that
+    ``FRAME_LEN`` squares sum exactly in int64; a frame holding a wider code
+    raises ``ValueError``.
     """
-    s = np.asarray(s_codes)[:FRAME_LEN].astype(np.int64)
+    s = np.asarray(s_codes)[:FRAME_LEN]
+    # min and max in the codes' own dtype: abs would wrap at int64's minimum
+    if s.size and (s.min() < -(1 << 27) or s.max() > 1 << 27):
+        raise ValueError("codes of the measured frame lie outside ±2**27")
+    s = s.astype(np.int64)
     n = max(len(s), 1)
-    totals = np.atleast_1d(s.sum(axis=0))
-    squares = np.atleast_1d((s * s).sum(axis=0))
-    if squares.max(initial=0) < 1 << 32:
-        v = n * squares - totals * totals
-        sigma = _isqrt(v << (2 * SIGMA_FRACTION_BITS)) // n
-    else:
-        sigma = np.array([
-            math.isqrt((n * sq - t * t) << (2 * SIGMA_FRACTION_BITS)) // n
-            for t, sq in zip(totals.tolist(), squares.tolist())
-        ], dtype=np.int64)
-    return int(sigma[0]) if s.ndim == 1 else sigma
+    sums = zip(np.atleast_1d(s.sum(axis=0)).tolist(), np.atleast_1d((s * s).sum(axis=0)).tolist())
+    sigma = [math.isqrt((n * sq - t * t) << (2 * SIGMA_FRACTION_BITS)) // n for t, sq in sums]
+    return sigma[0] if s.ndim == 1 else np.array(sigma, dtype=np.int64)
 
 
 def sigma_frames_q10(s_codes, register=None) -> np.ndarray:
     """Integer twin of :func:`sigma_frames`: sigma held in a Q.10 register.
 
-    The measurement frame yields :func:`initial_sigma_q10` of the codes; each later
+    The measurement frame yields :func:`initial_sigma_q10` of the codes, which
+    must lie within ``±2**27`` there (wider codes raise); each later
     correction is exactly ``count - CONVERGENCE_FACTOR`` register LSBs
     (gamma = 2**-10).  The exceedance comparison ``s << 10 > sigma_q`` is
     made as ``s > sigma_q >> 10``, which is the same integer compare (an
@@ -245,9 +230,20 @@ class Dyadic:
 
 @dataclass(frozen=True)
 class ThresholdCoefficients:
+    """The three threshold coefficients of :func:`compute_thresholds`.
+
+    Construction rejects a triple whose Q.10 thresholds would leave int64
+    at the largest sigma register (:func:`_check_q10_range`), so every
+    triple, from a file, :meth:`make`, a default grid or a caller's grid,
+    is exact in :func:`compute_thresholds_q10`.
+    """
+
     c1: Dyadic
     c2: Dyadic
     c3: Dyadic
+
+    def __post_init__(self):
+        _check_q10_range(self, type(self).__name__)
 
     @staticmethod
     def make(c1: tuple, c2: tuple, c3: tuple) -> "ThresholdCoefficients":
@@ -339,9 +335,9 @@ def compute_thresholds_q10(sigma_q, coeffs):
 
     Accepts a scalar or an array of sigma values, and one candidate or a
     stack of them, as :func:`compute_thresholds` does.  Sigma registers hold
-    at most 2**17 (``HwConfig.sigma_register_max``), and coefficient files
-    whose terms would leave int64 there are rejected on load, so int64
-    arithmetic is exact.
+    at most 2**17 (``HwConfig.sigma_register_max``), and coefficients
+    whose terms would leave int64 there are rejected on construction, so
+    int64 arithmetic is exact.
     """
     x, s1, lin, quad, d = _q10_terms(np.asarray(sigma_q, dtype=np.int64), coeffs)
     return x >> s1, (lin + quad) >> d
@@ -404,9 +400,10 @@ def _parse_coefficients(text: str, origin: str) -> ThresholdCoefficients:
     missing = {"c1", "c2", "c3"} - set(found)
     if missing:
         raise ValueError(f"{origin}: missing coefficients {sorted(missing)}")
-    coeffs = ThresholdCoefficients(found["c1"], found["c2"], found["c3"])
-    _check_q10_range(coeffs, origin)
-    return coeffs
+    try:
+        return ThresholdCoefficients(found["c1"], found["c2"], found["c3"])
+    except ValueError as exc:  # the Q.10 range check; name the file
+        raise ValueError(f"{origin}: {exc}") from None
 
 
 def load_coefficients(path) -> ThresholdCoefficients:

@@ -18,7 +18,6 @@ from dualteo.threshold import (
     WARMUP_SAMPLES,
     Dyadic,
     _check_q10_range,
-    _isqrt,
     SIGMA_FRACTION_BITS,
     UNMEASURED,
     ThresholdCoefficients,
@@ -197,33 +196,15 @@ class TestSigmaTrajectories:
             # floor(1024*sqrt(v)/n) via exact integer square root
             assert got == math.isqrt((1 << 20) * v) // n
 
-    def test_vectorized_root_at_every_perfect_square_of_7bit_variances(self):
-        # 7-bit codes give v < 2**29; the root is taken of 2**20 * v
-        k = np.arange(math.isqrt(1 << 29) + 2, dtype=np.int64)
-        v = np.unique(np.concatenate([k * k - 1, k * k, k * k + 1]).clip(0))
-        m = v << (2 * SIGMA_FRACTION_BITS)
-        assert v[0] == 0 and v[-1] > 1 << 29
-        assert _isqrt(m).tolist() == [math.isqrt(x) for x in m.tolist()]
-
-    def test_vectorized_root_next_to_squares_up_to_its_bound(self):
-        # r**2 - 1 is where a rounded float root lands one too high
-        r = np.concatenate([
-            np.arange(1, 1 << 16), np.arange((1 << 31) - (1 << 16), 1 << 31),
-            np.random.default_rng(0).integers(1, 1 << 31, size=1 << 16),
-        ]).astype(np.int64)
-        for m, root in ((r * r - 1, r - 1), (r * r, r), (r * r + 1, r)):
-            assert np.array_equal(_isqrt(m), root)
-        assert _isqrt(np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0]
-
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         n=st.integers(min_value=0, max_value=300),
         channels=st.integers(min_value=1, max_value=40),
-        bits=st.sampled_from([1, 7, 8, 12, 13, 20]),
+        bits=st.sampled_from([1, 7, 8, 12, 13, 20, 28]),
     )
     def test_initial_sigma_q10_of_random_blocks_matches_isqrt(self, seed, n, channels, bits):
-        # per-column amplitudes from full scale down; a full-scale column of
-        # 13- or 20-bit codes takes the Python-integer fallback
+        # per-column amplitudes from full scale down; 28-bit codes reach
+        # the widest range whose frame square sums stay exact in int64
         rng = np.random.default_rng(seed)
         half = 1 << (bits - 1)
         block = rng.integers(-half, half, size=(n, channels)) >> rng.integers(0, bits, size=channels)
@@ -236,6 +217,29 @@ class TestSigmaTrajectories:
             v = len(col) * sum(x * x for x in col) - sum(col) ** 2
             assert got[c] == (math.isqrt(v << 20) // len(col) if col else 0)
             assert initial_sigma_q10(col) == got[c]
+
+    def test_initial_sigma_q10_at_the_widest_codes_is_exact(self):
+        frame = np.resize([-(1 << 27), 1 << 27, 1 << 27], (FRAME_LEN, 2)).astype(np.int64)
+        v = [FRAME_LEN * sum(x * x for x in col) - sum(col) ** 2 for col in frame.T.tolist()]
+        assert initial_sigma_q10(frame).tolist() == [math.isqrt(x << 20) // FRAME_LEN for x in v]
+
+    @pytest.mark.parametrize("code, dtype", [
+        ((1 << 27) + 1, np.int64),
+        (-(1 << 27) - 1, np.int64),
+        (1 << 31, np.int64),
+        (-(1 << 63), np.int64),
+        ((1 << 63) - 1, np.int64),
+        ((1 << 64) - 1, np.uint64),
+    ])
+    def test_initial_sigma_q10_rejects_codes_beyond_2_27(self, code, dtype):
+        frame = np.zeros((FRAME_LEN + 10, 3), dtype=dtype)
+        frame[7, 1] = code
+        for codes in (frame, frame[:, 1], frame[:, 1].tolist()):
+            with pytest.raises(ValueError, match="outside"):
+                initial_sigma_q10(codes)
+            if dtype == np.int64:  # sigma_frames_q10 computes in int64
+                with pytest.raises(ValueError, match="outside"):
+                    sigma_frames_q10(codes)
 
     def test_gaussian_convergence_small(self):
         rng = np.random.default_rng(11)
@@ -396,6 +400,31 @@ class TestCoefficientFiles:
         path.write_text("c1 1\n")
         with pytest.raises(ValueError, match="name numerator shift"):
             load_coefficients(path)
+
+    @pytest.mark.parametrize("triple", [
+        ((1 << 62, 0), (1 << 62, 0), (0, 0)),
+        ((1, 0), (0, 0), (1 << 45, 0)),
+        ((1 << 46, 0), (0, 0), (0, 0)),
+    ])
+    def test_constructor_rejects_coefficients_that_overflow(self, tmp_path, triple):
+        # unchecked, the first triple wraps thr_x to -2**63 at sigma_q 2, and
+        # the integer detector reports events where the float one finds none
+        with pytest.raises(ValueError, match="overflow the int64"):
+            ThresholdCoefficients.make(*triple)
+        with pytest.raises(ValueError, match="overflow the int64"):
+            ThresholdCoefficients(*(Dyadic(*c) for c in triple))
+        path = tmp_path / "coeffs.txt"
+        path.write_text("".join(f"c{i} {n} {s}\n" for i, (n, s) in enumerate(triple, start=1)))
+        with pytest.raises(ValueError, match="overflow the int64") as raised:
+            load_coefficients(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
+    def test_constructor_takes_the_widest_exact_terms(self):
+        # at the largest sigma register, 2**17, c1 * sigma_q reaches 2**62,
+        # and so does c2 * sigma_q over thr_s's common denominator 2**10
+        coeffs = ThresholdCoefficients.make((1 << 45, 0), (1 << 35, 0), (0, 0))
+        thr_x, thr_s = compute_thresholds_q10(1 << 17, coeffs)
+        assert (thr_x, thr_s) == (1 << 62, 1 << 52)
 
     def test_bundled_defaults_parse(self):
         for coeffs in (default_float_coefficients(), default_hw_coefficients()):
