@@ -2,8 +2,9 @@
 """Re-derive every shipped tuning default from the synthetic corpus.
 
 Writes the dual-detector coefficient fixtures under src/dualteo/data/ and
-prints the best baseline threshold multiples (the dataclass defaults in
-dualteo.detector mirror the printed values).
+prints the best baseline threshold multiples (the ``DEFAULT_*_MULTIPLE``
+constants in dualteo.detector mirror the printed values; CI compares both
+files and all three printed multiples).
 
 The calibration corpus covers noise levels {0.05, 0.1, 0.15, 0.2} with four
 replicates each, on seeds disjoint from the acceptance corpus.

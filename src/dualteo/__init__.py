@@ -17,7 +17,6 @@ from .signal_model import (
 from .transforms import smooth2, smooth2_fixed, teo, teo_fixed
 from .threshold import (
     Dyadic,
-    EstimatorConfig,
     ThresholdCoefficients,
     calibrate_coefficients,
     compute_thresholds,

@@ -19,13 +19,9 @@ from .signal_model import load_record
 from .threshold import calibrate_coefficients, load_coefficients, save_coefficients
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _require_object(data, what: str) -> dict:
     if not isinstance(data, dict):
-        raise ValidationError(f"{what} must be a JSON object, got {json.dumps(data)}")
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(data)}")
     return data
 
 
@@ -34,9 +30,9 @@ def _load_json(path: Path) -> dict:
     try:
         data = json.loads(path.read_text())
     except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
+        raise ValueError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
     return _require_object(data, str(path))
 
 
@@ -45,13 +41,13 @@ def _synthetic_config(data: dict, seed: int | None) -> dataio.SyntheticConfig:
     known = {f.name for f in dataclasses.fields(dataio.SyntheticConfig)}
     unknown = set(data) - known
     if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if seed is not None:
         data = {**data, "seed": seed}
     try:
         return dataio.SyntheticConfig(**data)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad synthetic config: {exc}") from None
+        raise ValueError(f"bad synthetic config: {exc}") from None
 
 
 def cmd_generate(args) -> int:
@@ -68,7 +64,7 @@ def cmd_generate(args) -> int:
 def _existing_file(path_str) -> Path:
     path = Path(path_str)
     if not path.is_file():
-        raise ValidationError(f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     return path
 
 
@@ -78,7 +74,7 @@ def cmd_detect(args) -> int:
     try:
         kind = DetectorKind(args.detector)
     except ValueError:
-        raise ValidationError(
+        raise ValueError(
             f"unknown detector {args.detector!r}; choose from "
             f"{[k.value for k in DetectorKind]}"
         ) from None
@@ -86,12 +82,12 @@ def cmd_detect(args) -> int:
     if args.coeffs:
         coeffs_path = _existing_file(args.coeffs)
         if kind not in (DetectorKind.DUAL, DetectorKind.TEO_SINGLE):
-            raise ValidationError("--coeffs applies to the dual and teo_single detectors")
+            raise ValueError("--coeffs applies to the dual and teo_single detectors")
         coeffs = load_coefficients(coeffs_path)
 
     if args.hw:
         if kind != DetectorKind.DUAL:
-            raise ValidationError("--hw supports only the dual detector")
+            raise ValueError("--hw supports only the dual detector")
         cfg = hw_model.HwConfig()
         orig_rate = record.rate_hz
         record = dataio.resample(record, cfg.rate_hz)
@@ -122,7 +118,7 @@ def cmd_sweep(args) -> int:
     try:
         spec = metrics.SweepSpec(base_cfg=base, **data)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad sweep spec: {exc}") from None
+        raise ValueError(f"bad sweep spec: {exc}") from None
     results = metrics.sweep(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -138,18 +134,18 @@ def _load_corpus(corpus_dir: Path):
     manifests = sorted(corpus_dir.glob("*.manifest.json"))
     names = [m.name[: -len(".manifest.json")] for m in manifests]
     if not names:
-        raise ValidationError(f"no *.manifest.json datasets under {corpus_dir}")
+        raise ValueError(f"no *.manifest.json datasets under {corpus_dir}")
     return [dataio.load_dataset(corpus_dir, name) for name in names]
 
 
 def cmd_calibrate(args) -> int:
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
-        raise ValidationError(f"no such directory: {corpus_dir}")
+        raise ValueError(f"no such directory: {corpus_dir}")
     training = _load_corpus(corpus_dir)
     if args.search_drops:
         if args.pipeline != "hw":
-            raise ValidationError("--search-drops applies to the hw pipeline only")
+            raise ValueError("--search-drops applies to the hw pipeline only")
         best = None
         for xdrop in (6, 7, 8):
             for sdrop in (5, 6, 7):
@@ -220,7 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -292,13 +292,12 @@ def generate_levels(cfgs) -> list[tuple[SignalRecord, GroundTruth]]:
     raw = spiky + gauss
     raw_std = float(np.std(raw))
     unit = raw / raw_std if raw_std > 0 else raw * 0.0
-    mean_peak = 1.0  # templates are unit peak and placed at unit amplitude
 
     order = np.argsort(peaks, kind="stable")
     out = []
     for c in cfgs:
         record = SignalRecord(
-            samples=clean + unit * (c.noise_level * mean_peak), rate_hz=c.rate_hz, channel_id=0
+            samples=clean + unit * c.noise_level, rate_hz=c.rate_hz, channel_id=0
         )
         # fancy indexing copies, so no two truths share an array
         out.append((record, GroundTruth(spike_indices=peaks[order], template_ids=tids[order])))

@@ -19,11 +19,15 @@ and calibration's two merges, crossings into runs (``threshold._map_runs``)
 and a candidate's runs into events (``threshold._record_accuracies``).
 
 Amplitude-domain baselines (absolute threshold, dual-vertex threshold, moving
-average energy) use the record's global standard deviation as their noise
-scale, so their thresholds are exactly scale-equivariant.  A constant
-record has no noise scale, and they report nothing on it, as the energy
-detectors do.  Their default multiples were tuned on the bundled synthetic
-corpus by ``scripts/calibrate_defaults.py``.
+average energy over a fixed 8-sample window) use the record's global
+standard deviation as their noise scale, so their thresholds are exactly
+scale-equivariant.  A constant record has no noise scale, and they report
+nothing on it, as the energy detectors do.  The absolute threshold is the
+dual-vertex threshold with both multiples equal.  Their default multiples
+were tuned on the bundled synthetic corpus by
+``scripts/calibrate_defaults.py``; the dual-vertex search picks (4.0, 4.0),
+the absolute threshold's 4.0, so at the shipped defaults the two give the
+same events.
 """
 
 from __future__ import annotations
@@ -179,7 +183,9 @@ class PreparedDual:
     ``WARMUP_SAMPLES`` and merge within 1 ms at ``rate_hz``.  The arrays hold
     one channel, or, inside :class:`~dualteo.hw_model.MultichannelStream`,
     a time chunk of every channel of the stream along axis 1; a chunk has
-    no ``align``, because the stream aligns only its crossings.
+    no ``align``, because the stream aligns only its crossings.  The
+    energies' dtype picks the thresholds: float energies take float ones,
+    integer energies Q.10 registers.
     """
 
     warmup_samples: ClassVar[int] = WARMUP_SAMPLES
@@ -190,7 +196,6 @@ class PreparedDual:
     align: np.ndarray | None    # alignment signal for event formation
     rate_hz: float
     channel_id: int
-    integer_domain: bool
 
     @property
     def n(self) -> int:
@@ -233,19 +238,18 @@ def prepare_dual(
         align=np.maximum(x_energy, s_energy),
         rate_hz=record.rate_hz,
         channel_id=record.channel_id,
-        integer_domain=False,
     )
 
 
 def _frame_thresholds(prep: PreparedDual, coeffs):
-    """Per-frame ``(thr_x, thr_s)``; integer thresholds are Q.10 registers.
+    """Per-frame ``(thr_x, thr_s)``; integer energies take Q.10 thresholds.
 
     ``coeffs`` is one candidate, or a stack of them for ``(candidates,
     frames)`` thresholds.
     """
-    if prep.integer_domain:
-        return compute_thresholds_q10(prep.sigma_per_frame, coeffs)
-    return compute_thresholds(prep.sigma_per_frame, coeffs)
+    if prep.x_energy.dtype.kind == "f":
+        return compute_thresholds(prep.sigma_per_frame, coeffs)
+    return compute_thresholds_q10(prep.sigma_per_frame, coeffs)
 
 
 def _on_energy_scale(prep: PreparedDual, thresholds: np.ndarray) -> np.ndarray:
@@ -254,19 +258,16 @@ def _on_energy_scale(prep: PreparedDual, thresholds: np.ndarray) -> np.ndarray:
     An integer energy ``e`` crosses its Q.10 threshold ``t`` when
     ``e << 10 > t``, which holds exactly when ``e > t >> 10``: an arithmetic
     shift is a floor.  So the thresholds shift down instead of the energies
-    up.  For a block's narrow energies they are then clipped into the
-    energies' dtype, which changes no comparison, because the 8- and 9-bit
-    energies lie strictly inside even int16's range; a record's int64
-    energies take them as they are.  Float thresholds pass through.
+    up, and are then clipped into the energies' dtype.  The clip changes no
+    comparison: the 8- and 9-bit energies lie strictly inside even int16's
+    range, and for a record's int64 energies it is a no-op.  Float
+    thresholds pass through.
     """
-    if not prep.integer_domain:
-        return thresholds
-    levels = thresholds >> SIGMA_FRACTION_BITS
     dtype = prep.x_energy.dtype
-    if levels.dtype == dtype:
-        return levels
+    if dtype.kind == "f":
+        return thresholds
     lim = np.iinfo(dtype)
-    return levels.clip(lim.min, lim.max).astype(dtype)
+    return (thresholds >> SIGMA_FRACTION_BITS).clip(lim.min, lim.max).astype(dtype, copy=False)
 
 
 def dual_crossing_streams(prep: PreparedDual, coeffs: ThresholdCoefficients):
@@ -361,13 +362,12 @@ def detect_at(
     record: SignalRecord,
     threshold_multiple: float = DEFAULT_AT_MULTIPLE,
 ) -> list[SpikeEvent]:
-    """Absolute thresholding: ``|x| > multiple * std(x)``, aligned on the |x| peak."""
-    x = record.samples
-    sd = float(np.std(x)) if len(x) else 0.0
-    if sd == 0:  # a constant record has no noise to scale a threshold by
-        return []
-    mag = np.abs(x)
-    return _form_baseline(record, mag > threshold_multiple * sd, mag)
+    """Absolute thresholding: ``|x| > multiple * std(x)``, aligned on the |x| peak.
+
+    This is :func:`detect_dvt` with both multiples equal: ``|x| > t`` holds
+    exactly when ``x > t`` or ``x < -t``.
+    """
+    return detect_dvt(record, threshold_multiple, threshold_multiple)
 
 
 def detect_dvt(
@@ -384,14 +384,13 @@ def detect_dvt(
     return _form_baseline(record, crossings, np.abs(x))
 
 
-def moving_average_energy(x, window: int = DEFAULT_MAE_WINDOW) -> np.ndarray:
-    """Trailing-window mean of squared samples; the window grows during warm-in.
+def moving_average_energy(x) -> np.ndarray:
+    """Trailing mean of squared samples over ``DEFAULT_MAE_WINDOW``; the window grows during warm-in.
 
-    ``e[k]`` averages ``min(k+1, window)`` trailing squares, so a constant
-    record maps to its squared value everywhere.
+    ``e[k]`` averages ``min(k+1, DEFAULT_MAE_WINDOW)`` trailing squares, so a
+    constant record maps to its squared value everywhere.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window = DEFAULT_MAE_WINDOW
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if n == 0:
@@ -407,12 +406,11 @@ def moving_average_energy(x, window: int = DEFAULT_MAE_WINDOW) -> np.ndarray:
 
 def detect_mae(
     record: SignalRecord,
-    window: int = DEFAULT_MAE_WINDOW,
     threshold_multiple: float = DEFAULT_MAE_MULTIPLE,
 ) -> list[SpikeEvent]:
-    """Moving-average-energy detection: ``e > multiple * var(x)``."""
+    """Moving-average-energy detection: ``e > multiple * var(x)``, ``e`` by :func:`moving_average_energy`."""
     x = record.samples
-    e = moving_average_energy(x, window)
+    e = moving_average_energy(x)
     var = float(np.var(x)) if len(x) else 0.0
     if var == 0:  # a constant record has no noise to scale a threshold by
         return []

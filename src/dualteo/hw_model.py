@@ -150,7 +150,6 @@ def _prepare_codes(
         align=_align_stream(x_teo, s_teo, cfg) if register is None else None,
         rate_hz=cfg.rate_hz,
         channel_id=channel_id,
-        integer_domain=True,
     )
 
 

@@ -69,22 +69,15 @@ RESULTS_HEADER = "axis,point,detector,mean_accuracy,std_accuracy,replicates"
 
 @dataclass(frozen=True)
 class MatchReport:
+    """True positives, false positives and misses of one matching; none negative."""
+
     tp: int
     fp: int
     fn: int
-    tolerance_samples: int
 
     def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tolerance_samples) < 0:
+        if min(self.tp, self.fp, self.fn) < 0:
             raise ValueError("match report fields must be non-negative")
-
-    @property
-    def n_detected(self) -> int:
-        return self.tp + self.fp
-
-    @property
-    def n_truth(self) -> int:
-        return self.tp + self.fn
 
 
 def _greedy_tp(det: np.ndarray, tru: np.ndarray, tolerance_samples: int) -> int:
@@ -142,10 +135,9 @@ def match_events(
     Truth spikes are visited in time order; each takes the nearest unmatched
     detection within ``tolerance_samples`` (earlier detection on distance
     ties).  Leftover detections are false positives, leftover truths are
-    misses.  Bookkeeping identities ``tp + fp == detected`` and
-    ``tp + fn == truth`` always hold.  Unless a detection lies within
-    tolerance of two truth spikes, the count is vectorized (see
-    :func:`_true_positives`).
+    misses, so ``tp + fp`` is the number of detections and ``tp + fn`` that
+    of truth spikes.  Unless a detection lies within tolerance of two truth
+    spikes, the count is vectorized (see :func:`_true_positives`).
     """
     if tolerance_samples < 0:
         raise ValueError("tolerance_samples must be >= 0")
@@ -155,14 +147,7 @@ def match_events(
     ))
     tru = truth.spike_indices
     tp = int(_true_positives(det, np.zeros(len(det), dtype=np.int64), 1, tru, tolerance_samples)[0])
-    report = MatchReport(
-        tp=tp,
-        fp=len(det) - tp,
-        fn=len(tru) - tp,
-        tolerance_samples=tolerance_samples,
-    )
-    assert report.n_detected == len(det) and report.n_truth == len(tru)
-    return report
+    return MatchReport(tp=tp, fp=len(det) - tp, fn=len(tru) - tp)
 
 
 def accuracy(report: MatchReport) -> float:

@@ -194,8 +194,12 @@ def datapath_ints(values) -> np.ndarray:
     exactly (the energies lie in [-16384, 32640]); anything else, int16
     included, is cast to int64.  So a channel block of 7-bit codes cut as
     int8 runs its whole datapath in 8 and 16 bits, and a record runs in int64.
+    Unsigned codes at or above 2**63 would wrap in that cast; they raise
+    ``ValueError``.
     """
     values = np.asarray(values)
+    if values.dtype == np.uint64 and values.size and values.max() >= 1 << 63:
+        raise ValueError("unsigned codes at or above 2**63 do not fit the int64 datapath")
     if values.dtype == np.int8:
         return values.astype(np.int16)
     return values if values.dtype in (np.int32, np.int64) else values.astype(np.int64)
@@ -232,7 +236,10 @@ _RECORD_HEADER_KEYS = ("rate_hz", "channel_id", "n_samples")
 
 
 def read_header(path) -> dict:
-    """Parse the sidecar ``key=value`` header of a record file; every key a record needs must be present."""
+    """Parse the sidecar ``key=value`` header of a record file.
+
+    Every key a record needs must be present, and no key may repeat.
+    """
     hdr_path = _header_path(Path(path))
     if not hdr_path.exists():
         raise FileNotFoundError(f"missing header file {hdr_path}")
@@ -244,7 +251,10 @@ def read_header(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{hdr_path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        header[key.strip()] = val.strip()
+        key = key.strip()
+        if key in header:
+            raise ValueError(f"{hdr_path}:{lineno}: repeated header key {key!r}")
+        header[key] = val.strip()
     for key in _RECORD_HEADER_KEYS:
         if key not in header:
             raise ValueError(f"{hdr_path}: missing required header key {key!r}")

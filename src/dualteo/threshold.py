@@ -52,7 +52,6 @@ import numpy as np
 from .signal_model import datapath_ints
 
 __all__ = [
-    "EstimatorConfig",
     "ThresholdCoefficients",
     "Dyadic",
     "sigma_frames",
@@ -80,11 +79,8 @@ UNMEASURED = -1  # a sigma register before its measurement frame; sigma never fa
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """The sigma loop's design point, read-only: it has no settable fields."""
+    """The estimator's warm-up, read-only; the package itself reads ``WARMUP_SAMPLES``."""
 
-    frame_len: ClassVar[int] = FRAME_LEN
-    convergence_factor: ClassVar[int] = CONVERGENCE_FACTOR
-    warmup_frames: ClassVar[int] = WARMUP_FRAMES
     warmup_samples: ClassVar[int] = WARMUP_SAMPLES
 
 
@@ -189,7 +185,7 @@ def sigma_frames_q10(s_codes, register=None) -> np.ndarray:
     ``register`` (see :func:`_sigma_track`).
     """
     s = datapath_ints(s_codes)
-    return _sigma_track(s, lambda _frame: initial_sigma_q10(s), 1, SIGMA_FRACTION_BITS, register)
+    return _sigma_track(s, initial_sigma_q10, 1, SIGMA_FRACTION_BITS, register)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +219,6 @@ class Dyadic:
     @property
     def terms(self) -> int:
         return bin(abs(self.numerator)).count("1")
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -396,6 +389,8 @@ def _parse_coefficients(text: str, origin: str) -> ThresholdCoefficients:
         name, num, shift = parts
         if name not in ("c1", "c2", "c3"):
             raise ValueError(f"{origin}:{lineno}: unknown coefficient {name!r}")
+        if name in found:
+            raise ValueError(f"{origin}:{lineno}: repeated coefficient {name!r}")
         found[name] = Dyadic(int(num), int(shift))
     missing = {"c1", "c2", "c3"} - set(found)
     if missing:

@@ -15,7 +15,6 @@ import pytest
 from serial_oracle import serial_detect_multichannel
 from test_metrics import optimal_tp
 from dualteo import (
-    EstimatorConfig,
     FixedPointFormat,
     GroundTruth,
     HwConfig,
@@ -29,13 +28,12 @@ from dualteo import (
 from dualteo import dataio, detector, hw_model, metrics
 from dualteo.cli import main as cli_main
 from dualteo.detector import DetectorKind
-from dualteo.threshold import sigma_frames, sigma_frames_q10
+from dualteo.threshold import FRAME_LEN, WARMUP_SAMPLES, sigma_frames, sigma_frames_q10
 from dualteo.transforms import smooth2, teo
 
 NOISES = (0.05, 0.1, 0.15, 0.2)
 SEEDS = tuple(range(42, 52))
 DURATION_S = 10.0
-EST = EstimatorConfig()
 TOL_24K = 24  # 1 ms at the corpus rate
 TOL_16K = 16
 
@@ -83,11 +81,11 @@ def accuracy_table(corpus, float_preps):
             # detect_teo_single's tail, reusing the prepared record
             cross_x, _ = detector.dual_crossing_streams(prep, fc)
             single_events.append(detector._gate_and_form(prep, cross_x, prep.x_energy))
-        table[DetectorKind.DUAL][nv] = mean_accuracy(dual_events, truths, TOL_24K, EST.warmup_samples)
-        table[DetectorKind.TEO_SINGLE][nv] = mean_accuracy(single_events, truths, TOL_24K, EST.warmup_samples)
+        table[DetectorKind.DUAL][nv] = mean_accuracy(dual_events, truths, TOL_24K, WARMUP_SAMPLES)
+        table[DetectorKind.TEO_SINGLE][nv] = mean_accuracy(single_events, truths, TOL_24K, WARMUP_SAMPLES)
         for kind in (DetectorKind.AT, DetectorKind.DVT, DetectorKind.MAE):
             events = [detector.detect(record, kind) for record, _ in corpus[nv]]
-            table[kind][nv] = mean_accuracy(events, truths, TOL_24K, EST.warmup_samples)
+            table[kind][nv] = mean_accuracy(events, truths, TOL_24K, WARMUP_SAMPLES)
     return table
 
 
@@ -103,7 +101,7 @@ def hw_accuracy(corpus):
             t16 = dataio.rescale_ground_truth(truth, record.rate_hz, cfg.rate_hz, len(rec16))
             q = hw_model.quantize_for_hw(rec16, cfg)
             events = hw_model.hw_detect_channel(q, cfg, hc)
-            rep = metrics.score_events(events, t16, TOL_16K, skip_before=EST.warmup_samples)
+            rep = metrics.score_events(events, t16, TOL_16K, skip_before=WARMUP_SAMPLES)
             accs.append(metrics.accuracy(rep))
         per_noise[nv] = float(np.mean(accs))
     return per_noise
@@ -135,10 +133,10 @@ def test_criterion_2_estimator_convergence():
     rng = np.random.default_rng(775)
     s = smooth2(rng.standard_normal(1_000_000))
     traj = sigma_frames(s)
-    n_frames = len(s) // EST.frame_len
+    n_frames = len(s) // FRAME_LEN
     skip = 256  # generous estimator settling window
     counts = [
-        int(np.count_nonzero(s[f * EST.frame_len:(f + 1) * EST.frame_len] > traj[f]))
+        int(np.count_nonzero(s[f * FRAME_LEN:(f + 1) * FRAME_LEN] > traj[f]))
         for f in range(skip, n_frames)
     ]
     mean_count = float(np.mean(counts))
@@ -259,7 +257,7 @@ def test_criterion_8_resolution_robustness(corpus):
         peak = float(np.max(np.abs(record.samples)))
         coarse = dequantize(quantize_mid_tread(record, fmt, peak))
         events = detector.detect_dual(coarse, fc)
-        rep = metrics.score_events(events, truth, TOL_24K, skip_before=EST.warmup_samples)
+        rep = metrics.score_events(events, truth, TOL_24K, skip_before=WARMUP_SAMPLES)
         accs.append(metrics.accuracy(rep))
     mean_acc = float(np.mean(accs))
     check(
@@ -270,7 +268,7 @@ def test_criterion_8_resolution_robustness(corpus):
 
 
 def test_criterion_9_metric_exactness():
-    exact = metrics.accuracy(metrics.MatchReport(95, 2, 3, TOL_24K)) == 0.95
+    exact = metrics.accuracy(metrics.MatchReport(95, 2, 3)) == 0.95
     rng = np.random.default_rng(12)
     failures = 0
     for _ in range(300):

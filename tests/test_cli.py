@@ -230,8 +230,10 @@ class TestDetectCommand:
         (None, f"c1 1 {2**70}\nc2 0 0\nc3 0 0\n", "0..63"),
         # at sigma_q = 2**14 this wrapped to thr_s = 0 instead of about 9.2e18
         (None, f"c1 1 0\nc2 0 0\nc3 {2**45} 0\n", "overflow the int64"),
+        # the last c1 used to win silently
+        (None, "c1 1 0\nc2 0 0\nc3 0 0\nc1 3 0\n", "coeffs.txt:4: repeated coefficient 'c1'"),
     ], ids=["truth-index-2**70", "template-id-2**70", "numerator-2**100", "shift-2**70",
-            "c3-2**45"])
+            "c3-2**45", "repeated-c1"])
     def test_hostile_truth_or_coefficients_is_validation_error(self, tmp_path, capsys, truth, coeffs,
                                                                message):
         record_path, truth_path = write_tiny_dataset(tmp_path, duration_s=2.0)
@@ -244,6 +246,15 @@ class TestDetectCommand:
         for hw in ([], ["--hw"]):
             assert main(argv + hw) == 2
             assert message in capsys.readouterr().err
+
+    def test_repeated_header_key_is_validation_error(self, tmp_path, capsys):
+        # the second rate used to override the first silently
+        record_path, _ = write_tiny_dataset(tmp_path)
+        hdr = record_path.with_name(record_path.name + ".hdr")
+        hdr.write_text(hdr.read_text() + "rate_hz=16000.0\n")
+        for hw in ([], ["--hw"]):
+            assert main(["detect", "--detector", "dual", "--record", str(record_path), *hw]) == 2
+            assert f"{hdr}:5: repeated header key 'rate_hz'" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -267,6 +267,34 @@ class TestBaselines:
         record, _ = noisy_record
         assert detect_dvt(record, 4.0, 4.0) == detect_at(record, 4.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(st.just(0.0) | st.floats(-1e6, 1e6), max_size=300)
+        | st.builds(lambda v, n: [v] * n, st.floats(-1e6, 1e6), st.integers(0, 300)),
+        pos=st.floats(-3.0, 6.0),
+        neg=st.floats(-3.0, 6.0),
+    )
+    @example(samples=[0.5] * 100, pos=-1.0, neg=-1.0)
+    @example(samples=[0.0] * 10 + [1.0] + [0.0] * 10 + [-1.0] + [0.0] * 10, pos=0.0, neg=0.0)
+    def test_amplitude_detectors_match_the_split_oracle(self, samples, pos, neg):
+        # each crossing is tested sample by sample; events split at the
+        # 4-sample refractory gap and sit on the |x| peak; a record with no
+        # noise scale has no events
+        x = np.asarray(samples, dtype=float)
+        record = SignalRecord(x, rate_hz=4000.0)
+        sd = float(np.std(x)) if len(x) else 0.0
+        mag = np.abs(x)
+
+        def oracle(crossed):
+            if sd == 0:
+                return []
+            return split_events(np.array([crossed(v) for v in x.tolist()], dtype=bool), mag, 4)
+
+        got_at = [e.sample_index for e in detect_at(record, pos)]
+        assert got_at == oracle(lambda v: abs(v) > pos * sd)
+        got_dvt = [e.sample_index for e in detect_dvt(record, pos, neg)]
+        assert got_dvt == oracle(lambda v: v > pos * sd or -v > neg * sd)
+
     def test_dvt_negative_spike_with_negative_threshold_only(self):
         record = make_clean_spike_record(spike_index=2000, n=6000, amplitude=-1.0)
         events = detect_dvt(record, pos_multiple=1e9, neg_multiple=4.0)
@@ -274,13 +302,13 @@ class TestBaselines:
         assert abs(events[0].sample_index - 2000) <= 24
 
     def test_mae_energy_constant_record(self):
-        e = moving_average_energy(np.full(50, 3.0), window=8)
+        e = moving_average_energy(np.full(50, 3.0))
         np.testing.assert_allclose(e, 9.0)
 
     def test_mae_energy_impulse(self):
         x = np.zeros(100)
         x[40] = 5.0
-        e = moving_average_energy(x, window=8)
+        e = moving_average_energy(x)
         assert e.max() == pytest.approx(25.0 / 8.0)
         assert np.all(e[40:48] == pytest.approx(25.0 / 8.0))
 

@@ -138,17 +138,17 @@ class TestMatchEvents:
 
 class TestAccuracy:
     def test_stated_example(self):
-        assert accuracy(MatchReport(95, 2, 3, 24)) == 0.95
+        assert accuracy(MatchReport(95, 2, 3)) == 0.95
 
     def test_perfect(self):
-        assert accuracy(MatchReport(7, 0, 0, 24)) == 1.0
+        assert accuracy(MatchReport(7, 0, 0)) == 1.0
 
     def test_zero(self):
-        assert accuracy(MatchReport(0, 1, 1, 24)) == 0.0
+        assert accuracy(MatchReport(0, 1, 1)) == 0.0
 
     def test_all_zero_report_is_undefined(self):
         with pytest.raises(ValueError, match="undefined"):
-            accuracy(MatchReport(0, 0, 0, 24))
+            accuracy(MatchReport(0, 0, 0))
 
     @given(
         tp=st.integers(min_value=0, max_value=100),
@@ -158,13 +158,13 @@ class TestAccuracy:
     def test_monotone_in_tp(self, tp, fp, fn):
         if tp + fp + fn == 0:
             return
-        a = accuracy(MatchReport(tp, fp, fn, 1))
-        b = accuracy(MatchReport(tp + 1, fp, fn, 1))
+        a = accuracy(MatchReport(tp, fp, fn))
+        b = accuracy(MatchReport(tp + 1, fp, fn))
         assert b >= a
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            MatchReport(-1, 0, 0, 1)
+            MatchReport(-1, 0, 0)
 
 
 class TestScoreEvents:

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dualteo.signal_model import (
@@ -16,6 +18,8 @@ from dualteo.signal_model import (
     truncate_to,
 )
 from dualteo.signal_model import datapath_ints
+from dualteo.threshold import sigma_frames_q10
+from dualteo.transforms import smooth2_fixed, teo_fixed
 
 FMT7 = FixedPointFormat(total_bits=7)
 
@@ -168,6 +172,45 @@ def test_datapath_ints_widths(dtype, work):
     assert (got is values) == (dtype == work)
 
 
+DATAPATH_KERNELS = {
+    "smooth2_fixed": smooth2_fixed,
+    "teo_fixed": lambda codes: teo_fixed(codes, FixedPointFormat(total_bits=32)),
+    "sigma_frames_q10": sigma_frames_q10,
+    "truncate_to": lambda codes: truncate_to(codes, FixedPointFormat(total_bits=32), 3),
+}
+
+
+def run_kernel(kernel, codes):
+    """The kernel's output, or the message of the ``ValueError`` it raised."""
+    try:
+        return kernel(codes)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kernel", DATAPATH_KERNELS.values(), ids=DATAPATH_KERNELS.keys())
+@pytest.mark.parametrize("code", [1 << 63, (1 << 64) - 1])
+def test_unsigned_codes_at_or_above_2_63_raise_in_every_kernel(kernel, code):
+    # cast to int64 they wrapped: 2**64 - 1 read as -1 and sigma came back [0, 63]
+    codes = np.zeros(2 * 256, dtype=np.uint64)
+    codes[0] = code
+    for block in (codes, codes[:, None]):
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            kernel(block)
+
+
+@pytest.mark.parametrize("kernel", DATAPATH_KERNELS.values(), ids=DATAPATH_KERNELS.keys())
+@given(codes=st.lists(st.integers(0, 200) | st.integers(0, (1 << 63) - 1), max_size=600))
+@example(codes=[(1 << 63) - 1] * 3)
+def test_unsigned_codes_below_2_63_compute_as_int64(kernel, codes):
+    codes = np.array(codes, dtype=np.uint64)
+    got, want = run_kernel(kernel, codes), run_kernel(kernel, codes.astype(np.int64))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestMidTread:
     def test_zero_maps_to_zero_at_coarse_resolution(self):
         fmt = FixedPointFormat(total_bits=4)
@@ -232,6 +275,15 @@ class TestRecordFiles:
         lines = hdr.read_text().splitlines()
         hdr.write_text("".join(ln + "\n" for ln in lines if not ln.startswith(f"{key}=")))
         with pytest.raises(ValueError, match=f"missing required header key '{key}'"):
+            load_record(path)
+
+    def test_repeated_header_key_rejected_with_its_line(self, tmp_path):
+        # the second rate used to win silently
+        path = tmp_path / "chan.f32"
+        save_record(rec([0.1, 0.2], rate=16000.0), path)
+        hdr = path.with_name(path.name + ".hdr")
+        hdr.write_text(hdr.read_text() + "rate_hz=24000.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{hdr}:5: repeated header key 'rate_hz'")):
             load_record(path)
 
     def test_malformed_header_line_named(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -395,6 +396,13 @@ class TestCoefficientFiles:
         with pytest.raises(ValueError, match="c3"):
             load_coefficients(path)
 
+    def test_repeated_coefficient_rejected_with_its_line(self, tmp_path):
+        # the last of the three c1 lines used to win silently
+        path = tmp_path / "coeffs.txt"
+        path.write_text("c1 1 0\nc2 0 0\n# comment\nc1 2 0\nc1 3 0\nc3 0 0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: repeated coefficient 'c1'")):
+            load_coefficients(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "coeffs.txt"
         path.write_text("c1 1\n")
@@ -620,7 +628,7 @@ class TestBatchedCalibration:
         align[raw] = 1.0
         align[WARMUP_SAMPLES + np.array([30, 100])] = 5.0
         prep = PreparedDual(x_energy=x_energy, s_energy=s_energy, sigma_per_frame=np.ones(n // FRAME_LEN),
-                            align=align, rate_hz=24000.0, channel_id=0, integer_domain=False)
+                            align=align, rate_hz=24000.0, channel_id=0)
         truth = GroundTruth(spike_indices=np.array([WARMUP_SAMPLES + 30]))
         grid = [ThresholdCoefficients.make((1, 0), (1, 0), (0, 0))]  # thr_x = thr_s = 1
         assert event_indices(finish_dual(prep, grid[0])).tolist() == [WARMUP_SAMPLES + 30]
