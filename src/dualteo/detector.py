@@ -135,9 +135,11 @@ def _merge_runs(first, last, peak, values, gap: int) -> tuple[np.ndarray, np.nda
     """
     if len(first) == 0:  # nothing crossed: skip a dozen array calls
         return np.zeros(0, dtype=np.intp), peak[:0]
+    # single crossings come sorted, so each is the furthest reach so far
+    reach = last if last is first else np.maximum.accumulate(last)
     starts = np.empty(len(first), dtype=bool)
     starts[0] = True
-    np.greater_equal(first[1:] - np.maximum.accumulate(last)[:-1], gap, out=starts[1:])
+    np.greater_equal(first[1:] - reach[:-1], gap, out=starts[1:])
     heads = np.flatnonzero(starts)
     event = np.cumsum(starts) - 1
     at_peak = values == np.maximum.reduceat(values, heads)[event]
@@ -277,10 +279,21 @@ def dual_crossing_streams(prep: PreparedDual, coeffs: ThresholdCoefficients):
     axis 0 for a block, and each energy crosses where it strictly exceeds
     its threshold (:func:`_on_energy_scale`).
     """
-    thr_x, thr_s = (_on_energy_scale(prep, thr) for thr in _frame_thresholds(prep, coeffs))
-    cross_x = prep.x_energy > np.repeat(thr_x, FRAME_LEN, axis=0)[:prep.n]
-    cross_s = prep.s_energy > np.repeat(thr_s, FRAME_LEN, axis=0)[:prep.n]
-    return cross_x, cross_s
+    return tuple(
+        _exceeds(energy, _on_energy_scale(prep, thr))
+        for energy, thr in zip((prep.x_energy, prep.s_energy), _frame_thresholds(prep, coeffs))
+    )
+
+
+def _exceeds(energy: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """``energy > thr`` of each sample's frame: the full frames as one view, then the partial tail."""
+    out = np.empty(energy.shape, dtype=bool)
+    n_full = len(energy) // FRAME_LEN
+    full, frames = n_full * FRAME_LEN, (n_full, FRAME_LEN) + energy.shape[1:]
+    np.greater(energy[:full].reshape(frames), thr[:n_full, None], out=out[:full].reshape(frames))
+    if full < len(energy):
+        np.greater(energy[full:], thr[-1], out=out[full:])
+    return out
 
 
 def _gate_and_form(prep: PreparedDual, crossings: np.ndarray, align: np.ndarray) -> list[SpikeEvent]:

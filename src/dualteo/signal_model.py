@@ -143,10 +143,14 @@ def quantize(record: SignalRecord, format: FixedPointFormat, full_scale: float) 
     if x.size and not np.all(np.isfinite(x)):
         raise ValueError("cannot quantize non-finite samples")
     half = 1 << (format.total_bits - 1)
-    codes = np.floor(x / full_scale * half).astype(np.int64)
-    codes = np.clip(codes, format.min_code, format.max_code)
+    # one owned buffer, in the formula's order of operations; a floor is an
+    # integer, so clipping before the cast gives the codes clipping after it would
+    scaled = np.divide(x, full_scale)
+    scaled *= half
+    np.floor(scaled, out=scaled)
+    np.clip(scaled, format.min_code, format.max_code, out=scaled)
     return QuantizedRecord(
-        codes=codes,
+        codes=scaled.astype(np.int64),
         format=format,
         rate_hz=record.rate_hz,
         channel_id=record.channel_id,

@@ -11,6 +11,12 @@ of convergence latency, which is why detection is suppressed for the first
 16 frames (``WARMUP_SAMPLES``).  These are the chip's design point, fixed
 here as module constants that both pipelines read.
 
+One channel's frames are sorted once, frame by frame; each frame's count is
+then its length less one bisection for the level among its sorted samples.
+A NaN sorts last and never exceeds, so the search stops at a frame's first
+NaN.  A block of channels steps every column at once with a compare per
+frame instead.
+
 Thresholds for the two energy streams are low-order polynomials in sigma,
 
     thr_x = c1 * sigma
@@ -41,6 +47,7 @@ equals scoring every candidate on its own through
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
@@ -95,19 +102,24 @@ def _sigma_track(values: np.ndarray, measure, step, shift=None, register=None) -
 
     ``values`` is one channel ``(n,)`` or a time-major block ``(n, channels)``;
     a block steps every column's sigma at once and returns ``(frames,
-    channels)``.  One channel keeps a scalar sigma, which is faster there.
-    The trajectory is float64 for float samples and at least int32 for
-    integer ones: an int16 block of codes keeps its sigma in int32.
+    channels)``.  One channel keeps a scalar sigma and counts by bisection
+    (:func:`_sigma_walk`).  The trajectory is float64 for float samples and
+    at least int32 for integer ones: an int16 block of codes keeps its sigma
+    in int32.
 
-    ``register`` carries the loop across consecutive pieces of one block
-    stream, each starting on a frame boundary: one sigma per column, or
-    ``UNMEASURED`` while the stream's measurement frame is still to come.
+    ``register`` carries the loop across consecutive pieces of one stream,
+    each starting on a frame boundary: one sigma per column (0-d for one
+    channel), or ``UNMEASURED`` while the stream's measurement frame is
+    still to come.
     The piece's frames start from it, and it is left holding the sigma that
     takes effect after the piece's last full frame.
     """
+    dtype = np.result_type(values.dtype, np.int32)
+    if values.ndim == 1:
+        return np.array(_sigma_walk(values, measure, step, shift, register), dtype=dtype)
     L = FRAME_LEN
     n_frames = -(-len(values) // L)
-    out = np.empty((n_frames,) + values.shape[1:], dtype=np.result_type(values.dtype, np.int32))
+    out = np.empty((n_frames,) + values.shape[1:], dtype=dtype)
     fresh = register is None or bool((register == UNMEASURED).any())
     sigma = 0 if fresh else register.copy()
     for f in range(n_frames):
@@ -119,18 +131,47 @@ def _sigma_track(values: np.ndarray, measure, step, shift=None, register=None) -
             sigma = measure(frame)
             fresh = False
             continue
+        # compare in the samples' dtype; the level fits it, because sigma
+        # climbs only while more than CONVERGENCE_FACTOR samples exceed it
         level = sigma if shift is None else sigma >> shift
-        if values.ndim == 1:
-            count = int(np.count_nonzero(frame > level))
-            sigma = max(0, sigma + step * (count - CONVERGENCE_FACTOR))
-        else:
-            # compare in the samples' dtype; the level fits it, because sigma
-            # climbs only while more than CONVERGENCE_FACTOR samples exceed it
-            count = (frame > level.astype(values.dtype)).sum(axis=0, dtype=out.dtype)
-            sigma = np.maximum(sigma + step * (count - CONVERGENCE_FACTOR), 0)
+        count = (frame > level.astype(values.dtype)).sum(axis=0, dtype=out.dtype)
+        sigma = np.maximum(sigma + step * (count - CONVERGENCE_FACTOR), 0)
     if register is not None and not fresh:
         register[...] = sigma
     return out
+
+
+def _sigma_walk(values: np.ndarray, measure, step, shift, register) -> list:
+    """The frame loop of one channel, as a list of Python numbers; ``register`` is 0-d.
+
+    The frames to step are sorted once; a frame's count is then its length
+    less one bisection for the level over its sorted samples.  NaN sorts
+    last and never exceeds, so each frame is searched up to its first NaN
+    only.
+    """
+    L = FRAME_LEN
+    full = len(values) // L
+    if register is None or register == UNMEASURED:
+        if full == 0:
+            return [0] if len(values) else []
+        track, sigma, first = [0], np.asarray(measure(values[:L])).item(), L
+    else:
+        track, sigma, first = [], register.item(), 0
+    ranked = np.sort(values[first:full * L].reshape(-1, L), axis=1)
+    ends = np.arange(L, ranked.size + 1, L)
+    if ranked.dtype.kind == "f" and np.isnan(ranked[:, -1]).any():
+        ends -= np.isnan(ranked).sum(axis=1)
+    view = memoryview(ranked.reshape(-1))
+    for lo, end in zip(range(0, ranked.size, L), ends.tolist()):
+        track.append(sigma)
+        level = sigma if shift is None else sigma >> shift
+        count = end - bisect_right(view, level, lo, end)
+        sigma = max(0, sigma + step * (count - CONVERGENCE_FACTOR))
+    if full * L < len(values):
+        track.append(sigma)
+    if register is not None:
+        register[...] = sigma
+    return track
 
 
 def sigma_frames(s) -> np.ndarray:
@@ -247,6 +288,10 @@ class ThresholdCoefficients:
         terms = self.c1.terms + self.c2.terms + self.c3.terms
         shifts = self.c1.shift + self.c2.shift + self.c3.shift
         return (terms, shifts)
+
+
+def _tiebreak_fields(c: ThresholdCoefficients) -> tuple:
+    return c.tiebreak_key
 
 
 class _CandidateStack(tuple):
@@ -406,7 +451,9 @@ def load_coefficients(path) -> ThresholdCoefficients:
     return _parse_coefficients(path.read_text(), str(path))
 
 
+@cache
 def _load_bundled(name: str) -> ThresholdCoefficients:
+    """The coefficients of a bundled file, parsed once per process; they are frozen."""
     text = resources.files("dualteo").joinpath("data").joinpath(name).read_text()
     return _parse_coefficients(text, name)
 
@@ -654,7 +701,9 @@ def calibrate_coefficients(
     truths = [truth for _, truth in training_set]
 
     means = _mean_accuracies(prepared, truths, grid)
-    best = min(np.flatnonzero(means == means.max()).tolist(), key=lambda i: grid[i].tiebreak_key)
+    tied = np.flatnonzero(means == means.max())
+    terms, shifts = grid.table(_tiebreak_fields, np.int64)[tied].T
+    best = int(tied[np.lexsort((shifts, terms))[0]])  # a stable sort keeps grid order among equals
     winner = grid[best]
     total = 0.0
     for prep, truth in zip(prepared, truths):

@@ -18,6 +18,13 @@ a time-major block ``(n, channels)``, and compute in
 stay as they are, int8 codes compute in int16, and anything else in int64.
 An int8 block therefore keeps the chip's widths: its half-sums come back
 int8 and its energies int16.
+
+Every kernel writes into the array it returns, walking axis 0 in blocks of
+about ``BLOCK_CELLS`` cells.  A block's intermediate values go through one
+scratch block, reused block after block, so no call allocates a temporary
+as long as its input, and each pass over a block finds it in cache.  A
+chunk of the multichannel stream is one block.  int8 codes are widened a
+block at a time, never whole.
 """
 
 from __future__ import annotations
@@ -28,6 +35,98 @@ from .signal_model import FixedPointFormat, datapath_ints
 
 __all__ = ["teo", "smooth2", "teo_fixed", "smooth2_fixed"]
 
+# cells per block of a kernel's walk along axis 0.  A multichannel stream
+# chunk (CHUNK_SCANS x 256 cells) must stay one block: at 2**15 cells each
+# call split it into five and the stream ran 7-11% slower.  A 10 s, 24 kHz
+# record still splits into two blocks.
+BLOCK_CELLS = 1 << 17
+
+
+def _block_rows(x: np.ndarray, rows: int) -> int:
+    """Rows per block of a walk over ``rows`` rows of ``x``, blocks of about ``BLOCK_CELLS`` cells.
+
+    The rows split evenly into the nearest whole number of blocks, at least
+    one, so a walk a little longer than one block stays one block.
+    """
+    count = max(1, (rows * (x.size // max(1, len(x))) + BLOCK_CELLS // 2) // BLOCK_CELLS)
+    return max(1, -(-rows // count))
+
+
+def _widener(x: np.ndarray, dtype, rows: int):
+    """A function giving rows ``lo .. hi`` of ``x`` in ``dtype``.
+
+    They are a view of ``x``, or, where ``x`` is narrower, a copy into one
+    buffer of ``rows`` rows that every call reuses.
+    """
+    if x.dtype == dtype:
+        return lambda lo, hi: x[lo:hi]
+    buf = np.empty((rows,) + x.shape[1:], dtype)
+
+    def widen(lo, hi):
+        np.copyto(buf[:hi - lo], x[lo:hi])
+        return buf[:hi - lo]
+
+    return widen
+
+
+def _teo_blocks(x: np.ndarray, dtype, finish=None) -> np.ndarray:
+    """The energy of ``x`` in ``dtype``, block by block into the array returned.
+
+    One scratch block holds each block's cross products; ``finish`` then
+    maps each block of energies in place.
+    """
+    out = np.zeros(x.shape, dtype)
+    n = len(x)
+    if n < 3:
+        return out
+    step = _block_rows(x, n - 2)
+    rows_of = _widener(x, dtype, step + 2)
+    scratch = np.empty((step,) + x.shape[1:], dtype)
+    for lo in range(1, n - 1, step):
+        hi = min(lo + step, n - 1)
+        rows, inner, cross = rows_of(lo - 1, hi + 1), out[lo:hi], scratch[:hi - lo]
+        np.multiply(rows[1:-1], rows[1:-1], out=inner)
+        np.multiply(rows[2:], rows[:-2], out=cross)
+        np.subtract(inner, cross, out=inner)
+        if finish is not None:
+            finish(inner)
+    return out
+
+
+def _smooth_blocks(x: np.ndarray, dtype, halve, operand) -> np.ndarray:
+    """``halve(x[k] + x[k-1], operand)`` in ``dtype``, block by block into an array of ``x``'s dtype.
+
+    The first row passes through.  Where ``x`` is narrower than ``dtype``,
+    each block's sums go through one scratch block.
+    """
+    out = np.empty_like(x)
+    out[:1] = x[:1]
+    n = len(x)
+    if n < 2:
+        return out
+    step = _block_rows(x, n - 1)
+    rows_of = _widener(x, dtype, step + 1)
+    narrow = x.dtype != dtype
+    scratch = np.empty((step,) + x.shape[1:], dtype) if narrow else None
+    for lo in range(1, n, step):
+        hi = min(lo + step, n)
+        rows = rows_of(lo - 1, hi)
+        half = scratch[:hi - lo] if narrow else out[lo:hi]
+        np.add(rows[1:], rows[:-1], out=half)
+        halve(half, operand, out=half)
+        if narrow:
+            out[lo:hi] = half
+    return out
+
+
+def _datapath(x) -> tuple[np.ndarray, np.dtype]:
+    """``x`` and the dtype its kernels compute in; int8 codes widen a block at a time."""
+    x = np.asarray(x)
+    if x.dtype == np.int8:
+        return x, np.dtype(np.int16)
+    x = datapath_ints(x)
+    return x, x.dtype
+
 
 def teo(x) -> np.ndarray:
     """Teager energy of a real sequence, same length, zero at both ends.
@@ -35,19 +134,13 @@ def teo(x) -> np.ndarray:
     Inputs shorter than 3 come back all zero.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    if len(x) >= 3:
-        out[1:-1] = x[1:-1] ** 2 - x[2:] * x[:-2]
-    return out
+    return _teo_blocks(x, x.dtype)
 
 
 def smooth2(x) -> np.ndarray:
     """Trailing two-sample average; the first sample passes through unchanged."""
     x = np.asarray(x, dtype=np.float64)
-    s = x.copy()
-    if len(x) >= 2:
-        s[1:] = (x[1:] + x[:-1]) / 2.0
-    return s
+    return _smooth_blocks(x, x.dtype, np.divide, 2.0)
 
 
 def teo_fixed(x, out_format: FixedPointFormat, drop_lsbs: int = 0) -> np.ndarray:
@@ -65,15 +158,12 @@ def teo_fixed(x, out_format: FixedPointFormat, drop_lsbs: int = 0) -> np.ndarray
     """
     if drop_lsbs < 0:
         raise ValueError(f"drop_lsbs must be >= 0, got {drop_lsbs}")
-    x = datapath_ints(x)
-    out = np.zeros_like(x)
-    if len(x) >= 3:
-        inner = out[1:-1]
-        np.multiply(x[1:-1], x[1:-1], out=inner)
-        inner -= x[2:] * x[:-2]
-        inner >>= drop_lsbs
+
+    def truncate(inner):
+        np.right_shift(inner, drop_lsbs, out=inner)
         np.clip(inner, out_format.min_code, out_format.max_code, out=inner)
-    return out
+
+    return _teo_blocks(*_datapath(x), truncate)
 
 
 def smooth2_fixed(x) -> np.ndarray:
@@ -83,10 +173,4 @@ def smooth2_fixed(x) -> np.ndarray:
     [-64, 63]; no saturation is ever exercised.  A half-sum never leaves its
     inputs' range, so int8 codes come back int8.
     """
-    x = np.asarray(x)
-    wide = datapath_ints(x)
-    s = wide.copy()
-    if len(x) >= 2:
-        np.add(wide[1:], wide[:-1], out=s[1:])
-        s[1:] >>= 1
-    return s.astype(np.int8) if x.dtype == np.int8 else s
+    return _smooth_blocks(*_datapath(x), np.right_shift, 1)

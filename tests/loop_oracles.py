@@ -2,13 +2,14 @@
 
 Each function here is the earlier implementation, kept as an oracle that
 the vectorized code must equal exactly: the per-candidate calibration loop,
-the ``np.split``/argmax event former, the greedy matcher and the row-wise
-trace writer.
+the ``np.split``/argmax event former, the greedy matcher, the row-wise
+trace writer and the per-frame sigma count.
 """
 
 import numpy as np
 
 from dualteo import detector, metrics
+from dualteo.threshold import CONVERGENCE_FACTOR, FRAME_LEN
 
 
 def calibration_means(prepared, truths, grid) -> np.ndarray:
@@ -65,3 +66,23 @@ def write_trace_rows(trace, path) -> None:
         fh.write(",".join(trace.COLUMNS) + "\n")
         for row in zip(*cols):
             fh.write(",".join(str(int(v)) for v in row) + "\n")
+
+
+def sigma_track(values, measure, step, shift=None) -> np.ndarray:
+    """One channel's sigma trajectory: one ``count_nonzero`` of each frame above its level."""
+    L = FRAME_LEN
+    n_frames = -(-len(values) // L)
+    out = np.empty(n_frames, dtype=np.result_type(values.dtype, np.int32))
+    sigma, fresh = 0, True
+    for f in range(n_frames):
+        out[f] = sigma
+        frame = values[f * L:(f + 1) * L]
+        if len(frame) < L:
+            break
+        if fresh:
+            sigma, fresh = measure(frame), False
+            continue
+        level = sigma if shift is None else sigma >> shift
+        count = int(np.count_nonzero(frame > level))
+        sigma = max(0, sigma + step * (count - CONVERGENCE_FACTOR))
+    return out

@@ -59,6 +59,20 @@ class TestQuantize:
         assert q.codes.min() >= fmt.min_code
         assert q.codes.max() <= fmt.max_code
 
+    @given(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=0, max_size=64),
+        st.integers(min_value=2, max_value=32),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_codes_equal_the_whole_array_formula(self, samples, bits, full_scale):
+        # quantize works in one buffer; its codes are those of the formula, cast then clipped
+        fmt = FixedPointFormat(total_bits=bits)
+        x = np.asarray(samples, dtype=float)
+        formula = np.clip(np.floor(x / full_scale * (1 << (bits - 1))).astype(np.int64), fmt.min_code, fmt.max_code)
+        codes = quantize(rec(samples), fmt, full_scale).codes
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, formula)
+
     @given(st.lists(st.floats(min_value=-0.999, max_value=0.999), min_size=1, max_size=64))
     def test_roundtrip_error_within_one_lsb(self, samples):
         q = quantize(rec(samples), FMT7, 1.0)

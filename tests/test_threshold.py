@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from dualteo import metrics, threshold
 from dualteo.dataio import GroundTruth, SyntheticConfig, generate
 from dualteo.detector import PreparedDual, event_indices, finish_dual, prepare_dual
-from dualteo.signal_model import SignalRecord
-from loop_oracles import calibration_means
+from dualteo.signal_model import SignalRecord, datapath_ints
+from loop_oracles import calibration_means, sigma_track
 from serial_oracle import SigmaEstimatorState, estimator_step
 from dualteo.threshold import (
     CONVERGENCE_FACTOR,
     FRAME_LEN,
+    SCALING_FACTOR,
     WARMUP_SAMPLES,
     Dyadic,
     _check_q10_range,
@@ -256,6 +257,82 @@ class TestSigmaTrajectories:
         assert abs(np.mean(traj[400:]) - quantile) / quantile < 0.1
 
 
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def sigma_channels(draw, dtype):
+    """One channel of ``dtype`` samples, 0 to 3000 long, and how many samples per frame to tie at its level.
+
+    Float channels may hold signed zeros, infinities and NaN; coarse
+    channels draw from a few values, so samples also tie with each other.
+    """
+    n = draw(st.integers(min_value=0, max_value=3000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    coarse = draw(st.booleans())
+    if dtype == np.float64:
+        s = rng.integers(-4, 5, size=n) / 4 if coarse else rng.normal(size=n)
+        for _ in range(draw(st.integers(min_value=0, max_value=6)) if n else 0):
+            s[rng.integers(n)] = draw(st.sampled_from(SPECIAL_FLOATS))
+    else:
+        # an int32 register holds the Q.10 sigma of codes within 2**20
+        top = 64 if coarse else {np.int16: 1 << 15, np.int32: 1 << 20, np.int64: 1 << 27}[dtype]
+        s = rng.integers(-top, top, size=n).astype(dtype)
+    return s, draw(st.integers(min_value=0, max_value=8))
+
+
+def tie_at_levels(s, ties, trajectory, level):
+    """Set ``ties`` samples of each frame after the first to that frame's level.
+
+    A frame's sigma depends only on the frames before it, so the frames are
+    tied in order, each against the trajectory of the samples tied so far.
+    """
+    for f in range(1, len(s) // FRAME_LEN):
+        lo = f * FRAME_LEN
+        s[lo:lo + ties] = level(trajectory(s)[f])
+    return s
+
+
+class TestSortedSigmaWalk:
+    """The one-channel walk counts by bisection over sorted frames; a per-frame count is the oracle."""
+
+    @settings(deadline=None)
+    @given(sigma_channels(np.float64))
+    def test_float_walk_equals_per_frame_count(self, drawn):
+        s, ties = drawn
+        with np.errstate(invalid="ignore"):  # the std of a frame holding inf
+            s = tie_at_levels(s, ties, sigma_frames, lambda sigma: sigma)
+            got, want = sigma_frames(s), sigma_track(s, np.std, SCALING_FACTOR)
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(st.sampled_from([np.int16, np.int32, np.int64]).flatmap(sigma_channels))
+    def test_q10_walk_equals_per_frame_count(self, drawn):
+        s, ties = drawn
+        s = tie_at_levels(s, ties, sigma_frames_q10, lambda sigma: sigma >> SIGMA_FRACTION_BITS)
+        got = sigma_frames_q10(s)
+        want = sigma_track(datapath_ints(s), initial_sigma_q10, 1, SIGMA_FRACTION_BITS)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("cut", [0, FRAME_LEN, 2 * FRAME_LEN, 4 * FRAME_LEN, 6 * FRAME_LEN])
+    def test_one_channel_register_carries_the_walk_across_pieces(self, cut):
+        s = np.random.default_rng(9).integers(-30, 30, size=1500)
+        register = np.array(UNMEASURED)
+        pieces = [sigma_frames_q10(s[:cut], register), sigma_frames_q10(s[cut:], register)]
+        np.testing.assert_array_equal(np.concatenate(pieces), sigma_frames_q10(s))
+
+    def test_nan_never_exceeds(self):
+        # a NaN sorts last; a walk that bisected it as a number would count it
+        s = np.random.default_rng(8).normal(size=2000)
+        s[700] = np.nan
+        got = sigma_frames(s)
+        np.testing.assert_array_equal(got, sigma_track(s, np.std, SCALING_FACTOR))
+        s[700] = -np.inf
+        np.testing.assert_array_equal(got, sigma_frames(s))
+
+
 class TestDyadic:
     def test_value(self):
         assert Dyadic(3, 2).value == 0.75
@@ -435,9 +512,11 @@ class TestCoefficientFiles:
         assert (thr_x, thr_s) == (1 << 62, 1 << 52)
 
     def test_bundled_defaults_parse(self):
-        for coeffs in (default_float_coefficients(), default_hw_coefficients()):
+        for load in (default_float_coefficients, default_hw_coefficients):
+            coeffs = load()
             assert isinstance(coeffs, ThresholdCoefficients)
             assert coeffs.c1.value > 0
+            assert load() is coeffs  # parsed once per process
 
 
 @pytest.fixture(scope="module")
@@ -470,6 +549,15 @@ class TestCalibration:
         d = ThresholdCoefficients.make((1, 1), (1, 2), (1, 1))
         got = calibrate_coefficients(tiny_training, [d, c])
         assert got == c
+        # equal terms and shifts: the first in grid order wins
+        tied = [
+            c,
+            ThresholdCoefficients.make((1, 1), (1, 2), (2, 0)),
+            ThresholdCoefficients.make((1, 1), (2, 2), (1, 0)),
+        ]
+        for first in range(3):
+            order = tied[first:] + tied[:first]
+            assert calibrate_coefficients(tiny_training, [d] + order) == order[0]
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):

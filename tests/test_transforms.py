@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualteo.signal_model import FixedPointFormat
+from dualteo import transforms
+from dualteo.hw_model import CHUNK_SCANS, HwConfig
+from dualteo.signal_model import FixedPointFormat, datapath_ints
 from dualteo.transforms import smooth2, smooth2_fixed, teo, teo_fixed
 
 WIDE = FixedPointFormat(total_bits=32)
@@ -205,3 +209,92 @@ def test_other_integer_inputs_widen_to_int64_and_stay_exact(dtype):
     energies = teo_fixed(codes, WIDE)
     oracle = np.clip(wide[1:-1] ** 2 - wide[2:] * wide[:-2], WIDE.min_code, WIDE.max_code)
     assert np.array_equal(energies[1:-1], oracle)
+
+
+# the whole-array formulas the blocked kernels replaced
+def teo_formula(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    if len(x) >= 3:
+        out[1:-1] = x[1:-1] ** 2 - x[2:] * x[:-2]
+    return out
+
+
+def smooth2_formula(x):
+    x = np.asarray(x, dtype=np.float64)
+    s = x.copy()
+    if len(x) >= 2:
+        s[1:] = (x[1:] + x[:-1]) / 2.0
+    return s
+
+
+def teo_fixed_formula(x, fmt, drop):
+    x = datapath_ints(x)
+    out = np.zeros_like(x)
+    if len(x) >= 3:
+        out[1:-1] = np.clip((x[1:-1] * x[1:-1] - x[2:] * x[:-2]) >> drop, fmt.min_code, fmt.max_code)
+    return out
+
+
+def smooth2_fixed_formula(x):
+    wide = datapath_ints(x)
+    s = wide.copy()
+    if len(x) >= 2:
+        s[1:] = (wide[1:] + wide[:-1]) >> 1
+    return s.astype(np.int8) if np.asarray(x).dtype == np.int8 else s
+
+
+FMT9 = FixedPointFormat(total_bits=9)
+
+
+@pytest.mark.parametrize("block_cells", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("channels", [None, 1, 3])
+def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, block_cells, channels):
+    monkeypatch.setattr(transforms, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(block_cells)
+    width = 1 if channels is None else channels
+    per_block = max(1, block_cells // width)
+    # lengths on, just before and just after one to four blocks' worth of rows
+    lengths = sorted({max(0, k * per_block + d) for k in range(5) for d in (-1, 0, 1, 2, 3)})
+    for n in lengths:
+        shape = (n,) if channels is None else (n, channels)
+        x = rng.normal(size=shape)
+        np.testing.assert_array_equal(teo(x), teo_formula(x))
+        np.testing.assert_array_equal(smooth2(x), smooth2_formula(x))
+        for dtype in (np.int8, np.int32, np.int64):
+            codes = rng.integers(-128, 128, size=shape).astype(dtype)
+            for drop in (0, 3):
+                got, want = teo_fixed(codes, FMT9, drop), teo_fixed_formula(codes, FMT9, drop)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            got, want = smooth2_fixed(codes), smooth2_fixed_formula(codes)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def test_a_stream_chunk_is_one_block_and_a_record_several():
+    cfg = HwConfig()
+    # a chunk's window: two carried scans, the chunk, and the scan after it
+    window = np.zeros((CHUNK_SCANS + 3, cfg.channels), dtype=np.int8)
+    assert transforms._block_rows(window, len(window) - 1) >= len(window) - 1
+    record = np.zeros(240_000)  # 10 s at 24 kHz
+    assert transforms._block_rows(record, len(record) - 2) < len(record) - 2
+
+
+@pytest.mark.parametrize("kernel, dtype", [
+    (teo, np.float64), (smooth2, np.float64),
+    (lambda x: teo_fixed(x, FMT9, 1), np.int8), (smooth2_fixed, np.int8),
+])
+def test_kernels_allocate_only_their_output_and_one_block(monkeypatch, kernel, dtype):
+    block_cells = 1 << 10
+    monkeypatch.setattr(transforms, "BLOCK_CELLS", block_cells)
+    x = np.random.default_rng(2).integers(-64, 64, size=(1 << 13, 8)).astype(dtype)
+    tracemalloc.start()
+    try:
+        out = kernel(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few block-sized buffers and the block bounds; a temporary as long as
+    # the input would take at least 64 KiB more
+    assert peak < out.nbytes + 32 * block_cells
