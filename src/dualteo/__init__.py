@@ -12,7 +12,6 @@ from .signal_model import (
     quantize,
     quantize_mid_tread,
     save_record,
-    truncate_to,
 )
 from .transforms import smooth2, smooth2_fixed, teo, teo_fixed
 from .threshold import (

@@ -88,13 +88,9 @@ def cmd_detect(args) -> int:
     if args.hw:
         if kind != DetectorKind.DUAL:
             raise ValueError("--hw supports only the dual detector")
-        cfg = hw_model.HwConfig()
-        orig_rate = record.rate_hz
-        record = dataio.resample(record, cfg.rate_hz)
-        q = hw_model.quantize_for_hw(record, cfg)
-        events = hw_model.hw_detect_channel(q, cfg, coeffs)
-        if truth is not None:
-            truth = dataio.rescale_ground_truth(truth, orig_rate, cfg.rate_hz, len(record))
+        # from here on the record is the chip's codes, scored at their rate and length
+        record, truth = hw_model.chip_input(record, truth)
+        events = hw_model.hw_detect_channel(record, coeffs=coeffs)
     else:
         kwargs = {"coeffs": coeffs} if coeffs is not None else {}
         events = detector.detect(record, kind, **kwargs)
@@ -205,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pipeline", choices=("float", "hw"), default="float")
     p.add_argument(
         "--search-drops", action="store_true",
-        help="also re-derive the energy truncation shift counts (hw pipeline)",
+        help="also re-derive the energy truncation shift counts (hw pipeline); the file does not record "
+        "the printed best pair, so it matches detect --hw only once HwConfig's default drops are that pair",
     )
     p.set_defaults(func=cmd_calibrate)
     return parser

@@ -221,8 +221,8 @@ def prepare_dual(
 ) -> PreparedDual:
     """Run the coefficient-independent part of the dual pipeline.
 
-    With ``pipeline="hw"`` the record is quantized and processed by the
-    integer pipeline at its native rate (see :mod:`dualteo.hw_model`).
+    With ``pipeline="hw"`` the record, or its codes, go through the integer
+    pipeline at its native rate (see :func:`dualteo.hw_model.prepare_hw_dual`).
     """
     if pipeline == "hw":
         from . import hw_model

@@ -10,13 +10,15 @@ Nothing on the data path is ever a float.  The sigma loop, the warm-up and
 the 1 ms refractory gap (16 samples at 16 kHz) are the float pipeline's own
 constants, read from the same place.
 
-There is one datapath, and its kernels work along axis 0 of either one
-channel ``(n,)`` or a time-major block ``(n, channels)``.
+Records enter through one input stage, :func:`chip_input`.  There is one
+datapath, and its kernels work along axis 0 of either one channel ``(n,)``
+or a time-major block ``(n, channels)``.
 :func:`prepare_hw_dual` is the one-channel case, in int64:
 :func:`hw_detect_channel` finishes it with :func:`~dualteo.detector.finish_dual`
 and :func:`trace_internal` exposes its every intermediate value.
 :class:`MultichannelStream` is the block case: it walks the interleaved
-stream in time chunks of ``CHUNK_SCANS`` scans across all channels, at the
+stream in time chunks of one kernel block of cells
+(:data:`~dualteo.transforms.BLOCK_CELLS`) across all channels, at the
 chip's widths: int8 codes and half-sums, int16 energies and int32 sigma
 registers.  Each chunk steps the sigma of every channel at once, compares
 once and forms the events of all its channels in one pass, and each
@@ -40,6 +42,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import dataio, transforms
 from .detector import (
     PreparedDual,
     SpikeEvent,
@@ -69,6 +72,7 @@ from .transforms import smooth2_fixed, teo_fixed
 __all__ = [
     "HwConfig",
     "HwTrace",
+    "chip_input",
     "quantize_for_hw",
     "prepare_hw_dual",
     "hw_detect_channel",
@@ -79,7 +83,6 @@ __all__ = [
 ]
 
 THRESHOLD_REGISTER_BITS = 32  # signed Q.10; ample for the coefficient grid
-CHUNK_SCANS = 2 * FRAME_LEN  # longest time chunk of the multichannel stream walk; whole frames
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,18 @@ class HwConfig:
 def quantize_for_hw(record: SignalRecord, cfg: HwConfig) -> QuantizedRecord:
     """Mid-tread quantization at the record's :func:`~dualteo.signal_model.peak_full_scale`."""
     return quantize_mid_tread(record, cfg.input_format, full_scale=peak_full_scale(record))
+
+
+def chip_input(record: SignalRecord, truth=None) -> tuple[QuantizedRecord, dataio.GroundTruth | None]:
+    """The chip's input stage: ``record`` resampled to ``HwConfig.rate_hz``, then quantized.
+
+    ``truth``, when given, is rescaled from the record's rate to the
+    resampled length; the codes come back with it, or with ``None``.
+    """
+    resampled = dataio.resample(record, HwConfig.rate_hz)
+    if truth is not None:
+        truth = dataio.rescale_ground_truth(truth, record.rate_hz, HwConfig.rate_hz, len(resampled))
+    return quantize_for_hw(resampled, HwConfig()), truth
 
 
 def _align_stream(x_teo: np.ndarray, s_teo: np.ndarray, cfg: HwConfig) -> np.ndarray:
@@ -307,10 +322,11 @@ class MultichannelStream:
 
     Both calls run one chunk loop, :meth:`_feed`, which walks the stream in
     time chunks across all channels, each a whole number of frames and at
-    most ``CHUNK_SCANS`` long, at the chip's widths: int8 codes and
-    half-sums, int16 energies and int32 sigma registers.  Each chunk's
-    scans are range-checked in their own dtype just before they are cast
-    to int8, so the input is read once and never copied whole.  A chunk
+    most one kernel block of cells long (512 scans at 256 channels, 131,072
+    at one), at the chip's widths: int8 codes and half-sums, int16
+    energies and int32 sigma registers.  Each chunk's scans are
+    range-checked in their own dtype just before they are cast to int8, so
+    the input is read once and never copied whole.  A chunk
     runs the datapath of :func:`prepare_hw_dual` along axis 0, steps every
     channel's sigma at once and compares once, and takes the alignment
     signal only at its crossings.  The energy of scan ``k`` reads scan
@@ -334,6 +350,8 @@ class MultichannelStream:
         self.cfg = cfg if cfg is not None else HwConfig()
         self.coeffs = coeffs if coeffs is not None else default_hw_coefficients()
         self.return_crossings = return_crossings
+        # longest chunk: whole frames, at least one, of one kernel block of cells
+        self._chunk = max(1, transforms.BLOCK_CELLS // self.cfg.channels // FRAME_LEN) * FRAME_LEN
         self._start = 0  # scan index of the next chunk
         # the two carried codes before the next chunk (none before the first
         # chunk), then the codes of it received so far
@@ -401,7 +419,7 @@ class MultichannelStream:
         try:
             done = taken = 0
             while done < ready:
-                chunk = min(ready - done, CHUNK_SCANS)
+                chunk = min(ready - done, self._chunk)
                 last = final and done + chunk == ready
                 # the window ends with the scan after the chunk, unless the stream ends there
                 need = carried + chunk + (not last) - len(self._held)
@@ -483,8 +501,8 @@ def hw_detect_multichannel(
     dtype.
 
     The whole stream is one final feed of a :class:`MultichannelStream`,
-    the chunk loop of its ``push`` and ``close``: time chunks of
-    ``CHUNK_SCANS`` scans across all channels, each range-checked against
+    the chunk loop of its ``push`` and ``close``: time chunks of one
+    kernel block of cells across all channels, each range-checked against
     the 7-bit format in the stream's own dtype and then cut as int8 from
     its native layout, with each channel's state carried from chunk to
     chunk.  A code out of range anywhere in the stream raises before any

@@ -29,7 +29,6 @@ __all__ = [
     "quantize_mid_tread",
     "peak_full_scale",
     "dequantize",
-    "truncate_to",
     "save_record",
     "load_record",
     "read_header",
@@ -207,22 +206,6 @@ def datapath_ints(values) -> np.ndarray:
     if values.dtype == np.int8:
         return values.astype(np.int16)
     return values if values.dtype in (np.int32, np.int64) else values.astype(np.int64)
-
-
-def truncate_to(value, target: FixedPointFormat, drop_lsbs: int = 0):
-    """Arithmetic-right-shift ``value`` by ``drop_lsbs`` and saturate into ``target``.
-
-    Floor semantics for negatives: ``truncate_to(-7, fmt, 1) == -4``.  Accepts
-    scalars or integer arrays; arrays compute in :func:`datapath_ints`, so
-    int8 arrays come back as int16, int32 as int32 and others as int64.
-    """
-    if drop_lsbs < 0:
-        raise ValueError(f"drop_lsbs must be >= 0, got {drop_lsbs}")
-    if isinstance(value, np.ndarray):
-        shifted = datapath_ints(value) >> drop_lsbs
-        return np.clip(shifted, target.min_code, target.max_code, out=shifted)
-    shifted = int(value) >> drop_lsbs
-    return min(max(shifted, target.min_code), target.max_code)
 
 
 # ---------------------------------------------------------------------------

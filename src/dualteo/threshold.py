@@ -656,6 +656,8 @@ def calibrate_coefficients(
     ``training_set`` is a sequence of ``(SignalRecord, GroundTruth)`` pairs.
     Detections match truth within 1 ms, scored after the warm-up.  Ties break
     toward fewer power-of-two terms, then smaller shifts, then grid order.
+    With ``pipeline="hw"`` each pair first goes through
+    :func:`~dualteo.hw_model.chip_input`, and ``hw_cfg`` sets the energy shifts.
 
     The transforms and the sigma trajectory do not depend on the
     coefficients, so each record is prepared once.  All candidates are then
@@ -681,18 +683,8 @@ def calibrate_coefficients(
         raise ValueError("search grid must not be empty")
 
     if pipeline == "hw":
-        # the integer pipeline runs at the chip's rate; convert records and truth
-        from . import dataio as _dataio
-        from .hw_model import HwConfig
-        rate = HwConfig.rate_hz
-        converted = []
-        for record, truth in training_set:
-            resampled = _dataio.resample(record, rate)
-            converted.append((
-                resampled,
-                _dataio.rescale_ground_truth(truth, record.rate_hz, rate, len(resampled)),
-            ))
-        training_set = converted
+        from .hw_model import chip_input
+        training_set = [chip_input(record, truth) for record, truth in training_set]
 
     prepared = [
         _detector.prepare_dual(record, pipeline=pipeline, hw_cfg=hw_cfg)

@@ -23,8 +23,8 @@ Every kernel writes into the array it returns, walking axis 0 in blocks of
 about ``BLOCK_CELLS`` cells.  A block's intermediate values go through one
 scratch block, reused block after block, so no call allocates a temporary
 as long as its input, and each pass over a block finds it in cache.  A
-chunk of the multichannel stream is one block.  int8 codes are widened a
-block at a time, never whole.
+chunk of the multichannel stream is sized to be one block.  int8 codes are
+widened a block at a time, never whole.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from .signal_model import FixedPointFormat, datapath_ints
 
 __all__ = ["teo", "smooth2", "teo_fixed", "smooth2_fixed"]
 
-# cells per block of a kernel's walk along axis 0.  A multichannel stream
-# chunk (CHUNK_SCANS x 256 cells) must stay one block: at 2**15 cells each
-# call split it into five and the stream ran 7-11% slower.  A 10 s, 24 kHz
-# record still splits into two blocks.
+# cells per block of a kernel's walk along axis 0, and the cells of a
+# multichannel stream chunk, so a chunk's window is one block up to 512
+# channels.  At 2**15 cells a 512-scan, 256-channel window split into five
+# blocks and the stream ran 7-11% slower.  A 10 s, 24 kHz record still
+# splits into two blocks.
 BLOCK_CELLS = 1 << 17
 
 
@@ -147,14 +148,14 @@ def teo_fixed(x, out_format: FixedPointFormat, drop_lsbs: int = 0) -> np.ndarray
     """Integer Teager energy: exact interior arithmetic, then shift-and-saturate.
 
     Interior values are computed exactly in integers, arithmetic-right-shifted
-    by ``drop_lsbs``, and saturated into ``out_format``, as
-    :func:`~dualteo.signal_model.truncate_to` does.  Boundaries (the first and
-    last row) stay 0.  The input range is not checked here: in the package
-    the codes are 7-bit, checked by a
-    :class:`~dualteo.signal_model.QuantizedRecord` or by the multichannel
-    stream's own check, or are their half-sums; their exact energies need at
-    most 14 bits, and those of any int8 codes at most 16, so an int8 block
-    computes them exactly in int16.
+    by ``drop_lsbs`` (floor semantics: ``-7`` shifted by one is ``-4``), and
+    saturated into ``out_format``; this is the package's one
+    shift-and-saturate.  Boundaries (the first and last row) stay 0.  The
+    input range is not checked here: in the package the codes are 7-bit,
+    checked by a :class:`~dualteo.signal_model.QuantizedRecord` or by the
+    multichannel stream's own check, or are their half-sums; their exact
+    energies need at most 14 bits, and those of any int8 codes at most 16,
+    so an int8 block computes them exactly in int16.
     """
     if drop_lsbs < 0:
         raise ValueError(f"drop_lsbs must be >= 0, got {drop_lsbs}")

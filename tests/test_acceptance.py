@@ -25,7 +25,7 @@ from dualteo import (
     generate,
     quantize_mid_tread,
 )
-from dualteo import dataio, detector, hw_model, metrics
+from dualteo import detector, hw_model, metrics
 from dualteo.cli import main as cli_main
 from dualteo.detector import DetectorKind
 from dualteo.threshold import FRAME_LEN, WARMUP_SAMPLES, sigma_frames, sigma_frames_q10
@@ -97,9 +97,7 @@ def hw_accuracy(corpus):
     for nv in NOISES:
         accs = []
         for record, truth in corpus[nv]:
-            rec16 = dataio.resample(record, cfg.rate_hz)
-            t16 = dataio.rescale_ground_truth(truth, record.rate_hz, cfg.rate_hz, len(rec16))
-            q = hw_model.quantize_for_hw(rec16, cfg)
+            q, t16 = hw_model.chip_input(record, truth)
             events = hw_model.hw_detect_channel(q, cfg, hc)
             rep = metrics.score_events(events, t16, TOL_16K, skip_before=WARMUP_SAMPLES)
             accs.append(metrics.accuracy(rep))
@@ -193,8 +191,7 @@ def test_criterion_4_fixed_point_closure(corpus):
     checked = 0
     for nv in NOISES:
         for record, _ in corpus[nv]:
-            rec16 = dataio.resample(record, cfg.rate_hz)
-            q = hw_model.quantize_for_hw(rec16, cfg)
+            q, _ = hw_model.chip_input(record)
             trace = hw_model.trace_internal(q, cfg, hc)
             hw_model.assert_closure(trace)
             sig_q = sigma_frames_q10(hw_model.smooth2_fixed(q.codes))

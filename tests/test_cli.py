@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualteo.cli import main
-from dualteo.dataio import GroundTruth, SyntheticConfig, generate, save_dataset
+from dualteo.dataio import GroundTruth, SyntheticConfig, generate, load_dataset, save_dataset
+from dualteo.hw_model import HwConfig
 from dualteo.signal_model import SignalRecord, save_record
-from dualteo.threshold import WARMUP_SAMPLES
+from dualteo.threshold import WARMUP_SAMPLES, calibrate_coefficients, load_coefficients
 
 TINY_CFG = {"duration_s": 1.2, "noise_level": 0.05, "seed": 6}
 
@@ -395,6 +397,23 @@ class TestCalibrateCommand:
                          "--pipeline", pipeline]) == 0
             written.append(out.read_text())
         assert written[0] == written[1] == "c1 1 0\nc2 0 0\nc3 0 0\n"
+
+    def test_search_drops_prints_every_pair_and_writes_the_best(self, tmp_path, capsys):
+        write_tiny_dataset(tmp_path / "corpus", "a")
+        out = tmp_path / "c.txt"
+        assert main(["calibrate", "--corpus", str(tmp_path / "corpus"), "--out", str(out),
+                     "--pipeline", "hw", "--search-drops"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        pairs = [f"x>>{x} s>>{s}" for x in (6, 7, 8) for s in (5, 6, 7)]
+        assert [ln.partition(": accuracy ")[0] for ln in lines[:9]] == [f"drops {p}" for p in pairs]
+        assert all(re.fullmatch(r"drops .*: accuracy [01]\.\d{4}", ln) for ln in lines[:9])
+        best = [ln.removeprefix("best drops: ") for ln in lines if ln.startswith("best drops")]
+        assert len(best) == 1 and best[0] in pairs
+        # the file is the calibration at the printed pair
+        xdrop, sdrop = (int(part.split(">>")[1]) for part in best[0].split())
+        training = [load_dataset(tmp_path / "corpus", "a")]
+        cfg = HwConfig(xteo_drop_lsbs=xdrop, steo_drop_lsbs=sdrop)
+        assert load_coefficients(out) == calibrate_coefficients(training, pipeline="hw", hw_cfg=cfg)
 
     def test_search_drops_requires_hw_pipeline(self, tmp_path):
         write_tiny_dataset(tmp_path / "corpus", "a")

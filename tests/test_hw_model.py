@@ -13,20 +13,22 @@ from conftest import make_clean_spike_record
 from loop_oracles import write_trace_rows
 from serial_oracle import serial_detect_multichannel
 from dualteo.detector import EventFormationConfig, detect_dual, dual_crossing_streams, finish_dual
-from dualteo import hw_model
+from dualteo import transforms
+from dualteo.dataio import GroundTruth, SyntheticConfig, generate, resample, rescale_ground_truth
 from dualteo.hw_model import (
     HwConfig,
     MultichannelStream,
     _align_stream,
     HwTrace,
     assert_closure,
+    chip_input,
     hw_detect_channel,
     hw_detect_multichannel,
     prepare_hw_dual,
     quantize_for_hw,
     trace_internal,
 )
-from dualteo.signal_model import FixedPointFormat, QuantizedRecord
+from dualteo.signal_model import FixedPointFormat, QuantizedRecord, SignalRecord
 from dualteo.threshold import (
     FRAME_LEN,
     WARMUP_SAMPLES,
@@ -122,6 +124,35 @@ class TestHwConfig:
         assert cfg.input_format.min_code == -64
         assert cfg.xteo_format.max_code == 127
         assert cfg.steo_format.max_code == 255
+
+
+@given(
+    rate=st.sampled_from([8000.0, 16000.0, 44100.0, 48000.0]) | st.floats(8000.0, 48000.0),
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+    with_truth=st.booleans(),
+)
+@example(rate=16000.0, n=300, seed=0, with_truth=True)
+@example(rate=16000.0, n=300, seed=0, with_truth=False)
+def test_chip_input_is_resample_quantize_and_rescale(rate, n, seed, with_truth):
+    rng = np.random.default_rng(seed)
+    record = SignalRecord(samples=rng.normal(size=n), rate_hz=rate, channel_id=3)
+    spikes = np.flatnonzero(rng.random(n) < 0.05)
+    truth = GroundTruth(spikes, template_ids=rng.integers(0, 3, len(spikes))) if with_truth else None
+    q, got_truth = chip_input(record, truth)
+    resampled = resample(record, HwConfig.rate_hz)
+    want = quantize_for_hw(resampled, HwConfig())
+    assert (q.format, q.rate_hz, q.channel_id, q.full_scale) == (
+        want.format, want.rate_hz, want.channel_id, want.full_scale)
+    assert q.codes.dtype == want.codes.dtype and np.array_equal(q.codes, want.codes)
+    if rate == HwConfig.rate_hz:  # already at the chip's rate: quantized as it is
+        assert np.array_equal(q.codes, quantize_for_hw(record, HwConfig()).codes)
+    if truth is None:
+        assert got_truth is None
+    else:
+        want_truth = rescale_ground_truth(truth, rate, HwConfig.rate_hz, len(resampled))
+        assert np.array_equal(got_truth.spike_indices, want_truth.spike_indices)
+        assert np.array_equal(got_truth.template_ids, want_truth.template_ids)
 
 
 class TestHwDetectChannel:
@@ -665,7 +696,7 @@ class TestStream:
             cuts = sorted(cuts + list(range(peak, peak + gap)) + [4096, 4096])
         else:
             cuts = data.draw(stream_cuts(n_scans, events, gap))
-        with mock.patch.object(hw_model, "CHUNK_SCANS", chunk):
+        with mock.patch.object(transforms, "BLOCK_CELLS", chunk * channels):
             split_events, split_crossings = push_in_pieces(stream, cuts, cfg, coeffs)
             assert hw_detect_multichannel(stream, cfg, coeffs) == events
         assert split_events == events
@@ -698,7 +729,7 @@ class TestStream:
             for ch in range(cfg.channels):
                 stream[end - 1 - ch % 24, ch] = 50
                 stream[end + ch // 24, ch] = -50
-        with mock.patch.object(hw_model, "CHUNK_SCANS", chunk):
+        with mock.patch.object(transforms, "BLOCK_CELLS", chunk * cfg.channels):
             events = detect_multichannel_checked(stream, cfg, HW_COEFFS)
         assert sum(map(len, events)) > cfg.channels
 
@@ -743,6 +774,27 @@ class TestStream:
         events, crossings = hw_detect_multichannel(stream, cfg, HW_COEFFS, return_crossings=True)
         assert [a + b + c for a, b, c in zip(first[0], second[0], last[0])] == events
         assert np.array_equal(np.concatenate([first[1], second[1], last[1]], axis=1), crossings)
+
+    @pytest.mark.parametrize("channels, block_cells, scans", [
+        (1, 1 << 17, 131_072),
+        (256, 1 << 17, 2 * FRAME_LEN),
+        (512, 1 << 17, FRAME_LEN),
+        (513, 1 << 17, FRAME_LEN),  # not one frame's cells left: still one frame
+        (4096, 1 << 17, FRAME_LEN),
+        (5, 3 * FRAME_LEN * 5 + 7, 3 * FRAME_LEN),  # the block size is read when the stream is built
+    ])
+    def test_chunks_are_the_whole_frames_of_one_kernel_block(self, monkeypatch, channels, block_cells, scans):
+        monkeypatch.setattr(transforms, "BLOCK_CELLS", block_cells)
+        assert MultichannelStream(HwConfig(channels=channels), HW_COEFFS)._chunk == scans
+
+    def test_one_channel_across_a_chunk_end_equals_the_record_path(self):
+        record, _ = generate(SyntheticConfig(duration_s=10.0, noise_level=0.1, seed=1))
+        q, _ = chip_input(record)
+        cfg = HwConfig(channels=1)
+        assert len(q) > MultichannelStream(cfg)._chunk
+        events, crossings = hw_detect_multichannel(q.codes[:, None], cfg, return_crossings=True)
+        assert events == [hw_detect_channel(q, cfg)] and len(events[0]) > 100
+        assert np.array_equal(crossings[0], trace_internal(q, cfg).crossing.astype(bool))
 
     def test_closed_stream_takes_nothing(self):
         engine = MultichannelStream(HwConfig(channels=4))

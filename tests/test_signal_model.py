@@ -15,7 +15,6 @@ from dualteo.signal_model import (
     quantize_mid_tread,
     read_header,
     save_record,
-    truncate_to,
 )
 from dualteo.signal_model import datapath_ints
 from dualteo.threshold import sigma_frames_q10
@@ -129,51 +128,6 @@ class TestDequantize:
         assert q.codes.dtype == np.int64 and q.codes.tolist() == codes.tolist()
 
 
-class TestTruncateTo:
-    WIDE = FixedPointFormat(total_bits=24)
-
-    def test_identity_at_zero_drop(self):
-        assert truncate_to(5, self.WIDE, 0) == 5
-
-    def test_floor_semantics_for_negatives(self):
-        assert truncate_to(-7, self.WIDE, 1) == -4
-
-    def test_saturation_into_narrow_format(self):
-        assert truncate_to(300, FixedPointFormat(total_bits=8), 0) == 127
-        assert truncate_to(-300, FixedPointFormat(total_bits=8), 0) == -128
-
-    def test_rejects_negative_drop(self):
-        with pytest.raises(ValueError):
-            truncate_to(1, self.WIDE, -1)
-
-    def test_full_range_against_floor_division_oracle(self):
-        # the implementation shifts; the oracle divides
-        values = np.arange(-(1 << 20), (1 << 20) + 1, dtype=np.int64)
-        for drop in range(9):
-            got = truncate_to(values, self.WIDE, drop)
-            oracle = np.clip(
-                np.floor_divide(values, 1 << drop), self.WIDE.min_code, self.WIDE.max_code
-            )
-            assert np.array_equal(got, oracle), f"mismatch at drop={drop}"
-
-    @given(st.integers(min_value=-(1 << 30), max_value=1 << 30), st.integers(min_value=0, max_value=12))
-    def test_scalar_matches_floor_division(self, value, drop):
-        assert truncate_to(value, self.WIDE, drop) == min(
-            max(value // (1 << drop), self.WIDE.min_code), self.WIDE.max_code
-        )
-
-
-    @pytest.mark.parametrize("drop", range(9))
-    @pytest.mark.parametrize("bits", [2, 7, 8, 9, 16, 24])
-    def test_int8_arrays_compute_in_int16_exactly(self, drop, bits):
-        fmt = FixedPointFormat(total_bits=bits)
-        values = np.arange(-128, 128, dtype=np.int8)
-        got = truncate_to(values, fmt, drop)
-        assert got.dtype == np.int16
-        assert np.array_equal(got, truncate_to(values.astype(np.int64), fmt, drop))
-        assert values.tolist() == list(range(-128, 128))  # the input is left alone
-
-
 @pytest.mark.parametrize("dtype, work", [
     (np.int8, np.int16), (np.int16, np.int64), (np.int32, np.int32),
     (np.int64, np.int64), (np.uint8, np.int64), (np.uint32, np.int64),
@@ -190,7 +144,6 @@ DATAPATH_KERNELS = {
     "smooth2_fixed": smooth2_fixed,
     "teo_fixed": lambda codes: teo_fixed(codes, FixedPointFormat(total_bits=32)),
     "sigma_frames_q10": sigma_frames_q10,
-    "truncate_to": lambda codes: truncate_to(codes, FixedPointFormat(total_bits=32), 3),
 }
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dualteo import transforms
-from dualteo.hw_model import CHUNK_SCANS, HwConfig
+from dualteo.hw_model import HwConfig, MultichannelStream
 from dualteo.signal_model import FixedPointFormat, datapath_ints
 from dualteo.transforms import smooth2, smooth2_fixed, teo, teo_fixed
 
@@ -273,10 +273,11 @@ def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, block_cells, ch
 
 
 def test_a_stream_chunk_is_one_block_and_a_record_several():
-    cfg = HwConfig()
-    # a chunk's window: two carried scans, the chunk, and the scan after it
-    window = np.zeros((CHUNK_SCANS + 3, cfg.channels), dtype=np.int8)
-    assert transforms._block_rows(window, len(window) - 1) >= len(window) - 1
+    for channels in (1, 7, 256, 512):
+        cfg = HwConfig(channels=channels)
+        # a chunk's window: two carried scans, the chunk, and the scan after it
+        window = np.zeros((MultichannelStream(cfg)._chunk + 3, cfg.channels), dtype=np.int8)
+        assert transforms._block_rows(window, len(window) - 1) >= len(window) - 1, channels
     record = np.zeros(240_000)  # 10 s at 24 kHz
     assert transforms._block_rows(record, len(record) - 2) < len(record) - 2
 
