@@ -97,6 +97,62 @@ class TestTeoFixed:
         assert got[0] == 0 and got[-1] == 0
 
 
+def energies_of(values, fmt, drop):
+    """``teo_fixed``'s output for interior energies equal to ``values``.
+
+    Column ``c`` of the block ``[-1, 0, values[c]]`` has the exact energy
+    ``0*0 - values[c]*(-1) = values[c]``, so the middle row is the
+    shift-and-saturate of ``values`` alone.
+    """
+    values = np.asarray(values)
+    block = np.stack([np.full_like(values, -1), np.zeros_like(values), values])
+    return teo_fixed(block, fmt, drop)[1]
+
+
+class TestTeoFixedShiftAndSaturate:
+    WIDE = FixedPointFormat(total_bits=24)
+
+    def test_identity_at_zero_drop(self):
+        assert energies_of([5], self.WIDE, 0).tolist() == [5]
+
+    def test_floor_semantics_for_negatives(self):
+        assert energies_of([-7], self.WIDE, 1).tolist() == [-4]
+
+    def test_saturation_into_narrow_format(self):
+        assert energies_of([300, -300], FixedPointFormat(total_bits=8), 0).tolist() == [127, -128]
+
+    def test_rejects_negative_drop(self):
+        with pytest.raises(ValueError):
+            teo_fixed([1, 2, 3], self.WIDE, -1)
+
+    def test_full_range_against_floor_division_oracle(self):
+        # the implementation shifts; the oracle divides
+        values = np.arange(-(1 << 20), (1 << 20) + 1, dtype=np.int64)
+        for drop in range(9):
+            got = energies_of(values, self.WIDE, drop)
+            oracle = np.clip(
+                np.floor_divide(values, 1 << drop), self.WIDE.min_code, self.WIDE.max_code
+            )
+            assert np.array_equal(got, oracle), f"mismatch at drop={drop}"
+
+    @given(st.integers(min_value=-(1 << 30), max_value=1 << 30), st.integers(min_value=0, max_value=12))
+    def test_scalar_matches_floor_division(self, value, drop):
+        assert energies_of([value], self.WIDE, drop).tolist() == [
+            min(max(value // (1 << drop), self.WIDE.min_code), self.WIDE.max_code)
+        ]
+
+    @pytest.mark.parametrize("drop", range(9))
+    @pytest.mark.parametrize("bits", [2, 7, 8, 9, 16, 24])
+    def test_int8_arrays_compute_in_int16_exactly(self, drop, bits):
+        fmt = FixedPointFormat(total_bits=bits)
+        values = np.arange(-128, 128, dtype=np.int8)
+        got = energies_of(values, fmt, drop)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, energies_of(values.astype(np.int64), fmt, drop))
+        assert np.array_equal(got, np.clip(np.arange(-128, 128) // (1 << drop), fmt.min_code, fmt.max_code))
+        assert values.tolist() == list(range(-128, 128))  # the input is left alone
+
+
 class TestSmooth2Fixed:
     def test_zeros(self):
         assert smooth2_fixed([0, 0, 0]).tolist() == [0, 0, 0]
