@@ -323,21 +323,21 @@ class MultichannelStream:
     Both calls run one chunk loop, :meth:`_feed`, which walks the stream in
     time chunks across all channels, each a whole number of frames and at
     most one kernel block of cells long (512 scans at 256 channels, 131,072
-    at one), at the chip's widths: int8 codes and half-sums, int16
-    energies and int32 sigma registers.  Each chunk's scans are
-    range-checked in their own dtype just before they are cast to int8, so
-    the input is read once and never copied whole.  A chunk
-    runs the datapath of :func:`prepare_hw_dual` along axis 0, steps every
-    channel's sigma at once and compares once, and takes the alignment
-    signal only at its crossings.  The energy of scan ``k`` reads scan
-    ``k + 1``, so a chunk waits for the scan after it, and codes are
-    buffered until a whole frame has arrived; only the last chunk, walked
-    by :meth:`close`, has no scan after it.  From one chunk to the next
-    each channel carries its last two codes (the smoother and the energy
-    operator look back that far), its sigma register and its one event
-    that may still grow, the one whose last crossing lies within the
-    refractory gap of the chunk's end, as its peak and last crossing.  So
-    neither the chunk length nor how the stream is split into pushes can
+    at one), at the chip's widths: int8 codes and half-sums, int16 energies
+    and int32 sigma registers.  Each chunk's scans are range-checked in
+    their own dtype just before they are cast to int8, so the input is read
+    once and never copied whole.  A chunk runs the datapath of
+    :func:`prepare_hw_dual` along axis 0, steps every channel's sigma at
+    once (one channel walks it by bisection, as a record does) and compares
+    once, and takes the alignment signal only at its crossings.  The energy
+    of scan ``k`` reads scan ``k + 1``, so a chunk waits for the scan after
+    it, and codes are buffered until a whole frame has arrived; only the
+    last chunk, walked by :meth:`close`, has no scan after it.  From one
+    chunk to the next each channel carries its last two codes (the smoother
+    and the energy operator look back that far), its sigma register and its
+    one event that may still grow, the one whose last crossing lies within
+    the refractory gap of the chunk's end, as its peak and last crossing.
+    So neither the chunk length nor how the stream is split into pushes can
     change an output, and the memory held does not grow with the stream.
     """
 

@@ -11,11 +11,10 @@ of convergence latency, which is why detection is suppressed for the first
 16 frames (``WARMUP_SAMPLES``).  These are the chip's design point, fixed
 here as module constants that both pipelines read.
 
-One channel's frames are sorted once, frame by frame; each frame's count is
-then its length less one bisection for the level among its sorted samples.
-A NaN sorts last and never exceeds, so the search stops at a frame's first
-NaN.  A block of channels steps every column at once with a compare per
-frame instead.
+A frame's count has two kernels, chosen by column count, not by shape.  A
+single column's frames are sorted once; each count is then the frame's
+length less one bisection for the level, stopping at the first NaN, which
+sorts last and never exceeds.  Two or more columns compare once per frame.
 
 Thresholds for the two energy streams are low-order polynomials in sigma,
 
@@ -100,78 +99,71 @@ def _sigma_track(values: np.ndarray, measure, step, shift=None, register=None) -
     sigma, or above ``sigma >> shift`` for a fixed-point sigma with ``shift``
     fraction bits.  A partial tail frame never triggers an update.
 
-    ``values`` is one channel ``(n,)`` or a time-major block ``(n, channels)``;
-    a block steps every column's sigma at once and returns ``(frames,
-    channels)``.  One channel keeps a scalar sigma and counts by bisection
-    (:func:`_sigma_walk`).  The trajectory is float64 for float samples and
-    at least int32 for integer ones: an int16 block of codes keeps its sigma
-    in int32.
+    One channel ``(n,)`` and a block ``(n, channels)`` both run as columns:
+    ``measure`` gives one sigma per column of frame 0, and the trajectory,
+    float64 for float samples and at least int32 for integers, comes back in
+    the input's layout.  The count's kernel follows the column count, not
+    the shape: one column walks by bisection (:func:`_sigma_walk`), more
+    compare per frame (:func:`_sigma_compare`).
 
-    ``register`` carries the loop across consecutive pieces of one stream,
-    each starting on a frame boundary: one sigma per column (0-d for one
-    channel), or ``UNMEASURED`` while the stream's measurement frame is
-    still to come.
-    The piece's frames start from it, and it is left holding the sigma that
-    takes effect after the piece's last full frame.
-    """
-    dtype = np.result_type(values.dtype, np.int32)
-    if values.ndim == 1:
-        return np.array(_sigma_walk(values, measure, step, shift, register), dtype=dtype)
-    L = FRAME_LEN
-    n_frames = -(-len(values) // L)
-    out = np.empty((n_frames,) + values.shape[1:], dtype=dtype)
-    fresh = register is None or bool((register == UNMEASURED).any())
-    sigma = 0 if fresh else register.copy()
-    for f in range(n_frames):
-        out[f] = sigma
-        frame = values[f * L:(f + 1) * L]
-        if len(frame) < L:
-            break
-        if fresh:
-            sigma = measure(frame)
-            fresh = False
-            continue
-        # compare in the samples' dtype; the level fits it, because sigma
-        # climbs only while more than CONVERGENCE_FACTOR samples exceed it
-        level = sigma if shift is None else sigma >> shift
-        count = (frame > level.astype(values.dtype)).sum(axis=0, dtype=out.dtype)
-        sigma = np.maximum(sigma + step * (count - CONVERGENCE_FACTOR), 0)
-    if register is not None and not fresh:
-        register[...] = sigma
-    return out
-
-
-def _sigma_walk(values: np.ndarray, measure, step, shift, register) -> list:
-    """The frame loop of one channel, as a list of Python numbers; ``register`` is 0-d.
-
-    The frames to step are sorted once; a frame's count is then its length
-    less one bisection for the level over its sorted samples.  NaN sorts
-    last and never exceeds, so each frame is searched up to its first NaN
-    only.
+    ``register`` carries the loop across pieces of one stream, each starting
+    on a frame boundary: one sigma per column (0-d for one channel), or
+    ``UNMEASURED`` before the measurement frame.  It is left holding the
+    sigma that takes effect after the piece's last full frame.
     """
     L = FRAME_LEN
-    full = len(values) // L
-    if register is None or register == UNMEASURED:
-        if full == 0:
-            return [0] if len(values) else []
-        track, sigma, first = [0], np.asarray(measure(values[:L])).item(), L
-    else:
-        track, sigma, first = [], register.item(), 0
-    ranked = np.sort(values[first:full * L].reshape(-1, L), axis=1)
+    block = values[:, None] if values.ndim == 1 else values
+    full, n_frames = len(block) // L, -(-len(block) // L)
+    # row f is the sigma over frame f; the extra last row is the sigma after frame full - 1
+    out = np.zeros((full + 1, block.shape[1]), dtype=np.result_type(values.dtype, np.int32))
+    first = int(register is None or bool((register == UNMEASURED).any()))  # frame 0 measures
+    if full >= first:  # a sigma to step from: carried in, or measured on frame 0
+        out[first] = measure(block[:L]) if first else register.reshape(-1)
+        kernel = _sigma_walk if block.shape[1] == 1 else _sigma_compare
+        kernel(block[first * L:full * L], step, shift, out[first:])
+        if register is not None:
+            register[...] = out[full].reshape(register.shape)
+    return out[:n_frames].reshape(n_frames, *values.shape[1:])
+
+
+def _sigma_walk(frames: np.ndarray, step, shift, track: np.ndarray) -> None:
+    """Step one column's sigma from ``track[0]`` through ``frames``, into ``track[1:]``.
+
+    The frames are sorted once, as int16 where their codes fit it; a frame's
+    count is its length less one bisection for the level over its sorted
+    samples, up to its first NaN, which sorts last and never exceeds.
+    """
+    L = FRAME_LEN
+    column = frames[:, 0]
+    if column.dtype in (np.int32, np.int64) and column.size:  # range first: a cast would wrap
+        if -(1 << 15) <= column.min() and column.max() < 1 << 15:
+            column = column.astype(np.int16)
+    ranked = np.sort(column.reshape(-1, L), axis=1)
     ends = np.arange(L, ranked.size + 1, L)
     if ranked.dtype.kind == "f" and np.isnan(ranked[:, -1]).any():
         ends -= np.isnan(ranked).sum(axis=1)
     view = memoryview(ranked.reshape(-1))
+    sigma, steps = track[0, 0].item(), []
     for lo, end in zip(range(0, ranked.size, L), ends.tolist()):
-        track.append(sigma)
         level = sigma if shift is None else sigma >> shift
-        count = end - bisect_right(view, level, lo, end)
-        sigma = max(0, sigma + step * (count - CONVERGENCE_FACTOR))
-    if full * L < len(values):
-        track.append(sigma)
-    if register is not None:
-        register[...] = sigma
-    return track
+        sigma = max(0, sigma + step * (end - bisect_right(view, level, lo, end) - CONVERGENCE_FACTOR))
+        steps.append(sigma)
+    track[1:, 0] = steps
+
+
+def _sigma_compare(frames: np.ndarray, step, shift, track: np.ndarray) -> None:
+    """Step a block's sigmas from ``track[0]`` through ``frames``, into ``track[1:]``.
+
+    Each frame is compared with every column's level at once, in the samples'
+    dtype, which the level fits: sigma climbs only while more than
+    ``CONVERGENCE_FACTOR`` samples exceed it.  ``np.fmax`` clamps a NaN sigma
+    to 0, as the walk's ``max`` does.
+    """
+    sigma = track[0]
+    for f, frame in enumerate(frames.reshape(len(track) - 1, FRAME_LEN, frames.shape[1]), 1):
+        level = sigma if shift is None else sigma >> shift
+        count = (frame > level.astype(frames.dtype)).sum(axis=0, dtype=track.dtype)
+        sigma = track[f] = np.fmax(sigma + step * (count - CONVERGENCE_FACTOR), 0)
 
 
 def sigma_frames(s) -> np.ndarray:
@@ -182,9 +174,15 @@ def sigma_frames(s) -> np.ndarray:
     (population) standard deviation is accumulated, and that value takes
     effect from frame 1.  This keeps the loop causal and self-scaling; the
     measurement frame falls inside the warm-up anyway.  Later frames step by
-    ``SCALING_FACTOR``.
+    ``SCALING_FACTOR``.  Takes one channel or a time-major block ``(n,
+    channels)``, whose every column equals that channel's own trajectory.
     """
-    return _sigma_track(np.asarray(s, dtype=np.float64), np.std, SCALING_FACTOR)
+    return _sigma_track(np.asarray(s, dtype=np.float64), _column_std, SCALING_FACTOR)
+
+
+def _column_std(frame: np.ndarray) -> list:
+    """``np.std`` of each column on its own; ``frame.std(axis=0)`` can differ in the last bit."""
+    return [np.std(column) for column in frame.T]
 
 
 def initial_sigma_q10(s_codes):
@@ -222,11 +220,10 @@ def sigma_frames_q10(s_codes, register=None) -> np.ndarray:
     one channel or a time-major block ``(n, channels)`` and computes in
     :func:`~dualteo.signal_model.datapath_ints` of the codes; the register
     is int32 for int8 and int32 codes (sigma stays below 2**18) and int64
-    otherwise.  A block may carry its loop across pieces of one stream in a
-    ``register`` (see :func:`_sigma_track`).
+    otherwise.  A ``register`` carries the loop across pieces of one stream
+    (see :func:`_sigma_track`).
     """
-    s = datapath_ints(s_codes)
-    return _sigma_track(s, initial_sigma_q10, 1, SIGMA_FRACTION_BITS, register)
+    return _sigma_track(datapath_ints(s_codes), initial_sigma_q10, 1, SIGMA_FRACTION_BITS, register)
 
 
 # ---------------------------------------------------------------------------

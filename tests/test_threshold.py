@@ -44,6 +44,8 @@ dyadics = st.builds(
     shift=st.integers(min_value=0, max_value=12),
 )
 
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
 
 class TestEstimatorStep:
     def test_exactly_k_exceedances_leaves_sigma_unchanged(self):
@@ -166,16 +168,47 @@ class TestSigmaTrajectories:
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
+        n=st.integers(min_value=0, max_value=2000),
+        channels=st.integers(min_value=1, max_value=40),
+        specials=st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=6),
+    )
+    @settings(deadline=None)
+    def test_float_block_steps_every_column_as_its_own_channel(self, seed, n, channels, specials):
+        # per-column scales, so each column measures and converges to its own sigma
+        rng = np.random.default_rng(seed)
+        block = rng.normal(size=(n, channels)) * rng.uniform(0.01, 10, size=channels)
+        for value in specials if n else []:
+            block[rng.integers(n), rng.integers(channels)] = value
+        with np.errstate(invalid="ignore"):  # the std of a frame holding inf
+            traj = sigma_frames(block)
+            columns = [sigma_frames(block[:, c]) for c in range(channels)]
+        assert traj.dtype == np.float64 and traj.shape == (-(-n // FRAME_LEN), channels)
+        for c, column in enumerate(columns):
+            np.testing.assert_array_equal(traj[:, c], column)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.float64])
+    def test_one_column_block_equals_one_channel(self, dtype):
+        s = np.random.default_rng(12).integers(-64, 64, size=2000).astype(dtype)
+        if dtype == np.float64:
+            s[700:720] = np.nan  # a frame holding NaN
+        trajectory = sigma_frames if dtype == np.float64 else sigma_frames_q10
+        one, column = trajectory(s), trajectory(s[:, None])
+        assert column.shape == (len(one), 1) and column.dtype == one.dtype
+        np.testing.assert_array_equal(column[:, 0], one)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        channels=st.sampled_from([1, 5]),
         frames=st.lists(st.integers(min_value=0, max_value=4), max_size=6),
         tail=st.integers(min_value=0, max_value=FRAME_LEN - 1),
     )
     @settings(deadline=None)
-    def test_register_carries_the_loop_across_pieces(self, seed, frames, tail):
+    def test_register_carries_the_loop_across_pieces(self, seed, channels, frames, tail):
         # pieces of whole frames, then a partial one, stepped through one register
         rng = np.random.default_rng(seed)
         n = (sum(frames) * FRAME_LEN) + tail
-        block = (rng.integers(-64, 64, size=(n, 5)) // rng.integers(1, 64, size=5)).astype(np.int8)
-        register = np.full(5, UNMEASURED, dtype=np.int32)
+        block = (rng.integers(-64, 64, size=(n, channels)) // rng.integers(1, 64, size=channels)).astype(np.int8)
+        register = np.full(channels, UNMEASURED, dtype=np.int32)
         cuts = np.cumsum([0] + [f * FRAME_LEN for f in frames] + [tail])
         pieces = [sigma_frames_q10(block[lo:hi], register) for lo, hi in zip(cuts, cuts[1:])]
         whole = sigma_frames_q10(block)
@@ -183,7 +216,7 @@ class TestSigmaTrajectories:
         if n < FRAME_LEN:  # no measurement frame yet
             assert (register == UNMEASURED).all()
         elif n % FRAME_LEN == 0:  # the register holds the sigma of the next frame
-            longer = sigma_frames_q10(np.concatenate([block, np.zeros((1, 5), np.int8)]))
+            longer = sigma_frames_q10(np.concatenate([block, np.zeros((1, channels), np.int8)]))
             assert np.array_equal(register, longer[-1])
 
     @given(st.lists(st.integers(min_value=-64, max_value=63), min_size=1, max_size=400))
@@ -256,8 +289,6 @@ class TestSigmaTrajectories:
         quantile = np.quantile(s, 1.0 - 20.0 / 256.0)
         assert abs(np.mean(traj[400:]) - quantile) / quantile < 0.1
 
-
-SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan]
 
 
 @st.composite
