@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import dataio, detector, hw_model, metrics
 from .detector import DetectorKind
-from .signal_model import load_record
+from .signal_model import _read_text, load_record
 from .threshold import calibrate_coefficients, load_coefficients, save_coefficients
 
 
@@ -28,7 +28,7 @@ def _require_object(data, what: str) -> dict:
 def _load_json(path: Path) -> dict:
     """Parse a JSON file whose top level must be an object."""
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(_read_text(path))
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
@@ -99,9 +99,7 @@ def cmd_detect(args) -> int:
         detector.events_to_csv(events, args.out)
         print(f"wrote {args.out}")
     else:
-        print("channel,sample_index")
-        for ev in events:
-            print(f"{ev.channel_id},{ev.sample_index}")
+        sys.stdout.write(detector._events_text(events))
     if truth is not None:
         rep, acc = metrics.score_record(events, truth, record.rate_hz, len(record))
         print(f"tp={rep.tp} fp={rep.fp} fn={rep.fn} accuracy={acc:.4f}")

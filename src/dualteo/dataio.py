@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_model import SignalRecord, is_finite_real, load_record, save_record
+from .signal_model import SignalRecord, _data_lines, is_finite_real, load_record, save_record
 
 __all__ = [
     "GroundTruth",
@@ -361,40 +361,32 @@ def rescale_ground_truth(
 # ---------------------------------------------------------------------------
 
 
+def _int64(text: str) -> int:
+    """``text`` as an integer, range-checked so an int64 array holds it."""
+    value = int(text)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"outside int64: {text!r}")
+    return value
+
+
+# one spike per line; the template id is left off when the truth has none
+_TRUTH_COLUMNS = (("sample_index", _int64), ("template_id", _int64))
+
+
 def save_ground_truth(truth: GroundTruth, path) -> None:
     """CSV, one spike per line: ``sample_index[,template_id]``, no header."""
-    lines = []
-    for i, idx in enumerate(truth.spike_indices):
-        if truth.template_ids is not None:
-            lines.append(f"{idx},{truth.template_ids[i]}")
-        else:
-            lines.append(str(int(idx)))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    columns = [truth.spike_indices] + ([] if truth.template_ids is None else [truth.template_ids])
+    rows = zip(*(column.tolist() for column in columns))
+    Path(path).write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def load_ground_truth(path) -> GroundTruth:
-    path = Path(path)
-    indices = []
-    tids = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) not in (1, 2):
-            raise ValueError(f"{path}:{lineno}: expected 'sample_index[,template_id]'")
-        try:
-            values = [int(part) for part in parts]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: not an integer: {raw!r}") from None
-        if not all(-(1 << 63) <= v < 1 << 63 for v in values):
-            raise ValueError(f"{path}:{lineno}: outside int64: {raw!r}")
-        indices.append(values[0])
-        tids.extend(values[1:])
-    if tids and len(tids) != len(indices):
+    rows = [line.fields(_TRUTH_COLUMNS, ",", optional=1) for line in _data_lines(path)]
+    tids = [row[1] for row in rows if len(row) == 2]
+    if tids and len(tids) != len(rows):
         raise ValueError(f"{path}: template ids present on only some lines")
     return GroundTruth(
-        spike_indices=np.asarray(indices, dtype=np.int64),
+        spike_indices=np.asarray([row[0] for row in rows], dtype=np.int64),
         template_ids=np.asarray(tids, dtype=np.int64) if tids else None,
     )
 

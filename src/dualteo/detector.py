@@ -32,18 +32,18 @@ same events.
 
 from __future__ import annotations
 
-import csv
 import os
 import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from .signal_model import SignalRecord
+from .signal_model import SignalRecord, _data_lines
 from .threshold import (
     FRAME_LEN,
     SIGMA_FRACTION_BITS,
@@ -462,28 +462,25 @@ def detect_each(record: SignalRecord, kinds) -> list[list[SpikeEvent]]:
 # ---------------------------------------------------------------------------
 
 
+_EVENT_COLUMNS = (("channel", int), ("sample_index", int))
+_EVENTS_HEADER = ",".join(name for name, _ in _EVENT_COLUMNS)
+
+
+def _events_text(events: list[SpikeEvent]) -> str:
+    """The events file of ``events``: its header, then one ``channel,sample_index`` line per event."""
+    return "".join([_EVENTS_HEADER + "\n"] + [f"{ev.channel_id},{ev.sample_index}\n" for ev in events])
+
+
 def events_to_csv(events: list[SpikeEvent], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "sample_index"])
-        for ev in events:
-            writer.writerow([ev.channel_id, ev.sample_index])
+    Path(path).write_text(_events_text(events))
 
 
 def events_from_csv(path) -> list[SpikeEvent]:
-    events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["channel", "sample_index"]:
-            raise ValueError(f"{path}: expected header 'channel,sample_index'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            events.append(SpikeEvent(channel_id=int(row[0]), sample_index=int(row[1])))
-    return events
+    lines = _data_lines(path)
+    header = next(lines, None)
+    if header is None or header.text != _EVENTS_HEADER:
+        raise ValueError(f"{path}: expected header {_EVENTS_HEADER!r}")
+    return [SpikeEvent(*line.fields(_EVENT_COLUMNS, ",")) for line in lines]
 
 
 def event_indices(events: list[SpikeEvent]) -> np.ndarray:

@@ -56,6 +56,7 @@ from .signal_model import (
     FixedPointFormat,
     QuantizedRecord,
     SignalRecord,
+    _read_text,
     peak_full_scale,
     quantize_mid_tread,
 )
@@ -233,7 +234,7 @@ class HwTrace:
 
     @classmethod
     def from_csv(cls, path) -> "HwTrace":
-        header, _, body = Path(path).read_text().partition("\n")
+        header, _, body = _read_text(path).partition("\n")
         if header.rstrip("\r") != ",".join(cls.COLUMNS):
             raise ValueError(f"{path}: bad trace header")
         if not body.isascii():  # numpy's integer parser can crash on some non-BMP characters
@@ -241,7 +242,10 @@ class HwTrace:
         if body.strip():
             # one parse of the whole table; a malformed row raises ValueError,
             # and so does a "#", since the format has no comments
-            table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+            try:
+                table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         else:
             table = np.zeros((0, len(cls.COLUMNS)), dtype=np.int64)
         if table.shape[1] != len(cls.COLUMNS):
@@ -379,16 +383,6 @@ class MultichannelStream:
             raise ValueError(f"expected (n_scans, {channels}) stream")
         return stream
 
-    def _in_range(self, codes: np.ndarray) -> np.ndarray:
-        """``codes``, checked against the input format in their own dtype.
-
-        The check comes before the int8 cast, which would wrap a code such
-        as 256 into range.
-        """
-        if not self.cfg.input_format.contains(codes):
-            raise ValueError(f"codes outside {self.cfg.input_format.total_bits}-bit range")
-        return codes
-
     def push(self, frames):
         """Take the next scans; return the events they finished."""
         return self._feed(frames, final=False)
@@ -423,13 +417,13 @@ class MultichannelStream:
                 last = final and done + chunk == ready
                 # the window ends with the scan after the chunk, unless the stream ends there
                 need = carried + chunk + (not last) - len(self._held)
-                fresh = self._in_range(scans[taken:taken + need])
+                fresh = self.cfg.input_format.check(scans[taken:taken + need])
                 window = np.concatenate([self._held, fresh], dtype=np.int8)
                 out = crossings[done:done + chunk] if self.return_crossings else None
                 self._walk(window, carried, chunk, events, out, last)
                 self._held, carried = window[-3:].copy(), 2
                 done, taken = done + chunk, taken + need
-            self._held = np.concatenate([self._held, self._in_range(scans[taken:])], dtype=np.int8)
+            self._held = np.concatenate([self._held, self.cfg.input_format.check(scans[taken:])], dtype=np.int8)
         except BaseException:
             self._start, self._held, self._sigma, self._open = state
             raise

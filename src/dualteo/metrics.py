@@ -42,6 +42,7 @@ from .dataio import (
 from .detector import DetectorKind, SpikeEvent, event_indices
 from .signal_model import (
     FixedPointFormat,
+    _data_lines,
     dequantize,
     is_finite_real,
     peak_full_scale,
@@ -64,7 +65,9 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE_MS = 1.0
-RESULTS_HEADER = "axis,point,detector,mean_accuracy,std_accuracy,replicates"
+_RESULTS_COLUMNS = (("axis", str), ("point", float), ("detector", DetectorKind),
+                    ("mean_accuracy", float), ("std_accuracy", float), ("replicates", int))
+RESULTS_HEADER = ",".join(name for name, _ in _RESULTS_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -336,23 +339,12 @@ def report(results: list[SweepResult], format: str = "csv", path=None) -> str:
 
 
 def parse_results_csv(text: str) -> list[SweepResult]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != RESULTS_HEADER:
-        raise ValueError("missing results header")
-    out = []
-    for ln in lines[1:]:
-        axis, point, det, mean, std, reps = ln.split(",")
-        out.append(
-            SweepResult(
-                axis=axis,
-                point=float(point),
-                detector=DetectorKind(det),
-                mean_accuracy=float(mean),
-                std_accuracy=float(std),
-                replicates=int(reps),
-            )
-        )
-    return out
+    """The results of a :func:`report` CSV; an error names the line as ``<results>:lineno``."""
+    lines = _data_lines("<results>", text)
+    header = next(lines, None)
+    if header is None or header.text != RESULTS_HEADER:
+        raise ValueError(f"<results>: expected header {RESULTS_HEADER!r}")
+    return [SweepResult(*line.fields(_RESULTS_COLUMNS, ",")) for line in lines]
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3

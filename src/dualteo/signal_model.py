@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -92,11 +94,13 @@ class FixedPointFormat:
     def max_code(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
-    def contains(self, codes) -> bool:
-        codes = np.asarray(codes)
-        if codes.size == 0:
-            return True
-        return bool(codes.min() >= self.min_code and codes.max() <= self.max_code)
+    def check(self, codes: np.ndarray) -> np.ndarray:
+        """``codes``, range-checked in their own dtype, before any cast could wrap them into range."""
+        if codes.size and (codes.min() < self.min_code or codes.max() > self.max_code):
+            raise ValueError(
+                f"codes outside {self.total_bits}-bit range [{self.min_code}, {self.max_code}]"
+            )
+        return codes
 
 
 @dataclass(frozen=True)
@@ -119,13 +123,7 @@ class QuantizedRecord:
             raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         if not 0 < self.full_scale < math.inf:
             raise ValueError(f"full_scale must be positive and finite, got {self.full_scale}")
-        # check before the cast: int64 would wrap unsigned codes above 2**63 into range
-        if not self.format.contains(codes):
-            raise ValueError(
-                f"codes outside {self.format.total_bits}-bit range "
-                f"[{self.format.min_code}, {self.format.max_code}]"
-            )
-        object.__setattr__(self, "codes", codes.astype(np.int64, copy=False))
+        object.__setattr__(self, "codes", self.format.check(codes).astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -209,41 +207,91 @@ def datapath_ints(values) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Line-oriented text files: one reader; each format keeps only its schema
+# ---------------------------------------------------------------------------
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``, a path or a package resource; undecodable bytes name the file."""
+    try:
+        return (Path(path) if isinstance(path, (str, os.PathLike)) else path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+class _Line(NamedTuple):
+    """A data line of a text file, stripped, and where it is."""
+
+    path: object
+    lineno: int
+    text: str
+
+    def error(self, message: str) -> ValueError:
+        return ValueError(f"{self.path}:{self.lineno}: {message}")
+
+    def value(self, name: str, convert, field: str):
+        """``convert(field)``; its ``ValueError`` comes back naming the line and the column ``name``."""
+        try:
+            return convert(field)
+        except ValueError as exc:
+            raise self.error(f"{name}: {exc}") from None
+
+    def fields(self, columns, sep: str | None = None, optional: int = 0) -> list:
+        """The fields between ``sep`` (None: whitespace), converted by their ``(name, convert)`` columns.
+
+        The last ``optional`` columns may be left off; any other field count raises ``ValueError``.
+        """
+        parts = self.text.split(sep)
+        kept = len(columns) - optional
+        if not kept <= len(parts) <= len(columns):
+            sep, names = sep or " ", [name for name, _ in columns]
+            wanted = sep.join(names[:kept]) + "".join(f"[{sep}{name}]" for name in names[kept:])
+            raise self.error(f"expected {wanted!r}, got {self.text!r}")
+        return [self.value(name, convert, part) for (name, convert), part in zip(columns, parts)]
+
+
+def _data_lines(path, text: str | None = None) -> Iterator[_Line]:
+    """Each data line of the file ``path``, read unless its ``text`` is given, located as ``path:lineno``.
+
+    Blank lines and ``#`` lines are skipped in every format.
+    """
+    for lineno, raw in enumerate((_read_text(path) if text is None else text).splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield _Line(path, lineno, line)
+
+
+# ---------------------------------------------------------------------------
 # Record file I/O: float32 payload + sidecar header, or CSV payload
 # ---------------------------------------------------------------------------
 
 _HEADER_SUFFIX = ".hdr"
+
+# the header's keys and types, in the order save_record writes them; all but full_scale are required
+_RECORD_HEADER = {"rate_hz": float, "channel_id": int, "full_scale": float, "n_samples": int}
 
 
 def _header_path(path: Path) -> Path:
     return path.with_name(path.name + _HEADER_SUFFIX)
 
 
-_RECORD_HEADER_KEYS = ("rate_hz", "channel_id", "n_samples")
-
-
 def read_header(path) -> dict:
     """Parse the sidecar ``key=value`` header of a record file.
 
-    Every key a record needs must be present, and no key may repeat.
+    The record's keys come back as their types, any other key as text.  Every
+    key a record needs must be present, and no key may repeat.
     """
     hdr_path = _header_path(Path(path))
-    if not hdr_path.exists():
-        raise FileNotFoundError(f"missing header file {hdr_path}")
     header: dict = {}
-    for lineno, raw in enumerate(hdr_path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{hdr_path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
+    for line in _data_lines(hdr_path):
+        key, eq, value = (part.strip() for part in line.text.partition("="))
+        if not eq:
+            raise line.error(f"expected key=value, got {line.text!r}")
         if key in header:
-            raise ValueError(f"{hdr_path}:{lineno}: repeated header key {key!r}")
-        header[key] = val.strip()
-    for key in _RECORD_HEADER_KEYS:
-        if key not in header:
+            raise line.error(f"repeated header key {key!r}")
+        header[key] = line.value(key, _RECORD_HEADER.get(key, str), value)
+    for key in _RECORD_HEADER:
+        if key not in header and key != "full_scale":
             raise ValueError(f"{hdr_path}: missing required header key {key!r}")
     return header
 
@@ -263,13 +311,11 @@ def save_record(record: SignalRecord, path, full_scale: float | None = None) -> 
         path.write_text(lines + ("\n" if len(record) else ""))
     else:
         record.samples.astype("<f4").tofile(path)
-    header = (
-        f"rate_hz={record.rate_hz!r}\n"
-        f"channel_id={record.channel_id}\n"
-        f"full_scale={full_scale!r}\n"
-        f"n_samples={len(record)}\n"
+    values = {"rate_hz": record.rate_hz, "channel_id": record.channel_id,
+              "full_scale": full_scale, "n_samples": len(record)}
+    _header_path(path).write_text(
+        "".join(f"{key}={kind(values[key])!r}\n" for key, kind in _RECORD_HEADER.items())
     )
-    _header_path(path).write_text(header)
 
 
 def load_record(path) -> SignalRecord:
@@ -281,28 +327,14 @@ def load_record(path) -> SignalRecord:
     path = Path(path)
     header = read_header(path)
     if path.suffix == ".csv":
-        samples = []
-        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                samples.append(float(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {raw!r}") from None
-        samples = np.asarray(samples, dtype=np.float64)
+        samples = np.array([line.value("sample", float, line.text) for line in _data_lines(path)])
     else:
         size = path.stat().st_size
         if size % 4:
             raise ValueError(f"{path}: {size} bytes is not a whole number of float32 samples")
         samples = np.fromfile(path, dtype="<f4").astype(np.float64)
-    n_expected = int(header["n_samples"])
-    if len(samples) != n_expected:
+    if len(samples) != header["n_samples"]:
         raise ValueError(
-            f"{path}: header says {n_expected} samples, file holds {len(samples)}"
+            f"{path}: header says {header['n_samples']} samples, file holds {len(samples)}"
         )
-    return SignalRecord(
-        samples=samples,
-        rate_hz=float(header["rate_hz"]),
-        channel_id=int(header["channel_id"]),
-    )
+    return SignalRecord(samples=samples, rate_hz=header["rate_hz"], channel_id=header["channel_id"])

@@ -55,7 +55,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .signal_model import datapath_ints
+from .signal_model import _data_lines, datapath_ints
 
 __all__ = [
     "ThresholdCoefficients",
@@ -411,48 +411,42 @@ def _check_q10_range(coeffs: ThresholdCoefficients, origin: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+_COEFFICIENT_COLUMNS = (("name", str), ("numerator", int), ("shift", int))
+_COEFFICIENT_NAMES = ("c1", "c2", "c3")
+
+
 def save_coefficients(coeffs: ThresholdCoefficients, path) -> None:
-    Path(path).write_text(
-        f"c1 {coeffs.c1.numerator} {coeffs.c1.shift}\n"
-        f"c2 {coeffs.c2.numerator} {coeffs.c2.shift}\n"
-        f"c3 {coeffs.c3.numerator} {coeffs.c3.shift}\n"
-    )
-
-
-def _parse_coefficients(text: str, origin: str) -> ThresholdCoefficients:
-    found: dict[str, Dyadic] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{origin}:{lineno}: expected 'name numerator shift'")
-        name, num, shift = parts
-        if name not in ("c1", "c2", "c3"):
-            raise ValueError(f"{origin}:{lineno}: unknown coefficient {name!r}")
-        if name in found:
-            raise ValueError(f"{origin}:{lineno}: repeated coefficient {name!r}")
-        found[name] = Dyadic(int(num), int(shift))
-    missing = {"c1", "c2", "c3"} - set(found)
-    if missing:
-        raise ValueError(f"{origin}: missing coefficients {sorted(missing)}")
-    try:
-        return ThresholdCoefficients(found["c1"], found["c2"], found["c3"])
-    except ValueError as exc:  # the Q.10 range check; name the file
-        raise ValueError(f"{origin}: {exc}") from None
+    Path(path).write_text("".join(
+        f"{name} {getattr(coeffs, name).numerator} {getattr(coeffs, name).shift}\n"
+        for name in _COEFFICIENT_NAMES
+    ))
 
 
 def load_coefficients(path) -> ThresholdCoefficients:
-    path = Path(path)
-    return _parse_coefficients(path.read_text(), str(path))
+    found: dict[str, Dyadic] = {}
+    for line in _data_lines(path):
+        name, numerator, shift = line.fields(_COEFFICIENT_COLUMNS)
+        if name not in _COEFFICIENT_NAMES:
+            raise line.error(f"unknown coefficient {name!r}")
+        if name in found:
+            raise line.error(f"repeated coefficient {name!r}")
+        try:
+            found[name] = Dyadic(numerator, shift)
+        except ValueError as exc:
+            raise line.error(f"{name}: {exc}") from None
+    missing = set(_COEFFICIENT_NAMES) - set(found)
+    if missing:
+        raise ValueError(f"{path}: missing coefficients {sorted(missing)}")
+    try:
+        return ThresholdCoefficients(*(found[name] for name in _COEFFICIENT_NAMES))
+    except ValueError as exc:  # the Q.10 range check; name the file
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @cache
 def _load_bundled(name: str) -> ThresholdCoefficients:
     """The coefficients of a bundled file, parsed once per process; they are frozen."""
-    text = resources.files("dualteo").joinpath("data").joinpath(name).read_text()
-    return _parse_coefficients(text, name)
+    return load_coefficients(resources.files("dualteo").joinpath("data").joinpath(name))
 
 
 def default_float_coefficients() -> ThresholdCoefficients:

@@ -104,6 +104,12 @@ class TestGenerateCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "x.json"), "--out", str(tmp_path)]) == 2
 
+    def test_undecodable_config_names_its_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"seed": 1\xff}')
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: 'utf-8' codec can't decode")
+
     def test_non_object_config_is_validation_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("5")
