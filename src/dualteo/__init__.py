@@ -42,7 +42,6 @@ from .detector import (
 from .hw_model import (
     HwConfig,
     HwTrace,
-    assert_closure,
     hw_detect_channel,
     hw_detect_multichannel,
     quantize_for_hw,

@@ -2,13 +2,15 @@
 
 Every command is deterministic given its inputs and ``--seed``; output files
 are byte-identical across repeated runs.  Exit code 0 on success, 2 on any
-validation error (bad arguments, malformed files, empty corpus).
+validation error (bad arguments, malformed files, empty corpus, an output
+path that cannot be written), checked before any work where it can be.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -29,8 +31,6 @@ def _load_json(path: Path) -> dict:
     """Parse a JSON file whose top level must be an object."""
     try:
         data = json.loads(_read_text(path))
-    except FileNotFoundError:
-        raise ValueError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
     return _require_object(data, str(path))
@@ -51,13 +51,13 @@ def _synthetic_config(data: dict, seed: int | None) -> dataio.SyntheticConfig:
 
 
 def cmd_generate(args) -> int:
+    out_dir = _output(args.out, directory=True)
     cfg = _synthetic_config(_load_json(Path(args.config)), args.seed)
     record, truth = dataio.generate(cfg)
     name = args.name or f"noise{cfg.noise_level:g}_seed{cfg.seed}"
-    paths = dataio.save_dataset(record, truth, cfg, args.out, name)
-    print(f"wrote {paths['record']}")
-    print(f"wrote {paths['truth']}")
-    print(f"wrote {paths['manifest']}")
+    paths = dataio.save_dataset(record, truth, cfg, out_dir, name)
+    for key in ("record", "truth", "manifest"):
+        print(f"wrote {paths[key]}")
     return 0
 
 
@@ -68,7 +68,22 @@ def _existing_file(path_str) -> Path:
     return path
 
 
+def _output(path_str, directory: bool = False) -> Path:
+    """A file to write, in a directory that exists; or with ``directory`` one to make with its parents."""
+    path = Path(path_str)
+    if directory:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValueError(f"not a directory: {existing}")
+    elif path.is_dir():
+        raise ValueError(f"is a directory: {path}")
+    elif not path.parent.is_dir():
+        raise ValueError(f"no such directory: {path.parent}")
+    return path
+
+
 def cmd_detect(args) -> int:
+    out = _output(args.out) if args.out else None
     record = load_record(_existing_file(args.record))
     truth = None if args.truth is None else dataio.load_ground_truth(_existing_file(args.truth))
     try:
@@ -95,8 +110,8 @@ def cmd_detect(args) -> int:
         kwargs = {"coeffs": coeffs} if coeffs is not None else {}
         events = detector.detect(record, kind, **kwargs)
 
-    if args.out:
-        detector.events_to_csv(events, args.out)
+    if out is not None:
+        detector.events_to_csv(events, out)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(detector._events_text(events))
@@ -107,6 +122,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    out_dir = _output(args.out, directory=True)
     data = _load_json(Path(args.spec))
     base = _synthetic_config(data.pop("base_cfg", {}), args.seed)
     try:
@@ -114,13 +130,10 @@ def cmd_sweep(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad sweep spec: {exc}") from None
     results = metrics.sweep(spec)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "sweep_results.csv"
-    metrics.report(results, "csv", csv_path)
-    metrics.report(results, "plot_script", out_dir / "plot_sweep.py")
-    print(f"wrote {csv_path}")
-    print(f"wrote {out_dir / 'plot_sweep.py'}")
+    for name, kind in (("sweep_results.csv", "csv"), ("plot_sweep.py", "plot_script")):
+        metrics.report(results, kind, out_dir / name)
+        print(f"wrote {out_dir / name}")
     return 0
 
 
@@ -132,7 +145,12 @@ def _load_corpus(corpus_dir: Path):
     return [dataio.load_dataset(corpus_dir, name) for name in names]
 
 
+# the truncation shifts --search-drops tries: x energy, then s energy
+_SEARCH_DROPS = ((6, 7, 8), (5, 6, 7))
+
+
 def cmd_calibrate(args) -> int:
+    out = _output(args.out)
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise ValueError(f"no such directory: {corpus_dir}")
@@ -141,26 +159,20 @@ def cmd_calibrate(args) -> int:
         if args.pipeline != "hw":
             raise ValueError("--search-drops applies to the hw pipeline only")
         best = None
-        for xdrop in (6, 7, 8):
-            for sdrop in (5, 6, 7):
-                cfg = hw_model.HwConfig(xteo_drop_lsbs=xdrop, steo_drop_lsbs=sdrop)
-                cand, score = calibrate_coefficients(
-                    training, pipeline="hw", hw_cfg=cfg, return_score=True
-                )
-                print(f"drops x>>{xdrop} s>>{sdrop}: accuracy {score:.4f}")
-                if best is None or score > best[0]:
-                    best = (score, cand, xdrop, sdrop)
+        for xdrop, sdrop in itertools.product(*_SEARCH_DROPS):
+            cfg = hw_model.HwConfig(xteo_drop_lsbs=xdrop, steo_drop_lsbs=sdrop)
+            cand, score = calibrate_coefficients(training, pipeline="hw", hw_cfg=cfg, return_score=True)
+            print(f"drops x>>{xdrop} s>>{sdrop}: accuracy {score:.4f}")
+            if best is None or score > best[0]:
+                best = (score, cand, xdrop, sdrop)
         _, coeffs, xdrop, sdrop = best
         print(f"best drops: x>>{xdrop} s>>{sdrop}")
     else:
         coeffs = calibrate_coefficients(training, pipeline=args.pipeline)
-    save_coefficients(coeffs, args.out)
+    save_coefficients(coeffs, out)
     print(f"wrote {args.out}")
-    print(
-        f"c1={coeffs.c1.numerator}*2^-{coeffs.c1.shift} "
-        f"c2={coeffs.c2.numerator}*2^-{coeffs.c2.shift} "
-        f"c3={coeffs.c3.numerator}*2^-{coeffs.c3.shift}"
-    )
+    terms = {name: getattr(coeffs, name) for name in ("c1", "c2", "c3")}
+    print(" ".join(f"{name}={c.numerator}*2^-{c.shift}" for name, c in terms.items()))
     return 0
 
 
@@ -211,7 +223,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # an OSError on a file says which
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

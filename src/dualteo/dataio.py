@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_model import SignalRecord, _data_lines, is_finite_real, load_record, save_record
+from .signal_model import SignalRecord, _data_lines, _validated, is_finite_real, load_record, save_record
 
 __all__ = [
     "GroundTruth",
@@ -385,10 +385,8 @@ def load_ground_truth(path) -> GroundTruth:
     tids = [row[1] for row in rows if len(row) == 2]
     if tids and len(tids) != len(rows):
         raise ValueError(f"{path}: template ids present on only some lines")
-    return GroundTruth(
-        spike_indices=np.asarray([row[0] for row in rows], dtype=np.int64),
-        template_ids=np.asarray(tids, dtype=np.int64) if tids else None,
-    )
+    indices = [row[0] for row in rows]
+    return _validated(lambda k: GroundTruth(indices[:k], tids[:k] if tids else None), path, len(rows))
 
 
 def save_dataset(record: SignalRecord, truth: GroundTruth, cfg: SyntheticConfig, out_dir, name: str) -> dict:

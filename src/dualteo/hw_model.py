@@ -1,11 +1,12 @@
 """Bit-exact integer realization of the dual detector and its 256-channel
 stream interface.
 
-Datapath per channel, all in two's-complement integers: 7-bit input codes,
-exact half-sum smoother (codes stay in the 7-bit range, carried at half-LSB
-weight), exact Teager energies truncated by arithmetic right shift into 8-bit
-(raw path) and 9-bit (smoothed path) streams, and Q.10 sigma/threshold
-registers so the 2**-10 per-frame correction accumulates below one code LSB.
+Datapath per channel, all in two's-complement integers, at the widths of
+:class:`HwConfig`'s register map: 7-bit input codes, exact half-sum smoother
+(codes stay in the 7-bit range, carried at half-LSB weight), exact Teager
+energies truncated by arithmetic right shift into 8-bit (raw path) and 9-bit
+(smoothed path) streams, and Q.10 sigma/threshold registers so the 2**-10
+per-frame correction accumulates below one code LSB.
 Nothing on the data path is ever a float.  The sigma loop, the warm-up and
 the 1 ms refractory gap (16 samples at 16 kHz) are the float pipeline's own
 constants, read from the same place.
@@ -18,19 +19,12 @@ or a time-major block ``(n, channels)``.
 and :func:`trace_internal` exposes its every intermediate value.
 :class:`MultichannelStream` is the block case: it walks the interleaved
 stream in time chunks of one kernel block of cells
-(:data:`~dualteo.transforms.BLOCK_CELLS`) across all channels, at the
-chip's widths: int8 codes and half-sums, int16 energies and int32 sigma
-registers.  Each chunk steps the sigma of every channel at once, compares
-once and forms the events of all its channels in one pass, and each
-channel's codes, sigma and open event carry over to the next chunk, so the
-memory held stays flat in the stream length.  Its ``push`` and ``close`` run
-one chunk loop, and :func:`hw_detect_multichannel` is one final run of that
-loop over a whole stream.  Neither case ever shifts data into Q.10: each
-compare against a Q.10 register shifts the register down instead, which is
-the same integer compare.  Channels share no state, so the chip's
-time-multiplexed schedule cannot change any output; the test suite holds a
-sample-serial, block-scheduled engine as a bit-exact oracle and checks the
-multichannel output against it.
+(:data:`~dualteo.transforms.BLOCK_CELLS`) across all channels, in the
+register map's dtypes: int8 codes and half-sums, int16 energies and int32
+sigma registers; :func:`hw_detect_multichannel` is one final run of its
+chunk loop.  Neither case ever shifts data into Q.10: each compare against
+a Q.10 register shifts the register down instead, which is the same
+integer compare.
 """
 
 from __future__ import annotations
@@ -80,27 +74,27 @@ __all__ = [
     "hw_detect_multichannel",
     "MultichannelStream",
     "trace_internal",
-    "assert_closure",
 ]
-
-THRESHOLD_REGISTER_BITS = 32  # signed Q.10; ample for the coefficient grid
 
 
 @dataclass(frozen=True)
 class HwConfig:
     """Datapath parameters: channel count and the two energy truncation shifts.
 
-    The chip's register widths and rate are class constants.  The smoothed
-    stream needs no width of its own: its half-sum codes span the input range
-    at half-LSB weight.
+    The rate and the register map, the signed width of each per-channel register, are class
+    constants; ``tests/test_register_map.py`` proves each holds every value 7-bit codes reach.
     """
 
     input_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=7)
+    # the half-sum of two codes spans the input range, at half-LSB weight
+    halfsum_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=7)
     xteo_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=8)
     steo_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=9)
+    # Q.10; holds the top code plus one correction step, and UNMEASURED
+    sigma_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=8 + SIGMA_FRACTION_BITS)
+    threshold_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=32)  # Q.10 thr_x, thr_s
     rate_hz: ClassVar[float] = 16000.0
-    # sigma never exceeds the top input code plus one correction step
-    sigma_register_max: ClassVar[int] = 1 << (input_format.total_bits + SIGMA_FRACTION_BITS)
+    sigma_register_max: ClassVar[int] = sigma_format.max_code + 1
 
     channels: int = 256
     xteo_drop_lsbs: int = 7
@@ -148,13 +142,12 @@ def _prepare_codes(
 ) -> PreparedDual:
     """The integer datapath, along axis 0 of one channel ``(n,)`` or a block ``(n, channels)``.
 
-    The kernels compute in :func:`~dualteo.signal_model.datapath_ints` of
-    ``codes``: int64 for a record; for a chunk of the multichannel stream,
-    cut as int8, int8 half-sums and int16 energies.  A chunk keeps only its
-    own ``rows`` of ``codes``, which start on a frame boundary, and carries
-    its sigma loop in ``register`` (see :func:`~dualteo.threshold.sigma_frames_q10`).
-    A chunk also leaves ``align`` unset: the stream reads the alignment only
-    at its crossings and takes :func:`_align_stream` of those alone.
+    The kernels compute in :func:`~dualteo.signal_model.compute_dtype` of
+    ``codes``: int64 for a record, int16 for a stream chunk cut as int8.  A
+    chunk keeps only its own ``rows`` of ``codes``, which start on a frame
+    boundary, carries its sigma loop in ``register`` (see
+    :func:`~dualteo.threshold.sigma_frames_q10`), and leaves ``align`` unset:
+    the stream takes :func:`_align_stream` of its crossings alone.
     """
     s = smooth2_fixed(codes)
     x_teo = teo_fixed(codes, cfg.xteo_format, cfg.xteo_drop_lsbs)[rows]
@@ -203,7 +196,7 @@ def hw_detect_channel(
 
 
 # ---------------------------------------------------------------------------
-# Per-sample trace and format-closure checking
+# Per-sample trace
 # ---------------------------------------------------------------------------
 
 
@@ -228,9 +221,7 @@ class HwTrace:
         # one %-format over the whole table; "%d" prints each value as str(int(v))
         table = np.column_stack([getattr(self, c) for c in self.COLUMNS])
         row = ",".join(["%d"] * len(self.COLUMNS)) + "\n"
-        with open(path, "w") as fh:
-            fh.write(",".join(self.COLUMNS) + "\n")
-            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+        Path(path).write_text(",".join(self.COLUMNS) + "\n" + (row * len(self)) % tuple(table.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "HwTrace":
@@ -278,30 +269,6 @@ def trace_internal(
     )
 
 
-def assert_closure(trace: HwTrace) -> None:
-    """Verify every traced value stays inside its declared register format."""
-
-    def check(name, values, lo, hi):
-        if len(values) and (values.min() < lo or values.max() > hi):
-            raise AssertionError(
-                f"{name} escaped [{lo}, {hi}]: range "
-                f"[{values.min()}, {values.max()}]"
-            )
-
-    in_fmt, x_fmt, s_fmt = HwConfig.input_format, HwConfig.xteo_format, HwConfig.steo_format
-    check("x", trace.x, in_fmt.min_code, in_fmt.max_code)
-    # half-sum smoother: full input range at half-LSB weight
-    check("s", trace.s, in_fmt.min_code, in_fmt.max_code)
-    check("x_teo", trace.x_teo, x_fmt.min_code, x_fmt.max_code)
-    check("s_teo", trace.s_teo, s_fmt.min_code, s_fmt.max_code)
-    thr_bound = 1 << (THRESHOLD_REGISTER_BITS - 1)
-    check("thr_x", trace.thr_x, -thr_bound, thr_bound - 1)
-    check("thr_s", trace.thr_s, -thr_bound, thr_bound - 1)
-    check("crossing", trace.crossing, 0, 1)
-    # sigma is not a trace column; bound it via the thresholds' inputs instead
-    # (sigma_frames_q10 clamps at zero and cannot exceed the top code + one step)
-
-
 # ---------------------------------------------------------------------------
 # Multichannel stream interface
 # ---------------------------------------------------------------------------
@@ -326,23 +293,20 @@ class MultichannelStream:
 
     Both calls run one chunk loop, :meth:`_feed`, which walks the stream in
     time chunks across all channels, each a whole number of frames and at
-    most one kernel block of cells long (512 scans at 256 channels, 131,072
-    at one), at the chip's widths: int8 codes and half-sums, int16 energies
-    and int32 sigma registers.  Each chunk's scans are range-checked in
-    their own dtype just before they are cast to int8, so the input is read
-    once and never copied whole.  A chunk runs the datapath of
-    :func:`prepare_hw_dual` along axis 0, steps every channel's sigma at
-    once (one channel walks it by bisection, as a record does) and compares
-    once, and takes the alignment signal only at its crossings.  The energy
-    of scan ``k`` reads scan ``k + 1``, so a chunk waits for the scan after
-    it, and codes are buffered until a whole frame has arrived; only the
-    last chunk, walked by :meth:`close`, has no scan after it.  From one
-    chunk to the next each channel carries its last two codes (the smoother
-    and the energy operator look back that far), its sigma register and its
-    one event that may still grow, the one whose last crossing lies within
-    the refractory gap of the chunk's end, as its peak and last crossing.
-    So neither the chunk length nor how the stream is split into pushes can
-    change an output, and the memory held does not grow with the stream.
+    most one kernel block of cells long (512 scans at 256 channels), in the
+    register map's dtypes.  Each chunk's scans are range-checked in their
+    own dtype just before the cast, so the input is read once and never
+    copied whole.  A chunk runs the datapath of :func:`prepare_hw_dual`
+    along axis 0, steps every channel's sigma at once (one channel walks it
+    by bisection, as a record does), compares once, and takes the alignment
+    signal only at its crossings.  The energy of scan ``k`` reads scan
+    ``k + 1``, so a chunk waits for the scan after it, and codes are
+    buffered until a whole frame has arrived; only the last chunk, walked by
+    :meth:`close`, has no scan after it.  Each channel carries its last two
+    codes, its sigma register and its one event that may still grow (as its
+    peak and last crossing) from chunk to chunk.  So neither the chunk
+    length nor the pushes can change an output, and the memory held does
+    not grow with the stream.
     """
 
     def __init__(
@@ -359,8 +323,8 @@ class MultichannelStream:
         self._start = 0  # scan index of the next chunk
         # the two carried codes before the next chunk (none before the first
         # chunk), then the codes of it received so far
-        self._held = np.zeros((0, self.cfg.channels), dtype=np.int8)
-        self._sigma = np.full(self.cfg.channels, UNMEASURED, dtype=np.int32)
+        self._held = np.zeros((0, self.cfg.channels), dtype=self.cfg.input_format.dtype)
+        self._sigma = np.full(self.cfg.channels, UNMEASURED, dtype=self.cfg.sigma_format.dtype)
         self._open = _NO_OPEN_EVENTS
         self._closed = False
 
@@ -389,7 +353,7 @@ class MultichannelStream:
 
     def close(self):
         """End the stream: decide its last scans and return the events still open."""
-        return self._feed(np.zeros((0, self.cfg.channels), dtype=np.int8), final=True)
+        return self._feed(self._held[:0], final=True)
 
     def _feed(self, frames, final: bool):
         """Walk what ``frames`` makes ready, chunk by chunk; return what it decided.
@@ -410,6 +374,7 @@ class MultichannelStream:
         crossings = np.empty((ready, self.cfg.channels) if self.return_crossings else (0, 0), dtype=bool)
         # the sigma register is stepped in place, so it is saved as a copy
         state = self._start, self._held, self._sigma.copy(), self._open
+        fmt = self.cfg.input_format
         try:
             done = taken = 0
             while done < ready:
@@ -417,13 +382,12 @@ class MultichannelStream:
                 last = final and done + chunk == ready
                 # the window ends with the scan after the chunk, unless the stream ends there
                 need = carried + chunk + (not last) - len(self._held)
-                fresh = self.cfg.input_format.check(scans[taken:taken + need])
-                window = np.concatenate([self._held, fresh], dtype=np.int8)
+                window = np.concatenate([self._held, fmt.check(scans[taken:taken + need])], dtype=fmt.dtype)
                 out = crossings[done:done + chunk] if self.return_crossings else None
                 self._walk(window, carried, chunk, events, out, last)
                 self._held, carried = window[-3:].copy(), 2
                 done, taken = done + chunk, taken + need
-            self._held = np.concatenate([self._held, self.cfg.input_format.check(scans[taken:])], dtype=np.int8)
+            self._held = np.concatenate([self._held, fmt.check(scans[taken:])], dtype=fmt.dtype)
         except BaseException:
             self._start, self._held, self._sigma, self._open = state
             raise
@@ -491,19 +455,13 @@ def hw_detect_multichannel(
 
     ``frames`` is either a flat stream (scan-major: sample t of channels
     0..C-1, then sample t+1) whose length must divide by the channel count, or
-    a 2D array of shape (n_scans, channels).  Codes must have an integer
-    dtype.
-
-    The whole stream is one final feed of a :class:`MultichannelStream`,
-    the chunk loop of its ``push`` and ``close``: time chunks of one
-    kernel block of cells across all channels, each range-checked against
-    the 7-bit format in the stream's own dtype and then cut as int8 from
-    its native layout, with each channel's state carried from chunk to
-    chunk.  A code out of range anywhere in the stream raises before any
-    event is returned.  Channels share no state, so this equals the chip's
-    round-robin service of the interleaved stream bit for bit;
-    ``tests/serial_oracle.py`` holds that sample-serial, block-scheduled
-    engine, and the test suite checks the two against each other.
+    a 2D array of shape (n_scans, channels), of an integer dtype.  The whole
+    stream is one final feed of a :class:`MultichannelStream`, so a code out
+    of range anywhere in it raises before any event is returned.  Channels
+    share no state, so this equals the chip's round-robin service of the
+    interleaved stream bit for bit; ``tests/serial_oracle.py`` holds that
+    sample-serial, block-scheduled engine, and the test suite checks the two
+    against each other.
 
     Returns a list of per-channel event lists; with ``return_crossings`` also
     a (channels, n_scans) boolean view of the raw comparator outputs, taken

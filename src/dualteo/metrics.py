@@ -356,10 +356,12 @@ import matplotlib.pyplot as plt
 
 curves = defaultdict(list)
 with open("{csv_name}") as fh:
-    for row in csv.DictReader(fh):
-        curves[row["detector"]].append(
-            (float(row["point"]), float(row["mean_accuracy"]), float(row["std_accuracy"]))
-        )
+    # blank and "#" lines are skipped, as dualteo's own reader skips them
+    lines = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
+for row in csv.DictReader(lines):
+    curves[row["detector"]].append(
+        (float(row["point"]), float(row["mean_accuracy"]), float(row["std_accuracy"]))
+    )
 
 fig, ax = plt.subplots(figsize=(5, 3.5))
 axis_label = None

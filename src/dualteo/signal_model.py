@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -93,6 +94,11 @@ class FixedPointFormat:
     @property
     def max_code(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The narrowest numpy signed integer dtype that holds the format."""
+        return np.dtype(f"int{max(8, 1 << (self.total_bits - 1).bit_length())}")
 
     def check(self, codes: np.ndarray) -> np.ndarray:
         """``codes``, range-checked in their own dtype, before any cast could wrap them into range."""
@@ -187,23 +193,21 @@ def peak_full_scale(record: SignalRecord) -> float:
     return peak if peak > 0 else 1.0
 
 
-def datapath_ints(values) -> np.ndarray:
-    """``values`` as the integer array the kernels compute in.
+def compute_dtype(dtype) -> np.dtype:
+    """The dtype the integer kernels compute in for codes of ``dtype``: int16 for int8, which
+    holds every energy of int8 codes ([-16384, 32640]); int32 and int64 their own; else int64."""
+    dtype = np.dtype(dtype)
+    if dtype == np.int8:
+        return np.dtype(np.int16)
+    return dtype if dtype in (np.int32, np.int64) else np.dtype(np.int64)
 
-    int32 and int64 arrays are kept as they are; an int8 array widens to
-    int16, which holds every sum, half-sum and Teager energy of int8 codes
-    exactly (the energies lie in [-16384, 32640]); anything else, int16
-    included, is cast to int64.  So a channel block of 7-bit codes cut as
-    int8 runs its whole datapath in 8 and 16 bits, and a record runs in int64.
-    Unsigned codes at or above 2**63 would wrap in that cast; they raise
-    ``ValueError``.
-    """
+
+def datapath_ints(values) -> np.ndarray:
+    """``values`` in their :func:`compute_dtype`, not copied if they are; uint64 at or above 2**63 raises."""
     values = np.asarray(values)
     if values.dtype == np.uint64 and values.size and values.max() >= 1 << 63:
         raise ValueError("unsigned codes at or above 2**63 do not fit the int64 datapath")
-    if values.dtype == np.int8:
-        return values.astype(np.int16)
-    return values if values.dtype in (np.int32, np.int64) else values.astype(np.int64)
+    return values.astype(compute_dtype(values.dtype), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +265,28 @@ def _data_lines(path, text: str | None = None) -> Iterator[_Line]:
             yield _Line(path, lineno, line)
 
 
+def _validated(make, path, rows: int = 0):
+    """``make(rows)``; its ``ValueError`` names ``path``, and the first of its ``rows`` data lines at fault.
+
+    ``make(k)`` builds a value object from the first ``k`` rows; every prefix of rows that passes
+    its checks passes them, so the shortest prefix that fails, found by bisection, ends on that line.
+    """
+    try:
+        return make(rows)
+    except ValueError as exc:
+        lo, hi, fault = 0, rows, exc  # make(hi) fails
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            make(mid)
+            lo = mid + 1
+        except ValueError as exc:
+            hi, fault = mid, exc
+    if hi:
+        raise next(islice(_data_lines(path), hi - 1, None)).error(str(fault))
+    raise ValueError(f"{path}: {fault}")
+
+
 # ---------------------------------------------------------------------------
 # Record file I/O: float32 payload + sidecar header, or CSV payload
 # ---------------------------------------------------------------------------
@@ -279,7 +305,7 @@ def read_header(path) -> dict:
     """Parse the sidecar ``key=value`` header of a record file.
 
     The record's keys come back as their types, any other key as text.  Every
-    key a record needs must be present, and no key may repeat.
+    key a record needs must be present, valid for a record, and no key may repeat.
     """
     hdr_path = _header_path(Path(path))
     header: dict = {}
@@ -290,6 +316,11 @@ def read_header(path) -> dict:
         if key in header:
             raise line.error(f"repeated header key {key!r}")
         header[key] = line.value(key, _RECORD_HEADER.get(key, str), value)
+        if key in ("rate_hz", "channel_id"):
+            try:
+                SignalRecord(np.zeros(0), **{"rate_hz": 1.0, key: header[key]})
+            except ValueError as exc:
+                raise line.error(str(exc)) from None
     for key in _RECORD_HEADER:
         if key not in header and key != "full_scale":
             raise ValueError(f"{hdr_path}: missing required header key {key!r}")
@@ -326,7 +357,7 @@ def load_record(path) -> SignalRecord:
     """
     path = Path(path)
     header = read_header(path)
-    if path.suffix == ".csv":
+    if csv := path.suffix == ".csv":
         samples = np.array([line.value("sample", float, line.text) for line in _data_lines(path)])
     else:
         size = path.stat().st_size
@@ -337,4 +368,6 @@ def load_record(path) -> SignalRecord:
         raise ValueError(
             f"{path}: header says {header['n_samples']} samples, file holds {len(samples)}"
         )
-    return SignalRecord(samples=samples, rate_hz=header["rate_hz"], channel_id=header["channel_id"])
+    return _validated(  # a float32 payload has no lines to name
+        lambda k: SignalRecord(samples[:k] if csv else samples, header["rate_hz"], header["channel_id"]),
+        path, len(samples) if csv else 0)

@@ -218,10 +218,9 @@ def sigma_frames_q10(s_codes, register=None) -> np.ndarray:
     made as ``s > sigma_q >> 10``, which is the same integer compare (an
     arithmetic shift is a floor), so the codes are never shifted up.  Takes
     one channel or a time-major block ``(n, channels)`` and computes in
-    :func:`~dualteo.signal_model.datapath_ints` of the codes; the register
-    is int32 for int8 and int32 codes (sigma stays below 2**18) and int64
-    otherwise.  A ``register`` carries the loop across pieces of one stream
-    (see :func:`_sigma_track`).
+    :func:`~dualteo.signal_model.compute_dtype` of the codes.  A
+    ``register`` carries the loop across pieces of one stream (see
+    :func:`_sigma_track`).
     """
     return _sigma_track(datapath_ints(s_codes), initial_sigma_q10, 1, SIGMA_FRACTION_BITS, register)
 

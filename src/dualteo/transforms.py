@@ -14,7 +14,7 @@ nominal width of the smoothed stream comes from.
 
 The fixed-point kernels work along axis 0: they take one channel ``(n,)`` or
 a time-major block ``(n, channels)``, and compute in
-:func:`~dualteo.signal_model.datapath_ints` of the input: int32 and int64
+:func:`~dualteo.signal_model.compute_dtype` of the input: int32 and int64
 stay as they are, int8 codes compute in int16, and anything else in int64.
 An int8 block therefore keeps the chip's widths: its half-sums come back
 int8 and its energies int16.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signal_model import FixedPointFormat, datapath_ints
+from .signal_model import FixedPointFormat, compute_dtype, datapath_ints
 
 __all__ = ["teo", "smooth2", "teo_fixed", "smooth2_fixed"]
 
@@ -121,12 +121,9 @@ def _smooth_blocks(x: np.ndarray, dtype, halve, operand) -> np.ndarray:
 
 
 def _datapath(x) -> tuple[np.ndarray, np.dtype]:
-    """``x`` and the dtype its kernels compute in; int8 codes widen a block at a time."""
+    """``x`` and its :func:`~dualteo.signal_model.compute_dtype`; int8 codes widen a block at a time."""
     x = np.asarray(x)
-    if x.dtype == np.int8:
-        return x, np.dtype(np.int16)
-    x = datapath_ints(x)
-    return x, x.dtype
+    return (x if x.dtype == np.int8 else datapath_ints(x)), compute_dtype(x.dtype)
 
 
 def teo(x) -> np.ndarray:

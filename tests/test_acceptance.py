@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import test_register_map as register_map
 from serial_oracle import serial_detect_multichannel
 from test_metrics import optimal_tp
 from dualteo import (
@@ -28,7 +29,7 @@ from dualteo import (
 from dualteo import detector, hw_model, metrics
 from dualteo.cli import main as cli_main
 from dualteo.detector import DetectorKind
-from dualteo.threshold import FRAME_LEN, WARMUP_SAMPLES, sigma_frames, sigma_frames_q10
+from dualteo.threshold import FRAME_LEN, WARMUP_SAMPLES, sigma_frames
 from dualteo.transforms import smooth2, teo
 
 NOISES = (0.05, 0.1, 0.15, 0.2)
@@ -185,19 +186,23 @@ def test_criterion_3_scheduler_transparency():
     )
 
 
-def test_criterion_4_fixed_point_closure(corpus):
-    cfg = HwConfig()
-    hc = default_hw_coefficients()
-    checked = 0
-    for nv in NOISES:
-        for record, _ in corpus[nv]:
-            q, _ = hw_model.chip_input(record)
-            trace = hw_model.trace_internal(q, cfg, hc)
-            hw_model.assert_closure(trace)
-            sig_q = sigma_frames_q10(hw_model.smooth2_fixed(q.codes))
-            assert sig_q.min() >= 0 and sig_q.max() < cfg.sigma_register_max
-            checked += 1
-    check(4, "fixed-point closure", True, f"all intermediate values in format over {checked} records")
+def test_criterion_4_fixed_point_closure():
+    # proved from the register map for every input (test_register_map.py), not traced over the corpus
+    chip = register_map.CHIP
+    bound = register_map.sigma_bound(chip["halfsum"])
+    float_bits, hw_bits = (
+        register_map.threshold_bits(register_map.COEFFICIENT_SETS[grid], bound - 1)
+        for grid in ("float grid", "hw grid")
+    )
+    overflowing = register_map.faults(chip)
+    check(
+        4, "fixed-point closure",
+        not overflowing,
+        f"raw energies {register_map.raw_energy_range(chip['input'])} and smoothed "
+        f"{register_map.smoothed_energy_range(chip['input'])} fit at drops {register_map.DROPS}; "
+        f"Q.10 sigma < {bound}; thresholds need {float_bits} (float grid) and {hw_bits} (hw grid) "
+        f"of {chip['threshold'].total_bits} bits; registers that overflow: {sorted(overflowing)}",
+    )
 
 
 def test_criterion_5_float_accuracy(accuracy_table):

@@ -265,6 +265,84 @@ class TestDetectCommand:
             assert f"{hdr}:5: repeated header key 'rate_hz'" in capsys.readouterr().err
 
 
+def one_error_line(capsys) -> str:
+    """The one ``error:`` line a refused command printed, after checking that it printed nothing else."""
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+# command, the output path to give it, and the path its error must name;
+# "dir" is an existing directory and "file" an existing file
+OUTPUT_CASES = {
+    "detect-out-directory": ("detect", "dir", "dir"),
+    "detect-out-missing-parent": ("detect", "missing/events.csv", "missing"),
+    "calibrate-out-directory": ("calibrate", "dir", "dir"),
+    "calibrate-out-missing-parent": ("calibrate", "missing/coeffs.txt", "missing"),
+    "generate-out-existing-file": ("generate", "file", "file"),
+    "generate-out-under-a-file": ("generate", "file/sub", "file"),
+    "sweep-out-existing-file": ("sweep", "file", "file"),
+}
+
+
+@pytest.mark.parametrize("command, out, named", OUTPUT_CASES.values(), ids=OUTPUT_CASES.keys())
+def test_unusable_output_path_exits_2_naming_it_before_any_work(tmp_path, capsys, command, out, named):
+    record_path, _ = write_tiny_dataset(tmp_path / "corpus")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "cfg.json").write_text(json.dumps(TINY_CFG))
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"axis": "noise_level", "points": [0.1], "detectors": ["at"], "replicates": 1, "base_cfg": TINY_CFG}
+    ))
+    inputs = {
+        "detect": ["--detector", "dual", "--record", str(record_path)],
+        "calibrate": ["--corpus", str(tmp_path / "corpus")],
+        "generate": ["--config", str(tmp_path / "cfg.json")],
+        "sweep": ["--spec", str(tmp_path / "spec.json")],
+    }
+    before = read_tree(tmp_path)
+    assert main([command, *inputs[command], "--out", str(tmp_path / out)]) == 2
+    assert str(tmp_path / named) in one_error_line(capsys)
+    assert read_tree(tmp_path) == before  # nothing written
+
+
+@pytest.mark.parametrize("payload", [".f32", ".csv"])
+def test_bad_header_value_names_its_header_line(tmp_path, capsys, payload):
+    record_path = tmp_path / f"rec{payload}"
+    save_record(SignalRecord(samples=np.zeros(8), rate_hz=16000.0), record_path)
+    set_header_rate(record_path, "inf")
+    assert main(["detect", "--detector", "dual", "--record", str(record_path)]) == 2
+    assert f"error: {record_path}.hdr:1: rate_hz must be positive and finite, got inf" in one_error_line(capsys)
+
+
+def test_non_finite_csv_sample_names_its_line(tmp_path, capsys):
+    record_path = tmp_path / "rec.csv"
+    save_record(SignalRecord(samples=np.zeros(3), rate_hz=16000.0), record_path)
+    record_path.write_text("0.0\n# a comment\n0.5\nnan\n")
+    assert main(["detect", "--detector", "dual", "--record", str(record_path)]) == 2
+    assert f"error: {record_path}:4: samples must all be finite" in one_error_line(capsys)
+
+
+def test_non_finite_f32_sample_names_its_file(tmp_path, capsys):
+    record_path = tmp_path / "rec.f32"
+    save_record(SignalRecord(samples=np.zeros(3), rate_hz=16000.0), record_path)
+    np.array([0.0, np.inf, 0.0], dtype="<f4").tofile(record_path)
+    assert main(["detect", "--detector", "dual", "--record", str(record_path)]) == 2
+    assert f"error: {record_path}: samples must all be finite" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("5\n3\n", 2, "spike indices must be strictly increasing"),
+    ("# truth\n1\n\n4\n4\n", 5, "spike indices must be strictly increasing"),
+    ("-2\n3\n", 1, "spike indices must be non-negative"),
+])
+def test_bad_truth_names_its_line(tmp_path, capsys, text, lineno, message):
+    record_path, truth_path = write_tiny_dataset(tmp_path)
+    truth_path.write_text(text)
+    assert main(["detect", "--detector", "dual", "--record", str(record_path), "--truth", str(truth_path)]) == 2
+    assert f"error: {truth_path}:{lineno}: {message}" in one_error_line(capsys)
+
+
 class TestSweepCommand:
     def test_writes_csv_and_plot_script(self, tmp_path):
         spec = {

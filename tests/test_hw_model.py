@@ -20,7 +20,6 @@ from dualteo.hw_model import (
     MultichannelStream,
     _align_stream,
     HwTrace,
-    assert_closure,
     chip_input,
     hw_detect_channel,
     hw_detect_multichannel,
@@ -311,18 +310,6 @@ class TestTrace:
                 return
         for col in HwTrace.COLUMNS:
             assert getattr(trace, col).dtype == np.int64 and len(getattr(trace, col)) == len(trace)
-
-    def test_closure_on_random_codes(self):
-        rng = np.random.default_rng(4)
-        trace = trace_internal(quantized(random_codes(rng, 5000)), coeffs=HW_COEFFS)
-        assert_closure(trace)
-
-    def test_closure_catches_escaped_value(self):
-        n = 8
-        cols = {c: np.zeros(n, dtype=np.int64) for c in HwTrace.COLUMNS}
-        cols["x_teo"][3] = 500  # outside 8-bit
-        with pytest.raises(AssertionError, match="x_teo"):
-            assert_closure(HwTrace(**cols))
 
 
 class TestScheduler:

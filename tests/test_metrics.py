@@ -1,3 +1,6 @@
+import runpy
+import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -326,6 +329,34 @@ class TestReport:
         text = report([], "plot_script", tmp_path / "plot.py")
         assert "sweep_results.csv" in text
         assert "matplotlib" in text
+
+    def test_plot_script_skips_comment_and_blank_lines(self, tmp_path, monkeypatch):
+        # matplotlib is optional: a stub pyplot records the curves the script draws
+        drawn = {}
+
+        class Axes:
+            def errorbar(self, xs, ys, yerr, label, **_):
+                drawn[label] = (xs, ys, yerr)
+
+            def __getattr__(self, name):
+                return lambda *args, **kwargs: None
+
+        class Figure:
+            def __getattr__(self, name):
+                return lambda *args, **kwargs: None
+
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.subplots = lambda **_: (Figure(), Axes())
+        monkeypatch.setitem(sys.modules, "matplotlib", types.ModuleType("matplotlib"))
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        results = [SweepResult("noise_level", p, DetectorKind.AT, 0.5 + p, 0.01, 2) for p in (0.2, 0.1)]
+        lines = report(results, "csv").splitlines()
+        lines[1:1] = ["# written by hand", "", "  "]
+        (tmp_path / "sweep_results.csv").write_text("\n".join(lines + ["# end"]) + "\n")
+        report([], "plot_script", tmp_path / "plot_sweep.py")
+        monkeypatch.chdir(tmp_path)
+        runpy.run_path("plot_sweep.py")
+        assert drawn == {"at": ([0.1, 0.2], [60.0, 70.0], [1.0, 1.0])}
 
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(OSError):
