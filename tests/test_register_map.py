@@ -13,7 +13,7 @@ channel can overflow, whatever the codes:
   constants fit the threshold register.
 
 Each register narrowed by one bit below what it needs is rejected, so the
-proof has teeth.  The whole file runs in well under two seconds.
+proof has teeth.  The whole file runs in under two seconds.
 """
 
 import re
