@@ -104,6 +104,8 @@ class SyntheticConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("duration_s", "rate_hz", "noise_level", "firing_rate_hz", "min_isi_s"):
             value = getattr(self, name)
             if not is_finite_real(value):
@@ -123,9 +125,7 @@ class SyntheticConfig:
         if self.min_isi_s < 0:
             raise ValueError("min_isi_s must be >= 0")
         if self.min_isi_s * self.firing_rate_hz >= 1:
-            raise ValueError(
-                "infeasible ISI constraint: min_isi_s * firing_rate_hz must be < 1"
-            )
+            raise ValueError("infeasible ISI constraint: min_isi_s * firing_rate_hz must be < 1")
         n = self.duration_s * self.rate_hz  # finite factors can still overflow
         if not math.isfinite(n) or not 1 <= self.n_samples <= MAX_SAMPLES:
             raise ValueError(

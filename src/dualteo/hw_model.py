@@ -83,6 +83,7 @@ class HwConfig:
 
     The rate and the register map, the signed width of each per-channel register, are class
     constants; ``tests/test_register_map.py`` proves each holds every value 7-bit codes reach.
+    A shift too small for that is refused here, so no energy register ever saturates.
     """
 
     input_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=7)
@@ -94,7 +95,6 @@ class HwConfig:
     sigma_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=8 + SIGMA_FRACTION_BITS)
     threshold_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=32)  # Q.10 thr_x, thr_s
     rate_hz: ClassVar[float] = 16000.0
-    sigma_register_max: ClassVar[int] = sigma_format.max_code + 1
 
     channels: int = 256
     xteo_drop_lsbs: int = 7
@@ -103,8 +103,14 @@ class HwConfig:
     def __post_init__(self):
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
-        if min(self.xteo_drop_lsbs, self.steo_drop_lsbs) < 0:
-            raise ValueError("drop counts must be >= 0")
+        # signed bits of the codes' exact energies, which lie in [-lo*lo, lo*lo - lo*hi]; the
+        # half-sums stay in [lo, hi], so theirs need no more
+        lo, hi = self.input_format.min_code, self.input_format.max_code
+        bits = max(lo * lo - lo * hi, lo * lo - 1).bit_length() + 1
+        for name in ("xteo", "steo"):
+            fmt, drop = getattr(self, f"{name}_format"), getattr(self, f"{name}_drop_lsbs")
+            if drop < (least := max(0, bits - fmt.total_bits)):
+                raise ValueError(f"{name}_drop_lsbs must be >= {least} for the {fmt.total_bits}-bit {name} register")
 
 
 def quantize_for_hw(record: SignalRecord, cfg: HwConfig) -> QuantizedRecord:
@@ -150,8 +156,8 @@ def _prepare_codes(
     the stream takes :func:`_align_stream` of its crossings alone.
     """
     s = smooth2_fixed(codes)
-    x_teo = teo_fixed(codes, cfg.xteo_format, cfg.xteo_drop_lsbs)[rows]
-    s_teo = teo_fixed(s, cfg.steo_format, cfg.steo_drop_lsbs)[rows]
+    x_teo = teo_fixed(codes, cfg.xteo_drop_lsbs)[rows]
+    s_teo = teo_fixed(s, cfg.steo_drop_lsbs)[rows]
     return PreparedDual(
         x_energy=x_teo,
         s_energy=s_teo,
@@ -168,10 +174,7 @@ def prepare_hw_dual(
 ) -> PreparedDual:
     """Coefficient-independent integer pipeline work for one channel."""
     cfg = cfg if cfg is not None else HwConfig()
-    if isinstance(source, SignalRecord):
-        q = quantize_for_hw(source, cfg)
-    else:
-        q = source
+    q = quantize_for_hw(source, cfg) if isinstance(source, SignalRecord) else source
     if q.format != cfg.input_format:
         raise ValueError(
             f"expected {cfg.input_format.total_bits}-bit codes, got {q.format.total_bits}-bit"

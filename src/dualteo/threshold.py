@@ -262,10 +262,10 @@ class Dyadic:
 class ThresholdCoefficients:
     """The three threshold coefficients of :func:`compute_thresholds`.
 
-    Construction rejects a triple whose Q.10 thresholds would leave int64
-    at the largest sigma register (:func:`_check_q10_range`), so every
-    triple, from a file, :meth:`make`, a default grid or a caller's grid,
-    is exact in :func:`compute_thresholds_q10`.
+    Construction rejects a triple whose Q.10 thresholds would leave int64 or
+    their register at any sigma (:func:`_check_q10_range`), so every triple,
+    from a file, :meth:`make`, a default grid or a caller's grid, is exact
+    in :func:`compute_thresholds_q10` and fits the chip.
     """
 
     c1: Dyadic
@@ -369,9 +369,8 @@ def compute_thresholds_q10(sigma_q, coeffs):
 
     Accepts a scalar or an array of sigma values, and one candidate or a
     stack of them, as :func:`compute_thresholds` does.  Sigma registers hold
-    at most 2**17 (``HwConfig.sigma_register_max``), and coefficients
-    whose terms would leave int64 there are rejected on construction, so
-    int64 arithmetic is exact.
+    less than 2**17, and coefficients whose terms would leave int64 there
+    are rejected on construction, so int64 arithmetic is exact.
     """
     x, s1, lin, quad, d = _q10_terms(np.asarray(sigma_q, dtype=np.int64), coeffs)
     return x >> s1, (lin + quad) >> d
@@ -393,16 +392,20 @@ def _q10_terms(sigma_q, coeffs):
 
 
 def _check_q10_range(coeffs: ThresholdCoefficients, origin: str) -> None:
-    """Reject coefficients whose :func:`compute_thresholds_q10` is not exact in int64.
+    """Reject coefficients whose Q.10 thresholds are not exact in int64 or could leave their register.
 
-    Every term grows in magnitude with sigma, so the terms at the largest
-    sigma register, in Python integers, bound them all.
+    Each term grows in magnitude with sigma, so its value at the sigma register's bound bounds it, in
+    Python integers; a register's top bounds its bottom too: ``-t >> s >= -(t >> s) - 1``.
     """
     from .hw_model import HwConfig
 
-    x, _, lin, quad, _ = _q10_terms(HwConfig.sigma_register_max, coeffs)
-    if max(abs(x), abs(lin) + abs(quad)) >= 1 << 63:
+    x, s1, lin, quad, d = _q10_terms(HwConfig.sigma_format.max_code + 1, coeffs)
+    x, s = abs(x), abs(lin) + abs(quad)
+    if max(x, s) >= 1 << 63:
         raise ValueError(f"{origin}: coefficients overflow the int64 Q.10 thresholds")
+    register = HwConfig.threshold_format
+    if max(x >> s1, s >> d) > register.max_code:
+        raise ValueError(f"{origin}: coefficients overflow the {register.total_bits}-bit Q.10 threshold register")
 
 
 # ---------------------------------------------------------------------------

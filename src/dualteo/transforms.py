@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signal_model import FixedPointFormat, compute_dtype, datapath_ints
+from .signal_model import compute_dtype, datapath_ints
 
 __all__ = ["teo", "smooth2", "teo_fixed", "smooth2_fixed"]
 
@@ -70,11 +70,11 @@ def _widener(x: np.ndarray, dtype, rows: int):
     return widen
 
 
-def _teo_blocks(x: np.ndarray, dtype, finish=None) -> np.ndarray:
+def _teo_blocks(x: np.ndarray, dtype, drop_lsbs: int = 0) -> np.ndarray:
     """The energy of ``x`` in ``dtype``, block by block into the array returned.
 
-    One scratch block holds each block's cross products; ``finish`` then
-    maps each block of energies in place.
+    One scratch block holds each block's cross products; each block of
+    energies is then arithmetic-right-shifted by ``drop_lsbs`` in place.
     """
     out = np.zeros(x.shape, dtype)
     n = len(x)
@@ -89,8 +89,8 @@ def _teo_blocks(x: np.ndarray, dtype, finish=None) -> np.ndarray:
         np.multiply(rows[1:-1], rows[1:-1], out=inner)
         np.multiply(rows[2:], rows[:-2], out=cross)
         np.subtract(inner, cross, out=inner)
-        if finish is not None:
-            finish(inner)
+        if drop_lsbs:
+            np.right_shift(inner, drop_lsbs, out=inner)
     return out
 
 
@@ -141,27 +141,21 @@ def smooth2(x) -> np.ndarray:
     return _smooth_blocks(x, x.dtype, np.divide, 2.0)
 
 
-def teo_fixed(x, out_format: FixedPointFormat, drop_lsbs: int = 0) -> np.ndarray:
-    """Integer Teager energy: exact interior arithmetic, then shift-and-saturate.
+def teo_fixed(x, drop_lsbs: int = 0) -> np.ndarray:
+    """Integer Teager energy: exact interior arithmetic, then an arithmetic right shift.
 
-    Interior values are computed exactly in integers, arithmetic-right-shifted
-    by ``drop_lsbs`` (floor semantics: ``-7`` shifted by one is ``-4``), and
-    saturated into ``out_format``; this is the package's one
-    shift-and-saturate.  Boundaries (the first and last row) stay 0.  The
-    input range is not checked here: in the package the codes are 7-bit,
-    checked by a :class:`~dualteo.signal_model.QuantizedRecord` or by the
-    multichannel stream's own check, or are their half-sums; their exact
-    energies need at most 14 bits, and those of any int8 codes at most 16,
-    so an int8 block computes them exactly in int16.
+    Interior values are computed exactly and shifted right by ``drop_lsbs``
+    (a floor: ``-7`` shifted by one is ``-4``); boundaries (the first and
+    last row) stay 0.  The input range is not checked here: in the package
+    the codes are 7-bit, checked by a :class:`~dualteo.signal_model.QuantizedRecord`
+    or by the multichannel stream's own check, or are their half-sums.  Their
+    exact energies need at most 14 bits, those of any int8 codes at most 16,
+    so an int8 block computes them exactly in int16; :class:`~dualteo.hw_model.HwConfig`
+    refuses a drop that leaves them too wide for their register.
     """
     if drop_lsbs < 0:
         raise ValueError(f"drop_lsbs must be >= 0, got {drop_lsbs}")
-
-    def truncate(inner):
-        np.right_shift(inner, drop_lsbs, out=inner)
-        np.clip(inner, out_format.min_code, out_format.max_code, out=inner)
-
-    return _teo_blocks(*_datapath(x), truncate)
+    return _teo_blocks(*_datapath(x), drop_lsbs)
 
 
 def smooth2_fixed(x) -> np.ndarray:

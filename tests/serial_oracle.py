@@ -90,7 +90,9 @@ class SerialChannel:
         self.coeffs = coeffs
         self.refractory = EventFormationConfig.for_rate(cfg.rate_hz).refractory_samples
         self.state = ChannelState(channel_id, n_samples, record_crossings)
-        # precompute comparator constants
+        # precompute comparator constants; the engine clips energies into their
+        # registers on its own, although at every drop pair HwConfig accepts
+        # the clip never fires
         self.xteo_min = cfg.xteo_format.min_code
         self.xteo_max = cfg.xteo_format.max_code
         self.steo_min = cfg.steo_format.min_code

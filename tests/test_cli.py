@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -100,6 +102,20 @@ class TestGenerateCommand:
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_is_refused_by_name_before_any_work(self, tmp_path, capsys):
+        # numpy's generator refused it inside generate, with a message naming no field
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(TINY_CFG))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"axis": "noise_level", "points": [0.1], "detectors": ["at"],
+                                         "replicates": 1, "base_cfg": {**TINY_CFG, "seed": -1}}))
+        out = tmp_path / "o"
+        for argv in (["generate", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"],
+                     ["sweep", "--spec", str(spec_path), "--out", str(out)]):
+            assert main(argv) == 2
+            assert "seed must be >= 0, got -1" in one_error_line(capsys)
+            assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "x.json"), "--out", str(tmp_path)]) == 2
@@ -887,3 +903,77 @@ EMPTY_DATASET = {"samples": 0, "trailing": 0, "record": True, "truth": "", "mani
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_calibrate_corpus_exits_0_or_2(data):
     assert run_calibrate(data) in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Every path argument of every subcommand, drawn as missing, a directory, an
+# existing file, under a missing parent or under a file: exit 0 or 2, and an
+# exit 2 is one error line that names an unusable path
+# ---------------------------------------------------------------------------
+
+PATH_KINDS = ("missing", "directory", "file", "under-missing", "under-file")
+FUZZ_CFG = {"duration_s": 0.3, "noise_level": 0.1, "seed": 3}  # FUZZ_RECORD's
+# each path argument: the kinds it accepts, and what an existing file or
+# directory of it holds when accepted
+PATH_ARGS = {
+    "generate": {"--config": {"file"}, "--out": {"missing", "directory", "under-missing"}},
+    "detect": {"--record": {"file"}, "--truth": {"file"}, "--coeffs": {"file"}, "--out": {"missing", "file"}},
+    "sweep": {"--spec": {"file"}, "--out": {"missing", "directory", "under-missing"}},
+    "calibrate": {"--corpus": {"directory"}, "--out": {"missing", "file"}},
+}
+
+
+def make_path(base: Path, flag: str, kind: str) -> Path:
+    """A path of ``kind`` for ``flag`` under ``base``, laid out as an accepted one would be."""
+    base.mkdir()
+    target = base / ("rec.f32" if flag == "--record" else "target")
+    if kind.startswith("under-"):
+        if kind == "under-file":
+            (base / "parent").write_text("kept\n")
+        return base / "parent" / target.name
+    if kind == "directory":
+        target.mkdir()
+        if flag == "--corpus":
+            save_dataset(FUZZ_RECORD, FUZZ_TRUTH, SyntheticConfig(**FUZZ_CFG), target, "a")
+    elif kind == "file":
+        if flag == "--record":
+            save_record(FUZZ_RECORD, target)
+        else:
+            target.write_text({
+                "--config": json.dumps({"duration_s": 0.01, "rate_hz": 16000.0}),
+                "--truth": "".join(f"{i}\n" for i in FUZZ_TRUTH.spike_indices.tolist()),
+                "--coeffs": "c1 1 0\nc2 0 0\nc3 0 0\n",
+                "--spec": json.dumps({"axis": "noise_level", "points": [0.1], "detectors": ["at"],
+                                      "replicates": 1, "base_cfg": {"duration_s": 0.01}}),
+            }.get(flag, "kept\n"))
+    return target
+
+
+@pytest.mark.parametrize("command", PATH_ARGS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_path_argument_exits_0_or_2_naming_the_path(command, data):
+    accepted = PATH_ARGS[command]
+    # an accepted kind about half the time, so every path is usable in some runs
+    kinds = [data.draw(st.sampled_from(sorted(accepted[flag])) | st.sampled_from(PATH_KINDS), label=flag)
+             for flag in accepted]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {flag: make_path(Path(tmp) / flag.strip("-"), flag, kind) for flag, kind in zip(accepted, kinds)}
+        argv = [command] + (["--detector", "dual"] if command == "detect" else [])
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    # an unusable path is named as given, or by the parent that makes it unusable
+    unusable = [name for (flag, path), kind in zip(paths.items(), kinds) if kind not in accepted[flag]
+                for name in (str(path), str(path.parent))[:1 + kind.startswith("under-")]]
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if not unusable:
+        assert code == 0, err
+    else:
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert any(name in err for name in unusable), err

@@ -36,7 +36,9 @@ RECORDS = st.builds(
     rate_hz=st.floats(1.0, 1e6),
     channel_id=st.integers(0, 300),
 )
-NUMERATORS = st.sampled_from([0, 1, 3, 5, 6, 12, -1, -3, -12, 1 << 20])
+# 96 (two set bits) is the widest of these that every position and shift 0..12
+# hold within the 32-bit threshold register
+NUMERATORS = st.sampled_from([0, 1, 3, 5, 6, 12, -1, -3, -12, 96])
 COEFFICIENTS = st.builds(
     ThresholdCoefficients,
     *[st.builds(Dyadic, NUMERATORS, st.integers(0, 12)) for _ in range(3)],

@@ -12,8 +12,13 @@ channel can overflow, whatever the codes:
   grids, of both shipped coefficient files and of the tests' coefficient
   constants fit the threshold register.
 
-Each register narrowed by one bit below what it needs is rejected, so the
-proof has teeth.  The whole file runs in under two seconds.
+The package decides overflow once, where a configuration enters: ``HwConfig``
+constructs exactly at the drop pairs whose exact energy ranges fit, and
+``ThresholdCoefficients`` refuses a triple whose thresholds could leave the
+threshold register.  Nothing is clipped per sample, so these checks are
+what keeps every register in range.  Each register narrowed by one bit
+below what it needs is rejected, so the proof has teeth.  The whole file
+runs in under two seconds.
 """
 
 import re
@@ -33,11 +38,13 @@ from dualteo.threshold import (
     FRAME_LEN,
     SIGMA_FRACTION_BITS,
     UNMEASURED,
+    ThresholdCoefficients,
     _coefficient_grid,
     _q10_terms,
     default_float_coefficients,
     default_hw_coefficients,
     initial_sigma_q10,
+    load_coefficients,
     sigma_frames_q10,
 )
 from dualteo.transforms import smooth2_fixed, teo_fixed
@@ -142,7 +149,45 @@ def faults(regs: dict, drops=DROPS, coefficient_sets=COEFFICIENT_SETS) -> set:
 
 def test_the_chip_register_map_is_closed():
     assert faults(CHIP) == set()
-    assert HwConfig.sigma_register_max == CHIP["sigma"].max_code + 1 > sigma_bound(CHIP["halfsum"]) - 1
+
+
+def test_hw_config_constructs_exactly_at_the_drops_whose_energies_fit():
+    raw, smoothed = raw_energy_range(CHIP["input"]), smoothed_energy_range(CHIP["input"])
+    for x in range(17):
+        for s in range(17):
+            fits = (holds(CHIP["xteo"], raw[0] >> x, raw[1] >> x)
+                    and holds(CHIP["steo"], smoothed[0] >> s, smoothed[1] >> s))
+            try:
+                HwConfig(xteo_drop_lsbs=x, steo_drop_lsbs=s)
+            except ValueError:
+                assert not fits, (x, s)
+            else:
+                assert fits, (x, s)
+    for drops, register in (((5, 5), "8-bit xteo register"), ((6, 4), "9-bit steo register"),
+                            ((-1, 6), "xteo"), ((7, -1), "steo")):
+        with pytest.raises(ValueError, match=register):
+            HwConfig(xteo_drop_lsbs=drops[0], steo_drop_lsbs=drops[1])
+    for x, s in DROPS:  # every pair searched, and the default pair
+        HwConfig(xteo_drop_lsbs=x, steo_drop_lsbs=s)
+
+
+def test_threshold_coefficients_beyond_the_register_are_refused(tmp_path):
+    # c1 = 3 * 2**20 takes thr_x to 3 * 2**37 at the sigma register's bound: 39 signed bits
+    with pytest.raises(ValueError, match="32-bit Q.10 threshold register"):
+        ThresholdCoefficients.make((3 << 20, 0), (0, 0), (0, 0))
+    path = tmp_path / "wide.txt"
+    path.write_text("c1 3145728 0\nc2 0 0\nc3 0 0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*32-bit Q.10 threshold register"):
+        load_coefficients(path)
+    # the widest c1 of shift 0 that fits: 2**13 * 2**17 = 2**30
+    ThresholdCoefficients.make((1 << 13, 0), (0, 0), (0, 0))
+    with pytest.raises(ValueError, match="threshold register"):
+        ThresholdCoefficients.make((1 << 14, 0), (0, 0), (0, 0))
+    # every coefficient set the proof covers constructed at import, and the
+    # proof's own bound agrees that they fit at the sigma register's bound
+    bound = 1 << (CHIP["sigma"].total_bits - 1)
+    for coeffs in COEFFICIENT_SETS.values():
+        assert threshold_bits(coeffs, bound) <= CHIP["threshold"].total_bits
 
 
 def test_exact_energy_ranges_of_7_bit_codes():
@@ -154,12 +199,12 @@ def test_exact_energy_ranges_of_7_bit_codes():
 def test_energy_ranges_equal_brute_force_through_the_kernels(bits):
     # every window of codes, one per column, through the package's own kernels
     # in the stream's dtypes: int8 codes and half-sums, energies in int16
-    fmt, wide = FixedPointFormat(total_bits=bits), FixedPointFormat(total_bits=16)
+    fmt = FixedPointFormat(total_bits=bits)
     c = codes(fmt).astype(np.int8)
     triples = np.stack(np.meshgrid(c, c, c, indexing="ij")).reshape(3, -1)
     windows = np.stack(np.meshgrid(c, c, c, c, indexing="ij")).reshape(4, -1)  # x[k-2] .. x[k+1]
-    raw = teo_fixed(triples, wide)[1]
-    smoothed = teo_fixed(smooth2_fixed(windows)[1:], wide)[1]
+    raw = teo_fixed(triples)[1]
+    smoothed = teo_fixed(smooth2_fixed(windows)[1:])[1]
     assert raw_energy_range(fmt) == (raw.min(), raw.max())
     assert smoothed_energy_range(fmt) == (smoothed.min(), smoothed.max())
 
@@ -202,8 +247,8 @@ def test_sigma_loop_steps_as_the_bound_assumes():
     assert register == 0
 
 
-# signed widths at the sigma bound; at sigma_register_max (2**17) the
-# magnitudes would take 29 and 26 bits
+# signed widths at the sigma bound; at the sigma register's bound (2**17),
+# which the construction check uses, the magnitudes would take 29 and 26 bits
 @pytest.mark.parametrize("name, bits", [("float grid", 28), ("hw grid", 25)])
 def test_default_grids_need_their_measured_threshold_width(name, bits):
     coeffs = COEFFICIENT_SETS[name]

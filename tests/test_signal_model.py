@@ -142,7 +142,7 @@ def test_datapath_ints_widths(dtype, work):
 
 DATAPATH_KERNELS = {
     "smooth2_fixed": smooth2_fixed,
-    "teo_fixed": lambda codes: teo_fixed(codes, FixedPointFormat(total_bits=32)),
+    "teo_fixed": teo_fixed,
     "sigma_frames_q10": sigma_frames_q10,
 }
 

@@ -536,11 +536,18 @@ class TestCoefficientFiles:
         assert str(raised.value).startswith(f"{path}: ")
 
     def test_constructor_takes_the_widest_exact_terms(self):
-        # at the largest sigma register, 2**17, c1 * sigma_q reaches 2**62,
-        # and so does c2 * sigma_q over thr_s's common denominator 2**10
-        coeffs = ThresholdCoefficients.make((1 << 45, 0), (1 << 35, 0), (0, 0))
+        # at the sigma register's bound, 2**17, c1 * sigma_q reaches 2**62, and
+        # so does c2 * sigma_q over thr_s's common denominator 2**32; both
+        # thresholds then shift down to 2**30, inside the 32-bit register
+        coeffs = ThresholdCoefficients.make((1 << 45, 32), (1 << 45, 32), (0, 0))
         thr_x, thr_s = compute_thresholds_q10(1 << 17, coeffs)
-        assert (thr_x, thr_s) == (1 << 62, 1 << 52)
+        assert (thr_x, thr_s) == (1 << 30, 1 << 30)
+        # one bit more overflows int64, one shift less the register
+        with pytest.raises(ValueError, match="overflow the int64"):
+            ThresholdCoefficients.make((1 << 46, 33), (0, 0), (0, 0))
+        for wider in (((1 << 45, 31), (0, 0), (0, 0)), ((0, 0), (1 << 45, 31), (0, 0))):
+            with pytest.raises(ValueError, match="32-bit Q.10 threshold register"):
+                ThresholdCoefficients.make(*wider)
 
     def test_bundled_defaults_parse(self):
         for load in (default_float_coefficients, default_hw_coefficients):

@@ -10,8 +10,6 @@ from dualteo.hw_model import HwConfig, MultichannelStream
 from dualteo.signal_model import FixedPointFormat, datapath_ints
 from dualteo.transforms import smooth2, smooth2_fixed, teo, teo_fixed
 
-WIDE = FixedPointFormat(total_bits=32)
-
 codes7 = st.lists(st.integers(min_value=-64, max_value=63), min_size=3, max_size=200)
 
 
@@ -67,90 +65,81 @@ class TestSmooth2:
 
 class TestTeoFixed:
     def test_all_zero(self):
-        out = teo_fixed(np.zeros(10, dtype=int), WIDE, 0)
+        out = teo_fixed(np.zeros(10, dtype=int))
         assert np.all(out == 0)
 
     def test_constant_annihilation_in_integers(self):
-        out = teo_fixed([3, 3, 3], WIDE, 0)
+        out = teo_fixed([3, 3, 3])
         assert out.tolist() == [0, 0, 0]
 
     def test_impulse(self):
-        out = teo_fixed([0, 10, 0], WIDE, 0)
+        out = teo_fixed([0, 10, 0])
         assert out.tolist() == [0, 100, 0]
 
     @given(codes7)
     def test_matches_pure_python_oracle(self, codes):
-        got = teo_fixed(codes, WIDE, 0).tolist()
+        got = teo_fixed(codes).tolist()
         oracle = [0] * len(codes)
         for k in range(1, len(codes) - 1):
             oracle[k] = codes[k] * codes[k] - codes[k + 1] * codes[k - 1]
         assert got == oracle
 
-    @given(codes7, st.integers(min_value=0, max_value=8))
-    def test_truncation_matches_shift_then_clamp_oracle(self, codes, drop):
-        out8 = FixedPointFormat(total_bits=8)
-        got = teo_fixed(codes, out8, drop).tolist()
+    @given(codes7, st.integers(min_value=0, max_value=16))
+    def test_truncation_matches_shift_oracle(self, codes, drop):
+        got = teo_fixed(codes, drop).tolist()
         for k in range(1, len(codes) - 1):
-            exact = codes[k] * codes[k] - codes[k + 1] * codes[k - 1]
-            expect = min(max(exact >> drop, out8.min_code), out8.max_code)
-            assert got[k] == expect
+            assert got[k] == (codes[k] * codes[k] - codes[k + 1] * codes[k - 1]) >> drop
         assert got[0] == 0 and got[-1] == 0
 
 
-def energies_of(values, fmt, drop):
+def energies_of(values, drop):
     """``teo_fixed``'s output for interior energies equal to ``values``.
 
     Column ``c`` of the block ``[-1, 0, values[c]]`` has the exact energy
     ``0*0 - values[c]*(-1) = values[c]``, so the middle row is the
-    shift-and-saturate of ``values`` alone.
+    shift of ``values`` alone.
     """
     values = np.asarray(values)
     block = np.stack([np.full_like(values, -1), np.zeros_like(values), values])
-    return teo_fixed(block, fmt, drop)[1]
+    return teo_fixed(block, drop)[1]
 
 
 class TestTeoFixedShiftAndSaturate:
-    WIDE = FixedPointFormat(total_bits=24)
+    """The shift: ``teo_fixed`` never saturates, since ``HwConfig`` refuses every
+    drop under which an energy of 7-bit codes would leave its register."""
 
     def test_identity_at_zero_drop(self):
-        assert energies_of([5], self.WIDE, 0).tolist() == [5]
+        assert energies_of([5], 0).tolist() == [5]
 
     def test_floor_semantics_for_negatives(self):
-        assert energies_of([-7], self.WIDE, 1).tolist() == [-4]
-
-    def test_saturation_into_narrow_format(self):
-        assert energies_of([300, -300], FixedPointFormat(total_bits=8), 0).tolist() == [127, -128]
+        assert energies_of([-7], 1).tolist() == [-4]
 
     def test_rejects_negative_drop(self):
         with pytest.raises(ValueError):
-            teo_fixed([1, 2, 3], self.WIDE, -1)
+            teo_fixed([1, 2, 3], -1)
 
     def test_full_range_against_floor_division_oracle(self):
         # the implementation shifts; the oracle divides
         values = np.arange(-(1 << 20), (1 << 20) + 1, dtype=np.int64)
         for drop in range(9):
-            got = energies_of(values, self.WIDE, drop)
-            oracle = np.clip(
-                np.floor_divide(values, 1 << drop), self.WIDE.min_code, self.WIDE.max_code
-            )
-            assert np.array_equal(got, oracle), f"mismatch at drop={drop}"
+            got = energies_of(values, drop)
+            assert np.array_equal(got, np.floor_divide(values, 1 << drop)), f"mismatch at drop={drop}"
 
     @given(st.integers(min_value=-(1 << 30), max_value=1 << 30), st.integers(min_value=0, max_value=12))
     def test_scalar_matches_floor_division(self, value, drop):
-        assert energies_of([value], self.WIDE, drop).tolist() == [
-            min(max(value // (1 << drop), self.WIDE.min_code), self.WIDE.max_code)
-        ]
+        assert energies_of([value], drop).tolist() == [value // (1 << drop)]
 
     @pytest.mark.parametrize("drop", range(9))
     @pytest.mark.parametrize("bits", [2, 7, 8, 9, 16, 24])
     def test_int8_arrays_compute_in_int16_exactly(self, drop, bits):
-        fmt = FixedPointFormat(total_bits=bits)
-        values = np.arange(-128, 128, dtype=np.int8)
-        got = energies_of(values, fmt, drop)
+        # every int8 code of a ``bits``-bit format, as energies
+        fmt = FixedPointFormat(total_bits=min(bits, 8))
+        values = np.arange(fmt.min_code, fmt.max_code + 1, dtype=np.int8)
+        got = energies_of(values, drop)
         assert got.dtype == np.int16
-        assert np.array_equal(got, energies_of(values.astype(np.int64), fmt, drop))
-        assert np.array_equal(got, np.clip(np.arange(-128, 128) // (1 << drop), fmt.min_code, fmt.max_code))
-        assert values.tolist() == list(range(-128, 128))  # the input is left alone
+        assert np.array_equal(got, energies_of(values.astype(np.int64), drop))
+        assert np.array_equal(got, np.arange(fmt.min_code, fmt.max_code + 1) // (1 << drop))
+        assert values.tolist() == list(range(fmt.min_code, fmt.max_code + 1))  # the input is left alone
 
 
 class TestSmooth2Fixed:
@@ -193,8 +182,7 @@ class TestSmooth2Fixed:
 def test_int32_block_equals_int64_columns(seed, n, channels, drop):
     # a time-major int32 block runs every column as its own int64 channel would
     block = np.random.default_rng(seed).integers(-64, 64, size=(n, channels)).astype(np.int32)
-    out8 = FixedPointFormat(total_bits=8)
-    for kernel in (smooth2_fixed, lambda x: teo_fixed(x, out8, drop), lambda x: teo_fixed(smooth2_fixed(x), out8, drop)):
+    for kernel in (smooth2_fixed, lambda x: teo_fixed(x, drop), lambda x: teo_fixed(smooth2_fixed(x), drop)):
         got = kernel(block)
         assert got.dtype == np.int32 and got.shape == block.shape
         for c in range(channels):
@@ -223,11 +211,11 @@ def full_range_int8_block(seed, n, channels):
 def test_int8_block_equals_int64_columns(seed, n, channels, drop):
     # an int8 block computes in int16: half-sums come back int8, energies int16
     block = full_range_int8_block(seed, n, channels)
-    exact = FixedPointFormat(total_bits=17)  # wider than int16: nothing saturates
-    kernels = [(smooth2_fixed, np.int8)] + [
-        (lambda x, fmt=fmt: teo_fixed(x, fmt, drop), np.int16)
-        for fmt in (FixedPointFormat(total_bits=8), FixedPointFormat(total_bits=9), exact)
-    ] + [(lambda x: teo_fixed(smooth2_fixed(x), exact, drop), np.int16)]
+    kernels = [
+        (smooth2_fixed, np.int8),
+        (lambda x: teo_fixed(x, drop), np.int16),
+        (lambda x: teo_fixed(smooth2_fixed(x), drop), np.int16),
+    ]
     for kernel, dtype in kernels:
         got = kernel(block)
         assert got.dtype == dtype and got.shape == block.shape
@@ -239,7 +227,7 @@ def test_int8_block_equals_int64_columns(seed, n, channels, drop):
 def test_int8_energies_span_the_exact_int16_range():
     # the extreme energies of int8 codes: 0**2 - (-128)(-128) and (-128)**2 - (-128)(127)
     block = np.array([[-128, -128], [0, -128], [-128, 127]], dtype=np.int8)
-    energies = teo_fixed(block, FixedPointFormat(total_bits=17))
+    energies = teo_fixed(block)
     assert energies.dtype == np.int16
     assert energies[1].tolist() == [-16384, 32640]
 
@@ -259,12 +247,11 @@ def test_other_integer_inputs_widen_to_int64_and_stay_exact(dtype):
     codes = np.random.default_rng(3).integers(lo, hi, size=(300, 5), endpoint=True).astype(dtype)
     codes[:3, 0] = [lo, hi, lo]
     wide = codes.astype(np.int64)
-    for kernel in (smooth2_fixed, lambda x: teo_fixed(x, WIDE, 2)):
+    for kernel in (smooth2_fixed, lambda x: teo_fixed(x, 2)):
         got = kernel(codes)
         assert got.dtype == np.int64 and np.array_equal(got, kernel(wide))
-    energies = teo_fixed(codes, WIDE)
-    oracle = np.clip(wide[1:-1] ** 2 - wide[2:] * wide[:-2], WIDE.min_code, WIDE.max_code)
-    assert np.array_equal(energies[1:-1], oracle)
+    energies = teo_fixed(codes)
+    assert np.array_equal(energies[1:-1], wide[1:-1] ** 2 - wide[2:] * wide[:-2])
 
 
 # the whole-array formulas the blocked kernels replaced
@@ -284,11 +271,11 @@ def smooth2_formula(x):
     return s
 
 
-def teo_fixed_formula(x, fmt, drop):
+def teo_fixed_formula(x, drop):
     x = datapath_ints(x)
     out = np.zeros_like(x)
     if len(x) >= 3:
-        out[1:-1] = np.clip((x[1:-1] * x[1:-1] - x[2:] * x[:-2]) >> drop, fmt.min_code, fmt.max_code)
+        out[1:-1] = (x[1:-1] * x[1:-1] - x[2:] * x[:-2]) >> drop
     return out
 
 
@@ -298,9 +285,6 @@ def smooth2_fixed_formula(x):
     if len(x) >= 2:
         s[1:] = (wide[1:] + wide[:-1]) >> 1
     return s.astype(np.int8) if np.asarray(x).dtype == np.int8 else s
-
-
-FMT9 = FixedPointFormat(total_bits=9)
 
 
 @pytest.mark.parametrize("block_cells", [1, 2, 3, 5, 8])
@@ -320,7 +304,7 @@ def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, block_cells, ch
         for dtype in (np.int8, np.int32, np.int64):
             codes = rng.integers(-128, 128, size=shape).astype(dtype)
             for drop in (0, 3):
-                got, want = teo_fixed(codes, FMT9, drop), teo_fixed_formula(codes, FMT9, drop)
+                got, want = teo_fixed(codes, drop), teo_fixed_formula(codes, drop)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
             got, want = smooth2_fixed(codes), smooth2_fixed_formula(codes)
@@ -340,7 +324,7 @@ def test_a_stream_chunk_is_one_block_and_a_record_several():
 
 @pytest.mark.parametrize("kernel, dtype", [
     (teo, np.float64), (smooth2, np.float64),
-    (lambda x: teo_fixed(x, FMT9, 1), np.int8), (smooth2_fixed, np.int8),
+    (lambda x: teo_fixed(x, 1), np.int8), (smooth2_fixed, np.int8),
 ])
 def test_kernels_allocate_only_their_output_and_one_block(monkeypatch, kernel, dtype):
     block_cells = 1 << 10
