@@ -333,8 +333,11 @@ def resample(record: SignalRecord, new_rate_hz: float) -> SignalRecord:
             f"resampling {n_old} samples from {record.rate_hz} Hz to {new_rate_hz} Hz "
             f"gives {n_new}, more than {MAX_SAMPLES}"
         )
-    positions = np.arange(n_new) * (record.rate_hz / new_rate_hz)
-    samples = np.interp(positions, np.arange(n_old), record.samples)
+    # float64 grids from the start: every index below 2**53 converts exactly,
+    # and np.interp would convert integer grids to float64 itself
+    positions = np.arange(n_new, dtype=np.float64)
+    positions *= record.rate_hz / new_rate_hz
+    samples = np.interp(positions, np.arange(n_old, dtype=np.float64), record.samples)
     return SignalRecord(samples=samples, rate_hz=new_rate_hz, channel_id=record.channel_id)
 
 

@@ -14,23 +14,24 @@ constants, read from the same place.
 Records enter through one input stage, :func:`chip_input`.  There is one
 datapath, and its kernels work along axis 0 of either one channel ``(n,)``
 or a time-major block ``(n, channels)``.
-:func:`prepare_hw_dual` is the one-channel case, in int64:
-:func:`hw_detect_channel` finishes it with :func:`~dualteo.detector.finish_dual`
-and :func:`trace_internal` exposes its every intermediate value.
+:func:`prepare_hw_dual` is the whole-record case, in int64, which
+:func:`~dualteo.detector.finish_dual` finishes: hw calibration prepares its
+records with it once for every candidate, and :func:`trace_internal`
+exposes its every intermediate value.
 :class:`MultichannelStream` is the block case: it walks the interleaved
 stream in time chunks of one kernel block of cells
 (:data:`~dualteo.transforms.BLOCK_CELLS`) across all channels, in the
 register map's dtypes: int8 codes and half-sums, int16 energies and int32
 sigma registers; :func:`hw_detect_multichannel` is one final run of its
-chunk loop.  Neither case ever shifts data into Q.10: each compare against
-a Q.10 register shifts the register down instead, which is the same
-integer compare.
+chunk loop, and so is :func:`hw_detect_channel`, on one channel.  Neither
+case ever shifts data into Q.10: each compare against a Q.10 register
+shifts the register down instead, which is the same integer compare.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -44,7 +45,7 @@ from .detector import (
     _frame_thresholds,
     _merge_runs,
     dual_crossing_streams,
-    finish_dual,
+    finish_dual,  # unused here; perfbench/tracing.py rebinds this name to trace the record path
 )
 from .signal_model import (
     FixedPointFormat,
@@ -83,7 +84,9 @@ class HwConfig:
 
     The rate and the register map, the signed width of each per-channel register, are class
     constants; ``tests/test_register_map.py`` proves each holds every value 7-bit codes reach.
-    A shift too small for that is refused here, so no energy register ever saturates.
+    A shift too small for that is refused here, so no energy register ever saturates; so is a
+    shift wider than the exact energies, which would leave only 0 and -1 and could push the
+    alignment's left shift past the width of its int64.
     """
 
     input_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=7)
@@ -109,8 +112,10 @@ class HwConfig:
         bits = max(lo * lo - lo * hi, lo * lo - 1).bit_length() + 1
         for name in ("xteo", "steo"):
             fmt, drop = getattr(self, f"{name}_format"), getattr(self, f"{name}_drop_lsbs")
-            if drop < (least := max(0, bits - fmt.total_bits)):
-                raise ValueError(f"{name}_drop_lsbs must be >= {least} for the {fmt.total_bits}-bit {name} register")
+            if not (least := max(0, bits - fmt.total_bits)) <= drop <= bits:
+                raise ValueError(
+                    f"{name}_drop_lsbs must be in [{least}, {bits}] for the {fmt.total_bits}-bit {name} register"
+                )
 
 
 def quantize_for_hw(record: SignalRecord, cfg: HwConfig) -> QuantizedRecord:
@@ -175,13 +180,18 @@ def prepare_hw_dual(
     """Coefficient-independent integer pipeline work for one channel."""
     cfg = cfg if cfg is not None else HwConfig()
     q = quantize_for_hw(source, cfg) if isinstance(source, SignalRecord) else source
+    _check_chip_codes(q, cfg)
+    return _prepare_codes(q.codes, cfg, q.channel_id)
+
+
+def _check_chip_codes(q: QuantizedRecord, cfg: HwConfig) -> None:
+    """Refuse codes of another format than the chip's input, or at another rate."""
     if q.format != cfg.input_format:
         raise ValueError(
             f"expected {cfg.input_format.total_bits}-bit codes, got {q.format.total_bits}-bit"
         )
     if q.rate_hz != cfg.rate_hz:
         raise ValueError(f"expected rate {cfg.rate_hz} Hz, got {q.rate_hz} Hz")
-    return _prepare_codes(q.codes, cfg, q.channel_id)
 
 
 def hw_detect_channel(
@@ -189,13 +199,19 @@ def hw_detect_channel(
     cfg: HwConfig | None = None,
     coeffs: ThresholdCoefficients | None = None,
 ) -> list[SpikeEvent]:
-    """Integer-only dual detection of one quantized channel."""
-    if coeffs is None:
-        coeffs = default_hw_coefficients()
+    """Integer-only dual detection of one quantized channel.
+
+    The channel is one final feed of a one-channel :class:`MultichannelStream`,
+    so it runs the stream's chunk loop in the register map's dtypes; its
+    events equal those of the record path,
+    ``finish_dual(prepare_hw_dual(q, cfg), coeffs)``.
+    """
+    cfg = cfg if cfg is not None else HwConfig()
     if not _check_warmup(q):
         return []
-    prep = prepare_hw_dual(q, cfg)
-    return finish_dual(prep, coeffs)
+    _check_chip_codes(q, cfg)
+    (events,) = MultichannelStream(replace(cfg, channels=1), coeffs)._feed(q.codes, final=True)
+    return [SpikeEvent(channel_id=q.channel_id, sample_index=e.sample_index) for e in events]
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,22 @@ class TestResample:
             out = resample(record, new_rate)
             assert abs(out.duration_s - record.duration_s) <= 1.0 / new_rate
 
+    @given(
+        n_old=st.integers(1, 5000),
+        rates=st.sampled_from([(24000.0, 16000.0), (16000.0, 24000.0), (44100.0, 16000.0), (8000.0, 48000.0)])
+        | st.tuples(st.floats(1000.0, 50000.0), st.floats(1000.0, 50000.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_old=240000, rates=(24000.0, 16000.0), seed=1)  # a 10 s record, as detect --hw takes it
+    @settings(max_examples=60, deadline=None)
+    def test_equals_interp_on_integer_grids_bit_for_bit(self, n_old, rates, seed):
+        old, new = rates
+        x = np.random.default_rng(seed).standard_normal(n_old)
+        out = resample(SignalRecord(x, rate_hz=old), new)
+        n_new = len(x) if old == new else round(n_old * new / old)
+        want = np.interp(np.arange(n_new) * (old / new), np.arange(n_old), x)
+        assert out.samples.dtype == np.float64 and out.samples.tobytes() == want.tobytes()
+
     def test_truth_rescaling_rounds_and_clips(self):
         truth = GroundTruth(spike_indices=np.array([0, 100, 299]))
         out = rescale_ground_truth(truth, 24000.0, 16000.0, n_new=200)

@@ -1,6 +1,7 @@
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -161,18 +162,20 @@ class TestHwDetectChannel:
         assert hw_detect_channel(q, coeffs=HW_COEFFS) == []
 
     def test_rate_mismatch_rejected(self):
-        q = quantized(np.zeros(100, dtype=int), rate=24000.0)
-        with pytest.raises(ValueError, match="rate"):
-            prepare_hw_dual(q, HwConfig())
+        q = quantized(np.zeros(8192, dtype=int), rate=24000.0)
+        for detect in (prepare_hw_dual, hw_detect_channel):
+            with pytest.raises(ValueError, match="rate"):
+                detect(q, HwConfig())
 
     def test_format_mismatch_rejected(self):
         q = QuantizedRecord(
-            codes=np.zeros(100, dtype=np.int64),
+            codes=np.zeros(8192, dtype=np.int64),
             format=FixedPointFormat(total_bits=8),
             rate_hz=16000.0,
         )
-        with pytest.raises(ValueError, match="7-bit"):
-            prepare_hw_dual(q, HwConfig())
+        for detect in (prepare_hw_dual, hw_detect_channel):
+            with pytest.raises(ValueError, match="7-bit"):
+                detect(q, HwConfig())
 
     def test_short_record_warns(self):
         q = quantized(np.zeros(100, dtype=int))
@@ -322,10 +325,8 @@ class TestScheduler:
             stream, cfg, HW_COEFFS, return_crossings=True
         )
         for ch in range(cfg.channels):
-            q = quantized(stream[:, ch], channel=ch)
-            expect_events = hw_detect_channel(q, cfg, HW_COEFFS)
-            assert events[ch] == expect_events, f"channel {ch} events differ"
-            prep = prepare_hw_dual(q, cfg)
+            prep = prepare_hw_dual(quantized(stream[:, ch], channel=ch), cfg)
+            assert events[ch] == finish_dual(prep, HW_COEFFS), f"channel {ch} events differ"
             cx, cs = dual_crossing_streams(prep, HW_COEFFS)
             assert np.array_equal(crossings[ch], cx | cs), f"channel {ch} crossings differ"
 
@@ -556,7 +557,7 @@ class TestNarrowComparator:
         detect_multichannel_checked(stream, cfg, coeffs)
 
 
-@pytest.mark.parametrize("drops", [(7, 6), (6, 5), (8, 5), (9, 5), (20, 5), (6, 30)])
+@pytest.mark.parametrize("drops", [(7, 6), (6, 5), (8, 5), (9, 5), (14, 5), (6, 14)])
 def test_align_stream_of_int16_energies_equals_int64(drops):
     # every 8- and 9-bit register value, shifted onto the common scale
     cfg = HwConfig(xteo_drop_lsbs=drops[0], steo_drop_lsbs=drops[1])
@@ -564,6 +565,28 @@ def test_align_stream_of_int16_energies_equals_int64(drops):
     s = np.arange(-256, 256).astype(np.int16)
     got = _align_stream(x, s, cfg)
     assert np.array_equal(got, _align_stream(x.astype(np.int64), s.astype(np.int64), cfg))
+
+
+def test_drops_past_the_energies_width_are_refused_and_every_other_pair_aligns_exactly():
+    # a left shift by 64 or more wraps numpy's int64 to 0, where Python's integers grow
+    for drops, register in (((6, 70), "9-bit steo register"), ((15, 5), "8-bit xteo register")):
+        with pytest.raises(ValueError, match=register):
+            HwConfig(xteo_drop_lsbs=drops[0], steo_drop_lsbs=drops[1])
+    x = np.resize(np.arange(-128, 128), 512)
+    s = np.arange(-256, 256)
+    accepted = 0
+    for xdrop in range(21):
+        for sdrop in range(21):
+            try:
+                cfg = HwConfig(xteo_drop_lsbs=xdrop, steo_drop_lsbs=sdrop)
+            except ValueError:
+                continue
+            accepted += 1
+            base = min(xdrop, sdrop)
+            want = [max(a << (xdrop - base), b << (sdrop - base)) for a, b in zip(x.tolist(), s.tolist())]
+            for dtype in (np.int16, np.int64):
+                assert _align_stream(x.astype(dtype), s.astype(dtype), cfg).tolist() == want, (xdrop, sdrop)
+    assert accepted == 9 * 10  # xteo drops 6..14, steo drops 5..14
 
 
 class TestInt8Streams:
@@ -579,8 +602,8 @@ class TestInt8Streams:
         assert events == expected
         assert np.array_equal(crossings, expected_crossings)
 
-    # (20, 5): a negative raw energy truncates to -1 and aligns as -2**15
-    @pytest.mark.parametrize("drops", [(7, 6), (6, 5), (12, 5), (20, 5)])
+    # (14, 5): a negative raw energy truncates to -1 and aligns as -2**9
+    @pytest.mark.parametrize("drops", [(7, 6), (6, 5), (12, 5), (14, 5)])
     @pytest.mark.parametrize("coeffs", [
         HW_COEFFS,
         ThresholdCoefficients.make((1 << 10, 0), (1 << 10, 0), (-1, 10)),
@@ -766,8 +789,30 @@ class TestStream:
         cfg = HwConfig(channels=1)
         assert len(q) > MultichannelStream(cfg)._chunk
         events, crossings = hw_detect_multichannel(q.codes[:, None], cfg, return_crossings=True)
-        assert events == [hw_detect_channel(q, cfg)] and len(events[0]) > 100
+        assert events == [finish_dual(prepare_hw_dual(q, cfg), default_hw_coefficients())] and len(events[0]) > 100
         assert np.array_equal(crossings[0], trace_internal(q, cfg).crossing.astype(bool))
+
+    @pytest.mark.parametrize("drops", [(6, 5), (7, 6), (14, 5)])
+    @pytest.mark.parametrize("coeffs", [HW_COEFFS, EXTREME_COEFFS], ids=["hw", "extreme"])
+    def test_hw_detect_channel_equals_the_record_path_across_chunk_ends(self, drops, coeffs):
+        cfg = HwConfig(xteo_drop_lsbs=drops[0], steo_drop_lsbs=drops[1])
+        chunk = MultichannelStream(replace(cfg, channels=1))._chunk
+        assert chunk == 1 << 17
+        gap = EventFormationConfig.for_rate(cfg.rate_hz).refractory_samples
+        codes = spiky_stream(np.random.default_rng(41), 2 * chunk + 1, 1)[:, 0]
+        # a quiet stretch, then a burst whose event is open when the first chunk ends
+        codes[chunk - 40:chunk + 40] = 0
+        codes[chunk - 6:chunk + 8:4] = 50
+        near_chunk_end = 0
+        for n in [WARMUP_SAMPLES + 1, WARMUP_SAMPLES + 256, *(chunk + k for k in (0, 1, 2, 255, 256, 257)),
+                  2 * chunk + 1]:
+            q = quantized(codes[:n], channel=5)
+            events = hw_detect_channel(q, cfg, coeffs)
+            assert events == finish_dual(prepare_hw_dual(q, cfg), coeffs), n
+            assert all(e.channel_id == 5 for e in events) and (events or n == WARMUP_SAMPLES + 1), n
+            near_chunk_end += any(abs(e.sample_index - chunk) < gap for e in events)
+        if coeffs is HW_COEFFS:
+            assert near_chunk_end > 0
 
     def test_closed_stream_takes_nothing(self):
         engine = MultichannelStream(HwConfig(channels=4))
