@@ -309,6 +309,37 @@ def generate_levels(cfgs) -> list[tuple[SignalRecord, GroundTruth]]:
 # ---------------------------------------------------------------------------
 
 
+_EXACT_GRID_PHASES = 64  # the most phases a rate ratio is resampled by, one slice each
+
+
+def _interp_exact_grid(x: np.ndarray, p: int, q: int, n_new: int) -> np.ndarray:
+    """``np.interp`` of ``x`` on its index grid at the exact positions ``k * p / q``, ``k < n_new``.
+
+    Output ``m*q + phi`` lies ``frac = (phi*p mod q) / q`` past sample
+    ``j + m*p``, ``j = phi*p // q``, so each phase is one strided slice in
+    ``np.interp``'s own operations and order: a copy where ``frac`` is 0,
+    else ``(x[j+1] - x[j]) * frac + x[j]``.  At or past the last sample
+    every output is ``x[-1]``.
+    """
+    out = np.empty(n_new)
+    last = len(x) - 1
+    for phi in range(min(q, n_new)):
+        j, r = divmod(phi * p, q)
+        dst = out[phi::q]
+        if r == 0:
+            inside = x[j::p][: len(dst)]
+            dst[: len(inside)] = inside
+        else:
+            left = x[j:last:p][: len(dst)]
+            inside = dst[: len(left)]
+            with np.errstate(over="ignore"):  # as silent as np.interp; the record refuses the inf
+                np.subtract(x[j + 1 :: p][: len(left)], left, out=inside)
+            inside *= r / q
+            inside += left
+        dst[len(inside) :] = x[-1]
+    return out
+
+
 def resample(record: SignalRecord, new_rate_hz: float) -> SignalRecord:
     """Linear interpolation at the new sample instants.
 
@@ -316,6 +347,13 @@ def resample(record: SignalRecord, new_rate_hz: float) -> SignalRecord:
     resampling is deliberately not attempted; rate sweeps target trends.
     An output longer than both the input and ``MAX_SAMPLES`` is refused
     before anything is allocated; downsampling never is.
+
+    The samples equal ``np.interp`` at ``k * rate_hz / new_rate_hz`` byte for
+    byte.  A step ``p/q`` in lowest terms with ``q`` at most 64 and every
+    ``k*p`` below 2**53 (24, 30 or 48 kHz to 16 kHz, 16 to 8 kHz, any
+    upsampling by a power of two up to 64) puts every position exactly on a
+    grid that repeats every ``q`` outputs; those take one strided slice per
+    phase.  Every other ratio (44.1 to 16 kHz, say) calls ``np.interp``.
     """
     if new_rate_hz <= 0:
         raise ValueError("new_rate_hz must be positive")
@@ -333,11 +371,17 @@ def resample(record: SignalRecord, new_rate_hz: float) -> SignalRecord:
             f"resampling {n_old} samples from {record.rate_hz} Hz to {new_rate_hz} Hz "
             f"gives {n_new}, more than {MAX_SAMPLES}"
         )
-    # float64 grids from the start: every index below 2**53 converts exactly,
-    # and np.interp would convert integer grids to float64 itself
-    positions = np.arange(n_new, dtype=np.float64)
-    positions *= record.rate_hz / new_rate_hz
-    samples = np.interp(positions, np.arange(n_old, dtype=np.float64), record.samples)
+    step = record.rate_hz / new_rate_hz
+    # a finite float is p/q with q a power of two; an infinite step gives no samples
+    p, q = step.as_integer_ratio() if math.isfinite(step) else (1, math.inf)
+    if q <= _EXACT_GRID_PHASES and n_new * p < 1 << 53:
+        samples = _interp_exact_grid(record.samples, p, q, n_new)
+    else:
+        # float64 grids from the start: every index below 2**53 converts exactly,
+        # and np.interp would convert integer grids to float64 itself
+        positions = np.arange(n_new, dtype=np.float64)
+        positions *= step
+        samples = np.interp(positions, np.arange(n_old, dtype=np.float64), record.samples)
     return SignalRecord(samples=samples, rate_hz=new_rate_hz, channel_id=record.channel_id)
 
 

@@ -140,11 +140,18 @@ def quantize(record: SignalRecord, format: FixedPointFormat, full_scale: float) 
 
     ``code[k] = clamp(floor(samples[k] / full_scale * 2**(total_bits-1)))``.
     """
-    if full_scale <= 0:
-        raise ValueError(f"full_scale must be positive, got {full_scale}")
     x = record.samples
     if x.size and not np.all(np.isfinite(x)):
         raise ValueError("cannot quantize non-finite samples")
+    return _quantize_finite(x, record, format, full_scale)
+
+
+def _quantize_finite(
+    x: np.ndarray, record: SignalRecord, format: FixedPointFormat, full_scale: float
+) -> QuantizedRecord:
+    """:func:`quantize` of samples ``x``, already checked finite, on ``record``'s rate and channel."""
+    if full_scale <= 0:
+        raise ValueError(f"full_scale must be positive, got {full_scale}")
     half = 1 << (format.total_bits - 1)
     # one owned buffer, in the formula's order of operations; a floor is an
     # integer, so clipping before the cast gives the codes clipping after it would
@@ -178,18 +185,17 @@ def quantize_mid_tread(record: SignalRecord, format: FixedPointFormat, full_scal
     one-sided statistic downstream, so the pipelines quantize through this
     entry point.  Rounding stays floor; only the bin centering changes.
     """
-    half_lsb = full_scale / (1 << format.total_bits)
-    shifted = SignalRecord(
-        samples=record.samples + half_lsb,
-        rate_hz=record.rate_hz,
-        channel_id=record.channel_id,
-    )
-    return quantize(shifted, format, full_scale)
+    shifted = record.samples + full_scale / (1 << format.total_bits)
+    if shifted.size and not np.all(np.isfinite(shifted)):  # the one check: a shift can overflow
+        raise ValueError("samples must all be finite")
+    return _quantize_finite(shifted, record, format, full_scale)
 
 
 def peak_full_scale(record: SignalRecord) -> float:
     """The per-record normalization: peak ``max|x|``, or 1.0 for a silent or empty record."""
-    peak = float(np.max(np.abs(record.samples))) if len(record) else 0.0
+    x = record.samples
+    # no |x| temporary: the larger of the top and the negated bottom is the same float
+    peak = max(float(x.max()), -float(x.min())) if len(record) else 0.0
     return peak if peak > 0 else 1.0
 
 

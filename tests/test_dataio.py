@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualteo import dataio
 from dualteo.dataio import (
     MAX_SAMPLES,
     MAX_TEMPLATES,
@@ -255,6 +256,39 @@ def test_generator_bytes_are_pinned(seed, rate_hz, noise):
     assert _digest(truth.spike_indices.astype("<i8"), truth.template_ids.astype("<i8")) == labels
 
 
+# rate pairs whose step p/q has a small power-of-two q: every position is exact
+EXACT_GRID_RATES = [
+    (24000.0, 16000.0),
+    (30000.0, 16000.0),
+    (25000.0, 16000.0),
+    (48000.0, 16000.0),
+    (8000.0, 16000.0),
+    (24000.0, 8000.0),
+    (1000.0, 64000.0),
+]
+
+
+def interp_reference(x, old, new):
+    """``np.interp`` at the new sample instants, on the index grid of ``x``."""
+    n_new = round(len(x) * new / old)
+    with np.errstate(over="ignore"):
+        return np.interp(np.arange(n_new) * (old / new), np.arange(len(x)), x)
+
+
+def run_or_message(call):
+    """``call()``, or the message of the ``ValueError`` it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_resample_is_interp(x, old, new):
+    out = resample(SignalRecord(x, rate_hz=old), new)
+    want = x if old == new else interp_reference(x, old, new)
+    assert out.samples.dtype == np.float64 and out.samples.tobytes() == want.tobytes()
+
+
 class TestResample:
     def test_same_rate_is_identity(self):
         record = SignalRecord(np.arange(10.0), rate_hz=24000.0)
@@ -286,6 +320,7 @@ class TestResample:
     @given(
         n_old=st.integers(1, 5000),
         rates=st.sampled_from([(24000.0, 16000.0), (16000.0, 24000.0), (44100.0, 16000.0), (8000.0, 48000.0)])
+        | st.sampled_from(EXACT_GRID_RATES)
         | st.tuples(st.floats(1000.0, 50000.0), st.floats(1000.0, 50000.0)),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -294,10 +329,56 @@ class TestResample:
     def test_equals_interp_on_integer_grids_bit_for_bit(self, n_old, rates, seed):
         old, new = rates
         x = np.random.default_rng(seed).standard_normal(n_old)
-        out = resample(SignalRecord(x, rate_hz=old), new)
-        n_new = len(x) if old == new else round(n_old * new / old)
-        want = np.interp(np.arange(n_new) * (old / new), np.arange(n_old), x)
-        assert out.samples.dtype == np.float64 and out.samples.tobytes() == want.tobytes()
+        assert_resample_is_interp(x, old, new)
+
+    @pytest.mark.parametrize("old, new", EXACT_GRID_RATES)
+    def test_short_records_and_every_phase_equal_interp(self, old, new):
+        p, q = (old / new).as_integer_ratio()
+        # 1..5 samples, then enough lengths to end on every phase against every sample offset
+        for n_old in range(1, 6 + 2 * p * q):
+            assert_resample_is_interp(np.random.default_rng(n_old).standard_normal(n_old), old, new)
+
+    @pytest.mark.parametrize(
+        "old, new, n_old, tail",
+        [
+            (24000.0, 8000.0, 1, "no samples"),
+            (48000.0, 16000.0, 1, "no samples"),
+            (24000.0, 16000.0, 4, "on the last sample"),  # 0, 1.5, 3
+            (30000.0, 16000.0, 16, "on the last sample"),
+            (25000.0, 16000.0, 26, "on the last sample"),
+            (8000.0, 16000.0, 3, "past the last sample"),
+            (1000.0, 64000.0, 2, "past the last sample"),
+        ],
+    )
+    def test_tails_equal_interp(self, old, new, n_old, tail):
+        n_new = round(n_old * new / old)
+        last = (n_new - 1) * (old / new)
+        assert tail == (
+            "no samples" if n_new == 0 else "on the last sample" if last == n_old - 1 else "past the last sample"
+        )
+        assert_resample_is_interp(np.random.default_rng(n_old).standard_normal(n_old), old, new)
+
+    @pytest.mark.parametrize("old, new", EXACT_GRID_RATES + [(44100.0, 16000.0), (16000.0, 24000.0)])
+    @pytest.mark.parametrize("n_old", [1, 2, 3, 7, 64])
+    def test_samples_near_the_float_limit_raise_or_equal_interp(self, old, new, n_old):
+        x = np.resize([1.7e308, -1.7e308, 1.7e308, 0.0, -0.0, -1.7e308, 5e-324], n_old)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.interp overflows silently; so must resample
+            got = run_or_message(lambda: resample(SignalRecord(x, rate_hz=old), new).samples.tobytes())
+        want = run_or_message(lambda: SignalRecord(interp_reference(x, old, new), rate_hz=new).samples.tobytes())
+        assert got == want
+
+    def test_exact_grid_ratios_skip_interp_and_others_call_it(self, monkeypatch):
+        record = SignalRecord(np.random.default_rng(0).standard_normal(2400), rate_hz=24000.0)
+        want = interp_reference(record.samples, 24000.0, 16000.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.interp called")
+
+        monkeypatch.setattr(dataio.np, "interp", refuse)
+        assert resample(record, 16000.0).samples.tobytes() == want.tobytes()
+        with pytest.raises(AssertionError, match="np.interp called"):
+            resample(SignalRecord(record.samples, rate_hz=44100.0), 16000.0)
 
     def test_truth_rescaling_rounds_and_clips(self):
         truth = GroundTruth(spike_indices=np.array([0, 100, 299]))

@@ -11,6 +11,7 @@ from dualteo.signal_model import (
     SignalRecord,
     dequantize,
     load_record,
+    peak_full_scale,
     quantize,
     quantize_mid_tread,
     read_header,
@@ -192,6 +193,48 @@ class TestMidTread:
         trimmed = quantize_mid_tread(rec(x), fmt, 1.0).codes.mean()
         assert abs(plain + 0.5) < 0.05      # floor leaves a half-code pedestal
         assert abs(trimmed) < 0.05
+
+    def test_codes_are_the_floor_quantizer_of_the_shifted_samples(self):
+        x = np.random.default_rng(1).uniform(-1.2, 1.2, size=1000)
+        fmt = FixedPointFormat(total_bits=5)
+        got = quantize_mid_tread(rec(x), fmt, 0.9)
+        want = quantize(rec(x + 0.9 / 32), fmt, 0.9)
+        assert got.codes.dtype == want.codes.dtype and np.array_equal(got.codes, want.codes)
+        assert (got.rate_hz, got.channel_id, got.full_scale) == (want.rate_hz, want.channel_id, 0.9)
+
+    def test_a_shift_that_overflows_is_refused(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^samples must all be finite$"):
+            quantize_mid_tread(rec([0.0, np.finfo(float).max]), FMT7, 1e308)
+
+    @pytest.mark.parametrize("full_scale", [0.0, -1.0])
+    def test_non_positive_full_scale_is_refused(self, full_scale):
+        with pytest.raises(ValueError, match="full_scale must be positive"):
+            quantize_mid_tread(rec([0.5]), FMT7, full_scale)
+
+
+class TestPeakFullScale:
+    @pytest.mark.parametrize(
+        "samples, peak",
+        [
+            ([0.25, -0.75, 0.5], 0.75),
+            ([0.25, 0.5], 0.5),
+            ([-0.25, -0.5], 0.5),
+            ([-0.3], 0.3),
+            ([2.0], 2.0),
+            ([5e-324], 5e-324),
+            ([-0.0], 1.0),
+            ([0.0, -0.0, 0.0], 1.0),
+            ([0.0] * 5, 1.0),
+            ([], 1.0),
+        ],
+    )
+    def test_peak_magnitude_or_one_for_silent_and_empty_records(self, samples, peak):
+        got = peak_full_scale(rec(samples))
+        assert type(got) is float and repr(got) == repr(peak)
+
+    def test_equals_the_largest_magnitude_bit_for_bit(self):
+        x = np.random.default_rng(2).standard_normal(10001) * 1e-3
+        assert peak_full_scale(rec(x)) == float(np.max(np.abs(x)))
 
 
 class TestRecordFiles:
