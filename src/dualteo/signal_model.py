@@ -43,6 +43,15 @@ def is_finite_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
+_NOT_FINITE = "samples must all be finite"
+
+
+def _require_finite(samples: np.ndarray, message: str) -> None:
+    """Raise ``ValueError(message)`` unless every sample is finite."""
+    if samples.size and not np.all(np.isfinite(samples)):
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class SignalRecord:
     """One channel's sample sequence in normalized amplitude units.
@@ -62,8 +71,7 @@ class SignalRecord:
             raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         if self.channel_id < 0:
             raise ValueError(f"channel_id must be non-negative, got {self.channel_id}")
-        if samples.size and not np.all(np.isfinite(samples)):
-            raise ValueError("samples must all be finite")
+        _require_finite(samples, _NOT_FINITE)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -140,18 +148,16 @@ def quantize(record: SignalRecord, format: FixedPointFormat, full_scale: float) 
 
     ``code[k] = clamp(floor(samples[k] / full_scale * 2**(total_bits-1)))``.
     """
-    x = record.samples
-    if x.size and not np.all(np.isfinite(x)):
-        raise ValueError("cannot quantize non-finite samples")
-    return _quantize_finite(x, record, format, full_scale)
+    return _quantize(record.samples, record, format, full_scale, "cannot quantize non-finite samples")
 
 
-def _quantize_finite(
-    x: np.ndarray, record: SignalRecord, format: FixedPointFormat, full_scale: float
+def _quantize(
+    x: np.ndarray, record: SignalRecord, format: FixedPointFormat, full_scale: float, not_finite: str
 ) -> QuantizedRecord:
-    """:func:`quantize` of samples ``x``, already checked finite, on ``record``'s rate and channel."""
+    """:func:`quantize` of samples ``x`` on ``record``'s rate and channel; ``not_finite`` names a non-finite ``x``."""
     if full_scale <= 0:
         raise ValueError(f"full_scale must be positive, got {full_scale}")
+    _require_finite(x, not_finite)
     half = 1 << (format.total_bits - 1)
     # one owned buffer, in the formula's order of operations; a floor is an
     # integer, so clipping before the cast gives the codes clipping after it would
@@ -185,10 +191,9 @@ def quantize_mid_tread(record: SignalRecord, format: FixedPointFormat, full_scal
     one-sided statistic downstream, so the pipelines quantize through this
     entry point.  Rounding stays floor; only the bin centering changes.
     """
+    # the shifted samples' one finiteness check, in _quantize: a shift can overflow
     shifted = record.samples + full_scale / (1 << format.total_bits)
-    if shifted.size and not np.all(np.isfinite(shifted)):  # the one check: a shift can overflow
-        raise ValueError("samples must all be finite")
-    return _quantize_finite(shifted, record, format, full_scale)
+    return _quantize(shifted, record, format, full_scale, _NOT_FINITE)
 
 
 def peak_full_scale(record: SignalRecord) -> float:

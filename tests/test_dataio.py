@@ -256,7 +256,8 @@ def test_generator_bytes_are_pinned(seed, rate_hz, noise):
     assert _digest(truth.spike_indices.astype("<i8"), truth.template_ids.astype("<i8")) == labels
 
 
-# rate pairs whose step p/q has a small power-of-two q: every position is exact
+# rate pairs whose step p/q has a power-of-two q, so every position is exact;
+# those with q <= 8 take the strided path, 25 -> 16 kHz (q = 16) and 1 -> 64 kHz do not
 EXACT_GRID_RATES = [
     (24000.0, 16000.0),
     (30000.0, 16000.0),
@@ -368,17 +369,23 @@ class TestResample:
         want = run_or_message(lambda: SignalRecord(interp_reference(x, old, new), rate_hz=new).samples.tobytes())
         assert got == want
 
-    def test_exact_grid_ratios_skip_interp_and_others_call_it(self, monkeypatch):
-        record = SignalRecord(np.random.default_rng(0).standard_normal(2400), rate_hz=24000.0)
-        want = interp_reference(record.samples, 24000.0, 16000.0)
+    @pytest.mark.parametrize(
+        "old, calls_interp",
+        [(24000.0, False), (30000.0, False), (48000.0, False), (25000.0, True), (44100.0, True)],
+    )
+    def test_exact_grid_ratios_up_to_q_8_skip_interp_and_others_call_it(self, monkeypatch, old, calls_interp):
+        record = SignalRecord(np.random.default_rng(0).standard_normal(2400), rate_hz=old)
+        want = interp_reference(record.samples, old, 16000.0)
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.interp called")
 
         monkeypatch.setattr(dataio.np, "interp", refuse)
-        assert resample(record, 16000.0).samples.tobytes() == want.tobytes()
-        with pytest.raises(AssertionError, match="np.interp called"):
-            resample(SignalRecord(record.samples, rate_hz=44100.0), 16000.0)
+        if calls_interp:
+            with pytest.raises(AssertionError, match="np.interp called"):
+                resample(record, 16000.0)
+        else:
+            assert resample(record, 16000.0).samples.tobytes() == want.tobytes()
 
     def test_truth_rescaling_rounds_and_clips(self):
         truth = GroundTruth(spike_indices=np.array([0, 100, 299]))

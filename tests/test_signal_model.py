@@ -206,10 +206,18 @@ class TestMidTread:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^samples must all be finite$"):
             quantize_mid_tread(rec([0.0, np.finfo(float).max]), FMT7, 1e308)
 
-    @pytest.mark.parametrize("full_scale", [0.0, -1.0])
+    @pytest.mark.parametrize("full_scale", [0.0, -1.0, -np.inf])
     def test_non_positive_full_scale_is_refused(self, full_scale):
         with pytest.raises(ValueError, match="full_scale must be positive"):
             quantize_mid_tread(rec([0.5]), FMT7, full_scale)
+
+    def test_quantize_checks_full_scale_before_the_samples(self):
+        record = rec([0.5, 0.25])
+        record.samples[1] = np.nan  # made non-finite after construction
+        with pytest.raises(ValueError, match="full_scale must be positive"):
+            quantize(record, FMT7, 0.0)
+        with pytest.raises(ValueError, match="^cannot quantize non-finite samples$"):
+            quantize(record, FMT7, 1.0)
 
 
 class TestPeakFullScale:
