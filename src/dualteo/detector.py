@@ -14,7 +14,7 @@ events the same way: crossing runs closer than a 1 ms refractory gap at the
 record's rate (:meth:`EventFormationConfig.for_rate`) merge into one event,
 aligned on the peak of its alignment signal, ties to the earliest.  The one
 event former, ``_merge_runs``, has four callers: :func:`form_events`, the
-256-channel stream's chunk walk (``hw_model.MultichannelStream._walk``),
+256-channel stream's feeds (``hw_model.MultichannelStream._form_events``),
 and calibration's two merges, crossings into runs (``threshold._map_runs``)
 and a candidate's runs into events (``threshold._record_accuracies``).
 

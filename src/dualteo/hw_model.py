@@ -22,10 +22,15 @@ exposes its every intermediate value.
 stream in time chunks of one kernel block of cells
 (:data:`~dualteo.transforms.BLOCK_CELLS`) across all channels, in the
 register map's dtypes: int8 codes and half-sums, int16 energies and int32
-sigma registers; :func:`hw_detect_multichannel` is one final run of its
-chunk loop, and so is :func:`hw_detect_channel`, on one channel.  Neither
-case ever shifts data into Q.10: each compare against a Q.10 register
-shifts the register down instead, which is the same integer compare.
+sigma registers.  Across two or more channels its sigma loop compares
+each frame's int8 half-sums with every channel's level in int8, into one
+reused bool buffer, and counts the exceedances with one ``np.add.reduce``
+of the buffer's bytes into int16.  A feed merges its chunks' crossings
+into events once.
+:func:`hw_detect_multichannel` is one final run of its chunk loop, and so
+is :func:`hw_detect_channel`, on one channel.  Neither case ever shifts
+data into Q.10: each compare against a Q.10 register shifts the register
+down instead, which is the same integer compare.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 
 from . import dataio, transforms
 from .detector import (
+    EventFormationConfig,
     PreparedDual,
     SpikeEvent,
     _check_warmup,
@@ -181,7 +187,7 @@ def prepare_hw_dual(
     cfg = cfg if cfg is not None else HwConfig()
     q = quantize_for_hw(source, cfg) if isinstance(source, SignalRecord) else source
     _check_chip_codes(q, cfg)
-    return _prepare_codes(q.codes, cfg, q.channel_id)
+    return _prepare_codes(q.codes.astype(np.int64), cfg, q.channel_id)
 
 
 def _check_chip_codes(q: QuantizedRecord, cfg: HwConfig) -> None:
@@ -211,7 +217,7 @@ def hw_detect_channel(
         return []
     _check_chip_codes(q, cfg)
     (events,) = MultichannelStream(replace(cfg, channels=1), coeffs)._feed(q.codes, final=True)
-    return [SpikeEvent(channel_id=q.channel_id, sample_index=e.sample_index) for e in events]
+    return [SpikeEvent(q.channel_id, e.sample_index) for e in events]
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +283,10 @@ def trace_internal(
     prep = prepare_hw_dual(q, cfg)
     thr_x, thr_s = (np.repeat(thr, FRAME_LEN)[:prep.n] for thr in _frame_thresholds(prep, coeffs))
     cross_x, cross_s = dual_crossing_streams(prep, coeffs)
+    x = q.codes.astype(np.int64)  # every column in the record path's int64
     return HwTrace(
-        x=q.codes.copy(),
-        s=smooth2_fixed(q.codes),
+        x=x,
+        s=smooth2_fixed(x),
         x_teo=prep.x_energy,
         s_teo=prep.s_energy,
         thr_x=thr_x,
@@ -318,14 +325,16 @@ class MultichannelStream:
     copied whole.  A chunk runs the datapath of :func:`prepare_hw_dual`
     along axis 0, steps every channel's sigma at once (one channel walks it
     by bisection, as a record does), compares once, and takes the alignment
-    signal only at its crossings.  The energy of scan ``k`` reads scan
-    ``k + 1``, so a chunk waits for the scan after it, and codes are
-    buffered until a whole frame has arrived; only the last chunk, walked by
-    :meth:`close`, has no scan after it.  Each channel carries its last two
-    codes, its sigma register and its one event that may still grow (as its
-    peak and last crossing) from chunk to chunk.  So neither the chunk
-    length nor the pushes can change an output, and the memory held does
-    not grow with the stream.
+    signal only at its crossings, which the call then merges into events in
+    one pass.  The energy of scan ``k`` reads scan ``k + 1``, so a chunk
+    waits for the scan after it, and codes are buffered until a whole frame
+    has arrived; only the last chunk, walked by :meth:`close`, has no scan
+    after it.  Each channel carries its last two codes and its sigma
+    register from chunk to chunk, and its one event that may still grow (as
+    its peak and last crossing) from call to call.  So neither the chunk
+    length nor the pushes can change an output, and the memory held between
+    calls does not grow with the stream; within a call it grows only by the
+    live crossings, a few per event.
     """
 
     def __init__(
@@ -380,7 +389,9 @@ class MultichannelStream:
         Ready are the whole frames whose following scan has arrived, or with
         ``final`` every scan left, after which the stream is closed.  A
         slice out of range can fail the feed after chunks have been walked,
-        so the carried state is taken before the walk and put back.
+        so the carried state is taken before the walk and put back.  The
+        chunks' live crossings are kept, a few per event, and merged into
+        events once, after the last chunk (:meth:`_form_events`).
         """
         if self._closed:
             raise ValueError("stream is closed")
@@ -388,12 +399,13 @@ class MultichannelStream:
         carried = 2 if self._start else 0
         left = len(self._held) - carried + len(scans)  # scans still to decide
         ready = left if final else max(0, left - 1) // FRAME_LEN * FRAME_LEN
-        events = [[] for _ in range(self.cfg.channels)]
         # written time-major as the chunks compute it, returned transposed
         crossings = np.empty((ready, self.cfg.channels) if self.return_crossings else (0, 0), dtype=bool)
         # the sigma register is stepped in place, so it is saved as a copy
-        state = self._start, self._held, self._sigma.copy(), self._open
+        start = self._start
+        state = start, self._held, self._sigma.copy()
         fmt = self.cfg.input_format
+        live = [self._open]  # the open events, then each chunk's live crossings
         try:
             done = taken = 0
             while done < ready:
@@ -403,56 +415,62 @@ class MultichannelStream:
                 need = carried + chunk + (not last) - len(self._held)
                 window = np.concatenate([self._held, fmt.check(scans[taken:taken + need])], dtype=fmt.dtype)
                 out = crossings[done:done + chunk] if self.return_crossings else None
-                self._walk(window, carried, chunk, events, out, last)
+                live.append(self._walk(window, carried, chunk, out))
                 self._held, carried = window[-3:].copy(), 2
                 done, taken = done + chunk, taken + need
             self._held = np.concatenate([self._held, fmt.check(scans[taken:])], dtype=fmt.dtype)
         except BaseException:
-            self._start, self._held, self._sigma, self._open = state
+            self._start, self._held, self._sigma = state
             raise
+        events = self._form_events(live, start, final)
         self._closed = final
         return (events, crossings.T) if self.return_crossings else events
 
-    def _walk(self, window, carried: int, chunk: int, events, out, final: bool) -> None:
+    def _walk(self, window, carried: int, chunk: int, out) -> tuple:
         """Decide the ``chunk`` scans of ``window`` that follow its ``carried`` codes.
 
-        Unless the chunk is ``final``, the window ends with the scan after
-        it; a final chunk ends the stream, so the energy of its last scan is
-        the boundary 0.  The comparator output goes into ``out`` when it is
-        given.  The chunk's crossings after the warm-up join the open
-        events, keyed channel-major with a gap between channels as
-        calibration spaces its crossing-map rows, so one ``_merge_runs``
-        pass forms every channel's events and none merge across channels.
-        An event stays open while a crossing at the next chunk's first scan
-        would still join it.
+        The window ends with the scan after the chunk, unless the stream
+        ends there, where the energy of the last scan is the boundary 0.
+        The comparator output goes into ``out`` when it is given.  Returns
+        the chunk's crossings after the warm-up as runs of one crossing each,
+        in the layout of the open events: channels, last crossings, peak
+        scans and alignment values.
         """
         prep = _prepare_codes(window, self.cfg, 0, slice(carried, carried + chunk), self._sigma)
         crossing = np.bitwise_or(*dual_crossing_streams(prep, self.coeffs), out=out)
-        start, end = self._start, self._start + chunk
-        self._start = end
+        start = self._start
+        self._start += chunk
         skip = max(0, prep.warmup_samples - start)
         times, channels = np.divmod(np.flatnonzero(crossing[skip:]), crossing.shape[1])
         # the alignment is elementwise: take it of the live crossings' energies alone
         align = _align_stream(
             prep.x_energy[skip:][times, channels], prep.s_energy[skip:][times, channels], self.cfg
         )
-        open_channels, open_last, open_peaks, open_align = self._open
-        if len(times) + len(open_channels) == 0:
-            return
-        gap = prep.event_cfg.refractory_samples
         times += start + skip
-        channel = np.concatenate([open_channels, channels])
-        last = np.concatenate([open_last, times])  # open events sit on their last crossing
+        return channels, times, times, align
+
+    def _form_events(self, live, start: int, final: bool) -> list:
+        """Merge the open events and a feed's ``live`` crossings from scan ``start`` on into events.
+
+        They are keyed channel-major with a gap between channels, as
+        calibration spaces its crossing-map rows, so one ``_merge_runs``
+        pass forms every channel's events and none merge across channels.
+        Returns the finished events, one list per channel; an event stays
+        open while a crossing at the next feed's first scan would still join
+        it, and none once the stream has ended.
+        """
+        events = [[] for _ in range(self.cfg.channels)]
+        channel, last, scan, align = (np.concatenate(field) for field in zip(*live))
+        if len(channel) == 0:
+            return events
+        gap = EventFormationConfig.for_rate(self.cfg.rate_hz).refractory_samples
+        end = self._start
         # open events' last crossings lie after start - gap
-        key = channel * (chunk + 2 * gap) + (last - (start - gap))
+        key = channel * (end - start + 2 * gap) + (last - (start - gap))
         order = np.argsort(key, kind="stable")
-        channel, last = channel[order], last[order]
-        key = key[order]
-        scan = np.concatenate([open_peaks, times])[order]
-        align = np.concatenate([open_align, align])[order]
+        channel, last, scan, align, key = channel[order], last[order], scan[order], align[order], key[order]
         _, peaks = _merge_runs(key, key, np.arange(len(key)), align, gap)
-        # each channel's last crossing, and its last event; none stays open
-        # once the stream has ended
+        # each channel's last crossing, and its last event
         last_crossing = np.flatnonzero(np.append(channel[1:] != channel[:-1], True))
         last_event = np.flatnonzero(np.append(channel[peaks[1:]] != channel[peaks[:-1]], True))
         still = (last[last_crossing] > end - gap) & (not final)
@@ -461,7 +479,8 @@ class MultichannelStream:
         finished = np.ones(len(peaks), dtype=bool)
         finished[last_event[still]] = False
         for ch, t in zip(channel[peaks[finished]].tolist(), scan[peaks[finished]].tolist()):
-            events[ch].append(SpikeEvent(channel_id=ch, sample_index=t))
+            events[ch].append(SpikeEvent(ch, t))  # positional: about a quarter faster than by keyword
+        return events
 
 
 def hw_detect_multichannel(

@@ -122,7 +122,8 @@ class QuantizedRecord:
     """Integer-coded channel data plus the format and scale that produced it.
 
     ``full_scale`` is the amplitude mapped onto ``2**(total_bits-1)`` codes,
-    i.e. the amplitude one LSB above the maximum positive code.
+    i.e. the amplitude one LSB above the maximum positive code.  The codes
+    are range-checked and stored in the format's dtype.
     """
 
     codes: np.ndarray
@@ -135,28 +136,36 @@ class QuantizedRecord:
         codes = np.asarray(self.codes)
         if not 0 < self.rate_hz < math.inf:
             raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
-        if not 0 < self.full_scale < math.inf:
-            raise ValueError(f"full_scale must be positive and finite, got {self.full_scale}")
-        object.__setattr__(self, "codes", self.format.check(codes).astype(np.int64, copy=False))
+        _check_full_scale(self.full_scale)
+        object.__setattr__(self, "codes", self.format.check(codes).astype(self.format.dtype, copy=False))
 
     def __len__(self) -> int:
         return len(self.codes)
 
 
+def _check_full_scale(full_scale) -> None:
+    """Refuse a ``full_scale`` that is not positive and finite; NaN is neither."""
+    if not 0 < full_scale < math.inf:
+        raise ValueError(f"full_scale must be positive and finite, got {full_scale}")
+
+
 def quantize(record: SignalRecord, format: FixedPointFormat, full_scale: float) -> QuantizedRecord:
     """Map real amplitudes to two's-complement codes, clamped into range.
 
-    ``code[k] = clamp(floor(samples[k] / full_scale * 2**(total_bits-1)))``.
+    ``code[k] = clamp(floor(samples[k] / full_scale * 2**(total_bits-1)))``,
+    in the format's dtype.  ``full_scale`` is checked before any sample is.
     """
+    _check_full_scale(full_scale)
     return _quantize(record.samples, record, format, full_scale, "cannot quantize non-finite samples")
 
 
 def _quantize(
     x: np.ndarray, record: SignalRecord, format: FixedPointFormat, full_scale: float, not_finite: str
 ) -> QuantizedRecord:
-    """:func:`quantize` of samples ``x`` on ``record``'s rate and channel; ``not_finite`` names a non-finite ``x``."""
-    if full_scale <= 0:
-        raise ValueError(f"full_scale must be positive, got {full_scale}")
+    """:func:`quantize` of samples ``x`` on ``record``'s rate and channel; ``not_finite`` names a non-finite ``x``.
+
+    The caller has checked ``full_scale``.
+    """
     _require_finite(x, not_finite)
     half = 1 << (format.total_bits - 1)
     # one owned buffer, in the formula's order of operations; a floor is an
@@ -166,7 +175,7 @@ def _quantize(
     np.floor(scaled, out=scaled)
     np.clip(scaled, format.min_code, format.max_code, out=scaled)
     return QuantizedRecord(
-        codes=scaled.astype(np.int64),
+        codes=scaled.astype(format.dtype),
         format=format,
         rate_hz=record.rate_hz,
         channel_id=record.channel_id,
@@ -191,6 +200,7 @@ def quantize_mid_tread(record: SignalRecord, format: FixedPointFormat, full_scal
     one-sided statistic downstream, so the pipelines quantize through this
     entry point.  Rounding stays floor; only the bin centering changes.
     """
+    _check_full_scale(full_scale)  # before the shift, which a NaN or inf would spread to every sample
     # the shifted samples' one finiteness check, in _quantize: a shift can overflow
     shifted = record.samples + full_scale / (1 << format.total_bits)
     return _quantize(shifted, record, format, full_scale, _NOT_FINITE)

@@ -135,7 +135,10 @@ def _sigma_walk(frames: np.ndarray, step, shift, track: np.ndarray) -> None:
     """
     L = FRAME_LEN
     column = frames[:, 0]
-    if column.dtype in (np.int32, np.int64) and column.size:  # range first: a cast would wrap
+    # int8 widens: numpy has no SIMD sort for it, and sorts a record's frames 40 times slower
+    if column.dtype == np.int8:
+        column = column.astype(np.int16)
+    elif column.dtype in (np.int32, np.int64) and column.size:  # range first: a cast would wrap
         if -(1 << 15) <= column.min() and column.max() < 1 << 15:
             column = column.astype(np.int16)
     ranked = np.sort(column.reshape(-1, L), axis=1)
@@ -155,14 +158,19 @@ def _sigma_compare(frames: np.ndarray, step, shift, track: np.ndarray) -> None:
     """Step a block's sigmas from ``track[0]`` through ``frames``, into ``track[1:]``.
 
     Each frame is compared with every column's level at once, in the samples'
-    dtype, which the level fits: sigma climbs only while more than
-    ``CONVERGENCE_FACTOR`` samples exceed it.  ``np.fmax`` clamps a NaN sigma
-    to 0, as the walk's ``max`` does.
+    dtype (int8 for a stream chunk's half-sums), which the level fits: sigma
+    climbs only while more than ``CONVERGENCE_FACTOR`` samples exceed it.
+    The compare writes one bool buffer, reused frame after frame, and its
+    bytes are counted as uint8 into int16 with ``np.add.reduce``, which holds
+    a frame's count.  ``np.fmax`` clamps a NaN sigma to 0, as the walk's
+    ``max`` does.
     """
     sigma = track[0]
+    above = np.empty((FRAME_LEN, frames.shape[1]), dtype=bool)
     for f, frame in enumerate(frames.reshape(len(track) - 1, FRAME_LEN, frames.shape[1]), 1):
         level = sigma if shift is None else sigma >> shift
-        count = (frame > level.astype(frames.dtype)).sum(axis=0, dtype=track.dtype)
+        np.greater(frame, level.astype(frames.dtype), out=above)
+        count = np.add.reduce(above.view(np.uint8), axis=0, dtype=np.int16)
         sigma = track[f] = np.fmax(sigma + step * (count - CONVERGENCE_FACTOR), 0)
 
 
@@ -218,11 +226,14 @@ def sigma_frames_q10(s_codes, register=None) -> np.ndarray:
     made as ``s > sigma_q >> 10``, which is the same integer compare (an
     arithmetic shift is a floor), so the codes are never shifted up.  Takes
     one channel or a time-major block ``(n, channels)`` and computes in
-    :func:`~dualteo.signal_model.compute_dtype` of the codes.  A
-    ``register`` carries the loop across pieces of one stream (see
-    :func:`_sigma_track`).
+    :func:`~dualteo.signal_model.compute_dtype` of the codes, except that
+    int8 codes compare as they are: the level ``sigma_q >> 10`` never
+    passes their top code, so it fits int8.  A ``register`` carries the loop
+    across pieces of one stream (see :func:`_sigma_track`).
     """
-    return _sigma_track(datapath_ints(s_codes), initial_sigma_q10, 1, SIGMA_FRACTION_BITS, register)
+    s_codes = np.asarray(s_codes)
+    values = s_codes if s_codes.dtype == np.int8 else datapath_ints(s_codes)
+    return _sigma_track(values, initial_sigma_q10, 1, SIGMA_FRACTION_BITS, register)
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,11 @@ def _teo_blocks(x: np.ndarray, dtype, drop_lsbs: int = 0) -> np.ndarray:
     One scratch block holds each block's cross products; each block of
     energies is then arithmetic-right-shifted by ``drop_lsbs`` in place.
     """
-    out = np.zeros(x.shape, dtype)
     n = len(x)
     if n < 3:
-        return out
+        return np.zeros(x.shape, dtype)
+    out = np.empty(x.shape, dtype)
+    out[0] = out[-1] = 0  # the boundaries; the walk writes every other row
     step = _block_rows(x, n - 2)
     rows_of = _widener(x, dtype, step + 2)
     scratch = np.empty((step,) + x.shape[1:], dtype)

@@ -70,7 +70,7 @@ class TestQuantize:
         x = np.asarray(samples, dtype=float)
         formula = np.clip(np.floor(x / full_scale * (1 << (bits - 1))).astype(np.int64), fmt.min_code, fmt.max_code)
         codes = quantize(rec(samples), fmt, full_scale).codes
-        assert codes.dtype == np.int64
+        assert codes.dtype == fmt.dtype
         np.testing.assert_array_equal(codes, formula)
 
     @given(st.lists(st.floats(min_value=-0.999, max_value=0.999), min_size=1, max_size=64))
@@ -126,7 +126,7 @@ class TestDequantize:
     @pytest.mark.parametrize("codes", [np.array([0, 5, 63], np.uint8), np.array([-64, 0, 63], np.int16)])
     def test_narrow_integer_codes_accepted(self, codes):
         q = QuantizedRecord(codes=codes, format=FMT7, rate_hz=16000.0)
-        assert q.codes.dtype == np.int64 and q.codes.tolist() == codes.tolist()
+        assert q.codes.dtype == FMT7.dtype and q.codes.tolist() == codes.tolist()
 
 
 @pytest.mark.parametrize("dtype, work", [
@@ -210,6 +210,13 @@ class TestMidTread:
     def test_non_positive_full_scale_is_refused(self, full_scale):
         with pytest.raises(ValueError, match="full_scale must be positive"):
             quantize_mid_tread(rec([0.5]), FMT7, full_scale)
+
+    @pytest.mark.filterwarnings("error")  # a NaN scale once reached numpy's float-to-int cast
+    @pytest.mark.parametrize("quantizer", [quantize, quantize_mid_tread])
+    @pytest.mark.parametrize("full_scale", [np.nan, np.inf, 0.0, -1.0])
+    def test_full_scale_is_refused_before_any_sample_is_scaled(self, quantizer, full_scale):
+        with pytest.raises(ValueError, match=f"^full_scale must be positive and finite, got {full_scale}$"):
+            quantizer(rec([0.5, -0.25, 0.0]), FMT7, full_scale)
 
     def test_quantize_checks_full_scale_before_the_samples(self):
         record = rec([0.5, 0.25])

@@ -219,6 +219,32 @@ class TestSigmaTrajectories:
             longer = sigma_frames_q10(np.concatenate([block, np.zeros((1, channels), np.int8)]))
             assert np.array_equal(register, longer[-1])
 
+    def test_int8_block_compares_at_the_edges_of_its_range(self):
+        # an int8 block compares as int8, so its level sigma >> 10 must fit int8: pin columns
+        # at 127, one climbing from 0 and one measured at the top, and at -128, where
+        # nothing exceeds the level
+        frames = 600  # 127 << 10 in steps of 256 - 20
+        top, bottom = np.int8(127), np.int8(-128)
+        swing = np.resize([bottom, top], FRAME_LEN)  # frame 0 of std 127.5
+        block = np.empty((frames * FRAME_LEN, 5), dtype=np.int8)
+        block[:, 0] = top
+        block[:, 1] = top
+        block[:FRAME_LEN, 1] = swing
+        block[:, 2] = bottom
+        block[:, 3] = bottom
+        block[:FRAME_LEN, 3] = swing
+        block[:, 4] = np.random.default_rng(13).integers(-128, 128, size=len(block))
+        register = np.full(block.shape[1], UNMEASURED, dtype=np.int32)
+        columns = [np.array(UNMEASURED) for _ in range(block.shape[1])]
+        for piece in np.split(block, [FRAME_LEN, 40 * FRAME_LEN, 300 * FRAME_LEN]):
+            traj = sigma_frames_q10(piece, register)
+            for c, column in enumerate(columns):
+                np.testing.assert_array_equal(traj[:, c], sigma_frames_q10(piece[:, c].astype(np.int64), column))
+                assert register[c] == column, c
+        levels = sigma_frames_q10(block) >> SIGMA_FRACTION_BITS
+        assert levels[-1, 0] >= 126 and levels[:, 0].max() == levels[:, 1].max() == 127
+        assert levels[1:, 2].max() == 0
+
     @given(st.lists(st.integers(min_value=-64, max_value=63), min_size=1, max_size=400))
     def test_initial_sigma_q10_matches_exact_floor(self, codes):
         got = initial_sigma_q10(codes)

@@ -312,6 +312,27 @@ def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, block_cells, ch
             np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape", [*((n,) for n in range(6)), *((n, 3) for n in range(6)), (240_000,)])
+@pytest.mark.parametrize("kernel, dtype", [
+    (teo, np.float64), (lambda x: teo_fixed(x, 2), np.int64), (lambda x: teo_fixed(x, 2), np.int8),
+])
+def test_energy_boundary_rows_are_zero(shape, kernel, dtype):
+    # the output is allocated unfilled and only its first and last rows are
+    # zeroed, so hand it memory that held nonzero bytes
+    x = np.random.default_rng(len(shape) + shape[0]).integers(-64, 64, size=shape).astype(dtype)
+    if shape == (240_000,):
+        assert transforms._block_rows(x, len(x) - 2) < len(x) - 2  # the walk takes two blocks
+    wide = np.dtype(np.int16) if dtype == np.int8 else np.dtype(dtype)
+    np.full(x.size * wide.itemsize, 0x55, dtype=np.uint8)  # freed at once, for the output to reuse
+    out = kernel(x)
+    assert out.shape == x.shape
+    if len(x) < 3:
+        assert not out.any()
+    else:
+        assert not out[0].any() and not out[-1].any()
+        np.testing.assert_array_equal(out[1:-1], kernel(np.concatenate([x[:1], x, x[-1:]]))[2:-2])
+
+
 def test_a_stream_chunk_is_one_block_and_a_record_several():
     for channels in (1, 7, 256, 512):
         cfg = HwConfig(channels=channels)
