@@ -3,7 +3,7 @@
 
 Sweeps mean detection accuracy for all five detectors against
 (a) noise level, (b) input resolution, and (c) sampling rate, writing one
-results CSV plus a self-contained plot script per axis.  Takes about 10 s
+results CSV plus a self-contained plot script per axis.  Takes about 3 s
 with the default ten replicates on a 2-CPU host.
 
 Usage: python scripts/run_sweeps.py [--out results/] [--replicates N] [--seed S]

@@ -408,12 +408,16 @@ def moving_average_energy(x) -> np.ndarray:
     n = len(x)
     if n == 0:
         return np.zeros(0)
-    cs = np.concatenate(([0.0], np.cumsum(x * x)))
+    cs = np.empty(n + 1)
+    cs[0] = 0.0
+    np.cumsum(np.square(x), out=cs[1:])
     e = np.empty(n)
     head = min(window - 1, n)
     e[:head] = cs[1 : head + 1] / np.arange(1, head + 1)
     if n >= window:
-        e[window - 1 :] = (cs[window:] - cs[:-window]) / window
+        tail = e[window - 1 :]
+        np.subtract(cs[window:], cs[:-window], out=tail)
+        tail /= window
     return e
 
 

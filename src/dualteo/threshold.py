@@ -100,11 +100,13 @@ def _sigma_track(values: np.ndarray, measure, step, shift=None, register=None) -
     fraction bits.  A partial tail frame never triggers an update.
 
     One channel ``(n,)`` and a block ``(n, channels)`` both run as columns:
-    ``measure`` gives one sigma per column of frame 0, and the trajectory,
-    float64 for float samples and at least int32 for integers, comes back in
-    the input's layout.  The count's kernel follows the column count, not
-    the shape: one column walks by bisection (:func:`_sigma_walk`), more
-    compare per frame (:func:`_sigma_compare`).
+    ``measure`` gives one sigma per column of frame 0, and the trajectory
+    comes back in the input's layout: float64 for float samples, int32 for
+    int8 codes (a stream chunk's half-sums, whose Q.10 sigma fits the chip's
+    register) and int64 for wider codes, whose Q.10 sigma needs up to 38
+    bits.  The count's kernel follows the column count, not the shape: one
+    column walks by bisection (:func:`_sigma_walk`), more compare per frame
+    (:func:`_sigma_compare`).
 
     ``register`` carries the loop across pieces of one stream, each starting
     on a frame boundary: one sigma per column (0-d for one channel), or
@@ -115,7 +117,8 @@ def _sigma_track(values: np.ndarray, measure, step, shift=None, register=None) -
     block = values[:, None] if values.ndim == 1 else values
     full, n_frames = len(block) // L, -(-len(block) // L)
     # row f is the sigma over frame f; the extra last row is the sigma after frame full - 1
-    out = np.zeros((full + 1, block.shape[1]), dtype=np.result_type(values.dtype, np.int32))
+    wide = np.int32 if values.dtype == np.int8 else np.int64
+    out = np.zeros((full + 1, block.shape[1]), dtype=np.result_type(values.dtype, wide))
     first = int(register is None or bool((register == UNMEASURED).any()))  # frame 0 measures
     if full >= first:  # a sigma to step from: carried in, or measured on frame 0
         out[first] = measure(block[:L]) if first else register.reshape(-1)

@@ -72,7 +72,7 @@ def sigma_track(values, measure, step, shift=None) -> np.ndarray:
     """One channel's sigma trajectory: one ``count_nonzero`` of each frame above its level."""
     L = FRAME_LEN
     n_frames = -(-len(values) // L)
-    out = np.empty(n_frames, dtype=np.result_type(values.dtype, np.int32))
+    out = np.empty(n_frames, dtype=np.float64 if values.dtype.kind == "f" else np.int64)
     sigma, fresh = 0, True
     for f in range(n_frames):
         out[f] = sigma

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -254,6 +255,102 @@ def test_generator_bytes_are_pinned(seed, rate_hz, noise):
     samples, labels = GENERATOR_DIGESTS[(seed, rate_hz, noise)]
     assert _digest(record.samples.astype("<f8")) == samples
     assert _digest(truth.spike_indices.astype("<i8"), truth.template_ids.astype("<i8")) == labels
+
+
+# 10 s records, whose background superposes thousands of spikes per template
+# across many of _add_at's chunk ends; taken before the superposition was chunked
+LONG_GENERATOR_DIGESTS = {
+    (3, 16000.0, 0.1): ("ce754884aa186bf5", "4c61e74cf6642353"),
+    (1002, 24000.0, 0.1): ("b369c96f46bdbeb8", "0250ff23472d9acf"),
+}
+
+
+@pytest.mark.parametrize("seed,rate_hz,noise", sorted(LONG_GENERATOR_DIGESTS))
+def test_ten_second_generator_bytes_are_pinned(seed, rate_hz, noise):
+    record, truth = generate(SyntheticConfig(duration_s=10.0, rate_hz=rate_hz, noise_level=noise, seed=seed))
+    samples, labels = LONG_GENERATOR_DIGESTS[(seed, rate_hz, noise)]
+    assert _digest(record.samples.astype("<f8")) == samples
+    assert _digest(truth.spike_indices.astype("<i8"), truth.template_ids.astype("<i8")) == labels
+
+
+def _add_at_in_one_call(out, starts, template, amps):
+    idx = starts[:, None] + np.arange(len(template))[None, :]
+    np.add.at(out, idx.ravel(), (amps[:, None] * template[None, :]).ravel())
+
+
+class TestAddAtChunks:
+    """``_add_at`` superposes in runs of spikes, one ``np.add.at`` call per
+    run; every sum must equal one call over all spikes to the byte."""
+
+    @staticmethod
+    def assert_equals_one_call(n, starts, template, amps):
+        base = np.random.default_rng(len(starts)).normal(size=n)  # a nonzero record to add onto
+        chunked, oracle = base.copy(), base.copy()
+        dataio._add_at(chunked, starts, template, amps)
+        _add_at_in_one_call(oracle, starts, template, amps)
+        assert chunked.tobytes() == oracle.tobytes()
+
+    # a one-sample template puts its cells exactly at 0, 1, budget - 1, budget
+    # and budget + 1 past a chunk start; a 2 ms one at 24 kHz puts whole
+    # spikes there, a chunk holding budget // 48 of them
+    @pytest.mark.parametrize("n_t", [1, 48])
+    @pytest.mark.parametrize("past", ["0", "1", "budget - 1", "budget", "budget + 1"])
+    def test_equals_one_call_around_chunk_ends(self, n_t, past):
+        step = dataio._ADD_AT_CELLS // n_t
+        n_spikes = step + {"0": 0, "1": 1, "budget - 1": step - 1, "budget": step, "budget + 1": step + 1}[past]
+        rng = np.random.default_rng(n_t)
+        n = 300  # thousands of spikes on few samples: each sample sums many, in an order that shows
+        self.assert_equals_one_call(
+            n,
+            rng.integers(0, n - n_t + 1, size=n_spikes),
+            rng.normal(size=n_t),
+            rng.uniform(0.05, 0.3, size=n_spikes) * 10.0 ** rng.integers(-3, 4, size=n_spikes),
+        )
+
+    def test_no_spikes_leave_the_record_alone(self):
+        self.assert_equals_one_call(10, np.zeros(0, dtype=np.int64), np.ones(4), np.zeros(0))
+
+    def test_equals_one_call_on_a_ten_second_background(self):
+        # the draws generate() makes for a 10 s, 24 kHz background
+        rng = np.random.default_rng(5)
+        n = 240000
+        templates, _, n_t = dataio._make_templates(rng, 3, 24000.0, tau_range=dataio.NOISE_LOBE_TAU_S)
+        n_noise = rng.poisson(dataio.NOISE_SPIKE_RATE_HZ * 10.0)
+        starts = rng.integers(0, n - n_t, size=n_noise)
+        tids = rng.integers(0, 3, size=n_noise)
+        amps = rng.uniform(*dataio.NOISE_SPIKE_AMP_RANGE, size=n_noise)
+        for tid, template in enumerate(templates):
+            sel = tids == tid
+            assert sel.sum() * n_t > 10 * dataio._ADD_AT_CELLS
+            self.assert_equals_one_call(n, starts[sel], template, amps[sel])
+
+
+class TestGenerationMemory:
+    """Generation's transient memory grows with the record, not with its
+    background's spike count: a 60 s, 24 kHz record holds 480,000 background
+    spikes, 7.7 million (index, value) cells per template in one
+    ``np.add.at`` call before the superposition was chunked."""
+
+    CFG = SyntheticConfig(duration_s=60.0, rate_hz=24000.0, noise_level=0.1, seed=1)
+    BOUND = 9  # record lengths of float64 at the traced peak
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_generate_peak_is_bounded(self):
+        peak = self.traced_peak(lambda: generate(self.CFG))
+        assert peak <= self.BOUND * self.CFG.n_samples * 8
+
+    def test_four_level_generate_levels_peak_is_bounded(self):
+        cfgs = [dataclasses.replace(self.CFG, noise_level=level) for level in (0.05, 0.1, 0.15, 0.2)]
+        peak = self.traced_peak(lambda: generate_levels(cfgs))
+        assert peak <= self.BOUND * self.CFG.n_samples * 8
 
 
 # rate pairs whose step p/q has a power-of-two q, so every position is exact;

@@ -159,7 +159,7 @@ class TestSigmaTrajectories:
         block[:, 0] = 0  # sigma stays 0 and every sample sits exactly on it
         traj = sigma_frames_q10(block)
         first = initial_sigma_q10(block)
-        assert traj.dtype == np.int32 and traj.shape == (-(-n // FRAME_LEN), channels)
+        assert traj.dtype == np.int64 and traj.shape == (-(-n // FRAME_LEN), channels)
         assert first.shape == (channels,)
         for c in range(channels):
             column = block[:, c].astype(np.int64)
@@ -302,6 +302,17 @@ class TestSigmaTrajectories:
                 with pytest.raises(ValueError, match="outside"):
                     sigma_frames_q10(codes)
 
+    def test_int32_codes_up_to_2_27_track_as_int64(self):
+        # their Q.10 sigma needs 38 bits: an int32 trajectory wrapped it to a negative value
+        codes = np.random.default_rng(0).integers(-(1 << 26), 1 << 26, size=(3 * FRAME_LEN, 2))
+        wide = sigma_frames_q10(codes)
+        assert wide[1].min() > 1 << 31
+        one = sigma_frames_q10(codes[:, 0].astype(np.int32))  # one column: the bisection walk
+        block = sigma_frames_q10(codes.astype(np.int32))  # two columns: the frame compare
+        assert one.dtype == block.dtype == np.int64
+        np.testing.assert_array_equal(one, wide[:, 0])
+        np.testing.assert_array_equal(block, wide)
+
     def test_gaussian_convergence_small(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(300_000)
@@ -332,8 +343,8 @@ def sigma_channels(draw, dtype):
         for _ in range(draw(st.integers(min_value=0, max_value=6)) if n else 0):
             s[rng.integers(n)] = draw(st.sampled_from(SPECIAL_FLOATS))
     else:
-        # an int32 register holds the Q.10 sigma of codes within 2**20
-        top = 64 if coarse else {np.int16: 1 << 15, np.int32: 1 << 20, np.int64: 1 << 27}[dtype]
+        # int32 and int64 codes reach the widest that initial_sigma_q10 takes
+        top = 64 if coarse else {np.int16: 1 << 15, np.int32: 1 << 27, np.int64: 1 << 27}[dtype]
         s = rng.integers(-top, top, size=n).astype(dtype)
     return s, draw(st.integers(min_value=0, max_value=8))
 
