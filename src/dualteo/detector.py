@@ -260,10 +260,10 @@ def _on_energy_scale(prep: PreparedDual, thresholds: np.ndarray) -> np.ndarray:
     An integer energy ``e`` crosses its Q.10 threshold ``t`` when
     ``e << 10 > t``, which holds exactly when ``e > t >> 10``: an arithmetic
     shift is a floor.  So the thresholds shift down instead of the energies
-    up, and are then clipped into the energies' dtype.  The clip changes no
-    comparison: the 8- and 9-bit energies lie strictly inside even int16's
-    range, and for a record's int64 energies it is a no-op.  Float
-    thresholds pass through.
+    up, and are then clipped into the energies' int16, a record's and a
+    stream chunk's alike.  The clip changes no comparison: the 8- and 9-bit
+    energies lie strictly inside int16's range.  Float thresholds pass
+    through.
     """
     dtype = prep.x_energy.dtype
     if dtype.kind == "f":

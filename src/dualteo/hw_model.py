@@ -12,21 +12,20 @@ the 1 ms refractory gap (16 samples at 16 kHz) are the float pipeline's own
 constants, read from the same place.
 
 Records enter through one input stage, :func:`chip_input`.  There is one
-datapath, and its kernels work along axis 0 of either one channel ``(n,)``
-or a time-major block ``(n, channels)``.
-:func:`prepare_hw_dual` is the whole-record case, in int64, which
+datapath, in the register map's dtypes (int8 codes and half-sums, int16
+energies and int32 sigma registers), and its kernels work along axis 0 of
+either one channel ``(n,)`` or a time-major block ``(n, channels)``.
+:func:`prepare_hw_dual` is the whole-record case, which
 :func:`~dualteo.detector.finish_dual` finishes: hw calibration prepares its
 records with it once for every candidate, and :func:`trace_internal`
 exposes its every intermediate value.
 :class:`MultichannelStream` is the block case: it walks the interleaved
 stream in time chunks of one kernel block of cells
-(:data:`~dualteo.transforms.BLOCK_CELLS`) across all channels, in the
-register map's dtypes: int8 codes and half-sums, int16 energies and int32
-sigma registers.  Across two or more channels its sigma loop compares
-each frame's int8 half-sums with every channel's level in int8, into one
-reused bool buffer, and counts the exceedances with one ``np.add.reduce``
-of the buffer's bytes into int16.  A feed merges its chunks' crossings
-into events once.
+(:data:`~dualteo.transforms.BLOCK_CELLS`) across all channels.  Across two
+or more channels its sigma loop compares each frame's int8 half-sums with
+every channel's level in int8, into one reused bool buffer, and counts the
+exceedances with one ``np.add.reduce`` of the buffer's bytes into int16.  A
+feed merges its chunks' crossings into events once.
 :func:`hw_detect_multichannel` is one final run of its chunk loop, and so
 is :func:`hw_detect_channel`, on one channel.  Neither case ever shifts
 data into Q.10: each compare against a Q.10 register shifts the register
@@ -144,13 +143,13 @@ def chip_input(record: SignalRecord, truth=None) -> tuple[QuantizedRecord, datai
 def _align_stream(x_teo: np.ndarray, s_teo: np.ndarray, cfg: HwConfig) -> np.ndarray:
     """Alignment signal on the common de-truncated scale of the two energies, in int64.
 
-    A record's energies are int64 already and are shifted as they are; the
-    stream takes it only of its kept crossings' energies, a few per chunk.
+    A record takes it of every sample; the stream only of its kept
+    crossings' energies, a few per chunk.
     """
     base = min(cfg.xteo_drop_lsbs, cfg.steo_drop_lsbs)
     return np.maximum(
-        x_teo.astype(np.int64, copy=False) << (cfg.xteo_drop_lsbs - base),
-        s_teo.astype(np.int64, copy=False) << (cfg.steo_drop_lsbs - base),
+        x_teo.astype(np.int64) << (cfg.xteo_drop_lsbs - base),
+        s_teo.astype(np.int64) << (cfg.steo_drop_lsbs - base),
     )
 
 
@@ -159,12 +158,11 @@ def _prepare_codes(
 ) -> PreparedDual:
     """The integer datapath, along axis 0 of one channel ``(n,)`` or a block ``(n, channels)``.
 
-    The kernels compute in :func:`~dualteo.signal_model.compute_dtype` of
-    ``codes``: int64 for a record, int16 for a stream chunk cut as int8.  A
-    chunk keeps only its own ``rows`` of ``codes``, which start on a frame
-    boundary, carries its sigma loop in ``register`` (see
-    :func:`~dualteo.threshold.sigma_frames_q10`), and leaves ``align`` unset:
-    the stream takes :func:`_align_stream` of its crossings alone.
+    ``codes`` are int8, a record's or a stream chunk's, and the kernels
+    compute in int16.  A chunk keeps only its own ``rows`` of ``codes``,
+    which start on a frame boundary, carries its sigma loop in ``register``
+    (see :func:`~dualteo.threshold.sigma_frames_q10`), and leaves ``align``
+    unset: the stream takes :func:`_align_stream` of its crossings alone.
     """
     s = smooth2_fixed(codes)
     x_teo = teo_fixed(codes, cfg.xteo_drop_lsbs)[rows]
@@ -187,7 +185,7 @@ def prepare_hw_dual(
     cfg = cfg if cfg is not None else HwConfig()
     q = quantize_for_hw(source, cfg) if isinstance(source, SignalRecord) else source
     _check_chip_codes(q, cfg)
-    return _prepare_codes(q.codes.astype(np.int64), cfg, q.channel_id)
+    return _prepare_codes(q.codes, cfg, q.channel_id)
 
 
 def _check_chip_codes(q: QuantizedRecord, cfg: HwConfig) -> None:
@@ -276,23 +274,16 @@ def trace_internal(
 ) -> HwTrace:
     """Emit every intermediate integer per sample for golden-trace regression.
 
-    The crossing column is the raw comparator OR, before warm-up gating.
+    Every column is widened to int64.  The crossing column is the raw
+    comparator OR, before warm-up gating.
     """
     if coeffs is None:
         coeffs = default_hw_coefficients()
     prep = prepare_hw_dual(q, cfg)
     thr_x, thr_s = (np.repeat(thr, FRAME_LEN)[:prep.n] for thr in _frame_thresholds(prep, coeffs))
     cross_x, cross_s = dual_crossing_streams(prep, coeffs)
-    x = q.codes.astype(np.int64)  # every column in the record path's int64
-    return HwTrace(
-        x=x,
-        s=smooth2_fixed(x),
-        x_teo=prep.x_energy,
-        s_teo=prep.s_energy,
-        thr_x=thr_x,
-        thr_s=thr_s,
-        crossing=(cross_x | cross_s).astype(np.int64),
-    )
+    columns = (q.codes, smooth2_fixed(q.codes), prep.x_energy, prep.s_energy, thr_x, thr_s, cross_x | cross_s)
+    return HwTrace(*(column.astype(np.int64) for column in columns))
 
 
 # ---------------------------------------------------------------------------

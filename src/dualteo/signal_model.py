@@ -117,6 +117,10 @@ class FixedPointFormat:
         return codes
 
 
+# the codes every integer kernel takes; the chip's 7-bit input fits them
+_DATAPATH_FORMAT = FixedPointFormat(total_bits=8)
+
+
 @dataclass(frozen=True)
 class QuantizedRecord:
     """Integer-coded channel data plus the format and scale that produced it.
@@ -214,21 +218,19 @@ def peak_full_scale(record: SignalRecord) -> float:
     return peak if peak > 0 else 1.0
 
 
-def compute_dtype(dtype) -> np.dtype:
-    """The dtype the integer kernels compute in for codes of ``dtype``: int16 for int8, which
-    holds every energy of int8 codes ([-16384, 32640]); int32 and int64 their own; else int64."""
-    dtype = np.dtype(dtype)
-    if dtype == np.int8:
-        return np.dtype(np.int16)
-    return dtype if dtype in (np.int32, np.int64) else np.dtype(np.int64)
+def datapath_codes(values) -> np.ndarray:
+    """``values`` as the integer datapath's int8 codes.
 
-
-def datapath_ints(values) -> np.ndarray:
-    """``values`` in their :func:`compute_dtype`, not copied if they are; uint64 at or above 2**63 raises."""
+    int8 passes as it is, neither checked nor copied; any other integer dtype
+    is range-checked in its own dtype and cast once.  A float or bool array
+    raises ``ValueError``: a cast would truncate it.
+    """
     values = np.asarray(values)
-    if values.dtype == np.uint64 and values.size and values.max() >= 1 << 63:
-        raise ValueError("unsigned codes at or above 2**63 do not fit the int64 datapath")
-    return values.astype(compute_dtype(values.dtype), copy=False)
+    if values.dtype == np.int8:
+        return values
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"expected integer codes, got dtype {values.dtype}")
+    return _DATAPATH_FORMAT.check(values).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

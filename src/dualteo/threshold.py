@@ -45,7 +45,6 @@ equals scoring every candidate on its own through
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -55,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .signal_model import _data_lines, datapath_ints
+from .signal_model import _data_lines, datapath_codes
 
 __all__ = [
     "ThresholdCoefficients",
@@ -102,10 +101,9 @@ def _sigma_track(values: np.ndarray, measure, step, shift=None, register=None) -
     One channel ``(n,)`` and a block ``(n, channels)`` both run as columns:
     ``measure`` gives one sigma per column of frame 0, and the trajectory
     comes back in the input's layout: float64 for float samples, int32 for
-    int8 codes (a stream chunk's half-sums, whose Q.10 sigma fits the chip's
-    register) and int64 for wider codes, whose Q.10 sigma needs up to 38
-    bits.  The count's kernel follows the column count, not the shape: one
-    column walks by bisection (:func:`_sigma_walk`), more compare per frame
+    int8 codes, whose Q.10 sigma fits the chip's register.  The count's
+    kernel follows the column count, not the shape: one column walks by
+    bisection (:func:`_sigma_walk`), more compare per frame
     (:func:`_sigma_compare`).
 
     ``register`` carries the loop across pieces of one stream, each starting
@@ -117,8 +115,7 @@ def _sigma_track(values: np.ndarray, measure, step, shift=None, register=None) -
     block = values[:, None] if values.ndim == 1 else values
     full, n_frames = len(block) // L, -(-len(block) // L)
     # row f is the sigma over frame f; the extra last row is the sigma after frame full - 1
-    wide = np.int32 if values.dtype == np.int8 else np.int64
-    out = np.zeros((full + 1, block.shape[1]), dtype=np.result_type(values.dtype, wide))
+    out = np.zeros((full + 1, block.shape[1]), dtype=np.result_type(values.dtype, np.int32))
     first = int(register is None or bool((register == UNMEASURED).any()))  # frame 0 measures
     if full >= first:  # a sigma to step from: carried in, or measured on frame 0
         out[first] = measure(block[:L]) if first else register.reshape(-1)
@@ -132,18 +129,15 @@ def _sigma_track(values: np.ndarray, measure, step, shift=None, register=None) -
 def _sigma_walk(frames: np.ndarray, step, shift, track: np.ndarray) -> None:
     """Step one column's sigma from ``track[0]`` through ``frames``, into ``track[1:]``.
 
-    The frames are sorted once, as int16 where their codes fit it; a frame's
-    count is its length less one bisection for the level over its sorted
-    samples, up to its first NaN, which sorts last and never exceeds.
+    The frames are sorted once, int8 codes as int16; a frame's count is its
+    length less one bisection for the level over its sorted samples, up to
+    its first NaN, which sorts last and never exceeds.
     """
     L = FRAME_LEN
     column = frames[:, 0]
     # int8 widens: numpy has no SIMD sort for it, and sorts a record's frames 40 times slower
     if column.dtype == np.int8:
         column = column.astype(np.int16)
-    elif column.dtype in (np.int32, np.int64) and column.size:  # range first: a cast would wrap
-        if -(1 << 15) <= column.min() and column.max() < 1 << 15:
-            column = column.astype(np.int16)
     ranked = np.sort(column.reshape(-1, L), axis=1)
     ends = np.arange(L, ranked.size + 1, L)
     if ranked.dtype.kind == "f" and np.isnan(ranked[:, -1]).any():
@@ -201,42 +195,39 @@ def initial_sigma_q10(s_codes):
 
     With ``v = n*sum(s**2) - sum(s)**2`` (so the variance is ``v / n**2``),
     ``floor(1024 * sqrt(v) / n) == isqrt(1024**2 * v) // n`` exactly.  The
-    frame's sums are taken in int64 and the root with ``math.isqrt`` of
-    each column, once per channel or stream.  One channel gives an
-    ``int``; a time-major block ``(n, channels)`` gives an int64 array with
-    one value per column.  Codes must lie within ``±2**27``, so that
-    ``FRAME_LEN`` squares sum exactly in int64; a frame holding a wider code
-    raises ``ValueError``.
+    frame's codes are admitted by :func:`~dualteo.signal_model.datapath_codes`,
+    so ``v << 20`` stays within ``2**50``: its float64 root, floored, is the
+    integer root or one off it, and two int64 compares correct it, every
+    column at once.  One channel gives an ``int``; a time-major block
+    ``(n, channels)`` gives an int64 array with one value per column.
     """
-    s = np.asarray(s_codes)[:FRAME_LEN]
-    # min and max in the codes' own dtype: abs would wrap at int64's minimum
-    if s.size and (s.min() < -(1 << 27) or s.max() > 1 << 27):
-        raise ValueError("codes of the measured frame lie outside ±2**27")
-    s = s.astype(np.int64)
+    s = datapath_codes(np.asarray(s_codes)[:FRAME_LEN])
     n = max(len(s), 1)
-    sums = zip(np.atleast_1d(s.sum(axis=0)).tolist(), np.atleast_1d((s * s).sum(axis=0)).tolist())
-    sigma = [math.isqrt((n * sq - t * t) << (2 * SIGMA_FRACTION_BITS)) // n for t, sq in sums]
-    return sigma[0] if s.ndim == 1 else np.array(sigma, dtype=np.int64)
+    # an int8 square fits int16, and a frame's sums int64, so no int64 copy of the frame is made
+    total, squares = s.sum(axis=0, dtype=np.int64), np.square(s, dtype=np.int16).sum(axis=0, dtype=np.int64)
+    v = (n * squares - total * total) << (2 * SIGMA_FRACTION_BITS)
+    root = np.floor(np.sqrt(v)).astype(np.int64)
+    root -= root * root > v
+    root += (root + 1) * (root + 1) <= v
+    sigma = root // n
+    return int(sigma) if s.ndim == 1 else sigma
 
 
 def sigma_frames_q10(s_codes, register=None) -> np.ndarray:
     """Integer twin of :func:`sigma_frames`: sigma held in a Q.10 register.
 
-    The measurement frame yields :func:`initial_sigma_q10` of the codes, which
-    must lie within ``±2**27`` there (wider codes raise); each later
-    correction is exactly ``count - CONVERGENCE_FACTOR`` register LSBs
+    The measurement frame yields :func:`initial_sigma_q10` of the codes; each
+    later correction is exactly ``count - CONVERGENCE_FACTOR`` register LSBs
     (gamma = 2**-10).  The exceedance comparison ``s << 10 > sigma_q`` is
     made as ``s > sigma_q >> 10``, which is the same integer compare (an
     arithmetic shift is a floor), so the codes are never shifted up.  Takes
-    one channel or a time-major block ``(n, channels)`` and computes in
-    :func:`~dualteo.signal_model.compute_dtype` of the codes, except that
-    int8 codes compare as they are: the level ``sigma_q >> 10`` never
-    passes their top code, so it fits int8.  A ``register`` carries the loop
-    across pieces of one stream (see :func:`_sigma_track`).
+    one channel or a time-major block ``(n, channels)`` of codes, admitted by
+    :func:`~dualteo.signal_model.datapath_codes`, and compares them as int8:
+    the level ``sigma_q >> 10`` never passes their top code, so it fits
+    int8.  A ``register`` carries the loop across pieces of one stream (see
+    :func:`_sigma_track`).
     """
-    s_codes = np.asarray(s_codes)
-    values = s_codes if s_codes.dtype == np.int8 else datapath_ints(s_codes)
-    return _sigma_track(values, initial_sigma_q10, 1, SIGMA_FRACTION_BITS, register)
+    return _sigma_track(datapath_codes(s_codes), initial_sigma_q10, 1, SIGMA_FRACTION_BITS, register)
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,17 @@ input range and is carried at half-LSB weight, which is where the narrower
 nominal width of the smoothed stream comes from.
 
 The fixed-point kernels work along axis 0: they take one channel ``(n,)`` or
-a time-major block ``(n, channels)``, and compute in
-:func:`~dualteo.signal_model.compute_dtype` of the input: int32 and int64
-stay as they are, int8 codes compute in int16, and anything else in int64.
-An int8 block therefore keeps the chip's widths: its half-sums come back
-int8 and its energies int16.
+a time-major block ``(n, channels)`` of int8 codes, admitted by
+:func:`~dualteo.signal_model.datapath_codes` (other integer dtypes are
+range-checked and cast once, floats and bools refused), and compute in
+int16, which holds every energy of int8 codes.  So they keep the chip's
+widths: half-sums come back int8 and energies int16.
 
 Every kernel writes into the array it returns, walking axis 0 in blocks of
 about ``BLOCK_CELLS`` cells.  A block's intermediate values go through one
 scratch block, reused block after block, so no call allocates a temporary
 as long as its input, and each pass over a block finds it in cache.  A
-chunk of the multichannel stream is sized to be one block.  int8 codes are
+chunk of the multichannel stream is sized to be one block.  The codes are
 widened a block at a time, never whole.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signal_model import compute_dtype, datapath_ints
+from .signal_model import datapath_codes
 
 __all__ = ["teo", "smooth2", "teo_fixed", "smooth2_fixed"]
 
@@ -121,12 +121,6 @@ def _smooth_blocks(x: np.ndarray, dtype, halve, operand) -> np.ndarray:
     return out
 
 
-def _datapath(x) -> tuple[np.ndarray, np.dtype]:
-    """``x`` and its :func:`~dualteo.signal_model.compute_dtype`; int8 codes widen a block at a time."""
-    x = np.asarray(x)
-    return (x if x.dtype == np.int8 else datapath_ints(x)), compute_dtype(x.dtype)
-
-
 def teo(x) -> np.ndarray:
     """Teager energy of a real sequence, same length, zero at both ends.
 
@@ -147,16 +141,16 @@ def teo_fixed(x, drop_lsbs: int = 0) -> np.ndarray:
 
     Interior values are computed exactly and shifted right by ``drop_lsbs``
     (a floor: ``-7`` shifted by one is ``-4``); boundaries (the first and
-    last row) stay 0.  The input range is not checked here: in the package
-    the codes are 7-bit, checked by a :class:`~dualteo.signal_model.QuantizedRecord`
-    or by the multichannel stream's own check, or are their half-sums.  Their
+    last row) stay 0.  int8 codes are not checked here: in the package they
+    are 7-bit, checked by a :class:`~dualteo.signal_model.QuantizedRecord` or
+    by the multichannel stream's own check, or are their half-sums.  Their
     exact energies need at most 14 bits, those of any int8 codes at most 16,
-    so an int8 block computes them exactly in int16; :class:`~dualteo.hw_model.HwConfig`
+    so they compute exactly in int16; :class:`~dualteo.hw_model.HwConfig`
     refuses a drop that leaves them too wide for their register.
     """
     if drop_lsbs < 0:
         raise ValueError(f"drop_lsbs must be >= 0, got {drop_lsbs}")
-    return _teo_blocks(*_datapath(x), drop_lsbs)
+    return _teo_blocks(datapath_codes(x), np.int16, drop_lsbs)
 
 
 def smooth2_fixed(x) -> np.ndarray:
@@ -164,6 +158,6 @@ def smooth2_fixed(x) -> np.ndarray:
 
     ``s[0] = (2*x[0]) >> 1 = x[0]``.  For 7-bit inputs the output also lies in
     [-64, 63]; no saturation is ever exercised.  A half-sum never leaves its
-    inputs' range, so int8 codes come back int8.
+    inputs' range, so the half-sums come back int8.
     """
-    return _smooth_blocks(*_datapath(x), np.right_shift, 1)
+    return _smooth_blocks(datapath_codes(x), np.int16, np.right_shift, 1)

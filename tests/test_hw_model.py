@@ -186,9 +186,10 @@ class TestHwDetectChannel:
         rng = np.random.default_rng(0)
         q = quantized(random_codes(rng, 2000))
         prep = prepare_hw_dual(q, HwConfig())
-        assert prep.x_energy.dtype == np.int64
-        assert prep.s_energy.dtype == np.int64
-        assert prep.sigma_per_frame.dtype == np.int64
+        # the register map's widths, as in a stream chunk
+        assert prep.x_energy.dtype == np.int16
+        assert prep.s_energy.dtype == np.int16
+        assert prep.sigma_per_frame.dtype == np.int32
         assert prep.align.dtype == np.int64
 
     def test_clean_spike_matches_float_pipeline_location(self):

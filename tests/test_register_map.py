@@ -31,8 +31,9 @@ from test_detector import COEFFS
 from test_golden import EXTREME_HW_COEFFS
 from test_hw_model import EXTREME_COEFFS, HW_COEFFS
 from dualteo.cli import _SEARCH_DROPS
-from dualteo.hw_model import HwConfig
-from dualteo.signal_model import FixedPointFormat, compute_dtype
+from dualteo import hw_model
+from dualteo.hw_model import HwConfig, hw_detect_multichannel, prepare_hw_dual
+from dualteo.signal_model import FixedPointFormat, QuantizedRecord
 from dualteo.threshold import (
     CONVERGENCE_FACTOR,
     FRAME_LEN,
@@ -220,15 +221,27 @@ def test_smallest_drops_that_fit_are_the_lowest_pair_searched():
     assert HwConfig.xteo_drop_lsbs >= x and HwConfig.steo_drop_lsbs >= s
 
 
-def test_stream_dtypes_hold_their_registers():
+def test_stream_dtypes_hold_their_registers(monkeypatch):
     code = CHIP["input"].dtype
-    # the stream keeps half-sums in the codes' dtype and computes energies exactly in their compute dtype
+    # half-sums stay in the codes' dtype
     assert code == np.int8 and CHIP["halfsum"].dtype == code
-    energy = np.iinfo(compute_dtype(code))
+    # the record path and a stream chunk run one datapath, in the same dtypes
+    codes = np.random.default_rng(0).integers(-64, 64, size=(3 * FRAME_LEN + 5, 3)).astype(code)
+    record = prepare_hw_dual(QuantizedRecord(codes[:, 0], CHIP["input"], HwConfig.rate_hz))
+    chunks, prepare = [], hw_model._prepare_codes
+    monkeypatch.setattr(hw_model, "_prepare_codes", lambda *args: chunks.append(prepare(*args)) or chunks[-1])
+    hw_detect_multichannel(codes, HwConfig(channels=3))
+    fields = ("x_energy", "s_energy", "sigma_per_frame")
+    assert chunks and all(prep.align is None for prep in chunks) and record.align.dtype == np.int64
+    for prep in chunks:
+        assert [getattr(prep, f).dtype for f in fields] == [getattr(record, f).dtype for f in fields]
+    # whose energies hold every exact energy, and whose sigma is the register's
+    energy = np.iinfo(record.x_energy.dtype)
+    assert record.s_energy.dtype == energy.dtype
     for lo, hi in (raw_energy_range(CHIP["input"]), smoothed_energy_range(CHIP["input"])):
         assert energy.min <= lo and hi <= energy.max
     assert all(CHIP[name].dtype.itemsize * 8 <= energy.bits for name in ("xteo", "steo"))
-    assert CHIP["sigma"].dtype == np.int32
+    assert CHIP["sigma"].dtype == record.sigma_per_frame.dtype == np.int32
 
 
 def test_sigma_loop_steps_as_the_bound_assumes():

@@ -17,8 +17,8 @@ from dualteo.signal_model import (
     read_header,
     save_record,
 )
-from dualteo.signal_model import datapath_ints
-from dualteo.threshold import sigma_frames_q10
+from dualteo.signal_model import datapath_codes
+from dualteo.threshold import initial_sigma_q10, sigma_frames_q10
 from dualteo.transforms import smooth2_fixed, teo_fixed
 
 FMT7 = FixedPointFormat(total_bits=7)
@@ -129,22 +129,21 @@ class TestDequantize:
         assert q.codes.dtype == FMT7.dtype and q.codes.tolist() == codes.tolist()
 
 
-@pytest.mark.parametrize("dtype, work", [
-    (np.int8, np.int16), (np.int16, np.int64), (np.int32, np.int32),
-    (np.int64, np.int64), (np.uint8, np.int64), (np.uint32, np.int64),
-])
-def test_datapath_ints_widths(dtype, work):
-    values = np.array([0, 1, 100], dtype=dtype)
-    got = datapath_ints(values)
-    assert got.dtype == work and got.tolist() == [0, 1, 100]
-    # kept arrays are the input itself; widened ones are copies
-    assert (got is values) == (dtype == work)
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64])
+def test_datapath_codes_are_int8(dtype):
+    bottom = np.iinfo(np.int8).min if np.issubdtype(dtype, np.signedinteger) else 0
+    values = np.array([bottom, 1, 127], dtype=dtype)
+    got = datapath_codes(values)
+    assert got.dtype == np.int8 and got.tolist() == values.tolist()
+    # int8 passes as it is; any other dtype is cast once, into a copy
+    assert (got is values) == (dtype == np.int8)
 
 
 DATAPATH_KERNELS = {
     "smooth2_fixed": smooth2_fixed,
     "teo_fixed": teo_fixed,
     "sigma_frames_q10": sigma_frames_q10,
+    "initial_sigma_q10": initial_sigma_q10,
 }
 
 
@@ -157,25 +156,36 @@ def run_kernel(kernel, codes):
 
 
 @pytest.mark.parametrize("kernel", DATAPATH_KERNELS.values(), ids=DATAPATH_KERNELS.keys())
-@pytest.mark.parametrize("code", [1 << 63, (1 << 64) - 1])
-def test_unsigned_codes_at_or_above_2_63_raise_in_every_kernel(kernel, code):
+@pytest.mark.parametrize("dtype, code, message", [
     # cast to int64 they wrapped: 2**64 - 1 read as -1 and sigma came back [0, 63]
-    codes = np.zeros(2 * 256, dtype=np.uint64)
+    (np.uint64, 1 << 63, "8-bit range"),
+    (np.uint64, (1 << 64) - 1, "8-bit range"),
+    (np.int16, 128, "8-bit range"),
+    (np.int16, -129, "8-bit range"),
+    # a cast truncated floats toward zero, and NaN warned and read as a code
+    (np.float64, 1.7, "integer codes"),
+    (np.float64, np.nan, "integer codes"),
+    (np.bool_, True, "integer codes"),
+])
+def test_codes_outside_int8_raise_in_every_kernel(kernel, dtype, code, message):
+    codes = np.zeros(2 * 256, dtype=dtype)
     codes[0] = code
     for block in (codes, codes[:, None]):
-        with pytest.raises(ValueError, match=r"2\*\*63"):
+        with pytest.raises(ValueError, match=message):
             kernel(block)
 
 
 @pytest.mark.parametrize("kernel", DATAPATH_KERNELS.values(), ids=DATAPATH_KERNELS.keys())
-@given(codes=st.lists(st.integers(0, 200) | st.integers(0, (1 << 63) - 1), max_size=600))
-@example(codes=[(1 << 63) - 1] * 3)
-def test_unsigned_codes_below_2_63_compute_as_int64(kernel, codes):
+@given(codes=st.lists(st.integers(0, 127) | st.integers(0, (1 << 64) - 1), max_size=600))
+@example(codes=[127] * 3)
+@example(codes=[128])
+def test_unsigned_codes_compute_as_int8(kernel, codes):
     codes = np.array(codes, dtype=np.uint64)
-    got, want = run_kernel(kernel, codes), run_kernel(kernel, codes.astype(np.int64))
-    if isinstance(want, str):
-        assert got == want
+    got = run_kernel(kernel, codes)
+    if codes.size and codes.max() > 127:
+        assert got == "codes outside 8-bit range [-128, 127]"
     else:
+        got, want = np.asarray(got), np.asarray(kernel(codes.astype(np.int8)))
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

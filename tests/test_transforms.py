@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dualteo import transforms
 from dualteo.hw_model import HwConfig, MultichannelStream
-from dualteo.signal_model import FixedPointFormat, datapath_ints
+from dualteo.signal_model import FixedPointFormat
 from dualteo.transforms import smooth2, smooth2_fixed, teo, teo_fixed
 
 codes7 = st.lists(st.integers(min_value=-64, max_value=63), min_size=3, max_size=200)
@@ -118,16 +118,25 @@ class TestTeoFixedShiftAndSaturate:
         with pytest.raises(ValueError):
             teo_fixed([1, 2, 3], -1)
 
-    def test_full_range_against_floor_division_oracle(self):
-        # the implementation shifts; the oracle divides
-        values = np.arange(-(1 << 20), (1 << 20) + 1, dtype=np.int64)
-        for drop in range(9):
-            got = energies_of(values, drop)
-            assert np.array_equal(got, np.floor_divide(values, 1 << drop)), f"mismatch at drop={drop}"
+    def test_int8_energies_against_floor_division_oracle(self):
+        # the implementation shifts; the oracle divides.  Every int8 middle
+        # code and right neighbour, under left neighbours that reach both
+        # ends of the int8 energies' range, [-16384, 32640]
+        b, c = (g.ravel() for g in np.meshgrid(np.arange(-128, 128), np.arange(-128, 128), indexing="ij"))
+        for a in (-128, -1, 1, 127):
+            block = np.stack([np.full_like(b, a), b, c]).astype(np.int8)
+            exact = b * b - a * c
+            assert exact.min() >= -16384 and exact.max() <= 32640
+            for drop in range(9):
+                got = teo_fixed(block, drop)[1]
+                assert got.dtype == np.int16
+                assert np.array_equal(got, np.floor_divide(exact, 1 << drop)), f"mismatch at a={a}, drop={drop}"
 
-    @given(st.integers(min_value=-(1 << 30), max_value=1 << 30), st.integers(min_value=0, max_value=12))
-    def test_scalar_matches_floor_division(self, value, drop):
-        assert energies_of([value], drop).tolist() == [value // (1 << drop)]
+    @given(st.lists(st.integers(min_value=-128, max_value=127), min_size=3, max_size=3),
+           st.integers(min_value=0, max_value=12))
+    def test_scalar_matches_floor_division(self, triple, drop):
+        a, b, c = triple
+        assert teo_fixed(np.array(triple, dtype=np.int8), drop)[1] == (b * b - a * c) // (1 << drop)
 
     @pytest.mark.parametrize("drop", range(9))
     @pytest.mark.parametrize("bits", [2, 7, 8, 9, 16, 24])
@@ -137,7 +146,6 @@ class TestTeoFixedShiftAndSaturate:
         values = np.arange(fmt.min_code, fmt.max_code + 1, dtype=np.int8)
         got = energies_of(values, drop)
         assert got.dtype == np.int16
-        assert np.array_equal(got, energies_of(values.astype(np.int64), drop))
         assert np.array_equal(got, np.arange(fmt.min_code, fmt.max_code + 1) // (1 << drop))
         assert values.tolist() == list(range(fmt.min_code, fmt.max_code + 1))  # the input is left alone
 
@@ -173,23 +181,6 @@ class TestSmooth2Fixed:
         assert got == oracle
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    n=st.integers(min_value=0, max_value=700),
-    channels=st.integers(min_value=1, max_value=40),
-    drop=st.integers(min_value=0, max_value=8),
-)
-def test_int32_block_equals_int64_columns(seed, n, channels, drop):
-    # a time-major int32 block runs every column as its own int64 channel would
-    block = np.random.default_rng(seed).integers(-64, 64, size=(n, channels)).astype(np.int32)
-    for kernel in (smooth2_fixed, lambda x: teo_fixed(x, drop), lambda x: teo_fixed(smooth2_fixed(x), drop)):
-        got = kernel(block)
-        assert got.dtype == np.int32 and got.shape == block.shape
-        for c in range(channels):
-            column = kernel(block[:, c].astype(np.int64))
-            assert column.dtype == np.int64 and np.array_equal(got[:, c], column)
-
-
 INT8_CORNERS = np.array([-128, -127, -64, -1, 0, 1, 63, 126, 127])
 
 
@@ -208,20 +199,19 @@ def full_range_int8_block(seed, n, channels):
     channels=st.integers(min_value=1, max_value=40),
     drop=st.integers(min_value=0, max_value=8),
 )
-def test_int8_block_equals_int64_columns(seed, n, channels, drop):
+def test_int8_block_columns_equal_the_formulas(seed, n, channels, drop):
     # an int8 block computes in int16: half-sums come back int8, energies int16
     block = full_range_int8_block(seed, n, channels)
+    half = smooth2_fixed(block)
     kernels = [
-        (smooth2_fixed, np.int8),
-        (lambda x: teo_fixed(x, drop), np.int16),
-        (lambda x: teo_fixed(smooth2_fixed(x), drop), np.int16),
+        (half, smooth2_fixed_formula, block, np.int8),
+        (teo_fixed(block, drop), lambda x: teo_fixed_formula(x, drop), block, np.int16),
+        (teo_fixed(half, drop), lambda x: teo_fixed_formula(x, drop), half, np.int16),
     ]
-    for kernel, dtype in kernels:
-        got = kernel(block)
+    for got, formula, codes, dtype in kernels:
         assert got.dtype == dtype and got.shape == block.shape
         for c in range(channels):
-            column = kernel(block[:, c].astype(np.int64))
-            assert column.dtype == np.int64 and np.array_equal(got[:, c], column)
+            assert np.array_equal(got[:, c], formula(codes[:, c]))
 
 
 def test_int8_energies_span_the_exact_int16_range():
@@ -240,18 +230,21 @@ def test_smooth2_fixed_every_int8_pair_is_an_exact_floor_half_sum():
     assert np.array_equal(got[1], (a.ravel() + b.ravel()) // 2)
 
 
-@pytest.mark.parametrize("dtype", [np.int16, np.uint8, np.uint16])
-def test_other_integer_inputs_widen_to_int64_and_stay_exact(dtype):
-    # over the dtype's whole range, whose energies overflow the input dtype
-    lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.uint8, np.uint16])
+def test_other_integer_inputs_compute_as_int8_codes(dtype):
+    # over the int8 range the dtype holds; one code past it raises
+    lo, hi = max(-128, np.iinfo(dtype).min), 127
     codes = np.random.default_rng(3).integers(lo, hi, size=(300, 5), endpoint=True).astype(dtype)
     codes[:3, 0] = [lo, hi, lo]
     wide = codes.astype(np.int64)
-    for kernel in (smooth2_fixed, lambda x: teo_fixed(x, 2)):
+    for kernel, formula, out in ((smooth2_fixed, smooth2_fixed_formula, np.int8),
+                                 (lambda x: teo_fixed(x, 2), lambda x: teo_fixed_formula(x, 2), np.int16)):
         got = kernel(codes)
-        assert got.dtype == np.int64 and np.array_equal(got, kernel(wide))
-    energies = teo_fixed(codes)
-    assert np.array_equal(energies[1:-1], wide[1:-1] ** 2 - wide[2:] * wide[:-2])
+        assert got.dtype == out and np.array_equal(got, formula(wide))
+        beyond = codes.copy()
+        beyond[7, 3] = hi + 1
+        with pytest.raises(ValueError, match="8-bit range"):
+            kernel(beyond)
 
 
 # the whole-array formulas the blocked kernels replaced
@@ -272,19 +265,21 @@ def smooth2_formula(x):
 
 
 def teo_fixed_formula(x, drop):
-    x = datapath_ints(x)
+    """Energies of int8-range codes in int64, then in the kernel's int16."""
+    x = np.asarray(x).astype(np.int64)
     out = np.zeros_like(x)
     if len(x) >= 3:
         out[1:-1] = (x[1:-1] * x[1:-1] - x[2:] * x[:-2]) >> drop
-    return out
+    return out.astype(np.int16)
 
 
 def smooth2_fixed_formula(x):
-    wide = datapath_ints(x)
+    """Half-sums of int8-range codes in int64, then in the kernel's int8."""
+    wide = np.asarray(x).astype(np.int64)
     s = wide.copy()
     if len(x) >= 2:
         s[1:] = (wide[1:] + wide[:-1]) >> 1
-    return s.astype(np.int8) if np.asarray(x).dtype == np.int8 else s
+    return s.astype(np.int8)
 
 
 @pytest.mark.parametrize("block_cells", [1, 2, 3, 5, 8])
@@ -322,7 +317,7 @@ def test_energy_boundary_rows_are_zero(shape, kernel, dtype):
     x = np.random.default_rng(len(shape) + shape[0]).integers(-64, 64, size=shape).astype(dtype)
     if shape == (240_000,):
         assert transforms._block_rows(x, len(x) - 2) < len(x) - 2  # the walk takes two blocks
-    wide = np.dtype(np.int16) if dtype == np.int8 else np.dtype(dtype)
+    wide = np.dtype(np.float64 if dtype == np.float64 else np.int16)
     np.full(x.size * wide.itemsize, 0x55, dtype=np.uint8)  # freed at once, for the output to reuse
     out = kernel(x)
     assert out.shape == x.shape
