@@ -28,7 +28,7 @@ from .threshold import (
 from .detector import (
     DetectorKind,
     EventFormationConfig,
-    SpikeEvent,
+    Events,
     detect,
     detect_at,
     detect_dual,

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_model import SignalRecord, _data_lines, _validated, is_finite_real, load_record, save_record
+from .signal_model import SignalRecord, _data_lines, _int64, _validated, is_finite_real, load_record, save_record
 
 __all__ = [
     "GroundTruth",
@@ -436,14 +436,6 @@ def rescale_ground_truth(
 # ---------------------------------------------------------------------------
 # Ground-truth and dataset files
 # ---------------------------------------------------------------------------
-
-
-def _int64(text: str) -> int:
-    """``text`` as an integer, range-checked so an int64 array holds it."""
-    value = int(text)
-    if not -(1 << 63) <= value < 1 << 63:
-        raise ValueError(f"outside int64: {text!r}")
-    return value
 
 
 # one spike per line; the template id is left off when the truth has none

@@ -17,6 +17,8 @@ event former, ``_merge_runs``, has four callers: :func:`form_events`, the
 256-channel stream's feeds (``hw_model.MultichannelStream._form_events``),
 and calibration's two merges, crossings into runs (``threshold._map_runs``)
 and a candidate's runs into events (``threshold._record_accuracies``).
+Its event indices go straight into the :class:`Events` every detector
+returns, two int64 arrays that scoring and the events file read as they are.
 
 Amplitude-domain baselines (absolute threshold, dual-vertex threshold, moving
 average energy over a fixed 8-sample window) use the record's global
@@ -43,7 +45,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .signal_model import SignalRecord, _data_lines
+from .signal_model import SignalRecord, _data_lines, _int64
 from .threshold import (
     FRAME_LEN,
     SIGMA_FRACTION_BITS,
@@ -57,7 +59,7 @@ from .threshold import (
 from .transforms import smooth2, teo
 
 __all__ = [
-    "SpikeEvent",
+    "Events",
     "EventFormationConfig",
     "DetectorKind",
     "PreparedDual",
@@ -86,10 +88,45 @@ DEFAULT_MAE_WINDOW = 8
 DEFAULT_MAE_MULTIPLE = 9.0
 
 
-@dataclass(frozen=True)
-class SpikeEvent:
-    channel_id: int
-    sample_index: int
+_NO_INDICES = np.zeros(0, dtype=np.int64)
+
+
+class Events:
+    """Detected events: int64 arrays ``channel_id`` and ``sample_index`` of equal length.
+
+    Detectors return them sorted by channel, then by sample.  A value whose
+    arrays no caller changes in place: ``==`` is one bool, ``Events()`` is
+    empty.  A plain slotted class, as the stream builds one per channel per
+    feed, and a frozen dataclass's ``__init__`` costs more.
+    """
+
+    __slots__ = ("channel_id", "sample_index")
+
+    def __init__(self, channel_id: np.ndarray = _NO_INDICES, sample_index: np.ndarray = _NO_INDICES):
+        self.channel_id = channel_id
+        self.sample_index = sample_index
+
+    def __len__(self) -> int:
+        return len(self.sample_index)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Events):
+            return NotImplemented
+        n = len(self.sample_index)
+        if n != len(other.sample_index) or not n:  # empty, as most channels of a short feed are: no numpy
+            return n == len(other.sample_index)
+        same = np.array_equal(self.sample_index, other.sample_index)
+        return same and np.array_equal(self.channel_id, other.channel_id)
+
+    def __repr__(self) -> str:
+        return f"Events(channel_id={self.channel_id!r}, sample_index={self.sample_index!r})"
+
+    @classmethod
+    def join(cls, parts) -> Events:
+        """``parts`` end to end, as a stream's calls return a channel's events."""
+        parts = list(parts)
+        channel_id = np.concatenate([_NO_INDICES] + [part.channel_id for part in parts])
+        return cls(channel_id, np.concatenate([_NO_INDICES] + [part.sample_index for part in parts]))
 
 
 @dataclass(frozen=True)
@@ -153,13 +190,14 @@ def _merge_runs(first, last, peak, values, gap: int) -> tuple[np.ndarray, np.nda
     return heads, np.minimum.reduceat(peak[at_peak], np.flatnonzero(lead))
 
 
-def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: int = 0) -> list[SpikeEvent]:
+def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: int = 0) -> Events:
     """Merge crossing runs separated by less than the refractory gap into events.
 
     The gap between two crossing samples is their index difference; runs whose
     gap is below ``refractory_samples`` belong to one event.  The event sits
     on the maximum of ``teo_values`` over its crossing samples (earliest on
     ties).  Any two returned events are at least ``refractory_samples`` apart.
+    Returns them as one :class:`Events` on ``channel_id``.
     """
     crossings = np.asarray(crossings, dtype=bool)
     teo_values = np.asarray(teo_values)
@@ -167,7 +205,7 @@ def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: in
         raise ValueError("crossings and teo_values must have the same length")
     idx = np.flatnonzero(crossings)
     _, peaks = _merge_runs(idx, idx, idx, teo_values[idx], cfg.refractory_samples)
-    return [SpikeEvent(channel_id=channel_id, sample_index=i) for i in peaks.tolist()]
+    return Events(np.full(len(peaks), channel_id, dtype=np.int64), peaks)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +334,13 @@ def _exceeds(energy: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gate_and_form(prep: PreparedDual, crossings: np.ndarray, align: np.ndarray) -> list[SpikeEvent]:
+def _gate_and_form(prep: PreparedDual, crossings: np.ndarray, align: np.ndarray) -> Events:
     """Clear crossings inside the warm-up region (in place) and form events."""
     crossings[: prep.warmup_samples] = False
     return form_events(crossings, align, prep.event_cfg, prep.channel_id)
 
 
-def finish_dual(prep: PreparedDual, coeffs: ThresholdCoefficients) -> list[SpikeEvent]:
+def finish_dual(prep: PreparedDual, coeffs: ThresholdCoefficients) -> Events:
     """Threshold, OR, gate the warm-up region, and form events."""
     cross_x, cross_s = dual_crossing_streams(prep, coeffs)
     return _gate_and_form(prep, cross_x | cross_s, prep.align)
@@ -331,7 +369,7 @@ def _check_warmup(record) -> bool:
 def _detect_paths(record: SignalRecord, coeffs: ThresholdCoefficients, kinds) -> dict:
     """The events of each of ``DUAL`` and ``TEO_SINGLE`` in ``kinds``, from one prepare and one compare."""
     if not _check_warmup(record):
-        return {kind: [] for kind in kinds}
+        return {kind: Events() for kind in kinds}
     prep = prepare_dual(record)
     cross_x, cross_s = dual_crossing_streams(prep, coeffs)
     events = {}
@@ -345,7 +383,7 @@ def _detect_paths(record: SignalRecord, coeffs: ThresholdCoefficients, kinds) ->
 def detect_dual(
     record: SignalRecord,
     coeffs: ThresholdCoefficients | None = None,
-) -> list[SpikeEvent]:
+) -> Events:
     """Dual-path detection on a floating-point record."""
     if coeffs is None:
         coeffs = default_float_coefficients()
@@ -355,7 +393,7 @@ def detect_dual(
 def detect_teo_single(
     record: SignalRecord,
     coeffs: ThresholdCoefficients | None = None,
-) -> list[SpikeEvent]:
+) -> Events:
     """Raw-path-only detection; its crossing set is a subset of the dual's."""
     if coeffs is None:
         coeffs = default_float_coefficients()
@@ -367,14 +405,14 @@ def detect_teo_single(
 # ---------------------------------------------------------------------------
 
 
-def _form_baseline(record: SignalRecord, crossings, align) -> list[SpikeEvent]:
+def _form_baseline(record: SignalRecord, crossings, align) -> Events:
     return form_events(crossings, align, EventFormationConfig.for_rate(record.rate_hz), record.channel_id)
 
 
 def detect_at(
     record: SignalRecord,
     threshold_multiple: float = DEFAULT_AT_MULTIPLE,
-) -> list[SpikeEvent]:
+) -> Events:
     """Absolute thresholding: ``|x| > multiple * std(x)``, aligned on the |x| peak.
 
     This is :func:`detect_dvt` with both multiples equal: ``|x| > t`` holds
@@ -387,12 +425,12 @@ def detect_dvt(
     record: SignalRecord,
     pos_multiple: float = DEFAULT_DVT_POS_MULTIPLE,
     neg_multiple: float = DEFAULT_DVT_NEG_MULTIPLE,
-) -> list[SpikeEvent]:
+) -> Events:
     """Dual-vertex thresholding with independent positive and negative levels."""
     x = record.samples
     sd = float(np.std(x)) if len(x) else 0.0
     if sd == 0:  # a constant record has no noise to scale a threshold by
-        return []
+        return Events()
     crossings = (x > pos_multiple * sd) | (x < -neg_multiple * sd)
     return _form_baseline(record, crossings, np.abs(x))
 
@@ -424,17 +462,17 @@ def moving_average_energy(x) -> np.ndarray:
 def detect_mae(
     record: SignalRecord,
     threshold_multiple: float = DEFAULT_MAE_MULTIPLE,
-) -> list[SpikeEvent]:
+) -> Events:
     """Moving-average-energy detection: ``e > multiple * var(x)``, ``e`` by :func:`moving_average_energy`."""
     x = record.samples
     e = moving_average_energy(x)
     var = float(np.var(x)) if len(x) else 0.0
     if var == 0:  # a constant record has no noise to scale a threshold by
-        return []
+        return Events()
     return _form_baseline(record, e > threshold_multiple * var, e)
 
 
-def detect(record: SignalRecord, kind: DetectorKind, **kwargs) -> list[SpikeEvent]:
+def detect(record: SignalRecord, kind: DetectorKind, **kwargs) -> Events:
     """Dispatch to one detector by kind; ``kwargs`` override its default tuning."""
     if kind == DetectorKind.DUAL:
         return detect_dual(record, **kwargs)
@@ -449,7 +487,7 @@ def detect(record: SignalRecord, kind: DetectorKind, **kwargs) -> list[SpikeEven
     raise ValueError(f"unknown detector kind {kind!r}")
 
 
-def detect_each(record: SignalRecord, kinds) -> list[list[SpikeEvent]]:
+def detect_each(record: SignalRecord, kinds) -> list[Events]:
     """The events of each detector in ``kinds`` at its default tuning, as :func:`detect` gives them.
 
     The dual and raw-path detectors share one prepare and one compare when
@@ -466,26 +504,29 @@ def detect_each(record: SignalRecord, kinds) -> list[list[SpikeEvent]]:
 # ---------------------------------------------------------------------------
 
 
-_EVENT_COLUMNS = (("channel", int), ("sample_index", int))
+_EVENT_COLUMNS = (("channel", _int64), ("sample_index", _int64))
 _EVENTS_HEADER = ",".join(name for name, _ in _EVENT_COLUMNS)
 
 
-def _events_text(events: list[SpikeEvent]) -> str:
+def _events_text(events: Events) -> str:
     """The events file of ``events``: its header, then one ``channel,sample_index`` line per event."""
-    return "".join([_EVENTS_HEADER + "\n"] + [f"{ev.channel_id},{ev.sample_index}\n" for ev in events])
+    fields = np.column_stack([events.channel_id, events.sample_index]).ravel().tolist()
+    return _EVENTS_HEADER + "\n" + ("%d,%d\n" * len(events)) % tuple(fields)
 
 
-def events_to_csv(events: list[SpikeEvent], path) -> None:
+def events_to_csv(events: Events, path) -> None:
     Path(path).write_text(_events_text(events))
 
 
-def events_from_csv(path) -> list[SpikeEvent]:
+def events_from_csv(path) -> Events:
     lines = _data_lines(path)
     header = next(lines, None)
     if header is None or header.text != _EVENTS_HEADER:
         raise ValueError(f"{path}: expected header {_EVENTS_HEADER!r}")
-    return [SpikeEvent(*line.fields(_EVENT_COLUMNS, ",")) for line in lines]
+    rows = [line.fields(_EVENT_COLUMNS, ",") for line in lines]
+    return Events(*np.array(rows, dtype=np.int64).reshape(-1, 2).T.copy())
 
 
-def event_indices(events: list[SpikeEvent]) -> np.ndarray:
-    return np.asarray([ev.sample_index for ev in events], dtype=np.int64)
+def event_indices(events: Events) -> np.ndarray:
+    """The sample index of each event, ``events.sample_index``."""
+    return events.sample_index

@@ -25,7 +25,8 @@ stream in time chunks of one kernel block of cells
 or more channels its sigma loop compares each frame's int8 half-sums with
 every channel's level in int8, into one reused bool buffer, and counts the
 exceedances with one ``np.add.reduce`` of the buffer's bytes into int16.  A
-feed merges its chunks' crossings into events once.
+feed merges its chunks' crossings into events once, and returns one
+:class:`~dualteo.detector.Events` per channel.
 :func:`hw_detect_multichannel` is one final run of its chunk loop, and so
 is :func:`hw_detect_channel`, on one channel.  Neither case ever shifts
 data into Q.10: each compare against a Q.10 register shifts the register
@@ -44,8 +45,8 @@ import numpy as np
 from . import dataio, transforms
 from .detector import (
     EventFormationConfig,
+    Events,
     PreparedDual,
-    SpikeEvent,
     _check_warmup,
     _frame_thresholds,
     _merge_runs,
@@ -91,7 +92,7 @@ class HwConfig:
     constants; ``tests/test_register_map.py`` proves each holds every value 7-bit codes reach.
     A shift too small for that is refused here, so no energy register ever saturates; so is a
     shift wider than the exact energies, which would leave only 0 and -1 and could push the
-    alignment's left shift past the width of its int64.
+    alignment's left shift past the width of its int32.
     """
 
     input_format: ClassVar[FixedPointFormat] = FixedPointFormat(total_bits=7)
@@ -141,15 +142,16 @@ def chip_input(record: SignalRecord, truth=None) -> tuple[QuantizedRecord, datai
 
 
 def _align_stream(x_teo: np.ndarray, s_teo: np.ndarray, cfg: HwConfig) -> np.ndarray:
-    """Alignment signal on the common de-truncated scale of the two energies, in int64.
+    """Alignment signal on the common de-truncated scale of the two energies, in int32.
 
-    A record takes it of every sample; the stream only of its kept
-    crossings' energies, a few per chunk.
+    Every drop pair :class:`HwConfig` accepts keeps it within int32
+    (``tests/test_register_map.py``).  A record takes it of every sample;
+    the stream only of its kept crossings' energies, a few per chunk.
     """
     base = min(cfg.xteo_drop_lsbs, cfg.steo_drop_lsbs)
     return np.maximum(
-        x_teo.astype(np.int64) << (cfg.xteo_drop_lsbs - base),
-        s_teo.astype(np.int64) << (cfg.steo_drop_lsbs - base),
+        x_teo.astype(np.int32) << (cfg.xteo_drop_lsbs - base),
+        s_teo.astype(np.int32) << (cfg.steo_drop_lsbs - base),
     )
 
 
@@ -202,20 +204,20 @@ def hw_detect_channel(
     q: QuantizedRecord,
     cfg: HwConfig | None = None,
     coeffs: ThresholdCoefficients | None = None,
-) -> list[SpikeEvent]:
+) -> Events:
     """Integer-only dual detection of one quantized channel.
 
     The channel is one final feed of a one-channel :class:`MultichannelStream`,
     so it runs the stream's chunk loop in the register map's dtypes; its
     events equal those of the record path,
-    ``finish_dual(prepare_hw_dual(q, cfg), coeffs)``.
+    ``finish_dual(prepare_hw_dual(q, cfg), coeffs)``, on ``q.channel_id``.
     """
     cfg = cfg if cfg is not None else HwConfig()
     if not _check_warmup(q):
-        return []
+        return Events()
     _check_chip_codes(q, cfg)
     (events,) = MultichannelStream(replace(cfg, channels=1), coeffs)._feed(q.codes, final=True)
-    return [SpikeEvent(q.channel_id, e.sample_index) for e in events]
+    return Events(np.full(len(events), q.channel_id, dtype=np.int64), events.sample_index)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +293,7 @@ def trace_internal(
 # ---------------------------------------------------------------------------
 
 # no open events: channels, last crossings, peak scans and peak alignment values
-_NO_OPEN_EVENTS = (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0, dtype=np.int64),)
+_NO_OPEN_EVENTS = (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0, dtype=np.int32),)
 
 
 class MultichannelStream:
@@ -299,10 +301,10 @@ class MultichannelStream:
 
     :meth:`push` takes the next scans, flat (scan-major) or ``(n_scans,
     channels)``, under the input checks of :func:`hw_detect_multichannel`,
-    and returns the events they finished, one list per channel; a push
-    that fails a check leaves the stream as it was, so the next push
-    continues from the last accepted one;
-    :meth:`close` ends the stream and returns the rest.  With
+    and returns the events they finished, a list of one
+    :class:`~dualteo.detector.Events` per channel; a push that fails a check
+    leaves the stream as it was, so the next push continues from the last
+    accepted one; :meth:`close` ends the stream and returns the rest.  With
     ``return_crossings`` each call also returns the raw comparator outputs
     of the scans it decided, a ``(channels, scans)`` boolean view of the
     time-major array its chunks wrote; joined along axis 1, the calls'
@@ -440,26 +442,31 @@ class MultichannelStream:
         times += start + skip
         return channels, times, times, align
 
-    def _form_events(self, live, start: int, final: bool) -> list:
+    def _form_events(self, live, start: int, final: bool) -> list[Events]:
         """Merge the open events and a feed's ``live`` crossings from scan ``start`` on into events.
 
-        They are keyed channel-major with a gap between channels, as
-        calibration spaces its crossing-map rows, so one ``_merge_runs``
-        pass forms every channel's events and none merge across channels.
-        Returns the finished events, one list per channel; an event stays
-        open while a crossing at the next feed's first scan would still join
-        it, and none once the stream has ended.
+        They arrive in time order within each channel, so a stable sort on
+        the channel alone (a radix sort, on keys of at most 16 bits) puts
+        them channel-major.  Keyed with a gap between channels, as
+        calibration spaces its crossing-map rows, one ``_merge_runs`` pass
+        forms every channel's events and none merge across channels.
+        Returns the finished events, one ``Events`` per channel, views of
+        the channel-major arrays; an event stays open while a crossing at
+        the next feed's first scan would still join it, and none once the
+        stream has ended.
         """
-        events = [[] for _ in range(self.cfg.channels)]
+        channels = self.cfg.channels
         channel, last, scan, align = (np.concatenate(field) for field in zip(*live))
-        if len(channel) == 0:
-            return events
+        # nothing to merge, or no chunk walked, after which every open event is still open; an
+        # empty Events holds nothing to change, so the channels share one
+        if len(channel) == 0 or (len(live) == 1 and not final):
+            return [Events()] * channels
         gap = EventFormationConfig.for_rate(self.cfg.rate_hz).refractory_samples
         end = self._start
+        order = np.argsort(channel.astype(np.min_scalar_type(channels - 1)), kind="stable")
+        channel, last, scan, align = channel[order], last[order], scan[order], align[order]
         # open events' last crossings lie after start - gap
         key = channel * (end - start + 2 * gap) + (last - (start - gap))
-        order = np.argsort(key, kind="stable")
-        channel, last, scan, align, key = channel[order], last[order], scan[order], align[order], key[order]
         _, peaks = _merge_runs(key, key, np.arange(len(key)), align, gap)
         # each channel's last crossing, and its last event
         last_crossing = np.flatnonzero(np.append(channel[1:] != channel[:-1], True))
@@ -469,9 +476,10 @@ class MultichannelStream:
         self._open = (channel[stay], last[last_crossing[still]], scan[stay], align[stay])
         finished = np.ones(len(peaks), dtype=bool)
         finished[last_event[still]] = False
-        for ch, t in zip(channel[peaks[finished]].tolist(), scan[peaks[finished]].tolist()):
-            events[ch].append(SpikeEvent(ch, t))  # positional: about a quarter faster than by keyword
-        return events
+        channel, scan = channel[peaks[finished]], scan[peaks[finished]]
+        bounds = np.searchsorted(channel, np.arange(channels + 1)).tolist()
+        views = list(map(slice, bounds[:-1], bounds[1:]))
+        return list(map(Events, map(channel.__getitem__, views), map(scan.__getitem__, views)))
 
 
 def hw_detect_multichannel(
@@ -492,8 +500,8 @@ def hw_detect_multichannel(
     sample-serial, block-scheduled engine, and the test suite checks the two
     against each other.
 
-    Returns a list of per-channel event lists; with ``return_crossings`` also
-    a (channels, n_scans) boolean view of the raw comparator outputs, taken
-    from the same compare and stored time-major.
+    Returns a list of one :class:`~dualteo.detector.Events` per channel;
+    with ``return_crossings`` also a (channels, n_scans) boolean view of the
+    raw comparator outputs, taken from the same compare and stored time-major.
     """
     return MultichannelStream(cfg, coeffs, return_crossings)._feed(frames, final=True)

@@ -39,7 +39,7 @@ from .dataio import (
     rescale_ground_truth,
     resample,
 )
-from .detector import DetectorKind, SpikeEvent, event_indices
+from .detector import DetectorKind, Events
 from .signal_model import (
     FixedPointFormat,
     _data_lines,
@@ -129,7 +129,7 @@ def _true_positives(det: np.ndarray, rows: np.ndarray, n_rows: int, tru: np.ndar
 
 
 def match_events(
-    detected: list[SpikeEvent] | np.ndarray,
+    detected: Events | np.ndarray,
     truth: GroundTruth,
     tolerance_samples: int,
 ) -> MatchReport:
@@ -144,10 +144,7 @@ def match_events(
     """
     if tolerance_samples < 0:
         raise ValueError("tolerance_samples must be >= 0")
-    det = np.sort(np.asarray(
-        event_indices(detected) if isinstance(detected, list) else detected,
-        dtype=np.int64,
-    ))
+    det = np.sort(np.asarray(detected.sample_index if isinstance(detected, Events) else detected, dtype=np.int64))
     tru = truth.spike_indices
     tp = int(_true_positives(det, np.zeros(len(det), dtype=np.int64), 1, tru, tolerance_samples)[0])
     return MatchReport(tp=tp, fp=len(det) - tp, fn=len(tru) - tp)
@@ -162,13 +159,13 @@ def accuracy(report: MatchReport) -> float:
 
 
 def score_events(
-    detected: list[SpikeEvent],
+    detected: Events,
     truth: GroundTruth,
     tolerance_samples: int,
     skip_before: int = 0,
 ) -> MatchReport:
     """Match after dropping truth spikes and detections inside the warm-up region."""
-    det = event_indices(detected)
+    det = detected.sample_index
     det = det[det >= skip_before]
     tru_idx = truth.spike_indices[truth.spike_indices >= skip_before]
     return match_events(det, GroundTruth(spike_indices=tru_idx), tolerance_samples)
@@ -184,7 +181,7 @@ def match_window(rate_hz: float, n_samples: int, tolerance_ms: float = DEFAULT_T
 
 
 def score_record(
-    detected: list[SpikeEvent],
+    detected: Events,
     truth: GroundTruth,
     rate_hz: float,
     n_samples: int,

@@ -69,8 +69,7 @@ class SignalRecord:
         object.__setattr__(self, "samples", samples)
         if not 0 < self.rate_hz < math.inf:
             raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
-        if self.channel_id < 0:
-            raise ValueError(f"channel_id must be non-negative, got {self.channel_id}")
+        _check_channel_id(self.channel_id)
         _require_finite(samples, _NOT_FINITE)
 
     def __len__(self) -> int:
@@ -140,11 +139,18 @@ class QuantizedRecord:
         codes = np.asarray(self.codes)
         if not 0 < self.rate_hz < math.inf:
             raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
+        _check_channel_id(self.channel_id)
         _check_full_scale(self.full_scale)
         object.__setattr__(self, "codes", self.format.check(codes).astype(self.format.dtype, copy=False))
 
     def __len__(self) -> int:
         return len(self.codes)
+
+
+def _check_channel_id(channel_id) -> None:
+    """Refuse a channel id that the int64 ``channel_id`` of detected events cannot hold."""
+    if not 0 <= channel_id < 1 << 63:
+        raise ValueError(f"channel_id must be in [0, 2**63), got {channel_id}")
 
 
 def _check_full_scale(full_scale) -> None:
@@ -244,6 +250,14 @@ def _read_text(path) -> str:
         return (Path(path) if isinstance(path, (str, os.PathLike)) else path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _int64(text: str) -> int:
+    """``text`` as an integer, range-checked so an int64 array holds it."""
+    value = int(text)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"outside int64: {text!r}")
+    return value
 
 
 class _Line(NamedTuple):

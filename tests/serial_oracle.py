@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from dualteo.detector import EventFormationConfig, SpikeEvent
+from dualteo.detector import EventFormationConfig, Events
 from dualteo.hw_model import HwConfig
 from dualteo.threshold import (
     CONVERGENCE_FACTOR,
@@ -78,7 +78,7 @@ class ChannelState:
         self.peak_val = 0
         self.peak_idx = -1
         self.last_true = -(1 << 40)
-        self.events: list[SpikeEvent] = []
+        self.events: list[int] = []  # each event's sample index
         self.crossings = np.zeros(n_samples, dtype=bool) if record_crossings else None
 
 
@@ -130,7 +130,7 @@ class SerialChannel:
 
     def _finalize_event(self) -> None:
         st = self.state
-        st.events.append(SpikeEvent(channel_id=st.channel_id, sample_index=st.peak_idx))
+        st.events.append(st.peak_idx)
         st.pending = False
 
     def push(self, code: int) -> None:
@@ -188,21 +188,21 @@ class SerialChannel:
         st.s1 = s_t
         st.t = t + 1
 
-    def finish(self) -> list[SpikeEvent]:
+    def finish(self) -> Events:
         st = self.state
         if st.t >= 1:
             self._emit(st.t - 1, 0, 0)  # final boundary index, energy is 0
         if st.pending:
             self._finalize_event()
-        return st.events
+        return Events(np.full(len(st.events), st.channel_id, dtype=np.int64), np.array(st.events, dtype=np.int64))
 
 
 def serial_detect_multichannel(stream, cfg: HwConfig, coeffs: ThresholdCoefficients):
     """Serve a (n_scans, channels) code stream through the serial engine.
 
     Channels are serviced round-robin within each block of
-    ``CHANNELS_PER_BLOCK`` channels, blocks in order.  Returns the per-channel
-    event lists and the (channels, n_scans) boolean comparator outputs.
+    ``CHANNELS_PER_BLOCK`` channels, blocks in order.  Returns each channel's
+    ``Events`` and the (channels, n_scans) boolean comparator outputs.
     """
     stream = np.asarray(stream, dtype=np.int64)
     n_scans, channels = stream.shape

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from loop_oracles import split_events
 from dualteo.detector import (
     DetectorKind,
     EventFormationConfig,
+    Events,
     _merge_runs,
     detect,
     detect_at,
@@ -40,7 +42,7 @@ def cfg16():
 
 class TestFormEvents:
     def test_all_false_gives_empty(self):
-        assert form_events(np.zeros(100, bool), np.zeros(100), cfg16()) == []
+        assert form_events(np.zeros(100, bool), np.zeros(100), cfg16()) == Events()
 
     def test_single_run_aligns_on_peak(self):
         crossings = np.zeros(40, bool)
@@ -48,14 +50,14 @@ class TestFormEvents:
         energy = np.zeros(40)
         energy[10:13] = [1.0, 5.0, 2.0]
         events = form_events(crossings, energy, cfg16(), channel_id=3)
-        assert [(e.channel_id, e.sample_index) for e in events] == [(3, 11)]
+        assert events == Events(np.array([3]), np.array([11]))
 
     def test_runs_past_refractory_stay_separate(self):
         crossings = np.zeros(60, bool)
         crossings[[10, 40]] = True  # gap 30 > 16
         energy = np.ones(60)
         events = form_events(crossings, energy, cfg16())
-        assert [e.sample_index for e in events] == [10, 40]
+        assert events.sample_index.tolist() == [10, 40]
 
     def test_runs_within_refractory_merge(self):
         crossings = np.zeros(60, bool)
@@ -63,7 +65,7 @@ class TestFormEvents:
         energy = np.zeros(60)
         energy[20] = 2.0
         events = form_events(crossings, energy, cfg16())
-        assert [e.sample_index for e in events] == [20]
+        assert events.sample_index.tolist() == [20]
 
     def test_peak_tie_takes_earliest(self):
         crossings = np.zeros(30, bool)
@@ -71,7 +73,7 @@ class TestFormEvents:
         energy = np.zeros(30)
         energy[[5, 6, 7]] = 4.0
         events = form_events(crossings, energy, cfg16())
-        assert events[0].sample_index == 5
+        assert events.sample_index[0] == 5
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -105,15 +107,16 @@ class TestFormEvents:
         values = rng.integers(-2, 3, size=len(crossings)).astype(dtype)
         crossings = np.asarray(crossings)
         events = form_events(crossings, values, EventFormationConfig(refractory_samples=refractory), channel_id=2)
-        assert [e.sample_index for e in events] == split_events(crossings, values, refractory)
-        assert all(e.channel_id == 2 and type(e.sample_index) is int for e in events)
+        assert events.sample_index.tolist() == split_events(crossings, values, refractory)
+        assert events.channel_id.tolist() == [2] * len(events)
+        assert events.channel_id.dtype == events.sample_index.dtype == np.int64
 
     def test_nan_peak_taken_as_argmax_does(self):
         crossings = np.zeros(20, bool)
         crossings[[3, 4, 5, 6]] = True
         values = np.array([0.0] * 3 + [1.0, np.nan, 5.0, np.nan] + [0.0] * 13)
         events = form_events(crossings, values, cfg16())
-        assert [e.sample_index for e in events] == split_events(crossings, values, 16) == [4]
+        assert events.sample_index.tolist() == split_events(crossings, values, 16) == [4]
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -193,19 +196,19 @@ class TestMergeRuns:
 class TestDetectDual:
     def test_all_zero_record_yields_no_events(self):
         record = SignalRecord(np.zeros(10000), rate_hz=24000.0)
-        assert detect_dual(record, COEFFS) == []
+        assert detect_dual(record, COEFFS) == Events()
 
     def test_short_record_warns_and_returns_empty(self):
         record = SignalRecord(np.zeros(100), rate_hz=24000.0)
         with pytest.warns(UserWarning, match="warm-up"):
             events = detect_dual(record, COEFFS)
-        assert events == []
+        assert events == Events()
 
     def test_clean_single_spike_detected_once(self):
         record = make_clean_spike_record(spike_index=5000, n=10000)
         events = detect_dual(record, COEFFS)
         assert len(events) == 1
-        assert abs(events[0].sample_index - 5000) <= 24
+        assert abs(events.sample_index[0] - 5000) <= 24
 
     def test_crossing_union_property(self, noisy_record):
         record, _ = noisy_record
@@ -250,13 +253,13 @@ class TestDetectDual:
 class TestBaselines:
     def test_at_empty_on_zero_record(self):
         record = SignalRecord(np.zeros(1000), rate_hz=24000.0)
-        assert detect_at(record) == []
+        assert detect_at(record) == Events()
 
     def test_at_detects_clean_spike(self):
         record = make_clean_spike_record(spike_index=2000, n=6000)
         events = detect_at(record, threshold_multiple=4.0)
         assert len(events) == 1
-        assert abs(events[0].sample_index - 2000) <= 24
+        assert abs(events.sample_index[0] - 2000) <= 24
 
     def test_at_scale_invariance_is_exact(self, noisy_record):
         record, _ = noisy_record
@@ -290,16 +293,16 @@ class TestBaselines:
                 return []
             return split_events(np.array([crossed(v) for v in x.tolist()], dtype=bool), mag, 4)
 
-        got_at = [e.sample_index for e in detect_at(record, pos)]
+        got_at = detect_at(record, pos).sample_index.tolist()
         assert got_at == oracle(lambda v: abs(v) > pos * sd)
-        got_dvt = [e.sample_index for e in detect_dvt(record, pos, neg)]
+        got_dvt = detect_dvt(record, pos, neg).sample_index.tolist()
         assert got_dvt == oracle(lambda v: v > pos * sd or -v > neg * sd)
 
     def test_dvt_negative_spike_with_negative_threshold_only(self):
         record = make_clean_spike_record(spike_index=2000, n=6000, amplitude=-1.0)
         events = detect_dvt(record, pos_multiple=1e9, neg_multiple=4.0)
         assert len(events) == 1
-        assert abs(events[0].sample_index - 2000) <= 24
+        assert abs(events.sample_index[0] - 2000) <= 24
 
     def test_mae_energy_constant_record(self):
         e = moving_average_energy(np.full(50, 3.0))
@@ -314,19 +317,19 @@ class TestBaselines:
 
     def test_mae_empty_on_zero_record(self):
         record = SignalRecord(np.zeros(1000), rate_hz=24000.0)
-        assert detect_mae(record) == []
+        assert detect_mae(record) == Events()
 
     def test_mae_detects_clean_spike(self):
         record = make_clean_spike_record(spike_index=2000, n=6000)
         events = detect_mae(record, threshold_multiple=8.0)
         assert len(events) == 1
-        assert abs(events[0].sample_index - 2000) <= 24
+        assert abs(events.sample_index[0] - 2000) <= 24
 
     def test_dispatch_covers_every_kind(self, noisy_record):
         record, _ = noisy_record
         for kind in DetectorKind:
             events = detect(record, kind)
-            assert isinstance(events, list)
+            assert isinstance(events, Events)
 
     @pytest.mark.parametrize("kinds", [
         list(DetectorKind),
@@ -346,7 +349,7 @@ class TestBaselines:
     def test_detect_each_on_a_short_record_warns_and_finds_nothing(self):
         record = SignalRecord(samples=np.ones(100), rate_hz=24000.0)
         with pytest.warns(UserWarning, match="warm-up"):
-            assert detect_each(record, [DetectorKind.DUAL, DetectorKind.TEO_SINGLE]) == [[], []]
+            assert detect_each(record, [DetectorKind.DUAL, DetectorKind.TEO_SINGLE]) == [Events(), Events()]
 
     @pytest.mark.parametrize("n", [100, 10_000], ids=["inside-warmup", "past-warmup"])
     @pytest.mark.parametrize("value", [0.5, 0.0], ids=["half", "zero"])
@@ -356,8 +359,8 @@ class TestBaselines:
         kinds = list(DetectorKind)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert [detect(record, kind) for kind in kinds] == [[]] * len(kinds)
-            assert detect_each(record, kinds) == [[]] * len(kinds)
+            assert [detect(record, kind) for kind in kinds] == [Events()] * len(kinds)
+            assert detect_each(record, kinds) == [Events()] * len(kinds)
         # the only warnings are the energy detectors' on a record inside the warm-up
         assert all("warm-up" in str(w.message) for w in caught)
         assert bool(caught) == (n <= WARMUP_SAMPLES)
@@ -383,7 +386,58 @@ def test_warmup_warning_names_the_caller(call):
     assert [w.filename for w in caught] == [__file__]
 
 
+def events_of(pairs):
+    return Events(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy())
+
+
+class TestEvents:
+    @pytest.mark.parametrize("a, b, equal", [
+        ([(0, 5), (0, 9)], [(0, 5), (0, 9)], True),
+        ([(0, 5), (0, 9)], [(0, 5), (0, 8)], False),
+        ([(0, 5)], [(1, 5)], False),
+        ([], [], True),
+        ([], [(0, 5)], False),
+        ([(0, 5), (0, 9)], [(0, 5)], False),
+    ], ids=["equal", "sample-differs", "channel-differs", "both-empty", "one-empty", "different-length"])
+    def test_equality_is_one_bool(self, a, b, equal):
+        a, b = events_of(a), events_of(b)
+        for got, want in ((a == b, equal), (b == a, equal), (a != b, not equal)):
+            assert type(got) is bool and got == want
+        # a list of them compares element by element, as the benchmark compares per-channel results
+        assert ([a, a] == [b, a]) is equal
+
+    def test_other_types_are_never_equal(self):
+        assert Events() != [] and Events() != () and events_of([(0, 5)]) != [(0, 5)]
+
+    def test_length_and_truth_count_events(self):
+        assert len(Events()) == 0 and not Events()
+        assert len(events_of([(2, 5), (2, 40)])) == 2 and events_of([(2, 5)])
+
+    def test_join_puts_parts_one_after_another(self):
+        parts = [events_of([(3, 5)]), Events(), events_of([(3, 40), (3, 90)])]
+        assert Events.join(parts) == events_of([(3, 5), (3, 40), (3, 90)])
+        joined = Events.join([])
+        assert joined == Events() and joined.sample_index.dtype == joined.channel_id.dtype == np.int64
+
+    def test_repr_shows_both_arrays(self):
+        assert repr(events_of([(1, 7)])) == "Events(channel_id=array([1]), sample_index=array([7]))"
+
+
 class TestEventCsv:
+    def test_text_is_one_line_per_event(self, tmp_path):
+        events = events_of([(0, 17), (0, 4096), (255, 10**7)])
+        path = tmp_path / "events.csv"
+        events_to_csv(events, path)
+        assert path.read_text() == "channel,sample_index\n0,17\n0,4096\n255,10000000\n"
+        events_to_csv(Events(), path)
+        assert path.read_text() == "channel,sample_index\n" and events_from_csv(path) == Events()
+
+    def test_channel_beyond_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(f"channel,sample_index\n0,5\n{1 << 63},9\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: channel: outside int64"):
+            events_from_csv(path)
+
     def test_roundtrip(self, tmp_path):
         record = make_clean_spike_record()
         events = detect_at(record)

@@ -170,8 +170,9 @@ def golden_coeffs(name: str) -> ThresholdCoefficients:
 
 
 def events_digest(events) -> str:
-    pairs = [(e.channel_id, e.sample_index) for channel in events for e in channel]
-    return hashlib.sha256(np.array(pairs, dtype="<i8").tobytes()).hexdigest()[:16]
+    """Each ``Events`` of ``events`` in turn, hashed as its ``(channel_id, sample_index)`` pairs in ``<i8``."""
+    pairs = [np.column_stack([ev.channel_id, ev.sample_index]) for ev in events]
+    return hashlib.sha256(np.concatenate([np.zeros((0, 2), dtype="<i8")] + pairs).astype("<i8").tobytes()).hexdigest()[:16]
 
 
 def crossings_digest(crossings: np.ndarray) -> str:

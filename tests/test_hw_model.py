@@ -1,3 +1,4 @@
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ from conftest import make_clean_spike_record
 from loop_oracles import write_trace_rows
 from serial_oracle import serial_detect_multichannel
 from test_threshold import _exact_in_q10
-from dualteo.detector import EventFormationConfig, detect_dual, dual_crossing_streams, finish_dual
+from dualteo.detector import EventFormationConfig, Events, detect_dual, dual_crossing_streams, finish_dual
 from dualteo import transforms
 from dualteo.dataio import GroundTruth, SyntheticConfig, generate, resample, rescale_ground_truth
 from dualteo.hw_model import (
@@ -159,7 +160,7 @@ def test_chip_input_is_resample_quantize_and_rescale(rate, n, seed, with_truth):
 class TestHwDetectChannel:
     def test_all_zero_codes_give_no_events(self):
         q = quantized(np.zeros(8192, dtype=int))
-        assert hw_detect_channel(q, coeffs=HW_COEFFS) == []
+        assert hw_detect_channel(q, coeffs=HW_COEFFS) == Events()
 
     def test_rate_mismatch_rejected(self):
         q = quantized(np.zeros(8192, dtype=int), rate=24000.0)
@@ -180,7 +181,7 @@ class TestHwDetectChannel:
     def test_short_record_warns(self):
         q = quantized(np.zeros(100, dtype=int))
         with pytest.warns(UserWarning, match="warm-up"):
-            assert hw_detect_channel(q, coeffs=HW_COEFFS) == []
+            assert hw_detect_channel(q, coeffs=HW_COEFFS) == Events()
 
     def test_no_floats_on_data_path(self):
         rng = np.random.default_rng(0)
@@ -190,7 +191,7 @@ class TestHwDetectChannel:
         assert prep.x_energy.dtype == np.int16
         assert prep.s_energy.dtype == np.int16
         assert prep.sigma_per_frame.dtype == np.int32
-        assert prep.align.dtype == np.int64
+        assert prep.align.dtype == np.int32
 
     def test_clean_spike_matches_float_pipeline_location(self):
         record = make_clean_spike_record(spike_index=5000, n=10000, rate_hz=16000.0)
@@ -199,7 +200,15 @@ class TestHwDetectChannel:
         hw_events = hw_detect_channel(q, coeffs=HW_COEFFS)
         assert len(float_events) == 1 and len(hw_events) == 1
         refractory = EventFormationConfig.for_rate(16000.0).refractory_samples
-        assert abs(hw_events[0].sample_index - float_events[0].sample_index) <= refractory
+        assert abs(hw_events.sample_index[0] - float_events.sample_index[0]) <= refractory
+
+    def test_events_carry_the_records_channel(self):
+        # the one-channel stream runs as channel 0; its events take the record's id
+        q = quantized(spiky_stream(np.random.default_rng(5), WARMUP_SAMPLES + 2000, 1)[:, 0], channel=7)
+        events = hw_detect_channel(q, coeffs=HW_COEFFS)
+        assert len(events) > 5 and events.channel_id.tolist() == [7] * len(events)
+        assert events.channel_id.dtype == events.sample_index.dtype == np.int64
+        assert events == finish_dual(prepare_hw_dual(q), HW_COEFFS)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -337,10 +346,10 @@ class TestScheduler:
         one = rng.integers(-64, 64, size=5000)
         stream = np.tile(one[:, None], (1, 32))
         events = detect_multichannel_checked(stream, cfg, HW_COEFFS)
-        first = [(e.sample_index) for e in events[0]]
+        first = events[0].sample_index
         assert len(first) > 0
         for ch in range(1, 32):
-            assert [(e.sample_index) for e in events[ch]] == first
+            assert np.array_equal(events[ch].sample_index, first)
 
     def test_channel_permutation_equivariance(self):
         cfg = HwConfig(channels=32)
@@ -350,9 +359,7 @@ class TestScheduler:
         base = detect_multichannel_checked(stream, cfg, HW_COEFFS)
         permuted = detect_multichannel_checked(stream[:, perm], cfg, HW_COEFFS)
         for new_ch, old_ch in enumerate(perm):
-            assert [e.sample_index for e in permuted[new_ch]] == [
-                e.sample_index for e in base[old_ch]
-            ]
+            assert np.array_equal(permuted[new_ch].sample_index, base[old_ch].sample_index)
 
     def test_flat_stream_reshaped_scan_major(self):
         cfg = HwConfig(channels=32)
@@ -639,15 +646,10 @@ def push_in_pieces(stream, cuts, cfg, coeffs):
     joined per channel, and their crossings, joined along the scans.
     """
     engine = MultichannelStream(cfg, coeffs, return_crossings=True)
-    events = [[] for _ in range(cfg.channels)]
-    crossings = []
     bounds = [0, *cuts, len(stream)]
-    results = [engine.push(stream[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    for piece_events, piece_crossings in results + [engine.close()]:
-        for channel, found in zip(events, piece_events):
-            channel.extend(found)
-        crossings.append(piece_crossings)
-    return events, np.concatenate(crossings, axis=1)
+    results = [engine.push(stream[lo:hi]) for lo, hi in zip(bounds, bounds[1:])] + [engine.close()]
+    events = [Events.join(channel) for channel in zip(*(found for found, _ in results))]
+    return events, np.concatenate([crossings for _, crossings in results], axis=1)
 
 
 @st.composite
@@ -659,7 +661,7 @@ def stream_cuts(draw, n_scans, events, gap):
     ones = st.integers(0, n_scans).map(lambda k: list(range(k, k + 5)))
     empties = st.integers(0, n_scans).map(lambda k: [k, k, k])
     kinds = [frames, anywhere, ones, empties, st.just([4096])]
-    peaks = [e.sample_index for channel in events for e in channel]
+    peaks = np.concatenate([channel.sample_index for channel in events]).tolist()
     if peaks:
         kinds.append(st.tuples(st.sampled_from(peaks), st.integers(1, gap - 1)).map(lambda p: [sum(p)]))
     groups = draw(st.lists(st.one_of(kinds), max_size=6))
@@ -689,7 +691,7 @@ class TestStream:
         gap = EventFormationConfig.for_rate(cfg.rate_hz).refractory_samples
         if data is None:  # every frame boundary, and a refractory window cut scan by scan
             cuts = list(range(0, n_scans, FRAME_LEN))
-            peak = next(e.sample_index for channel in events for e in channel)
+            peak = int(next(channel for channel in events if channel).sample_index[0])
             cuts = sorted(cuts + list(range(peak, peak + gap)) + [4096, 4096])
         else:
             cuts = data.draw(stream_cuts(n_scans, events, gap))
@@ -698,6 +700,19 @@ class TestStream:
             assert hw_detect_multichannel(stream, cfg, coeffs) == events
         assert split_events == events
         assert np.array_equal(split_crossings, crossings)
+
+    @pytest.mark.parametrize("scans_per_push", [1, 257, None], ids=["1", "257", "whole"])
+    def test_readme_stream_example(self, scans_per_push):
+        # the README's MultichannelStream example, run as written on pieces of the stream
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        (example,) = [block for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+                      if "MultichannelStream(" in block]
+        stream = spiky_stream(np.random.default_rng(29), WARMUP_SAMPLES + 700, 256)
+        step = scans_per_push or len(stream)
+        namespace = {"pieces": [stream[lo:lo + step] for lo in range(0, len(stream), step)]}
+        exec(example, namespace)
+        assert namespace["events"] == hw_detect_multichannel(stream)
+        assert sum(map(len, namespace["events"])) > 256
 
     def test_pushes_return_events_once_finished(self):
         cfg = HwConfig(channels=40)
@@ -710,8 +725,8 @@ class TestStream:
         decided = (n_scans - 1) // FRAME_LEN * FRAME_LEN
         gap = EventFormationConfig.for_rate(cfg.rate_hz).refractory_samples
         assert sum(len(ch) for piece in pushed for ch in piece) > 10 * sum(map(len, closed))
-        assert all(e.sample_index > decided - 2 * gap for ch in closed for e in ch)
-        joined = [sum((piece[ch] for piece in pushed), []) + closed[ch] for ch in range(cfg.channels)]
+        assert all(np.all(ch.sample_index > decided - 2 * gap) for ch in closed)
+        joined = [Events.join(channel) for channel in zip(*pushed, closed)]
         assert joined == detect_multichannel_checked(stream, cfg, HW_COEFFS)
 
     @pytest.mark.parametrize("chunk", [FRAME_LEN, 2 * FRAME_LEN])
@@ -743,7 +758,7 @@ class TestStream:
             engine.push(stream[3000:3100].ravel()[:-1])
         second, last = engine.push(stream[3000:]), engine.close()
         events, crossings = hw_detect_multichannel(stream, cfg, HW_COEFFS, return_crossings=True)
-        assert [a + b + c for a, b, c in zip(first[0], second[0], last[0])] == events
+        assert [Events.join(parts) for parts in zip(first[0], second[0], last[0])] == events
         assert np.array_equal(np.concatenate([first[1], second[1], last[1]], axis=1), crossings)
 
     @pytest.mark.parametrize("dtype, offset, code", [
@@ -769,7 +784,7 @@ class TestStream:
             engine.push(bad)
         second, last = engine.push(stream[3000:]), engine.close()
         events, crossings = hw_detect_multichannel(stream, cfg, HW_COEFFS, return_crossings=True)
-        assert [a + b + c for a, b, c in zip(first[0], second[0], last[0])] == events
+        assert [Events.join(parts) for parts in zip(first[0], second[0], last[0])] == events
         assert np.array_equal(np.concatenate([first[1], second[1], last[1]], axis=1), crossings)
 
     @pytest.mark.parametrize("channels, block_cells, scans", [
@@ -810,14 +825,14 @@ class TestStream:
             q = quantized(codes[:n], channel=5)
             events = hw_detect_channel(q, cfg, coeffs)
             assert events == finish_dual(prepare_hw_dual(q, cfg), coeffs), n
-            assert all(e.channel_id == 5 for e in events) and (events or n == WARMUP_SAMPLES + 1), n
-            near_chunk_end += any(abs(e.sample_index - chunk) < gap for e in events)
+            assert np.all(events.channel_id == 5) and (events or n == WARMUP_SAMPLES + 1), n
+            near_chunk_end += bool(np.any(abs(events.sample_index - chunk) < gap))
         if coeffs is HW_COEFFS:
             assert near_chunk_end > 0
 
     def test_closed_stream_takes_nothing(self):
         engine = MultichannelStream(HwConfig(channels=4))
-        assert engine.close() == [[]] * 4
+        assert engine.close() == [Events()] * 4
         with pytest.raises(ValueError, match="closed"):
             engine.push(np.zeros((3, 4), dtype=np.int8))
         with pytest.raises(ValueError, match="closed"):

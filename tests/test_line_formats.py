@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualteo.dataio import GroundTruth, load_ground_truth, save_ground_truth
-from dualteo.detector import DetectorKind, SpikeEvent, events_from_csv, events_to_csv
+from dualteo.detector import DetectorKind, Events, events_from_csv, events_to_csv
 from dualteo.hw_model import HwTrace
 from dualteo.metrics import SweepResult, parse_results_csv, report
 from dualteo.signal_model import SignalRecord, load_record, read_header, save_record
@@ -51,7 +51,9 @@ def truths():
         GroundTruth, st.just(idx), st.none() | st.lists(st.integers(0, 9), min_size=len(idx), max_size=len(idx))))
 
 
-EVENTS = st.lists(st.builds(SpikeEvent, st.integers(0, 255), st.integers(0, 10**7)), min_size=1, max_size=6)
+# sorted by channel, then sample, as the detectors return them
+EVENTS = st.lists(st.tuples(st.integers(0, 255), st.integers(0, 10**7)), min_size=1, max_size=6, unique=True).map(
+    lambda pairs: Events(*np.array(sorted(pairs), dtype=np.int64).T.copy()))
 RESULTS = st.lists(st.builds(
     SweepResult,
     st.sampled_from(["noise_level", "resolution_bits"]),

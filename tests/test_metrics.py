@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import dualteo.dataio
 import dualteo.detector
 from dualteo.dataio import GroundTruth, SyntheticConfig, generate
-from dualteo.detector import DetectorKind, SpikeEvent
+from dualteo.detector import DetectorKind, Events
 from loop_oracles import greedy_tp
 from dualteo.metrics import (
     MatchReport,
@@ -29,6 +29,11 @@ from dualteo.threshold import WARMUP_SAMPLES
 
 def truth_of(indices):
     return GroundTruth(spike_indices=np.asarray(sorted(indices), dtype=np.int64))
+
+
+def events_at(*indices):
+    """Channel 0's events at ``indices``, in the order given."""
+    return Events(np.zeros(len(indices), dtype=np.int64), np.array(indices, dtype=np.int64))
 
 
 def optimal_tp(detected, truths, tol):
@@ -52,12 +57,12 @@ def optimal_tp(detected, truths, tol):
 
 class TestMatchEvents:
     def test_exact_match(self):
-        det = [SpikeEvent(0, i) for i in (10, 50, 90)]
+        det = events_at(10, 50, 90)
         rep = match_events(det, truth_of([10, 50, 90]), tolerance_samples=5)
         assert (rep.tp, rep.fp, rep.fn) == (3, 0, 0)
 
     def test_detection_without_truth_is_fp(self):
-        rep = match_events([SpikeEvent(0, 42)], truth_of([]), 5)
+        rep = match_events(events_at(42), truth_of([]), 5)
         assert (rep.tp, rep.fp, rep.fn) == (0, 1, 0)
 
     def test_mixed_example_matches_bruteforce(self):
@@ -131,8 +136,8 @@ class TestMatchEvents:
         rep = match_events(np.asarray(det, dtype=np.int64), truth_of(tru), tol)
         assert rep.tp == greedy_tp(det, tru, tol)
 
-    def test_event_list_and_array_inputs_agree(self):
-        det = [SpikeEvent(0, i) for i in (130, 96, 101, 101)]
+    def test_events_and_array_inputs_agree(self):
+        det = events_at(130, 96, 101, 101)
         tru = truth_of([100, 104, 130])
         rep = match_events(det, tru, 3)
         assert rep == match_events(np.asarray([96, 101, 101, 130]), tru, 3)
@@ -172,7 +177,7 @@ class TestAccuracy:
 
 class TestScoreEvents:
     def test_warmup_region_excluded_from_both_sides(self):
-        det = [SpikeEvent(0, 10), SpikeEvent(0, 500)]
+        det = events_at(10, 500)
         rep = score_events(det, truth_of([12, 505, 700]), 10, skip_before=100)
         # spike at 12 and detection at 10 both dropped; 700 unmatched
         assert (rep.tp, rep.fp, rep.fn) == (1, 0, 1)

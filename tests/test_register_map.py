@@ -7,6 +7,9 @@ channel can overflow, whatever the codes:
 * the exact Teager energies of the codes and of their half-sums, enumerated
   exhaustively, fit the energy registers after every drop pair that
   ``dualteo calibrate --search-drops`` tries (and the default pair);
+* the alignment of the two energies, each shifted onto the smaller drop,
+  fits 17 signed bits, inside its int32, at every drop pair ``HwConfig``
+  accepts, whatever the energy registers hold;
 * the Q.10 sigma stays below a bound that the sigma register holds;
 * at that bound, the Q.10 thresholds of every candidate of both default
   grids, of both shipped coefficient files and of the tests' coefficient
@@ -232,7 +235,7 @@ def test_stream_dtypes_hold_their_registers(monkeypatch):
     monkeypatch.setattr(hw_model, "_prepare_codes", lambda *args: chunks.append(prepare(*args)) or chunks[-1])
     hw_detect_multichannel(codes, HwConfig(channels=3))
     fields = ("x_energy", "s_energy", "sigma_per_frame")
-    assert chunks and all(prep.align is None for prep in chunks) and record.align.dtype == np.int64
+    assert chunks and all(prep.align is None for prep in chunks) and record.align.dtype == np.int32
     for prep in chunks:
         assert [getattr(prep, f).dtype for f in fields] == [getattr(record, f).dtype for f in fields]
     # whose energies hold every exact energy, and whose sigma is the register's
@@ -242,6 +245,51 @@ def test_stream_dtypes_hold_their_registers(monkeypatch):
         assert energy.min <= lo and hi <= energy.max
     assert all(CHIP[name].dtype.itemsize * 8 <= energy.bits for name in ("xteo", "steo"))
     assert CHIP["sigma"].dtype == record.sigma_per_frame.dtype == np.int32
+
+
+def accepted_drops() -> list:
+    """Every drop pair ``HwConfig`` constructs at."""
+    pairs = []
+    for x in range(17):
+        for s in range(17):
+            try:
+                HwConfig(xteo_drop_lsbs=x, steo_drop_lsbs=s)
+            except ValueError:
+                continue
+            pairs.append((x, s))
+    return pairs
+
+
+def alignment_range(x_range, s_range, xdrop: int, sdrop: int) -> tuple[int, int]:
+    """Extremes of the alignment of energies in ``x_range`` and ``s_range``, each shifted onto the smaller drop."""
+    base = min(xdrop, sdrop)
+    x = [v << (xdrop - base) for v in x_range]
+    s = [v << (sdrop - base) for v in s_range]
+    return max(min(x), min(s)), max(max(x), max(s))
+
+
+def test_alignment_fits_int32_at_every_accepted_drop_pair():
+    # the alignment shifts each energy register onto the smaller drop; at every
+    # pair HwConfig accepts, every value the 8- and 9-bit registers can hold
+    # (not only those 7-bit codes reach) keeps it within 17 signed bits
+    registers = [(CHIP[name].min_code, CHIP[name].max_code) for name in ("xteo", "steo")]
+    raw, smoothed = raw_energy_range(CHIP["input"]), smoothed_energy_range(CHIP["input"])
+    corners = np.array([(x, s) for x in registers[0] for s in registers[1]], dtype=np.int16)
+    pairs, reached = accepted_drops(), []
+    assert len(pairs) == 9 * 10  # xteo drops 6..14, steo drops 5..14
+    for xdrop, sdrop in pairs:
+        lo, hi = alignment_range(*registers, xdrop, sdrop)
+        assert holds(FixedPointFormat(total_bits=17), lo, hi), (xdrop, sdrop)
+        # the package's own alignment of the register extremes, in its int32
+        got = hw_model._align_stream(*corners.T, HwConfig(xteo_drop_lsbs=xdrop, steo_drop_lsbs=sdrop))
+        want = [alignment_range([x], [s], xdrop, sdrop)[0] for x, s in corners.tolist()]
+        assert got.dtype == np.int32 and got.tolist() == want, (xdrop, sdrop)
+        reached.append(alignment_range(
+            [raw[0] >> xdrop, raw[1] >> xdrop], [smoothed[0] >> sdrop, smoothed[1] >> sdrop], xdrop, sdrop))
+    # one bit fewer fails at (14, 5), where the x register shifts up by 9
+    assert not holds(FixedPointFormat(total_bits=16), *alignment_range(*registers, 14, 5))
+    # what 7-bit codes reach lies far inside, within 9 signed bits
+    assert (min(lo for lo, _ in reached), max(hi for _, hi in reached)) == (-64, 254)
 
 
 def test_sigma_loop_steps_as_the_bound_assumes():

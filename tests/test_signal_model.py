@@ -189,6 +189,17 @@ def test_unsigned_codes_compute_as_int8(kernel, codes):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("channel_id", [-1, 1 << 63, 1 << 70])
+def test_records_refuse_a_channel_id_outside_int64(channel_id):
+    # detected events carry the channel in an int64 array
+    with pytest.raises(ValueError, match=re.escape("channel_id must be in [0, 2**63)")):
+        SignalRecord(np.zeros(3), 24000.0, channel_id)
+    with pytest.raises(ValueError, match=re.escape("channel_id must be in [0, 2**63)")):
+        QuantizedRecord(np.zeros(3, dtype=np.int8), FMT7, 16000.0, channel_id)
+    top = (1 << 63) - 1
+    assert SignalRecord(np.zeros(3), 24000.0, top).channel_id == QuantizedRecord(np.zeros(3), FMT7, 1.0, top).channel_id
+
+
 class TestMidTread:
     def test_zero_maps_to_zero_at_coarse_resolution(self):
         fmt = FixedPointFormat(total_bits=4)
