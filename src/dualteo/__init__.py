@@ -9,7 +9,6 @@ from .signal_model import (
     dequantize,
     load_record,
     peak_full_scale,
-    quantize,
     quantize_mid_tread,
     save_record,
 )
@@ -35,7 +34,6 @@ from .detector import (
     detect_dvt,
     detect_mae,
     detect_teo_single,
-    events_from_csv,
     events_to_csv,
     form_events,
 )

@@ -84,8 +84,6 @@ def _output(path_str, directory: bool = False) -> Path:
 
 def cmd_detect(args) -> int:
     out = _output(args.out) if args.out else None
-    record = load_record(_existing_file(args.record))
-    truth = None if args.truth is None else dataio.load_ground_truth(_existing_file(args.truth))
     try:
         kind = DetectorKind(args.detector)
     except ValueError:
@@ -93,16 +91,15 @@ def cmd_detect(args) -> int:
             f"unknown detector {args.detector!r}; choose from "
             f"{[k.value for k in DetectorKind]}"
         ) from None
-    coeffs = None
-    if args.coeffs:
-        coeffs_path = _existing_file(args.coeffs)
-        if kind not in (DetectorKind.DUAL, DetectorKind.TEO_SINGLE):
-            raise ValueError("--coeffs applies to the dual and teo_single detectors")
-        coeffs = load_coefficients(coeffs_path)
+    if args.coeffs and kind not in (DetectorKind.DUAL, DetectorKind.TEO_SINGLE):
+        raise ValueError("--coeffs applies to the dual and teo_single detectors")
+    if args.hw and kind != DetectorKind.DUAL:
+        raise ValueError("--hw supports only the dual detector")
+    record = load_record(_existing_file(args.record))
+    truth = None if args.truth is None else dataio.load_ground_truth(_existing_file(args.truth))
+    coeffs = load_coefficients(_existing_file(args.coeffs)) if args.coeffs else None
 
     if args.hw:
-        if kind != DetectorKind.DUAL:
-            raise ValueError("--hw supports only the dual detector")
         # from here on the record is the chip's codes, scored at their rate and length
         record, truth = hw_model.chip_input(record, truth)
         events = hw_model.hw_detect_channel(record, coeffs=coeffs)
@@ -151,13 +148,13 @@ _SEARCH_DROPS = ((6, 7, 8), (5, 6, 7))
 
 def cmd_calibrate(args) -> int:
     out = _output(args.out)
+    if args.search_drops and args.pipeline != "hw":
+        raise ValueError("--search-drops applies to the hw pipeline only")
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise ValueError(f"no such directory: {corpus_dir}")
     training = _load_corpus(corpus_dir)
     if args.search_drops:
-        if args.pipeline != "hw":
-            raise ValueError("--search-drops applies to the hw pipeline only")
         best = None
         for xdrop, sdrop in itertools.product(*_SEARCH_DROPS):
             cfg = hw_model.HwConfig(xteo_drop_lsbs=xdrop, steo_drop_lsbs=sdrop)

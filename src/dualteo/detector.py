@@ -45,7 +45,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .signal_model import SignalRecord, _data_lines, _int64
+from .signal_model import SignalRecord, _int64
 from .threshold import (
     FRAME_LEN,
     SIGMA_FRACTION_BITS,
@@ -76,7 +76,6 @@ __all__ = [
     "detect_each",
     "moving_average_energy",
     "events_to_csv",
-    "events_from_csv",
     "event_indices",
 ]
 
@@ -516,15 +515,6 @@ def _events_text(events: Events) -> str:
 
 def events_to_csv(events: Events, path) -> None:
     Path(path).write_text(_events_text(events))
-
-
-def events_from_csv(path) -> Events:
-    lines = _data_lines(path)
-    header = next(lines, None)
-    if header is None or header.text != _EVENTS_HEADER:
-        raise ValueError(f"{path}: expected header {_EVENTS_HEADER!r}")
-    rows = [line.fields(_EVENT_COLUMNS, ",") for line in lines]
-    return Events(*np.array(rows, dtype=np.int64).reshape(-1, 2).T.copy())
 
 
 def event_indices(events: Events) -> np.ndarray:

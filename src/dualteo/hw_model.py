@@ -35,7 +35,6 @@ down instead, which is the same integer compare.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar
@@ -57,7 +56,6 @@ from .signal_model import (
     FixedPointFormat,
     QuantizedRecord,
     SignalRecord,
-    _read_text,
     peak_full_scale,
     quantize_mid_tread,
 )
@@ -247,26 +245,6 @@ class HwTrace:
         table = np.column_stack([getattr(self, c) for c in self.COLUMNS])
         row = ",".join(["%d"] * len(self.COLUMNS)) + "\n"
         Path(path).write_text(",".join(self.COLUMNS) + "\n" + (row * len(self)) % tuple(table.ravel().tolist()))
-
-    @classmethod
-    def from_csv(cls, path) -> "HwTrace":
-        header, _, body = _read_text(path).partition("\n")
-        if header.rstrip("\r") != ",".join(cls.COLUMNS):
-            raise ValueError(f"{path}: bad trace header")
-        if not body.isascii():  # numpy's integer parser can crash on some non-BMP characters
-            raise ValueError(f"{path}: non-ASCII text in a trace")
-        if body.strip():
-            # one parse of the whole table; a malformed row raises ValueError,
-            # and so does a "#", since the format has no comments
-            try:
-                table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-        else:
-            table = np.zeros((0, len(cls.COLUMNS)), dtype=np.int64)
-        if table.shape[1] != len(cls.COLUMNS):
-            raise ValueError(f"{path}: expected {len(cls.COLUMNS)} columns, got {table.shape[1]}")
-        return cls(*np.ascontiguousarray(table.T))
 
 
 def trace_internal(

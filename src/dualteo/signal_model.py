@@ -3,9 +3,10 @@
 Two representations flow through the package: analog-domain records
 (:class:`SignalRecord`, real amplitudes) and quantized records
 (:class:`QuantizedRecord`, two's-complement integer codes with an explicit
-:class:`FixedPointFormat`).  Quantization uses floor rounding (toward minus
-infinity, the behaviour of an arithmetic right shift) and saturates on
-overflow; wraparound would alias large excursions into spurious transients.
+:class:`FixedPointFormat`).  Quantization is mid-tread: a half-LSB offset,
+then floor rounding (toward minus infinity, the behaviour of an arithmetic
+right shift), saturating on overflow; wraparound would alias large
+excursions into spurious transients.
 
 Record files are stored as little-endian float32 samples with a sidecar
 ``<path>.hdr`` text header (``key=value`` lines), or as a CSV with one sample
@@ -28,7 +29,6 @@ __all__ = [
     "SignalRecord",
     "FixedPointFormat",
     "QuantizedRecord",
-    "quantize",
     "quantize_mid_tread",
     "peak_full_scale",
     "dequantize",
@@ -43,13 +43,10 @@ def is_finite_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
-_NOT_FINITE = "samples must all be finite"
-
-
-def _require_finite(samples: np.ndarray, message: str) -> None:
-    """Raise ``ValueError(message)`` unless every sample is finite."""
+def _require_finite(samples: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every sample is finite."""
     if samples.size and not np.all(np.isfinite(samples)):
-        raise ValueError(message)
+        raise ValueError("samples must all be finite")
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ class SignalRecord:
         if not 0 < self.rate_hz < math.inf:
             raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         _check_channel_id(self.channel_id)
-        _require_finite(samples, _NOT_FINITE)
+        _require_finite(samples)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -159,29 +156,33 @@ def _check_full_scale(full_scale) -> None:
         raise ValueError(f"full_scale must be positive and finite, got {full_scale}")
 
 
-def quantize(record: SignalRecord, format: FixedPointFormat, full_scale: float) -> QuantizedRecord:
-    """Map real amplitudes to two's-complement codes, clamped into range.
+def dequantize(q: QuantizedRecord) -> SignalRecord:
+    """Map codes back to amplitudes: ``samples[k] = code[k] / 2**(bits-1) * full_scale``."""
+    half = 1 << (q.format.total_bits - 1)
+    samples = q.codes.astype(np.float64) / half * q.full_scale
+    return SignalRecord(samples=samples, rate_hz=q.rate_hz, channel_id=q.channel_id)
 
-    ``code[k] = clamp(floor(samples[k] / full_scale * 2**(total_bits-1)))``,
-    in the format's dtype.  ``full_scale`` is checked before any sample is.
+
+def quantize_mid_tread(record: SignalRecord, format: FixedPointFormat, full_scale: float) -> QuantizedRecord:
+    """Quantize with a half-LSB input offset ahead of a floor quantizer, clamped into range.
+
+    ``code[k] = clamp(floor((samples[k] + full_scale / 2**total_bits) / full_scale * 2**(total_bits-1)))``,
+    in the format's dtype.  Models a mid-tread converter front-end (the usual
+    ADC offset trim): a floor quantizer alone centers each code bin on its
+    lower edge, which leaves a half-LSB DC pedestal on the codes.  At fine
+    resolution that bias is negligible; at coarse resolution it dominates the
+    noise and breaks any one-sided statistic downstream.  Rounding stays
+    floor; only the bin centering changes.  ``full_scale`` is checked before
+    any sample is.
     """
-    _check_full_scale(full_scale)
-    return _quantize(record.samples, record, format, full_scale, "cannot quantize non-finite samples")
-
-
-def _quantize(
-    x: np.ndarray, record: SignalRecord, format: FixedPointFormat, full_scale: float, not_finite: str
-) -> QuantizedRecord:
-    """:func:`quantize` of samples ``x`` on ``record``'s rate and channel; ``not_finite`` names a non-finite ``x``.
-
-    The caller has checked ``full_scale``.
-    """
-    _require_finite(x, not_finite)
-    half = 1 << (format.total_bits - 1)
-    # one owned buffer, in the formula's order of operations; a floor is an
-    # integer, so clipping before the cast gives the codes clipping after it would
-    scaled = np.divide(x, full_scale)
-    scaled *= half
+    _check_full_scale(full_scale)  # before the shift, which a NaN or inf would spread to every sample
+    # one owned buffer, in the formula's order of operations; a shift can overflow, so the
+    # shifted samples are the ones checked, and a floor is an integer, so clipping before
+    # the cast gives the codes clipping after it would
+    scaled = record.samples + full_scale / (1 << format.total_bits)
+    _require_finite(scaled)
+    scaled /= full_scale
+    scaled *= 1 << (format.total_bits - 1)
     np.floor(scaled, out=scaled)
     np.clip(scaled, format.min_code, format.max_code, out=scaled)
     return QuantizedRecord(
@@ -191,29 +192,6 @@ def _quantize(
         channel_id=record.channel_id,
         full_scale=full_scale,
     )
-
-
-def dequantize(q: QuantizedRecord) -> SignalRecord:
-    """Map codes back to amplitudes: ``samples[k] = code[k] / 2**(bits-1) * full_scale``."""
-    half = 1 << (q.format.total_bits - 1)
-    samples = q.codes.astype(np.float64) / half * q.full_scale
-    return SignalRecord(samples=samples, rate_hz=q.rate_hz, channel_id=q.channel_id)
-
-
-def quantize_mid_tread(record: SignalRecord, format: FixedPointFormat, full_scale: float) -> QuantizedRecord:
-    """Quantize with a half-LSB input offset ahead of the floor quantizer.
-
-    Models a mid-tread converter front-end (the usual ADC offset trim): the
-    floor quantizer alone centers each code bin on its lower edge, which
-    leaves a half-LSB DC pedestal on the codes.  At fine resolution that bias
-    is negligible; at coarse resolution it dominates the noise and breaks any
-    one-sided statistic downstream, so the pipelines quantize through this
-    entry point.  Rounding stays floor; only the bin centering changes.
-    """
-    _check_full_scale(full_scale)  # before the shift, which a NaN or inf would spread to every sample
-    # the shifted samples' one finiteness check, in _quantize: a shift can overflow
-    shifted = record.samples + full_scale / (1 << format.total_bits)
-    return _quantize(shifted, record, format, full_scale, _NOT_FINITE)
 
 
 def peak_full_scale(record: SignalRecord) -> float:

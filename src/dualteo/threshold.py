@@ -472,19 +472,13 @@ def default_hw_coefficients() -> ThresholdCoefficients:
 
 
 def dyadic_ladder(lo_exp: int, hi_exp: int, include_zero: bool = False) -> list[Dyadic]:
-    """Candidate values m * 2**e for m in {1, 3}, e in [lo_exp, hi_exp].
+    """Candidate values m * 2**e for m in {1, 3}, e in [lo_exp, hi_exp], by value, after an optional zero.
 
-    Two points per octave.  Positive exponents fold into the numerator
+    Two points per octave, no two equal.  Positive exponents fold into the numerator
     (still one or two power-of-two terms), negative ones into the shift.
     """
-    out = [Dyadic(0, 0)] if include_zero else []
-    seen: dict[float, Dyadic] = {}
-    for e in range(lo_exp, hi_exp + 1):
-        for m in (1, 3):
-            d = Dyadic(m << e, 0) if e >= 0 else Dyadic(m, -e)
-            seen.setdefault(d.value, d)
-    out.extend(seen[v] for v in sorted(seen))
-    return out
+    ladder = [Dyadic(m << e, 0) if e >= 0 else Dyadic(m, -e) for e in range(lo_exp, hi_exp + 1) for m in (1, 3)]
+    return ([Dyadic(0, 0)] if include_zero else []) + sorted(ladder, key=lambda d: d.value)
 
 
 def default_coefficient_grid(pipeline: str = "float") -> list[ThresholdCoefficients]:

@@ -24,6 +24,7 @@ from dualteo import (
     default_hw_coefficients,
     dequantize,
     generate,
+    peak_full_scale,
     quantize_mid_tread,
 )
 from dualteo import detector, hw_model, metrics
@@ -256,8 +257,7 @@ def test_criterion_8_resolution_robustness(corpus):
     fmt = FixedPointFormat(total_bits=4)
     accs = []
     for record, truth in corpus[0.1]:
-        peak = float(np.max(np.abs(record.samples)))
-        coarse = dequantize(quantize_mid_tread(record, fmt, peak))
+        coarse = dequantize(quantize_mid_tread(record, fmt, peak_full_scale(record)))
         events = detector.detect_dual(coarse, fc)
         rep = metrics.score_events(events, truth, TOL_24K, skip_before=WARMUP_SAMPLES)
         accs.append(metrics.accuracy(rep))

@@ -161,6 +161,17 @@ class TestDetectCommand:
     def test_missing_record_is_validation_error(self, tmp_path):
         assert main(["detect", "--detector", "at", "--record", str(tmp_path / "x.f32")]) == 2
 
+    @pytest.mark.parametrize("args, named", [
+        (["--detector", "wavelet"], "unknown detector 'wavelet'"),
+        (["--detector", "at", "--hw"], "--hw supports only the dual detector"),
+        (["--detector", "mae", "--coeffs", "missing.txt"], "--coeffs applies to the dual"),
+    ], ids=["detector", "hw", "coeffs"])
+    def test_conflicting_arguments_are_refused_before_any_file_is_read(self, tmp_path, capsys, args, named):
+        # neither the record nor the truth exists: the argument at fault is named first
+        missing = ["--record", str(tmp_path / "x.f32"), "--truth", str(tmp_path / "t.csv")]
+        assert main(["detect", *args, *missing]) == 2
+        assert named in capsys.readouterr().err
+
     def test_hw_requires_dual(self, tmp_path, capsys):
         record_path, _ = write_tiny_dataset(tmp_path)
         assert main(["detect", "--detector", "at", "--record", str(record_path), "--hw"]) == 2
@@ -522,6 +533,15 @@ class TestCalibrateCommand:
             "--out", str(tmp_path / "c.txt"), "--search-drops",
         ])
         assert code == 2
+
+    def test_search_drops_conflict_is_refused_before_the_corpus_is_read(self, tmp_path, capsys):
+        (tmp_path / "corpus").mkdir()
+        code = main([
+            "calibrate", "--corpus", str(tmp_path / "corpus"),
+            "--out", str(tmp_path / "c.txt"), "--search-drops",
+        ])
+        assert code == 2
+        assert "--search-drops applies to the hw pipeline only" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,4 +1,3 @@
-import re
 import warnings
 
 import numpy as np
@@ -22,7 +21,6 @@ from dualteo.detector import (
     detect_teo_single,
     dual_crossing_streams,
     event_indices,
-    events_from_csv,
     events_to_csv,
     finish_dual,
     form_events,
@@ -430,24 +428,13 @@ class TestEventCsv:
         events_to_csv(events, path)
         assert path.read_text() == "channel,sample_index\n0,17\n0,4096\n255,10000000\n"
         events_to_csv(Events(), path)
-        assert path.read_text() == "channel,sample_index\n" and events_from_csv(path) == Events()
-
-    def test_channel_beyond_int64_names_its_line(self, tmp_path):
-        path = tmp_path / "events.csv"
-        path.write_text(f"channel,sample_index\n0,5\n{1 << 63},9\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: channel: outside int64"):
-            events_from_csv(path)
+        assert path.read_text() == "channel,sample_index\n"
 
     def test_roundtrip(self, tmp_path):
         record = make_clean_spike_record()
         events = detect_at(record)
         path = tmp_path / "events.csv"
         events_to_csv(events, path)
-        assert events_from_csv(path) == events
         assert path.read_text().splitlines()[0] == "channel,sample_index"
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "events.csv"
-        path.write_text("chan,idx\n0,5\n")
-        with pytest.raises(ValueError, match="header"):
-            events_from_csv(path)
+        table = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+        assert len(events) > 0 and Events(*table.T.copy()) == events

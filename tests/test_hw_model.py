@@ -1,5 +1,4 @@
 import re
-import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -52,20 +51,13 @@ wide_dyadics = st.builds(
 ) | st.just(Dyadic(0, 0))
 
 
-TRACE_HEADER = ",".join(HwTrace.COLUMNS)
-# cells of a trace file: integers within and far beyond int64, near-integers
-# and stray text; lines of seven cells, of any count, blank or arbitrary
-TRACE_CELLS = st.one_of(
-    st.integers(min_value=-(2**70), max_value=2**70).map(str),
-    st.sampled_from(["", " 1 ", "+1", "1.5", "1e3", "0x1f", "1_0", "#", "\x00", "\u0661"]),
-    st.text(max_size=3),
-)
-TRACE_LINES = st.one_of(
-    st.lists(TRACE_CELLS, min_size=7, max_size=7).map(",".join),
-    st.lists(TRACE_CELLS, max_size=9).map(",".join),
-    st.just(""),
-    st.text(max_size=12),
-)
+def read_trace(path):
+    """The trace written to ``path``, read back with a plain ``np.loadtxt`` after its header line."""
+    assert Path(path).read_text().partition("\n")[0] == ",".join(HwTrace.COLUMNS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty table
+        table = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2).reshape(-1, len(HwTrace.COLUMNS))
+    return HwTrace(*table.T)
 
 
 def quantized(codes, rate=16000.0, channel=0):
@@ -250,7 +242,7 @@ class TestTrace:
         trace = trace_internal(quantized(random_codes(rng, 700)), coeffs=HW_COEFFS)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
-        back = HwTrace.from_csv(path)
+        back = read_trace(path)
         for col in HwTrace.COLUMNS:
             assert np.array_equal(getattr(trace, col), getattr(back, col)), col
 
@@ -276,53 +268,11 @@ class TestTrace:
         for name, trace in (("full", full), ("negative", low), ("empty", empty)):
             path = tmp_path / f"{name}.csv"
             trace.to_csv(path)
-            back = HwTrace.from_csv(path)
+            back = read_trace(path)
             assert len(back) == len(trace)
             for col in HwTrace.COLUMNS:
                 got = getattr(back, col)
                 assert got.dtype == np.int64 and np.array_equal(got, getattr(trace, col)), (name, col)
-
-    @pytest.mark.parametrize("text, message", [
-        ("", "header"),
-        ("x,s\n1,2\n", "header"),
-        ("x,s,x_teo,s_teo,thr_x,thr_s,crossing\n1,2,3,4,5,6\n", "columns"),
-        ("x,s,x_teo,s_teo,thr_x,thr_s,crossing\n1,2,3,4,5,6,7\n1,2,3\n", "columns"),
-        ("x,s,x_teo,s_teo,thr_x,thr_s,crossing\n1,2,3,4,5,6,z\n", "convert"),
-        ("x,s,x_teo,s_teo,thr_x,thr_s,crossing\n1,2,3,4,5,6,0.5\n", "convert"),
-    ], ids=["empty-file", "bad-header", "short-table", "ragged-row", "text-value", "fractional-value"])
-    def test_trace_csv_rejects_malformed_files(self, tmp_path, text, message):
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=message):
-            HwTrace.from_csv(path)
-
-    @given(
-        header=st.sampled_from([TRACE_HEADER] * 3 + ["x,s", ""]) | st.text(max_size=12),
-        lines=st.lists(TRACE_LINES, max_size=6),
-        newline=st.sampled_from(["\n", "\r\n"]),
-    )
-    @example(header=TRACE_HEADER, lines=["1,2,3,4,5,6," + str(2**70)], newline="\n")
-    @example(header=TRACE_HEADER, lines=["", "1,2,3,4,5,6,-7", "", ""], newline="\r\n")
-    @example(header=TRACE_HEADER, lines=["# note"], newline="\n")
-    @example(header=TRACE_HEADER, lines=["1,2,3,4,5,6,7 # note"], newline="\n")
-    # numpy's loadtxt read out of bounds and crashed the process on these
-    @example(header=TRACE_HEADER, lines=["\U0010d28d"], newline="\n")
-    @example(header=TRACE_HEADER, lines=["1,\U0010ffff"], newline="\n")
-    @settings(max_examples=200, deadline=None)
-    def test_trace_csv_loader_takes_any_text(self, header, lines, newline):
-        # a file either loads as a trace or is refused with ValueError;
-        # nothing else escapes, not even a warning
-        text = newline.join([header, *lines]) + newline
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            path = Path(tmp) / "trace.csv"
-            path.write_bytes(text.encode())
-            try:
-                trace = HwTrace.from_csv(path)
-            except ValueError:
-                return
-        for col in HwTrace.COLUMNS:
-            assert getattr(trace, col).dtype == np.int64 and len(getattr(trace, col)) == len(trace)
 
 
 class TestScheduler:

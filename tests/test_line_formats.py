@@ -1,14 +1,15 @@
 """The shared rules of the package's line-oriented files, checked on every format.
 
-Six formats are read line by line: the record header, the CSV record
-payload, coefficient files, truth files, events files and sweep results.
-Each is written here by its own writer, then:
+Five formats are read line by line: the record header, the CSV record
+payload, coefficient files, truth files and sweep results.  Each is written
+here by its own writer, then:
 
 * blank lines and ``#`` lines inserted anywhere leave the parse unchanged;
 * a data field replaced by a non-number raises ``ValueError`` starting with
   ``<path>:<lineno>`` (``<results>`` for results, which are parsed from text);
-* undecodable bytes raise ``ValueError`` naming the file, and so they do in a
-  trace, which keeps its own numpy parse and no comments.
+* undecodable bytes raise ``ValueError`` naming the file.
+
+Events files and hardware traces are written, never read, by the package.
 """
 
 import tempfile
@@ -16,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualteo.dataio import GroundTruth, load_ground_truth, save_ground_truth
-from dualteo.detector import DetectorKind, Events, events_from_csv, events_to_csv
-from dualteo.hw_model import HwTrace
+from dualteo.detector import DetectorKind
 from dualteo.metrics import SweepResult, parse_results_csv, report
 from dualteo.signal_model import SignalRecord, load_record, read_header, save_record
 from dualteo.threshold import Dyadic, ThresholdCoefficients, load_coefficients, save_coefficients
@@ -51,9 +51,6 @@ def truths():
         GroundTruth, st.just(idx), st.none() | st.lists(st.integers(0, 9), min_size=len(idx), max_size=len(idx))))
 
 
-# sorted by channel, then sample, as the detectors return them
-EVENTS = st.lists(st.tuples(st.integers(0, 255), st.integers(0, 10**7)), min_size=1, max_size=6, unique=True).map(
-    lambda pairs: Events(*np.array(sorted(pairs), dtype=np.int64).T.copy()))
 RESULTS = st.lists(st.builds(
     SweepResult,
     st.sampled_from(["noise_level", "resolution_bits"]),
@@ -101,7 +98,6 @@ FORMATS = [
     Format("csv-record", RECORDS, save_record, read_record, None, (0,), suffix=".csv"),
     Format("coefficients", COEFFICIENTS, save_coefficients, load_coefficients, " ", (1, 2)),
     Format("truth", truths(), save_ground_truth, read_truth, ",", (0, 1)),
-    Format("events", EVENTS, events_to_csv, events_from_csv, ",", (0, 1), header_lines=1),
     Format("results", RESULTS, lambda results, path: report(results, "csv", path),
            lambda path: parse_results_csv(path.read_text()), ",", (1, 2, 3, 4, 5), header_lines=1),
 ]
@@ -182,19 +178,3 @@ def test_undecodable_bytes_name_the_file(fmt, data, bad):
             fmt.read(path)
         assert str(raised.value).startswith(f"{target}: ")
 
-
-TRACE = HwTrace(*np.arange(14, dtype=np.int64).reshape(7, 2))
-
-
-@given(bad=UNDECODABLE, at=st.integers(0, 40))
-@example(bad=b"z", at=37)  # a letter in a value, which numpy refuses to convert
-@settings(max_examples=30, deadline=None)
-def test_a_trace_error_names_the_file(bad, at):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trace.csv"
-        TRACE.to_csv(path)
-        text = path.read_bytes()
-        path.write_bytes(text[:at] + bad + text[at:])
-        with pytest.raises(ValueError) as raised:
-            HwTrace.from_csv(path)
-        assert str(raised.value).startswith(f"{path}: ")

@@ -12,7 +12,6 @@ from dualteo.signal_model import (
     dequantize,
     load_record,
     peak_full_scale,
-    quantize,
     quantize_mid_tread,
     read_header,
     save_record,
@@ -28,22 +27,29 @@ def rec(samples, rate=24000.0):
     return SignalRecord(samples=np.asarray(samples, dtype=float), rate_hz=rate)
 
 
+def mid_tread_formula(x, bits, full_scale):
+    """The codes of ``quantize_mid_tread`` as one whole-array formula, cast then clipped."""
+    fmt = FixedPointFormat(total_bits=bits)
+    shifted = np.asarray(x, dtype=float) + full_scale / (1 << bits)
+    return np.clip(np.floor(shifted / full_scale * (1 << (bits - 1))).astype(np.int64), fmt.min_code, fmt.max_code)
+
+
 class TestQuantize:
     def test_zero_maps_to_zero(self):
-        q = quantize(rec([0.0]), FMT7, 1.0)
+        q = quantize_mid_tread(rec([0.0]), FMT7, 1.0)
         assert q.codes.tolist() == [0]
 
     def test_saturates_at_max_code(self):
-        q = quantize(rec([2.0]), FMT7, 1.0)
+        q = quantize_mid_tread(rec([2.0]), FMT7, 1.0)
         assert q.codes.tolist() == [63]
 
     def test_negative_half_scale(self):
-        q = quantize(rec([-0.5]), FMT7, 1.0)
+        q = quantize_mid_tread(rec([-0.5]), FMT7, 1.0)
         assert q.codes.tolist() == [-32]
 
     def test_rejects_bad_full_scale(self):
         with pytest.raises(ValueError):
-            quantize(rec([0.0]), FMT7, 0.0)
+            quantize_mid_tread(rec([0.0]), FMT7, 0.0)
 
     def test_nonfinite_samples_rejected_at_record_construction(self):
         with pytest.raises(ValueError, match="finite"):
@@ -55,7 +61,7 @@ class TestQuantize:
     )
     def test_codes_never_leave_range(self, samples, bits):
         fmt = FixedPointFormat(total_bits=bits)
-        q = quantize(rec(samples), fmt, 0.7)
+        q = quantize_mid_tread(rec(samples), fmt, 0.7)
         assert q.codes.min() >= fmt.min_code
         assert q.codes.max() <= fmt.max_code
 
@@ -65,29 +71,27 @@ class TestQuantize:
         st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_codes_equal_the_whole_array_formula(self, samples, bits, full_scale):
-        # quantize works in one buffer; its codes are those of the formula, cast then clipped
+        # the quantizer works in one buffer; its codes are those of the formula
         fmt = FixedPointFormat(total_bits=bits)
-        x = np.asarray(samples, dtype=float)
-        formula = np.clip(np.floor(x / full_scale * (1 << (bits - 1))).astype(np.int64), fmt.min_code, fmt.max_code)
-        codes = quantize(rec(samples), fmt, full_scale).codes
+        codes = quantize_mid_tread(rec(samples), fmt, full_scale).codes
         assert codes.dtype == fmt.dtype
-        np.testing.assert_array_equal(codes, formula)
+        np.testing.assert_array_equal(codes, mid_tread_formula(samples, bits, full_scale))
 
     @given(st.lists(st.floats(min_value=-0.999, max_value=0.999), min_size=1, max_size=64))
     def test_roundtrip_error_within_one_lsb(self, samples):
-        q = quantize(rec(samples), FMT7, 1.0)
+        q = quantize_mid_tread(rec(samples), FMT7, 1.0)
         back = dequantize(q).samples
         lsb = 1.0 / 64
         assert np.all(np.abs(back - np.asarray(samples)) <= lsb + 1e-12)
 
     @given(st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=64))
-    def test_roundtrip_tracks_clamped_input_within_one_lsb(self, samples):
-        # out-of-scale inputs saturate; the roundtrip stays within one LSB of clamp(x)
-        q = quantize(rec(samples), FMT7, 1.0)
+    def test_roundtrip_tracks_clamped_input_within_half_an_lsb(self, samples):
+        # out-of-scale inputs saturate; the roundtrip stays within half an LSB of clamp(x)
+        q = quantize_mid_tread(rec(samples), FMT7, 1.0)
         back = dequantize(q).samples
         lsb = 1.0 / 64
         clamped = np.clip(samples, -1.0, 63.0 / 64.0)
-        assert np.all(np.abs(back - clamped) <= lsb + 1e-12)
+        assert np.all(np.abs(back - clamped) <= lsb / 2 + 1e-12)
 
 
 class TestDequantize:
@@ -102,7 +106,7 @@ class TestDequantize:
     @given(st.lists(st.integers(min_value=-64, max_value=63), min_size=1, max_size=64))
     def test_requantize_is_identity_on_codes(self, codes):
         q = QuantizedRecord(codes=codes, format=FMT7, rate_hz=1.0, full_scale=0.5)
-        again = quantize(dequantize(q), FMT7, 0.5)
+        again = quantize_mid_tread(dequantize(q), FMT7, 0.5)
         assert again.codes.tolist() == codes
 
     @pytest.mark.parametrize("field, value", [
@@ -210,18 +214,16 @@ class TestMidTread:
         rng = np.random.default_rng(0)
         x = rng.uniform(-0.5, 0.5, size=20000)
         fmt = FixedPointFormat(total_bits=4)
-        plain = quantize(rec(x), fmt, 1.0).codes.mean()
+        plain = np.floor(x * 8).mean()  # the floor quantizer alone
         trimmed = quantize_mid_tread(rec(x), fmt, 1.0).codes.mean()
         assert abs(plain + 0.5) < 0.05      # floor leaves a half-code pedestal
         assert abs(trimmed) < 0.05
 
-    def test_codes_are_the_floor_quantizer_of_the_shifted_samples(self):
-        x = np.random.default_rng(1).uniform(-1.2, 1.2, size=1000)
-        fmt = FixedPointFormat(total_bits=5)
-        got = quantize_mid_tread(rec(x), fmt, 0.9)
-        want = quantize(rec(x + 0.9 / 32), fmt, 0.9)
-        assert got.codes.dtype == want.codes.dtype and np.array_equal(got.codes, want.codes)
-        assert (got.rate_hz, got.channel_id, got.full_scale) == (want.rate_hz, want.channel_id, 0.9)
+    def test_codes_keep_the_records_rate_and_channel(self):
+        record = SignalRecord(np.random.default_rng(1).uniform(-1.2, 1.2, size=1000), 16000.0, 7)
+        got = quantize_mid_tread(record, FixedPointFormat(total_bits=5), 0.9)
+        assert (got.rate_hz, got.channel_id, got.full_scale) == (16000.0, 7, 0.9)
+        np.testing.assert_array_equal(got.codes, mid_tread_formula(record.samples, 5, 0.9))
 
     def test_a_shift_that_overflows_is_refused(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^samples must all be finite$"):
@@ -233,19 +235,18 @@ class TestMidTread:
             quantize_mid_tread(rec([0.5]), FMT7, full_scale)
 
     @pytest.mark.filterwarnings("error")  # a NaN scale once reached numpy's float-to-int cast
-    @pytest.mark.parametrize("quantizer", [quantize, quantize_mid_tread])
     @pytest.mark.parametrize("full_scale", [np.nan, np.inf, 0.0, -1.0])
-    def test_full_scale_is_refused_before_any_sample_is_scaled(self, quantizer, full_scale):
+    def test_full_scale_is_refused_before_any_sample_is_scaled(self, full_scale):
         with pytest.raises(ValueError, match=f"^full_scale must be positive and finite, got {full_scale}$"):
-            quantizer(rec([0.5, -0.25, 0.0]), FMT7, full_scale)
+            quantize_mid_tread(rec([0.5, -0.25, 0.0]), FMT7, full_scale)
 
     def test_quantize_checks_full_scale_before_the_samples(self):
         record = rec([0.5, 0.25])
         record.samples[1] = np.nan  # made non-finite after construction
         with pytest.raises(ValueError, match="full_scale must be positive"):
-            quantize(record, FMT7, 0.0)
-        with pytest.raises(ValueError, match="^cannot quantize non-finite samples$"):
-            quantize(record, FMT7, 1.0)
+            quantize_mid_tread(record, FMT7, 0.0)
+        with pytest.raises(ValueError, match="^samples must all be finite$"):
+            quantize_mid_tread(record, FMT7, 1.0)
 
 
 class TestPeakFullScale:

@@ -434,6 +434,13 @@ class TestDyadic:
         for v in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 3.0, 6.0):
             assert v in values
 
+    @pytest.mark.parametrize("lo, hi", [(-3, 2), (-5, 1), (-2, 3), (-4, 1), (-6, 0), (-40, 40)])
+    def test_ladder_values_strictly_increase_after_the_zero(self, lo, hi):
+        ladder = dyadic_ladder(lo, hi, include_zero=True)
+        values = [d.value for d in ladder]
+        assert ladder[0] == Dyadic(0, 0) and len(values) == 1 + 2 * (hi - lo + 1)
+        assert all(a < b for a, b in zip(values, values[1:]))
+
 
 class TestComputeThresholds:
     def test_zero_sigma_gives_zero_pair(self):
