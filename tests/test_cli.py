@@ -165,7 +165,9 @@ class TestDetectCommand:
         (["--detector", "wavelet"], "unknown detector 'wavelet'"),
         (["--detector", "at", "--hw"], "--hw supports only the dual detector"),
         (["--detector", "mae", "--coeffs", "missing.txt"], "--coeffs applies to the dual"),
-    ], ids=["detector", "hw", "coeffs"])
+        (["--detector", "teo_single", "--hw"], "--hw supports only the dual detector"),
+        (["--detector", "dvt", "--coeffs", "missing.txt"], "--coeffs applies to the dual"),
+    ], ids=["detector", "hw", "coeffs", "hw-teo_single", "coeffs-dvt"])
     def test_conflicting_arguments_are_refused_before_any_file_is_read(self, tmp_path, capsys, args, named):
         # neither the record nor the truth exists: the argument at fault is named first
         missing = ["--record", str(tmp_path / "x.f32"), "--truth", str(tmp_path / "t.csv")]
@@ -539,6 +541,14 @@ class TestCalibrateCommand:
         code = main([
             "calibrate", "--corpus", str(tmp_path / "corpus"),
             "--out", str(tmp_path / "c.txt"), "--search-drops",
+        ])
+        assert code == 2
+        assert "--search-drops applies to the hw pipeline only" in capsys.readouterr().err
+
+    def test_search_drops_conflict_is_refused_before_the_corpus_directory_is_checked(self, tmp_path, capsys):
+        code = main([
+            "calibrate", "--corpus", str(tmp_path / "missing"),
+            "--out", str(tmp_path / "c.txt"), "--search-drops", "--pipeline", "float",
         ])
         assert code == 2
         assert "--search-drops applies to the hw pipeline only" in capsys.readouterr().err

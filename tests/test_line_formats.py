@@ -9,10 +9,13 @@ here by its own writer, then:
   ``<path>:<lineno>`` (``<results>`` for results, which are parsed from text);
 * undecodable bytes raise ``ValueError`` naming the file.
 
-Events files and hardware traces are written, never read, by the package.
+Events files and hardware traces are written, never read, by the package:
+each is a header line of column names, then one line of decimal integers per
+row, which a plain ``numpy.loadtxt`` reads back exactly.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualteo.dataio import GroundTruth, load_ground_truth, save_ground_truth
-from dualteo.detector import DetectorKind
+from dualteo.detector import DetectorKind, Events, events_to_csv
+from dualteo.hw_model import HwTrace
 from dualteo.metrics import SweepResult, parse_results_csv, report
 from dualteo.signal_model import SignalRecord, load_record, read_header, save_record
 from dualteo.threshold import Dyadic, ThresholdCoefficients, load_coefficients, save_coefficients
@@ -178,3 +182,51 @@ def test_undecodable_bytes_name_the_file(fmt, data, bad):
             fmt.read(path)
         assert str(raised.value).startswith(f"{target}: ")
 
+
+# ---------------------------------------------------------------------------
+# The written formats: a header of column names, then decimal integers
+# ---------------------------------------------------------------------------
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+# sorted by channel, then sample, as the detectors return them
+EVENTS = st.lists(st.tuples(st.integers(0, 255), st.integers(0, 10**7)), max_size=6, unique=True).map(
+    lambda pairs: Events(*np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T.copy()))
+TRACES = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(INT64, min_size=n, max_size=n).map(lambda col: np.array(col, dtype=np.int64)),
+    min_size=len(HwTrace.COLUMNS), max_size=len(HwTrace.COLUMNS)).map(lambda cols: HwTrace(*cols)))
+
+WRITTEN = [
+    ("events", EVENTS, events_to_csv, ("channel", "sample_index"),
+     lambda events: (events.channel_id, events.sample_index)),
+    ("trace", TRACES, lambda trace, path: trace.to_csv(path), HwTrace.COLUMNS,
+     lambda trace: tuple(getattr(trace, col) for col in HwTrace.COLUMNS)),
+]
+
+
+@pytest.mark.parametrize("name, values, write, columns, table", WRITTEN, ids=[w[0] for w in WRITTEN])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_written_format_reads_back_with_loadtxt(name, values, write, columns, table, data):
+    value = data.draw(values)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty table
+        path = Path(tmp) / f"{name}.csv"
+        write(value, path)
+        back = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2).reshape(-1, len(columns))
+    for want, got in zip(table(value), back.T):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, values, write, columns, table", WRITTEN, ids=[w[0] for w in WRITTEN])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_written_format_is_a_header_then_one_line_of_integers_per_row(name, values, write, columns, table, data):
+    value = data.draw(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.csv"
+        write(value, path)
+        raw = path.read_bytes()
+    assert raw.isascii() and raw.endswith(b"\n") and b"\r" not in raw
+    header, *rows = raw.decode().splitlines()
+    assert header == ",".join(columns)
+    assert rows == [",".join(str(int(v)) for v in row) for row in zip(*table(value))]

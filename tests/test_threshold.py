@@ -441,6 +441,16 @@ class TestDyadic:
         assert ladder[0] == Dyadic(0, 0) and len(values) == 1 + 2 * (hi - lo + 1)
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    # each grid's candidates, in order, as one "numerator shift" line per coefficient
+    @pytest.mark.parametrize("pipeline, size, digest", [
+        ("float", 2340, "9b48a6dde5bd1f96"),
+        ("hw", 2340, "c77ee5a6ea75f6f9"),
+    ])
+    def test_default_grid_content_and_order_are_pinned(self, pipeline, size, digest):
+        grid = default_coefficient_grid(pipeline)
+        text = "".join(f"{d.numerator} {d.shift}\n" for c in grid for d in (c.c1, c.c2, c.c3))
+        assert len(grid) == size and hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
 
 class TestComputeThresholds:
     def test_zero_sigma_gives_zero_pair(self):
