@@ -16,7 +16,7 @@ aligned on the peak of its alignment signal, ties to the earliest.  The one
 event former, ``_merge_runs``, has four callers: :func:`form_events`, the
 256-channel stream's feeds (``hw_model.MultichannelStream._form_events``),
 and calibration's two merges, crossings into runs (``threshold._map_runs``)
-and a candidate's runs into events (``threshold._record_accuracies``).
+and a map pair's runs into events (``threshold._record_accuracies``).
 Its event indices go straight into the :class:`Events` every detector
 returns, two int64 arrays that scoring and the events file read as they are.
 
@@ -45,7 +45,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .signal_model import SignalRecord, _int64
+from .signal_model import SignalRecord
 from .threshold import (
     FRAME_LEN,
     SIGMA_FRACTION_BITS,
@@ -503,8 +503,8 @@ def detect_each(record: SignalRecord, kinds) -> list[Events]:
 # ---------------------------------------------------------------------------
 
 
-_EVENT_COLUMNS = (("channel", _int64), ("sample_index", _int64))
-_EVENTS_HEADER = ",".join(name for name, _ in _EVENT_COLUMNS)
+_EVENT_COLUMNS = ("channel", "sample_index")
+_EVENTS_HEADER = ",".join(_EVENT_COLUMNS)
 
 
 def _events_text(events: Events) -> str:

@@ -30,15 +30,18 @@ Shipped default coefficients are the output of :func:`calibrate_coefficients`
 on the bundled synthetic corpus; see ``data/`` and ``scripts/calibrate_defaults.py``.
 Both threshold evaluators take one candidate or a stack of them; a stack
 gives one row per candidate, bit-identical to the one-candidate call.
-Calibration scores the whole grid in one batched pass per record: each
+Calibration scores the whole grid in one batched pass per record.  Each
 path's distinct crossing maps (one per ``c1`` on the raw path, one per
 ``(c2, c3)`` on the smoothed path) come from one stacked threshold
-evaluation and one broadcast compare of the record's frames, and each map
-is reduced to its crossing runs.  A candidate's events are then merged from
-its two maps' runs, and blocks of candidates match them with whole-array
-kernels.  Both merges, crossings into runs and runs into events, go through
-the detectors' one event former, ``detector._merge_runs``.  The result
-equals scoring every candidate on its own through
+evaluation: each live frame's levels are sorted once, and a live sample's
+rank among them names the maps it crosses.  Each map is reduced to its
+crossing runs, and maps with identical runs form one class.  A candidate's
+events are merged from its two maps' runs, so each distinct pair of
+classes is merged and matched once, in blocks, with whole-array kernels,
+and every candidate takes its pair's accuracy.  Both merges, crossings
+into runs and runs into events, go through the detectors' one event
+former, ``detector._merge_runs``.  The result equals scoring every
+candidate on its own through
 :func:`~dualteo.detector.finish_dual` and
 :func:`~dualteo.metrics.score_record`.
 """
@@ -525,24 +528,55 @@ def _distinct(grid, key) -> tuple[_CandidateStack, np.ndarray]:
     return _CandidateStack(grid[i] for i in first), row
 
 
-def _map_runs(cells, align, gap: int, width: int) -> tuple:
-    """The crossing runs of every row of the boolean map ``cells``, row after row.
+def _crossings(energy: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (map, sample) where ``energy`` strictly exceeds the map's level, sorted by map, then sample.
 
-    A run is a maximal cluster of a row's crossings whose neighbour gaps are
-    below ``gap``.  Returns each row's run count, and each run's first and
-    last crossing and its peak: the earliest maximum of ``align`` over its
-    crossings (a NaN counts as the maximum), as column and value.  Rows are
-    laid ``width`` apart, at least a gap past any row's last crossing, so one
-    ``_merge_runs`` pass over the single crossings splits them all.
+    ``levels`` holds one row per map and one column per frame of ``energy``,
+    whose last frame may be partial.  Each frame's levels are sorted once,
+    and a sample's rank, ``np.searchsorted`` of its energy among them on the
+    left, counts the levels strictly below it: exactly the maps that
+    ``np.greater`` says it crosses.  A NaN level sorts last, where no rank
+    reaches it; a NaN energy crosses nothing and takes rank 0.  Each sample then
+    stands for the first ``rank`` maps of its frame's order, and a stable
+    sort on the map keeps every map's samples ascending.
+    """
+    L = FRAME_LEN
+    by_frame = np.ascontiguousarray(levels.T)
+    order = np.argsort(by_frame, axis=1)
+    ranked = np.take_along_axis(by_frame, order, axis=1)
+    ranks = np.zeros(len(energy), dtype=np.intp)
+    for row, lo in zip(ranked, range(0, len(energy), L)):
+        ranks[lo:lo + L] = row.searchsorted(energy[lo:lo + L], side="left")
+    if energy.dtype.kind == "f":
+        ranks[np.isnan(energy)] = 0
+    # sample j reads entries [0, ranks[j]) of its frame's row of ``order``
+    base = np.arange(len(energy)) // L * len(levels) - (np.cumsum(ranks) - ranks)
+    maps = order.reshape(-1)[np.repeat(base, ranks) + np.arange(ranks.sum())]
+    samples = np.repeat(np.arange(len(energy)), ranks)
+    # small map numbers sort by radix, and stably
+    by_map = np.argsort(maps.astype(np.min_scalar_type(len(levels))), kind="stable")
+    return maps[by_map], samples[by_map]
+
+
+def _map_runs(rows, cols, maps: int, align, gap: int, width: int) -> tuple:
+    """The crossing runs of ``maps`` maps from their (map, column) crossings, map after map.
+
+    ``rows`` and ``cols`` come sorted by map, then column, as
+    :func:`_crossings` gives them.  A run is a maximal cluster of a map's
+    crossings whose neighbour gaps are below ``gap``.  Returns each map's run
+    count, and each run's first and last crossing and its peak: the earliest
+    maximum of ``align`` over its crossings (a NaN counts as the maximum),
+    as column and value.  Maps are laid ``width`` apart, at least a gap past
+    any map's last crossing, so one ``_merge_runs`` pass over the single
+    crossings splits them all.
     """
     from . import detector as _detector
 
-    rows, cols = np.divmod(np.flatnonzero(cells), cells.shape[1])
     pos = rows * width + cols
     values = align[cols]
     first, peak = _detector._merge_runs(pos, pos, np.arange(len(pos)), values, gap)
     last = np.append(first, len(cols))[1:] - 1
-    counts = np.bincount(rows[first], minlength=len(cells))
+    counts = np.bincount(rows[first], minlength=maps)
     return counts, cols[first], cols[last], cols[peak], values[peak]
 
 
@@ -554,65 +588,74 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
     raw-path crossing map depends on ``c1`` alone and the smoothed-path map
     on ``(c2, c3)`` alone, so each distinct map is built once: ``raw`` and
     ``smoothed`` are :func:`_distinct` of the grid under those keys.  All of
-    a path's maps come from one stacked threshold evaluation and one compare
-    of the live energies, cut into frames, against every map's per-frame
-    levels, and each map is reduced to its crossing runs (:func:`_map_runs`).
+    a path's maps come from one stacked threshold evaluation, whose
+    per-frame levels rank the live energies (:func:`_crossings`), and each
+    map is reduced to its crossing runs (:func:`_map_runs`).
 
     A candidate's crossings are the union of its two maps', so its events
     are unions of their runs: a run's crossings are already closer than the
-    refractory gap, so it never splits.  Sorted by first crossing, the runs
-    merge through ``detector._merge_runs``: a run starts a new event where
-    it begins at least a gap past the last crossing of every run before it,
-    and the event's peak is the largest run peak, earliest on ties.
-    Candidates are merged in blocks of about ``RUN_BLOCK`` runs, each
-    candidate's runs ``width`` apart from the next one's, and the events'
-    true positives are counted in one pass per block.
+    refractory gap, so it never splits.  Maps whose runs are identical form
+    one class, and a candidate's accuracy depends only on its pair of
+    classes, so each distinct pair is scored once, through its classes'
+    first maps.  Sorted by first crossing, a pair's runs merge through
+    ``detector._merge_runs``: a run starts a new event where it begins at
+    least a gap past the last crossing of every run before it, and the
+    event's peak is the largest run peak, earliest on ties.  Pairs are
+    merged in blocks of about ``RUN_BLOCK`` runs, each pair's runs ``width``
+    apart from the next one's, and the events' true positives are counted
+    in one pass per block.
     """
     from . import detector as _detector
     from . import metrics as _metrics
 
     (x_reps, x_row), (s_reps, s_row) = raw, smoothed
     n = max(0, prep.n - WARMUP_SAMPLES)
-    frames = -(-n // FRAME_LEN)
-    # any gap above n merges all of a row's crossings into one event, as
-    # n + 1 does; the bound keeps the row spacing within the record's
+    # any gap above n merges all of a map's crossings into one event, as
+    # n + 1 does; the bound keeps the map spacing within the record's
     # length whatever the header rate
     gap = min(prep.event_cfg.refractory_samples, n + 1)
-    # map rows and candidates lie this far apart, so a gap always separates
-    # one's last crossing from the next one's first
+    # maps and pairs lie this far apart, so a gap always separates one's
+    # last crossing from the next one's first
     width = n + gap - 1
 
-    cells = np.empty((len(x_reps) + len(s_reps), frames, FRAME_LEN), dtype=bool)
-    for path, reps, out in ((0, x_reps, cells[:len(x_reps)]), (1, s_reps, cells[len(x_reps):])):
+    crossings = []
+    for path, reps in ((0, x_reps), (1, s_reps)):
         thresholds = _detector._frame_thresholds(prep, reps)[path]
         levels = _detector._on_energy_scale(prep, thresholds)[:, WARMUP_FRAMES:]
-        energy = (prep.x_energy, prep.s_energy)[path]
-        # pad a partial last frame with a value that crosses no level
-        never = -np.inf if energy.dtype.kind == "f" else np.iinfo(energy.dtype).min
-        live = np.full(frames * FRAME_LEN, never, dtype=energy.dtype)
-        live[:n] = energy[WARMUP_SAMPLES:]
-        np.greater(live.reshape(frames, FRAME_LEN), levels[:, :, None], out=out)
+        rows, cols = _crossings((prep.x_energy, prep.s_energy)[path][WARMUP_SAMPLES:], levels)
+        crossings.append((rows + path * len(x_reps), cols))
+    n_maps = len(x_reps) + len(s_reps)
+    rows, cols = (np.concatenate(part) for part in zip(*crossings))
     counts, run_first, run_last, run_peak, run_value = _map_runs(
-        cells.reshape(len(cells), frames * FRAME_LEN), prep.align[WARMUP_SAMPLES:], gap, width)
-
-    maps = np.stack([x_row, len(x_reps) + s_row], axis=1)  # each candidate's two map rows
-    runs = counts[maps].sum(axis=1)
+        rows, cols, n_maps, prep.align[WARMUP_SAMPLES:], gap, width)
     offset = np.cumsum(counts) - counts  # each map's first run
+
+    # each map's class is named by its first map with the same runs
+    triples = np.stack([run_first, run_last, run_peak], axis=1)
+    keys, bounds = triples.tobytes(), (np.append(0, np.cumsum(counts)) * triples.strides[0]).tolist()
+    named: dict = {}
+    cls = np.array([named.setdefault(keys[a:b], m) for m, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+    code = cls[x_row] * n_maps + cls[len(x_reps) + s_row]
+    distinct = np.sort(code)
+    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    maps = np.stack(np.divmod(distinct, n_maps), axis=1)  # each distinct pair's two map rows
+
+    runs = counts[maps].sum(axis=1)
     ends = np.cumsum(runs)
     tol = prep.tolerance_samples()
     tru = truth.spike_indices[truth.spike_indices >= WARMUP_SAMPLES] - WARMUP_SAMPLES
     acc = np.empty(len(maps))
     lo = 0
     while lo < len(acc):
-        # at least one candidate, however many runs it has
+        # at least one pair, however many runs it has
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - runs[lo] + RUN_BLOCK, side="right")))
         block = maps[lo:hi].ravel()
         c = counts[block]
         idx = np.repeat(offset[block] - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
         base = np.repeat(np.arange(hi - lo) * width, runs[lo:hi])
         first = base + run_first[idx]
-        # each candidate's runs are two ascending lists; sorting keeps the
-        # candidates in order, so ``base`` needs no reordering
+        # each pair's runs are two ascending lists; sorting keeps the
+        # pairs in order, so ``base`` needs no reordering
         order = np.argsort(first, kind="stable")
         first, idx = first[order], idx[order]
         _, peaks = _detector._merge_runs(first, base + run_last[idx], base + run_peak[idx], run_value[idx], gap)
@@ -623,7 +666,7 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
         np.divide(tp, denom, out=acc[lo:hi], where=denom > 0)
         acc[lo:hi][denom == 0] = 1.0
         lo = hi
-    return acc
+    return acc[np.searchsorted(distinct, code)]
 
 
 def _mean_accuracies(prepared, truths, grid) -> np.ndarray:
@@ -655,8 +698,8 @@ def calibrate_coefficients(
     coefficients, so each record is prepared once.  All candidates are then
     scored together, record by record: each distinct raw-path and
     smoothed-path crossing map is built once and reduced to its crossing
-    runs, and blocks of candidates merge their two maps' runs into events
-    and match them in a few whole-array passes (see
+    runs, and blocks of distinct map pairs merge their two maps' runs into
+    events and match them in a few whole-array passes, each pair once (see
     :func:`_record_accuracies`).  The grid's distinct maps and coefficient
     tables are derived once per grid: once per process for a default grid,
     once per call for ``search_grid``.  The result equals scoring each

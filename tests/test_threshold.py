@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualteo import metrics, threshold
 from dualteo.dataio import GroundTruth, SyntheticConfig, generate
-from dualteo.detector import PreparedDual, event_indices, finish_dual, prepare_dual
+from dualteo.detector import PreparedDual, dual_crossing_streams, event_indices, finish_dual, prepare_dual
 from dualteo.signal_model import SignalRecord
 from loop_oracles import calibration_means, sigma_track
 from serial_oracle import SigmaEstimatorState, estimator_step
@@ -21,6 +21,7 @@ from dualteo.threshold import (
     WARMUP_SAMPLES,
     Dyadic,
     _check_q10_range,
+    _crossings,
     SIGMA_FRACTION_BITS,
     UNMEASURED,
     ThresholdCoefficients,
@@ -701,6 +702,47 @@ def test_hw_calibration_means_are_pinned_at_every_searched_drop_pair(drops_corpu
         assert hashlib.sha256(means.astype("<f8").tobytes()).hexdigest()[:16] == digest, (x, s)
 
 
+@st.composite
+def energies_and_levels(draw):
+    """Live energies, 0 to 4 frames long and perhaps ending mid-frame, and 1 to 6 maps of per-frame levels.
+
+    Float draws mix a few shared values, so energies tie with levels, with
+    signed zeros, infinities and NaN in both.  int16 draws hold the 8- and
+    9-bit energies of the integer pipeline against levels clipped into
+    int16, as ``detector._on_energy_scale`` clips them.
+    """
+    n = draw(st.integers(min_value=0, max_value=4 * FRAME_LEN))
+    maps = draw(st.integers(min_value=1, max_value=6))
+    frames = -(-n // FRAME_LEN)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        pool = np.array([-1.0, -0.5, 0.25, 0.5, 1.0, 2.0] + SPECIAL_FLOATS)
+        weights = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=len(pool), max_size=len(pool)))
+        weights = np.array(weights, dtype=float) + (sum(weights) == 0)
+        energy, levels = (rng.choice(pool, size=shape, p=weights / weights.sum()) for shape in (n, (maps, frames)))
+    else:
+        energy = rng.integers(-256, 512, size=n).astype(np.int16)
+        lim = np.iinfo(np.int16)
+        levels = rng.choice(np.array([lim.min, -3, 0, 1, 2, 5, 40, 300, lim.max], dtype=np.int16), size=(maps, frames))
+        levels[rng.random(levels.shape) < 0.5] = rng.choice(energy) if n else 0  # ties
+    return energy, levels
+
+
+class TestCrossingRanks:
+    @settings(deadline=None, max_examples=300)
+    @given(energies_and_levels())
+    @example((np.zeros(0), np.zeros((3, 0))))  # no live sample
+    @example((np.arange(FRAME_LEN + 7) % 4 - 1.0, np.array([[0.0, 1.0], [2.0, -0.0]])))  # ties in a partial last frame
+    @example((np.array([np.nan, np.inf, 1.0, -np.inf]), np.array([[np.nan], [0.0], [-np.inf], [np.inf]])))
+    def test_rank_pairs_equal_the_compare_of_every_map(self, drawn):
+        energy, levels = drawn
+        rows, cols = _crossings(energy, levels)
+        # every sample against its frame's level of every map, read row-major
+        per_sample = np.repeat(levels, FRAME_LEN, axis=1)[:, :len(energy)]
+        want = np.flatnonzero(np.greater(energy, per_sample))
+        np.testing.assert_array_equal(rows * len(energy) + cols, want)
+
+
 # Batched calibration against the per-candidate loop it replaced
 
 RATES = {"float": 24000.0, "hw": 16000.0}
@@ -724,6 +766,46 @@ def shared_value_grids(draw, pipeline):
         min_size=1, max_size=10,
     ))
     return [ThresholdCoefficients(*p) for p in picks]
+
+
+def distinct_map_pairs(prep, grid) -> int:
+    """How many distinct (raw-path runs, smoothed-path runs) pairs the candidates of ``grid`` give on ``prep``.
+
+    A run is a cluster of live crossings whose neighbour gaps are below the
+    refractory gap, as its first and last crossing and its earliest peak
+    of the alignment.
+    """
+    align = prep.align[WARMUP_SAMPLES:]
+    gap = prep.event_cfg.refractory_samples
+
+    def runs(crossings):
+        idx = np.flatnonzero(crossings[WARMUP_SAMPLES:])
+        groups = np.split(idx, np.flatnonzero(np.diff(idx) >= gap) + 1) if len(idx) else []
+        return tuple((g[0], g[-1], g[np.argmax(align[g])]) for g in groups)
+
+    return len({tuple(map(runs, dual_crossing_streams(prep, c))) for c in grid})
+
+
+def ramp_record(pipeline):
+    """A prepared record whose only live energy is a five-sample ramp on the smoothed path, and its truth.
+
+    The raw energy is zero, so every raw-path map is empty, and the ramp's
+    five adjacent samples make at most one run in any smoothed-path map.
+    The (empty, empty) pair comes first in map order and the pairs after it
+    hold one run each, so a one-run block takes the first two pairs together.
+    """
+    n = WARMUP_SAMPLES + FRAME_LEN
+    ramp = WARMUP_SAMPLES + 100 + np.arange(5)
+    if pipeline == "float":
+        energy, sigma, align = np.zeros(n), np.ones(n // FRAME_LEN), np.zeros(n)
+    else:
+        energy, align = np.zeros(n, dtype=np.int16), np.zeros(n, dtype=np.int32)
+        sigma = np.full(n // FRAME_LEN, 1 << SIGMA_FRACTION_BITS, dtype=np.int32)
+    s_energy = energy.copy()
+    s_energy[ramp] = align[ramp] = np.arange(1, 6)
+    prep = PreparedDual(x_energy=energy, s_energy=s_energy, sigma_per_frame=sigma, align=align,
+                        rate_hz=RATES[pipeline], channel_id=0)
+    return prep, GroundTruth(spike_indices=ramp[2:3])
 
 
 class TestBatchedCalibration:
@@ -803,17 +885,24 @@ class TestBatchedCalibration:
     @pytest.mark.parametrize("runs", [1, 4, 16])
     def test_run_blocks_split_inside_the_grid(self, oracle_training, pipeline, runs, monkeypatch):
         _, prepared, truths = oracle_training[pipeline]
-        grid = default_coefficient_grid(pipeline)[::97]
-        blocks = []
+        ramp, ramp_truth = ramp_record(pipeline)
+        prepared, truths = prepared + [ramp], truths + [ramp_truth]
+        once = default_coefficient_grid(pipeline)[::97]
         true_positives = metrics._true_positives
         monkeypatch.setattr(threshold, "RUN_BLOCK", runs)
-        monkeypatch.setattr(metrics, "_true_positives",
-                            lambda *args: blocks.append(args[2]) or true_positives(*args))
-        got = _mean_accuracies(prepared, truths, grid)
-        # some candidate fills a block by itself, some block holds several
-        assert sum(blocks) == len(grid) * len(prepared)
-        assert 1 in blocks and max(blocks) > 1
-        assert np.array_equal(got, calibration_means(prepared, truths, grid))
+        # the second grid lists every candidate twice, so its distinct pairs are fewer than its candidates
+        for grid in (once, once + once):
+            blocks = []
+            monkeypatch.setattr(metrics, "_true_positives",
+                                lambda *args: blocks.append(args[2]) or true_positives(*args))
+            got = _mean_accuracies(prepared, truths, grid)
+            pairs = [distinct_map_pairs(prep, grid) for prep in prepared]
+            # the blocks score each record's distinct pairs once each
+            assert sum(blocks) == sum(pairs)
+            assert max(pairs) <= len(once)
+            # some pair fills a block by itself, some block holds several
+            assert 1 in blocks and max(blocks) > 1
+            assert np.array_equal(got, calibration_means(prepared, truths, grid))
 
     def test_long_record_matches_per_candidate_loop(self, noisy_record):
         # 6 s at 24 kHz: every map row holds more than 2**17 live samples, as
