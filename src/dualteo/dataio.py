@@ -219,8 +219,6 @@ def _bandlimit(x: np.ndarray, rate_hz: float, lo_hz: float, hi_hz: float) -> np.
     through; an FFT-domain window keeps it dependency-free and deterministic.
     """
     n = len(x)
-    if n == 0:
-        return x
     freqs = np.fft.rfftfreq(n, d=1.0 / rate_hz)
     lo_width = max(1.0, 0.5 * lo_hz)
     hi_width = max(1.0, 0.2 * hi_hz)

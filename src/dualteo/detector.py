@@ -9,7 +9,9 @@ threshold, and the OR of the two boolean streams feeds event formation.
 
 A single sigma estimator observes the smoothed signal and feeds both
 thresholds; detections are suppressed for the first 16 frames
-(``threshold.WARMUP_SAMPLES``) while it converges.  Every detector forms
+(``threshold.WARMUP_SAMPLES``) while it converges.  A record of any length
+takes the one path, and the gate alone leaves one inside the warm-up no
+events; the caller is warned.  Every detector forms
 events the same way: crossing runs closer than a 1 ms refractory gap at the
 record's rate (:meth:`EventFormationConfig.for_rate`) merge into one event,
 aligned on the peak of its alignment signal, ties to the earliest.  The one
@@ -223,8 +225,8 @@ class PreparedDual:
     one channel, or, inside :class:`~dualteo.hw_model.MultichannelStream`,
     a time chunk of every channel of the stream along axis 1; a chunk has
     no ``align``, because the stream aligns only its crossings.  The
-    energies' dtype picks the thresholds: float energies take float ones,
-    integer energies Q.10 registers.
+    energies' dtype picks the comparator levels (:func:`_frame_levels`):
+    float thresholds, or Q.10 registers shifted down to the integer energies.
     """
 
     warmup_samples: ClassVar[int] = WARMUP_SAMPLES
@@ -280,46 +282,36 @@ def prepare_dual(
     )
 
 
-def _frame_thresholds(prep: PreparedDual, coeffs):
-    """Per-frame ``(thr_x, thr_s)``; integer energies take Q.10 thresholds.
+def _frame_levels(prep: PreparedDual, coeffs):
+    """Per-frame comparator levels ``(x, s)`` of both paths, on the energies' own scale.
 
     ``coeffs`` is one candidate, or a stack of them for ``(candidates,
-    frames)`` thresholds.
-    """
-    if prep.x_energy.dtype.kind == "f":
-        return compute_thresholds(prep.sigma_per_frame, coeffs)
-    return compute_thresholds_q10(prep.sigma_per_frame, coeffs)
-
-
-def _on_energy_scale(prep: PreparedDual, thresholds: np.ndarray) -> np.ndarray:
-    """Thresholds of either path on the energies' own scale.
-
-    An integer energy ``e`` crosses its Q.10 threshold ``t`` when
+    frames)`` levels.  Float energies take their float thresholds as they
+    are.  An integer energy ``e`` crosses its Q.10 threshold ``t`` when
     ``e << 10 > t``, which holds exactly when ``e > t >> 10``: an arithmetic
     shift is a floor.  So the thresholds shift down instead of the energies
     up, and are then clipped into the energies' int16, a record's and a
     stream chunk's alike.  The clip changes no comparison: the 8- and 9-bit
-    energies lie strictly inside int16's range.  Float thresholds pass
-    through.
+    energies lie strictly inside int16's range.
     """
     dtype = prep.x_energy.dtype
     if dtype.kind == "f":
-        return thresholds
+        return compute_thresholds(prep.sigma_per_frame, coeffs)
     lim = np.iinfo(dtype)
-    return (thresholds >> SIGMA_FRACTION_BITS).clip(lim.min, lim.max).astype(dtype, copy=False)
+    return tuple(
+        (thr >> SIGMA_FRACTION_BITS).clip(lim.min, lim.max).astype(dtype, copy=False)
+        for thr in compute_thresholds_q10(prep.sigma_per_frame, coeffs)
+    )
 
 
 def dual_crossing_streams(prep: PreparedDual, coeffs: ThresholdCoefficients):
     """Boolean crossing streams (raw path, smoothed path) before warm-up gating.
 
-    The comparator: each frame's thresholds hold over its samples, along
-    axis 0 for a block, and each energy crosses where it strictly exceeds
-    its threshold (:func:`_on_energy_scale`).
+    The comparator: each frame's level (:func:`_frame_levels`) holds over
+    its samples, along axis 0 for a block, and each energy crosses where it
+    strictly exceeds that level.
     """
-    return tuple(
-        _exceeds(energy, _on_energy_scale(prep, thr))
-        for energy, thr in zip((prep.x_energy, prep.s_energy), _frame_thresholds(prep, coeffs))
-    )
+    return tuple(map(_exceeds, (prep.x_energy, prep.s_energy), _frame_levels(prep, coeffs)))
 
 
 def _exceeds(energy: np.ndarray, thr: np.ndarray) -> np.ndarray:
@@ -348,8 +340,8 @@ def finish_dual(prep: PreparedDual, coeffs: ThresholdCoefficients) -> Events:
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
-def _check_warmup(record) -> bool:
-    """Whether ``record`` outlasts the warm-up; if not, warn at the caller outside the package."""
+def _check_warmup(record) -> None:
+    """Warn, at the caller outside the package, when ``record`` does not outlast the warm-up."""
     if len(record) <= WARMUP_SAMPLES:
         # stacklevel 1 is this function; count up to the first frame outside
         # the package, however many package frames the call went through
@@ -361,14 +353,13 @@ def _check_warmup(record) -> bool:
             f"{WARMUP_SAMPLES}-sample warm-up; no detections possible",
             stacklevel=level,
         )
-        return False
-    return True
 
 
-def _detect_paths(record: SignalRecord, coeffs: ThresholdCoefficients, kinds) -> dict:
+def _detect_paths(record: SignalRecord, coeffs: ThresholdCoefficients | None, kinds) -> dict:
     """The events of each of ``DUAL`` and ``TEO_SINGLE`` in ``kinds``, from one prepare and one compare."""
-    if not _check_warmup(record):
-        return {kind: Events() for kind in kinds}
+    _check_warmup(record)
+    if coeffs is None:
+        coeffs = default_float_coefficients()
     prep = prepare_dual(record)
     cross_x, cross_s = dual_crossing_streams(prep, coeffs)
     events = {}
@@ -384,8 +375,6 @@ def detect_dual(
     coeffs: ThresholdCoefficients | None = None,
 ) -> Events:
     """Dual-path detection on a floating-point record."""
-    if coeffs is None:
-        coeffs = default_float_coefficients()
     return _detect_paths(record, coeffs, [DetectorKind.DUAL])[DetectorKind.DUAL]
 
 
@@ -394,8 +383,6 @@ def detect_teo_single(
     coeffs: ThresholdCoefficients | None = None,
 ) -> Events:
     """Raw-path-only detection; its crossing set is a subset of the dual's."""
-    if coeffs is None:
-        coeffs = default_float_coefficients()
     return _detect_paths(record, coeffs, [DetectorKind.TEO_SINGLE])[DetectorKind.TEO_SINGLE]
 
 
@@ -443,8 +430,6 @@ def moving_average_energy(x) -> np.ndarray:
     window = DEFAULT_MAE_WINDOW
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    if n == 0:
-        return np.zeros(0)
     cs = np.empty(n + 1)
     cs[0] = 0.0
     np.cumsum(np.square(x), out=cs[1:])
@@ -494,7 +479,7 @@ def detect_each(record: SignalRecord, kinds) -> list[Events]:
     """
     kinds = list(kinds)
     paths = [kind for kind in kinds if kind in (DetectorKind.DUAL, DetectorKind.TEO_SINGLE)]
-    shared = _detect_paths(record, default_float_coefficients(), paths) if paths else {}
+    shared = _detect_paths(record, None, paths) if paths else {}
     return [shared[kind] if kind in shared else detect(record, kind) for kind in kinds]
 
 

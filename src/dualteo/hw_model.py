@@ -18,7 +18,7 @@ either one channel ``(n,)`` or a time-major block ``(n, channels)``.
 :func:`prepare_hw_dual` is the whole-record case, which
 :func:`~dualteo.detector.finish_dual` finishes: hw calibration prepares its
 records with it once for every candidate, and :func:`trace_internal`
-exposes its every intermediate value.
+exposes its every intermediate value, its thresholds as Q.10 registers.
 :class:`MultichannelStream` is the block case: it walks the interleaved
 stream in time chunks of one kernel block of cells
 (:data:`~dualteo.transforms.BLOCK_CELLS`) across all channels.  Across two
@@ -47,7 +47,6 @@ from .detector import (
     Events,
     PreparedDual,
     _check_warmup,
-    _frame_thresholds,
     _merge_runs,
     dual_crossing_streams,
     finish_dual,  # unused here; perfbench/tracing.py rebinds this name to trace the record path
@@ -64,6 +63,7 @@ from .threshold import (
     SIGMA_FRACTION_BITS,
     UNMEASURED,
     ThresholdCoefficients,
+    compute_thresholds_q10,
     default_hw_coefficients,
     sigma_frames_q10,
 )
@@ -211,9 +211,8 @@ def hw_detect_channel(
     ``finish_dual(prepare_hw_dual(q, cfg), coeffs)``, on ``q.channel_id``.
     """
     cfg = cfg if cfg is not None else HwConfig()
-    if not _check_warmup(q):
-        return Events()
     _check_chip_codes(q, cfg)
+    _check_warmup(q)
     (events,) = MultichannelStream(replace(cfg, channels=1), coeffs)._feed(q.codes, final=True)
     return Events(np.full(len(events), q.channel_id, dtype=np.int64), events.sample_index)
 
@@ -260,7 +259,8 @@ def trace_internal(
     if coeffs is None:
         coeffs = default_hw_coefficients()
     prep = prepare_hw_dual(q, cfg)
-    thr_x, thr_s = (np.repeat(thr, FRAME_LEN)[:prep.n] for thr in _frame_thresholds(prep, coeffs))
+    registers = compute_thresholds_q10(prep.sigma_per_frame, coeffs)
+    thr_x, thr_s = (np.repeat(thr, FRAME_LEN)[:prep.n] for thr in registers)
     cross_x, cross_s = dual_crossing_streams(prep, coeffs)
     columns = (q.codes, smooth2_fixed(q.codes), prep.x_energy, prep.s_energy, thr_x, thr_s, cross_x | cross_s)
     return HwTrace(*(column.astype(np.int64) for column in columns))

@@ -588,7 +588,7 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
     raw-path crossing map depends on ``c1`` alone and the smoothed-path map
     on ``(c2, c3)`` alone, so each distinct map is built once: ``raw`` and
     ``smoothed`` are :func:`_distinct` of the grid under those keys.  All of
-    a path's maps come from one stacked threshold evaluation, whose
+    a path's maps come from one stacked ``detector._frame_levels``, whose
     per-frame levels rank the live energies (:func:`_crossings`), and each
     map is reduced to its crossing runs (:func:`_map_runs`).
 
@@ -620,8 +620,7 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
 
     crossings = []
     for path, reps in ((0, x_reps), (1, s_reps)):
-        thresholds = _detector._frame_thresholds(prep, reps)[path]
-        levels = _detector._on_energy_scale(prep, thresholds)[:, WARMUP_FRAMES:]
+        levels = _detector._frame_levels(prep, reps)[path][:, WARMUP_FRAMES:]
         rows, cols = _crossings((prep.x_energy, prep.s_energy)[path][WARMUP_SAMPLES:], levels)
         crossings.append((rows + path * len(x_reps), cols))
     n_maps = len(x_reps) + len(s_reps)

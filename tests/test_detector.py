@@ -29,7 +29,7 @@ from dualteo.detector import (
 )
 from dualteo.hw_model import HwConfig, hw_detect_channel
 from dualteo.signal_model import QuantizedRecord, SignalRecord
-from dualteo.threshold import WARMUP_SAMPLES, ThresholdCoefficients
+from dualteo.threshold import FRAME_LEN, WARMUP_SAMPLES, ThresholdCoefficients
 
 COEFFS = ThresholdCoefficients.make((3, 2), (1, 2), (2, 0))
 
@@ -302,8 +302,10 @@ class TestBaselines:
         assert len(events) == 1
         assert abs(events.sample_index[0] - 2000) <= 24
 
-    def test_mae_energy_constant_record(self):
-        e = moving_average_energy(np.full(50, 3.0))
+    @pytest.mark.parametrize("n", [50, 0], ids=["constant", "empty"])
+    def test_mae_energy_constant_record(self, n):
+        e = moving_average_energy(np.full(n, 3.0))
+        assert e.dtype == np.float64 and e.shape == (n,)
         np.testing.assert_allclose(e, 9.0)
 
     def test_mae_energy_impulse(self):
@@ -349,7 +351,8 @@ class TestBaselines:
         with pytest.warns(UserWarning, match="warm-up"):
             assert detect_each(record, [DetectorKind.DUAL, DetectorKind.TEO_SINGLE]) == [Events(), Events()]
 
-    @pytest.mark.parametrize("n", [100, 10_000], ids=["inside-warmup", "past-warmup"])
+    @pytest.mark.parametrize("n", [100, WARMUP_SAMPLES + 1, 10_000],
+                             ids=["inside-warmup", "just-past-warmup", "past-warmup"])
     @pytest.mark.parametrize("value", [0.5, 0.0], ids=["half", "zero"])
     def test_constant_record_gives_no_events(self, value, n):
         # std 0 leaves the amplitude baselines no noise scale: no threshold, no events
@@ -364,23 +367,28 @@ class TestBaselines:
         assert bool(caught) == (n <= WARMUP_SAMPLES)
 
 
-SHORT_RECORD = SignalRecord(samples=np.ones(100), rate_hz=24000.0)
-SHORT_CODES = QuantizedRecord(codes=np.ones(100, dtype=np.int64), format=HwConfig.input_format,
-                              rate_hz=HwConfig.rate_hz)
+def short_record(n):
+    return SignalRecord(samples=np.ones(n), rate_hz=24000.0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: detect_dual(SHORT_RECORD),
-    lambda: detect_teo_single(SHORT_RECORD),
-    lambda: detect(SHORT_RECORD, DetectorKind.DUAL),
-    lambda: detect_each(SHORT_RECORD, list(DetectorKind)),
-    lambda: hw_detect_channel(SHORT_CODES),
+def short_codes(n):
+    return QuantizedRecord(codes=np.ones(n, dtype=np.int64), format=HwConfig.input_format, rate_hz=HwConfig.rate_hz)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, FRAME_LEN, WARMUP_SAMPLES])
+@pytest.mark.parametrize("call, nothing", [
+    (lambda n: detect_dual(short_record(n)), Events()),
+    (lambda n: detect_teo_single(short_record(n)), Events()),
+    (lambda n: detect(short_record(n), DetectorKind.DUAL), Events()),
+    (lambda n: detect_each(short_record(n), list(DetectorKind)), [Events()] * len(DetectorKind)),
+    (lambda n: hw_detect_channel(short_codes(n)), Events()),
 ], ids=["detect_dual", "detect_teo_single", "detect", "detect_each", "hw_detect_channel"])
-def test_warmup_warning_names_the_caller(call):
+def test_warmup_warning_names_the_caller(call, nothing, n):
+    # a record inside the warm-up runs the usual path, and its gate leaves no events;
     # the default filter shows a warning once per line it names, so it must
     # name the line that called into the package
     with pytest.warns(UserWarning, match="warm-up") as caught:
-        call()
+        assert call(n) == nothing
     assert [w.filename for w in caught] == [__file__]
 
 

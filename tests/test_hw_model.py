@@ -154,21 +154,30 @@ class TestHwDetectChannel:
         q = quantized(np.zeros(8192, dtype=int))
         assert hw_detect_channel(q, coeffs=HW_COEFFS) == Events()
 
-    def test_rate_mismatch_rejected(self):
-        q = quantized(np.zeros(8192, dtype=int), rate=24000.0)
-        for detect in (prepare_hw_dual, hw_detect_channel):
-            with pytest.raises(ValueError, match="rate"):
-                detect(q, HwConfig())
+    @staticmethod
+    def assert_refused_as_prepared(q):
+        # a record inside the warm-up is refused too, before any warm-up warning
+        with pytest.raises(ValueError) as prepared:
+            prepare_hw_dual(q, HwConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(prepared.value))}$"):
+                hw_detect_channel(q, HwConfig())
+        return str(prepared.value)
 
-    def test_format_mismatch_rejected(self):
+    @pytest.mark.parametrize("n", [100, 8192], ids=["inside-warmup", "past-warmup"])
+    def test_rate_mismatch_rejected(self, n):
+        q = quantized(np.zeros(n, dtype=int), rate=24000.0)
+        assert "rate" in self.assert_refused_as_prepared(q)
+
+    @pytest.mark.parametrize("n", [100, 8192], ids=["inside-warmup", "past-warmup"])
+    def test_format_mismatch_rejected(self, n):
         q = QuantizedRecord(
-            codes=np.zeros(8192, dtype=np.int64),
+            codes=np.zeros(n, dtype=np.int64),
             format=FixedPointFormat(total_bits=8),
             rate_hz=16000.0,
         )
-        for detect in (prepare_hw_dual, hw_detect_channel):
-            with pytest.raises(ValueError, match="7-bit"):
-                detect(q, HwConfig())
+        assert "7-bit" in self.assert_refused_as_prepared(q)
 
     def test_short_record_warns(self):
         q = quantized(np.zeros(100, dtype=int))

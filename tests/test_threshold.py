@@ -709,7 +709,7 @@ def energies_and_levels(draw):
     Float draws mix a few shared values, so energies tie with levels, with
     signed zeros, infinities and NaN in both.  int16 draws hold the 8- and
     9-bit energies of the integer pipeline against levels clipped into
-    int16, as ``detector._on_energy_scale`` clips them.
+    int16, as ``detector._frame_levels`` clips them.
     """
     n = draw(st.integers(min_value=0, max_value=4 * FRAME_LEN))
     maps = draw(st.integers(min_value=1, max_value=6))
