@@ -20,8 +20,9 @@ dropped from the denominator rather than booked as misses.
 Sweeps reproduce mean-accuracy curves against noise level, input resolution,
 or sampling rate.  Every axis generates once per replicate: on the noise axis
 :func:`~dualteo.dataio.generate_levels` builds the seed's spike train and
-background once and rescales the background per point; on the other two the
-noise level is fixed at 0.1 and one base record is transformed per point.
+background once and rescales the background per point; on the other two one
+base record, at the spec's own noise level, is transformed per point.  Sweep
+results are written, never read back, by the package.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .dataio import (
 from .detector import DetectorKind, Events
 from .signal_model import (
     FixedPointFormat,
-    _data_lines,
     dequantize,
     is_finite_real,
     peak_full_scale,
@@ -61,13 +61,10 @@ __all__ = [
     "score_record",
     "sweep",
     "report",
-    "parse_results_csv",
 ]
 
 DEFAULT_TOLERANCE_MS = 1.0
-_RESULTS_COLUMNS = (("axis", str), ("point", float), ("detector", DetectorKind),
-                    ("mean_accuracy", float), ("std_accuracy", float), ("replicates", int))
-RESULTS_HEADER = ",".join(name for name, _ in _RESULTS_COLUMNS)
+RESULTS_HEADER = "axis,point,detector,mean_accuracy,std_accuracy,replicates"
 
 
 @dataclass(frozen=True)
@@ -272,7 +269,7 @@ def _transform_for_point(spec, record, truth, point):
 def sweep(spec: SweepSpec) -> list[SweepResult]:
     """Run the full (point x detector x replicate) grid and aggregate accuracy.
 
-    For the resolution and rate axes the noise level is fixed at 0.1.  Results
+    The resolution and rate axes keep ``base_cfg``'s noise level.  Results
     are bit-reproducible given the spec: replicate r uses seed
     ``base_cfg.seed + r``.  A replicate is generated once: one base record
     feeds every resolution or rate point, and on the noise axis one
@@ -286,7 +283,7 @@ def sweep(spec: SweepSpec) -> list[SweepResult]:
         if spec.axis == "noise_level":
             bases = generate_levels([replace(cfg, noise_level=float(p)) for p in spec.points])
         else:
-            bases = [generate(replace(cfg, noise_level=0.1))] * len(spec.points)
+            bases = [generate(cfg)] * len(spec.points)
         for p, (record, truth) in zip(spec.points, bases):
             try:
                 record_p, truth_p = _transform_for_point(spec, record, truth, p)
@@ -314,7 +311,7 @@ def report(results: list[SweepResult], format: str = "csv", path=None) -> str:
     """Render results as CSV text, or a self-contained plotting script.
 
     With ``path`` given the text is also written there.  The plot script reads
-    the CSV named alongside it and draws one accuracy curve per detector.
+    ``sweep_results.csv`` beside it and draws one accuracy curve per detector.
     """
     if format == "csv":
         lines = [RESULTS_HEADER]
@@ -325,8 +322,7 @@ def report(results: list[SweepResult], format: str = "csv", path=None) -> str:
             )
         text = "\n".join(lines) + "\n"
     elif format == "plot_script":
-        csv_name = "sweep_results.csv"
-        text = _PLOT_TEMPLATE.format(csv_name=csv_name)
+        text = _PLOT_SCRIPT
     else:
         raise ValueError(f"unknown report format {format!r}")
     if path is not None:
@@ -335,24 +331,15 @@ def report(results: list[SweepResult], format: str = "csv", path=None) -> str:
     return text
 
 
-def parse_results_csv(text: str) -> list[SweepResult]:
-    """The results of a :func:`report` CSV; an error names the line as ``<results>:lineno``."""
-    lines = _data_lines("<results>", text)
-    header = next(lines, None)
-    if header is None or header.text != RESULTS_HEADER:
-        raise ValueError(f"<results>: expected header {RESULTS_HEADER!r}")
-    return [SweepResult(*line.fields(_RESULTS_COLUMNS, ",")) for line in lines]
-
-
-_PLOT_TEMPLATE = '''#!/usr/bin/env python3
-"""Plot mean detection accuracy per detector from {csv_name}."""
+_PLOT_SCRIPT = '''#!/usr/bin/env python3
+"""Plot mean detection accuracy per detector from sweep_results.csv."""
 import csv
 from collections import defaultdict
 
 import matplotlib.pyplot as plt
 
 curves = defaultdict(list)
-with open("{csv_name}") as fh:
+with open("sweep_results.csv") as fh:
     # blank and "#" lines are skipped, as dualteo's own reader skips them
     lines = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
 for row in csv.DictReader(lines):

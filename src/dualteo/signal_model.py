@@ -269,12 +269,12 @@ class _Line(NamedTuple):
         return [self.value(name, convert, part) for (name, convert), part in zip(columns, parts)]
 
 
-def _data_lines(path, text: str | None = None) -> Iterator[_Line]:
-    """Each data line of the file ``path``, read unless its ``text`` is given, located as ``path:lineno``.
+def _data_lines(path) -> Iterator[_Line]:
+    """Each data line of the file ``path``, located as ``path:lineno``.
 
     Blank lines and ``#`` lines are skipped in every format.
     """
-    for lineno, raw in enumerate((_read_text(path) if text is None else text).splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield _Line(path, lineno, line)

@@ -641,7 +641,7 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
 
     runs = counts[maps].sum(axis=1)
     ends = np.cumsum(runs)
-    tol = prep.tolerance_samples()
+    tol = _metrics.match_window(prep.rate_hz, prep.n)
     tru = truth.spike_indices[truth.spike_indices >= WARMUP_SAMPLES] - WARMUP_SAMPLES
     acc = np.empty(len(maps))
     lo = 0

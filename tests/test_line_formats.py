@@ -1,19 +1,22 @@
 """The shared rules of the package's line-oriented files, checked on every format.
 
-Five formats are read line by line: the record header, the CSV record
-payload, coefficient files, truth files and sweep results.  Each is written
-here by its own writer, then:
+Four formats are read line by line: the record header, the CSV record
+payload, coefficient files and truth files.  Each is written here by its own
+writer, then:
 
 * blank lines and ``#`` lines inserted anywhere leave the parse unchanged;
 * a data field replaced by a non-number raises ``ValueError`` starting with
-  ``<path>:<lineno>`` (``<results>`` for results, which are parsed from text);
+  ``<path>:<lineno>``;
 * undecodable bytes raise ``ValueError`` naming the file.
 
-Events files and hardware traces are written, never read, by the package:
-each is a header line of column names, then one line of decimal integers per
-row, which a plain ``numpy.loadtxt`` reads back exactly.
+Events files, hardware traces and sweep results are written, never read, by
+the package.  Each is ASCII, a header line of column names, then one line per
+row.  Events and traces hold decimal integers, which a plain
+``numpy.loadtxt`` reads back exactly; sweep results read back as the plot
+script reads them, to the precision they are printed at.
 """
 
+import csv
 import tempfile
 import warnings
 from pathlib import Path
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 from dualteo.dataio import GroundTruth, load_ground_truth, save_ground_truth
 from dualteo.detector import DetectorKind, Events, events_to_csv
 from dualteo.hw_model import HwTrace
-from dualteo.metrics import SweepResult, parse_results_csv, report
+from dualteo.metrics import RESULTS_HEADER, SweepResult, report
 from dualteo.signal_model import SignalRecord, load_record, read_header, save_record
 from dualteo.threshold import Dyadic, ThresholdCoefficients, load_coefficients, save_coefficients
 
@@ -88,10 +91,6 @@ class Format:
         self.sep, self.numeric, self.header_lines = sep, numeric, header_lines
         self.suffix, self.target = suffix, target
 
-    def origin(self, path):
-        """What an error names the file as."""
-        return "<results>" if self.name == "results" else str(self.target(path))
-
     def __repr__(self):
         return self.name
 
@@ -102,10 +101,7 @@ FORMATS = [
     Format("csv-record", RECORDS, save_record, read_record, None, (0,), suffix=".csv"),
     Format("coefficients", COEFFICIENTS, save_coefficients, load_coefficients, " ", (1, 2)),
     Format("truth", truths(), save_ground_truth, read_truth, ",", (0, 1)),
-    Format("results", RESULTS, lambda results, path: report(results, "csv", path),
-           lambda path: parse_results_csv(path.read_text()), ",", (1, 2, 3, 4, 5), header_lines=1),
 ]
-FILE_FORMATS = [fmt for fmt in FORMATS if fmt.name != "results"]
 
 # blank and comment lines, with no character that str.splitlines breaks at
 NOTE_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12)
@@ -161,13 +157,13 @@ def test_a_non_number_field_names_its_file_and_line(fmt, data, inserts, junk):
         fmt.target(path).write_text("".join(line + "\n" for line in marked))
         with pytest.raises(ValueError) as raised:
             fmt.read(path)
-        assert str(raised.value).startswith(f"{fmt.origin(path)}:{lineno}: "), str(raised.value)
+        assert str(raised.value).startswith(f"{fmt.target(path)}:{lineno}: "), str(raised.value)
 
 
 UNDECODABLE = st.sampled_from([b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"])
 
 
-@pytest.mark.parametrize("fmt", FILE_FORMATS, ids=repr)
+@pytest.mark.parametrize("fmt", FORMATS, ids=repr)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), bad=UNDECODABLE)
 def test_undecodable_bytes_name_the_file(fmt, data, bad):
@@ -184,7 +180,7 @@ def test_undecodable_bytes_name_the_file(fmt, data, bad):
 
 
 # ---------------------------------------------------------------------------
-# The written formats: a header of column names, then decimal integers
+# The written formats: a header of column names, then one line per row
 # ---------------------------------------------------------------------------
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -230,3 +226,29 @@ def test_a_written_format_is_a_header_then_one_line_of_integers_per_row(name, va
     header, *rows = raw.decode().splitlines()
     assert header == ",".join(columns)
     assert rows == [",".join(str(int(v)) for v in row) for row in zip(*table(value))]
+
+
+def read_as_the_plot_script(lines):
+    """The rows of a results file as its plot script reads them: blank and ``#`` lines
+    dropped, the rest through ``csv.DictReader``."""
+    return list(csv.DictReader(line for line in lines if line.strip() and not line.lstrip().startswith("#")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(results=RESULTS, inserts=INSERTS)
+def test_sweep_results_read_back_as_the_plot_script_reads_them(results, inserts):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep_results.csv"
+        report(results, "csv", path)
+        raw = path.read_bytes()
+    assert raw.isascii() and raw.endswith(b"\n") and b"\r" not in raw
+    header, *rows = raw.decode().splitlines()
+    assert header == RESULTS_HEADER and len(rows) == len(results)
+    back = read_as_the_plot_script(line + "\n" for line in with_skipped_lines([header, *rows], inserts))
+    assert len(back) == len(results)
+    for want, got in zip(results, back):
+        assert (got["axis"], got["detector"], got["replicates"]) == (want.axis, want.detector.value, str(want.replicates))
+        # the point is printed to six significant digits, the accuracies to six decimals
+        assert abs(float(got["point"]) - want.point) <= 5e-6 * want.point
+        assert abs(float(got["mean_accuracy"]) - want.mean_accuracy) <= 5e-7 + 1e-12
+        assert abs(float(got["std_accuracy"]) - want.std_accuracy) <= 5e-7 + 1e-12

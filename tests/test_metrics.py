@@ -1,3 +1,4 @@
+import csv
 import runpy
 import sys
 import types
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import dualteo.dataio
 import dualteo.detector
-from dualteo.dataio import GroundTruth, SyntheticConfig, generate
+from dualteo.dataio import GroundTruth, SyntheticConfig, generate, rescale_ground_truth, resample
 from dualteo.detector import DetectorKind, Events
 from loop_oracles import greedy_tp
 from dualteo.metrics import (
@@ -19,11 +20,12 @@ from dualteo.metrics import (
     SweepSpec,
     accuracy,
     match_events,
-    parse_results_csv,
     report,
     score_events,
+    score_record,
     sweep,
 )
+from dualteo.signal_model import FixedPointFormat, dequantize, peak_full_scale, quantize_mid_tread
 from dualteo.threshold import WARMUP_SAMPLES
 
 
@@ -248,7 +250,34 @@ class TestSweep:
         sweep(spec)
         assert len(calls) == 3
 
-    def test_resolution_axis_fixes_noise_at_mid_level(self):
+    @pytest.mark.parametrize("axis, points", [("resolution_bits", (4, 8)), ("rate_hz", (16000.0, 24000.0))],
+                             ids=["resolution_bits", "rate_hz"])
+    def test_transform_axes_sweep_at_the_spec_noise_level(self, axis, points):
+        # a base noise level other than the default 0.1 is the one swept
+        spec = SweepSpec(axis=axis, points=points, detectors=tuple(DetectorKind), replicates=2,
+                         base_cfg=SyntheticConfig(duration_s=0.6, noise_level=0.2, seed=11))
+        expected = []
+        for p in spec.points:
+            for d in spec.detectors:
+                accs = []
+                for r in range(spec.replicates):
+                    record, truth = generate(replace(spec.base_cfg, seed=11 + r))
+                    if axis == "resolution_bits":
+                        fmt = FixedPointFormat(total_bits=p)
+                        record = dequantize(quantize_mid_tread(record, fmt, full_scale=peak_full_scale(record)))
+                    else:
+                        resampled = resample(record, p)
+                        truth = rescale_ground_truth(truth, record.rate_hz, p, len(resampled))
+                        record = resampled
+                    events = dualteo.detector.detect(record, d)
+                    accs.append(score_record(events, truth, record.rate_hz, len(record))[1])
+                expected.append(SweepResult(
+                    axis=axis, point=p, detector=d, mean_accuracy=float(np.mean(accs)),
+                    std_accuracy=float(np.std(accs)), replicates=2))
+        assert any(r.mean_accuracy < 1.0 for r in expected)
+        assert sweep(spec) == expected
+
+    def test_resolution_axis_reports_each_point(self):
         spec = SweepSpec(
             axis="resolution_bits", points=(4, 8), detectors=(DetectorKind.AT,),
             replicates=1, base_cfg=TINY,
@@ -324,11 +353,14 @@ class TestReport:
             replicates=2, base_cfg=TINY,
         )
         results = sweep(spec)
-        parsed = parse_results_csv(report(results, "csv"))
-        for a, b in zip(results, parsed):
-            assert a.axis == b.axis and a.point == b.point and a.detector == b.detector
-            assert abs(a.mean_accuracy - b.mean_accuracy) < 1e-6
-            assert a.replicates == b.replicates
+        # read as the plot script reads it
+        rows = list(csv.DictReader(report(results, "csv").splitlines()))
+        assert len(rows) == len(results)
+        for a, b in zip(results, rows):
+            assert (a.axis, a.detector.value, str(a.replicates)) == (b["axis"], b["detector"], b["replicates"])
+            assert float(b["point"]) == a.point  # 0.05 and 0.2 print exactly at %g
+            assert abs(float(b["mean_accuracy"]) - a.mean_accuracy) <= 5e-7
+            assert abs(float(b["std_accuracy"]) - a.std_accuracy) <= 5e-7
 
     def test_plot_script_references_csv(self, tmp_path):
         text = report([], "plot_script", tmp_path / "plot.py")

@@ -1,22 +1,22 @@
-"""Smoke tests of the experiment scripts under ``scripts/``.
+"""Smoke tests of the experiment files under ``scripts/``.
 
-Each script runs end to end on a small input: the sweep script in its own
-process, as a user starts it, and the baseline calibration of
-``calibrate_defaults.py`` in process on a two-record corpus.
+The committed sweep specs under ``scripts/sweeps/`` hold the paper's three
+accuracy curves: their content is pinned here, and the noise curve runs
+unmodified through ``dualteo sweep``.  The baseline calibration of
+``calibrate_defaults.py`` runs in process on a two-record corpus.
 """
 
+import csv
 import importlib.util
-import os
+import json
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 
-from dualteo import SyntheticConfig, generate
+from dualteo import SyntheticConfig, cli, generate
 from dualteo.detector import DetectorKind
-from dualteo.metrics import parse_results_csv
+from dualteo.metrics import SweepSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -29,22 +29,33 @@ def load_script(name: str):
     return module
 
 
-def test_run_sweeps_writes_a_readable_noise_axis(tmp_path):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_sweeps.py"),
-         "--axis", "noise_level", "--replicates", "1", "--out", str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, check=True, timeout=300,
-    )
+def test_the_noise_curve_runs_through_dualteo_sweep(tmp_path):
     out_dir = tmp_path / "noise_level"
-    results = parse_results_csv((out_dir / "sweep_results.csv").read_text())
-    assert [(r.point, r.detector) for r in results] == [
-        (p, d) for p in (0.05, 0.1, 0.15, 0.2) for d in DetectorKind
+    assert cli.main(["sweep", "--spec", str(SCRIPTS / "sweeps" / "noise_level.json"), "--out", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["plot_sweep.py", "sweep_results.csv"]
+    with open(out_dir / "sweep_results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(row["point"]), row["detector"]) for row in rows] == [
+        (p, d.value) for p in (0.05, 0.1, 0.15, 0.2) for d in DetectorKind
     ]
-    assert all(r.axis == "noise_level" and r.replicates == 1 for r in results)
-    assert all(0.0 <= r.mean_accuracy <= 1.0 and r.std_accuracy == 0.0 for r in results)
-    assert (out_dir / "plot_sweep.py").exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["noise_level"]
+    assert all(row["axis"] == "noise_level" and row["replicates"] == "10" for row in rows)
+    assert all(0.0 <= float(row["mean_accuracy"]) <= 1.0 for row in rows)
+
+
+def test_the_committed_curves_are_pinned():
+    specs = {}
+    for path in sorted((SCRIPTS / "sweeps").glob("*.json")):
+        data = json.loads(path.read_text())
+        specs[path.stem] = SweepSpec(base_cfg=SyntheticConfig(**data.pop("base_cfg")), **data)
+    base = SyntheticConfig(duration_s=10.0, noise_level=0.1, seed=42)
+    assert specs == {
+        axis: SweepSpec(axis, points, tuple(DetectorKind), replicates=10, base_cfg=base)
+        for axis, points in (
+            ("noise_level", (0.05, 0.1, 0.15, 0.2)),
+            ("rate_hz", (8000.0, 12000.0, 16000.0, 20000.0, 24000.0)),
+            ("resolution_bits", (4, 5, 6, 7, 8, 10)),
+        )
+    }
 
 
 def test_calibrate_baselines_prints_three_multiples(capsys):
