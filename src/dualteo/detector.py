@@ -7,6 +7,15 @@ the smoothed path survives high-frequency noise at the cost of some edge
 sharpness.  A sample crosses when either stream exceeds its adaptive
 threshold, and the OR of the two boolean streams feeds event formation.
 
+The float dual and raw-path detectors walk a record as the chip walks its
+stream: in cache-sized chunks of whole frames, each through the datapath
+of :func:`prepare_dual`, with the sigma loop carried from chunk to chunk
+in a register.  Only the comparator outputs and the alignment signal at
+the crossings outlast a chunk, and the events are formed once, after the
+walk.  :func:`prepare_dual` and :func:`finish_dual` are the whole-record
+path, which calibration runs once per record for every candidate; the
+walk's events equal theirs.
+
 A single sigma estimator observes the smoothed signal and feeds both
 thresholds; detections are suppressed for the first 16 frames
 (``threshold.WARMUP_SAMPLES``) while it converges.  A record of any length
@@ -47,10 +56,12 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import transforms
 from .signal_model import SignalRecord
 from .threshold import (
     FRAME_LEN,
     SIGMA_FRACTION_BITS,
+    UNMEASURED,
     WARMUP_SAMPLES,
     ThresholdCoefficients,
     compute_thresholds,
@@ -209,6 +220,14 @@ def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: in
     return Events(np.full(len(peaks), channel_id, dtype=np.int64), peaks)
 
 
+def _form(source, crossings, align) -> Events:
+    """:func:`form_events` at the refractory gap of ``source``'s rate, on its channel.
+
+    ``source`` is a record or a :class:`PreparedDual`.
+    """
+    return form_events(crossings, align, EventFormationConfig.for_rate(source.rate_hz), source.channel_id)
+
+
 # ---------------------------------------------------------------------------
 # Dual pipeline, split into a coefficient-independent prepare step and a
 # cheap finish step so calibration can sweep coefficients without redoing
@@ -222,9 +241,11 @@ class PreparedDual:
 
     The warm-up and the refractory gap are not settable: both pipelines gate
     ``WARMUP_SAMPLES`` and merge within 1 ms at ``rate_hz``.  The arrays hold
-    one channel, or, inside :class:`~dualteo.hw_model.MultichannelStream`,
-    a time chunk of every channel of the stream along axis 1; a chunk has
-    no ``align``, because the stream aligns only its crossings.  The
+    one channel, a record or a chunk of the float detectors' walk over one
+    (:func:`_detect_paths`), or, inside
+    :class:`~dualteo.hw_model.MultichannelStream`, a time chunk of every
+    channel of the stream along axis 1; a stream chunk has no ``align``,
+    because the stream aligns only its crossings.  The
     energies' dtype picks the comparator levels (:func:`_frame_levels`):
     float thresholds, or Q.10 registers shifted down to the integer energies.
     """
@@ -268,14 +289,24 @@ def prepare_dual(
         return hw_model.prepare_hw_dual(record, cfg=hw_cfg)
     if pipeline != "float":
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    x = record.samples
+    return _prepare_samples(record.samples, record)
+
+
+def _prepare_samples(x: np.ndarray, record: SignalRecord, rows=slice(None), register=None) -> PreparedDual:
+    """The float datapath over samples ``x`` of ``record``, the twin of ``hw_model._prepare_codes``.
+
+    ``x`` is the whole record, or a chunk's window of it
+    (:func:`_detect_paths`): the chunk keeps only its own ``rows`` of
+    ``x``, which start on a frame boundary, and carries its sigma loop in
+    ``register`` (see :func:`~dualteo.threshold.sigma_frames`).
+    """
     s = smooth2(x)
-    x_energy = teo(x)
-    s_energy = teo(s)
+    x_energy = teo(x)[rows]
+    s_energy = teo(s)[rows]
     return PreparedDual(
         x_energy=x_energy,
         s_energy=s_energy,
-        sigma_per_frame=sigma_frames(s),
+        sigma_per_frame=sigma_frames(s[rows], register),
         align=np.maximum(x_energy, s_energy),
         rate_hz=record.rate_hz,
         channel_id=record.channel_id,
@@ -325,10 +356,10 @@ def _exceeds(energy: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gate_and_form(prep: PreparedDual, crossings: np.ndarray, align: np.ndarray) -> Events:
-    """Clear crossings inside the warm-up region (in place) and form events."""
-    crossings[: prep.warmup_samples] = False
-    return form_events(crossings, align, prep.event_cfg, prep.channel_id)
+def _gate_and_form(source, crossings: np.ndarray, align: np.ndarray) -> Events:
+    """Clear crossings inside the warm-up region (in place) and form events (:func:`_form`)."""
+    crossings[:WARMUP_SAMPLES] = False
+    return _form(source, crossings, align)
 
 
 def finish_dual(prep: PreparedDual, coeffs: ThresholdCoefficients) -> Events:
@@ -356,17 +387,51 @@ def _check_warmup(record) -> None:
 
 
 def _detect_paths(record: SignalRecord, coeffs: ThresholdCoefficients | None, kinds) -> dict:
-    """The events of each of ``DUAL`` and ``TEO_SINGLE`` in ``kinds``, from one prepare and one compare."""
+    """The events of each of ``DUAL`` and ``TEO_SINGLE`` in ``kinds``, from one walk of the record.
+
+    The walk takes the record in chunks of whole frames, a quarter of a
+    kernel block of samples (:data:`~dualteo.transforms.BLOCK_CELLS`):
+    their float64 fills the 256 KB that a block's int16 energies fill, so
+    a chunk's transforms, sigma steps and compare stay in cache.  Chunk
+    ``[lo, hi)`` runs :func:`_prepare_samples` on the window
+    ``x[lo-2 : hi+1]``, which adds the samples its energies read on either
+    side, and carries the sigma loop in a register.  Of each path, a chunk
+    keeps its comparator output, written into a record-length bool array,
+    and its alignment signal at the crossings alone: the OR and the larger
+    energy for ``DUAL``, the raw path's crossings and energy for
+    ``TEO_SINGLE``.  After the walk the alignment values go into one
+    record-length array, which :func:`form_events` reads at the crossings
+    alone, and each path's events are formed once.  So they equal the
+    record path's, ``finish_dual(prepare_dual(record), coeffs)``, and no
+    other record-length array is made.
+    """
     _check_warmup(record)
     if coeffs is None:
         coeffs = default_float_coefficients()
-    prep = prepare_dual(record)
-    cross_x, cross_s = dual_crossing_streams(prep, coeffs)
+    x, n = record.samples, len(record)
+    crossings = {kind: np.empty(n, dtype=bool) for kind in kinds}
+    peaks = {kind: [] for kind in kinds}  # each chunk's alignment signal at its crossings
+    # 2**15 samples, 128 frames.  In a loop of 10 s, 24 kHz records through detect and detect
+    # --hw (2 CPUs), the float record took 1.43-1.46 times the hw record's time at 2**15,
+    # 1.52-1.53 at 2**17, 1.91 at 2**13 and 2.57-2.58 at 2**12, where the per-chunk calls
+    # dominate; the whole-record path took 1.93-1.95 times.
+    chunk = max(1, transforms.BLOCK_CELLS // 4 // FRAME_LEN) * FRAME_LEN
+    register = np.array(UNMEASURED, dtype=np.float64)
+    for lo in range(0, max(n, 1), chunk):  # an empty record still takes one chunk
+        hi, start = min(lo + chunk, n), max(0, lo - 2)
+        prep = _prepare_samples(x[start:hi + 1], record, slice(lo - start, hi - start), register)
+        cross_x, cross_s = dual_crossing_streams(prep, coeffs)
+        paths = {DetectorKind.DUAL: (cross_x | cross_s, prep.align),
+                 DetectorKind.TEO_SINGLE: (cross_x, prep.x_energy)}
+        for kind, out in crossings.items():
+            crossing, align = paths[kind]
+            out[lo:hi] = crossing
+            peaks[kind].append(align[crossing])
+    align = np.empty(n)  # form_events reads it at the crossings alone
     events = {}
-    if DetectorKind.DUAL in kinds:  # the OR comes before the raw path's warm-up is gated in place
-        events[DetectorKind.DUAL] = _gate_and_form(prep, cross_x | cross_s, prep.align)
-    if DetectorKind.TEO_SINGLE in kinds:
-        events[DetectorKind.TEO_SINGLE] = _gate_and_form(prep, cross_x, prep.x_energy)
+    for kind, out in crossings.items():
+        align[out] = np.concatenate(peaks[kind])
+        events[kind] = _gate_and_form(record, out, align)
     return events
 
 
@@ -389,10 +454,6 @@ def detect_teo_single(
 # ---------------------------------------------------------------------------
 # Amplitude-domain baselines
 # ---------------------------------------------------------------------------
-
-
-def _form_baseline(record: SignalRecord, crossings, align) -> Events:
-    return form_events(crossings, align, EventFormationConfig.for_rate(record.rate_hz), record.channel_id)
 
 
 def detect_at(
@@ -418,7 +479,7 @@ def detect_dvt(
     if sd == 0:  # a constant record has no noise to scale a threshold by
         return Events()
     crossings = (x > pos_multiple * sd) | (x < -neg_multiple * sd)
-    return _form_baseline(record, crossings, np.abs(x))
+    return _form(record, crossings, np.abs(x))
 
 
 def moving_average_energy(x) -> np.ndarray:
@@ -453,7 +514,7 @@ def detect_mae(
     var = float(np.var(x)) if len(x) else 0.0
     if var == 0:  # a constant record has no noise to scale a threshold by
         return Events()
-    return _form_baseline(record, e > threshold_multiple * var, e)
+    return _form(record, e > threshold_multiple * var, e)
 
 
 def detect(record: SignalRecord, kind: DetectorKind, **kwargs) -> Events:

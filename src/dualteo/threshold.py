@@ -174,7 +174,7 @@ def _sigma_compare(frames: np.ndarray, step, shift, track: np.ndarray) -> None:
         sigma = track[f] = np.fmax(sigma + step * (count - CONVERGENCE_FACTOR), 0)
 
 
-def sigma_frames(s) -> np.ndarray:
+def sigma_frames(s, register=None) -> np.ndarray:
     """Per-frame sigma trajectory: entry ``f`` is the sigma in effect over frame ``f``.
 
     Frame ``f`` covers samples ``[f*FRAME_LEN, (f+1)*FRAME_LEN)``.  The first
@@ -184,8 +184,11 @@ def sigma_frames(s) -> np.ndarray:
     measurement frame falls inside the warm-up anyway.  Later frames step by
     ``SCALING_FACTOR``.  Takes one channel or a time-major block ``(n,
     channels)``, whose every column equals that channel's own trajectory.
+    A float64 ``register`` carries the loop across pieces of one record, as
+    the float detectors walk it (see :func:`_sigma_track`); ``UNMEASURED``
+    works for a float sigma, which is never negative.
     """
-    return _sigma_track(np.asarray(s, dtype=np.float64), _column_std, SCALING_FACTOR)
+    return _sigma_track(np.asarray(s, dtype=np.float64), _column_std, SCALING_FACTOR, register=register)
 
 
 def _column_std(frame: np.ndarray) -> list:

@@ -22,9 +22,12 @@ widths: half-sums come back int8 and energies int16.
 Every kernel writes into the array it returns, walking axis 0 in blocks of
 about ``BLOCK_CELLS`` cells.  A block's intermediate values go through one
 scratch block, reused block after block, so no call allocates a temporary
-as long as its input, and each pass over a block finds it in cache.  A
-chunk of the multichannel stream is sized to be one block.  The codes are
-widened a block at a time, never whole.
+as long as its input, and each pass over a block finds it in cache.  The
+codes are widened a block at a time, never whole.  The detectors' own
+walks are sized from the same constant: a chunk of the multichannel stream
+is one block of cells, and a chunk of the float detectors' walk over a
+record is a quarter block of samples, whose float64 takes the bytes of a
+block's int16 energies, so each kernel call takes a chunk as one block.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ __all__ = ["teo", "smooth2", "teo_fixed", "smooth2_fixed"]
 # cells per block of a kernel's walk along axis 0, and the cells of a
 # multichannel stream chunk, so a chunk's window is one block up to 512
 # channels.  At 2**15 cells a 512-scan, 256-channel window split into five
-# blocks and the stream ran 7-11% slower.  A 10 s, 24 kHz record still
-# splits into two blocks.
+# blocks and the stream ran 7-11% slower.  A float record walks in chunks
+# of a quarter block, 2**15 samples (detector._detect_paths); a whole 10 s,
+# 24 kHz record, as calibration prepares it, splits into two blocks.
 BLOCK_CELLS = 1 << 17
 
 

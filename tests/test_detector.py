@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import make_clean_spike_record
 from loop_oracles import split_events
+from dualteo import detector, transforms
+from dualteo.dataio import SyntheticConfig, generate
 from dualteo.detector import (
     DetectorKind,
     EventFormationConfig,
@@ -29,7 +33,14 @@ from dualteo.detector import (
 )
 from dualteo.hw_model import HwConfig, hw_detect_channel
 from dualteo.signal_model import QuantizedRecord, SignalRecord
-from dualteo.threshold import FRAME_LEN, WARMUP_SAMPLES, ThresholdCoefficients
+from dualteo.threshold import (
+    FRAME_LEN,
+    WARMUP_SAMPLES,
+    ThresholdCoefficients,
+    default_coefficient_grid,
+    default_float_coefficients,
+    sigma_frames,
+)
 
 COEFFS = ThresholdCoefficients.make((3, 2), (1, 2), (2, 0))
 
@@ -246,6 +257,93 @@ class TestDetectDual:
         a = detect_dual(record, COEFFS)
         b = detect_dual(record, COEFFS)
         assert a == b
+
+
+# samples per chunk of the float detectors' walk: 128 frames, a quarter of a kernel block
+WALK_CHUNK = 1 << 15
+
+
+def raw_path_events(record, coeffs):
+    """The raw-path detector by the whole-record path: one prepare, one compare, one formation."""
+    prep = prepare_dual(record)
+    cross_x, _ = dual_crossing_streams(prep, coeffs)
+    cross_x[: prep.warmup_samples] = False
+    return form_events(cross_x, prep.x_energy, prep.event_cfg, prep.channel_id)
+
+
+def assert_walk_equals_the_record_path(record, coeffs):
+    """``detect_dual``, ``detect_teo_single`` and ``detect_each``'s shared pair against the record path."""
+    c = coeffs if coeffs is not None else default_float_coefficients()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a record inside the warm-up warns; the warning is tested elsewhere
+        dual, single = detect_dual(record, coeffs), detect_teo_single(record, coeffs)
+        if coeffs is None:  # detect_each runs the default tuning
+            assert detect_each(record, [DetectorKind.DUAL, DetectorKind.TEO_SINGLE]) == [dual, single], len(record)
+    assert dual == finish_dual(prepare_dual(record), c), len(record)
+    assert single == raw_path_events(record, c), len(record)
+    return dual
+
+
+class TestChunkWalk:
+    def test_chunks_are_128_frames_of_the_record(self):
+        record = SignalRecord(np.random.default_rng(3).normal(size=2 * WALK_CHUNK + 5), rate_hz=24000.0)
+        with mock.patch.object(detector, "sigma_frames", wraps=sigma_frames) as sigma:
+            detect_dual(record)
+        assert [len(call.args[0]) for call in sigma.call_args_list] == [WALK_CHUNK, WALK_CHUNK, 5]
+
+    @pytest.mark.parametrize("draw", [None, 0, 1, 2], ids=["default", "drawn0", "drawn1", "drawn2"])
+    def test_walk_equals_the_record_path_across_chunk_ends(self, draw):
+        coeffs = None
+        if draw is not None:
+            grid = default_coefficient_grid("float")
+            coeffs = grid[np.random.default_rng(draw).integers(len(grid))]
+        record, _ = generate(SyntheticConfig(duration_s=2.8, noise_level=0.1, seed=41))
+        x = record.samples.copy()
+        assert len(x) > 2 * WALK_CHUNK + FRAME_LEN + 9
+        # a quiet stretch, then a burst whose event is open when the first chunk ends
+        x[WALK_CHUNK - 40:WALK_CHUNK + 40] = 0
+        x[WALK_CHUNK - 6:WALK_CHUNK + 8:4] = 2.0
+        # at the second chunk end, a V of slope 0.2 from 0 down to -10 and back, its vertex 30
+        # samples before the end: the slopes' energies (0.04) cross neither level, so only the
+        # vertex raises an event, and a window that dropped the second sample before the chunk
+        # would smooth the chunk's first energy from a wrong sample and raise another
+        end = 2 * WALK_CHUNK
+        x[end - 100:end + 40] = 0
+        x[end - 80:end + 21] = -10 + 0.2 * np.abs(np.arange(-50, 51))
+        gap = EventFormationConfig.for_rate(record.rate_hz).refractory_samples
+        near_chunk_end = 0
+        for n in [0, 1, 2, 3, FRAME_LEN + 5, WARMUP_SAMPLES + 1, WALK_CHUNK - FRAME_LEN, WALK_CHUNK - 1,
+                  *(WALK_CHUNK + k for k in (0, 1, 2, FRAME_LEN - 1, FRAME_LEN, FRAME_LEN + 37)),
+                  2 * WALK_CHUNK - 1, 2 * WALK_CHUNK + 1, 2 * WALK_CHUNK + FRAME_LEN + 9]:
+            part = SignalRecord(x[:n], rate_hz=record.rate_hz, channel_id=5)
+            events = assert_walk_equals_the_record_path(part, coeffs)
+            assert np.all(events.channel_id == 5), n
+            near_chunk_end += bool(np.any(abs(events.sample_index - WALK_CHUNK) < gap))
+        if coeffs is None:
+            assert near_chunk_end > 0
+
+    @pytest.mark.parametrize("frames", [1, 3, 17])
+    def test_short_chunks_equal_the_record_path(self, monkeypatch, frames):
+        # a chunk end at every frame, or every few, inside the warm-up and after it
+        monkeypatch.setattr(transforms, "BLOCK_CELLS", 4 * frames * FRAME_LEN)
+        record, _ = generate(SyntheticConfig(duration_s=1.0, noise_level=0.1, seed=43))
+        for n in (len(record), len(record) - FRAME_LEN // 2):
+            part = SignalRecord(record.samples[:n], rate_hz=record.rate_hz)
+            events = assert_walk_equals_the_record_path(part, None)
+            assert len(events) > 10
+
+    @pytest.mark.parametrize("kinds", [[DetectorKind.DUAL], [DetectorKind.DUAL, DetectorKind.TEO_SINGLE]])
+    def test_peak_memory_stays_below_two_and_a_half_records(self, kinds):
+        # a 10 s, 24 kHz record; the whole-record path peaked at 4.04 times its bytes
+        record, _ = generate(SyntheticConfig(duration_s=10.0, noise_level=0.1, seed=1))
+        detect_each(record, kinds)  # the coefficients load once
+        tracemalloc.start()
+        try:
+            detect_each(record, kinds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * record.samples.nbytes
 
 
 class TestBaselines:

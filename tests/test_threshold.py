@@ -221,6 +221,29 @@ class TestSigmaTrajectories:
             longer = sigma_frames_q10(np.concatenate([block, np.zeros((1, channels), np.int8)]))
             assert np.array_equal(register, longer[-1])
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        channels=st.sampled_from([1, 5]),
+        frames=st.lists(st.integers(min_value=0, max_value=4), max_size=6),
+        tail=st.integers(min_value=0, max_value=FRAME_LEN - 1),
+    )
+    @settings(deadline=None)
+    def test_float_register_carries_the_loop_across_pieces(self, seed, channels, frames, tail):
+        # the float twin: pieces of whole frames, then a partial one, through one float64 register
+        rng = np.random.default_rng(seed)
+        n = (sum(frames) * FRAME_LEN) + tail
+        block = rng.normal(size=(n, channels)) * rng.uniform(0.01, 10, size=channels)
+        register = np.full(channels, UNMEASURED, dtype=np.float64)
+        cuts = np.cumsum([0] + [f * FRAME_LEN for f in frames] + [tail])
+        pieces = [sigma_frames(block[lo:hi], register) for lo, hi in zip(cuts, cuts[1:])]
+        whole = sigma_frames(block)
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+        if n < FRAME_LEN:  # no measurement frame yet
+            assert (register == UNMEASURED).all()
+        elif n % FRAME_LEN == 0:  # the register holds the sigma of the next frame
+            longer = sigma_frames(np.concatenate([block, np.zeros((1, channels))]))
+            np.testing.assert_array_equal(register, longer[-1])
+
     def test_int8_block_compares_at_the_edges_of_its_range(self):
         # an int8 block compares as int8, so its level sigma >> 10 must fit int8: pin columns
         # at 127, one climbing from 0 and one measured at the top, and at -128, where
@@ -401,6 +424,15 @@ class TestSortedSigmaWalk:
         register = np.array(UNMEASURED)
         pieces = [sigma_frames_q10(s[:cut], register), sigma_frames_q10(s[cut:], register)]
         np.testing.assert_array_equal(np.concatenate(pieces), sigma_frames_q10(s))
+
+    @pytest.mark.parametrize("cut", [0, FRAME_LEN, 2 * FRAME_LEN, 4 * FRAME_LEN, 6 * FRAME_LEN])
+    def test_one_channel_float_register_carries_the_walk_across_pieces(self, cut):
+        # a 0-d register, as the float detectors carry it from chunk to chunk
+        s = np.random.default_rng(9).normal(size=1500)
+        s[300:310] = np.nan  # frame 1 holds NaNs, which sort last and never exceed
+        register = np.array(UNMEASURED, dtype=np.float64)
+        pieces = [sigma_frames(s[:cut], register), sigma_frames(s[cut:], register)]
+        np.testing.assert_array_equal(np.concatenate(pieces), sigma_frames(s))
 
     def test_nan_never_exceeds(self):
         # a NaN sorts last; a walk that bisected it as a number would count it
