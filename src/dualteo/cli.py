@@ -96,7 +96,7 @@ def cmd_detect(args) -> int:
     if args.hw and kind != DetectorKind.DUAL:
         raise ValueError("--hw supports only the dual detector")
     record = load_record(_existing_file(args.record))
-    truth = None if args.truth is None else dataio.load_ground_truth(_existing_file(args.truth))
+    truth = None if args.truth is None else dataio._load_truth_of(record, _existing_file(args.truth))
     coeffs = load_coefficients(_existing_file(args.coeffs)) if args.coeffs else None
 
     if args.hw:

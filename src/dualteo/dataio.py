@@ -26,7 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_model import SignalRecord, _data_lines, _int64, _validated, is_finite_real, load_record, save_record
+from .signal_model import (
+    SignalRecord, _data_lines, _int64, _validated, is_finite_real, is_integer, load_record, save_record
+)
 
 __all__ = [
     "GroundTruth",
@@ -105,8 +107,9 @@ class SyntheticConfig:
     def __post_init__(self):
         for name in ("n_templates", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy seed wraps in a sweep's seed + r
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("duration_s", "rate_hz", "noise_level", "firing_rate_hz", "min_isi_s"):
@@ -419,9 +422,9 @@ def rescale_ground_truth(
     """Rescale truth indices by the rate ratio with rounding.
 
     Indices clipped into range; collisions (possible only under extreme
-    downsampling) merge.
+    downsampling) merge.  An empty record keeps no spikes.
     """
-    if len(truth) == 0:
+    if len(truth) == 0 or n_new < 1:
         return GroundTruth(spike_indices=np.zeros(0, dtype=np.int64))
     # clipped before the cast, so an index scaled past int64 lands on the last sample
     idx = np.round(truth.spike_indices * (new_rate_hz / old_rate_hz))
@@ -470,10 +473,19 @@ def save_dataset(record: SignalRecord, truth: GroundTruth, cfg: SyntheticConfig,
     return {"record": record_path, "truth": truth_path, "manifest": manifest_path}
 
 
+def _load_truth_of(record: SignalRecord, path) -> GroundTruth:
+    """The ground truth file ``path`` of ``record``; a spike at or past the record's end names its line."""
+    truth = load_ground_truth(path)
+
+    def inside(k: int) -> None:  # the indices ascend: the k-th is the largest of the first k
+        if k and (index := truth.spike_indices[k - 1]) >= len(record):
+            raise ValueError(f"spike index {index} lies beyond the record's {len(record)} samples")
+
+    _validated(inside, path, len(truth))
+    return truth
+
+
 def load_dataset(out_dir, name: str) -> tuple[SignalRecord, GroundTruth]:
     out_dir = Path(out_dir)
     record = load_record(out_dir / f"{name}.f32")
-    truth = load_ground_truth(out_dir / f"{name}_truth.csv")
-    if len(truth) and truth.spike_indices[-1] >= len(record):
-        raise ValueError(f"{name}: ground truth index beyond record end")
-    return record, truth
+    return record, _load_truth_of(record, out_dir / f"{name}_truth.csv")

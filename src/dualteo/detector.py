@@ -10,9 +10,9 @@ threshold, and the OR of the two boolean streams feeds event formation.
 The float dual and raw-path detectors walk a record as the chip walks its
 stream: in cache-sized chunks of whole frames, each through the datapath
 of :func:`prepare_dual`, with the sigma loop carried from chunk to chunk
-in a register.  Only the comparator outputs and the alignment signal at
-the crossings outlast a chunk, and the events are formed once, after the
-walk.  :func:`prepare_dual` and :func:`finish_dual` are the whole-record
+in a register.  Only the crossings' indices and their alignment values
+outlast a chunk, as in the stream's walk, and the events are formed once,
+after the walk.  :func:`prepare_dual` and :func:`finish_dual` are the whole-record
 path, which calibration runs once per record for every candidate; the
 walk's events equal theirs.
 
@@ -50,14 +50,13 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
 from . import transforms
-from .signal_model import SignalRecord
+from .signal_model import SignalRecord, is_integer
 from .threshold import (
     FRAME_LEN,
     SIGMA_FRACTION_BITS,
@@ -151,8 +150,9 @@ class EventFormationConfig:
     refractory_samples: int
 
     def __post_init__(self):
-        if self.refractory_samples < 1:
-            raise ValueError("refractory_samples must be >= 1")
+        if not is_integer(self.refractory_samples) or self.refractory_samples < 1:
+            raise ValueError(f"refractory_samples must be an integer >= 1, got {self.refractory_samples!r}")
+        object.__setattr__(self, "refractory_samples", int(self.refractory_samples))
 
     @classmethod
     def for_rate(cls, rate_hz: float) -> "EventFormationConfig":
@@ -244,10 +244,11 @@ class PreparedDual:
     one channel, a record or a chunk of the float detectors' walk over one
     (:func:`_detect_paths`), or, inside
     :class:`~dualteo.hw_model.MultichannelStream`, a time chunk of every
-    channel of the stream along axis 1; a stream chunk has no ``align``,
-    because the stream aligns only its crossings.  The
-    energies' dtype picks the comparator levels (:func:`_frame_levels`):
-    float thresholds, or Q.10 registers shifted down to the integer energies.
+    channel of the stream along axis 1.  Only a whole record has ``align``:
+    the chunks of both walks align their crossings alone.  The energies'
+    dtype picks the comparator levels (:func:`_frame_levels`): float
+    thresholds, or Q.10 registers shifted down to the integer energies.
+    No package code reads ``warmup_samples``; it stays for ``perfbench/workloads.py``.
     """
 
     warmup_samples: ClassVar[int] = WARMUP_SAMPLES
@@ -263,12 +264,8 @@ class PreparedDual:
     def n(self) -> int:
         return len(self.x_energy)
 
-    @cached_property
-    def event_cfg(self) -> EventFormationConfig:
-        return EventFormationConfig.for_rate(self.rate_hz)
-
     def tolerance_samples(self, tolerance_ms: float = 1.0) -> int:
-        """The match window of this record, by :func:`~dualteo.metrics.match_window`."""
+        """This record's :func:`~dualteo.metrics.match_window`; kept for ``perfbench/workloads.py``."""
         from .metrics import match_window
         return match_window(self.rate_hz, self.n, tolerance_ms)
 
@@ -297,8 +294,9 @@ def _prepare_samples(x: np.ndarray, record: SignalRecord, rows=slice(None), regi
 
     ``x`` is the whole record, or a chunk's window of it
     (:func:`_detect_paths`): the chunk keeps only its own ``rows`` of
-    ``x``, which start on a frame boundary, and carries its sigma loop in
-    ``register`` (see :func:`~dualteo.threshold.sigma_frames`).
+    ``x``, which start on a frame boundary, carries its sigma loop in
+    ``register`` (see :func:`~dualteo.threshold.sigma_frames`), and leaves
+    ``align`` unset: the walk takes the alignment of its crossings alone.
     """
     s = smooth2(x)
     x_energy = teo(x)[rows]
@@ -307,7 +305,7 @@ def _prepare_samples(x: np.ndarray, record: SignalRecord, rows=slice(None), regi
         x_energy=x_energy,
         s_energy=s_energy,
         sigma_per_frame=sigma_frames(s[rows], register),
-        align=np.maximum(x_energy, s_energy),
+        align=np.maximum(x_energy, s_energy) if register is None else None,
         rate_hz=record.rate_hz,
         channel_id=record.channel_id,
     )
@@ -396,21 +394,18 @@ def _detect_paths(record: SignalRecord, coeffs: ThresholdCoefficients | None, ki
     ``[lo, hi)`` runs :func:`_prepare_samples` on the window
     ``x[lo-2 : hi+1]``, which adds the samples its energies read on either
     side, and carries the sigma loop in a register.  Of each path, a chunk
-    keeps its comparator output, written into a record-length bool array,
-    and its alignment signal at the crossings alone: the OR and the larger
-    energy for ``DUAL``, the raw path's crossings and energy for
-    ``TEO_SINGLE``.  After the walk the alignment values go into one
-    record-length array, which :func:`form_events` reads at the crossings
-    alone, and each path's events are formed once.  So they equal the
-    record path's, ``finish_dual(prepare_dual(record), coeffs)``, and no
-    other record-length array is made.
+    keeps what a stream chunk keeps (``hw_model.MultichannelStream._walk``):
+    its crossings' sample indices and their alignment values, the larger
+    energy at the OR's crossings for ``DUAL``, the raw energy at the raw
+    path's for ``TEO_SINGLE``.  After the walk each path's events are
+    formed once, so they equal the record path's,
+    ``finish_dual(prepare_dual(record), coeffs)``.
     """
     _check_warmup(record)
     if coeffs is None:
         coeffs = default_float_coefficients()
     x, n = record.samples, len(record)
-    crossings = {kind: np.empty(n, dtype=bool) for kind in kinds}
-    peaks = {kind: [] for kind in kinds}  # each chunk's alignment signal at its crossings
+    found = {kind: ([], []) for kind in kinds}  # each chunk's crossing indices and their alignment values
     # 2**15 samples, 128 frames.  In a loop of 10 s, 24 kHz records through detect and detect
     # --hw (2 CPUs), the float record took 1.43-1.46 times the hw record's time at 2**15,
     # 1.52-1.53 at 2**17, 1.91 at 2**13 and 2.57-2.58 at 2**12, where the per-chunk calls
@@ -421,17 +416,20 @@ def _detect_paths(record: SignalRecord, coeffs: ThresholdCoefficients | None, ki
         hi, start = min(lo + chunk, n), max(0, lo - 2)
         prep = _prepare_samples(x[start:hi + 1], record, slice(lo - start, hi - start), register)
         cross_x, cross_s = dual_crossing_streams(prep, coeffs)
-        paths = {DetectorKind.DUAL: (cross_x | cross_s, prep.align),
-                 DetectorKind.TEO_SINGLE: (cross_x, prep.x_energy)}
-        for kind, out in crossings.items():
-            crossing, align = paths[kind]
-            out[lo:hi] = crossing
-            peaks[kind].append(align[crossing])
-    align = np.empty(n)  # form_events reads it at the crossings alone
-    events = {}
-    for kind, out in crossings.items():
-        align[out] = np.concatenate(peaks[kind])
-        events[kind] = _gate_and_form(record, out, align)
+        for kind, (indices, values) in found.items():
+            dual = kind == DetectorKind.DUAL
+            at = np.flatnonzero(cross_x | cross_s if dual else cross_x)
+            x_at = prep.x_energy[at]
+            values.append(np.maximum(x_at, prep.s_energy[at]) if dual else x_at)
+            indices.append(at + lo)
+    # form_events and its record-length arrays stay only for the detect workload's detector.events
+    # counter, which tests/test_benchmark_bindings.py needs; it reads align at the crossings alone
+    align, events = np.empty(n), {}
+    for kind, (indices, values) in found.items():
+        crossings, at = np.zeros(n, dtype=bool), np.concatenate(indices)
+        crossings[at] = True
+        align[at] = np.concatenate(values)
+        events[kind] = _gate_and_form(record, crossings, align)
     return events
 
 

@@ -55,6 +55,7 @@ from .signal_model import (
     FixedPointFormat,
     QuantizedRecord,
     SignalRecord,
+    is_integer,
     peak_full_scale,
     quantize_mid_tread,
 )
@@ -62,6 +63,7 @@ from .threshold import (
     FRAME_LEN,
     SIGMA_FRACTION_BITS,
     UNMEASURED,
+    WARMUP_SAMPLES,
     ThresholdCoefficients,
     compute_thresholds_q10,
     default_hw_coefficients,
@@ -108,6 +110,10 @@ class HwConfig:
     steo_drop_lsbs: int = 6
 
     def __post_init__(self):
+        for name in ("channels", "xteo_drop_lsbs", "steo_drop_lsbs"):
+            if not is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy uint8 overflows in the chunk arithmetic
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
         # signed bits of the codes' exact energies, which lie in [-lo*lo, lo*lo - lo*hi]; the
@@ -411,7 +417,7 @@ class MultichannelStream:
         crossing = np.bitwise_or(*dual_crossing_streams(prep, self.coeffs), out=out)
         start = self._start
         self._start += chunk
-        skip = max(0, prep.warmup_samples - start)
+        skip = max(0, WARMUP_SAMPLES - start)
         times, channels = np.divmod(np.flatnonzero(crossing[skip:]), crossing.shape[1])
         # the alignment is elementwise: take it of the live crossings' energies alone
         align = _align_stream(

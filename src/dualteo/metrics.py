@@ -45,6 +45,7 @@ from .signal_model import (
     FixedPointFormat,
     dequantize,
     is_finite_real,
+    is_integer,
     peak_full_scale,
     quantize_mid_tread,
 )
@@ -234,8 +235,7 @@ class SweepSpec:
         if len(set(detectors)) != len(detectors):
             raise ValueError(f"detectors must be distinct, got {[d.value for d in detectors]}")
         object.__setattr__(self, "detectors", detectors)
-        if (isinstance(self.replicates, bool) or not isinstance(self.replicates, (int, np.integer))
-                or self.replicates < 1):
+        if not is_integer(self.replicates) or self.replicates < 1:
             raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         if not is_finite_real(self.tolerance_ms) or self.tolerance_ms < 0:
             raise ValueError(f"tolerance_ms must be a finite number >= 0, got {self.tolerance_ms!r}")
@@ -259,11 +259,9 @@ def _transform_for_point(spec, record, truth, point):
         fmt = FixedPointFormat(total_bits=int(point))
         q = quantize_mid_tread(record, fmt, full_scale=peak_full_scale(record))
         return dequantize(q), truth
-    if spec.axis == "rate_hz":
-        resampled = resample(record, float(point))
-        truth_r = rescale_ground_truth(truth, record.rate_hz, float(point), len(resampled))
-        return resampled, truth_r
-    raise ValueError(spec.axis)
+    # rate_hz, the one axis left: SweepSpec refuses any other
+    resampled = resample(record, float(point))
+    return resampled, rescale_ground_truth(truth, record.rate_hz, float(point), len(resampled))
 
 
 def sweep(spec: SweepSpec) -> list[SweepResult]:

@@ -43,6 +43,11 @@ def is_finite_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
+def is_integer(value) -> bool:
+    """True for an integer, Python's or numpy's; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
 def _require_finite(samples: np.ndarray) -> None:
     """Raise ``ValueError`` unless every sample is finite."""
     if samples.size and not np.all(np.isfinite(samples)):
@@ -88,8 +93,9 @@ class FixedPointFormat:
     total_bits: int
 
     def __post_init__(self):
-        if not 2 <= self.total_bits <= 32:
-            raise ValueError(f"total_bits must be in 2..32, got {self.total_bits}")
+        if not is_integer(self.total_bits) or not 2 <= self.total_bits <= 32:
+            raise ValueError(f"total_bits must be an integer in 2..32, got {self.total_bits!r}")
+        object.__setattr__(self, "total_bits", int(self.total_bits))  # numpy's would wrap in min_code
 
     @property
     def min_code(self) -> int:
@@ -320,7 +326,8 @@ def read_header(path) -> dict:
     """Parse the sidecar ``key=value`` header of a record file.
 
     The record's keys come back as their types, any other key as text.  Every
-    key a record needs must be present, valid for a record, and no key may repeat.
+    key a record needs must be present, valid for a record, and no key may repeat;
+    a ``full_scale`` must be positive and finite.
     """
     hdr_path = _header_path(Path(path))
     header: dict = {}
@@ -331,11 +338,13 @@ def read_header(path) -> dict:
         if key in header:
             raise line.error(f"repeated header key {key!r}")
         header[key] = line.value(key, _RECORD_HEADER.get(key, str), value)
-        if key in ("rate_hz", "channel_id"):
-            try:
+        try:
+            if key == "full_scale":
+                _check_full_scale(header[key])
+            elif key in ("rate_hz", "channel_id"):
                 SignalRecord(np.zeros(0), **{"rate_hz": 1.0, key: header[key]})
-            except ValueError as exc:
-                raise line.error(str(exc)) from None
+        except ValueError as exc:
+            raise line.error(str(exc)) from None
     for key in _RECORD_HEADER:
         if key not in header and key != "full_scale":
             raise ValueError(f"{hdr_path}: missing required header key {key!r}")

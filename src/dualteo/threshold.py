@@ -57,7 +57,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .signal_model import _data_lines, datapath_codes
+from .signal_model import _data_lines, datapath_codes, is_integer
 
 __all__ = [
     "ThresholdCoefficients",
@@ -253,6 +253,10 @@ class Dyadic:
     shift: int
 
     def __post_init__(self):
+        for name in ("numerator", "shift"):
+            if not is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy unsigned shift would wrap when negated
         if not 0 <= self.shift < 64:  # a shift of 64 or more empties a 64-bit register
             raise ValueError(f"shift must lie in 0..63, got {self.shift}")
         if bin(abs(self.numerator)).count("1") > 2:
@@ -290,15 +294,10 @@ class ThresholdCoefficients:
     def make(c1: tuple, c2: tuple, c3: tuple) -> "ThresholdCoefficients":
         return ThresholdCoefficients(Dyadic(*c1), Dyadic(*c2), Dyadic(*c3))
 
-    @cached_property
-    def tiebreak_key(self) -> tuple:
-        terms = self.c1.terms + self.c2.terms + self.c3.terms
-        shifts = self.c1.shift + self.c2.shift + self.c3.shift
-        return (terms, shifts)
-
 
 def _tiebreak_fields(c: ThresholdCoefficients) -> tuple:
-    return c.tiebreak_key
+    """The calibration tie-break of ``c``: its power-of-two terms, then its shifts, in total."""
+    return c.c1.terms + c.c2.terms + c.c3.terms, c.c1.shift + c.c2.shift + c.c3.shift
 
 
 class _CandidateStack(tuple):
@@ -616,7 +615,7 @@ def _record_accuracies(prep, truth, raw, smoothed) -> np.ndarray:
     # any gap above n merges all of a map's crossings into one event, as
     # n + 1 does; the bound keeps the map spacing within the record's
     # length whatever the header rate
-    gap = min(prep.event_cfg.refractory_samples, n + 1)
+    gap = min(_detector.EventFormationConfig.for_rate(prep.rate_hz).refractory_samples, n + 1)
     # maps and pairs lie this far apart, so a gap always separates one's
     # last crossing from the next one's first
     width = n + gap - 1

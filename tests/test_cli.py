@@ -284,6 +284,20 @@ class TestDetectCommand:
             assert main(argv + hw) == 2
             assert message in capsys.readouterr().err
 
+    def test_truth_beyond_the_record_is_refused_on_both_pipelines(self, tmp_path, capsys):
+        # detect scored 2 misses and detect --hw 1: the chip's input stage clipped both onto its last code
+        record_path, truth_path = write_tiny_dataset(tmp_path, duration_s=1.0)
+        argv = ["detect", "--detector", "dual", "--record", str(record_path), "--truth", str(truth_path)]
+        truth_path.write_text("30000\n99999\n")
+        for hw in ([], ["--hw"]):
+            assert main(argv + hw) == 2
+            message = f"error: {truth_path}:1: spike index 30000 lies beyond the record's 24000 samples"
+            assert message in one_error_line(capsys)
+        truth_path.write_text("23999\n")  # the last sample is inside
+        for hw in ([], ["--hw"]):
+            assert main(argv + hw) == 0
+            assert "fn=1 " in capsys.readouterr().out
+
     def test_repeated_header_key_is_validation_error(self, tmp_path, capsys):
         # the second rate used to override the first silently
         record_path, _ = write_tiny_dataset(tmp_path)

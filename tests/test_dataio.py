@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -65,6 +66,12 @@ class TestConfigValidation:
     def test_integer_fields_reject_bools(self, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SyntheticConfig(**{field: True})
+
+    def test_integer_fields_keep_numpy_integers_as_python_ints(self):
+        # a uint8 seed of 250 wrapped to 4 in a sweep's seed + r, and the manifest's json.dumps refused it
+        cfg = SyntheticConfig(n_templates=np.int64(3), seed=np.uint8(250))
+        assert (cfg.n_templates, cfg.seed, type(cfg.n_templates), type(cfg.seed)) == (3, 250, int, int)
+        assert json.loads(json.dumps(dataclasses.asdict(cfg)))["seed"] == 250
 
     # rejected by arithmetic alone: nothing of this size is ever allocated
     @pytest.mark.parametrize("duration_s, rate_hz", [
@@ -500,6 +507,11 @@ class TestResample:
         out = rescale_ground_truth(GroundTruth(np.zeros(0, dtype=int)), 24000.0, 16000.0, 10)
         assert len(out) == 0
 
+    def test_truth_of_an_empty_record_rescales_to_empty(self):
+        # spike index 0 used to survive, clipped onto a record with no sample 0
+        truth = GroundTruth(spike_indices=np.array([0, 7]), template_ids=np.array([1, 2]))
+        assert len(rescale_ground_truth(truth, 24000.0, 16000.0, n_new=0)) == 0
+
 
 class TestGroundTruthFiles:
     def test_roundtrip_with_template_ids(self, tmp_path):
@@ -553,4 +565,13 @@ class TestDatasetBundle:
         save_dataset(record, truth, cfg, tmp_path, "demo")
         (tmp_path / "demo_truth.csv").write_text(f"{len(record) + 5}\n")
         with pytest.raises(ValueError, match="beyond"):
+            load_dataset(tmp_path, "demo")
+
+    def test_truth_beyond_record_names_its_line(self, tmp_path):
+        cfg = SyntheticConfig(duration_s=1.0, noise_level=0.1, seed=1)
+        record, truth = generate(cfg)
+        save_dataset(record, truth, cfg, tmp_path, "demo")
+        (tmp_path / "demo_truth.csv").write_text(f"# spikes\n5\n{len(record) - 1}\n{len(record)}\n")
+        message = f"demo_truth.csv:4: spike index {len(record)} lies beyond the record's {len(record)} samples"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(tmp_path, "demo")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_clean_spike_record
 from loop_oracles import split_events
-from dualteo import detector, transforms
+from dualteo import detector, hw_model, transforms
 from dualteo.dataio import SyntheticConfig, generate
 from dualteo.detector import (
     DetectorKind,
@@ -31,7 +31,7 @@ from dualteo.detector import (
     moving_average_energy,
     prepare_dual,
 )
-from dualteo.hw_model import HwConfig, hw_detect_channel
+from dualteo.hw_model import HwConfig, chip_input, hw_detect_channel, hw_detect_multichannel
 from dualteo.signal_model import QuantizedRecord, SignalRecord
 from dualteo.threshold import (
     FRAME_LEN,
@@ -226,7 +226,7 @@ class TestDetectDual:
         events = finish_dual(prep, COEFFS)
         union = cross_x | cross_s
         union[: prep.warmup_samples] = False
-        expected = form_events(union, prep.align, prep.event_cfg, prep.channel_id)
+        expected = form_events(union, prep.align, EventFormationConfig.for_rate(prep.rate_hz), prep.channel_id)
         assert events == expected
 
     def test_single_path_crossings_are_subset(self, noisy_record):
@@ -248,7 +248,7 @@ class TestDetectDual:
         for crossings in (cross_x, cross_s):
             gated = crossings.copy()
             gated[: prep.warmup_samples] = False
-            single = form_events(gated, prep.align, prep.event_cfg, prep.channel_id)
+            single = form_events(gated, prep.align, EventFormationConfig.for_rate(prep.rate_hz), prep.channel_id)
             rep_single = score_events(single, truth, tol, skip_before=prep.warmup_samples)
             assert rep_dual.tp >= rep_single.tp
 
@@ -268,7 +268,7 @@ def raw_path_events(record, coeffs):
     prep = prepare_dual(record)
     cross_x, _ = dual_crossing_streams(prep, coeffs)
     cross_x[: prep.warmup_samples] = False
-    return form_events(cross_x, prep.x_energy, prep.event_cfg, prep.channel_id)
+    return form_events(cross_x, prep.x_energy, EventFormationConfig.for_rate(prep.rate_hz), prep.channel_id)
 
 
 def assert_walk_equals_the_record_path(record, coeffs):
@@ -344,6 +344,23 @@ class TestChunkWalk:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * record.samples.nbytes
+
+
+def test_no_chunk_of_either_walk_carries_an_alignment(monkeypatch):
+    # both walks keep their crossings' indices and alignment values; only a whole record has align
+    record, _ = generate(SyntheticConfig(duration_s=2.8, noise_level=0.1, seed=41))
+    codes, _ = chip_input(record)
+    assert len(record) > 2 * WALK_CHUNK and prepare_dual(record).align is not None
+    chunks = []
+    for module, name in ((detector, "_prepare_samples"), (hw_model, "_prepare_codes")):
+        prepare = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, prepare=prepare: chunks.append(prepare(*args)) or chunks[-1])
+    detect_each(record, [DetectorKind.DUAL, DetectorKind.TEO_SINGLE])
+    assert len(chunks) == 3
+    hw_detect_channel(codes)
+    hw_detect_multichannel(np.repeat(codes.codes[:, None], 3, axis=1), HwConfig(channels=3))
+    assert len(chunks) == 6  # one chunk of the channel, two of the three-channel stream
+    assert all(prep.align is None for prep in chunks)
 
 
 class TestBaselines:

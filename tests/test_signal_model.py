@@ -5,11 +5,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dualteo.detector import EventFormationConfig
+from dualteo.hw_model import HwConfig
 from dualteo.signal_model import (
     FixedPointFormat,
     QuantizedRecord,
     SignalRecord,
     dequantize,
+    is_integer,
     load_record,
     peak_full_scale,
     quantize_mid_tread,
@@ -17,7 +20,7 @@ from dualteo.signal_model import (
     save_record,
 )
 from dualteo.signal_model import datapath_codes
-from dualteo.threshold import initial_sigma_q10, sigma_frames_q10
+from dualteo.threshold import Dyadic, initial_sigma_q10, sigma_frames_q10
 from dualteo.transforms import smooth2_fixed, teo_fixed
 
 FMT7 = FixedPointFormat(total_bits=7)
@@ -193,6 +196,41 @@ def test_unsigned_codes_compute_as_int8(kernel, codes):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def test_is_integer_takes_python_and_numpy_integers_but_no_bool():
+    assert all(map(is_integer, [0, -3, 2**70, np.int8(5), np.int64(-1), np.uint64(2**63)]))
+    assert not any(map(is_integer, [True, np.bool_(False), 1.0, np.float64(2.0), "3", None]))
+
+
+# each of these constructed, then failed later with a raw TypeError, or as
+# refractory_samples=1.5, merged at a fractional gap
+@pytest.mark.parametrize("make, name, value", [
+    (lambda v: HwConfig(channels=v), "channels", 2.5),
+    (lambda v: HwConfig(channels=v), "channels", True),
+    (lambda v: HwConfig(xteo_drop_lsbs=v), "xteo_drop_lsbs", 6.5),
+    (lambda v: HwConfig(steo_drop_lsbs=v), "steo_drop_lsbs", np.float64(6.0)),
+    (lambda v: Dyadic(1, v), "shift", 2.0),
+    (lambda v: Dyadic(v, 2), "numerator", 1.5),
+    (lambda v: FixedPointFormat(v), "total_bits", 7.5),
+    (lambda v: EventFormationConfig(v), "refractory_samples", 1.5),
+], ids=["channels-2.5", "channels-True", "xteo-6.5", "steo-float64", "shift-2.0", "numerator-1.5",
+        "total_bits-7.5", "refractory-1.5"])
+def test_config_value_types_refuse_non_integers(make, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make(value)
+
+
+def test_config_value_types_take_numpy_integers_as_python_ints():
+    # numpy's fixed widths wrapped: -np.uint8(2) is 254
+    values = [
+        *vars(HwConfig(channels=np.int64(3), xteo_drop_lsbs=np.uint8(7), steo_drop_lsbs=np.int8(6))).values(),
+        *vars(Dyadic(np.int16(3), np.uint8(2))).values(),
+        FixedPointFormat(np.uint8(7)).total_bits,
+        EventFormationConfig(np.uint16(16)).refractory_samples,
+    ]
+    assert values == [3, 7, 6, 3, 2, 7, 16] and {type(v) for v in values} == {int}
+    assert Dyadic(np.int16(3), np.uint8(2)).value == 0.75 and FixedPointFormat(np.uint8(7)).min_code == -64
+
+
 @pytest.mark.parametrize("channel_id", [-1, 1 << 63, 1 << 70])
 def test_records_refuse_a_channel_id_outside_int64(channel_id):
     # detected events carry the channel in an int64 array
@@ -323,6 +361,18 @@ class TestRecordFiles:
         hdr.write_text("".join(ln + "\n" for ln in lines if not ln.startswith(f"{key}=")))
         with pytest.raises(ValueError, match=f"missing required header key '{key}'"):
             load_record(path)
+
+    @pytest.mark.parametrize("full_scale", ["nan", "inf", "-1.0", "0"])
+    def test_bad_header_full_scale_rejected_with_its_line(self, tmp_path, full_scale):
+        # each was read, and its record loaded
+        path = tmp_path / "chan.f32"
+        save_record(rec([0.1, 0.2]), path)
+        hdr = path.with_name(path.name + ".hdr")
+        hdr.write_text(re.sub("full_scale=.*", f"full_scale={full_scale}", hdr.read_text()))
+        message = f"{hdr}:3: full_scale must be positive and finite, got {float(full_scale)}"
+        for read in (read_header, load_record):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read(path)
 
     def test_repeated_header_key_rejected_with_its_line(self, tmp_path):
         # the second rate used to win silently

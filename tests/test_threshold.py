@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from dualteo import metrics, threshold
 from dualteo.dataio import GroundTruth, SyntheticConfig, generate
-from dualteo.detector import PreparedDual, dual_crossing_streams, event_indices, finish_dual, prepare_dual
+from dualteo.detector import (
+    EventFormationConfig,
+    PreparedDual,
+    dual_crossing_streams,
+    event_indices,
+    finish_dual,
+    prepare_dual,
+)
 from dualteo.signal_model import SignalRecord
 from loop_oracles import calibration_means, sigma_track
 from serial_oracle import SigmaEstimatorState, estimator_step
@@ -808,7 +815,7 @@ def distinct_map_pairs(prep, grid) -> int:
     of the alignment.
     """
     align = prep.align[WARMUP_SAMPLES:]
-    gap = prep.event_cfg.refractory_samples
+    gap = EventFormationConfig.for_rate(prep.rate_hz).refractory_samples
 
     def runs(crossings):
         idx = np.flatnonzero(crossings[WARMUP_SAMPLES:])
@@ -887,7 +894,7 @@ class TestBatchedCalibration:
         full = default_coefficient_grid(pipeline)
         grid = full[::97] + full[::97]  # every candidate twice, sharing its crossing maps
         means = calibration_means(prepared, truths, grid)
-        keys = [(-m,) + c.tiebreak_key for m, c in zip(means, grid)]
+        keys = [(-m,) + threshold._tiebreak_fields(c) for m, c in zip(means, grid)]
         best = keys.index(min(keys))
         winner, score = calibrate_coefficients(pairs, grid, pipeline=pipeline, return_score=True)
         assert (winner, score) == (grid[best], means[best])
