@@ -5,16 +5,18 @@ raw signal, and the Teager energy of the two-sample-smoothed signal.  The raw
 path keys on sharp transients and wins when high-frequency noise is limited;
 the smoothed path survives high-frequency noise at the cost of some edge
 sharpness.  A sample crosses when either stream exceeds its adaptive
-threshold, and the OR of the two boolean streams feeds event formation.
+threshold, and the sample indices of the OR of the two boolean streams feed
+event formation.
 
 The float dual and raw-path detectors walk a record as the chip walks its
 stream: in cache-sized chunks of whole frames, each through the datapath
 of :func:`prepare_dual`, with the sigma loop carried from chunk to chunk
 in a register.  Only the crossings' indices and their alignment values
-outlast a chunk, as in the stream's walk, and the events are formed once,
-after the walk.  :func:`prepare_dual` and :func:`finish_dual` are the whole-record
-path, which calibration runs once per record for every candidate; the
-walk's events equal theirs.
+outlast a chunk, as in the stream's walk, and the events are formed from
+them once, after the walk, so the walk holds nothing as long as the record.
+:func:`prepare_dual` and :func:`finish_dual` are the whole-record path,
+which calibration runs once per record for every candidate; the walk's
+events equal theirs.
 
 A single sigma estimator observes the smoothed signal and feeds both
 thresholds; detections are suppressed for the first 16 frames
@@ -24,10 +26,13 @@ events; the caller is warned.  Every detector forms
 events the same way: crossing runs closer than a 1 ms refractory gap at the
 record's rate (:meth:`EventFormationConfig.for_rate`) merge into one event,
 aligned on the peak of its alignment signal, ties to the earliest.  The one
-event former, ``_merge_runs``, has four callers: :func:`form_events`, the
-256-channel stream's feeds (``hw_model.MultichannelStream._form_events``),
-and calibration's two merges, crossings into runs (``threshold._map_runs``)
-and a map pair's runs into events (``threshold._record_accuracies``).
+event former, ``_merge_runs``, has four callers: :func:`form_events`, which
+every single-channel detector calls with its crossings' sample indices and
+their alignment values (the float walk, :func:`finish_dual` and the
+amplitude baselines), the 256-channel stream's feeds
+(``hw_model.MultichannelStream._form_events``), and calibration's two
+merges, crossings into runs (``threshold._map_runs``) and a map pair's runs
+into events (``threshold._record_accuracies``).
 Its event indices go straight into the :class:`Events` every detector
 returns, two int64 arrays that scoring and the events file read as they are.
 
@@ -202,30 +207,32 @@ def _merge_runs(first, last, peak, values, gap: int) -> tuple[np.ndarray, np.nda
     return heads, np.minimum.reduceat(peak[at_peak], np.flatnonzero(lead))
 
 
-def form_events(crossings, teo_values, cfg: EventFormationConfig, channel_id: int = 0) -> Events:
-    """Merge crossing runs separated by less than the refractory gap into events.
+def form_events(crossings, values, cfg: EventFormationConfig, channel_id: int = 0) -> Events:
+    """Merge the crossings closer than the refractory gap into events.
 
-    The gap between two crossing samples is their index difference; runs whose
-    gap is below ``refractory_samples`` belong to one event.  The event sits
-    on the maximum of ``teo_values`` over its crossing samples (earliest on
-    ties).  Any two returned events are at least ``refractory_samples`` apart.
-    Returns them as one :class:`Events` on ``channel_id``.
+    ``crossings`` holds the crossing sample indices, strictly increasing
+    integers, and ``values`` the alignment value at each.  A crossing less
+    than ``refractory_samples`` past the one before joins its event.  The
+    event sits on its crossing of the largest value (the earliest on ties;
+    a NaN counts as the largest, as ``np.argmax`` takes it).  Any two
+    returned events are at least ``refractory_samples`` apart.  Returns
+    them as one :class:`Events` on ``channel_id``.
     """
-    crossings = np.asarray(crossings, dtype=bool)
-    teo_values = np.asarray(teo_values)
-    if len(crossings) != len(teo_values):
-        raise ValueError("crossings and teo_values must have the same length")
-    idx = np.flatnonzero(crossings)
-    _, peaks = _merge_runs(idx, idx, idx, teo_values[idx], cfg.refractory_samples)
+    crossings, values = np.asarray(crossings), np.asarray(values)
+    if crossings.dtype.kind not in "iu" or crossings.ndim != 1:  # a bool map is kind "b", not indices
+        raise ValueError(f"crossings must be 1-D integer sample indices, got {crossings.dtype} {crossings.shape}")
+    if values.shape != crossings.shape:
+        raise ValueError(f"values must hold one value per crossing: {values.shape} against {crossings.shape}")
+    if len(crossings) and (crossings[0] < 0 or np.any(crossings[1:] <= crossings[:-1])):
+        raise ValueError("crossings must be sample indices >= 0 that strictly increase")
+    idx = crossings.astype(np.int64, copy=False)
+    _, peaks = _merge_runs(idx, idx, idx, values, cfg.refractory_samples)
     return Events(np.full(len(peaks), channel_id, dtype=np.int64), peaks)
 
 
-def _form(source, crossings, align) -> Events:
-    """:func:`form_events` at the refractory gap of ``source``'s rate, on its channel.
-
-    ``source`` is a record or a :class:`PreparedDual`.
-    """
-    return form_events(crossings, align, EventFormationConfig.for_rate(source.rate_hz), source.channel_id)
+def _form(source, crossings, values) -> Events:
+    """:func:`form_events` at the rate and on the channel of ``source``, a record or a :class:`PreparedDual`."""
+    return form_events(crossings, values, EventFormationConfig.for_rate(source.rate_hz), source.channel_id)
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +361,11 @@ def _exceeds(energy: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gate_and_form(source, crossings: np.ndarray, align: np.ndarray) -> Events:
-    """Clear crossings inside the warm-up region (in place) and form events (:func:`_form`)."""
-    crossings[:WARMUP_SAMPLES] = False
-    return _form(source, crossings, align)
-
-
 def finish_dual(prep: PreparedDual, coeffs: ThresholdCoefficients) -> Events:
-    """Threshold, OR, gate the warm-up region, and form events."""
+    """Threshold, OR, gate the warm-up region, and form events from the crossings past it."""
     cross_x, cross_s = dual_crossing_streams(prep, coeffs)
-    return _gate_and_form(prep, cross_x | cross_s, prep.align)
+    at = np.flatnonzero(cross_x[WARMUP_SAMPLES:] | cross_s[WARMUP_SAMPLES:]) + WARMUP_SAMPLES
+    return _form(prep, at, prep.align[at])
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -395,11 +397,11 @@ def _detect_paths(record: SignalRecord, coeffs: ThresholdCoefficients | None, ki
     ``x[lo-2 : hi+1]``, which adds the samples its energies read on either
     side, and carries the sigma loop in a register.  Of each path, a chunk
     keeps what a stream chunk keeps (``hw_model.MultichannelStream._walk``):
-    its crossings' sample indices and their alignment values, the larger
-    energy at the OR's crossings for ``DUAL``, the raw energy at the raw
-    path's for ``TEO_SINGLE``.  After the walk each path's events are
-    formed once, so they equal the record path's,
-    ``finish_dual(prepare_dual(record), coeffs)``.
+    the sample indices of its crossings past the warm-up and their
+    alignment values, the larger energy at the OR's crossings for ``DUAL``,
+    the raw energy at the raw path's for ``TEO_SINGLE``.  After the walk
+    one :func:`form_events` call per path forms its events from them, so
+    they equal the record path's, ``finish_dual(prepare_dual(record), coeffs)``.
     """
     _check_warmup(record)
     if coeffs is None:
@@ -415,22 +417,16 @@ def _detect_paths(record: SignalRecord, coeffs: ThresholdCoefficients | None, ki
     for lo in range(0, max(n, 1), chunk):  # an empty record still takes one chunk
         hi, start = min(lo + chunk, n), max(0, lo - 2)
         prep = _prepare_samples(x[start:hi + 1], record, slice(lo - start, hi - start), register)
-        cross_x, cross_s = dual_crossing_streams(prep, coeffs)
+        skip = max(0, WARMUP_SAMPLES - lo)  # the warm-up gate, as the stream's chunks take it
+        cross_x, cross_s = (cross[skip:] for cross in dual_crossing_streams(prep, coeffs))
         for kind, (indices, values) in found.items():
             dual = kind == DetectorKind.DUAL
-            at = np.flatnonzero(cross_x | cross_s if dual else cross_x)
+            at = np.flatnonzero(cross_x | cross_s if dual else cross_x) + skip
             x_at = prep.x_energy[at]
             values.append(np.maximum(x_at, prep.s_energy[at]) if dual else x_at)
             indices.append(at + lo)
-    # form_events and its record-length arrays stay only for the detect workload's detector.events
-    # counter, which tests/test_benchmark_bindings.py needs; it reads align at the crossings alone
-    align, events = np.empty(n), {}
-    for kind, (indices, values) in found.items():
-        crossings, at = np.zeros(n, dtype=bool), np.concatenate(indices)
-        crossings[at] = True
-        align[at] = np.concatenate(values)
-        events[kind] = _gate_and_form(record, crossings, align)
-    return events
+    return {kind: _form(record, np.concatenate(indices), np.concatenate(values))
+            for kind, (indices, values) in found.items()}
 
 
 def detect_dual(
@@ -476,8 +472,8 @@ def detect_dvt(
     sd = float(np.std(x)) if len(x) else 0.0
     if sd == 0:  # a constant record has no noise to scale a threshold by
         return Events()
-    crossings = (x > pos_multiple * sd) | (x < -neg_multiple * sd)
-    return _form(record, crossings, np.abs(x))
+    at = np.flatnonzero((x > pos_multiple * sd) | (x < -neg_multiple * sd))
+    return _form(record, at, np.abs(x[at]))
 
 
 def moving_average_energy(x) -> np.ndarray:
@@ -512,7 +508,8 @@ def detect_mae(
     var = float(np.var(x)) if len(x) else 0.0
     if var == 0:  # a constant record has no noise to scale a threshold by
         return Events()
-    return _form(record, e > threshold_multiple * var, e)
+    at = np.flatnonzero(e > threshold_multiple * var)
+    return _form(record, at, e[at])
 
 
 def detect(record: SignalRecord, kind: DetectorKind, **kwargs) -> Events:

@@ -82,7 +82,9 @@ def accuracy_table(corpus, float_preps):
             dual_events.append(detector.finish_dual(prep, fc))
             # detect_teo_single's tail, reusing the prepared record
             cross_x, _ = detector.dual_crossing_streams(prep, fc)
-            single_events.append(detector._gate_and_form(prep, cross_x, prep.x_energy))
+            at = np.flatnonzero(cross_x[WARMUP_SAMPLES:]) + WARMUP_SAMPLES
+            cfg = detector.EventFormationConfig.for_rate(prep.rate_hz)
+            single_events.append(detector.form_events(at, prep.x_energy[at], cfg, prep.channel_id))
         table[DetectorKind.DUAL][nv] = mean_accuracy(dual_events, truths, TOL_24K, WARMUP_SAMPLES)
         table[DetectorKind.TEO_SINGLE][nv] = mean_accuracy(single_events, truths, TOL_24K, WARMUP_SAMPLES)
         for kind in (DetectorKind.AT, DetectorKind.DVT, DetectorKind.MAE):

@@ -559,19 +559,14 @@ class TestDatasetBundle:
         assert manifest["config"]["seed"] == 1
         assert manifest["n_spikes"] == len(truth)
 
-    def test_truth_beyond_record_rejected(self, tmp_path):
+    @pytest.mark.parametrize("past", [0, 5], ids=["last-of-four-lines", "only-line"])
+    def test_truth_beyond_record_names_its_line(self, tmp_path, past):
         cfg = SyntheticConfig(duration_s=1.0, noise_level=0.1, seed=1)
         record, truth = generate(cfg)
         save_dataset(record, truth, cfg, tmp_path, "demo")
-        (tmp_path / "demo_truth.csv").write_text(f"{len(record) + 5}\n")
-        with pytest.raises(ValueError, match="beyond"):
-            load_dataset(tmp_path, "demo")
-
-    def test_truth_beyond_record_names_its_line(self, tmp_path):
-        cfg = SyntheticConfig(duration_s=1.0, noise_level=0.1, seed=1)
-        record, truth = generate(cfg)
-        save_dataset(record, truth, cfg, tmp_path, "demo")
-        (tmp_path / "demo_truth.csv").write_text(f"# spikes\n5\n{len(record) - 1}\n{len(record)}\n")
-        message = f"demo_truth.csv:4: spike index {len(record)} lies beyond the record's {len(record)} samples"
+        n = len(record)
+        lines = [f"{n + past}"] if past else ["# spikes", "5", f"{n - 1}", f"{n}"]
+        (tmp_path / "demo_truth.csv").write_text("\n".join(lines) + "\n")
+        message = f"demo_truth.csv:{len(lines)}: spike index {n + past} lies beyond the record's {n} samples"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(tmp_path, "demo")

@@ -49,44 +49,52 @@ def cfg16():
     return EventFormationConfig(refractory_samples=16)
 
 
+def at_crossings(crossings, values):
+    """A comparator map's crossing sample indices and the values there, as ``form_events`` takes them."""
+    at = np.flatnonzero(crossings)
+    return at, np.asarray(values)[at]
+
+
 class TestFormEvents:
-    def test_all_false_gives_empty(self):
-        assert form_events(np.zeros(100, bool), np.zeros(100), cfg16()) == Events()
+    def test_no_crossings_give_empty(self):
+        assert form_events(np.zeros(0, dtype=np.intp), np.zeros(0), cfg16()) == Events()
 
     def test_single_run_aligns_on_peak(self):
-        crossings = np.zeros(40, bool)
-        crossings[[10, 11, 12]] = True
-        energy = np.zeros(40)
-        energy[10:13] = [1.0, 5.0, 2.0]
-        events = form_events(crossings, energy, cfg16(), channel_id=3)
+        events = form_events(np.array([10, 11, 12]), np.array([1.0, 5.0, 2.0]), cfg16(), channel_id=3)
         assert events == Events(np.array([3]), np.array([11]))
 
     def test_runs_past_refractory_stay_separate(self):
-        crossings = np.zeros(60, bool)
-        crossings[[10, 40]] = True  # gap 30 > 16
-        energy = np.ones(60)
-        events = form_events(crossings, energy, cfg16())
+        events = form_events(np.array([10, 40]), np.ones(2), cfg16())  # gap 30 > 16
         assert events.sample_index.tolist() == [10, 40]
 
     def test_runs_within_refractory_merge(self):
-        crossings = np.zeros(60, bool)
-        crossings[[10, 20]] = True  # gap 10 < 16
-        energy = np.zeros(60)
-        energy[20] = 2.0
-        events = form_events(crossings, energy, cfg16())
+        events = form_events(np.array([10, 20]), np.array([0.0, 2.0]), cfg16())  # gap 10 < 16
         assert events.sample_index.tolist() == [20]
 
     def test_peak_tie_takes_earliest(self):
-        crossings = np.zeros(30, bool)
-        crossings[[5, 6, 7]] = True
-        energy = np.zeros(30)
-        energy[[5, 6, 7]] = 4.0
-        events = form_events(crossings, energy, cfg16())
+        events = form_events(np.array([5, 6, 7]), np.full(3, 4.0), cfg16())
         assert events.sample_index[0] == 5
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            form_events(np.zeros(5, bool), np.zeros(4), cfg16())
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_any_integer_indices_give_int64_events(self, dtype):
+        events = form_events(np.array([3, 30, 31], dtype=dtype), np.array([1, 0, 2]), cfg16(), channel_id=1)
+        assert events == Events(np.array([1, 1]), np.array([3, 31]))
+        assert events.sample_index.dtype == events.channel_id.dtype == np.int64
+
+    @pytest.mark.parametrize("crossings, values, message", [
+        # a comparator map, the old input: its False and True would read as the indices 0 and 1
+        (np.array([False, True, True]), np.zeros(3), "integer"),
+        (np.array([1.0, 2.0]), np.zeros(2), "integer"),
+        (np.array([[1, 2], [3, 4]]), np.zeros((2, 2)), "1-D"),
+        (np.arange(5), np.zeros(4), "one value per crossing"),
+        (np.array([-1, 2]), np.zeros(2), ">= 0"),
+        (np.array([2, 2, 5]), np.zeros(3), "strictly increase"),
+        (np.array([2, 9, 5]), np.zeros(3), "strictly increase"),
+        (np.array([7, 3], dtype=np.uint8), np.zeros(2), "strictly increase"),
+    ], ids=["bool", "float", "2-D", "length-mismatch", "negative", "repeated", "decreasing", "unsigned-decreasing"])
+    def test_anything_but_increasing_indices_rejected(self, crossings, values, message):
+        with pytest.raises(ValueError, match=message):
+            form_events(crossings, values, cfg16())
 
     @given(
         st.lists(st.booleans(), min_size=1, max_size=300),
@@ -98,7 +106,7 @@ class TestFormEvents:
         rng = np.random.default_rng(seed)
         energy = rng.normal(size=len(crossings))
         cfg = EventFormationConfig(refractory_samples=refractory)
-        events = form_events(np.asarray(crossings), energy, cfg)
+        events = form_events(*at_crossings(crossings, energy), cfg)
         idx = event_indices(events)
         if len(idx) > 1:
             assert np.diff(idx).min() >= refractory
@@ -115,7 +123,8 @@ class TestFormEvents:
         rng = np.random.default_rng(seed)
         values = rng.integers(-2, 3, size=len(crossings)).astype(dtype)
         crossings = np.asarray(crossings)
-        events = form_events(crossings, values, EventFormationConfig(refractory_samples=refractory), channel_id=2)
+        cfg = EventFormationConfig(refractory_samples=refractory)
+        events = form_events(*at_crossings(crossings, values), cfg, channel_id=2)
         assert events.sample_index.tolist() == split_events(crossings, values, refractory)
         assert events.channel_id.tolist() == [2] * len(events)
         assert events.channel_id.dtype == events.sample_index.dtype == np.int64
@@ -124,7 +133,7 @@ class TestFormEvents:
         crossings = np.zeros(20, bool)
         crossings[[3, 4, 5, 6]] = True
         values = np.array([0.0] * 3 + [1.0, np.nan, 5.0, np.nan] + [0.0] * 13)
-        events = form_events(crossings, values, cfg16())
+        events = form_events(*at_crossings(crossings, values), cfg16())
         assert events.sample_index.tolist() == split_events(crossings, values, 16) == [4]
 
     def test_deterministic(self):
@@ -132,8 +141,8 @@ class TestFormEvents:
         crossings = rng.random(500) < 0.1
         energy = rng.normal(size=500)
         cfg = cfg16()
-        a = form_events(crossings, energy, cfg)
-        b = form_events(crossings, energy, cfg)
+        a = form_events(*at_crossings(crossings, energy), cfg)
+        b = form_events(*at_crossings(crossings, energy), cfg)
         assert a == b
 
 
@@ -226,7 +235,8 @@ class TestDetectDual:
         events = finish_dual(prep, COEFFS)
         union = cross_x | cross_s
         union[: prep.warmup_samples] = False
-        expected = form_events(union, prep.align, EventFormationConfig.for_rate(prep.rate_hz), prep.channel_id)
+        cfg = EventFormationConfig.for_rate(prep.rate_hz)
+        expected = form_events(*at_crossings(union, prep.align), cfg, prep.channel_id)
         assert events == expected
 
     def test_single_path_crossings_are_subset(self, noisy_record):
@@ -248,7 +258,8 @@ class TestDetectDual:
         for crossings in (cross_x, cross_s):
             gated = crossings.copy()
             gated[: prep.warmup_samples] = False
-            single = form_events(gated, prep.align, EventFormationConfig.for_rate(prep.rate_hz), prep.channel_id)
+            cfg = EventFormationConfig.for_rate(prep.rate_hz)
+            single = form_events(*at_crossings(gated, prep.align), cfg, prep.channel_id)
             rep_single = score_events(single, truth, tol, skip_before=prep.warmup_samples)
             assert rep_dual.tp >= rep_single.tp
 
@@ -268,7 +279,8 @@ def raw_path_events(record, coeffs):
     prep = prepare_dual(record)
     cross_x, _ = dual_crossing_streams(prep, coeffs)
     cross_x[: prep.warmup_samples] = False
-    return form_events(cross_x, prep.x_energy, EventFormationConfig.for_rate(prep.rate_hz), prep.channel_id)
+    cfg = EventFormationConfig.for_rate(prep.rate_hz)
+    return form_events(*at_crossings(cross_x, prep.x_energy), cfg, prep.channel_id)
 
 
 def assert_walk_equals_the_record_path(record, coeffs):
@@ -344,6 +356,20 @@ class TestChunkWalk:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * record.samples.nbytes
+
+    def test_peak_memory_does_not_grow_with_the_record(self):
+        # the walk holds its chunks' crossings alone, no array as long as the record
+        kinds, peaks = [DetectorKind.DUAL, DetectorKind.TEO_SINGLE], []
+        for seconds in (10.0, 40.0):
+            record, _ = generate(SyntheticConfig(duration_s=seconds, noise_level=0.1, seed=1))
+            detect_each(record, kinds)  # the coefficients load once
+            tracemalloc.start()
+            try:
+                detect_each(record, kinds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_no_chunk_of_either_walk_carries_an_alignment(monkeypatch):
